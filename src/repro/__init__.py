@@ -11,12 +11,14 @@ ISA with its own assembler and interpreter.
 
 Quickstart::
 
-    from repro import assemble, StarDBT, Pin, TeaReplayTool, build_tea
+    from repro import (ExecutionStream, Pin, StarDBT, TeaReplayTool,
+                       assemble)
 
     program = assemble(SOURCE)
-    recorded = StarDBT(program, strategy="mret").run()
+    stream = ExecutionStream.record(program)     # the one interpreter run
+    recorded = StarDBT(program, strategy="mret", stream=stream).run()
     tool = TeaReplayTool(trace_set=recorded.trace_set)
-    result = Pin(program, tool=tool).run()
+    result = Pin(program, tool=tool, stream=stream).run()
     print(tool.coverage, result.megacycles)
 
 See README.md for the architecture overview, DESIGN.md for the system
@@ -35,7 +37,7 @@ from repro.core import (
     load_tea,
     save_tea,
 )
-from repro.cpu import Executor, Machine, run_program
+from repro.cpu import ExecutionStream, Executor, Machine, run_program
 from repro.dbt import CodeCache, CostModel, CostParameters, StarDBT
 from repro.errors import ReproError
 from repro.isa import Program, assemble
@@ -65,6 +67,7 @@ __all__ = [
     "assemble",
     "Program",
     "Machine",
+    "ExecutionStream",
     "Executor",
     "run_program",
     # traces

@@ -15,6 +15,7 @@ Audited artifacts:
   automaton, dataflow and — with benchmark meta — CFG families);
 - every cached ``*.jit.py`` replay source (TEA033 + the TEA07x static
   certifier against the sibling snapshot);
+- every ``*.teas`` execution-stream sidecar (TEA027);
 - the concurrency-lint source targets (``repro/service``,
   ``repro/cluster``, ``repro/store/mapping.py`` — TEA08x).
 """
@@ -49,8 +50,9 @@ def default_code_paths() -> List[str]:
 
 
 def store_artifact_paths(store_root: Any) -> List[str]:
-    """Every snapshot and cached JIT source in a store, sorted."""
-    from repro.store.store import JIT_SUFFIX, SNAPSHOT_SUFFIX
+    """Every snapshot, cached JIT source and stream sidecar in a
+    store, sorted."""
+    from repro.store.store import JIT_SUFFIX, SNAPSHOT_SUFFIX, STREAM_SUFFIX
 
     paths = []
     if not os.path.isdir(store_root):
@@ -62,8 +64,8 @@ def store_artifact_paths(store_root: Any) -> List[str]:
         for filename in sorted(os.listdir(shard_dir)):
             if filename.startswith("."):
                 continue
-            if (filename.endswith(SNAPSHOT_SUFFIX)
-                    or filename.endswith(JIT_SUFFIX)):
+            if filename.endswith((SNAPSHOT_SUFFIX, JIT_SUFFIX,
+                                  STREAM_SUFFIX)):
                 paths.append(os.path.join(shard_dir, filename))
     return paths
 

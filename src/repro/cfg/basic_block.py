@@ -62,6 +62,29 @@ class BlockIndex:
     def __init__(self, program):
         self.program = program
         self._blocks = {}
+        self._from = {}
+
+    def block_from(self, start):
+        """The StarDBT-flavour dynamic block that starts at ``start``.
+
+        Execution entering at ``start`` runs straight through plain
+        instructions and ``cpuid``/REP splitters to the first control
+        transfer or ``hlt``, so that instruction ends the block whatever
+        the run: the block of a start is static.
+        """
+        found = self._from.get(start)
+        if found is not None:
+            return found
+        program = self.program
+        end = start
+        for _ in range(100_000):
+            instr = program.instruction_at(end)
+            if instr.is_control:
+                found = self._from[start] = self.block(start, end)
+                return found
+            end = instr.fallthrough
+        raise TraceError("runaway block from %#x (no control transfer)"
+                         % start)
 
     def block(self, start, end):
         key = (start, end)

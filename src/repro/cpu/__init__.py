@@ -8,7 +8,9 @@ StarDBT counts a REP-prefixed instruction once, Pin counts every iteration.
 
 Every higher layer (the DBT, MiniPin, trace recorders, the TEA replayer)
 consumes this event stream rather than re-executing instructions, so all
-engines observe the identical dynamic control flow.
+engines observe the identical dynamic control flow.  One run is recorded
+once as an :class:`~repro.cpu.stream.ExecutionStream` and replayed by
+every engine that needs it.
 """
 
 from repro.cpu.events import (
@@ -23,6 +25,7 @@ from repro.cpu.events import (
 )
 from repro.cpu.executor import ExecutionResult, Executor, run_program
 from repro.cpu.machine import Machine
+from repro.cpu.stream import ExecutionStream
 
 __all__ = [
     "EdgeEvent",
@@ -34,6 +37,7 @@ __all__ = [
     "EDGE_IND_CALL",
     "EDGE_SPLIT",
     "ExecutionResult",
+    "ExecutionStream",
     "Executor",
     "Machine",
     "run_program",

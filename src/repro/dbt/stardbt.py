@@ -20,8 +20,8 @@ trace returns to translated cold code.
 """
 
 from repro.cfg.basic_block import BlockIndex
-from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
-from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
+from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
+from repro.cpu.stream import ExecutionStream, matching
 from repro.dbt.code_cache import CodeCache
 from repro.dbt.cost import CostModel, CostParameters
 from repro.traces import make_recorder
@@ -75,13 +75,19 @@ class DBTResult:
 
 
 class StarDBT:
-    """The runtime.  Build one per program run and call :meth:`run`."""
+    """The runtime.  Build one per program run and call :meth:`run`.
+
+    ``stream`` is the program's recorded
+    :class:`~repro.cpu.stream.ExecutionStream` (same
+    ``max_instructions``); :meth:`run` records one when it is omitted.
+    """
 
     def __init__(self, program, strategy="mret", limits=None,
                  cost_params=None, memory_model=None,
                  max_instructions=DEFAULT_MAX_INSTRUCTIONS,
-                 recorder_kwargs=None):
+                 recorder_kwargs=None, stream=None):
         self.program = program
+        self.stream = matching(stream, max_instructions)
         self.strategy = strategy
         self.block_index = BlockIndex(program)
         self.cost = CostModel(cost_params or CostParameters())
@@ -153,37 +159,25 @@ class StarDBT:
     # ------------------------------------------------------------------
 
     def run(self):
-        """Execute the program under the DBT; returns :class:`DBTResult`."""
-        executor = Executor(
-            self.program, max_instructions=self.max_instructions
-        )
-        builder = DynamicBlockBuilder(
-            self.block_index, self.program.entry, flavor=FLAVOR_STARDBT
-        )
-        consumed = [0, 0]
-
-        def on_event(event):
-            consumed[0] += event.instrs_dbt
-            consumed[1] += event.instrs_pin
-            transition = builder.feed(event)
-            if transition is not None:
-                self._handle(transition)
-
-        result = executor.run(on_event)
-        final = builder.flush(
-            result.final_pc,
-            result.instrs_dbt - consumed[0],
-            result.instrs_pin - consumed[1],
-        )
-        self._handle(final)
+        """Run the program under the DBT; returns :class:`DBTResult`."""
+        stream = self.stream
+        if stream is None:
+            stream = self.stream = ExecutionStream.record(
+                self.program, self.max_instructions)
+        handle = self._handle
+        for transition in stream.block_transitions(self.block_index,
+                                                   self.program.entry):
+            handle(transition)
+        if stream.exceeded:
+            raise stream.limit_error()
         trace_set = self.recorder.finish()
         return DBTResult(
             trace_set,
             self.code_cache,
             self.cost,
             self._blocks,
-            result.instrs_dbt,
-            result.instrs_pin,
+            stream.instrs_dbt,
+            stream.instrs_pin,
             self._covered_dbt,
-            result.halted,
+            stream.halted,
         )

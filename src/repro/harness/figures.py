@@ -10,10 +10,9 @@ assert the exact automaton structure.
 """
 
 from repro.cfg import BlockIndex, build_cfg
-from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
 from repro.core import build_tea, duplicate_trace
 from repro.core.replay import ReplayConfig, TeaReplayer
-from repro.cpu import Executor
+from repro.cpu import ExecutionStream
 from repro.traces.model import TraceSet
 from repro.workloads import figure1_program, figure2_program
 
@@ -163,12 +162,9 @@ def render_figure3(demo_steps=12):
             % (transition.block.start, transition.next_start, state.name)
         )
 
-    builder = DynamicBlockBuilder(
-        block_index, program.entry, flavor=FLAVOR_STARDBT,
-        on_transition=on_transition,
-    )
-    executor = Executor(program)
-    executor.run(builder.feed)
+    stream = ExecutionStream.record(program)
+    for transition in stream.block_transitions(block_index, program.entry):
+        on_transition(transition)
     sections.extend(steps)
     return "\n".join(sections)
 

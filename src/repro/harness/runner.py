@@ -29,6 +29,7 @@ fraction of the run, as in the paper.
 
 from repro.core import MemoryModel, ReplayConfig
 from repro.core.replay import REPLAY_ENGINES
+from repro.cpu.stream import ExecutionStream
 from repro.dbt import StarDBT
 from repro.harness.cache import stage_key
 from repro.obs import Observability
@@ -167,6 +168,7 @@ class Runner(SummaryProvider):
         self._record = {}
         self._summaries = {}
         self._verified = set()
+        self._streams = {}
 
     def _log(self, message):
         if self.progress is not None:
@@ -203,6 +205,21 @@ class Runner(SummaryProvider):
             self._workloads[name] = found
         return found
 
+    def stream(self, name):
+        """The benchmark's recorded execution stream.
+
+        Recorded on first use — the benchmark's one interpreter run,
+        counted in ``exec.runs`` — and consumed by every stage: native,
+        the StarDBT strategies and every MiniPin configuration.
+        """
+        found = self._streams.get(name)
+        if found is None:
+            found = ExecutionStream.record(
+                self.workload(name).program, self.config.max_instructions,
+                obs=self.obs)
+            self._streams[name] = found
+        return found
+
     def native(self, name):
         """Native run (the Table 4 baseline)."""
         found = self._native.get(name)
@@ -216,6 +233,7 @@ class Runner(SummaryProvider):
                 found = run_native(
                     program,
                     max_instructions=self.config.max_instructions,
+                    stream=self.stream(name),
                 )
             self._native[name] = found
         return found
@@ -227,15 +245,16 @@ class Runner(SummaryProvider):
         timer = self._stage("dbt", cached=found is not None)
         if found is None:
             self._log("%s: DBT %s" % (name, strategy))
-            runtime = StarDBT(
-                self.workload(name).program,
-                strategy=strategy,
-                limits=self.config.limits(),
-                memory_model=self.config.memory_model,
-                max_instructions=self.config.max_instructions,
-            )
+            program = self.workload(name).program
             with timer:
-                found = runtime.run()
+                found = StarDBT(
+                    program,
+                    strategy=strategy,
+                    limits=self.config.limits(),
+                    memory_model=self.config.memory_model,
+                    max_instructions=self.config.max_instructions,
+                    stream=self.stream(name),
+                ).run()
             self._dbt[key] = found
         return found
 
@@ -251,6 +270,7 @@ class Runner(SummaryProvider):
                     program,
                     tool=None,
                     max_instructions=self.config.max_instructions,
+                    stream=self.stream(name),
                 ).run()
             self._pin_only[name] = found
         return found
@@ -268,6 +288,7 @@ class Runner(SummaryProvider):
                     program,
                     tool=tool,
                     max_instructions=self.config.max_instructions,
+                    stream=self.stream(name),
                 ).run()
             found = (result, tool)
             self._empty[name] = found
@@ -291,6 +312,7 @@ class Runner(SummaryProvider):
                     program,
                     tool=tool,
                     max_instructions=self.config.max_instructions,
+                    stream=self.stream(name),
                 ).run()
             found = (result, tool)
             self._replay[key] = found
@@ -309,6 +331,7 @@ class Runner(SummaryProvider):
                     program,
                     tool=tool,
                     max_instructions=self.config.max_instructions,
+                    stream=self.stream(name),
                 ).run()
             found = (result, tool)
             self._record[name] = found

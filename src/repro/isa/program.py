@@ -11,6 +11,8 @@ code, 16-byte aligned; its initial word values are applied to the machine
 memory before execution.
 """
 
+import hashlib
+
 from repro.errors import ExecutionError
 
 #: Default text-segment base, matching Linux IA-32 executables.
@@ -47,6 +49,7 @@ class Program:
         self.data = dict(data or {})
         self.source = source
         self._by_addr = {instr.addr: instr for instr in self.instructions}
+        self._digest = None
         if self.instructions:
             last = self.instructions[-1]
             self.code_end = last.addr + last.length
@@ -70,6 +73,26 @@ class Program:
             return self._by_addr[addr]
         except KeyError:
             raise ExecutionError("no instruction at %#x" % (addr,)) from None
+
+    def content_digest(self):
+        """SHA-256 hex digest of everything execution depends on.
+
+        Covers the layout base, entry, every instruction (address,
+        length and resolved assembly) and the data image, but not label
+        names: two programs with the same digest execute identically.
+        Keys recorded execution streams (:mod:`repro.cpu.stream`).
+        """
+        if self._digest is None:
+            lines = ["SX86-PROGRAM 1 %x %x" % (self.base, self.entry)]
+            lines.extend(
+                "%x %d %s" % (instr.addr, instr.length, instr.to_assembly())
+                for instr in self.instructions
+            )
+            lines.extend("%x=%d" % (addr, self.data[addr])
+                         for addr in sorted(self.data))
+            text = "\n".join(lines).encode("utf-8")
+            self._digest = hashlib.sha256(text).hexdigest()
+        return self._digest
 
     def has_instruction(self, addr):
         return addr in self._by_addr

@@ -15,14 +15,22 @@ which is what makes our Table 2/3 coverages differ slightly from the
 DBT's — the Section 4.1 effect.
 """
 
+import functools
+import operator
+from bisect import bisect_left
+from itertools import repeat
+
 from repro.cfg.basic_block import BlockIndex
-from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
-from repro.cpu.events import EDGE_IND_CALL, EDGE_IND_JMP, EDGE_RET
-from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
+from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
+from repro.cpu.stream import (
+    FLAG_FINAL,
+    FLAG_FIRST,
+    FLAG_INDIRECT,
+    FLAG_SPLITS,
+    ExecutionStream,
+    matching,
+)
 from repro.dbt.cost import CostModel, CostParameters
-
-_INDIRECT_KINDS = (EDGE_IND_JMP, EDGE_IND_CALL, EDGE_RET)
-
 
 class PinResult:
     """Outcome of a MiniPin run."""
@@ -61,8 +69,124 @@ class PinResult:
         )
 
 
+class _EngineCharges:
+    """MiniPin's own per-event charges, applied from a recorded stream.
+
+    Per Pin-flavour event the live engine charged, in this order:
+    ``PIN_BLOCK_STUB``; ``PIN_TRANSLATION_PER_INSTR`` times the event's
+    instructions when its PC was new; ``PIN_INDIRECT_EXTRA`` for an
+    indirect edge; then the event's Pin-counted instructions.  The
+    terminal block charges only its residual instructions.
+    :attr:`CostModel.cycles <repro.dbt.cost.CostModel.cycles>` is one
+    float accumulated in call order and the stub (1.6) is inexact, so
+    the charges are added one at a time in exactly that order — never
+    pre-summed, never with ``sum()`` (compensated on Python >= 3.12) or
+    ``math.fsum``.  :meth:`through` does so in bulk, one loop over the
+    lanes for the total and the per-category sums, and
+    ``functools.reduce`` for the constant charges.  Blocks that create
+    a cost category or carry extra events
+    (:meth:`ExecutionStream.slow_transitions`) go through :meth:`block`,
+    one ``charge`` call per charge.
+    """
+
+    __slots__ = ("cost", "stream", "stub", "translate", "indirect", "rate",
+                 "slow")
+
+    def __init__(self, cost, stream):
+        params = cost.params
+        self.cost = cost
+        self.stream = stream
+        self.stub = params.PIN_BLOCK_STUB
+        self.translate = params.PIN_TRANSLATION_PER_INSTR
+        self.indirect = params.PIN_INDIRECT_EXTRA
+        self.rate = params.NATIVE_INSTRUCTION
+        self.slow = stream.slow_transitions()
+
+    def splits(self, index):
+        """Charge the split events merged into block ``index``; returns
+        their ``(instrs_dbt, instrs_pin)`` totals."""
+        cost = self.cost
+        merged_dbt = merged_pin = 0
+        for instrs_dbt, instrs_pin, first in self.stream.split_rows(index):
+            cost.charge("pin_dispatch", self.stub)
+            if first:
+                cost.charge("pin_translation", self.translate * instrs_dbt)
+            cost.charge_instructions(instrs_pin)
+            merged_dbt += instrs_dbt
+            merged_pin += instrs_pin
+        return merged_dbt, merged_pin
+
+    def block(self, index):
+        """Charge every event that completed block ``index``."""
+        cost = self.cost
+        stream = self.stream
+        code = stream.flags[index]
+        instrs_dbt = stream.transitions[3 * index + 1]
+        instrs_pin = stream.transitions[3 * index + 2]
+        if code & FLAG_SPLITS:
+            merged_dbt, merged_pin = self.splits(index)
+            instrs_dbt -= merged_dbt
+            instrs_pin -= merged_pin
+        if code & FLAG_FINAL:
+            cost.charge_instructions(instrs_pin)
+            return
+        cost.charge("pin_dispatch", self.stub)
+        if code & FLAG_FIRST:
+            cost.charge("pin_translation", self.translate * instrs_dbt)
+        if code & FLAG_INDIRECT:
+            cost.charge("pin_indirect", self.indirect)
+        cost.charge_instructions(instrs_pin)
+
+    def through(self, lo, hi):
+        """Charge every event that completed blocks ``lo`` .. ``hi - 1``."""
+        slow = self.slow
+        at = lo
+        for index in slow[bisect_left(slow, lo):bisect_left(slow, hi)]:
+            if index > at:
+                self._bulk(at, index)
+            self.block(index)
+            at = index + 1
+        if hi > at:
+            self._bulk(at, hi)
+
+    def _bulk(self, lo, hi):
+        # Blocks here end in one event each, none of them new to Pin,
+        # and every category they charge already exists.
+        cost = self.cost
+        breakdown = cost.breakdown
+        stub = self.stub
+        indirect = self.indirect
+        rate = self.rate
+        cycles = cost.cycles
+        instructions = breakdown["instructions"]
+        indirects = 0
+        for code, count in zip(self.stream.flags[lo:hi],
+                               self.stream.transitions[3 * lo + 2:3 * hi:3]):
+            cycles += stub
+            if code & FLAG_INDIRECT:
+                cycles += indirect
+                indirects += 1
+            count = count * rate
+            cycles += count
+            instructions += count
+        cost.cycles = cycles
+        breakdown["instructions"] = instructions
+        breakdown["pin_dispatch"] = functools.reduce(
+            operator.add, repeat(stub, hi - lo), breakdown["pin_dispatch"])
+        if indirects:
+            breakdown["pin_indirect"] = functools.reduce(
+                operator.add, repeat(indirect, indirects),
+                breakdown["pin_indirect"])
+
+
 class Pin:
     """The engine: one instance per program run.
+
+    ``stream`` is the program's recorded
+    :class:`~repro.cpu.stream.ExecutionStream` (same
+    ``max_instructions``); when omitted, :meth:`run` records one first
+    — the one interpreter run.  Pass one stream to every engine that
+    runs the same program to execute it once.
 
     ``obs`` (optional :class:`~repro.obs.Observability`) is shared with
     the executor and exposed to the attached pintool, so one registry
@@ -71,17 +195,18 @@ class Pin:
     """
 
     def __init__(self, program, tool=None, cost_params=None,
-                 max_instructions=DEFAULT_MAX_INSTRUCTIONS, obs=None):
+                 max_instructions=DEFAULT_MAX_INSTRUCTIONS, obs=None,
+                 stream=None):
         self.program = program
         self.tool = tool
         self.cost = CostModel(cost_params or CostParameters())
         self.block_index = BlockIndex(program)
         self.max_instructions = max_instructions
         self.obs = obs
-        self._seen_block_ends = set()
+        self.stream = matching(stream, max_instructions)
 
     def run(self):
-        """Execute under instrumentation; returns :class:`PinResult`."""
+        """Run under instrumentation; returns :class:`PinResult`."""
         obs = self.obs
         if obs is None:
             return self._run()
@@ -90,84 +215,81 @@ class Pin:
         metrics = obs.metrics
         metrics.counter("pin.runs").inc()
         metrics.counter("pin.blocks").inc(result.blocks)
-        metrics.counter("pin.translated_blocks").inc(
-            len(self._seen_block_ends))
+        metrics.counter("pin.translated_blocks").inc(self.stream.translated)
         metrics.counter("pin.instructions_dbt").inc(result.instrs_dbt)
         metrics.counter("pin.instructions_pin").inc(result.instrs_pin)
         return result
 
     def _run(self):
-        cost = self.cost
-        params = cost.params
+        stream = self.stream
+        if stream is None:
+            stream = self.stream = ExecutionStream.record(
+                self.program, self.max_instructions, obs=self.obs)
         tool = self.tool
         if tool is not None:
             tool.attach(self)
-
-        builder = DynamicBlockBuilder(
-            self.block_index, self.program.entry, flavor=FLAVOR_STARDBT
-        )
-        executor = Executor(self.program, max_instructions=self.max_instructions,
-                            obs=self.obs)
-        consumed = [0, 0]
-        pin_blocks = [0]
-        indirects = [0]
-        seen_ends = self._seen_block_ends
-        deliver = tool.on_transition if tool is not None else None
-
-        def on_event(event):
-            consumed[0] += event.instrs_dbt
-            consumed[1] += event.instrs_pin
-            # Engine-side costs are per Pin-flavour block: every event
-            # (control transfer or splitter) ends one.
-            pin_blocks[0] += 1
-            cost.charge("pin_dispatch", params.PIN_BLOCK_STUB)
-            if event.pc not in seen_ends:
-                seen_ends.add(event.pc)
-                cost.charge(
-                    "pin_translation",
-                    params.PIN_TRANSLATION_PER_INSTR * event.instrs_dbt,
-                )
-            if event.kind in _INDIRECT_KINDS:
-                indirects[0] += 1
-                cost.charge("pin_indirect", params.PIN_INDIRECT_EXTRA)
-            cost.charge_instructions(event.instrs_pin)
-            transition = builder.feed(event)
-            if transition is not None and deliver is not None:
+        charges = _EngineCharges(self.cost, stream)
+        blocks = stream.n_transitions
+        batch = tool.packed_batch if tool is not None else None
+        if tool is None:
+            charges.through(0, blocks)
+        elif batch:
+            # Packed-batch tools see exactly the live encoder's batches:
+            # full ones as they fill, the remainder at the end.
+            view = stream.transitions
+            full = blocks - blocks % batch if stream.exceeded else blocks
+            for lo in range(0, full, batch):
+                hi = min(lo + batch, blocks)
+                charges.through(lo, hi)
+                tool.on_packed(view[3 * lo:3 * hi])
+            charges.through(full, blocks)
+        else:
+            deliver = tool.on_transition
+            block = charges.block
+            for index, transition in enumerate(stream.block_transitions(
+                    self.block_index, self.program.entry)):
+                block(index)
                 deliver(transition)
-
-        result = executor.run(on_event)
-        residual_dbt = result.instrs_dbt - consumed[0]
-        residual_pin = result.instrs_pin - consumed[1]
-        cost.charge_instructions(residual_pin)
-        final = builder.flush(result.final_pc, residual_dbt, residual_pin)
-        if deliver is not None:
-            deliver(final)
+        if stream.exceeded:
+            charges.splits(blocks)
+            raise stream.limit_error()
         if tool is not None:
             tool.on_finish()
         if self.obs is not None:
-            self.obs.metrics.counter("pin.indirect_edges").inc(indirects[0])
+            self.obs.metrics.counter("pin.indirect_edges").inc(
+                stream.indirects)
         return PinResult(
-            cost,
-            result.instrs_dbt,
-            result.instrs_pin,
-            pin_blocks[0] + 1,
+            self.cost,
+            stream.instrs_dbt,
+            stream.instrs_pin,
+            stream.edges + 1,
             tool,
-            result.halted,
+            stream.halted,
         )
 
 
+def native_cost(stream, cost_params=None):
+    """The native baseline's :class:`~repro.dbt.cost.CostModel` from a
+    recorded stream: its Pin-counted instructions, one charge."""
+    if stream.exceeded:
+        raise stream.limit_error()
+    cost = CostModel(cost_params or CostParameters())
+    cost.charge_instructions(stream.instrs_pin)
+    return cost
+
+
 def run_native(program, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
-               cost_params=None):
+               cost_params=None, stream=None):
     """Native baseline: the program alone, one cycle per instruction.
 
     Returns a :class:`PinResult`-shaped object so harness code can treat
-    every configuration uniformly.
+    every configuration uniformly.  ``stream`` is the program's recorded
+    run, as for :class:`Pin`; one is recorded when omitted.
     """
-    cost = CostModel(cost_params or CostParameters())
-    executor = Executor(program, max_instructions=max_instructions)
-    result = executor.run(None)
-    cost.charge_instructions(result.instrs_pin)
+    stream = matching(stream, max_instructions)
+    if stream is None:
+        stream = ExecutionStream.record(program, max_instructions)
     return PinResult(
-        cost, result.instrs_dbt, result.instrs_pin, result.edges + 1, None,
-        result.halted,
+        native_cost(stream, cost_params), stream.instrs_dbt,
+        stream.instrs_pin, stream.edges + 1, None, stream.halted,
     )

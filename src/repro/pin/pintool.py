@@ -11,7 +11,18 @@ model, the way real analysis routines cost real cycles.
 
 
 class Pintool:
-    """Base class for instrumentation tools; override the hooks."""
+    """Base class for instrumentation tools; override the hooks.
+
+    A tool that consumes packed ``(next_start, instrs_dbt, instrs_pin)``
+    int batches (see :mod:`repro.pin.packed`) sets :attr:`packed_batch`
+    to its batch size in transitions by the end of :meth:`attach`; the
+    engine then calls :meth:`on_packed` with zero-copy int64 slices of
+    the recorded stream instead of :meth:`on_transition` per block.
+    """
+
+    #: Transitions per :meth:`on_packed` batch; ``None`` = per-call
+    #: :meth:`on_transition` delivery.
+    packed_batch = None
 
     def __init__(self):
         self.pin = None
@@ -26,6 +37,11 @@ class Pintool:
 
     def on_transition(self, transition):
         """One dynamic basic block completed (StarDBT-flavour blocks)."""
+
+    def on_packed(self, packed):
+        """A batch of ``packed_batch`` packed transitions completed (the
+        last batch of a run may be shorter)."""
+        raise NotImplementedError
 
     def on_finish(self):
         """Program ended; finalize analysis state."""

@@ -123,9 +123,8 @@ class TeaReplayTool(Pintool):
                     self.compiled, config=self.config, cost=pin.cost,
                     obs=obs,
                 )
-            self._encoder = PackedTransitionEncoder(
-                self.batch_size or DEFAULT_PACKED_BATCH
-            )
+            self.packed_batch = self.batch_size or DEFAULT_PACKED_BATCH
+            self._encoder = PackedTransitionEncoder(self.packed_batch)
             return
         self.replayer = TeaReplayer(
             self.tea, config=self.config, cost=pin.cost, profile=self.profile,
@@ -147,6 +146,9 @@ class TeaReplayTool(Pintool):
         if len(buffer) >= self.batch_size:
             self.replayer.run(buffer)
             buffer.clear()
+
+    def on_packed(self, packed):
+        self.replayer.run(packed)
 
     def on_finish(self):
         if self._encoder is not None:

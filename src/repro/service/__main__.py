@@ -23,6 +23,7 @@ import signal
 import sys
 
 from repro.core import TeaProfile, build_tea
+from repro.cpu.stream import ExecutionStream
 from repro.dbt import StarDBT
 from repro.errors import ReproError
 from repro.pin import Pin, TeaReplayTool
@@ -32,15 +33,26 @@ from repro.store import DEFAULT_STORE_DIR, AutomatonStore
 from repro.traces import STRATEGIES
 from repro.traces.recorder import RecorderLimits
 from repro.util import atomic_write_text
-from repro.workloads import BENCHMARKS, load_benchmark
+from repro.workloads import BENCHMARKS, load_benchmark, program_digest
 
 
 def _cmd_build(args):
-    """Record a benchmark, build its TEA, snapshot it into the store."""
+    """Record a benchmark, build its TEA, snapshot it into the store.
+
+    The program runs on the interpreter once: StarDBT records traces
+    from that run's stream, the ``--profile`` replay consumes it too,
+    and it is stored as the program's stream sidecar, which the service
+    replays from.
+    """
     workload = load_benchmark(args.benchmark, scale=args.scale)
+    # Seeds the per-process memo that maps snapshot meta to program
+    # digests, so a ``gc`` in this process need not rebuild the program.
+    program_digest(args.benchmark, args.scale, workload.program)
+    stream = ExecutionStream.record(workload.program)
     limits = RecorderLimits(hot_threshold=args.threshold)
     recorded = StarDBT(
-        workload.program, strategy=args.strategy, limits=limits
+        workload.program, strategy=args.strategy, limits=limits,
+        stream=stream,
     ).run()
     trace_set = recorded.trace_set
     tea = build_tea(trace_set)
@@ -48,7 +60,7 @@ def _cmd_build(args):
     if args.profile:
         profile = TeaProfile()
         tool = TeaReplayTool(trace_set=trace_set, profile=profile, tea=tea)
-        Pin(workload.program, tool=tool).run()
+        Pin(workload.program, tool=tool, stream=stream).run()
     meta = {
         "benchmark": args.benchmark,
         "scale": args.scale,
@@ -72,6 +84,9 @@ def _cmd_build(args):
             superseded.append(old_key)
     if superseded:
         meta["supersedes"] = sorted(superseded)
+    # The sidecar goes first, so a server that reloads between the two
+    # writes never meets the snapshot without its stream.
+    stream_key = store.put_stream(stream)
     key = store.put(trace_set, tea=tea, profile=profile, meta=meta)
     info = store.describe(key)
     print("snapshot %s" % key)
@@ -79,6 +94,8 @@ def _cmd_build(args):
           % (info["traces"], info["states"], info["transitions"],
              info["heads"], "with" if info["profile"] else "no"))
     print("  %d bytes in %s" % (info["bytes"], store.path_for(key)))
+    print("  stream %s: %d blocks, %d instructions"
+          % (stream_key[:12], stream.n_transitions, stream.instrs_dbt))
     for old_key in superseded:
         print("  supersedes %s" % old_key)
     return 0

@@ -31,14 +31,18 @@ per-method latency timers) and exported via the ``stats`` RPC.
 import asyncio
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import __version__
 from repro.cfg.basic_block import BlockIndex
 from repro.core import ReplayConfig
+from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
+from repro.cpu.stream import ExecutionStream, stream_key
 from repro.errors import ReproError, SerializationError, VerificationError
 from repro.obs import Observability
-from repro.pin import Pin, TeaReplayTool, run_native
+from repro.pin import Pin, TeaReplayTool
+from repro.pin.pin import native_cost
 from repro.service.protocol import (
     E_INTERNAL,
     E_INVALID,
@@ -126,6 +130,38 @@ class ServiceConfig:
         self.verify = bool(verify)
 
 
+class StreamSource:
+    """One program's execution stream, shared by every entry replaying
+    that program.
+
+    The service opens it at load: the store's sidecar for the program,
+    mapped read-only once it passes TEA027.  Without a sound sidecar
+    the stream is recorded in memory on first use, exactly once:
+    concurrent first replays wait for that one recording
+    (single-flight).  ``lock`` is the service-wide recording lock;
+    recordings are CPU-bound under the GIL anyway, and serializing them
+    keeps the executor's ``exec.run`` timer from overlapping.
+    """
+
+    __slots__ = ("program", "_stream", "_lock", "__weakref__")
+
+    def __init__(self, program, lock, stream=None):
+        self.program = program
+        self._stream = stream
+        self._lock = lock
+
+    def get(self, obs=None):
+        """The stream; records it first when there is none yet."""
+        stream = self._stream
+        if stream is None:
+            with self._lock:
+                stream = self._stream
+                if stream is None:
+                    stream = ExecutionStream.record(self.program, obs=obs)
+                    self._stream = stream
+        return stream
+
+
 class SnapshotEntry:
     """One preloaded snapshot: program image + trace set + automaton.
 
@@ -134,16 +170,18 @@ class SnapshotEntry:
     view into (``mapping``); hot-reload retires an entry by flagging
     ``retired`` and closes the mapping once ``inflight`` — the number
     of replay/diff requests currently using the entry, maintained on
-    the event loop — drains to zero.
+    the event loop — drains to zero.  ``stream`` is the
+    :class:`StreamSource` of the snapshot's program, shared with every
+    other entry of the same program.
     """
 
     __slots__ = ("key", "meta", "label", "program", "block_index",
                  "trace_set", "tea", "compiled", "profile", "n_bytes",
-                 "mapping", "inflight", "retired",
-                 "_native_cycles", "_jit_codes", "_jit_lock")
+                 "mapping", "stream", "inflight", "retired",
+                 "_jit_codes", "_jit_lock")
 
     def __init__(self, key, meta, program, trace_set, tea, profile, n_bytes,
-                 compiled=None, mapping=None):
+                 compiled=None, mapping=None, stream=None):
         self.key = key
         self.meta = meta or {}
         self.label = self.meta.get("label") or self.meta.get("benchmark") or key
@@ -155,9 +193,10 @@ class SnapshotEntry:
         self.profile = profile
         self.n_bytes = n_bytes
         self.mapping = mapping
+        self.stream = (stream if stream is not None
+                       else StreamSource(program, threading.Lock()))
         self.inflight = 0
         self.retired = False
-        self._native_cycles = None
         # JIT codes are specialized per replay config, lazily, on the
         # worker threads — hence the lock (JitCode itself is immutable
         # and shared read-only once built).
@@ -197,7 +236,7 @@ class SnapshotEntry:
         }
 
 
-def load_entry(key, data, verify=True, mapping=None):
+def load_entry(key, data, verify=True, mapping=None, streams=None):
     """Preload one snapshot's bytes into a :class:`SnapshotEntry`.
 
     The snapshot's meta must name the benchmark it was recorded from
@@ -215,6 +254,10 @@ def load_entry(key, data, verify=True, mapping=None):
     automaton's tables become views into the shared read-only ``mmap``
     instead of private decoded arrays, so N service workers mapping the
     same snapshot share one page-cache copy.
+
+    ``streams`` maps the snapshot's program to its shared
+    :class:`StreamSource` (the service passes its own registry); a
+    private source, recorded on first replay, is used when omitted.
     """
     if verify:
         from repro.verify import verify_snapshot_bytes
@@ -240,7 +283,8 @@ def load_entry(key, data, verify=True, mapping=None):
         compiled = compile_tea_binary(data, verify=False)
     compiled.successor_maps()
     return SnapshotEntry(key, meta, program, trace_set, tea, profile,
-                         len(data), compiled=compiled, mapping=mapping)
+                         len(data), compiled=compiled, mapping=mapping,
+                         stream=streams(program) if streams else None)
 
 
 class TeaService:
@@ -273,6 +317,15 @@ class TeaService:
         self._started_at = None
         self._replay_memo = {}     # (key, config) -> result dict
         self._replay_memo_lock = None
+        # Retired keys still present in the store, so a later reload
+        # does not load them again; forgotten once their files go.
+        self._retired_keys = set()
+        # stream key -> StreamSource, shared by the entries of one
+        # program; entries hold the sources, so a source goes with the
+        # last entry of its program.  Loads run on pool threads.
+        self._streams = weakref.WeakValueDictionary()
+        self._streams_lock = threading.Lock()
+        self._record_lock = threading.Lock()
         metrics = self.obs.metrics
         self._requests = metrics.counter("service.requests")
         self._ok = metrics.counter("service.ok")
@@ -282,6 +335,8 @@ class TeaService:
         self._connections = metrics.counter("service.connections")
         self._verify_ok = metrics.counter("service.verify_ok")
         self._verify_failed = metrics.counter("service.verify_failed")
+        self._stream_sidecars = metrics.counter("service.stream_sidecars")
+        self._stream_invalid = metrics.counter("service.stream_invalid")
         self._active = metrics.gauge("service.connections_active")
         self._active.set(0)
         self._methods = {
@@ -348,11 +403,35 @@ class TeaService:
             data = (mapping.data if mapping is not None
                     else self.store.get_bytes(key))
             return load_entry(key, data, verify=self.config.verify,
-                              mapping=mapping)
+                              mapping=mapping, streams=self._stream_for)
         except BaseException:
             if mapping is not None:
                 mapping.close()
             raise
+
+    def _stream_for(self, program):
+        """The shared :class:`StreamSource` of ``program`` (pool thread).
+
+        The first entry of a program opens the store's sidecar; one
+        that fails TEA027 is counted in ``service.stream_invalid`` and
+        never served — the source records afresh instead.
+        """
+        digest = program.content_digest()
+        key = stream_key(digest, DEFAULT_MAX_INSTRUCTIONS)
+        with self._streams_lock:
+            source = self._streams.get(key)
+            if source is None:
+                try:
+                    stream = self.store.open_stream(digest,
+                                                    DEFAULT_MAX_INSTRUCTIONS)
+                except (SerializationError, OSError):
+                    self._stream_invalid.inc()
+                    stream = None
+                if stream is not None:
+                    self._stream_sidecars.inc()
+                source = StreamSource(program, self._record_lock, stream)
+                self._streams[key] = source
+        return source
 
     def _refresh_gauges(self):
         self.obs.metrics.set_gauge("service.snapshots", len(self.entries))
@@ -513,7 +592,7 @@ class TeaService:
         wrong answers across the swap.
         """
         loop = asyncio.get_event_loop()
-        known = set(self.entries) | set(self.invalid)
+        known = set(self.entries) | set(self.invalid) | self._retired_keys
         added, invalid, present = await loop.run_in_executor(
             self._pool, self._load_new_entries, known
         )
@@ -539,6 +618,8 @@ class TeaService:
         )
         for key in retired:
             self._retire(self.entries.pop(key))
+        self._retired_keys.update(retired)
+        self._retired_keys &= present
         for key in list(self.invalid):
             if key not in present:
                 del self.invalid[key]
@@ -850,12 +931,10 @@ class TeaService:
                       else None),
             jit=jit,
         )
-        result = Pin(entry.program, tool=tool).run()
+        stream = entry.stream.get(self.obs)
+        result = Pin(entry.program, tool=tool, stream=stream).run()
         stats = tool.stats.as_dict()
-        if entry._native_cycles is None:
-            # Benign race: concurrent firsts compute the same number.
-            entry._native_cycles = run_native(entry.program).cycles
-        native = entry._native_cycles
+        native = native_cost(stream).cycles
         return {
             "coverage_pin": tool.stats.coverage(pin_counting=True),
             "coverage_dbt": tool.stats.coverage(pin_counting=False),

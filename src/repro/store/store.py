@@ -18,12 +18,22 @@ re-encodes a store in place.
 The replay service (:mod:`repro.service`) preloads every snapshot in a
 store at startup and serves them by key (or by the ``label`` /
 ``benchmark`` recorded in the snapshot meta) to concurrent clients.
+
+Next to the snapshots a store keeps read-only execution-stream
+sidecars (``<key>.teas``, see :mod:`repro.cpu.stream`): one recorded
+run per program, filed under the stream key of the program digest and
+instruction budget, so the service replays a snapshot's program
+without running the interpreter.  No snapshot byte refers to a
+sidecar; :meth:`AutomatonStore.gc` keeps exactly the sidecars of the
+programs the present snapshots' ``benchmark``/``scale`` meta names.
 """
 
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
+import stat
 
 from repro.errors import SerializationError
 from repro.obs import Observability
@@ -52,6 +62,9 @@ SNAPSHOT_SUFFIX = ".teab"
 #: ``<key>.<config-token>.jit.py`` — the listing helpers filter on
 #: :data:`SNAPSHOT_SUFFIX`, so cached code never aliases a content key.
 JIT_SUFFIX = ".jit.py"
+
+#: File extension of execution-stream sidecars (``<stream-key>.teas``).
+STREAM_SUFFIX = ".teas"
 
 #: Default store directory (relative to the invoking CWD).
 DEFAULT_STORE_DIR = ".tea_store"
@@ -112,6 +125,8 @@ class AutomatonStore:
         self._jit_hits = metrics.counter("store.jit_hits")
         self._jit_codegen = metrics.counter("store.jit_codegen")
         self._gc_removed = metrics.counter("store.gc_removed")
+        self._gc_streams_removed = metrics.counter("store.gc_streams_removed")
+        self._streams_written = metrics.counter("store.streams_written")
         self._mmap_opened = metrics.counter("store.mmap_opened")
 
     def _gate(self, key, data):
@@ -329,6 +344,107 @@ class AutomatonStore:
         return new_key, result
 
     # ------------------------------------------------------------------
+    # execution-stream sidecars
+
+    def stream_path(self, key):
+        """File backing the stream sidecar ``key`` (same sharding)."""
+        return os.path.join(self.root, key[:2], key + STREAM_SUFFIX)
+
+    def put_stream(self, stream):
+        """Store an :class:`~repro.cpu.stream.ExecutionStream` as a
+        read-only sidecar; returns its key.  A present sidecar is kept
+        when it passes TEA027 (its key fixes its content) and replaced
+        otherwise."""
+        from repro.cpu.stream import check_stream_bytes
+
+        key = stream.key
+        path = self.stream_path(key)
+        try:
+            with open(path, "rb") as handle:
+                sound = not check_stream_bytes(handle.read(), key=key)
+        except FileNotFoundError:
+            sound = False
+        if not sound:
+            data = stream.to_bytes()
+            atomic_write_bytes(path, data)
+            os.chmod(path, stat.S_IRUSR | stat.S_IRGRP | stat.S_IROTH)
+            self._bytes_written.inc(len(data))
+            self._streams_written.inc()
+        return key
+
+    def open_stream(self, program_digest, max_instructions):
+        """The stored stream of ``(program_digest, max_instructions)``,
+        mapped read-only and zero-copy, or ``None`` when the store holds
+        none.
+
+        The sidecar must pass verify rule TEA027 (envelope, CRC, key,
+        totals); a failing one raises
+        :class:`~repro.errors.VerificationError` and is never served.
+        """
+        from repro.cpu.stream import ExecutionStream, stream_key
+        from repro.verify.api import verify_stream_bytes
+
+        key = stream_key(program_digest, max_instructions)
+        path = self.stream_path(key)
+        if not os.path.exists(path):
+            return None
+        try:
+            with open(path, "rb") as handle:
+                data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:
+            data = b""      # an empty file cannot be mapped
+        report = verify_stream_bytes(data, key=key,
+                                     program_digest=program_digest,
+                                     source=path)
+        if not report.ok():
+            self._verify_failed.inc()
+            report.raise_on_error()
+        self._verify_ok.inc()
+        self._gets.inc()
+        return ExecutionStream.from_buffer(data)
+
+    def _stream_paths(self):
+        if not os.path.isdir(self.root):
+            return
+        for shard in sorted(os.listdir(self.root)):
+            shard_dir = os.path.join(self.root, shard)
+            if not os.path.isdir(shard_dir):
+                continue
+            for filename in sorted(os.listdir(shard_dir)):
+                if (filename.endswith(STREAM_SUFFIX)
+                        and not filename.startswith(".")):
+                    yield os.path.join(shard_dir, filename)
+
+    def stream_keys(self):
+        """Keys of every stored stream sidecar (sorted)."""
+        return [
+            os.path.basename(path)[:-len(STREAM_SUFFIX)]
+            for path in self._stream_paths()
+        ]
+
+    def _referenced_programs(self):
+        """Program digests named by the present snapshots' meta."""
+        from repro.errors import ReproError
+        from repro.workloads import program_digest
+
+        digests = set()
+        for path in self._entry_paths():
+            try:
+                with open(path, "rb") as handle:
+                    meta = peek_tea_binary(handle.read()).get("meta") or {}
+            except (OSError, SerializationError):
+                continue
+            benchmark = meta.get("benchmark")
+            if not benchmark:
+                continue
+            try:
+                digests.add(program_digest(benchmark,
+                                           float(meta.get("scale", 1.0))))
+            except (ReproError, TypeError, ValueError):
+                continue
+        return digests
+
+    # ------------------------------------------------------------------
     # JIT code cache
 
     def jit_path_for(self, key, config=None):
@@ -471,10 +587,12 @@ class AutomatonStore:
         return superseded
 
     def gc(self):
-        """Prune superseded snapshots and orphaned cached JIT sources;
-        returns how many files were removed.
+        """Prune superseded snapshots, orphaned cached JIT sources and
+        unreferenced stream sidecars; returns how many snapshot and JIT
+        files were removed.
 
-        Two passes, counted together in ``store.gc_removed``:
+        The first two passes are counted together in
+        ``store.gc_removed`` and in the return value:
 
         1. Any snapshot named in another present snapshot's
            ``meta["supersedes"]`` is deleted — these are the old
@@ -484,6 +602,12 @@ class AutomatonStore:
            next to its sibling ``<key>.teab`` snapshot (TEA034 proves
            the baked tables against it); orphans — including those the
            first pass just created — are pruned.
+
+        Third, a stream sidecar is kept only while some remaining
+        snapshot's ``benchmark``/``scale`` meta names the program it
+        was recorded from (any budget).  Sidecars are derived data, so
+        their removals go to ``store.gc_streams_removed`` alone and do
+        not count in the return value.
         """
         removed = 0
         superseded = self._superseded_keys()
@@ -506,11 +630,37 @@ class AutomatonStore:
             except OSError:
                 pass
         self._gc_removed.inc(removed)
+        self._gc_streams_removed.inc(self._gc_streams())
+        return removed
+
+    def _gc_streams(self):
+        from repro.cpu.stream import StreamHeader
+
+        paths = list(self._stream_paths())
+        if not paths:
+            return 0
+        live = self._referenced_programs()
+        removed = 0
+        for path in paths:
+            try:
+                with open(path, "rb") as handle:
+                    digest = StreamHeader.parse(handle.read()).program_digest
+            except OSError:
+                continue
+            except SerializationError:
+                digest = None   # unreadable: nothing can use it
+            if digest in live:
+                continue
+            try:
+                os.unlink(path)
+                removed += 1
+            except OSError:
+                pass
         return removed
 
     def clear(self):
-        """Delete every snapshot (and cached JIT source); returns how
-        many snapshots were removed."""
+        """Delete every snapshot (and cached JIT source and stream
+        sidecar); returns how many snapshots were removed."""
         removed = 0
         for path in list(self._entry_paths()):
             try:
@@ -518,7 +668,7 @@ class AutomatonStore:
                 removed += 1
             except OSError:
                 pass
-        for path in list(self._jit_paths()):
+        for path in list(self._jit_paths()) + list(self._stream_paths()):
             try:
                 os.unlink(path)
             except OSError:

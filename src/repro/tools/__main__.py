@@ -34,6 +34,7 @@ import sys
 
 from repro.cfg.basic_block import BlockIndex
 from repro.core import MemoryModel, ReplayConfig, TeaProfile
+from repro.cpu.stream import ExecutionStream
 from repro.dbt import StarDBT
 from repro.errors import ReproError
 from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -110,8 +111,10 @@ def _cmd_replay(args):
         link_traces=args.link_traces,
         engine=args.engine,
     )
-    result = Pin(program, tool=tool).run()
-    native = run_native(program)
+    # One interpreter run serves the replay and the native baseline.
+    stream = ExecutionStream.record(program)
+    result = Pin(program, tool=tool, stream=stream).run()
+    native = run_native(program, stream=stream)
     stats = tool.stats
     print("loaded %d traces; TEA: %d states, %d transitions"
           % (len(trace_set), tool.tea.n_states, tool.tea.n_transitions))
@@ -136,17 +139,19 @@ def _cmd_replay(args):
 def _cmd_metrics(args):
     """Replay with full observability on; dump the metrics snapshot."""
     program = _load_program(args)
+    obs = Observability(trace_capacity=args.events)
+    stream = ExecutionStream.record(program, obs=obs)
     if args.traces:
         trace_set = load_trace_set(args.traces, BlockIndex(program))
     else:
         # No trace file given: record MRET traces in-process first so
         # the command is self-contained.
         limits = RecorderLimits(hot_threshold=args.threshold)
-        trace_set = StarDBT(program, strategy="mret", limits=limits).run().trace_set
-    obs = Observability(trace_capacity=args.events)
+        trace_set = StarDBT(program, strategy="mret", limits=limits,
+                            stream=stream).run().trace_set
     tool = TeaReplayTool(trace_set=trace_set, config=CONFIGS[args.config](),
                          batch_size=args.batch or None, engine=args.engine)
-    Pin(program, tool=tool, obs=obs).run()
+    Pin(program, tool=tool, obs=obs, stream=stream).run()
     snapshot = tool.snapshot()
     if args.out:
         with open(args.out, "w") as handle:
@@ -342,13 +347,16 @@ def _cmd_diff(args):
 
 
 def _cmd_store_gc(args):
-    """Prune superseded snapshots and orphaned cached JIT sources."""
+    """Prune superseded snapshots, orphaned cached JIT sources and
+    unreferenced stream sidecars."""
     from repro.store import AutomatonStore
 
     store = AutomatonStore(args.dir)
     removed = store.gc()
+    streams = store.obs.metrics.counter("store.gc_streams_removed").value
     print("store %s: %d snapshots, removed %d superseded/orphaned "
-          "file(s)" % (args.dir, len(store), removed))
+          "file(s) and %d stream sidecar(s)"
+          % (args.dir, len(store), removed, streams))
     return 0
 
 

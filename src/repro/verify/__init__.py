@@ -25,6 +25,7 @@ from repro.verify.api import (
     verify_path,
     verify_python_source,
     verify_snapshot_bytes,
+    verify_stream_bytes,
     verify_tea,
     verify_trace_set,
 )
@@ -54,5 +55,6 @@ __all__ = [
     "report_from_json", "reports_to_sarif", "rule_by_id",
     "verify_compiled", "verify_diff_report", "verify_jit_source",
     "verify_minimization", "verify_path", "verify_python_source",
-    "verify_snapshot_bytes", "verify_tea", "verify_trace_set",
+    "verify_snapshot_bytes", "verify_stream_bytes", "verify_tea",
+    "verify_trace_set",
 ]

@@ -144,6 +144,19 @@ def verify_python_source(source, source_name="<python>", engine=None,
     return _engine(engine, obs).verify(subject)
 
 
+def verify_stream_bytes(data, key=None, program_digest=None,
+                        source="<stream>", engine=None, obs=None):
+    """Verify ``TEAS`` execution-stream sidecar bytes (rule TEA027).
+
+    ``key`` is the store key the sidecar is filed under and
+    ``program_digest`` the content digest of the program it must have
+    been recorded from; each is checked when given.
+    """
+    subject = Subject(source=source, stream=data, stream_key=key,
+                      stream_digest=program_digest)
+    return _engine(engine, obs).verify(subject)
+
+
 def program_for_meta(meta):
     """Rebuild the program image a snapshot's meta names, or ``None``.
 
@@ -189,8 +202,8 @@ def _verify_jit_path(path, data, engine, obs, deep):
 
 
 def verify_path(path, program=None, engine=None, obs=None, deep=True):
-    """Verify a TEA artifact on disk (TEAB snapshot, cached JIT source,
-    Python module, or JSON document).  Plain ``.py`` files (that are
+    """Verify a TEA artifact on disk (TEAB snapshot, ``TEAS`` stream
+    sidecar, cached JIT source, Python module, or JSON document).  Plain ``.py`` files (that are
     not cached JIT sources) run the concurrency lint family.
 
     TEAB files may carry a benchmark name in their meta; when they do
@@ -224,6 +237,18 @@ def verify_path(path, program=None, engine=None, obs=None, deep=True):
         return verify_python_source(
             data.decode("utf-8", errors="replace"),
             source_name=str(path), engine=engine, obs=obs,
+        )
+
+    if data[:4] == b"TEAS":
+        import os
+
+        name = os.path.basename(str(path))
+        key = name[:-len(".teas")] if name.endswith(".teas") else None
+        return verify_stream_bytes(
+            data, key=key,
+            program_digest=(program.content_digest() if program is not None
+                            else None),
+            source=str(path), engine=engine, obs=obs,
         )
 
     if data[:4] == b"TEAB":

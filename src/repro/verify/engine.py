@@ -66,6 +66,7 @@ def _load_builtin_rules():
         rules_jit_static,
         rules_minimize,
         rules_snapshot,
+        rules_stream,
         rules_traces,
     )
 
@@ -157,7 +158,11 @@ class Subject:
     - ``profile`` — a :class:`~repro.core.profile.TeaProfile` recorded
       alongside the automaton (enables TEA061's profile cross-check);
     - ``python_source`` — Python module text for the concurrency lint
-      family (TEA080-TEA082).
+      family (TEA080-TEA082);
+    - ``stream`` — raw ``TEAS`` execution-stream sidecar bytes (rule
+      TEA027), with the optional expectations ``stream_key`` (the store
+      key the file is filed under) and ``stream_digest`` (the content
+      digest of the program it must have been recorded from).
 
     ``views`` lazily materialises one uniform
     :class:`~repro.verify.views.AutomatonView` per available automaton
@@ -167,12 +172,14 @@ class Subject:
 
     __slots__ = ("source", "tea", "trace_set", "program", "compiled",
                  "snapshot", "snapshot_deep", "jit_source", "minimization",
-                 "tea_diff", "profile", "python_source", "_views")
+                 "tea_diff", "profile", "python_source", "stream",
+                 "stream_key", "stream_digest", "_views")
 
     def __init__(self, source="<memory>", tea=None, trace_set=None,
                  program=None, compiled=None, snapshot=None,
                  snapshot_deep=None, jit_source=None, minimization=None,
-                 tea_diff=None, profile=None, python_source=None):
+                 tea_diff=None, profile=None, python_source=None,
+                 stream=None, stream_key=None, stream_digest=None):
         self.source = str(source)
         self.tea = tea
         self.trace_set = trace_set
@@ -185,6 +192,9 @@ class Subject:
         self.tea_diff = tea_diff
         self.profile = profile
         self.python_source = python_source
+        self.stream = stream
+        self.stream_key = stream_key
+        self.stream_digest = stream_digest
         self._views = None
 
     @property
@@ -206,7 +216,7 @@ class Subject:
             facet for facet in
             ("tea", "trace_set", "program", "compiled", "snapshot",
              "snapshot_deep", "jit_source", "minimization", "tea_diff",
-             "profile", "python_source")
+             "profile", "python_source", "stream")
             if getattr(self, facet) is not None
         ]
         return "<Subject %s: %s>" % (self.source, "+".join(facets) or "empty")

@@ -24,6 +24,7 @@ from repro.workloads.spec import (
     BenchmarkSpec,
     get_benchmark,
     load_benchmark,
+    program_digest,
 )
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "BenchmarkSpec",
     "get_benchmark",
     "load_benchmark",
+    "program_digest",
     "WorkloadProgram",
     "build_workload_program",
     "figure1_program",

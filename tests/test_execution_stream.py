@@ -1,0 +1,470 @@
+"""Recorded execution streams versus the live callback loop.
+
+The oracle below is MiniPin's and StarDBT's pre-stream execution path:
+the interpreter drives a per-event callback that charges Pin's own
+costs, feeds a ``DynamicBlockBuilder`` and delivers each transition as
+it completes.  Every engine configuration that now consumes an
+:class:`~repro.cpu.stream.ExecutionStream` must reproduce it exactly:
+result fields, ``cycles`` compared with ``==``, the cost breakdown
+including its key order, replay statistics and coverage, StarDBT's
+trace sets and costs, and the ``InstructionLimitExceeded`` behaviour.
+"""
+
+import pytest
+
+from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
+from repro.core import ReplayConfig
+from repro.cpu.events import EDGE_IND_CALL, EDGE_IND_JMP, EDGE_RET
+from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
+from repro.cpu.stream import ExecutionStream, check_stream_bytes
+from repro.dbt import StarDBT
+from repro.errors import InstructionLimitExceeded
+from repro.isa import assemble
+from repro.obs import Observability
+from repro.pin import Pin, PinResult, TeaRecordTool, TeaReplayTool, run_native
+from repro.traces.recorder import RecorderLimits
+from repro.traces.serialization import trace_set_to_json
+from repro.workloads import load_benchmark
+
+_INDIRECT_KINDS = (EDGE_IND_JMP, EDGE_IND_CALL, EDGE_RET)
+
+#: A loop full of Pin block splitters: ``cpuid`` and REP inside the
+#: body, a call/return pair, a conditional branch to its own
+#: fall-through (taken or not, it lands on the same PC), and splitters
+#: after the last branch, merged into the terminal block.
+SPLIT_SOURCE = """
+main:
+    mov ebp, 90
+loop:
+    cpuid
+    mov ecx, 5
+    mov esi, src
+    mov edi, dst
+    rep movsd
+    call helper
+    test ebp, 1
+    jz next
+next:
+    dec ebp
+    jnz loop
+    cpuid
+    mov ecx, 3
+    mov esi, src
+    mov edi, dst
+    rep movsd
+    hlt
+helper:
+    add eax, 1
+    ret
+.data
+src: .word 1, 2, 3, 4, 5
+dst: .zero 5
+"""
+
+WORKLOADS = ("164.gzip@0.15", "176.gcc@0.1", "177.mesa@0.3", "splits")
+
+CONFIGS = {
+    "global_local": ReplayConfig.global_local,
+    "global_no_local": ReplayConfig.global_no_local,
+    "no_global_local": ReplayConfig.no_global_local,
+    "no_global_no_local": ReplayConfig.no_global_no_local,
+}
+
+#: ``(engine, batch_size)``: the object engine per call and batched,
+#: and the two packed-batch engines (one with a small batch so runs
+#: cross many batch boundaries).
+ENGINES = (("object", None), ("object", 64), ("compiled", None),
+           ("compiled", 100), ("jit", None))
+
+_CACHE = {}
+
+
+def workload(name):
+    """``(program, stream, trace_set)`` for a workload, built once."""
+    found = _CACHE.get(name)
+    if found is None:
+        if name == "splits":
+            program = assemble(SPLIT_SOURCE)
+        else:
+            benchmark, scale = name.split("@")
+            program = load_benchmark(benchmark, scale=float(scale)).program
+        stream = ExecutionStream.record(program)
+        traces = live_stardbt(program).trace_set
+        found = _CACHE[name] = (program, stream, traces)
+    return found
+
+
+# ---------------------------------------------------------------------
+# the oracle: the live callback loop
+# ---------------------------------------------------------------------
+
+def live_pin(program, tool=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
+             pin=None):
+    """MiniPin's live run: one interpreter run driving the pintool.
+
+    ``pin`` (optional) is the engine object whose cost model and block
+    index the run uses; its own :meth:`Pin.run` is never called.
+    """
+    if pin is None:
+        pin = Pin(program, tool=tool, max_instructions=max_instructions)
+    cost = pin.cost
+    params = cost.params
+    if tool is not None:
+        tool.attach(pin)
+    builder = DynamicBlockBuilder(pin.block_index, program.entry,
+                                  flavor=FLAVOR_STARDBT)
+    executor = Executor(program, max_instructions=max_instructions)
+    consumed = [0, 0]
+    pin_blocks = [0]
+    seen_ends = set()
+    deliver = tool.on_transition if tool is not None else None
+
+    def on_event(event):
+        consumed[0] += event.instrs_dbt
+        consumed[1] += event.instrs_pin
+        pin_blocks[0] += 1
+        cost.charge("pin_dispatch", params.PIN_BLOCK_STUB)
+        if event.pc not in seen_ends:
+            seen_ends.add(event.pc)
+            cost.charge("pin_translation",
+                        params.PIN_TRANSLATION_PER_INSTR * event.instrs_dbt)
+        if event.kind in _INDIRECT_KINDS:
+            cost.charge("pin_indirect", params.PIN_INDIRECT_EXTRA)
+        cost.charge_instructions(event.instrs_pin)
+        transition = builder.feed(event)
+        if transition is not None and deliver is not None:
+            deliver(transition)
+
+    result = executor.run(on_event)
+    cost.charge_instructions(result.instrs_pin - consumed[1])
+    final = builder.flush(result.final_pc, result.instrs_dbt - consumed[0],
+                          result.instrs_pin - consumed[1])
+    if deliver is not None:
+        deliver(final)
+    if tool is not None:
+        tool.on_finish()
+    return PinResult(cost, result.instrs_dbt, result.instrs_pin,
+                     pin_blocks[0] + 1, tool, result.halted)
+
+
+def live_transitions(program):
+    """The StarDBT-flavour transitions a live builder produces."""
+    builder = DynamicBlockBuilder(Pin(program).block_index, program.entry,
+                                  flavor=FLAVOR_STARDBT)
+    transitions = []
+    consumed = [0, 0]
+
+    def on_event(event):
+        consumed[0] += event.instrs_dbt
+        consumed[1] += event.instrs_pin
+        transition = builder.feed(event)
+        if transition is not None:
+            transitions.append(transition)
+
+    result = Executor(program).run(on_event)
+    transitions.append(builder.flush(result.final_pc,
+                                     result.instrs_dbt - consumed[0],
+                                     result.instrs_pin - consumed[1]))
+    return transitions
+
+
+def live_stardbt(program, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
+                 strategy="mret", runtime=None):
+    """StarDBT's live run (on ``runtime`` when given; its own
+    :meth:`StarDBT.run` is never called)."""
+    if runtime is None:
+        runtime = StarDBT(program, strategy=strategy,
+                          limits=RecorderLimits(hot_threshold=10),
+                          max_instructions=max_instructions)
+    builder = DynamicBlockBuilder(runtime.block_index, program.entry,
+                                  flavor=FLAVOR_STARDBT)
+    consumed = [0, 0]
+
+    def on_event(event):
+        consumed[0] += event.instrs_dbt
+        consumed[1] += event.instrs_pin
+        transition = builder.feed(event)
+        if transition is not None:
+            runtime._handle(transition)
+
+    result = Executor(program, max_instructions=max_instructions).run(
+        on_event)
+    runtime._handle(builder.flush(result.final_pc,
+                                  result.instrs_dbt - consumed[0],
+                                  result.instrs_pin - consumed[1]))
+    trace_set = runtime.recorder.finish()
+    return _DbtRun(runtime, trace_set, result.instrs_dbt, result.instrs_pin)
+
+
+class _DbtRun:
+    def __init__(self, runtime, trace_set, instrs_dbt, instrs_pin):
+        self.cost = runtime.cost
+        self.trace_set = trace_set
+        self.blocks = runtime._blocks
+        self.covered_dbt = runtime._covered_dbt
+        self.instrs_dbt = instrs_dbt
+        self.instrs_pin = instrs_pin
+        self.code_cache_bytes = runtime.code_cache.total_bytes
+
+
+# ---------------------------------------------------------------------
+# comparison helpers
+# ---------------------------------------------------------------------
+
+def make_tool(kind, traces):
+    """A fresh pintool: None, "empty:<engine>", "record", or
+    "<config>:<engine>:<batch>"."""
+    if kind is None:
+        return None
+    if kind == "record":
+        return TeaRecordTool(strategy="mret",
+                             limits=RecorderLimits(hot_threshold=10))
+    if kind.startswith("empty:"):
+        return TeaReplayTool(trace_set=None, engine=kind.split(":")[1])
+    config, engine, batch = kind.split(":")
+    return TeaReplayTool(trace_set=traces, config=CONFIGS[config](),
+                         engine=engine,
+                         batch_size=int(batch) if batch != "None" else None)
+
+
+def outcome(result):
+    """Everything observable about one MiniPin run."""
+    tool = result.tool
+    seen = {
+        "fields": (result.instrs_dbt, result.instrs_pin, result.blocks,
+                   result.halted),
+        "cycles": result.cycles,
+        "breakdown": list(result.cost.breakdown.items()),
+    }
+    if tool is not None:
+        seen["stats"] = tool.stats.as_dict()
+        seen["coverage"] = (tool.coverage,
+                            tool.stats.coverage(pin_counting=False))
+        if isinstance(tool, TeaRecordTool):
+            seen["traces"] = trace_set_to_json(tool.trace_set)
+    return seen
+
+
+TOOLS = ([None, "record"]
+         + ["empty:%s" % engine for engine in ("object", "compiled", "jit")]
+         + ["%s:%s:%s" % (config, engine, batch)
+            for config in CONFIGS for engine, batch in ENGINES])
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("kind", TOOLS, ids=lambda kind: str(kind))
+def test_pin_on_stream_matches_live_loop(name, kind):
+    program, stream, traces = workload(name)
+    live = live_pin(program, tool=make_tool(kind, traces))
+    replayed = Pin(program, tool=make_tool(kind, traces),
+                   stream=stream).run()
+    assert outcome(replayed) == outcome(live)
+    assert replayed.cycles == live.cycles
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_stardbt_on_stream_matches_live_loop(name):
+    program, stream, _traces = workload(name)
+    for strategy in ("mret", "ctt", "tt"):
+        live = live_stardbt(program, strategy=strategy)
+        replayed = StarDBT(program, strategy=strategy,
+                           limits=RecorderLimits(hot_threshold=10),
+                           stream=stream).run()
+        assert trace_set_to_json(replayed.trace_set) == \
+            trace_set_to_json(live.trace_set)
+        assert replayed.cycles == live.cost.cycles
+        assert list(replayed.cost.breakdown.items()) == \
+            list(live.cost.breakdown.items())
+        assert (replayed.blocks, replayed.covered_dbt, replayed.instrs_dbt,
+                replayed.instrs_pin) == (live.blocks, live.covered_dbt,
+                                         live.instrs_dbt, live.instrs_pin)
+        assert replayed.code_cache.total_bytes == live.code_cache_bytes
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_block_transitions_match_live_builder(name):
+    program, stream, _traces = workload(name)
+    live = live_transitions(program)
+    replayed = list(stream.block_transitions(Pin(program).block_index,
+                                             program.entry))
+    assert len(replayed) == len(live) == stream.n_transitions
+
+    def shape(transition):
+        event = transition.event
+        return (transition.block.key, transition.next_start,
+                transition.instrs_dbt, transition.instrs_pin,
+                None if event is None else (
+                    event.pc, event.target, event.taken, event.kind,
+                    event.instrs_dbt, event.instrs_pin))
+
+    assert [shape(t) for t in replayed] == [shape(t) for t in live]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_native_on_stream_matches_live_run(name):
+    program, stream, _traces = workload(name)
+    result = Executor(program).run()
+    native = run_native(program, stream=stream)
+    assert native.cycles == 0.0 + result.instrs_pin * 1.0
+    assert (native.instrs_dbt, native.instrs_pin, native.blocks,
+            native.halted) == (result.instrs_dbt, result.instrs_pin,
+                               result.edges + 1, result.halted)
+
+
+def test_split_workload_really_splits():
+    _program, stream, _traces = workload("splits")
+    assert stream.n_splits >= 2 * 90
+    mesa = workload("177.mesa@0.3")[1]
+    assert mesa.n_splits > 0
+
+
+# ---------------------------------------------------------------------
+# the instruction budget
+# ---------------------------------------------------------------------
+
+def _limited(name):
+    """``(program, traces, budget)``: a budget the run crosses about two
+    thirds in — on a split event for the split program, so the stream
+    ends in splits no block absorbed."""
+    program, stream, traces = workload(name)
+    budget = 2 * stream.instrs_dbt // 3
+    if name == "splits":
+        crossings = []
+        total = [0]
+
+        def on_event(event):
+            total[0] += event.instrs_dbt
+            if event.kind == "split" and total[0] > budget:
+                crossings.append(total[0])
+
+        Executor(program).run(on_event)
+        budget = crossings[0] - 1
+    return program, traces, budget
+
+
+@pytest.mark.parametrize("name", ("164.gzip@0.15", "splits"))
+@pytest.mark.parametrize("kind", [None, "record", "global_local:object:None",
+                                  "global_local:compiled:100",
+                                  "no_global_local:jit:None"],
+                         ids=lambda kind: str(kind))
+def test_instruction_limit_matches_live_loop(name, kind):
+    """Same exception, and the cost and tool state at the raise are
+    those of the live run (full packed batches only, no finish)."""
+    program, traces, budget = _limited(name)
+    stream = ExecutionStream.record(program, max_instructions=budget)
+    assert stream.exceeded and not stream.halted
+    if name == "splits":
+        assert stream.split_rows(stream.n_transitions)
+    live_tool = make_tool(kind, traces)
+    live = Pin(program, tool=live_tool, max_instructions=budget)
+    with pytest.raises(InstructionLimitExceeded) as live_error:
+        live_pin(program, tool=live_tool, max_instructions=budget, pin=live)
+    tool = make_tool(kind, traces)
+    pin = Pin(program, tool=tool, max_instructions=budget, stream=stream)
+    with pytest.raises(InstructionLimitExceeded) as error:
+        pin.run()
+    assert str(error.value) == str(live_error.value)
+    assert partial_state(pin, tool) == partial_state(live, live_tool)
+
+
+def partial_state(pin, tool):
+    state = {"cycles": pin.cost.cycles,
+             "breakdown": list(pin.cost.breakdown.items())}
+    if isinstance(tool, TeaRecordTool):
+        state["stats"] = tool.online.stats.as_dict()
+    elif tool is not None:
+        state["stats"] = tool.replayer.stats.as_dict()
+    return state
+
+
+@pytest.mark.parametrize("name", ("164.gzip@0.15", "splits"))
+def test_native_and_stardbt_raise_like_the_live_runs(name):
+    program, _traces, budget = _limited(name)
+    stream = ExecutionStream.record(program, max_instructions=budget)
+    with pytest.raises(InstructionLimitExceeded):
+        Executor(program, max_instructions=budget).run()
+    with pytest.raises(InstructionLimitExceeded):
+        run_native(program, max_instructions=budget, stream=stream)
+
+    def runtime():
+        return StarDBT(program, limits=RecorderLimits(hot_threshold=10),
+                       max_instructions=budget)
+
+    live = runtime()
+    with pytest.raises(InstructionLimitExceeded) as live_error:
+        live_stardbt(program, max_instructions=budget, runtime=live)
+    replayed = runtime()
+    replayed.stream = stream
+    with pytest.raises(InstructionLimitExceeded) as error:
+        replayed.run()
+    assert str(error.value) == str(live_error.value)
+    assert (replayed.cost.cycles, list(replayed.cost.breakdown.items()),
+            replayed._blocks, replayed._covered_dbt,
+            len(replayed.recorder.traces)) == \
+        (live.cost.cycles, list(live.cost.breakdown.items()), live._blocks,
+         live._covered_dbt, len(live.recorder.traces))
+
+
+def test_stream_budget_must_match():
+    program, stream, _traces = workload("splits")
+    with pytest.raises(ValueError):
+        Pin(program, stream=stream, max_instructions=1000)
+    with pytest.raises(ValueError):
+        StarDBT(program, stream=stream, max_instructions=1000)
+    with pytest.raises(ValueError):
+        run_native(program, stream=stream, max_instructions=1000)
+
+
+# ---------------------------------------------------------------------
+# recording, sidecar bytes, interpreter runs
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_sidecar_round_trip_replays_identically(name):
+    program, stream, traces = workload(name)
+    data = stream.to_bytes()
+    assert data == ExecutionStream.record(program).to_bytes()  # canonical
+    assert check_stream_bytes(data, key=stream.key,
+                              program_digest=program.content_digest()) == []
+    loaded = ExecutionStream.from_buffer(data)
+    assert loaded.to_bytes() == data
+    for kind in ("global_local:compiled:None", "global_local:object:None"):
+        first = Pin(program, tool=make_tool(kind, traces),
+                    stream=stream).run()
+        second = Pin(program, tool=make_tool(kind, traces),
+                     stream=loaded).run()
+        assert outcome(first) == outcome(second)
+
+
+def test_exceeded_stream_round_trips():
+    program, _traces, budget = _limited("splits")
+    stream = ExecutionStream.record(program, max_instructions=budget)
+    data = stream.to_bytes()
+    assert check_stream_bytes(data, key=stream.key) == []
+    loaded = ExecutionStream.from_buffer(data)
+    assert loaded.exceeded and loaded.to_bytes() == data
+
+
+def test_one_interpreter_run_per_stream():
+    program, _stream, traces = workload("splits")
+    obs = Observability()
+    stream = ExecutionStream.record(program, obs=obs)
+    Pin(program, tool=make_tool("global_local:compiled:None", traces),
+        obs=obs, stream=stream).run()
+    Pin(program, obs=obs, stream=stream).run()
+    StarDBT(program, stream=stream).run()
+    run_native(program, stream=stream)
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["exec.runs"] == 1
+    assert counters["pin.runs"] == 2
+    # Without a stream, Pin records its own: one more interpreter run.
+    Pin(program, obs=obs).run()
+    assert obs.metrics.snapshot()["counters"]["exec.runs"] == 2
+
+
+def test_program_digest_ignores_labels_but_not_code():
+    program = assemble(SPLIT_SOURCE)
+    renamed = assemble(SPLIT_SOURCE.replace("helper", "callee"))
+    changed = assemble(SPLIT_SOURCE.replace("mov ebp, 90", "mov ebp, 91"))
+    assert program.content_digest() == renamed.content_digest()
+    assert program.content_digest() != changed.content_digest()

@@ -256,6 +256,15 @@ def test_stage_runs_equals_total_timer_counts():
     assert snap["counters"]["harness.stage_runs"] == stage_timer_counts
 
 
+def test_one_interpreter_run_per_benchmark():
+    """Every stage of a benchmark replays its one recorded stream."""
+    runner = Runner(small_config())
+    render_everything(runner)
+    counters = runner.metrics_snapshot()["metrics"]["counters"]
+    assert counters["harness.stage_runs"] == len(STAGES) * len(BENCHMARKS)
+    assert counters["exec.runs"] == len(BENCHMARKS)
+
+
 def test_unknown_stage_rejected():
     runner = Runner(small_config())
     with pytest.raises(ValueError):

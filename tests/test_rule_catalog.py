@@ -19,7 +19,7 @@ DOCS = (Path(__file__).resolve().parent.parent
 KNOWN_FACETS = {
     "source", "tea", "trace_set", "program", "compiled", "snapshot",
     "snapshot_deep", "jit_source", "minimization", "tea_diff",
-    "profile", "python_source", "views",
+    "profile", "python_source", "views", "stream",
 }
 
 
@@ -53,7 +53,14 @@ def test_rule_metadata_complete():
 
 def test_new_families_present():
     families = {rule.family for rule in all_rules()}
-    assert {"dataflow", "jit-static", "concurrency"} <= families
+    assert {"dataflow", "jit-static", "concurrency", "stream"} <= families
+
+
+def test_stream_sidecar_rule_registered():
+    rule = rule_by_id("TEA027")
+    assert rule.name == "stream-sidecar"
+    assert rule.family == "stream"
+    assert rule.requires == ("stream",)
 
 
 def test_every_rule_has_a_docs_row():

@@ -59,6 +59,25 @@ def test_replay_round_trip(source_file, trace_file, capsys):
     assert "Global / Local" in output
 
 
+def test_replay_runs_the_interpreter_once(source_file, trace_file, capsys,
+                                          monkeypatch):
+    """The replay and its native baseline share one recorded stream."""
+    from repro.cpu.executor import Executor
+
+    runs = []
+    original = Executor.run
+
+    def counted(self, on_event=None):
+        runs.append(self.program)
+        return original(self, on_event)
+
+    monkeypatch.setattr(Executor, "run", counted)
+    assert main(["replay", "--source", source_file,
+                 "--traces", trace_file]) == 0
+    assert "x native" in capsys.readouterr().out
+    assert len(runs) == 1
+
+
 def test_replay_with_profile(source_file, trace_file, capsys):
     code = main(["replay", "--source", source_file, "--traces", trace_file,
                  "--profile", "--top", "3"])
