@@ -3,7 +3,7 @@
 Exercises the whole `repro tools audit` story the way CI consumes it:
 
 1. build a store holding >= 50 distinct snapshots (one recorded
-   program, meta variants) plus a cached JIT source;
+   program, meta variants);
 2. cold audit with --jobs 4 --format sarif --out audit.sarif must
    exit 0 and report every artifact as a cold run;
 3. a warm rerun over the unchanged store must be served entirely from
@@ -87,8 +87,7 @@ def main():
     store = AutomatonStore(STORE)
     for i in range(N_SNAPSHOTS):
         store.put(trace_set, tea=tea, meta={"variant": i})
-    store.get_jit(sorted(store.keys())[0])
-    print("store: %d snapshots + 1 cached JIT source" % len(store))
+    print("store: %d snapshots" % len(store))
 
     cold, cold_elapsed = run_audit("--jobs", "4",
                                    "--format", "sarif", "--out", SARIF)

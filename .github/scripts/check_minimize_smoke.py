@@ -14,8 +14,7 @@ Exercises the whole pipeline the way an operator would, twice:
    breakdown) on all four Table 4 configurations, and the diff must
    report exactly the merged states as removed, nothing added, every
    head matched.  The minimized snapshot then round-trips through an
-   ``AutomatonStore`` with TEA050-gated provenance, and ``store.gc``
-   prunes an orphaned JIT cache entry.
+   ``AutomatonStore`` with TEA050-gated provenance.
 
 Run from the repository root with PYTHONPATH=src.  Exits non-zero on
 the first violated invariant.
@@ -160,13 +159,6 @@ def check_merge_rich():
     if "TEA050" not in snapshot_report.rules_run:
         fail("TEA050 did not run on the minimized snapshot")
     print("store: minimized snapshot %s... gated by TEA050" % new_key[:12])
-
-    store.get_jit(key)
-    os.unlink(store.path_for(key))
-    removed = store.gc()
-    if removed != 1:
-        fail("store.gc removed %d orphans, expected 1" % removed)
-    print("store.gc: pruned 1 orphaned jit cache entry")
 
     # The minimized automaton also serializes standalone and diffs
     # identical against itself across representations.

@@ -10,7 +10,7 @@ into a store-wide analysis pipeline:
   (blocking calls reachable from coroutines, lock discipline, shared
   cache guarding) behind the TEA08x rule family;
 - :mod:`repro.audit.scheduler` — walks an entire
-  :class:`~repro.store.AutomatonStore` (snapshots, cached JIT sources)
+  :class:`~repro.store.AutomatonStore` (snapshots, stream sidecars)
   plus the service source tree in parallel, reusing the harness
   sharding pattern;
 - :mod:`repro.audit.cache` — the content-addressed result cache keyed

@@ -13,8 +13,6 @@ Audited artifacts:
 
 - every ``*.teab`` snapshot in the store (deep verify: snapshot,
   automaton, dataflow and — with benchmark meta — CFG families);
-- every cached ``*.jit.py`` replay source (TEA033 + the TEA07x static
-  certifier against the sibling snapshot);
 - every ``*.teas`` execution-stream sidecar (TEA027);
 - the concurrency-lint source targets (``repro/service``,
   ``repro/cluster``, ``repro/store/mapping.py`` — TEA08x).
@@ -50,9 +48,8 @@ def default_code_paths() -> List[str]:
 
 
 def store_artifact_paths(store_root: Any) -> List[str]:
-    """Every snapshot, cached JIT source and stream sidecar in a
-    store, sorted."""
-    from repro.store.store import JIT_SUFFIX, SNAPSHOT_SUFFIX, STREAM_SUFFIX
+    """Every snapshot and stream sidecar in a store, sorted."""
+    from repro.store.store import SNAPSHOT_SUFFIX, STREAM_SUFFIX
 
     paths = []
     if not os.path.isdir(store_root):
@@ -64,8 +61,7 @@ def store_artifact_paths(store_root: Any) -> List[str]:
         for filename in sorted(os.listdir(shard_dir)):
             if filename.startswith("."):
                 continue
-            if filename.endswith((SNAPSHOT_SUFFIX, JIT_SUFFIX,
-                                  STREAM_SUFFIX)):
+            if filename.endswith((SNAPSHOT_SUFFIX, STREAM_SUFFIX)):
                 paths.append(os.path.join(shard_dir, filename))
     return paths
 

@@ -50,11 +50,15 @@ constants are integral floats, so regrouping sums is exact below
 2**53).  The differential suite in ``tests/test_jit_engine.py`` pins
 this down over the Table 4 configs and randomized automata.
 
-Generated sources carry a structured header (magic, format version,
-automaton digest, config token, cost-parameter token) and are cached on
-disk by :class:`~repro.store.AutomatonStore` next to the TEAB blob;
-verify rules TEA033/TEA034 (:mod:`repro.verify.rules_jit`) gate every
-load of cached JIT code the same way TEA030-TEA032 gate ``CompiledTea``.
+Generated code lives only in the process that generated it: a
+:class:`JitCode` is built by :meth:`JitCode.from_compiled` from the
+string :func:`generate_replay_source` has just returned, and is never
+written to or read back from disk.  Codegen costs a few milliseconds
+per automaton and config, so callers that replay repeatedly keep the
+``JitCode`` in memory (the replay service caches one per snapshot and
+config).  The source's first line is a comment naming the automaton
+digest, config token, cost-parameter token and threshold it was
+specialized for; :meth:`JitCode.matches` checks the same identity.
 """
 
 import hashlib
@@ -71,18 +75,6 @@ from repro.dbt.cost import CostModel
 from repro.obs import Observability
 from repro.structures.lru import DirectMappedCache, LRUCache
 
-#: First token of every generated source's header line.
-JIT_MAGIC = "TEAJIT"
-
-#: Generated-source format version (bump on layout changes; loaders
-#: reject other versions and fall back to regeneration).
-JIT_VERSION = 1
-
-#: On-disk suffix for cached generated sources (sits next to the
-#: ``.teab`` snapshot in the store shard; the store's snapshot listing
-#: filters on the ``.teab`` suffix, so these never alias a content key).
-JIT_SOURCE_SUFFIX = ".jit.py"
-
 #: A state whose successor fan-out exceeds this is left unspecialized;
 #: reaching it deopts the batch remainder to the compiled engine.
 DEFAULT_SPECIALIZE_THRESHOLD = 16
@@ -92,7 +84,7 @@ DEFAULT_SPECIALIZE_THRESHOLD = 16
 _NO_MATCH = -3
 
 #: Cost parameters the generated code bakes as literals, in emission
-#: order (the header's params token hashes these values).
+#: order (:func:`params_token` hashes these values).
 JIT_COST_FIELDS = (
     "CALLBACK_FAST", "CALLBACK_SLOW", "IN_TRACE_TRANSITION",
     "CACHE_HIT", "CACHE_MISS", "CACHE_INSERT",
@@ -126,31 +118,6 @@ def jit_config_token(config):
     else:
         cache = "nocache"
     return "%s-o%d-%s" % (config.global_index, config.bptree_order, cache)
-
-
-def config_from_token(token):
-    """Invert :func:`jit_config_token`; raises ``ValueError`` on junk.
-
-    The token names only the axes the codegen bakes (directory kind,
-    tree order, cache geometry) — the reconstructed config is complete
-    for replay purposes.
-    """
-    parts = token.split("-")
-    if len(parts) != 3 or not parts[1].startswith("o"):
-        raise ValueError("malformed JIT config token %r" % (token,))
-    global_index, order_part, cache = parts
-    order = int(order_part[1:])
-    if cache == "nocache":
-        return ReplayConfig(global_index=global_index, local_cache=False,
-                            bptree_order=order)
-    for kind in ("direct", "lru"):
-        if cache.startswith(kind):
-            return ReplayConfig(
-                global_index=global_index, local_cache=True,
-                cache_kind=kind, cache_size=int(cache[len(kind):]),
-                bptree_order=order,
-            )
-    raise ValueError("malformed JIT config token %r" % (token,))
 
 
 def params_signature(params):
@@ -211,61 +178,6 @@ def specialize_tables(compiled, threshold=DEFAULT_SPECIALIZE_THRESHOLD):
         for label, dest in items[1:]:
             multi[(sid << shift) | label] = dest
     return shift, exp, nxt, multi, tuple(deopt)
-
-
-def parse_jit_header(source):
-    """Parse a generated source's header; returns a dict or ``None``.
-
-    The header is the first line::
-
-        # TEAJIT v1 digest=<64 hex> config=<token> params=<12 hex> threshold=<n>
-    """
-    line = source.split("\n", 1)[0].strip()
-    if not line.startswith("#"):
-        return None
-    fields = line[1:].split()
-    if len(fields) < 2 or fields[0] != JIT_MAGIC:
-        return None
-    if not fields[1].startswith("v"):
-        return None
-    try:
-        header = {"magic": fields[0], "version": int(fields[1][1:])}
-    except ValueError:
-        return None
-    for field in fields[2:]:
-        key, _, value = field.partition("=")
-        if not _:
-            return None
-        header[key] = value
-    try:
-        header["threshold"] = int(header.get("threshold", -1))
-    except ValueError:
-        return None
-    return header
-
-
-def extract_jit_tables(source):
-    """Extract the literal tables from a generated source via ``ast``.
-
-    Used by the TEA033/TEA034 verify rules, which must audit cached
-    sources *without executing them*.  Returns a name -> value dict for
-    every top-level literal assignment; raises ``SyntaxError`` on
-    unparseable input and ``ValueError`` on non-literal table values.
-    """
-    import ast
-
-    tables = {}
-    module = ast.parse(source)
-    for statement in module.body:
-        if not isinstance(statement, ast.Assign):
-            continue
-        if len(statement.targets) != 1:
-            continue
-        target = statement.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        tables[target.id] = ast.literal_eval(statement.value)
-    return tables
 
 
 # ----------------------------------------------------------------------
@@ -347,9 +259,9 @@ def generate_replay_source(compiled, config=None, params=None,
 
     The result is a self-contained Python source string: literal
     specialization tables, a ``bind(replayer)`` function returning
-    ``(cells, run)``, and a structured header for the cache/verify
-    layers.  ``exec`` it once (that is what :class:`JitCode` does) and
-    call ``run(packed)`` per batch.
+    ``(cells, run)``, and a first-line comment naming what it was
+    specialized for.  ``exec`` it once (that is what :class:`JitCode`
+    does) and call ``run(packed)`` per batch.
     """
     config = config or ReplayConfig.global_local()
     params = params if params is not None else CostModel().params
@@ -365,16 +277,15 @@ def generate_replay_source(compiled, config=None, params=None,
     use_deopt = bool(deopt_sids)
 
     lines = [
-        "# %s v%d digest=%s config=%s params=%s threshold=%d" % (
-            JIT_MAGIC, JIT_VERSION, structural_digest(compiled),
-            jit_config_token(config), params_token(params), threshold,
+        "# TEAJIT digest=%s config=%s params=%s threshold=%d" % (
+            structural_digest(compiled), jit_config_token(config),
+            params_token(params), threshold,
         ),
         '"""Machine-generated specialized TEA replay loop; do not edit.',
         "",
-        "Emitted by repro.core.jit.generate_replay_source for one",
-        "automaton (see the digest in the header line).  Regenerate",
-        "rather than patching: the verify rules TEA033/TEA034 reject",
-        "sources whose tables disagree with their automaton.",
+        "Emitted by repro.core.jit.generate_replay_source for the",
+        "automaton and config named in the first line, and executed",
+        "only in the process that generated it.",
         '"""',
         "",
         "SHIFT = %d" % shift,
@@ -601,64 +512,35 @@ class JitCode:
     one ``JitCode``.
     """
 
-    __slots__ = ("source", "header", "_namespace")
+    __slots__ = ("source", "digest", "config_token", "params_token",
+                 "threshold", "_namespace")
 
-    def __init__(self, source):
-        header = parse_jit_header(source)
-        if header is None:
-            raise ValueError(
-                "not a TEA JIT source (missing '# %s v%d ...' header)"
-                % (JIT_MAGIC, JIT_VERSION)
-            )
-        if header["version"] != JIT_VERSION:
-            raise ValueError(
-                "unsupported TEA JIT source version %r (this build "
-                "understands v%d)" % (header["version"], JIT_VERSION)
-            )
-        self.source = source
-        self.header = header
+    def __init__(self, compiled, config=None, params=None,
+                 threshold=DEFAULT_SPECIALIZE_THRESHOLD):
+        config = config or ReplayConfig.global_local()
+        params = params if params is not None else CostModel().params
+        self.source = generate_replay_source(
+            compiled, config=config, params=params, threshold=threshold,
+        )
+        self.digest = structural_digest(compiled)
+        self.config_token = jit_config_token(config)
+        self.params_token = params_token(params)
+        self.threshold = threshold
         namespace = {}
-        code = compile(source, "<teajit:%s>" % self.digest[:12], "exec")
-        exec(code, namespace)  # noqa: S102 — gated by TEA033/TEA034
-        if "bind" not in namespace:
-            raise ValueError("TEA JIT source defines no bind() function")
+        code = compile(self.source, "<teajit:%s>" % self.digest[:12], "exec")
+        # Executes only ``self.source``, generated above in this
+        # process; no JIT code is ever read from disk.
+        exec(code, namespace)  # noqa: S102
         self._namespace = namespace
 
     @classmethod
     def from_compiled(cls, compiled, config=None, params=None,
                       threshold=DEFAULT_SPECIALIZE_THRESHOLD):
         """Generate + compile the specialized module for an automaton."""
-        return cls(generate_replay_source(
-            compiled, config=config, params=params, threshold=threshold,
-        ))
-
-    @classmethod
-    def from_source(cls, source):
-        """Wrap an existing generated source (e.g. from the store cache).
-
-        Callers loading from untrusted/on-disk locations should gate
-        through :func:`repro.verify.api.verify_jit_source` first — the
-        store's ``verify_on_load`` path does.
-        """
-        return cls(source)
+        return cls(compiled, config=config, params=params,
+                   threshold=threshold)
 
     # ------------------------------------------------------------------
-
-    @property
-    def digest(self):
-        return self.header.get("digest", "")
-
-    @property
-    def config_token(self):
-        return self.header.get("config", "")
-
-    @property
-    def params_token(self):
-        return self.header.get("params", "")
-
-    @property
-    def threshold(self):
-        return self.header.get("threshold", -1)
 
     @property
     def n_states(self):
@@ -698,8 +580,8 @@ class JitReplayer:
 
     The API mirrors :class:`~repro.core.compiled.CompiledReplayer` —
     same constructor knobs plus ``code`` (a prebuilt :class:`JitCode`,
-    e.g. from :meth:`AutomatonStore.get_jit`) and ``threshold``; same
-    ``stats``/``cost``/``directory``/``sid``/``snapshot`` surface; the
+    e.g. one the replay service keeps per snapshot) and ``threshold``;
+    same ``stats``/``cost``/``directory``/``sid``/``snapshot`` surface; the
     accounting is bit-exact against both other engines.
 
     Guards and deopt

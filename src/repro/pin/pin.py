@@ -17,6 +17,7 @@ DBT's — the Section 4.1 effect.
 
 import functools
 import operator
+import weakref
 from bisect import bisect_left
 from itertools import repeat
 
@@ -192,6 +193,12 @@ class Pin:
     the executor and exposed to the attached pintool, so one registry
     holds the whole stack's metrics; engine totals are flushed into
     ``pin.*`` counters at the end of the run.
+
+    An attached tool refers back to its engine (``Pintool.pin``), so
+    from :meth:`run` on the engine holds its tool weakly: ``tool``
+    answers for as long as the caller keeps the tool (or the
+    :class:`PinResult` carrying it), and a finished engine and tool are
+    freed by reference counting alone, without the cycle collector.
     """
 
     def __init__(self, program, tool=None, cost_params=None,
@@ -204,6 +211,15 @@ class Pin:
         self.max_instructions = max_instructions
         self.obs = obs
         self.stream = matching(stream, max_instructions)
+
+    @property
+    def tool(self):
+        tool = self._tool
+        return tool() if type(tool) is weakref.ref else tool
+
+    @tool.setter
+    def tool(self, tool):
+        self._tool = tool
 
     def run(self):
         """Run under instrumentation; returns :class:`PinResult`."""
@@ -228,6 +244,7 @@ class Pin:
         tool = self.tool
         if tool is not None:
             tool.attach(self)
+            self._tool = weakref.ref(tool)
         charges = _EngineCharges(self.cost, stream)
         blocks = stream.n_transitions
         batch = tool.packed_batch if tool is not None else None

@@ -69,8 +69,8 @@ class TeaReplayTool(Pintool):
         on attach when omitted and the compiled or jit engine is
         selected.
     jit:
-        A prebuilt :class:`~repro.core.jit.JitCode` (e.g. from
-        :meth:`repro.store.AutomatonStore.get_jit`).  Generated from
+        A prebuilt :class:`~repro.core.jit.JitCode` (e.g. one an
+        earlier tool generated, exposed as its ``jit``).  Generated from
         the compiled automaton on attach when omitted and the jit
         engine is selected.
     """

@@ -57,12 +57,6 @@ from repro.util import atomic_write_bytes
 #: File extension for stored snapshots.
 SNAPSHOT_SUFFIX = ".teab"
 
-#: File extension for cached generated JIT replay sources.  They sit in
-#: the same shard directory as their snapshot, named
-#: ``<key>.<config-token>.jit.py`` — the listing helpers filter on
-#: :data:`SNAPSHOT_SUFFIX`, so cached code never aliases a content key.
-JIT_SUFFIX = ".jit.py"
-
 #: File extension of execution-stream sidecars (``<stream-key>.teas``).
 STREAM_SUFFIX = ".teas"
 
@@ -122,8 +116,6 @@ class AutomatonStore:
         self._bytes_written = metrics.counter("store.bytes_written")
         self._verify_ok = metrics.counter("store.verify_ok")
         self._verify_failed = metrics.counter("store.verify_failed")
-        self._jit_hits = metrics.counter("store.jit_hits")
-        self._jit_codegen = metrics.counter("store.jit_codegen")
         self._gc_removed = metrics.counter("store.gc_removed")
         self._gc_streams_removed = metrics.counter("store.gc_streams_removed")
         self._streams_written = metrics.counter("store.streams_written")
@@ -259,9 +251,7 @@ class AutomatonStore:
         The conversion is checked before anything is deleted: the new
         bytes must convert *back* to the original image byte-for-byte
         (the TEA026 invariant), so a migration can never lose content.
-        Because keys are content addresses, migrating changes them;
-        cached JIT sources keyed by an old content key become orphans —
-        run :meth:`gc` afterwards to prune them.
+        Because keys are content addresses, migrating changes them.
         """
         if to_version not in (BINARY_VERSION, BINARY_VERSION_V2):
             raise SerializationError(
@@ -404,16 +394,7 @@ class AutomatonStore:
         return ExecutionStream.from_buffer(data)
 
     def _stream_paths(self):
-        if not os.path.isdir(self.root):
-            return
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for filename in sorted(os.listdir(shard_dir)):
-                if (filename.endswith(STREAM_SUFFIX)
-                        and not filename.startswith(".")):
-                    yield os.path.join(shard_dir, filename)
+        return self._shard_files(STREAM_SUFFIX)
 
     def stream_keys(self):
         """Keys of every stored stream sidecar (sorted)."""
@@ -445,81 +426,9 @@ class AutomatonStore:
         return digests
 
     # ------------------------------------------------------------------
-    # JIT code cache
 
-    def jit_path_for(self, key, config=None):
-        """File caching ``key``'s generated replay source for ``config``."""
-        from repro.core.jit import jit_config_token
-        from repro.core.replay import ReplayConfig
-
-        config = config or ReplayConfig.global_local()
-        return os.path.join(
-            self.root, key[:2],
-            "%s.%s%s" % (key, jit_config_token(config), JIT_SUFFIX),
-        )
-
-    def get_jit(self, key, config=None, params=None):
-        """``(compiled, code)`` for ``key``: the snapshot's compiled
-        lowering plus its specialized :class:`~repro.core.jit.JitCode`.
-
-        The generated source is cached on disk next to the TEAB blob,
-        keyed by the snapshot's content key and the config token.  A
-        cached source is reused only when it passes the same gates a
-        fresh :class:`~repro.core.jit.JitReplayer` applies — the
-        TEA033/TEA034 verify rules (when ``verify_on_load`` is set)
-        plus the digest/config/params guard — otherwise it is
-        regenerated and rewritten.  ``store.jit_hits`` counts reuses,
-        ``store.jit_codegen`` counts (re)generations.
-        """
-        from repro.core.jit import JitCode, generate_replay_source
-        from repro.core.replay import ReplayConfig
-        from repro.dbt.cost import CostModel
-
-        config = config or ReplayConfig.global_local()
-        params = params if params is not None else CostModel().params
-        compiled = self.get_compiled(key)
-        path = self.jit_path_for(key, config)
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError:
-                source = None
-            if source is not None and self._gate_jit(source, compiled, path):
-                code = JitCode.from_source(source)
-                if code.matches(compiled=compiled, config=config,
-                                params=params):
-                    self._jit_hits.inc()
-                    return compiled, code
-        source = generate_replay_source(compiled, config=config,
-                                        params=params)
-        atomic_write_bytes(path, source.encode("utf-8"))
-        self._bytes_written.inc(len(source))
-        self._jit_codegen.inc()
-        return compiled, JitCode.from_source(source)
-
-    def _gate_jit(self, source, compiled, path):
-        """Run TEA033/TEA034 over a cached source when the gate is on.
-
-        Returns True when the source may be executed; a failed gate
-        counts in ``store.verify_failed`` and triggers regeneration
-        rather than raising — stale cached code is recoverable, unlike
-        a damaged snapshot.
-        """
-        if not self.verify_on_load:
-            return True
-        from repro.verify.api import verify_jit_source
-
-        report = verify_jit_source(source, compiled=compiled, source_name=path)
-        if report.ok():
-            self._verify_ok.inc()
-            return True
-        self._verify_failed.inc()
-        return False
-
-    # ------------------------------------------------------------------
-
-    def _entry_paths(self):
+    def _shard_files(self, suffix):
+        """Paths of every non-hidden file ending in ``suffix`` (sorted)."""
         if not os.path.isdir(self.root):
             return
         for shard in sorted(os.listdir(self.root)):
@@ -527,9 +436,11 @@ class AutomatonStore:
             if not os.path.isdir(shard_dir):
                 continue
             for filename in sorted(os.listdir(shard_dir)):
-                if (filename.endswith(SNAPSHOT_SUFFIX)
-                        and not filename.startswith(".")):
+                if filename.endswith(suffix) and not filename.startswith("."):
                     yield os.path.join(shard_dir, filename)
+
+    def _entry_paths(self):
+        return self._shard_files(SNAPSHOT_SUFFIX)
 
     def keys(self):
         """Content keys of every stored snapshot (sorted)."""
@@ -547,18 +458,6 @@ class AutomatonStore:
     def total_bytes(self):
         """Bytes used by all snapshots."""
         return sum(os.path.getsize(path) for path in self._entry_paths())
-
-    def _jit_paths(self):
-        if not os.path.isdir(self.root):
-            return
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for filename in sorted(os.listdir(shard_dir)):
-                if (filename.endswith(JIT_SUFFIX)
-                        and not filename.startswith(".")):
-                    yield os.path.join(shard_dir, filename)
 
     def _superseded_keys(self):
         """Keys named in another present snapshot's ``supersedes`` meta.
@@ -587,7 +486,7 @@ class AutomatonStore:
         return superseded
 
     def gc(self):
-        """Prune superseded snapshots, orphaned cached JIT sources and
+        """Prune superseded snapshots, leftover JIT-source files and
         unreferenced stream sidecars; returns how many snapshot and JIT
         files were removed.
 
@@ -598,10 +497,9 @@ class AutomatonStore:
            ``meta["supersedes"]`` is deleted — these are the old
            versions a hot-reload swap retired but left on disk so
            in-flight replays could drain.
-        2. A ``<key>.<config>.jit.py`` cache entry is only meaningful
-           next to its sibling ``<key>.teab`` snapshot (TEA034 proves
-           the baked tables against it); orphans — including those the
-           first pass just created — are pruned.
+        2. Every ``*.jit.py`` file is deleted: older stores cached
+           generated replay code there, and nothing reads it any more
+           (see :meth:`_remove_legacy_jit`).
 
         Third, a stream sidecar is kept only while some remaining
         snapshot's ``benchmark``/``scale`` meta names the program it
@@ -620,17 +518,23 @@ class AutomatonStore:
                 removed += 1
             except OSError:
                 pass
-        for path in list(self._jit_paths()):
-            key = os.path.basename(path).split(".", 1)[0]
-            if os.path.exists(self.path_for(key)):
-                continue
+        removed += self._remove_legacy_jit()
+        self._gc_removed.inc(removed)
+        self._gc_streams_removed.inc(self._gc_streams())
+        return removed
+
+    def _remove_legacy_jit(self):
+        """Delete the ``<key>.<config>.jit.py`` replay sources older
+        stores cached next to their snapshots; returns how many went.
+        JIT code is generated in memory per process and never read from
+        disk, so these files are removed unconditionally."""
+        removed = 0
+        for path in list(self._shard_files(".jit.py")):
             try:
                 os.unlink(path)
                 removed += 1
             except OSError:
                 pass
-        self._gc_removed.inc(removed)
-        self._gc_streams_removed.inc(self._gc_streams())
         return removed
 
     def _gc_streams(self):
@@ -659,8 +563,8 @@ class AutomatonStore:
         return removed
 
     def clear(self):
-        """Delete every snapshot (and cached JIT source and stream
-        sidecar); returns how many snapshots were removed."""
+        """Delete every snapshot (and stream sidecar and leftover JIT
+        source); returns how many snapshots were removed."""
         removed = 0
         for path in list(self._entry_paths()):
             try:
@@ -668,11 +572,12 @@ class AutomatonStore:
                 removed += 1
             except OSError:
                 pass
-        for path in list(self._jit_paths()) + list(self._stream_paths()):
+        for path in list(self._stream_paths()):
             try:
                 os.unlink(path)
             except OSError:
                 pass
+        self._remove_legacy_jit()
         return removed
 
     def __repr__(self):

@@ -638,8 +638,8 @@ def main(argv=None):
     store_commands = store.add_subparsers(dest="store_command", required=True)
     store_gc = store_commands.add_parser(
         "gc",
-        help="remove snapshots superseded by a hot-reload swap and "
-             "orphaned cached .jit.py sources",
+        help="remove snapshots superseded by a hot-reload swap, JIT "
+             "sources older stores cached, and unreferenced stream sidecars",
     )
     store_gc.add_argument("--dir", default=".tea_store",
                           help="store directory (default %(default)s)")

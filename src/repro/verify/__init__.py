@@ -20,7 +20,6 @@ from repro.verify.api import (
     program_for_meta,
     verify_compiled,
     verify_diff_report,
-    verify_jit_source,
     verify_minimization,
     verify_path,
     verify_python_source,
@@ -53,8 +52,7 @@ __all__ = [
     "VerificationError", "ERROR", "WARNING", "INFO", "SEVERITIES",
     "all_rules", "catalog_version", "default_engine", "program_for_meta",
     "report_from_json", "reports_to_sarif", "rule_by_id",
-    "verify_compiled", "verify_diff_report", "verify_jit_source",
-    "verify_minimization", "verify_path", "verify_python_source",
-    "verify_snapshot_bytes", "verify_stream_bytes", "verify_tea",
-    "verify_trace_set",
+    "verify_compiled", "verify_diff_report", "verify_minimization",
+    "verify_path", "verify_python_source", "verify_snapshot_bytes",
+    "verify_stream_bytes", "verify_tea", "verify_trace_set",
 ]

@@ -49,20 +49,6 @@ def verify_compiled(compiled, tea=None, source="<compiled>", engine=None,
     return _engine(engine, obs).verify(subject)
 
 
-def verify_jit_source(source, compiled=None, source_name="<jit>",
-                      engine=None, obs=None):
-    """Verify a generated JIT replay source (rules TEA033/TEA034).
-
-    ``source`` is the generated module text.  With ``compiled`` (the
-    :class:`~repro.core.compiled.CompiledTea` the source claims to
-    specialize) the equivalence rule TEA034 also runs; without it only
-    the static audit applies.
-    """
-    subject = Subject(source=source_name, jit_source=source,
-                      compiled=compiled)
-    return _engine(engine, obs).verify(subject)
-
-
 def verify_minimization(result, trace_set=None, program=None,
                         source="<minimize>", engine=None, obs=None):
     """Verify a :class:`~repro.minimize.MinimizationResult`.
@@ -172,47 +158,15 @@ def program_for_meta(meta):
     return load_benchmark(benchmark, scale=scale).program
 
 
-def _verify_jit_path(path, data, engine, obs, deep):
-    """Verify a cached ``.jit.py`` source from disk.
-
-    With ``deep=True`` the sibling ``<key>.teab`` snapshot (same shard
-    directory, the store's cache layout) is lowered so TEA034 can prove
-    the baked tables against it; otherwise — or when no sibling exists
-    — only the TEA033 static audit runs.
-    """
-    import os
-
-    source = data.decode("utf-8", errors="replace")
-    compiled = None
-    if deep:
-        key = os.path.basename(str(path)).split(".", 1)[0]
-        sibling = os.path.join(os.path.dirname(str(path)), key + ".teab")
-        if os.path.exists(sibling):
-            from repro.errors import SerializationError
-            from repro.store.binary import compile_tea_binary
-
-            try:
-                with open(sibling, "rb") as handle:
-                    compiled = compile_tea_binary(handle.read(),
-                                                  verify=False)
-            except (OSError, SerializationError, ValueError):
-                compiled = None
-    return verify_jit_source(source, compiled=compiled,
-                             source_name=str(path), engine=engine, obs=obs)
-
-
 def verify_path(path, program=None, engine=None, obs=None, deep=True):
     """Verify a TEA artifact on disk (TEAB snapshot, ``TEAS`` stream
-    sidecar, cached JIT source, Python module, or JSON document).  Plain ``.py`` files (that are
-    not cached JIT sources) run the concurrency lint family.
+    sidecar, Python module, or JSON document).  ``.py`` files run the
+    concurrency lint family.
 
     TEAB files may carry a benchmark name in their meta; when they do
     and no ``program`` is passed, the program image is rebuilt from it
-    (the service convention) so the CFG family can run.  Files ending in
-    ``.jit.py`` (or starting with the ``# TEAJIT`` header) run the JIT
-    source rules, proving the baked tables against the sibling snapshot
-    when one sits in the same store shard.  JSON TEA documents *require*
-    ``program`` — the document stores only spans.
+    (the service convention) so the CFG family can run.  JSON TEA
+    documents *require* ``program`` — the document stores only spans.
 
     Raises :class:`~repro.errors.SerializationError` when the file
     cannot be read or is a JSON document without a program — usage
@@ -229,9 +183,6 @@ def verify_path(path, program=None, engine=None, obs=None, deep=True):
         raise SerializationError(
             "cannot read %s: %s" % (path, error)
         ) from None
-
-    if str(path).endswith(".jit.py") or data[:8] == b"# TEAJIT":
-        return _verify_jit_path(path, data, engine, obs, deep)
 
     if str(path).endswith(".py"):
         return verify_python_source(

@@ -62,8 +62,6 @@ def _load_builtin_rules():
         rules_compiled,
         rules_concurrency,
         rules_dataflow,
-        rules_jit,
-        rules_jit_static,
         rules_minimize,
         rules_snapshot,
         rules_stream,
@@ -148,8 +146,6 @@ class Subject:
       expensive deep snapshot checks (the conversion round-trip rule
       TEA026); load-path gating leaves it unset so verify-on-load stays
       O(section table);
-    - ``jit_source`` — generated JIT replay source text (see
-      :mod:`repro.core.jit`);
     - ``minimization`` — a
       :class:`~repro.minimize.MinimizationResult` (original automaton,
       quotient and state map; enables TEA051-TEA053);
@@ -171,14 +167,14 @@ class Subject:
     """
 
     __slots__ = ("source", "tea", "trace_set", "program", "compiled",
-                 "snapshot", "snapshot_deep", "jit_source", "minimization",
-                 "tea_diff", "profile", "python_source", "stream",
-                 "stream_key", "stream_digest", "_views")
+                 "snapshot", "snapshot_deep", "minimization", "tea_diff",
+                 "profile", "python_source", "stream", "stream_key",
+                 "stream_digest", "_views")
 
     def __init__(self, source="<memory>", tea=None, trace_set=None,
                  program=None, compiled=None, snapshot=None,
-                 snapshot_deep=None, jit_source=None, minimization=None,
-                 tea_diff=None, profile=None, python_source=None,
+                 snapshot_deep=None, minimization=None, tea_diff=None,
+                 profile=None, python_source=None,
                  stream=None, stream_key=None, stream_digest=None):
         self.source = str(source)
         self.tea = tea
@@ -187,7 +183,6 @@ class Subject:
         self.compiled = compiled
         self.snapshot = snapshot
         self.snapshot_deep = snapshot_deep
-        self.jit_source = jit_source
         self.minimization = minimization
         self.tea_diff = tea_diff
         self.profile = profile
@@ -215,7 +210,7 @@ class Subject:
         facets = [
             facet for facet in
             ("tea", "trace_set", "program", "compiled", "snapshot",
-             "snapshot_deep", "jit_source", "minimization", "tea_diff",
+             "snapshot_deep", "minimization", "tea_diff",
              "profile", "python_source", "stream")
             if getattr(self, facet) is not None
         ]

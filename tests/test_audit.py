@@ -27,7 +27,7 @@ N_SNAPSHOTS = 50
 
 @pytest.fixture(scope="module")
 def fleet(tmp_path_factory):
-    """A store holding N_SNAPSHOTS distinct snapshots + one JIT source."""
+    """A store holding N_SNAPSHOTS distinct snapshots."""
     from repro.isa import assemble
 
     program = assemble(NESTED_DIAMOND_SOURCE)
@@ -38,7 +38,6 @@ def fleet(tmp_path_factory):
     for i in range(N_SNAPSHOTS):
         store.put(trace_set, tea=tea, meta={"variant": i})
     assert len(store) == N_SNAPSHOTS
-    store.get_jit(sorted(store.keys())[0])
     return str(root)
 
 
@@ -96,7 +95,7 @@ def test_file_digest_none_for_missing_file(tmp_path):
 
 def test_fleet_audit_parallel_and_warm_rerun(fleet, tmp_path):
     artifacts = store_artifact_paths(fleet)
-    assert len(artifacts) == N_SNAPSHOTS + 1  # snapshots + one .jit.py
+    assert len(artifacts) == N_SNAPSHOTS
 
     cache = AuditCache(tmp_path / "cache")
     started = time.monotonic()
@@ -106,8 +105,8 @@ def test_fleet_audit_parallel_and_warm_rerun(fleet, tmp_path):
     assert cold.stats["jobs"] == 4
     assert cold.stats["cold_runs"] == len(cold.reports)
     assert cold.stats["cache_hits"] == 0
-    # Snapshots + JIT source + the three concurrency-lint targets.
-    assert cold.stats["artifacts"] >= N_SNAPSHOTS + 1 + 3
+    # Snapshots + the three concurrency-lint targets.
+    assert cold.stats["artifacts"] >= N_SNAPSHOTS + 3
 
     started = time.monotonic()
     warm = audit_store(fleet, jobs=4, cache=cache)

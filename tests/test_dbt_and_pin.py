@@ -1,5 +1,8 @@
 """StarDBT baseline and MiniPin engine tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.dbt import CodeCache, CostModel, CostParameters, StarDBT
@@ -191,6 +194,29 @@ def test_pintool_base_class_hooks(simple_loop_program):
     result = Pin(simple_loop_program, tool=tool).run()  # no-ops must work
     assert tool.pin is not None
     assert tool.cost is result.cost
+
+
+@pytest.mark.parametrize("engine", ("object", "compiled", "jit"))
+def test_finished_pin_and_tool_freed_by_refcount(nested_program,
+                                                 nested_traces, engine):
+    """No Pin <-> pintool cycle: with the cycle collector off, dropping
+    the tool and the result frees the engine and the tool at once."""
+    from repro.pin import TeaReplayTool
+
+    gc.disable()
+    try:
+        tool = TeaReplayTool(trace_set=nested_traces, engine=engine)
+        pin = Pin(nested_program, tool=tool)
+        result = pin.run()
+        assert pin.tool is tool
+        assert tool.cost is result.cost
+        assert tool.stats.blocks == result.blocks
+        assert 0.0 < tool.coverage <= 1.0
+        refs = (weakref.ref(pin), weakref.ref(tool))
+        del pin, tool, result
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_pin_slowdown_helper(simple_loop_program):

@@ -9,9 +9,8 @@ final sid and coverage), plus three obligations of its own:
 
 - the guard/deopt protocol (threshold deopts hand the batch remainder
   to a compiled fallback mid-stream without losing a single count);
-- the digest-keyed source cache in :class:`AutomatonStore` (hit on
-  match, regenerate on tamper, gated by TEA033 + the TEA07x static
-  certifier on load, TEA034 as the dynamic fallback tier);
+- the code guards (a ``JitCode`` built for another automaton, config
+  or cost parameters is regenerated, never bound);
 - ``reset``/``register_trace`` semantics matching the other engines.
 
 Checked across hypothesis-random programs, all four Table 4
@@ -20,7 +19,6 @@ batches, so mid-stream state carry matters), and hosted replays
 (``TeaReplayTool`` and the replay service RPC).
 """
 
-import os
 from array import array
 
 import pytest
@@ -40,10 +38,8 @@ from repro.core.automaton import NTE_SID
 from repro.core.compiled import END_OF_RUN
 from repro.core.jit import (
     DEFAULT_SPECIALIZE_THRESHOLD,
-    config_from_token,
     jit_config_token,
     params_token,
-    parse_jit_header,
     specialize_tables,
     structural_digest,
 )
@@ -52,7 +48,6 @@ from repro.obs import Observability
 from repro.pin import Pin, TeaReplayTool, pack_transitions
 from repro.pin.pintool import CallbackTool
 from repro.store import AutomatonStore
-from repro.verify import verify_jit_source, verify_path
 
 from tests.conftest import record_traces
 from tests.test_batch_equivalence import replay_workloads
@@ -282,18 +277,21 @@ def test_generated_source_header_and_determinism(nested_traces):
     params = CostModel().params
     source = generate_replay_source(compiled_tea, config=config,
                                     params=params)
-    header = parse_jit_header(source)
-    assert header["digest"] == structural_digest(compiled_tea)
-    assert header["config"] == jit_config_token(config)
-    assert header["params"] == params_token(params)
-    assert header["threshold"] == DEFAULT_SPECIALIZE_THRESHOLD
-    # Same automaton + config + params => byte-identical source (the
-    # store cache and TEA034 both rely on this).
+    header = source.split("\n", 1)[0]
+    for field in ("digest=%s" % structural_digest(compiled_tea),
+                  "config=%s" % jit_config_token(config),
+                  "params=%s" % params_token(params),
+                  "threshold=%d" % DEFAULT_SPECIALIZE_THRESHOLD):
+        assert field in header.split()
+    code = JitCode.from_compiled(compiled_tea, config=config, params=params)
+    assert code.digest == structural_digest(compiled_tea)
+    assert code.config_token == jit_config_token(config)
+    assert code.params_token == params_token(params)
+    assert code.threshold == DEFAULT_SPECIALIZE_THRESHOLD
+    # Same automaton + config + params => byte-identical source.
+    assert source == code.source
     assert source == generate_replay_source(compiled_tea, config=config,
                                             params=params)
-    # The config token round-trips to an equivalent ReplayConfig.
-    recovered = config_from_token(header["config"])
-    assert jit_config_token(recovered) == header["config"]
 
 
 def test_jit_code_guards(nested_traces, simple_loop_program):
@@ -328,138 +326,22 @@ def test_specialize_tables_rejects_negative_labels(nested_traces):
 
 
 # ---------------------------------------------------------------------
-# store cache round-trip + tamper regeneration
+# a store-loaded snapshot replays identically under the JIT
 # ---------------------------------------------------------------------
 
-def _store_world(tmp_path, program):
-    recorded = record_traces(program)
+def test_store_jit_replays_identically(tmp_path, nested_program):
+    recorded = record_traces(nested_program)
     store = AutomatonStore(tmp_path / "store")
     key = store.put(recorded.trace_set)
-    return store, key
-
-
-def test_store_jit_roundtrip_and_tamper_regeneration(tmp_path,
-                                                     nested_program):
-    store, key = _store_world(tmp_path, nested_program)
-    config = ReplayConfig.global_local()
-
-    compiled, code = store.get_jit(key, config=config)
-    path = store.jit_path_for(key, config=config)
-    assert os.path.exists(path)
-    assert code.matches(compiled=compiled, config=config)
-    snap = store.obs.snapshot()["metrics"]["counters"]
-    assert snap["store.jit_codegen"] == 1
-    assert snap.get("store.jit_hits", 0) == 0
-
-    # Second load: cache hit, same source.
-    _, again = store.get_jit(key, config=config)
-    assert again.source == code.source
-    counters = store.obs.snapshot()["metrics"]["counters"]
-    assert counters["store.jit_codegen"] == 1
-    assert counters["store.jit_hits"] == 1
-
-    # Tampered cache: the verify gate rejects it and codegen reruns.
-    with open(path, "r", encoding="utf-8") as handle:
-        original = handle.read()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(original.replace("SHIFT", "SHIFTY", 1))
-    _, regenerated = store.get_jit(key, config=config)
-    assert regenerated.source == original
-    counters = store.obs.snapshot()["metrics"]["counters"]
-    assert counters["store.jit_codegen"] == 2
-    assert counters["store.verify_failed"] >= 1
-
-    # Different configs shard to different cached sources.
-    other = ReplayConfig.no_global_no_local()
-    store.get_jit(key, config=other)
-    assert store.jit_path_for(key, config=other) != path
-
-    # clear() drops the generated sources along with the snapshots.
-    store.clear()
-    assert not os.path.exists(path)
-
-
-def test_store_jit_replays_identically(tmp_path, nested_program):
-    store, key = _store_world(tmp_path, nested_program)
     config = ReplayConfig.global_local
-    compiled, code = store.get_jit(key, config=config())
+    compiled = store.get_compiled(key)
+    code = JitCode.from_compiled(compiled, config=config())
     packed = pack_transitions(_capture(nested_program))
     candidate = _jit(compiled, packed, config(), code=code)
     reference = _compiled(compiled, packed, config())
     _assert_identical(reference, candidate)
-    assert not candidate.deopted   # cached code bound without regen
+    assert not candidate.deopted   # supplied code bound without regen
     assert candidate.code is code
-
-
-# ---------------------------------------------------------------------
-# verification rules TEA033/TEA034
-# ---------------------------------------------------------------------
-
-def _fresh_source(traces, config=None):
-    compiled_tea = CompiledTea.from_tea(build_tea(traces))
-    source = generate_replay_source(
-        compiled_tea, config=config or ReplayConfig.global_local())
-    return compiled_tea, source
-
-
-def test_verify_clean_source_passes(nested_traces):
-    compiled_tea, source = _fresh_source(nested_traces)
-    report = verify_jit_source(source, compiled=compiled_tea)
-    assert report.ok(), report.render_text()
-    assert {"TEA033", "TEA034"} <= set(report.rules_run)
-
-
-def test_verify_flags_header_and_injection(nested_traces):
-    _, source = _fresh_source(nested_traces)
-    # Broken header.
-    report = verify_jit_source("# not a header\n" + source.split("\n", 1)[1])
-    assert not report.ok()
-    assert any(d.rule_id == "TEA033" for d in report.diagnostics)
-    # Injected import + dangerous call.
-    injected = source + "\nimport os\nx = eval('1')\n"
-    report = verify_jit_source(injected)
-    messages = [d.message for d in report.diagnostics
-                if d.rule_id == "TEA033"]
-    assert any("forbidden Import" in m for m in messages)
-    assert any("eval" in m for m in messages)
-
-
-def test_verify_flags_table_divergence(nested_traces):
-    compiled_tea, source = _fresh_source(nested_traces)
-    # Swap one NXT destination without touching the header: TEA033 is
-    # clean (still literal, in-range) but the static certifier must
-    # catch the drift — exactly TEA070, no dynamic probe.
-    lines = source.split("\n")
-    for i, line in enumerate(lines):
-        if line.startswith("NXT = "):
-            import ast as _ast
-            nxt = _ast.literal_eval(line[len("NXT = "):])
-            if len(nxt) > 1 and nxt[0] != nxt[1]:
-                nxt[0], nxt[1] = nxt[1], nxt[0]
-            else:
-                nxt[0] = (nxt[0] + 1) % len(nxt)
-            lines[i] = "NXT = %r" % (nxt,)
-            break
-    tampered = "\n".join(lines)
-    from repro.verify.rules_jit import dynamic_probe_count, \
-        reset_probe_count
-    reset_probe_count()
-    report = verify_jit_source(tampered, compiled=compiled_tea)
-    rule_ids = {d.rule_id for d in report.diagnostics}
-    assert rule_ids == {"TEA070"}
-    assert any("NXT" in d.message for d in report.diagnostics)
-    assert dynamic_probe_count() == 0
-
-
-def test_verify_path_dispatches_jit_sources(tmp_path, nested_program):
-    store, key = _store_world(tmp_path, nested_program)
-    config = ReplayConfig.global_local()
-    store.get_jit(key, config=config)
-    path = store.jit_path_for(key, config=config)
-    # Deep verify finds the sibling .teab, so TEA034 runs too.
-    report = verify_path(path)
-    assert report.ok(), report.render_text()
-    assert "TEA034" in set(report.rules_run)
 
 
 # ---------------------------------------------------------------------

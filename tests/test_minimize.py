@@ -395,20 +395,24 @@ def test_tea050_accepts_real_provenance(world, tmp_path):
 
 
 def test_store_gc_prunes_orphaned_jit_caches(world, tmp_path):
+    """JIT sources older stores cached next to snapshots are removed by
+    ``gc`` whether or not their snapshot is still present."""
     store = AutomatonStore(tmp_path / "store")
     meta = {"benchmark": BENCHMARK, "scale": SCALE}
     key_a = store.put(world.trace_set, tea=world.tea, meta=meta)
     key_b, _ = store.put_minimized(key_a)
-    store.get_jit(key_a)
-    store.get_jit(key_b)
-    assert os.path.exists(store.jit_path_for(key_a))
-    assert store.gc() == 0  # nothing orphaned yet
+    leftovers = []
+    for key in (key_a, key_b):
+        path = os.path.join(os.path.dirname(store.path_for(key)),
+                            key + ".bptree-o8-direct16.jit.py")
+        with open(path, "w") as handle:
+            handle.write("# left behind by an older store\n")
+        leftovers.append(path)
     os.unlink(store.path_for(key_a))
-    removed = store.gc()
-    assert removed == 1
-    assert not os.path.exists(store.jit_path_for(key_a))
-    assert os.path.exists(store.jit_path_for(key_b))
-    assert store.obs.metrics.counters()["store.gc_removed"] == 1
+    assert store.gc() == 2
+    assert not any(os.path.exists(path) for path in leftovers)
+    assert store.keys() == [key_b]
+    assert store.obs.metrics.counters()["store.gc_removed"] == 2
     assert store.gc() == 0  # idempotent
 
 

@@ -227,6 +227,35 @@ def test_gc_prunes_unreferenced_streams_but_counts_snapshots(tmp_path,
     assert store.gc() == 0                     # nothing left to prune
 
 
+def test_jit_replays_leave_only_snapshots_and_sidecars(tmp_path, capsys):
+    """JIT code is generated in memory: a built store gains no files
+    from JIT replays, served or hosted in process."""
+    from repro.cfg.basic_block import BlockIndex
+    from repro.core import ReplayConfig
+
+    store_dir = tmp_path / "store"
+    key = build(store_dir, capsys=capsys)
+    store = AutomatonStore(store_dir)
+    with ServiceThread(store, config=ephemeral_config()) as service:
+        with service.client() as client:
+            served = client.call("replay", config="global_local",
+                                 engine="jit")
+    assert served["engine"] == "jit"
+
+    program = load_benchmark(BENCHMARK, scale=SCALE).program
+    trace_set, tea, _profile = store.load(key, BlockIndex(program))
+    tool = TeaReplayTool(trace_set=trace_set, tea=tea, engine="jit",
+                         config=ReplayConfig.global_local(),
+                         compiled=store.get_compiled(key))
+    Pin(program, tool=tool).run()
+    assert tool.stats.as_dict() == served["stats"]
+
+    names = [name for _root, _dirs, files in os.walk(store_dir)
+             for name in files]
+    assert sorted({os.path.splitext(name)[1] for name in names}) == \
+        [".teab", ".teas"]
+
+
 # ---------------------------------------------------------------------
 # TEA027
 # ---------------------------------------------------------------------

@@ -345,15 +345,21 @@ def test_gc_prunes_superseded_snapshots_and_counts(tmp_path, nested_traces):
 
 
 def test_gc_still_prunes_orphaned_jit_sources(tmp_path, nested_traces):
+    """Nothing reads cached JIT sources any more, so ``gc`` deletes one
+    even next to a live snapshot, and counts it."""
+    import os
+
     store = AutomatonStore(tmp_path / "store")
     tea = build_tea(nested_traces)
     key = store.put(nested_traces, tea=tea)
-    store.get_jit(key)
-    assert store.gc() == 0  # snapshot present: cache entry is live
-    import os
-
-    os.unlink(store.path_for(key))
-    assert store.gc() == 1  # snapshot gone: the .jit.py is an orphan
+    legacy = os.path.join(os.path.dirname(store.path_for(key)),
+                          key + ".bptree-o8-direct16.jit.py")
+    with open(legacy, "w") as handle:
+        handle.write("# left behind by an older store\n")
+    assert store.gc() == 1
+    assert not os.path.exists(legacy)
+    assert store.keys() == [key]
+    assert store.gc() == 0
 
 
 # ---------------------------------------------------------------------
