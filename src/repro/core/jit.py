@@ -258,10 +258,12 @@ def generate_replay_source(compiled, config=None, params=None,
     """Emit the specialized replay module for one automaton + config.
 
     The result is a self-contained Python source string: literal
-    specialization tables, a ``bind(replayer)`` function returning
+    specialization tables, a ``bind()`` function returning fresh
     ``(cells, run)``, and a first-line comment naming what it was
     specialized for.  ``exec`` it once (that is what :class:`JitCode`
-    does) and call ``run(packed)`` per batch.
+    does) and call ``run(replayer, packed)`` per batch.  ``run`` takes
+    the replayer as an argument rather than closing over it, so a
+    replayer holding its own ``run`` forms no reference cycle.
     """
     config = config or ReplayConfig.global_local()
     params = params if params is not None else CostModel().params
@@ -299,7 +301,7 @@ def generate_replay_source(compiled, config=None, params=None,
         "_DEOPT = ['deopt']   # identity marker for unspecialized cells",
         "",
         "",
-        "def bind(R):",
+        "def bind():",
         "    cells = [[EXP[s], None, s, None, None, %d, None]" % _NO_MATCH,
         "             for s in range(N_STATES)]",
         "    for s in range(N_STATES):",
@@ -325,7 +327,7 @@ def generate_replay_source(compiled, config=None, params=None,
         "    multi_get = multi.get",
         "    nte_cell = cells[%d]" % NTE_SID,
         "",
-        "    def run(packed):",
+        "    def run(R, packed):",
         "        length = len(packed)",
         "        if length % 3:",
         "            raise ValueError(",
@@ -560,9 +562,10 @@ class JitCode:
             return False
         return True
 
-    def bind(self, replayer):
-        """Build this code's cells + runner closure for one replayer."""
-        return self._namespace["bind"](replayer)
+    def bind(self):
+        """Build fresh cells + runner closure for one replayer; the
+        runner is called as ``run(replayer, packed)``."""
+        return self._namespace["bind"]()
 
     def __repr__(self):
         return "<JitCode digest=%s config=%s states=%d deopt=%d>" % (
@@ -656,7 +659,7 @@ class JitReplayer:
                 )
                 return
         self.code = code
-        self.cells, self._runner = code.bind(self)
+        self.cells, self._runner = code.bind()
         self._node = self.cells[NTE_SID]
 
     # ------------------------------------------------------------------
@@ -709,7 +712,7 @@ class JitReplayer:
         """
         if self._fallback_active:
             return self._fallback.run(packed)
-        result = self._runner(packed)
+        result = self._runner(self, packed)
         if type(result) is tuple:
             sid, index = result
             self._activate_fallback("specialization threshold", sid=sid)

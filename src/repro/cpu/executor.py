@@ -347,6 +347,28 @@ def _compile_cpuid():
     return execute
 
 
+def _decode_shape(instr):
+    """``(category, closure, direct)`` for one distinct instruction;
+    ``direct`` marks a transfer whose target is ``instr.target``."""
+    kind = instr.kind
+    if kind == "jcc":
+        return _COND, _CONDITIONS[instr.condition], True
+    if kind == "jmp" or kind == "call":
+        if instr.is_indirect:
+            category = _IND_JMP if kind == "jmp" else _IND_CALL
+            return category, _reader(instr.operands[0]), False
+        return (_JMP if kind == "jmp" else _CALL), None, True
+    if kind == "ret":
+        return _RET, None, False
+    if kind == "rep":
+        return _REP, _compile_rep(instr), False
+    if instr.opcode == "cpuid":
+        return _SPLIT, _compile_cpuid(), False
+    if instr.opcode == "hlt":
+        return _HLT, None, False
+    return _PLAIN, _compile_plain(instr), False
+
+
 class _Decoded:
     """A pre-compiled instruction ready for the dispatch loop."""
 
@@ -412,35 +434,22 @@ class Executor:
 
     @staticmethod
     def _decode_all(program):
+        """Decode every instruction, translating each distinct one once.
+
+        Instructions with equal ``(opcode, operands)`` share one
+        ``(category, closure)`` pair; only the per-address fields
+        (``instr``, ``target``, ``fallthrough``) live on each entry.
+        """
+        shapes = {}
         decoded = {}
         for instr in program.instructions:
-            kind = instr.kind
-            if kind == "jcc":
-                condition = _CONDITIONS[instr.condition]
-                entry = _Decoded(_COND, condition, instr, instr.target)
-            elif kind == "jmp":
-                if instr.is_indirect:
-                    read = _reader(instr.operands[0])
-                    entry = _Decoded(_IND_JMP, read, instr)
-                else:
-                    entry = _Decoded(_JMP, None, instr, instr.target)
-            elif kind == "call":
-                if instr.is_indirect:
-                    read = _reader(instr.operands[0])
-                    entry = _Decoded(_IND_CALL, read, instr)
-                else:
-                    entry = _Decoded(_CALL, None, instr, instr.target)
-            elif kind == "ret":
-                entry = _Decoded(_RET, None, instr)
-            elif kind == "rep":
-                entry = _Decoded(_REP, _compile_rep(instr), instr)
-            elif instr.opcode == "cpuid":
-                entry = _Decoded(_SPLIT, _compile_cpuid(), instr)
-            elif instr.opcode == "hlt":
-                entry = _Decoded(_HLT, None, instr)
-            else:
-                entry = _Decoded(_PLAIN, _compile_plain(instr), instr)
-            decoded[instr.addr] = entry
+            key = (instr.opcode, instr.operands)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _decode_shape(instr)
+            category, run, direct = shape
+            decoded[instr.addr] = _Decoded(
+                category, run, instr, instr.target if direct else None)
         return decoded
 
     def run(self, on_event=None):

@@ -23,6 +23,14 @@ records label addresses (data follows code, 16-byte aligned).  Pass two
 resolves every :class:`~repro.isa.operands.LabelRef` into an address —
 branch targets land in ``Instruction.target``, data references become
 immediates or memory displacements.
+
+Both passes translate each distinct instruction once.  Pass one parses
+each distinct operand text once and shares the resulting operand tuple
+between every instruction spelling it, except texts with a memory
+operand naming a label: pass two patches that operand's ``disp`` in
+place, so it stays private to its instruction.  Pass two computes the
+length and resolution shape once per distinct ``(opcode, operands)``.
+Every memo lives and dies with its :class:`Assembler`.
 """
 
 import re
@@ -82,6 +90,7 @@ class Assembler:
         self.mem_fixups = []
         self.data_items = []  # (kind, payload, line) in layout order
         self.in_data = False
+        self._operand_memo = {}  # label-free operand text -> operand tuple
 
     # ------------------------------------------------------------------
     # pass one: parsing
@@ -165,7 +174,12 @@ class Assembler:
             operand_text = ""
         if mnemonic not in OPCODES:
             raise AssemblerError("unknown opcode %r" % mnemonic, line_number)
-        operands = self._parse_operands(operand_text, line_number)
+        operands = self._operand_memo.get(operand_text)
+        if operands is None:
+            n_fixups = len(self.mem_fixups)
+            operands = self._parse_operands(operand_text, line_number)
+            if len(self.mem_fixups) == n_fixups:
+                self._operand_memo[operand_text] = operands
         try:
             instruction = Instruction(mnemonic, operands)
         except AssemblerError as error:
@@ -295,25 +309,30 @@ class Assembler:
     # ------------------------------------------------------------------
 
     def finish(self, source=None):
-        if self.pending_labels and not self.in_data:
-            # Trailing code labels (e.g. an 'end:' after the last hlt) pin
-            # to the end-of-code address.
-            pass
         base = self.base if self.base is not None else DEFAULT_BASE
 
+        shapes = {}  # (opcode, operands) -> (length, has_label_ref, direct)
+        instruction_shapes = []
         addr = base
-        label_addrs = {}
-        instruction_index_to_addr = {}
-        for position, (instruction, line_number) in enumerate(self.instructions):
-            length = instruction_length(instruction.opcode, instruction.operands)
+        for instruction, _line in self.instructions:
+            key = (instruction.opcode, instruction.operands)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = self._shape(instruction)
             instruction.addr = addr
-            instruction.length = length
-            instruction_index_to_addr[position] = addr
-            addr += length
+            instruction.length = shape[0]
+            instruction_shapes.append(shape)
+            addr += shape[0]
         code_end = addr
+        label_addrs = {}
         for name, position in self.labels.items():
-            label_addrs[name] = instruction_index_to_addr.get(position, code_end)
+            if position < len(self.instructions):
+                label_addrs[name] = self.instructions[position][0].addr
+            else:
+                label_addrs[name] = code_end
         for name, _line in self.pending_labels:
+            # Trailing code labels (e.g. an 'end:' after the last hlt) pin
+            # to the end-of-code address.
             label_addrs[name] = code_end
         self.pending_labels = []
 
@@ -350,10 +369,14 @@ class Assembler:
             fixup.resolve(label_addrs)
 
         instructions = []
-        for instruction, line_number in self.instructions:
-            instructions.append(
-                self._resolve_instruction(instruction, label_addrs, line_number)
-            )
+        for (instruction, line_number), (_length, has_label_ref, direct) in zip(
+                self.instructions, instruction_shapes):
+            if has_label_ref:
+                instruction.operands = self._resolve_operands(
+                    instruction.operands, label_addrs, line_number)
+            if direct:
+                instruction.target = instruction.operands[0].value & 0xFFFFFFFF
+            instructions.append(instruction)
 
         if self.entry_label is not None:
             if self.entry_label not in label_addrs:
@@ -373,23 +396,31 @@ class Assembler:
         )
 
     @staticmethod
-    def _resolve_instruction(instruction, label_addrs, line_number):
-        operands = []
-        for operand in instruction.operands:
+    def _shape(instruction):
+        """``(length, has_label_ref, direct)`` of one distinct instruction;
+        ``direct`` marks a branch whose target is its resolved operand."""
+        has_label_ref = any(
+            isinstance(operand, LabelRef) for operand in instruction.operands
+        )
+        direct = (instruction.is_control and not instruction.is_indirect
+                  and instruction.opcode != "ret"
+                  and instruction.opcode != "hlt")
+        return (instruction_length(instruction.opcode, instruction.operands),
+                has_label_ref, direct)
+
+    @staticmethod
+    def _resolve_operands(operands, label_addrs, line_number):
+        resolved = []
+        for operand in operands:
             if isinstance(operand, LabelRef):
                 if operand.name not in label_addrs:
                     raise AssemblerError(
                         "undefined label %r" % operand.name, line_number
                     )
-                operands.append(Imm(label_addrs[operand.name]))
+                resolved.append(Imm(label_addrs[operand.name]))
             else:
-                operands.append(operand)
-        instruction.operands = tuple(operands)
-        if instruction.is_control and not instruction.is_indirect:
-            if instruction.opcode != "ret" and instruction.opcode != "hlt":
-                target = instruction.operands[0]
-                instruction.target = target.value & 0xFFFFFFFF
-        return instruction
+                resolved.append(operand)
+        return tuple(resolved)
 
 
 def assemble(source, base=None, entry=None):

@@ -84,10 +84,13 @@ class Program:
         """
         if self._digest is None:
             lines = ["SX86-PROGRAM 1 %x %x" % (self.base, self.entry)]
-            lines.extend(
-                "%x %d %s" % (instr.addr, instr.length, instr.to_assembly())
-                for instr in self.instructions
-            )
+            assembly = {}  # (opcode, operands) -> rendered text
+            for instr in self.instructions:
+                key = (instr.opcode, instr.operands)
+                text = assembly.get(key)
+                if text is None:
+                    text = assembly[key] = instr.to_assembly()
+                lines.append("%x %d %s" % (instr.addr, instr.length, text))
             lines.extend("%x=%d" % (addr, self.data[addr])
                          for addr in sorted(self.data))
             text = "\n".join(lines).encode("utf-8")

@@ -77,6 +77,9 @@ class TraceRecorder:
         self.on_trace = on_trace
         self.state = STATE_INITIAL
         self.traces = TraceSet(kind=self.kind)
+        # Running ``self.traces.n_tbbs``: the budget check runs per block,
+        # so it must not re-sum every committed trace.
+        self.committed_tbbs = 0
         self.hot_counters = {}
         self.loop_headers = set()
         self.budget_exhausted = False
@@ -156,13 +159,14 @@ class TraceRecorder:
         return False
 
     def _total_budget_left(self):
-        left = self.limits.max_total_tbbs - self.traces.n_tbbs
+        left = self.limits.max_total_tbbs - self.committed_tbbs
         if left <= 0:
             self.budget_exhausted = True
         return left
 
     def _commit(self, trace):
         self.traces.add(trace)
+        self.committed_tbbs += len(trace)
         if self.on_trace is not None:
             self.on_trace(trace)
 

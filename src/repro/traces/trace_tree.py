@@ -220,6 +220,9 @@ class TraceTreeRecorder(TraceRecorder):
         trace.add_edge(last, target_index)
         if recording.is_trunk:
             self._commit(trace)
+        else:
+            # An extension grows a tree that is already committed.
+            self.committed_tbbs += len(recording.blocks)
         self._recording = None
         self.state = STATE_EXECUTING
         # Execution is now at the link target; resume the cursor there.

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.cpu import Machine, run_program
+from repro.cpu import Executor, Machine, run_program
 from repro.cpu.events import EDGE_CALL, EDGE_COND, EDGE_IND_JMP, EDGE_RET, EDGE_SPLIT
 from repro.errors import ExecutionError, InstructionLimitExceeded
 from repro.isa import assemble
+from repro.isa.registers import EAX, EBX
 
 
 def run(source, **kwargs):
@@ -386,3 +387,38 @@ loop:
     run_program(assemble(source), machine=first)
     run_program(assemble(source), machine=second)
     assert first.snapshot() == second.snapshot()
+
+
+def test_identical_instructions_share_one_closure():
+    """Decode translates each distinct instruction once; only the
+    per-address fields differ between the shared entries."""
+    program = assemble("""
+main:
+    mov ecx, 2
+loop:
+    add eax, [ebx+8]
+    jnz next
+next:
+    add eax, [ebx+8]
+    dec ecx
+    jnz loop
+    hlt
+""")
+    executor = Executor(program, machine=Machine())
+    first = executor._decoded[program.instructions[1].addr]
+    second = executor._decoded[program.instructions[3].addr]
+    assert first.run is second.run
+    assert first.instr is program.instructions[1]
+    assert second.instr is program.instructions[3]
+    assert first.fallthrough == program.instructions[2].addr
+    assert second.fallthrough == program.instructions[4].addr
+    jnz_next = executor._decoded[program.instructions[2].addr]
+    jnz_loop = executor._decoded[program.instructions[5].addr]
+    assert jnz_next.run is jnz_loop.run
+    assert jnz_next.target == program.label_addr("next")
+    assert jnz_loop.target == program.label_addr("loop")
+    executor.machine.regs[EBX] = 0x1000
+    executor.machine.mem[0x1008] = 5
+    result = executor.run()
+    assert result.halted
+    assert executor.machine.regs[EAX] == 20

@@ -199,8 +199,9 @@ def test_pintool_base_class_hooks(simple_loop_program):
 @pytest.mark.parametrize("engine", ("object", "compiled", "jit"))
 def test_finished_pin_and_tool_freed_by_refcount(nested_program,
                                                  nested_traces, engine):
-    """No Pin <-> pintool cycle: with the cycle collector off, dropping
-    the tool and the result frees the engine and the tool at once."""
+    """No Pin <-> pintool cycle and no replayer <-> runner cycle: with
+    the cycle collector off, dropping the tool and the result frees the
+    engine, the tool and the tool's replayer at once."""
     from repro.pin import TeaReplayTool
 
     gc.disable()
@@ -212,9 +213,10 @@ def test_finished_pin_and_tool_freed_by_refcount(nested_program,
         assert tool.cost is result.cost
         assert tool.stats.blocks == result.blocks
         assert 0.0 < tool.coverage <= 1.0
-        refs = (weakref.ref(pin), weakref.ref(tool))
+        refs = (weakref.ref(pin), weakref.ref(tool),
+                weakref.ref(tool.replayer))
         del pin, tool, result
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 

@@ -228,6 +228,55 @@ def test_trailing_label_points_past_code():
     assert program.label_addr("end_marker") == program.code_end
 
 
+def test_repeated_operand_text_is_parsed_once():
+    program = assemble("""
+main:
+    mov eax, [ebx+4]
+    add eax, 1
+    mov eax, [ebx+4]
+    add eax, 1
+    hlt
+""")
+    first, _, second, _, _ = program.instructions
+    assert first.operands is second.operands
+    assert program.instructions[1].operands is program.instructions[3].operands
+
+
+def test_label_memory_operands_are_never_shared():
+    """Pass two patches a label-bearing ``Mem``'s disp in place, so two
+    instructions spelling the same text must get their own objects."""
+    program = assemble("""
+main:
+    mov eax, [buf+4]
+    mov eax, [buf+4]
+    mov eax, [buf+ebx*4]
+    mov eax, [buf+ebx*4]
+    hlt
+.data
+buf: .word 1, 2, 3
+""")
+    buf = program.label_addr("buf")
+    mems = [instr.operands[1] for instr in program.instructions[:4]]
+    assert len({id(mem) for mem in mems}) == 4
+    assert [mem.disp for mem in mems] == [buf + 4, buf + 4, buf, buf]
+    mems[0].disp = 0
+    assert mems[1].disp == buf + 4
+
+
+@pytest.mark.parametrize("source,fragment", [
+    # Same operand text as the valid line 2, wrong arity for ``inc``.
+    ("main:\n    add eax, 1\n    inc eax, 1", "takes 1 operand"),
+    # Same text as line 2 minus its closing bracket.
+    ("main:\n    mov eax, [ebx+4]\n    mov eax, [ebx+4", "unbalanced"),
+])
+def test_malformed_repeat_of_valid_text_reports_its_own_line(source,
+                                                            fragment):
+    with pytest.raises(AssemblerError) as excinfo:
+        assemble(source)
+    assert fragment in str(excinfo.value)
+    assert "line 3" in str(excinfo.value)
+
+
 # ---------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------

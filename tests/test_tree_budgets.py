@@ -1,7 +1,12 @@
 """Trace-tree budget/robustness paths: saturation, trunk blacklisting,
-global budget exhaustion, and extension throttling."""
+global budget exhaustion, extension throttling, and the recorders'
+running TBB count."""
 
+import pytest
+
+from repro.dbt import StarDBT
 from repro.isa import assemble
+from repro.traces import STRATEGIES
 from repro.traces.recorder import RecorderLimits
 from repro.traces.trace_tree import _MAX_TRUNK_ABORTS
 from tests.conftest import record_traces
@@ -87,7 +92,6 @@ def test_tree_saturation_flagged():
 
 def test_global_budget_caps_recording():
     program = assemble(EXPLOSIVE)
-    from repro.dbt import StarDBT
 
     def run(total):
         dbt = StarDBT(program, strategy="tt",
@@ -141,3 +145,21 @@ def test_recorder_finish_discards_inflight_path():
     trace_set = record_traces(program, strategy="tt", hot_threshold=5,
                               max_path_blocks=64).trace_set
     assert trace_set.validate() == []
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+@pytest.mark.parametrize("total", (30, 400_000))
+def test_running_tbb_count_matches_trace_set(strategy, total,
+                                             nested_program,
+                                             call_loop_program):
+    """The budget check reads a running count instead of re-summing
+    every trace; it must equal ``n_tbbs`` at finish, with and without
+    a budget that bites (TT/CTT extensions grow committed trees)."""
+    for program in (nested_program, call_loop_program,
+                    assemble(EXPLOSIVE), assemble(UNRECORDABLE_OUTER)):
+        dbt = StarDBT(program, strategy=strategy,
+                      limits=RecorderLimits(hot_threshold=5,
+                                            max_total_tbbs=total))
+        traces = dbt.run().trace_set
+        assert len(traces) > 0
+        assert dbt.recorder.committed_tbbs == traces.n_tbbs
