@@ -13,10 +13,10 @@ replay/optimization run on it.
 """
 
 from repro.cfg.basic_block import BlockIndex
-from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
 from repro.core.builder import build_tea
 from repro.core.replay import ReplayConfig, TeaReplayer
-from repro.cpu import Executor
+from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
+from repro.cpu.stream import ExecutionStream
 from repro.errors import TeaError
 
 
@@ -112,28 +112,26 @@ class DifferentialChecker:
             )
 
 
+def _drive(program, on_transition, max_instructions):
+    """Feed the StarDBT-flavour block transitions of one recorded run of
+    ``program`` to ``on_transition``.  A run over budget delivers its
+    prefix, then raises :class:`~repro.errors.InstructionLimitExceeded`."""
+    stream = ExecutionStream.record(program, max_instructions)
+    for transition in stream.block_transitions(BlockIndex(program),
+                                               program.entry):
+        on_transition(transition)
+    if stream.exceeded:
+        raise stream.limit_error()
+
+
 def check_equivalence(program, trace_set, tea=None, config=None,
-                      max_instructions=50_000_000):
+                      max_instructions=DEFAULT_MAX_INSTRUCTIONS):
     """Run ``program`` once, validating TEA against the DBT cursor.
 
     Returns the :class:`DifferentialChecker` with its verdict.
     """
     checker = DifferentialChecker(trace_set, tea=tea, config=config)
-    builder = DynamicBlockBuilder(
-        BlockIndex(program), program.entry, flavor=FLAVOR_STARDBT,
-        on_transition=checker.on_transition,
-    )
-    executor = Executor(program, max_instructions=max_instructions)
-    consumed = [0, 0]
-
-    def on_event(event):
-        consumed[0] += event.instrs_dbt
-        consumed[1] += event.instrs_pin
-        builder.feed(event)
-
-    result = executor.run(on_event)
-    builder.flush(result.final_pc, result.instrs_dbt - consumed[0],
-                  result.instrs_pin - consumed[1])
+    _drive(program, checker.on_transition, max_instructions)
     return checker
 
 
@@ -214,7 +212,7 @@ class MinimizationChecker:
 
 def check_minimization(program, trace_set, original, minimized,
                        config=None, lossy=False,
-                       max_instructions=50_000_000):
+                       max_instructions=DEFAULT_MAX_INSTRUCTIONS):
     """Replay ``program`` once through original and minimized automata.
 
     Returns the :class:`MinimizationChecker` with its verdict; callers
@@ -223,21 +221,7 @@ def check_minimization(program, trace_set, original, minimized,
     """
     checker = MinimizationChecker(trace_set, original, minimized,
                                   config=config, lossy=lossy)
-    builder = DynamicBlockBuilder(
-        BlockIndex(program), program.entry, flavor=FLAVOR_STARDBT,
-        on_transition=checker.on_transition,
-    )
-    executor = Executor(program, max_instructions=max_instructions)
-    consumed = [0, 0]
-
-    def on_event(event):
-        consumed[0] += event.instrs_dbt
-        consumed[1] += event.instrs_pin
-        builder.feed(event)
-
-    result = executor.run(on_event)
-    builder.flush(result.final_pc, result.instrs_dbt - consumed[0],
-                  result.instrs_pin - consumed[1])
+    _drive(program, checker.on_transition, max_instructions)
     return checker
 
 

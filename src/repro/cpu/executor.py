@@ -1,18 +1,36 @@
-"""The SX86 interpreter core.
+"""The SX86 interpreter core: a lazy basic-block translator.
 
-Instructions are pre-compiled once per :class:`Executor` into small
-closures over the machine (operand addressing resolved at compile time),
-so the hot loop only dispatches on a per-instruction *category* integer.
-The loop emits :class:`~repro.cpu.events.EdgeEvent` objects at every
-control transfer and block splitter; straight-line instructions are just
-counted.
+The first time execution reaches a PC, the executor translates the
+straight-line run starting there, up to and including the first control
+transfer, REP op, ``cpuid`` or ``hlt``, and caches the translation by
+its start PC.  The dispatch loop then runs one block per iteration: the
+block's body closures in order, then its terminator, which emits the
+:class:`~repro.cpu.events.EdgeEvent` for the control transfer or block
+splitter.  Both instruction spans grow by the block's size in bulk, and
+the budget is checked at events only.  A PC that is not an instruction
+raises :class:`~repro.errors.ExecutionError` when control reaches it; so
+does an instruction whose operands cannot execute (``lea`` of a
+register, a write to an immediate), when its block is first translated.
+
+Each body instruction becomes one closure, shared by every instruction
+with equal ``(opcode, operands, live flags)`` in one executor.  The
+closure comes from a source template keyed by ``(opcode, operand kinds,
+live flags)``, generated and compiled once per process into the
+module-level :data:`_TEMPLATES` cache.  The template set is bounded by
+the ISA, not by the programs run.  Generation is pure and idempotent and
+the cache is only ever extended with ``dict.setdefault``, so threads
+that race on a key at worst compile the same template twice and then
+share one.
+
+No plain SX86 instruction reads a flag, so only the last writer of each
+flag in a block stores it (every flag is live at the block end).  A
+shift by a non-immediate count writes flags only when the count is
+non-zero, so it never kills an earlier writer; ``inc``/``dec`` keep CF.
 
 Flag semantics follow IA-32 for the subset the ISA defines: ``cmp``/``sub``
 set CF on unsigned borrow and OF on signed overflow; logical ops clear
-CF/OF; ``inc``/``dec`` preserve CF.  See the per-opcode compilers below.
+CF/OF; ``inc``/``dec`` preserve CF.  See :data:`_SEMANTICS`.
 """
-
-import operator
 
 from repro.errors import ExecutionError, InstructionLimitExceeded
 from repro.cpu.events import (
@@ -26,12 +44,14 @@ from repro.cpu.events import (
     EdgeEvent,
 )
 from repro.cpu.machine import Machine
+from repro.isa.instructions import OPCODES
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import EAX, EBX, ECX, EDI, EDX, ESI, ESP
 
 _MASK = 0xFFFFFFFF
 
-# Instruction categories for the dispatch loop.
+# Block terminator categories for the dispatch loop (``_PLAIN``: the
+# block runs off the end of the code).
 _PLAIN = 0
 _COND = 1
 _JMP = 2
@@ -46,246 +66,165 @@ _HLT = 9
 #: Default per-run instruction budget (StarDBT counting).
 DEFAULT_MAX_INSTRUCTIONS = 50_000_000
 
+_ZF, _SF, _CF, _OF = 1, 2, 4, 8
+_ALL_FLAGS = _ZF | _SF | _CF | _OF
 
-def _reader(operand):
-    """Compile an operand into a ``fn(machine) -> value`` closure."""
+#: Flags each straight-line opcode always writes; ``None`` for shifts,
+#: which write all four only when the count is non-zero.  Opcodes not
+#: listed end a block.
+_WRITES = dict.fromkeys(
+    ("add", "sub", "and", "or", "xor", "imul", "cmp", "test", "neg"),
+    _ALL_FLAGS)
+_WRITES.update(dict.fromkeys(("shl", "shr", "sar"), None))
+_WRITES.update(inc=_ZF | _SF | _OF, dec=_ZF | _SF | _OF)
+_WRITES.update(dict.fromkeys(("not", "mov", "lea", "push", "pop", "nop"), 0))
+
+_SIGNED_A = "a = a - 0x100000000 if a & 0x80000000 else a"
+
+#: ALU, unary, ``cmp`` and ``test`` semantics: statements computing ``r``
+#: from ``a`` (the first operand) and ``b`` (the second), then the CF
+#: and OF expressions (``None``: not written).  ZF and SF follow ``r``.
+_SEMANTICS = {
+    "add": ("t = a + b\nr = t & 0xFFFFFFFF", "1 if t > 0xFFFFFFFF else 0",
+            "((~(a ^ b) & (a ^ r)) >> 31) & 1"),
+    "sub": ("r = (a - b) & 0xFFFFFFFF", "1 if a < b else 0",
+            "(((a ^ b) & (a ^ r)) >> 31) & 1"),
+    "and": ("r = (a & b) & 0xFFFFFFFF", "0", "0"),
+    "or": ("r = (a | b) & 0xFFFFFFFF", "0", "0"),
+    "xor": ("r = (a ^ b) & 0xFFFFFFFF", "0", "0"),
+    "test": ("r = a & b", "0", "0"),
+    "imul": (_SIGNED_A + "\nb = b - 0x100000000 if b & 0x80000000 else b"
+             "\np = a * b\nr = p & 0xFFFFFFFF",
+             "0 if -0x80000000 <= p <= 0x7FFFFFFF else 1",
+             "0 if -0x80000000 <= p <= 0x7FFFFFFF else 1"),
+    "shl": ("c = b & 31\nr = (a << c) & 0xFFFFFFFF", "(a >> (32 - c)) & 1",
+            "0"),
+    "shr": ("c = b & 31\nr = a >> c", "(a >> (c - 1)) & 1", "0"),
+    "sar": (_SIGNED_A + "\nc = b & 31\nr = (a >> c) & 0xFFFFFFFF",
+            "(a >> (c - 1)) & 1", "0"),
+    "inc": ("r = (a + 1) & 0xFFFFFFFF", None, "1 if r == 0x80000000 else 0"),
+    "dec": ("r = (a - 1) & 0xFFFFFFFF", None, "1 if r == 0x7FFFFFFF else 0"),
+    "neg": ("r = (-a) & 0xFFFFFFFF", "1 if a != 0 else 0",
+            "1 if r == 0x80000000 else 0"),
+    "not": ("r = (~a) & 0xFFFFFFFF", None, None),
+}
+_SEMANTICS["cmp"] = _SEMANTICS["sub"]
+
+#: ``(opcode, operand kinds, live flags)`` -> compiled closure factory.
+_TEMPLATES = {}
+
+
+def _operand(operand):
+    """``(kind, factory arguments)`` of one operand.  Kinds: ``r``, ``i``,
+    and ``m`` plus ``b``/``x`` for a present base/index register."""
     if isinstance(operand, Reg):
-        index = operand.index
-        return lambda m: m.regs[index]
+        return "r", (operand.index,)
     if isinstance(operand, Imm):
-        value = operand.value & _MASK
-        return lambda m: value
+        return "i", (operand.value & _MASK,)
     if isinstance(operand, Mem):
-        address = _address(operand)
-        return lambda m: m.mem.get(address(m), 0)
+        kind, args = "m", ()
+        if operand.base is not None:
+            kind, args = "mb", (operand.base,)
+        if operand.index is not None:
+            kind, args = kind + "x", args + (operand.index, operand.scale)
+        return kind, args + (operand.disp if args else operand.disp & _MASK,)
     raise ExecutionError("unreadable operand %r" % (operand,))
 
 
-def _address(mem):
-    """Compile a memory operand into an effective-address closure."""
-    base, index, scale, disp = mem.base, mem.index, mem.scale, mem.disp
-    if base is not None and index is not None:
-        return lambda m: (m.regs[base] + m.regs[index] * scale + disp) & _MASK
-    if base is not None:
-        return lambda m: (m.regs[base] + disp) & _MASK
-    if index is not None:
-        return lambda m: (m.regs[index] * scale + disp) & _MASK
-    fixed = disp & _MASK
-    return lambda m: fixed
+def _operand_code(kind, prefix):
+    """``[parameter names, value expression, address expression, target
+    expression]`` of one operand kind.  The address is ``None`` for
+    registers and immediates; the target is ``None`` for immediates."""
+    if kind == "r":
+        return [[prefix], "regs[%s]" % prefix, None, "regs[%s]" % prefix]
+    if kind == "i":
+        return [[prefix], prefix, None, None]
+    names, terms = [], []
+    if "b" in kind:
+        names.append(prefix + "b")
+        terms.append("regs[%sb]" % prefix)
+    if "x" in kind:
+        names += [prefix + "x", prefix + "k"]
+        terms.append("regs[%sx] * %sk" % (prefix, prefix))
+    names.append(prefix + "d")
+    address = prefix + "d"
+    if terms:
+        address = "(%s + %s) & 0xFFFFFFFF" % (" + ".join(terms), address)
+    return [names, "mem.get(%s, 0)" % address, address, "mem[%s]" % address]
 
 
-def _writer(operand):
-    """Compile an operand into a ``fn(machine, value)`` closure."""
-    if isinstance(operand, Reg):
-        index = operand.index
-        def write_reg(m, value):
-            m.regs[index] = value
-        return write_reg
-    if isinstance(operand, Mem):
-        address = _address(operand)
-        def write_mem(m, value):
-            m.mem[address(m)] = value
-        return write_mem
-    raise ExecutionError("unwritable operand %r" % (operand,))
+def _store(code, value):
+    """The statement writing ``value`` to an operand."""
+    if code[3] is None:
+        raise ExecutionError("cannot write an immediate operand")
+    return "%s = %s" % (code[3], value)
 
 
-def _signed(value):
-    return value - 0x100000000 if value & 0x80000000 else value
-
-
-def _compile_alu(opcode, instr):
-    dst, src = instr.operands
-    read_dst = _reader(dst)
-    read_src = _reader(src)
-    write_dst = _writer(dst)
-
-    if opcode == "add":
-        def execute(m):
-            a = read_dst(m)
-            b = read_src(m)
-            total = a + b
-            r = total & _MASK
-            write_dst(m, r)
-            m.zf = 1 if r == 0 else 0
-            m.sf = (r >> 31) & 1
-            m.cf = 1 if total > _MASK else 0
-            m.of = ((~(a ^ b) & (a ^ r)) >> 31) & 1
-        return execute
-    if opcode == "sub":
-        def execute(m):
-            a = read_dst(m)
-            b = read_src(m)
-            r = (a - b) & _MASK
-            write_dst(m, r)
-            m.zf = 1 if r == 0 else 0
-            m.sf = (r >> 31) & 1
-            m.cf = 1 if a < b else 0
-            m.of = (((a ^ b) & (a ^ r)) >> 31) & 1
-        return execute
-    if opcode in ("and", "or", "xor"):
-        combine = {
-            "and": operator.and_, "or": operator.or_, "xor": operator.xor,
-        }[opcode]
-        def execute(m):
-            r = combine(read_dst(m), read_src(m)) & _MASK
-            write_dst(m, r)
-            m.zf = 1 if r == 0 else 0
-            m.sf = (r >> 31) & 1
-            m.cf = 0
-            m.of = 0
-        return execute
-    if opcode == "imul":
-        def execute(m):
-            product = _signed(read_dst(m)) * _signed(read_src(m))
-            r = product & _MASK
-            write_dst(m, r)
-            overflow = 0 if -0x80000000 <= product <= 0x7FFFFFFF else 1
-            m.cf = overflow
-            m.of = overflow
-            m.zf = 1 if r == 0 else 0
-            m.sf = (r >> 31) & 1
-        return execute
-    if opcode == "shl":
-        def execute(m):
-            a = read_dst(m)
-            count = read_src(m) & 31
-            r = (a << count) & _MASK
-            write_dst(m, r)
-            if count:
-                m.cf = (a >> (32 - count)) & 1
-                m.zf = 1 if r == 0 else 0
-                m.sf = (r >> 31) & 1
-                m.of = 0
-        return execute
-    if opcode == "shr":
-        def execute(m):
-            a = read_dst(m)
-            count = read_src(m) & 31
-            r = a >> count
-            write_dst(m, r)
-            if count:
-                m.cf = (a >> (count - 1)) & 1
-                m.zf = 1 if r == 0 else 0
-                m.sf = (r >> 31) & 1
-                m.of = 0
-        return execute
-    if opcode == "sar":
-        def execute(m):
-            a = _signed(read_dst(m))
-            count = read_src(m) & 31
-            r = (a >> count) & _MASK
-            write_dst(m, r)
-            if count:
-                m.cf = (a >> (count - 1)) & 1
-                m.zf = 1 if r == 0 else 0
-                m.sf = (r >> 31) & 1
-                m.of = 0
-        return execute
-    raise ExecutionError("unhandled ALU opcode %r" % opcode)
-
-
-def _compile_unary(opcode, instr):
-    (operand,) = instr.operands
-    read = _reader(operand)
-    write = _writer(operand)
-    if opcode == "inc":
-        def execute(m):
-            r = (read(m) + 1) & _MASK
-            write(m, r)
-            m.zf = 1 if r == 0 else 0
-            m.sf = (r >> 31) & 1
-            m.of = 1 if r == 0x80000000 else 0
-        return execute
-    if opcode == "dec":
-        def execute(m):
-            r = (read(m) - 1) & _MASK
-            write(m, r)
-            m.zf = 1 if r == 0 else 0
-            m.sf = (r >> 31) & 1
-            m.of = 1 if r == 0x7FFFFFFF else 0
-        return execute
-    if opcode == "neg":
-        def execute(m):
-            a = read(m)
-            r = (-a) & _MASK
-            write(m, r)
-            m.cf = 1 if a != 0 else 0
-            m.zf = 1 if r == 0 else 0
-            m.sf = (r >> 31) & 1
-            m.of = 1 if r == 0x80000000 else 0
-        return execute
-    if opcode == "not":
-        def execute(m):
-            write(m, (~read(m)) & _MASK)
-        return execute
-    raise ExecutionError("unhandled unary opcode %r" % opcode)
-
-
-def _compile_plain(instr):
-    """Compile a non-control, non-REP instruction to an executor closure."""
-    opcode = instr.opcode
-    kind = instr.kind
-    if kind == "alu":
-        return _compile_alu(opcode, instr)
-    if kind == "unary":
-        return _compile_unary(opcode, instr)
-    if kind == "mov":
-        dst, src = instr.operands
-        read_src = _reader(src)
-        write_dst = _writer(dst)
-        def execute(m):
-            write_dst(m, read_src(m) & _MASK)
-        return execute
-    if kind == "lea":
-        dst, src = instr.operands
-        if not isinstance(src, Mem):
+def _generate(opcode, kinds, live):
+    """Generate and compile the closure factory of one template key."""
+    codes = [_operand_code(kind, prefix) for kind, prefix in zip(kinds, "ds")]
+    kind = OPCODES[opcode].kind
+    lines = []
+    if kind in ("jmp", "call"):  # the target of an indirect transfer
+        lines.append("return " + codes[0][1])
+    elif kind == "push":
+        lines += ["esp = (regs[%d] - 4) & 0xFFFFFFFF" % ESP,
+                  "regs[%d] = esp" % ESP,
+                  "mem[esp] = %s & 0xFFFFFFFF" % codes[0][1]]
+    elif kind == "pop":
+        lines += ["esp = regs[%d]" % ESP, _store(codes[0], "mem.get(esp, 0)"),
+                  "regs[%d] = (esp + 4) & 0xFFFFFFFF" % ESP]
+    elif kind == "lea":
+        if codes[1][2] is None:
             raise ExecutionError("lea needs a memory operand")
-        address = _address(src)
-        write_dst = _writer(dst)
-        def execute(m):
-            write_dst(m, address(m))
-        return execute
-    if kind == "cmp":
-        a_read = _reader(instr.operands[0])
-        b_read = _reader(instr.operands[1])
-        def execute(m):
-            a = a_read(m)
-            b = b_read(m)
-            r = (a - b) & _MASK
-            m.zf = 1 if r == 0 else 0
-            m.sf = (r >> 31) & 1
-            m.cf = 1 if a < b else 0
-            m.of = (((a ^ b) & (a ^ r)) >> 31) & 1
-        return execute
-    if kind == "test":
-        a_read = _reader(instr.operands[0])
-        b_read = _reader(instr.operands[1])
-        def execute(m):
-            r = a_read(m) & b_read(m)
-            m.zf = 1 if r == 0 else 0
-            m.sf = (r >> 31) & 1
-            m.cf = 0
-            m.of = 0
-        return execute
-    if kind == "push":
-        read = _reader(instr.operands[0])
-        def execute(m):
-            esp = (m.regs[ESP] - 4) & _MASK
-            m.regs[ESP] = esp
-            m.mem[esp] = read(m) & _MASK
-        return execute
-    if kind == "pop":
-        write = _writer(instr.operands[0])
-        def execute(m):
-            esp = m.regs[ESP]
-            write(m, m.mem.get(esp, 0))
-            m.regs[ESP] = (esp + 4) & _MASK
-        return execute
-    if opcode == "nop":
-        def execute(m):
-            pass
-        return execute
-    raise ExecutionError("unhandled opcode %r" % opcode)
+        lines.append(_store(codes[0], codes[1][2]))
+    elif kind == "mov":
+        lines.append(_store(codes[0], codes[1][1] + " & 0xFFFFFFFF"))
+    else:
+        compute, cf, of = _SEMANTICS[opcode]
+        writes = kind not in ("cmp", "test")
+        if writes and codes[0][2] is not None:  # read-modify-write memory
+            lines += ["addr = " + codes[0][2], "a = mem.get(addr, 0)"]
+            codes[0][3] = "mem[addr]"
+        else:
+            lines.append("a = " + codes[0][1])
+        lines += ["b = " + code[1] for code in codes[1:]]
+        lines += compute.split("\n")
+        if writes:
+            lines.append(_store(codes[0], "r"))
+        flags = ["m.%s = %s" % (name, expression) for bit, name, expression
+                 in ((_ZF, "zf", "1 if r == 0 else 0"),
+                     (_SF, "sf", "(r >> 31) & 1"), (_CF, "cf", cf),
+                     (_OF, "of", of))
+                 if live & bit and expression is not None]
+        if flags and _WRITES[opcode] is None and kinds[1] != "i":
+            flags = ["if c:"] + ["    " + line for line in flags]
+        lines += flags
+    body = "\n".join(lines)
+    prologue = [name + " = m." + name for name in ("regs", "mem")
+                if name in body]
+    source = "def make(%s):\n    def run(m):\n%s\n    return run\n" % (
+        ", ".join(name for code in codes for name in code[0]),
+        "".join("        %s\n" % line for line in prologue + lines))
+    namespace = {}
+    exec(compile(source, "<sx86 %s %s>" % (opcode, kinds), "exec"), namespace)
+    return namespace["make"]
+
+
+def _instantiate(opcode, operands, live):
+    """The closure of one instruction whose flags ``live`` are read
+    later; ``None`` when executing it changes nothing."""
+    if opcode == "nop" or (not live and opcode in ("cmp", "test")):
+        return None
+    kinds, args = (), ()
+    for operand in operands:
+        kind, more = _operand(operand)
+        kinds, args = kinds + (kind,), args + more
+    key = (opcode, kinds, live)
+    factory = _TEMPLATES.get(key)
+    if factory is None:
+        factory = _TEMPLATES.setdefault(key, _generate(opcode, kinds, live))
+    return factory(*args)
 
 
 _CONDITIONS = {
@@ -348,15 +287,15 @@ def _compile_cpuid():
 
 
 def _decode_shape(instr):
-    """``(category, closure, direct)`` for one distinct instruction;
-    ``direct`` marks a transfer whose target is ``instr.target``."""
+    """``(category, closure, direct)`` of a block terminator; ``direct``
+    marks a transfer whose target is ``instr.target``."""
     kind = instr.kind
     if kind == "jcc":
         return _COND, _CONDITIONS[instr.condition], True
     if kind == "jmp" or kind == "call":
         if instr.is_indirect:
             category = _IND_JMP if kind == "jmp" else _IND_CALL
-            return category, _reader(instr.operands[0]), False
+            return category, _instantiate(kind, instr.operands, 0), False
         return (_JMP if kind == "jmp" else _CALL), None, True
     if kind == "ret":
         return _RET, None, False
@@ -366,20 +305,7 @@ def _decode_shape(instr):
         return _SPLIT, _compile_cpuid(), False
     if instr.opcode == "hlt":
         return _HLT, None, False
-    return _PLAIN, _compile_plain(instr), False
-
-
-class _Decoded:
-    """A pre-compiled instruction ready for the dispatch loop."""
-
-    __slots__ = ("category", "run", "instr", "target", "fallthrough")
-
-    def __init__(self, category, run, instr, target=None):
-        self.category = category
-        self.run = run
-        self.instr = instr
-        self.target = target
-        self.fallthrough = instr.addr + instr.length
+    raise ExecutionError("unhandled opcode %r" % instr.opcode)
 
 
 class ExecutionResult:
@@ -418,7 +344,8 @@ class Executor:
         :class:`~repro.errors.InstructionLimitExceeded`.
     obs:
         Optional :class:`~repro.obs.Observability`.  The dispatch loop
-        itself is never instrumented; run totals are flushed into
+        itself is never instrumented; run totals (up to the event that
+        crossed the budget, for a run that exceeded it) are flushed into
         ``exec.*`` counters and the ``exec.run`` phase timer at run
         boundaries, so observation costs nothing per instruction.
     """
@@ -430,49 +357,89 @@ class Executor:
         self.machine.apply_image(program)
         self.max_instructions = max_instructions
         self.obs = obs
-        self._decoded = self._decode_all(program)
+        self._blocks = {}    # start PC -> translated block
+        self._closures = {}  # (opcode, operands, live flags) -> closure
 
-    @staticmethod
-    def _decode_all(program):
-        """Decode every instruction, translating each distinct one once.
+    def _translate(self, pc):
+        """The block starting at ``pc``: ``(body closures, size,
+        category, terminator closure, terminator PC, direct target,
+        fall-through)``."""
+        instruction_at = self.program.instruction_at
+        try:
+            instr = instruction_at(pc)
+        except ExecutionError:
+            raise ExecutionError(
+                "control reached non-code address %#x" % pc) from None
+        plain = []
+        while instr.opcode in _WRITES:
+            plain.append(instr)
+            pc = instr.addr + instr.length
+            try:
+                instr = instruction_at(pc)
+            except ExecutionError:  # off the code: the next dispatch raises
+                return (self._body(plain), len(plain), _PLAIN, None, None,
+                        None, pc)
+        category, run, direct = _decode_shape(instr)
+        return (self._body(plain), len(plain) + 1, category, run, instr.addr,
+                instr.target if direct else None, instr.addr + instr.length)
 
-        Instructions with equal ``(opcode, operands)`` share one
-        ``(category, closure)`` pair; only the per-address fields
-        (``instr``, ``target``, ``fallthrough``) live on each entry.
-        """
-        shapes = {}
-        decoded = {}
-        for instr in program.instructions:
-            key = (instr.opcode, instr.operands)
-            shape = shapes.get(key)
-            if shape is None:
-                shape = shapes[key] = _decode_shape(instr)
-            category, run, direct = shape
-            decoded[instr.addr] = _Decoded(
-                category, run, instr, instr.target if direct else None)
-        return decoded
+    def _body(self, plain):
+        """Closures of a block's straight-line instructions, dropping the
+        flag writes a later instruction of the block overwrites."""
+        closures = self._closures
+        body = []
+        live = _ALL_FLAGS
+        for instr in reversed(plain):
+            opcode = instr.opcode
+            operands = instr.operands
+            kills = writes = _WRITES[opcode]
+            if writes is None:  # a shift
+                count = operands[1]
+                if isinstance(count, Imm):
+                    kills = writes = _ALL_FLAGS if count.value & 31 else 0
+                else:
+                    kills, writes = 0, _ALL_FLAGS
+            key = (opcode, operands, writes & live)
+            run = closures.get(key, key)
+            if run is key:
+                run = closures[key] = _instantiate(*key)
+            if run is not None:
+                body.append(run)
+            live &= ~kills
+        body.reverse()
+        return tuple(body)
 
     def run(self, on_event=None):
         """Execute from the program entry until ``hlt`` or budget exhaustion.
 
         ``on_event`` is called with every :class:`EdgeEvent`; pass ``None``
-        to run silently (native-execution baseline).
+        to run silently (native-execution baseline).  A run that exceeds
+        the budget delivers the event that crossed it, then raises
+        :class:`~repro.errors.InstructionLimitExceeded`.
         """
         obs = self.obs
         if obs is None:
-            return self._run(on_event)
-        with obs.metrics.timer("exec.run"):
             result = self._run(on_event)
-        metrics = obs.metrics
-        metrics.counter("exec.runs").inc()
-        metrics.counter("exec.instructions_dbt").inc(result.instrs_dbt)
-        metrics.counter("exec.instructions_pin").inc(result.instrs_pin)
-        metrics.counter("exec.edges").inc(result.edges)
+        else:
+            with obs.metrics.timer("exec.run"):
+                result = self._run(on_event)
+            metrics = obs.metrics
+            metrics.counter("exec.runs").inc()
+            metrics.counter("exec.instructions_dbt").inc(result.instrs_dbt)
+            metrics.counter("exec.instructions_pin").inc(result.instrs_pin)
+            metrics.counter("exec.edges").inc(result.edges)
+        if not result.halted:
+            raise InstructionLimitExceeded(
+                "exceeded %d instructions" % self.max_instructions)
         return result
 
     def _run(self, on_event):
+        """The dispatch loop; returns the totals, not halted when the
+        budget was exceeded."""
         machine = self.machine
-        decoded = self._decoded
+        regs = machine.regs
+        mem = machine.mem
+        blocks = self._blocks
         budget = self.max_instructions
         pc = self.program.entry
 
@@ -481,105 +448,70 @@ class Executor:
         span_dbt = 0  # instructions since the previous event, inclusive
         span_pin = 0
         edges = 0
-        halted = False
 
         while True:
-            entry = decoded.get(pc)
-            if entry is None:
-                raise ExecutionError("control reached non-code address %#x" % pc)
-            category = entry.category
-
-            if category == _PLAIN:
-                entry.run(machine)
-                span_dbt += 1
-                span_pin += 1
-                pc = entry.fallthrough
-                continue
+            block = blocks.get(pc)
+            if block is None:
+                block = blocks[pc] = self._translate(pc)
+            body, size, category, run, end, target, fallthrough = block
+            for execute in body:
+                execute(machine)
+            span_dbt += size
+            span_pin += size
 
             if category == _COND:
-                span_dbt += 1
-                span_pin += 1
-                taken = bool(entry.run(machine))
-                target = entry.target if taken else entry.fallthrough
-                if on_event is not None:
-                    on_event(
-                        EdgeEvent(entry.instr.addr, target, taken, EDGE_COND,
-                                  span_dbt, span_pin)
-                    )
-                edges += 1
-                total_dbt += span_dbt
-                total_pin += span_pin
-                if total_dbt > budget:
-                    raise InstructionLimitExceeded(
-                        "exceeded %d instructions" % budget
-                    )
-                span_dbt = 0
-                span_pin = 0
-                pc = target
-                continue
-
-            span_dbt += 1
-            span_pin += 1
-
-            if category == _JMP or category == _CALL:
-                target = entry.target
-                if category == _CALL:
-                    esp = (machine.regs[ESP] - 4) & _MASK
-                    machine.regs[ESP] = esp
-                    machine.mem[esp] = entry.fallthrough
-                    kind = EDGE_CALL
+                if run(machine):
+                    taken = True
                 else:
-                    kind = EDGE_JMP
+                    taken = False
+                    target = fallthrough
+                kind = EDGE_COND
+            elif category == _JMP:
+                kind = EDGE_JMP
+                taken = True
+            elif category == _CALL or category == _IND_CALL:
+                if category == _IND_CALL:
+                    target = run(machine) & _MASK
+                    kind = EDGE_IND_CALL
+                else:
+                    kind = EDGE_CALL
+                esp = (regs[ESP] - 4) & _MASK
+                regs[ESP] = esp
+                mem[esp] = fallthrough
                 taken = True
             elif category == _RET:
-                esp = machine.regs[ESP]
-                target = machine.mem.get(esp, 0)
-                machine.regs[ESP] = (esp + 4) & _MASK
+                esp = regs[ESP]
+                target = mem.get(esp, 0)
+                regs[ESP] = (esp + 4) & _MASK
                 kind = EDGE_RET
                 taken = True
             elif category == _IND_JMP:
-                target = entry.run(machine) & _MASK
+                target = run(machine) & _MASK
                 kind = EDGE_IND_JMP
                 taken = True
-            elif category == _IND_CALL:
-                target = entry.run(machine) & _MASK
-                esp = (machine.regs[ESP] - 4) & _MASK
-                machine.regs[ESP] = esp
-                machine.mem[esp] = entry.fallthrough
-                kind = EDGE_IND_CALL
-                taken = True
-            elif category == _REP:
-                iterations = entry.run(machine)
-                span_pin += max(iterations, 1) - 1  # Pin counts each iteration
-                target = entry.fallthrough
+            elif category == _REP or category == _SPLIT:
+                iterations = run(machine)
+                if category == _REP:  # Pin counts each iteration
+                    span_pin += max(iterations, 1) - 1
+                target = fallthrough
                 kind = EDGE_SPLIT
                 taken = False
-            elif category == _SPLIT:
-                entry.run(machine)
-                target = entry.fallthrough
-                kind = EDGE_SPLIT
-                taken = False
-            else:  # _HLT
-                halted = True
-                target = entry.instr.addr
-                kind = EDGE_JMP
-                taken = False
-
-            if halted:
-                total_dbt += span_dbt
-                total_pin += span_pin
-                return ExecutionResult(total_dbt, total_pin, edges, True, pc)
+            elif category == _HLT:
+                return ExecutionResult(total_dbt + span_dbt,
+                                       total_pin + span_pin, edges, True, end)
+            else:  # _PLAIN
+                pc = fallthrough
+                continue
 
             if on_event is not None:
-                on_event(
-                    EdgeEvent(entry.instr.addr, target, taken, kind,
-                              span_dbt, span_pin)
-                )
+                on_event(EdgeEvent(end, target, taken, kind,
+                                   span_dbt, span_pin))
             edges += 1
             total_dbt += span_dbt
             total_pin += span_pin
             if total_dbt > budget:
-                raise InstructionLimitExceeded("exceeded %d instructions" % budget)
+                return ExecutionResult(total_dbt, total_pin, edges, False,
+                                       target)
             span_dbt = 0
             span_pin = 0
             pc = target

@@ -1,12 +1,17 @@
 """Interpreter semantics: ALU flags, control flow, REP, counting."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro.cpu import Executor, Machine, run_program
+from repro.cpu import ExecutionStream, Executor, Machine, run_program
+from repro.cpu import executor as executor_module
 from repro.cpu.events import EDGE_CALL, EDGE_COND, EDGE_IND_JMP, EDGE_RET, EDGE_SPLIT
 from repro.errors import ExecutionError, InstructionLimitExceeded
 from repro.isa import assemble
-from repro.isa.registers import EAX, EBX
+from repro.isa.registers import EAX, EBX, ECX
+from repro.workloads import load_benchmark
 
 
 def run(source, **kwargs):
@@ -389,9 +394,15 @@ loop:
     assert first.snapshot() == second.snapshot()
 
 
-def test_identical_instructions_share_one_closure():
-    """Decode translates each distinct instruction once; only the
-    per-address fields differ between the shared entries."""
+def _block(executor, label):
+    """The translated block starting at ``label``: ``(body, size, ...)``."""
+    return executor._blocks[executor.program.label_addr(label)]
+
+
+def test_closures_shared_per_instruction_and_live_flags():
+    """Equal ``(opcode, operands, live flags)`` share one closure; the
+    same instruction with some of its flags overwritten later in its
+    block gets another."""
     program = assemble("""
 main:
     mov ecx, 2
@@ -402,23 +413,104 @@ next:
     add eax, [ebx+8]
     dec ecx
     jnz loop
+tail:
+    add eax, [ebx+8]
+    jz done
+done:
+    add eax, [ebx+8]
+    cmp eax, 0
     hlt
 """)
     executor = Executor(program, machine=Machine())
-    first = executor._decoded[program.instructions[1].addr]
-    second = executor._decoded[program.instructions[3].addr]
-    assert first.run is second.run
-    assert first.instr is program.instructions[1]
-    assert second.instr is program.instructions[3]
-    assert first.fallthrough == program.instructions[2].addr
-    assert second.fallthrough == program.instructions[4].addr
-    jnz_next = executor._decoded[program.instructions[2].addr]
-    jnz_loop = executor._decoded[program.instructions[5].addr]
-    assert jnz_next.run is jnz_loop.run
-    assert jnz_next.target == program.label_addr("next")
-    assert jnz_loop.target == program.label_addr("loop")
     executor.machine.regs[EBX] = 0x1000
     executor.machine.mem[0x1008] = 5
     result = executor.run()
     assert result.halted
-    assert executor.machine.regs[EAX] == 20
+    assert executor.machine.regs[EAX] == 30
+    all_live = _block(executor, "loop")[0]
+    assert len(all_live) == 1  # the jnz is the terminator
+    assert _block(executor, "tail")[0][0] is all_live[0]
+    # ``dec`` writes all flags but CF: the add before it stores CF only.
+    cf_live = _block(executor, "next")[0][0]
+    # ``cmp`` overwrites all four flags: the add before it stores none.
+    none_live = _block(executor, "done")[0][0]
+    assert len({id(all_live[0]), id(cf_live), id(none_live)}) == 3
+    # mov; add with all, CF-only and no flags live; dec; cmp.
+    assert len(executor._closures) == 6
+    # Re-translating a block reuses the executor's closures.
+    executor._blocks.clear()
+    executor.machine.regs[ECX] = 2
+    assert executor.run().halted
+    assert _block(executor, "loop")[0][0] is all_live[0]
+
+
+def test_jump_into_the_middle_of_a_straight_line_run():
+    """A block entered mid-run is translated on its own, sharing the
+    closures of the longer block it overlaps."""
+    program = assemble("""
+main:
+    mov ecx, 3
+    jmp middle
+top:
+    add eax, 1
+    shl eax, 1
+middle:
+    add eax, 10
+    dec ecx
+    jnz top
+    hlt
+""")
+    machine = Machine()
+    executor = Executor(program, machine=machine)
+    result = executor.run()
+    assert result.halted
+    assert machine.regs[EAX] == ((10 + 1) * 2 + 10 + 1) * 2 + 10
+    top_body, top_size = _block(executor, "top")[:2]
+    middle_body, middle_size = _block(executor, "middle")[:2]
+    assert (top_size, middle_size) == (5, 3)
+    assert top_body[-2:] == middle_body
+    assert result.instrs_dbt == 2 + 3 + 5 + 5 + 1
+
+
+def test_unexecutable_instruction_raises_when_its_block_is_reached():
+    source = """
+main:
+    mov eax, 7
+    cmp eax, %d
+    jz bad
+    hlt
+bad:
+    mov ebx, 1
+    lea eax, ebx
+    hlt
+"""
+    program = assemble(source % 0)
+    executor = Executor(program, machine=Machine())  # not translated yet
+    assert executor.run().halted  # the bad block never runs
+    machine = Machine()
+    with pytest.raises(ExecutionError, match="lea needs a memory operand"):
+        run_program(assemble(source % 7), machine=machine)
+    assert machine.regs[EBX] == 0  # raised before its block ran
+    with pytest.raises(ExecutionError, match="immediate"):
+        run_program(assemble("main:\n    mov 5, eax\n    hlt"))
+
+
+def test_threads_translating_at_once_record_the_serial_streams(monkeypatch):
+    """The process-wide template cache is filled by racing threads; every
+    stream still matches a serial recording."""
+    programs = [load_benchmark(name, scale=0.25).program
+                for name in ("176.gcc", "164.gzip", "181.mcf", "253.perlbmk")]
+    expected = [ExecutionStream.record(p).to_bytes() for p in programs] * 2
+    monkeypatch.setattr(executor_module, "_TEMPLATES", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(ExecutionStream.record, program)
+                       for program in programs * 2]
+            recorded = [future.result(timeout=120).to_bytes()
+                        for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert recorded == expected
+    assert executor_module._TEMPLATES

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.analysis.differential import (
+    DifferentialChecker,
     check_equivalence,
     validate_trace_file,
 )
-from repro.errors import TeaError
+from repro.cpu import ExecutionStream
+from repro.errors import InstructionLimitExceeded, TeaError
 from repro.traces.serialization import save_trace_set
 from repro.workloads import load_benchmark
 from tests.conftest import record_traces
@@ -39,6 +41,25 @@ def test_equivalence_on_benchmarks(name):
     trace_set = record_traces(workload.program).trace_set
     checker = check_equivalence(workload.program, trace_set)
     assert checker.is_equivalent, checker.divergences[:3]
+
+
+def test_budget_exceeded_delivers_the_prefix_then_raises(nested_program,
+                                                          monkeypatch):
+    trace_set = record_traces(nested_program).trace_set
+    budget = 500
+    stream = ExecutionStream.record(nested_program, max_instructions=budget)
+    assert stream.exceeded
+    seen = []
+    step = DifferentialChecker.on_transition
+
+    def spy(checker, transition):
+        seen.append(transition.next_start)
+        step(checker, transition)
+
+    monkeypatch.setattr(DifferentialChecker, "on_transition", spy)
+    with pytest.raises(InstructionLimitExceeded):
+        check_equivalence(nested_program, trace_set, max_instructions=budget)
+    assert seen == list(stream.transitions[0::3])
 
 
 def test_divergence_detected_on_corrupted_tea(simple_loop_program):

@@ -462,6 +462,20 @@ def test_one_interpreter_run_per_stream():
     assert obs.metrics.snapshot()["counters"]["exec.runs"] == 2
 
 
+def test_budget_exceeded_run_is_counted():
+    """A run over budget flushes its totals up to the crossing event."""
+    program = load_benchmark("181.mcf", scale=0.25).program
+    obs = Observability()
+    stream = ExecutionStream.record(program, max_instructions=5000, obs=obs)
+    assert stream.exceeded
+    snapshot = obs.metrics.snapshot()
+    counters = snapshot["counters"]
+    assert snapshot["timers"]["exec.run"]["count"] == counters["exec.runs"] == 1
+    assert counters["exec.instructions_dbt"] == stream.instrs_dbt > 5000
+    assert counters["exec.instructions_pin"] == stream.instrs_pin
+    assert counters["exec.edges"] == stream.edges
+
+
 def test_program_digest_ignores_labels_but_not_code():
     program = assemble(SPLIT_SOURCE)
     renamed = assemble(SPLIT_SOURCE.replace("helper", "callee"))
