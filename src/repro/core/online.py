@@ -18,6 +18,7 @@ same cost model (``RECORD_COUNTER`` per backward edge observed,
 from repro.core.automaton import TEA
 from repro.core.builder import sync_trace
 from repro.core.replay import ReplayConfig, TeaReplayer
+from repro.cpu.events import event_code
 from repro.traces.recorder import STATE_CREATING
 
 
@@ -69,7 +70,8 @@ class OnlineTeaRecorder:
         if event is not None and event.is_backward:
             self.cost.charge("recording", params.RECORD_COUNTER)
             metrics.counter("record.backward_edges").inc()
-        self.recorder.observe(transition)
+        self.recorder.observe(transition.block, transition.next_start,
+                              event_code(event))
         if self.recorder.state == STATE_CREATING:
             self.cost.charge("recording", params.RECORD_APPEND)
             metrics.counter("record.appends").inc()

@@ -1,9 +1,17 @@
-"""Dynamic control-flow events emitted by the executor.
+"""Dynamic control-flow events and the flag byte that encodes them.
 
-The event stream is the contract between the interpreter and every
-engine built on top of it.  One :class:`EdgeEvent` is emitted per control
-transfer (taken or not) and per Pin-style block splitter (``cpuid``,
-REP-prefixed ops).  An event carries:
+The executor records a run as compact lanes (see
+:mod:`repro.cpu.stream`): one row per StarDBT-flavour block, whose
+ending event is summarised in one *flag byte* (:data:`KINDS` index in
+the low bits, plus :data:`FLAG_TAKEN`, :data:`FLAG_INDIRECT`,
+:data:`FLAG_FIRST`, :data:`FLAG_SPLITS` and :data:`FLAG_FINAL`).
+StarDBT and the trace recorders read those lanes directly.
+
+:class:`EdgeEvent` is the object form of one event, for the callers
+that want one per control transfer (taken or not) and per Pin-style
+block splitter (``cpuid``, REP-prefixed ops): ``Executor.run(on_event)``
+delivers them to test oracles such as ``DynamicBlockBuilder``.  An
+event carries:
 
 - ``pc``: address of the instruction that ended the block,
 - ``target``: address execution continues at (branch target when taken,
@@ -32,6 +40,36 @@ EDGE_SPLIT = "split"
 CONTROL_KINDS = frozenset(
     (EDGE_COND, EDGE_JMP, EDGE_CALL, EDGE_RET, EDGE_IND_JMP, EDGE_IND_CALL)
 )
+
+#: ``next_start`` of a stream's terminal row (same value as
+#: :data:`repro.core.compiled.END_OF_RUN`).
+END_OF_RUN = -1
+
+#: Edge kinds of block-ending events, indexed by the low flag bits.
+KINDS = (EDGE_COND, EDGE_JMP, EDGE_CALL, EDGE_RET, EDGE_IND_JMP,
+         EDGE_IND_CALL)
+KIND_MASK = 0x07
+FLAG_TAKEN = 0x08
+FLAG_INDIRECT = 0x10
+FLAG_FIRST = 0x20
+FLAG_SPLITS = 0x40
+FLAG_FINAL = 0x80
+
+#: Flag byte of each block-ending edge kind (indirect bit included).
+KIND_CODES = {
+    kind: index | (FLAG_INDIRECT if kind in (EDGE_RET, EDGE_IND_JMP,
+                                             EDGE_IND_CALL) else 0)
+    for index, kind in enumerate(KINDS)
+}
+
+
+def event_code(event):
+    """The kind and taken bits of the flag byte of ``event`` (a
+    control-transfer :class:`EdgeEvent`); ``None`` -- the end of the
+    run -- gives :data:`FLAG_FINAL`."""
+    if event is None:
+        return FLAG_FINAL
+    return KIND_CODES[event.kind] | (FLAG_TAKEN if event.taken else 0)
 
 
 class EdgeEvent:

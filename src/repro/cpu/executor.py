@@ -4,9 +4,13 @@ The first time execution reaches a PC, the executor translates the
 straight-line run starting there, up to and including the first control
 transfer, REP op, ``cpuid`` or ``hlt``, and caches the translation by
 its start PC.  The dispatch loop then runs one block per iteration: the
-block's body closures in order, then its terminator, which emits the
-:class:`~repro.cpu.events.EdgeEvent` for the control transfer or block
-splitter.  Both instruction spans grow by the block's size in bulk, and
+block's body closures in order, then its terminator, which ends an
+event: a control transfer or a block splitter.  The loop records each
+event itself into the lanes of an
+:class:`~repro.cpu.stream.ExecutionStream` (one row and one flag byte
+per StarDBT-flavour block, a side row per merged splitter) and builds
+an :class:`~repro.cpu.events.EdgeEvent` only for an ``on_event``
+callback.  Both instruction spans grow by the block's size in bulk, and
 the budget is checked at events only.  A PC that is not an instruction
 raises :class:`~repro.errors.ExecutionError` when control reaches it; so
 does an instruction whose operands cannot execute (``lea`` of a
@@ -32,6 +36,8 @@ set CF on unsigned borrow and OF on signed overflow; logical ops clear
 CF/OF; ``inc``/``dec`` preserve CF.  See :data:`_SEMANTICS`.
 """
 
+from array import array
+
 from repro.errors import ExecutionError, InstructionLimitExceeded
 from repro.cpu.events import (
     EDGE_CALL,
@@ -41,6 +47,14 @@ from repro.cpu.events import (
     EDGE_JMP,
     EDGE_RET,
     EDGE_SPLIT,
+    END_OF_RUN,
+    FLAG_FINAL,
+    FLAG_FIRST,
+    FLAG_SPLITS,
+    FLAG_TAKEN,
+    KIND_CODES,
+    KIND_MASK,
+    KINDS,
     EdgeEvent,
 )
 from repro.cpu.machine import Machine
@@ -62,6 +76,15 @@ _IND_CALL = 6
 _REP = 7
 _SPLIT = 8
 _HLT = 9
+
+# Flag bytes of the block-ending events (see ``repro.cpu.events``).
+_COND_CODE = KIND_CODES[EDGE_COND]
+_COND_TAKEN = _COND_CODE | FLAG_TAKEN
+_JMP_CODE = KIND_CODES[EDGE_JMP] | FLAG_TAKEN
+_CALL_CODE = KIND_CODES[EDGE_CALL] | FLAG_TAKEN
+_IND_CALL_CODE = KIND_CODES[EDGE_IND_CALL] | FLAG_TAKEN
+_RET_CODE = KIND_CODES[EDGE_RET] | FLAG_TAKEN
+_IND_JMP_CODE = KIND_CODES[EDGE_IND_JMP] | FLAG_TAKEN
 
 #: Default per-run instruction budget (StarDBT counting).
 DEFAULT_MAX_INSTRUCTIONS = 50_000_000
@@ -308,17 +331,33 @@ def _decode_shape(instr):
     raise ExecutionError("unhandled opcode %r" % instr.opcode)
 
 
+def _lanes(rows, flags, splits):
+    """The ``array`` lanes of a run from the lists it appended to."""
+    return array("q", rows), array("B", bytes(flags)), array("q", splits)
+
+
 class ExecutionResult:
-    """Summary of one executor run."""
+    """Summary of one executor run, with the run recorded as lanes.
 
-    __slots__ = ("instrs_dbt", "instrs_pin", "edges", "halted", "final_pc")
+    ``transitions``, ``flags`` and ``splits`` are the lanes of
+    :class:`~repro.cpu.stream.ExecutionStream` (see that module), in
+    ``array`` form; ``translated`` counts the distinct PCs that ended an
+    event.  A run that exceeded its budget is recorded up to and
+    including the event that crossed it, without a terminal row.
+    """
 
-    def __init__(self, instrs_dbt, instrs_pin, edges, halted, final_pc):
+    __slots__ = ("instrs_dbt", "instrs_pin", "edges", "halted", "final_pc",
+                 "transitions", "flags", "splits", "translated")
+
+    def __init__(self, instrs_dbt, instrs_pin, edges, halted, final_pc,
+                 lanes, translated):
         self.instrs_dbt = instrs_dbt
         self.instrs_pin = instrs_pin
         self.edges = edges
         self.halted = halted
         self.final_pc = final_pc
+        self.transitions, self.flags, self.splits = lanes
+        self.translated = translated
 
     def __repr__(self):
         return "<ExecutionResult dbt=%d pin=%d edges=%d halted=%s>" % (
@@ -330,7 +369,7 @@ class ExecutionResult:
 
 
 class Executor:
-    """Runs a program, emitting the dynamic edge stream.
+    """Runs a program, recording its dynamic block stream as lanes.
 
     Parameters
     ----------
@@ -357,6 +396,9 @@ class Executor:
         self.machine.apply_image(program)
         self.max_instructions = max_instructions
         self.obs = obs
+        #: The :class:`ExecutionResult` of the last run, set before
+        #: :meth:`run` returns or raises.
+        self.result = None
         self._blocks = {}    # start PC -> translated block
         self._closures = {}  # (opcode, operands, live flags) -> closure
 
@@ -412,10 +454,12 @@ class Executor:
     def run(self, on_event=None):
         """Execute from the program entry until ``hlt`` or budget exhaustion.
 
-        ``on_event`` is called with every :class:`EdgeEvent`; pass ``None``
-        to run silently (native-execution baseline).  A run that exceeds
-        the budget delivers the event that crossed it, then raises
-        :class:`~repro.errors.InstructionLimitExceeded`.
+        Returns the :class:`ExecutionResult`, lanes included.
+        ``on_event``, when given, is also called with every
+        :class:`EdgeEvent`.  A run that exceeds the budget delivers the
+        event that crossed it, then raises
+        :class:`~repro.errors.InstructionLimitExceeded`; :attr:`result`
+        still holds its totals and lanes.
         """
         obs = self.obs
         if obs is None:
@@ -428,20 +472,32 @@ class Executor:
             metrics.counter("exec.instructions_dbt").inc(result.instrs_dbt)
             metrics.counter("exec.instructions_pin").inc(result.instrs_pin)
             metrics.counter("exec.edges").inc(result.edges)
+        self.result = result
         if not result.halted:
             raise InstructionLimitExceeded(
                 "exceeded %d instructions" % self.max_instructions)
         return result
 
     def _run(self, on_event):
-        """The dispatch loop; returns the totals, not halted when the
-        budget was exceeded."""
+        """The dispatch loop; returns the totals and lanes, not halted
+        when the budget was exceeded."""
         machine = self.machine
         regs = machine.regs
         mem = machine.mem
         blocks = self._blocks
         budget = self.max_instructions
         pc = self.program.entry
+
+        # The lanes grow as lists (appending to an ``array`` costs
+        # several times more) and become arrays when the run ends.
+        rows = []
+        flags = []
+        splits = []
+        row = rows.extend
+        flag = flags.append
+        seen = set()  # PCs that ended an event
+        merged_dbt = 0  # split events merged into the next row
+        merged_pin = 0
 
         total_dbt = 0
         total_pin = 0
@@ -461,57 +517,82 @@ class Executor:
 
             if category == _COND:
                 if run(machine):
-                    taken = True
+                    code = _COND_TAKEN
                 else:
-                    taken = False
+                    code = _COND_CODE
                     target = fallthrough
-                kind = EDGE_COND
             elif category == _JMP:
-                kind = EDGE_JMP
-                taken = True
+                code = _JMP_CODE
             elif category == _CALL or category == _IND_CALL:
                 if category == _IND_CALL:
                     target = run(machine) & _MASK
-                    kind = EDGE_IND_CALL
+                    code = _IND_CALL_CODE
                 else:
-                    kind = EDGE_CALL
+                    code = _CALL_CODE
                 esp = (regs[ESP] - 4) & _MASK
                 regs[ESP] = esp
                 mem[esp] = fallthrough
-                taken = True
             elif category == _RET:
                 esp = regs[ESP]
                 target = mem.get(esp, 0)
                 regs[ESP] = (esp + 4) & _MASK
-                kind = EDGE_RET
-                taken = True
+                code = _RET_CODE
             elif category == _IND_JMP:
                 target = run(machine) & _MASK
-                kind = EDGE_IND_JMP
-                taken = True
+                code = _IND_JMP_CODE
             elif category == _REP or category == _SPLIT:
                 iterations = run(machine)
                 if category == _REP:  # Pin counts each iteration
                     span_pin += max(iterations, 1) - 1
                 target = fallthrough
-                kind = EDGE_SPLIT
-                taken = False
+                code = None
             elif category == _HLT:
+                # The terminal row: merged splits plus the instructions
+                # after the last event, up to and including ``hlt``.
+                row((END_OF_RUN, span_dbt + merged_dbt,
+                     span_pin + merged_pin))
+                flag((FLAG_FINAL | FLAG_SPLITS) if merged_dbt else FLAG_FINAL)
                 return ExecutionResult(total_dbt + span_dbt,
-                                       total_pin + span_pin, edges, True, end)
+                                       total_pin + span_pin, edges, True, end,
+                                       _lanes(rows, flags, splits), len(seen))
             else:  # _PLAIN
                 pc = fallthrough
                 continue
 
-            if on_event is not None:
-                on_event(EdgeEvent(end, target, taken, kind,
-                                   span_dbt, span_pin))
+            if code is None:  # a split, merged into the next row
+                first = end not in seen
+                if first:
+                    seen.add(end)
+                splits.extend((len(flags), span_dbt, span_pin, first))
+                merged_dbt += span_dbt
+                merged_pin += span_pin
+                if on_event is not None:
+                    on_event(EdgeEvent(end, target, False, EDGE_SPLIT,
+                                       span_dbt, span_pin))
+            else:
+                if end not in seen:
+                    seen.add(end)
+                    code |= FLAG_FIRST
+                if merged_dbt:
+                    row((target, span_dbt + merged_dbt,
+                         span_pin + merged_pin))
+                    code |= FLAG_SPLITS
+                    merged_dbt = 0
+                    merged_pin = 0
+                else:
+                    row((target, span_dbt, span_pin))
+                flag(code)
+                if on_event is not None:
+                    on_event(EdgeEvent(end, target, bool(code & FLAG_TAKEN),
+                                       KINDS[code & KIND_MASK], span_dbt,
+                                       span_pin))
             edges += 1
             total_dbt += span_dbt
             total_pin += span_pin
             if total_dbt > budget:
                 return ExecutionResult(total_dbt, total_pin, edges, False,
-                                       target)
+                                       target, _lanes(rows, flags, splits),
+                                       len(seen))
             span_dbt = 0
             span_pin = 0
             pc = target

@@ -1,13 +1,13 @@
 """Recorded execution streams: execute once, replay many.
 
-The interpreter is deterministic and every engine consumes the same
-:class:`~repro.cpu.events.EdgeEvent` stream (see
-``docs/architecture.md``), so one run of a program can stand in for all
-of them.  An :class:`ExecutionStream` is that run, recorded by one
-:meth:`Executor.run <repro.cpu.executor.Executor.run>` and keyed by
-``(program digest, max_instructions)``.  MiniPin, StarDBT and
-``run_native`` consume streams; the interpreter runs only when no
-stream was handed to them.
+The interpreter is deterministic, so one run of a program can stand in
+for every engine (see ``docs/architecture.md``).  An
+:class:`ExecutionStream` is that run: the lanes one
+:meth:`Executor.run <repro.cpu.executor.Executor.run>` writes as it
+executes, keyed by ``(program digest, max_instructions)``.  The lanes
+are the contract between the interpreter and the engines: MiniPin,
+StarDBT and its trace recorders, and ``run_native`` read them directly,
+and the interpreter runs only when no stream was handed to them.
 
 The stream is stored as compact lanes, one row per StarDBT-flavour
 block transition (the ``cpuid``/REP split events a StarDBT-flavour
@@ -54,39 +54,19 @@ import sys
 import zlib
 from array import array
 
-from repro.cpu.events import (
-    EDGE_CALL,
-    EDGE_COND,
-    EDGE_IND_CALL,
-    EDGE_IND_JMP,
-    EDGE_JMP,
-    EDGE_RET,
-    EDGE_SPLIT,
+from repro.cpu.events import (  # noqa: F401 -- lane constants re-exported
+    END_OF_RUN,
+    FLAG_FINAL,
+    FLAG_FIRST,
+    FLAG_INDIRECT,
+    FLAG_SPLITS,
+    FLAG_TAKEN,
+    KIND_MASK,
+    KINDS,
     EdgeEvent,
 )
 from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
 from repro.errors import InstructionLimitExceeded, SerializationError
-
-#: ``next_start`` of the terminal transition (same value as
-#: :data:`repro.core.compiled.END_OF_RUN`).
-END_OF_RUN = -1
-
-#: Edge kinds of block-ending events, indexed by the low flag bits.
-KINDS = (EDGE_COND, EDGE_JMP, EDGE_CALL, EDGE_RET, EDGE_IND_JMP,
-         EDGE_IND_CALL)
-KIND_MASK = 0x07
-FLAG_TAKEN = 0x08
-FLAG_INDIRECT = 0x10
-FLAG_FIRST = 0x20
-FLAG_SPLITS = 0x40
-FLAG_FINAL = 0x80
-
-#: ``flags`` code of each block-ending edge kind (indirect bit included).
-_KIND_CODES = {
-    kind: index | (FLAG_INDIRECT if kind in (EDGE_RET, EDGE_IND_JMP,
-                                             EDGE_IND_CALL) else 0)
-    for index, kind in enumerate(KINDS)
-}
 
 #: Ints per row of the ``splits`` lane.
 SPLIT_FIELDS = 4
@@ -243,74 +223,25 @@ class ExecutionStream:
     @classmethod
     def record(cls, program, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
                obs=None):
-        """Run ``program`` once on a fresh machine and record it.
+        """Run ``program`` once on a fresh machine and keep its lanes.
 
         ``obs`` receives the executor's ``exec.*`` counters; one call is
         one interpreter run.  A run that exceeds ``max_instructions`` is
         recorded, not raised: consumers raise when they replay it.
         """
-        transitions = array("q")
-        flags = array("B")
-        splits = array("q")
-        seen = set()
-        merged = []             # (instrs_dbt, instrs_pin) of pending splits
-        extend = transitions.extend
-        flag_append = flags.append
-        not_taken = _KIND_CODES
-        taken = {kind: code | FLAG_TAKEN for kind, code in not_taken.items()}
-
-        def on_event(event):
-            pc = event.pc
-            kind = event.kind
-            if kind == EDGE_SPLIT:
-                first = pc not in seen
-                if first:
-                    seen.add(pc)
-                splits.extend((len(flags), event.instrs_dbt,
-                               event.instrs_pin, first))
-                merged.append((event.instrs_dbt, event.instrs_pin))
-                return
-            code = (taken if event.taken else not_taken)[kind]
-            if pc not in seen:
-                seen.add(pc)
-                code |= FLAG_FIRST
-            if merged:
-                extend((event.target,
-                        event.instrs_dbt + sum(row[0] for row in merged),
-                        event.instrs_pin + sum(row[1] for row in merged)))
-                code |= FLAG_SPLITS
-                merged.clear()
-            else:
-                extend((event.target, event.instrs_dbt, event.instrs_pin))
-            flag_append(code)
-
         executor = Executor(program, max_instructions=max_instructions,
                             obs=obs)
         try:
-            result = executor.run(on_event)
+            executor.run()
         except InstructionLimitExceeded:
-            result = None
-        with memoryview(transitions) as lane:
-            recorded_dbt = sum(lane[1::3])
-            recorded_pin = sum(lane[2::3])
-        n_splits = len(splits) // SPLIT_FIELDS
-        edges = len(flags) + n_splits
-        if result is None:
-            totals = (recorded_dbt + sum(row[0] for row in merged),
-                      recorded_pin + sum(row[1] for row in merged),
-                      edges, False, True)
-        else:
-            # The terminal block: merged splits plus the instructions
-            # after the last event, up to and including ``hlt``.
-            transitions.extend((END_OF_RUN, result.instrs_dbt - recorded_dbt,
-                                result.instrs_pin - recorded_pin))
-            flag_append(FLAG_FINAL | (FLAG_SPLITS if merged else 0))
-            totals = (result.instrs_dbt, result.instrs_pin, edges,
-                      result.halted, False)
-        return cls(program.content_digest(), max_instructions,
-                   totals + (len(seen), count_flags(flags, FLAG_INDIRECT)),
-                   (memoryview(transitions), memoryview(flags),
-                    memoryview(splits)))
+            pass
+        result = executor.result
+        totals = (result.instrs_dbt, result.instrs_pin, result.edges,
+                  result.halted, not result.halted, result.translated,
+                  count_flags(result.flags, FLAG_INDIRECT))
+        return cls(program.content_digest(), max_instructions, totals,
+                   (memoryview(result.transitions), memoryview(result.flags),
+                    memoryview(result.splits)))
 
     # ------------------------------------------------------------------
     # sidecar codec

@@ -17,9 +17,16 @@ behaviour on top of the SX86 interpreter:
 The trace-following cursor mirrors what linked trace code does: in-trace
 edges and the cycle back to the trace head are direct jumps; leaving a
 trace returns to translated cold code.
+
+:meth:`StarDBT.run` walks the execution stream's lanes directly: one
+row per block, no per-block event or transition object.  It charges the
+cost model in bulk, adding every charge into local totals in the order
+the blocks run (the same float additions, in the same order, as one
+``CostModel.charge`` per charge), so cycles and breakdown are exact.
 """
 
 from repro.cfg.basic_block import BlockIndex
+from repro.cpu.events import FLAG_FINAL
 from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
 from repro.cpu.stream import ExecutionStream, matching
 from repro.dbt.code_cache import CodeCache
@@ -98,65 +105,17 @@ class StarDBT:
         self.recorder = make_recorder(strategy, **kwargs)
         self.max_instructions = max_instructions
 
-        self._translated = set()
-        self._cursor = None  # (trace, index) while executing trace code
+        # Trace-build charges of commits the run has not added yet.
+        self._builds = []
         self._covered_dbt = 0
         self._blocks = 0
 
     # ------------------------------------------------------------------
 
     def _trace_committed(self, trace):
-        params = self.cost.params
-        self.cost.charge(
-            "trace_build", params.DBT_TRACE_BUILD_PER_TBB * len(trace)
-        )
+        self._builds.append(
+            self.cost.params.DBT_TRACE_BUILD_PER_TBB * len(trace))
         self.code_cache.install(trace)
-
-    def _handle(self, transition):
-        cost = self.cost
-        params = cost.params
-        block = transition.block
-        self._blocks += 1
-
-        if block.key not in self._translated:
-            self._translated.add(block.key)
-            cost.charge(
-                "translation",
-                params.DBT_TRANSLATION_PER_INSTR * block.n_instrs,
-            )
-
-        in_trace = self._cursor is not None
-        if in_trace:
-            self._covered_dbt += transition.instrs_dbt
-            cost.charge_instructions(transition.instrs_dbt)
-        else:
-            cost.charge_instructions(
-                transition.instrs_dbt, 1.0 + params.DBT_COLD_TAX
-            )
-
-        next_start = transition.next_start
-        if next_start is None:
-            self._cursor = None
-        elif self._cursor is not None:
-            trace, index = self._cursor
-            successor = trace.tbbs[index].successors.get(next_start)
-            if successor is not None:
-                self._cursor = (trace, successor)
-            elif next_start == trace.entry:
-                self._cursor = (trace, 0)
-            else:
-                entered = self.recorder.traces.trace_at(next_start)
-                self._cursor = (entered, 0) if entered is not None else None
-        else:
-            entered = self.recorder.traces.trace_at(next_start)
-            if entered is not None:
-                self._cursor = (entered, 0)
-
-        self.recorder.observe(transition)
-        if self.recorder.state == STATE_CREATING:
-            cost.charge("recording", params.DBT_RECORD_PER_BLOCK)
-
-    # ------------------------------------------------------------------
 
     def run(self):
         """Run the program under the DBT; returns :class:`DBTResult`."""
@@ -164,13 +123,99 @@ class StarDBT:
         if stream is None:
             stream = self.stream = ExecutionStream.record(
                 self.program, self.max_instructions)
-        handle = self._handle
-        for transition in stream.block_transitions(self.block_index,
-                                                   self.program.entry):
-            handle(transition)
+        cost = self.cost
+        params = cost.params
+        breakdown = cost.breakdown
+        translation_rate = params.DBT_TRANSLATION_PER_INSTR
+        hot_rate = params.NATIVE_INSTRUCTION
+        cold_rate = 1.0 + params.DBT_COLD_TAX
+        record_rate = params.DBT_RECORD_PER_BLOCK
+        recorder = self.recorder
+        observe = recorder.observe
+        trace_at = recorder.traces.trace_at
+        block_from = self.block_index.block_from
+        builds = self._builds
+
+        # Category totals live in locals while the rows run; a category
+        # enters ``breakdown`` (as a placeholder) when first charged, so
+        # the key order is the order of first charges.
+        cycles = cost.cycles
+        instructions = breakdown.get("instructions", 0.0)
+        recording = breakdown.get("recording", 0.0)
+        recording_keyed = "recording" in breakdown
+        covered = 0
+        blocks = {}          # block start -> block, translated this run
+        trace = node = entry = None  # the trace and TBB executing, if any
+        start = self.program.entry
+        transitions = stream.transitions
+        for next_start, instrs_dbt, code in zip(
+                transitions[0::3], transitions[1::3], stream.flags):
+            block = blocks.get(start)
+            if block is None:
+                block = blocks[start] = block_from(start)
+                charge = translation_rate * block.n_instrs
+                cycles += charge
+                breakdown["translation"] = (
+                    breakdown.get("translation", 0.0) + charge)
+                breakdown.setdefault("instructions", 0.0)
+
+            if node is not None:
+                covered += instrs_dbt
+                charge = instrs_dbt * hot_rate
+            else:
+                charge = instrs_dbt * cold_rate
+            cycles += charge
+            instructions += charge
+
+            if code & FLAG_FINAL:
+                next_start = None
+            elif node is not None:
+                successor = node.successors.get(next_start)
+                if successor is not None:
+                    node = trace.tbbs[successor]
+                elif next_start == entry:
+                    node = trace.tbbs[0]
+                else:
+                    trace = trace_at(next_start)
+                    if trace is None:
+                        node = None
+                    else:
+                        node = trace.tbbs[0]
+                        entry = next_start
+            else:
+                trace = trace_at(next_start)
+                if trace is not None:
+                    node = trace.tbbs[0]
+                    entry = next_start
+
+            observe(block, next_start, code)
+            if builds:
+                for charge in builds:
+                    cycles += charge
+                    breakdown["trace_build"] = (
+                        breakdown.get("trace_build", 0.0) + charge)
+                builds.clear()
+            if recorder.state == STATE_CREATING:
+                if not recording_keyed:
+                    breakdown["recording"] = 0.0
+                    recording_keyed = True
+                cycles += record_rate
+                recording += record_rate
+            start = next_start
+
+        cost.cycles = cycles
+        if "instructions" in breakdown:
+            breakdown["instructions"] = instructions
+        if recording_keyed:
+            breakdown["recording"] = recording
+        self._covered_dbt += covered
+        self._blocks += stream.n_transitions
         if stream.exceeded:
             raise stream.limit_error()
-        trace_set = self.recorder.finish()
+        trace_set = recorder.finish()
+        for charge in builds:
+            cost.charge("trace_build", charge)
+        builds.clear()
         return DBTResult(
             trace_set,
             self.code_cache,

@@ -15,7 +15,9 @@ extension:
 - :mod:`repro.traces.mfet` — Most Frequently Executed Tail (extension;
   edge-profile triggered, mentioned in the paper's related work).
 
-All recorders consume :class:`~repro.cfg.builder.BlockTransition` streams
+All recorders observe block boundaries as ``(block, next_start, flag
+byte)`` triples, read from an execution stream's lanes (see
+:meth:`TraceRecorder.observe <repro.traces.recorder.TraceRecorder.observe>`),
 and produce a :class:`~repro.traces.model.TraceSet`.
 """
 

@@ -9,6 +9,7 @@ counter on every taken edge, so hot non-loop paths (e.g. frequently taken
 call targets) also become trace heads.
 """
 
+from repro.cpu.events import FLAG_TAKEN
 from repro.traces.mret import MRETRecorder
 from repro.traces.recorder import STATE_CREATING
 
@@ -22,22 +23,21 @@ class MFETRecorder(MRETRecorder):
         super().__init__(limits=limits, on_trace=on_trace)
         self._edge_counters = {}
 
-    def _observe_executing(self, transition):
-        self._cursor_step(transition)
-        event = transition.event
-        if event is None or not event.taken:
+    def _observe_executing(self, block, next_start, code, backward):
+        self._cursor_step(next_start)
+        if not code & FLAG_TAKEN:  # the end of the run is never taken
             return
         if self.budget_exhausted or self._total_budget_left() <= 0:
             return
-        if self.traces.has_entry(event.target):
+        if self.traces.has_entry(next_start):
             return
-        key = (event.pc, event.target)
+        key = (block.end, next_start)
         count = self._edge_counters.get(key, 0) + 1
         self._edge_counters[key] = count
         if count == self.limits.hot_threshold:
             self._edge_counters[key] = 0
             self._current = self.traces.new_trace(kind=self.kind,
-                                                  anchor=event.target)
+                                                  anchor=next_start)
             self._seen_starts = set()
             self._exec_cursor = None
             self.state = STATE_CREATING

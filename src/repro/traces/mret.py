@@ -33,22 +33,17 @@ class MRETRecorder(TraceRecorder):
 
     # -- Executing ------------------------------------------------------
 
-    def _observe_executing(self, transition):
+    def _observe_executing(self, block, next_start, code, backward):
         # Dynamo's two start-of-trace conditions: the target of a backward
         # taken branch, or the target of a side exit from an existing
         # trace (this second rule is what records T2 in Figure 2: T2
         # begins at $$inc, T1's side-exit target).
-        exit_to_cold = self._cursor_step(transition)
-        event = transition.event
-        if event is None:
+        exit_to_cold = self._cursor_step(next_start)
+        if next_start is None:
             return
-        candidate = None
-        if event.is_backward:
-            candidate = event.target
-        elif exit_to_cold:
-            candidate = transition.next_start
-        if candidate is None:
+        if not (backward or exit_to_cold):
             return
+        candidate = next_start
         if self.budget_exhausted or self._total_budget_left() <= 0:
             return
         if self.traces.has_entry(candidate):
@@ -64,9 +59,8 @@ class MRETRecorder(TraceRecorder):
 
     # -- Creating -------------------------------------------------------
 
-    def _observe_creating(self, transition):
+    def _observe_creating(self, block, next_start, code, backward):
         trace = self._current
-        block = transition.block
 
         # AddTBBToTrace
         trace.add_block(block)
@@ -74,18 +68,16 @@ class MRETRecorder(TraceRecorder):
         if len(trace) > 1:
             trace.add_edge(len(trace.tbbs) - 2, len(trace.tbbs) - 1)
 
-        if self._done_recording(transition):
-            self._finish_trace(transition)
+        if self._done_recording(next_start, backward):
+            self._finish_trace(next_start)
 
-    def _done_recording(self, transition):
-        event = transition.event
+    def _done_recording(self, next_start, backward):
         trace = self._current
-        if event is None:
+        if next_start is None:
             return True  # program ended mid-recording
-        next_start = transition.next_start
         if next_start == trace.entry:
             return True  # loop closed
-        if event.is_backward:
+        if backward:
             return True  # someone else's cycle
         if self.traces.has_entry(next_start):
             return True  # reached an existing trace
@@ -97,9 +89,9 @@ class MRETRecorder(TraceRecorder):
             return True
         return False
 
-    def _finish_trace(self, transition):
+    def _finish_trace(self, next_start):
         trace = self._current
-        if transition.next_start is not None and transition.next_start == trace.entry:
+        if next_start is not None and next_start == trace.entry:
             # The superblock cycles back to its own head: $$Tn.last ->
             # $$Tn.head, exactly the Figure 3 cycle edge.
             trace.add_edge(len(trace.tbbs) - 1, 0)

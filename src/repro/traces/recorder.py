@@ -7,12 +7,20 @@ strategies plug in the two rule hooks the paper leaves open:
 ``TriggerTraceRecording`` (when to leave Executing) and
 ``DoneTraceRecording`` (when to finish a trace).
 
+A block boundary is observed as three plain values, read straight from
+an :class:`~repro.cpu.stream.ExecutionStream`'s lanes: the
+:class:`~repro.cfg.basic_block.BasicBlock` that just completed, the
+start of the next one (``None`` at the end of the run) and the flag
+byte of the event that ended it (:mod:`repro.cpu.events`).  No
+per-block object is built to carry them.
+
 The base also maintains the hot-spot counters every strategy shares: a
 counter per backward-taken-branch target (Dynamo's "start of trace"
 heuristic — counting only back edges is what makes MRET cheap), and the
 set of observed loop headers that CTT consults.
 """
 
+from repro.cpu.events import FLAG_TAKEN
 from repro.traces.model import TraceSet
 
 STATE_INITIAL = "initial"
@@ -89,20 +97,27 @@ class TraceRecorder:
     # Algorithm 2
     # ------------------------------------------------------------------
 
-    def observe(self, transition):
-        """Feed one block transition; called between TBB executions."""
-        if self.state == STATE_INITIAL:
+    def observe(self, block, next_start, code):
+        """Feed one block transition; called between TBB executions.
+
+        ``block`` just completed, ``next_start`` is where execution
+        continues (``None`` when the run ended) and ``code`` is the flag
+        byte of the event that ended ``block``.  A taken transfer to
+        ``next_start <= block.end`` is a backward branch.
+        """
+        state = self.state
+        if state == STATE_INITIAL:
             # "Initial": set up an empty TEA/trace set, move to Executing.
-            self.state = STATE_EXECUTING
+            state = self.state = STATE_EXECUTING
 
-        event = transition.event
-        if event is not None and event.is_backward:
-            self.loop_headers.add(event.target)
+        backward = code & FLAG_TAKEN and next_start <= block.end
+        if backward:
+            self.loop_headers.add(next_start)
 
-        if self.state == STATE_EXECUTING:
-            self._observe_executing(transition)
-        elif self.state == STATE_CREATING:
-            self._observe_creating(transition)
+        if state == STATE_EXECUTING:
+            self._observe_executing(block, next_start, code, backward)
+        elif state == STATE_CREATING:
+            self._observe_creating(block, next_start, code, backward)
 
     def finish(self):
         """End of run: close any in-flight recording, return the traces."""
@@ -114,10 +129,6 @@ class TraceRecorder:
     # shared machinery for subclasses
     # ------------------------------------------------------------------
 
-    def _bump_hot_counter(self, event):
-        """Count a backward-taken-branch target; True when it just got hot."""
-        return self._bump_hot_addr(event.target)
-
     def _bump_hot_addr(self, addr):
         """Count a start-of-trace candidate address (backward-branch target
         or trace side-exit target, Dynamo's two conditions)."""
@@ -128,15 +139,14 @@ class TraceRecorder:
             return True
         return False
 
-    def _cursor_step(self, transition):
+    def _cursor_step(self, next_start):
         """Track which recorded trace execution is currently inside.
 
-        Returns True when this transition is a *side exit to cold code* —
-        leaving a trace towards an address that is no trace's entry.
-        Exits landing on another trace's entry are trace-to-trace
-        transitions, not trigger candidates.
+        Returns True when the transition to ``next_start`` is a *side
+        exit to cold code* — leaving a trace towards an address that is
+        no trace's entry.  Exits landing on another trace's entry are
+        trace-to-trace transitions, not trigger candidates.
         """
-        next_start = transition.next_start
         cursor = self._exec_cursor
         if next_start is None:
             self._exec_cursor = None
@@ -174,10 +184,10 @@ class TraceRecorder:
     # strategy hooks
     # ------------------------------------------------------------------
 
-    def _observe_executing(self, transition):
+    def _observe_executing(self, block, next_start, code, backward):
         raise NotImplementedError
 
-    def _observe_creating(self, transition):
+    def _observe_creating(self, block, next_start, code, backward):
         raise NotImplementedError
 
     def _finish_pending(self):

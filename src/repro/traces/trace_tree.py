@@ -18,6 +18,7 @@ detect side exits; extension recording is throttled by a per-exit counter
 code cache.
 """
 
+from repro.cpu.events import EDGE_COND, EDGE_JMP, KIND_CODES, KIND_MASK
 from repro.traces.recorder import (
     STATE_CREATING,
     STATE_EXECUTING,
@@ -29,6 +30,10 @@ _MAX_TRUNK_ABORTS = 8
 
 #: Default side-exit hotness before an extension is recorded.
 DEFAULT_EXTENSION_THRESHOLD = 2
+
+#: Flag-byte kinds of the *branch* cycles CTT aborts on.
+_BRANCH_KINDS = (KIND_CODES[EDGE_COND] & KIND_MASK,
+                 KIND_CODES[EDGE_JMP] & KIND_MASK)
 
 
 class _PathRecording:
@@ -76,10 +81,7 @@ class TraceTreeRecorder(TraceRecorder):
 
     # -- Executing ------------------------------------------------------
 
-    def _observe_executing(self, transition):
-        event = transition.event
-        next_start = transition.next_start
-
+    def _observe_executing(self, block, next_start, code, backward):
         if next_start is None:  # program ended
             self._cursor = None
             return
@@ -104,18 +106,17 @@ class TraceTreeRecorder(TraceRecorder):
             self._cursor = (entered, 0)
             return
 
-        if event is not None and event.is_backward:
-            self._maybe_start_trunk(event)
+        if backward:
+            self._maybe_start_trunk(next_start)
 
-    def _maybe_start_trunk(self, event):
-        anchor = event.target
+    def _maybe_start_trunk(self, anchor):
         if self.budget_exhausted or self._total_budget_left() <= 0:
             return
         if self.traces.has_entry(anchor):
             return
         if self._trunk_aborts.get(anchor, 0) >= _MAX_TRUNK_ABORTS:
             return
-        if self._bump_hot_counter(event):
+        if self._bump_hot_addr(anchor):
             pending = self.traces.new_trace(kind=self.kind, anchor=anchor)
             self._recording = _PathRecording(pending, None)
             self.state = STATE_CREATING
@@ -143,22 +144,20 @@ class TraceTreeRecorder(TraceRecorder):
 
     # -- Creating -------------------------------------------------------
 
-    def _observe_creating(self, transition):
+    def _observe_creating(self, block, next_start, code, backward):
         recording = self._recording
-        recording.append(transition.block)
+        recording.append(block)
 
-        event = transition.event
-        if event is None:
+        if next_start is None:
             self._abort()
             return
-        next_start = transition.next_start
         anchor = recording.trace.anchor
 
         if next_start == anchor:
             self._commit_path(link=None)
             return
 
-        if self.header_termination and event.is_backward:
+        if self.header_termination and backward:
             if next_start in self.loop_headers:
                 # CTT: terminate at a loop header already on this path, or
                 # (for extensions) anywhere in the tree — "branch targets
@@ -173,7 +172,7 @@ class TraceTreeRecorder(TraceRecorder):
                 if tree_index is not None:
                     self._commit_path(link=("tree", tree_index))
                     return
-            if event.kind in ("cond", "jmp"):
+            if code & KIND_MASK in _BRANCH_KINDS:
                 # A *branch* cycle we cannot close compactly: abort rather
                 # than unroll.  Backward-landing calls/returns/indirects
                 # are not loop structure; recording continues through them

@@ -14,7 +14,12 @@ import pytest
 
 from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
 from repro.core import ReplayConfig
-from repro.cpu.events import EDGE_IND_CALL, EDGE_IND_JMP, EDGE_RET
+from repro.cpu.events import (
+    EDGE_IND_CALL,
+    EDGE_IND_JMP,
+    EDGE_RET,
+    event_code,
+)
 from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
 from repro.cpu.stream import ExecutionStream, check_stream_bytes
 from repro.dbt import StarDBT
@@ -22,7 +27,7 @@ from repro.errors import InstructionLimitExceeded
 from repro.isa import assemble
 from repro.obs import Observability
 from repro.pin import Pin, PinResult, TeaRecordTool, TeaReplayTool, run_native
-from repro.traces.recorder import RecorderLimits
+from repro.traces.recorder import STATE_CREATING, RecorderLimits
 from repro.traces.serialization import trace_set_to_json
 from repro.workloads import load_benchmark
 
@@ -168,43 +173,100 @@ def live_transitions(program):
     return transitions
 
 
-def live_stardbt(program, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
-                 strategy="mret", runtime=None):
-    """StarDBT's live run (on ``runtime`` when given; its own
-    :meth:`StarDBT.run` is never called)."""
-    if runtime is None:
-        runtime = StarDBT(program, strategy=strategy,
-                          limits=RecorderLimits(hot_threshold=10),
-                          max_instructions=max_instructions)
-    builder = DynamicBlockBuilder(runtime.block_index, program.entry,
-                                  flavor=FLAVOR_STARDBT)
-    consumed = [0, 0]
+class LiveDBT:
+    """StarDBT's pre-stream execution path, kept as the oracle: one
+    ``CostModel.charge`` per charge and one trace-cursor step per
+    transition, on a :class:`StarDBT` whose own :meth:`StarDBT.run` is
+    never called."""
 
-    def on_event(event):
-        consumed[0] += event.instrs_dbt
-        consumed[1] += event.instrs_pin
-        transition = builder.feed(event)
-        if transition is not None:
-            runtime._handle(transition)
+    def __init__(self, runtime):
+        self.runtime = runtime
+        self.translated = set()
+        self.cursor = None
+        self.covered_dbt = 0
+        self.blocks = 0
+        runtime.recorder.on_trace = self.trace_committed
 
-    result = Executor(program, max_instructions=max_instructions).run(
-        on_event)
-    runtime._handle(builder.flush(result.final_pc,
+    def trace_committed(self, trace):
+        cost = self.runtime.cost
+        cost.charge("trace_build",
+                    cost.params.DBT_TRACE_BUILD_PER_TBB * len(trace))
+        self.runtime.code_cache.install(trace)
+
+    def handle(self, transition):
+        runtime = self.runtime
+        cost = runtime.cost
+        params = cost.params
+        block = transition.block
+        self.blocks += 1
+        if block.key not in self.translated:
+            self.translated.add(block.key)
+            cost.charge("translation",
+                        params.DBT_TRANSLATION_PER_INSTR * block.n_instrs)
+        if self.cursor is not None:
+            self.covered_dbt += transition.instrs_dbt
+            cost.charge_instructions(transition.instrs_dbt)
+        else:
+            cost.charge_instructions(transition.instrs_dbt,
+                                     1.0 + params.DBT_COLD_TAX)
+        next_start = transition.next_start
+        traces = runtime.recorder.traces
+        if next_start is None:
+            self.cursor = None
+        elif self.cursor is not None:
+            trace, index = self.cursor
+            successor = trace.tbbs[index].successors.get(next_start)
+            if successor is not None:
+                self.cursor = (trace, successor)
+            elif next_start == trace.entry:
+                self.cursor = (trace, 0)
+            else:
+                entered = traces.trace_at(next_start)
+                self.cursor = (entered, 0) if entered is not None else None
+        else:
+            entered = traces.trace_at(next_start)
+            if entered is not None:
+                self.cursor = (entered, 0)
+        runtime.recorder.observe(block, next_start,
+                                 event_code(transition.event))
+        if runtime.recorder.state == STATE_CREATING:
+            cost.charge("recording", params.DBT_RECORD_PER_BLOCK)
+
+    def run(self, program, max_instructions=DEFAULT_MAX_INSTRUCTIONS):
+        builder = DynamicBlockBuilder(self.runtime.block_index,
+                                      program.entry, flavor=FLAVOR_STARDBT)
+        consumed = [0, 0]
+
+        def on_event(event):
+            consumed[0] += event.instrs_dbt
+            consumed[1] += event.instrs_pin
+            transition = builder.feed(event)
+            if transition is not None:
+                self.handle(transition)
+
+        result = Executor(program, max_instructions=max_instructions).run(
+            on_event)
+        self.handle(builder.flush(result.final_pc,
                                   result.instrs_dbt - consumed[0],
                                   result.instrs_pin - consumed[1]))
-    trace_set = runtime.recorder.finish()
-    return _DbtRun(runtime, trace_set, result.instrs_dbt, result.instrs_pin)
+        self.trace_set = self.runtime.recorder.finish()
+        self.cost = self.runtime.cost
+        self.instrs_dbt = result.instrs_dbt
+        self.instrs_pin = result.instrs_pin
+        self.code_cache_bytes = self.runtime.code_cache.total_bytes
+        return self
 
 
-class _DbtRun:
-    def __init__(self, runtime, trace_set, instrs_dbt, instrs_pin):
-        self.cost = runtime.cost
-        self.trace_set = trace_set
-        self.blocks = runtime._blocks
-        self.covered_dbt = runtime._covered_dbt
-        self.instrs_dbt = instrs_dbt
-        self.instrs_pin = instrs_pin
-        self.code_cache_bytes = runtime.code_cache.total_bytes
+def stardbt_runtime(program, strategy="mret",
+                    max_instructions=DEFAULT_MAX_INSTRUCTIONS):
+    return StarDBT(program, strategy=strategy,
+                   limits=RecorderLimits(hot_threshold=10),
+                   max_instructions=max_instructions)
+
+
+def live_stardbt(program, strategy="mret"):
+    """StarDBT's live run, through the :class:`LiveDBT` oracle."""
+    return LiveDBT(stardbt_runtime(program, strategy)).run(program)
 
 
 # ---------------------------------------------------------------------
@@ -386,23 +448,20 @@ def test_native_and_stardbt_raise_like_the_live_runs(name):
     with pytest.raises(InstructionLimitExceeded):
         run_native(program, max_instructions=budget, stream=stream)
 
-    def runtime():
-        return StarDBT(program, limits=RecorderLimits(hot_threshold=10),
-                       max_instructions=budget)
-
-    live = runtime()
+    live = LiveDBT(stardbt_runtime(program, max_instructions=budget))
     with pytest.raises(InstructionLimitExceeded) as live_error:
-        live_stardbt(program, max_instructions=budget, runtime=live)
-    replayed = runtime()
+        live.run(program, max_instructions=budget)
+    replayed = stardbt_runtime(program, max_instructions=budget)
     replayed.stream = stream
     with pytest.raises(InstructionLimitExceeded) as error:
         replayed.run()
     assert str(error.value) == str(live_error.value)
+    live_cost = live.runtime.cost
     assert (replayed.cost.cycles, list(replayed.cost.breakdown.items()),
             replayed._blocks, replayed._covered_dbt,
             len(replayed.recorder.traces)) == \
-        (live.cost.cycles, list(live.cost.breakdown.items()), live._blocks,
-         live._covered_dbt, len(live.recorder.traces))
+        (live_cost.cycles, list(live_cost.breakdown.items()), live.blocks,
+         live.covered_dbt, len(live.runtime.recorder.traces))
 
 
 def test_stream_budget_must_match():

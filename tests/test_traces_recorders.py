@@ -70,9 +70,9 @@ def test_recorder_state_machine_states():
 def test_base_recorder_hooks_are_abstract():
     recorder = TraceRecorder()
     with pytest.raises(NotImplementedError):
-        recorder._observe_executing(None)
+        recorder._observe_executing(None, None, 0, False)
     with pytest.raises(NotImplementedError):
-        recorder._observe_creating(None)
+        recorder._observe_creating(None, None, 0, False)
 
 
 # ---------------------------------------------------------------------
