@@ -1,22 +1,28 @@
 """Micro-benchmarks of the load-bearing components.
 
 Classic pytest-benchmark timing (multiple rounds) of the pieces whose
-speed bounds every experiment: the interpreter, the B+ tree probe, the
-replayer's step function, and Algorithm 1 construction.
+speed bounds every experiment: the interpreter, StarDBT, the B+ tree
+probe, the replayer's step function, and Algorithm 1 construction.
 
 The interpreter appears twice.  The hot 20,000-iteration loop reuses
 each translated block thousands of times, so translation is free there.
 The ingest-shaped case records a program no executor has run before in
 every round, the way the service's write path does, so block
 translation is paid in full and weighed against what reuse saves.
+StarDBT runs over that program's recorded stream the same way, with a
+fresh runtime (and so a fresh block index and recorder) per round.
+These are the two layers of the ``ingest`` end-to-end workload's write
+path that its traced run reports as ``cpu.self_s`` and ``dbt.self_s``.
 """
 
 import pytest
 
 from repro.core import ReplayConfig, TeaReplayer, build_tea
 from repro.cpu import ExecutionStream, Executor
+from repro.dbt import StarDBT
 from repro.isa import assemble
 from repro.structures import BPlusTree
+from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
 
 _LOOP = assemble("""
@@ -57,6 +63,19 @@ def test_record_fresh_ingest_program(benchmark):
     assert stream.halted
 
 
+def test_stardbt_fresh_ingest_program(benchmark):
+    program = load_benchmark("176.gcc", scale=0.3).program
+    stream = ExecutionStream.record(program)
+
+    def fresh_runtime():
+        return (StarDBT(program, limits=RecorderLimits(hot_threshold=30),
+                        stream=stream),), {}
+
+    result = benchmark.pedantic(StarDBT.run, setup=fresh_runtime, rounds=10)
+    assert result.halted and len(result.trace_set) > 0
+    assert result.blocks == stream.n_transitions
+
+
 @pytest.fixture(scope="module")
 def big_tree():
     tree = BPlusTree(order=16)
@@ -89,8 +108,6 @@ def test_bptree_insert(benchmark):
 
 @pytest.fixture(scope="module")
 def replay_setup():
-    from repro.dbt import StarDBT
-    from repro.traces.recorder import RecorderLimits
     workload = load_benchmark("164.gzip", scale=0.5)
     result = StarDBT(workload.program,
                      limits=RecorderLimits(hot_threshold=10)).run()
@@ -123,8 +140,6 @@ def test_replayer_step_throughput(benchmark, replay_setup):
 
 
 def test_algorithm1_build(benchmark, replay_setup):
-    from repro.dbt import StarDBT
-    from repro.traces.recorder import RecorderLimits
     workload = load_benchmark("164.gzip", scale=0.5)
     trace_set = StarDBT(workload.program,
                         limits=RecorderLimits(hot_threshold=10)).run().trace_set

@@ -17,15 +17,13 @@ from repro.core.memory_model import MemoryModel
 class CodeCache:
     """Holds installed traces and accounts their replicated footprint."""
 
-    def __init__(self, memory_model=None, capacity_bytes=None):
+    def __init__(self, memory_model=None):
         self.memory_model = memory_model or MemoryModel()
-        self.capacity_bytes = capacity_bytes
-        self._traces = []
+        self._traces = {}  # installed traces, in install order
 
     def install(self, trace):
         """Install a committed trace (idempotent per trace object)."""
-        if trace not in self._traces:
-            self._traces.append(trace)
+        self._traces[trace] = None
 
     @property
     def traces(self):
@@ -45,12 +43,6 @@ class CodeCache:
         return sum(
             self.memory_model.dbt_trace_bytes(trace) for trace in self._traces
         )
-
-    @property
-    def is_full(self):
-        if self.capacity_bytes is None:
-            return False
-        return self.total_bytes >= self.capacity_bytes
 
     def trace_bytes(self, trace):
         return self.memory_model.dbt_trace_bytes(trace)

@@ -108,16 +108,6 @@ def test_dbt_budget_propagates(simple_loop_program):
         dbt.run()
 
 
-def test_code_cache_capacity_flag(nested_traces):
-    cache = CodeCache(capacity_bytes=1)
-    assert not cache.is_full
-    cache.install(nested_traces.traces[0])
-    assert cache.is_full
-    unbounded = CodeCache()
-    unbounded.install(nested_traces.traces[0])
-    assert not unbounded.is_full
-
-
 def test_code_cache_idempotent_install(nested_traces):
     cache = CodeCache()
     trace = nested_traces.traces[0]
