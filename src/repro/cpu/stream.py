@@ -16,11 +16,12 @@ builder merges are kept apart, in a sparse side table):
 ``transitions`` (int64 triples)
     ``(next_start, instrs_dbt, instrs_pin)`` exactly as
     :func:`~repro.pin.packed.pack_transitions` packs them, terminal
-    ``next_start`` = :data:`END_OF_RUN`; packed-batch replayers take
-    zero-copy slices of this lane.
+    ``next_start`` = :data:`~repro.cpu.events.END_OF_RUN`; packed-batch
+    replayers take zero-copy slices of this lane.
 ``flags`` (uint8)
-    the ending event's kind (:data:`KINDS` index), taken bit, indirect
-    bit, whether Pin sees its PC for the first time (the one-time
+    the flag byte (:mod:`repro.cpu.events`): the ending event's kind
+    (:data:`~repro.cpu.events.KINDS` index), taken bit, indirect bit,
+    whether Pin sees its PC for the first time (the one-time
     translation charge), whether split events were merged into the
     block, and the terminal marker.
 ``splits`` (int64 rows of four)
@@ -54,8 +55,7 @@ import sys
 import zlib
 from array import array
 
-from repro.cpu.events import (  # noqa: F401 -- lane constants re-exported
-    END_OF_RUN,
+from repro.cpu.events import (
     FLAG_FINAL,
     FLAG_FIRST,
     FLAG_INDIRECT,

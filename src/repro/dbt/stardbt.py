@@ -145,7 +145,7 @@ class StarDBT:
         recording_keyed = "recording" in breakdown
         covered = 0
         blocks = {}          # block start -> block, translated this run
-        trace = node = entry = None  # the trace and TBB executing, if any
+        trace = node = None  # the trace and TBB executing, if any
         start = self.program.entry
         transitions = stream.transitions
         for next_start, instrs_dbt, code in zip(
@@ -167,26 +167,19 @@ class StarDBT:
             cycles += charge
             instructions += charge
 
+            # Follow in-trace edges; anything else (the cycle back to a
+            # head included) enters the trace at ``next_start``, if any.
             if code & FLAG_FINAL:
                 next_start = None
-            elif node is not None:
-                successor = node.successors.get(next_start)
+            else:
+                successor = None
+                if node is not None:
+                    successor = node.successors.get(next_start)
                 if successor is not None:
                     node = trace.tbbs[successor]
-                elif next_start == entry:
-                    node = trace.tbbs[0]
                 else:
                     trace = trace_at(next_start)
-                    if trace is None:
-                        node = None
-                    else:
-                        node = trace.tbbs[0]
-                        entry = next_start
-            else:
-                trace = trace_at(next_start)
-                if trace is not None:
-                    node = trace.tbbs[0]
-                    entry = next_start
+                    node = trace.tbbs[0] if trace is not None else None
 
             observe(block, next_start, code)
             if builds:

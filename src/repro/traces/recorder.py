@@ -157,16 +157,11 @@ class TraceRecorder:
             if successor is not None:
                 self._exec_cursor = (trace, successor)
                 return False
-            if next_start == trace.entry:
-                self._exec_cursor = (trace, 0)
-                return False
-            entered = self.traces.trace_at(next_start)
-            self._exec_cursor = (entered, 0) if entered is not None else None
-            return entered is None
+        # Anything else, the cycle back to the head included, enters the
+        # trace whose entry is ``next_start``, if there is one.
         entered = self.traces.trace_at(next_start)
-        if entered is not None:
-            self._exec_cursor = (entered, 0)
-        return False
+        self._exec_cursor = (entered, 0) if entered is not None else None
+        return entered is None and cursor is not None
 
     def _total_budget_left(self):
         left = self.limits.max_total_tbbs - self.committed_tbbs

@@ -18,7 +18,7 @@ detect side exits; extension recording is throttled by a per-exit counter
 code cache.
 """
 
-from repro.cpu.events import EDGE_COND, EDGE_JMP, KIND_CODES, KIND_MASK
+from repro.cpu.events import EDGE_COND, EDGE_JMP, KIND_MASK, KINDS
 from repro.traces.recorder import (
     STATE_CREATING,
     STATE_EXECUTING,
@@ -32,8 +32,7 @@ _MAX_TRUNK_ABORTS = 8
 DEFAULT_EXTENSION_THRESHOLD = 2
 
 #: Flag-byte kinds of the *branch* cycles CTT aborts on.
-_BRANCH_KINDS = (KIND_CODES[EDGE_COND] & KIND_MASK,
-                 KIND_CODES[EDGE_JMP] & KIND_MASK)
+_BRANCH_KINDS = (KINDS.index(EDGE_COND), KINDS.index(EDGE_JMP))
 
 
 class _PathRecording:
@@ -172,7 +171,7 @@ class TraceTreeRecorder(TraceRecorder):
                 if tree_index is not None:
                     self._commit_path(link=("tree", tree_index))
                     return
-            if code & KIND_MASK in _BRANCH_KINDS:
+            if (code & KIND_MASK) in _BRANCH_KINDS:
                 # A *branch* cycle we cannot close compactly: abort rather
                 # than unroll.  Backward-landing calls/returns/indirects
                 # are not loop structure; recording continues through them

@@ -240,6 +240,41 @@ def test_ctt_no_unrolling():
     assert ctt.n_tbbs < tt.n_tbbs
 
 
+#: The odd iterations of ``loop`` take a backward ``jmp`` to ``detour``,
+#: which is on no recorded path and in no tree when the path reaches it.
+BACKWARD_JMP_DETOUR = """
+main:
+    mov ecx, 400
+    jmp loop
+detour:
+    add eax, 3
+    jmp cont
+loop:
+    add eax, 1
+    test ecx, 1
+    jz cont
+    jmp detour
+cont:
+    dec ecx
+    jnz loop
+    hlt
+"""
+
+
+def test_ctt_aborts_at_a_backward_jmp_it_cannot_close():
+    program = assemble(BACKWARD_JMP_DETOUR)
+    detour = program.label_addr("detour")
+
+    def starts(strategy):
+        trace_set = record_traces(program, strategy=strategy).trace_set
+        return {tbb.block.start for trace in trace_set for tbb in trace}
+
+    # TT records through the backward jmp (unrolling); CTT aborts that
+    # path and keeps only the even iterations' path.
+    assert detour in starts("tt")
+    assert detour not in starts("ctt")
+
+
 def test_ctt_validates(nested_program):
     trace_set = record_traces(nested_program, strategy="ctt").trace_set
     assert trace_set.validate() == []
