@@ -39,20 +39,17 @@ class MRETRecorder(TraceRecorder):
         # trace (this second rule is what records T2 in Figure 2: T2
         # begins at $$inc, T1's side-exit target).
         exit_to_cold = self._cursor_step(next_start)
-        if next_start is None:
+        if not (backward or exit_to_cold):  # neither holds at the end
             return
-        if not (backward or exit_to_cold):
-            return
-        candidate = next_start
         if self.budget_exhausted or self._total_budget_left() <= 0:
             return
-        if self.traces.has_entry(candidate):
+        if self.traces.has_entry(next_start):
             return
-        if self._bump_hot_addr(candidate):
+        if self._bump_hot_addr(next_start):
             # StartCreatingTrace: the next completed block begins at the
             # hot target and becomes the trace head.
             self._current = self.traces.new_trace(kind=self.kind,
-                                                  anchor=candidate)
+                                                  anchor=next_start)
             self._seen_starts = set()
             self._exec_cursor = None
             self.state = STATE_CREATING
@@ -91,7 +88,7 @@ class MRETRecorder(TraceRecorder):
 
     def _finish_trace(self, next_start):
         trace = self._current
-        if next_start is not None and next_start == trace.entry:
+        if next_start == trace.entry:
             # The superblock cycles back to its own head: $$Tn.last ->
             # $$Tn.head, exactly the Figure 3 cycle edge.
             trace.add_edge(len(trace.tbbs) - 1, 0)
