@@ -3,8 +3,9 @@
 Exercises the whole pipeline the way an operator would, twice:
 
 1. **Golden snapshot, via the CLI** — ``tests/golden/mcf_mret.teab``
-   carries benchmark meta, so ``repro tools minimize`` rebuilds the
-   program itself.  The golden MRET recording has nothing to merge, so
+   is a loose snapshot with no program image beside it, so ``repro
+   tools minimize`` is given its program (181.mcf at scale 0.4, as its
+   meta records).  The golden MRET recording has nothing to merge, so
    the minimized output must verify ``--strict`` clean and ``repro
    tools diff`` must report it *identical* (exit 0) — the pipeline is
    allowed to find exactly the merges that exist, here none.
@@ -69,7 +70,8 @@ def check_golden_cli():
     print("golden: %d states, mergeable estimate %d"
           % (info["states"], info["mergeable_estimate"]))
 
-    proc = tools("minimize", GOLDEN, "--out", minimized_path,
+    proc = tools("minimize", GOLDEN, "--benchmark", "181.mcf",
+                 "--scale", "0.4", "--out", minimized_path,
                  "--format", "json")
     if proc.returncode != 0:
         fail("minimize exited %d: %s" % (proc.returncode, proc.stderr))
@@ -150,7 +152,7 @@ def check_merge_rich():
     store = AutomatonStore(os.path.join(WORKDIR, "store"))
     key = store.put(trace_set, tea=tea,
                     meta={"benchmark": benchmark, "scale": scale,
-                          "label": "smoke"})
+                          "label": "smoke"}, program=program)
     new_key, _ = store.put_minimized(key)
     snapshot_report = verify_snapshot_bytes(store.get_bytes(new_key))
     if not snapshot_report.ok(strict=True):

@@ -78,6 +78,7 @@ def _build_store(root):
     store.put(
         recorded.trace_set, tea=build_tea(recorded.trace_set),
         meta={"benchmark": BENCHMARK, "scale": SCALE, "label": "bench"},
+        program=program,
     )
     return store
 

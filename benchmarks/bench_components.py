@@ -13,6 +13,9 @@ StarDBT runs over that program's recorded stream the same way, with a
 fresh runtime (and so a fresh block index and recorder) per round.
 These are the two layers of the ``ingest`` end-to-end workload's write
 path that its traced run reports as ``cpu.self_s`` and ``dbt.self_s``.
+The server's load of a freshly built snapshot of that program (what its
+``reload`` RPC runs: verify, decode the stored program image, decode
+the automaton, map the stream) is timed with a fresh service per round.
 """
 
 import pytest
@@ -21,6 +24,9 @@ from repro.core import ReplayConfig, TeaReplayer, build_tea
 from repro.cpu import ExecutionStream, Executor
 from repro.dbt import StarDBT
 from repro.isa import assemble
+from repro.service.__main__ import main as service_main
+from repro.service.server import TeaService
+from repro.store import AutomatonStore
 from repro.structures import BPlusTree
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
@@ -74,6 +80,28 @@ def test_stardbt_fresh_ingest_program(benchmark):
     result = benchmark.pedantic(StarDBT.run, setup=fresh_runtime, rounds=10)
     assert result.halted and len(result.trace_set) > 0
     assert result.blocks == stream.n_transitions
+
+
+def test_load_entry_fresh_ingest_program(benchmark, tmp_path, capsys):
+    assert service_main(["build", "--store", str(tmp_path), "--benchmark",
+                         "176.gcc", "--scale", "0.3", "--threshold",
+                         "30"]) == 0
+    key = capsys.readouterr().out.split()[1]
+    entries = []
+
+    def fresh_service():
+        return (TeaService(AutomatonStore(tmp_path)), key), {}
+
+    def load(service, key):
+        entries.append(service._load_key(key))
+        return entries[-1]
+
+    entry = benchmark.pedantic(load, setup=fresh_service, rounds=10)
+    for loaded in entries:
+        if loaded.mapping is not None:
+            loaded.mapping.close()
+    assert entry.key == key
+    assert entry.stream.get() is not None    # the stored sidecar, mapped
 
 
 @pytest.fixture(scope="module")

@@ -228,7 +228,7 @@ def measure_hot_reload(directory):
         if supersedes:
             meta["supersedes"] = supersedes
         return AutomatonStore(os.path.join(directory, "store")).put(
-            trace_set, tea=build_tea(trace_set), meta=meta
+            trace_set, tea=build_tea(trace_set), meta=meta, program=program
         )
 
     key_old = snapshot(30)

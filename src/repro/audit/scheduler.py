@@ -12,8 +12,10 @@ deterministic per artifact.
 Audited artifacts:
 
 - every ``*.teab`` snapshot in the store (deep verify: snapshot,
-  automaton, dataflow and — with benchmark meta — CFG families);
-- every ``*.teas`` execution-stream sidecar (TEA027);
+  automaton, dataflow and — with a sound program image beside it —
+  CFG families);
+- every ``*.teas`` execution-stream sidecar and ``*.teap`` program
+  image (TEA027);
 - the concurrency-lint source targets (``repro/service``,
   ``repro/cluster``, ``repro/store/mapping.py`` — TEA08x).
 """
@@ -48,8 +50,9 @@ def default_code_paths() -> List[str]:
 
 
 def store_artifact_paths(store_root: Any) -> List[str]:
-    """Every snapshot and stream sidecar in a store, sorted."""
-    from repro.store.store import SNAPSHOT_SUFFIX, STREAM_SUFFIX
+    """Every snapshot, program image and stream sidecar in a store,
+    sorted."""
+    from repro.store.store import IMAGE_SUFFIX, SNAPSHOT_SUFFIX, STREAM_SUFFIX
 
     paths = []
     if not os.path.isdir(store_root):
@@ -61,7 +64,8 @@ def store_artifact_paths(store_root: Any) -> List[str]:
         for filename in sorted(os.listdir(shard_dir)):
             if filename.startswith("."):
                 continue
-            if filename.endswith((SNAPSHOT_SUFFIX, STREAM_SUFFIX)):
+            if filename.endswith((SNAPSHOT_SUFFIX, IMAGE_SUFFIX,
+                                  STREAM_SUFFIX)):
                 paths.append(os.path.join(shard_dir, filename))
     return paths
 

@@ -153,9 +153,14 @@ class StreamHeader:
                  "crc")
 
     @classmethod
-    def parse(cls, data):
+    def parse(cls, data, size=None):
         """Decode the header; raises :class:`SerializationError` when
-        ``data`` is not a ``TEAS`` envelope of a known version."""
+        ``data`` is not a ``TEAS`` envelope of a known version.
+
+        ``size`` is the whole sidecar's length (default ``len(data)``),
+        which must equal the length the header declares; pass it to
+        read a header without reading the lanes.
+        """
         if len(data) < HEADER_SIZE:
             raise SerializationError(
                 "stream sidecar is %d bytes, shorter than its %d-byte "
@@ -182,10 +187,11 @@ class StreamHeader:
                                      "lengths")
         _layout, expected = lane_layout(header.n_transitions,
                                         header.n_splits)
-        if len(data) != expected:
+        size = len(data) if size is None else size
+        if size != expected:
             raise SerializationError(
                 "stream sidecar is %d bytes; its header declares %d"
-                % (len(data), expected))
+                % (size, expected))
         return header
 
 

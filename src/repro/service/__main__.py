@@ -33,7 +33,7 @@ from repro.store import DEFAULT_STORE_DIR, AutomatonStore
 from repro.traces import STRATEGIES
 from repro.traces.recorder import RecorderLimits
 from repro.util import atomic_write_text
-from repro.workloads import BENCHMARKS, load_benchmark, program_digest
+from repro.workloads import BENCHMARKS, load_benchmark
 
 
 def _cmd_build(args):
@@ -42,12 +42,10 @@ def _cmd_build(args):
     The program runs on the interpreter once: StarDBT records traces
     from that run's stream, the ``--profile`` replay consumes it too,
     and it is stored as the program's stream sidecar, which the service
-    replays from.
+    replays from.  The program itself is stored as the snapshot's
+    image, so this is the one place it is generated and assembled.
     """
     workload = load_benchmark(args.benchmark, scale=args.scale)
-    # Seeds the per-process memo that maps snapshot meta to program
-    # digests, so a ``gc`` in this process need not rebuild the program.
-    program_digest(args.benchmark, args.scale, workload.program)
     stream = ExecutionStream.record(workload.program)
     limits = RecorderLimits(hot_threshold=args.threshold)
     recorded = StarDBT(
@@ -84,10 +82,11 @@ def _cmd_build(args):
             superseded.append(old_key)
     if superseded:
         meta["supersedes"] = sorted(superseded)
-    # The sidecar goes first, so a server that reloads between the two
-    # writes never meets the snapshot without its stream.
+    # The sidecar and the image go first, so a server that reloads
+    # between the writes never meets the snapshot without them.
     stream_key = store.put_stream(stream)
-    key = store.put(trace_set, tea=tea, profile=profile, meta=meta)
+    key = store.put(trace_set, tea=tea, profile=profile, meta=meta,
+                    program=workload.program)
     info = store.describe(key)
     print("snapshot %s" % key)
     print("  %d traces, %d states, %d transitions, %d heads, %s profile"

@@ -66,7 +66,7 @@ from repro.store.binary import (
     load_tea_binary,
     peek_tea_binary,
 )
-from repro.workloads import load_benchmark
+from repro.store.store import snapshot_program
 
 #: Replay configuration names accepted by the ``replay``/``coverage``
 #: RPCs (the Table 4 axes, same names as the tools CLI).
@@ -175,10 +175,9 @@ class SnapshotEntry:
     other entry of the same program.
     """
 
-    __slots__ = ("key", "meta", "label", "program", "block_index",
-                 "trace_set", "tea", "compiled", "profile", "n_bytes",
-                 "mapping", "stream", "inflight", "retired",
-                 "_jit_codes", "_jit_lock")
+    __slots__ = ("key", "meta", "label", "program", "trace_set", "tea",
+                 "compiled", "profile", "n_bytes", "mapping", "stream",
+                 "inflight", "retired", "_jit_codes", "_jit_lock")
 
     def __init__(self, key, meta, program, trace_set, tea, profile, n_bytes,
                  compiled=None, mapping=None, stream=None):
@@ -186,7 +185,6 @@ class SnapshotEntry:
         self.meta = meta or {}
         self.label = self.meta.get("label") or self.meta.get("benchmark") or key
         self.program = program
-        self.block_index = BlockIndex(program)
         self.trace_set = trace_set
         self.tea = tea
         self.compiled = compiled
@@ -236,18 +234,23 @@ class SnapshotEntry:
         }
 
 
-def load_entry(key, data, verify=True, mapping=None, streams=None):
+def load_entry(key, data, image, verify=True, mapping=None, streams=None):
     """Preload one snapshot's bytes into a :class:`SnapshotEntry`.
 
-    The snapshot's meta must name the benchmark it was recorded from
-    (``repro.service build`` records it) so the program image can be
-    regenerated — the service equivalent of the paper's requirement
-    that both systems agree on the program's address space.
+    ``image`` is the snapshot's program image (``<key>.teap`` bytes,
+    ``None`` when the store holds none; ``repro.service build`` writes
+    it): the program is decoded from it, never regenerated from the
+    snapshot's meta — the service equivalent of the paper's
+    requirement that both systems agree on the program's address
+    space.  A missing image raises
+    :class:`~repro.errors.SerializationError` and a damaged one
+    :class:`~repro.errors.VerificationError` (rule TEA027); both say
+    to rebuild the snapshot.
 
     With ``verify=True`` the static snapshot rules run over the bytes
     first; damage raises :class:`~repro.errors.VerificationError` with
-    the offending rule ids, which :meth:`TeaService.preload` turns
-    into a quarantined entry rather than a startup crash.
+    the offending rule ids.  :meth:`TeaService.preload` quarantines
+    the snapshot on any of these errors rather than crash at startup.
 
     ``mapping`` (a :class:`~repro.store.mapping.SnapshotMapping` whose
     bytes ``data`` must be) makes the entry zero-copy: the compiled
@@ -263,16 +266,8 @@ def load_entry(key, data, verify=True, mapping=None, streams=None):
         from repro.verify import verify_snapshot_bytes
 
         verify_snapshot_bytes(data, source=key, deep=False).raise_on_error()
-    info = peek_tea_binary(data)
-    meta = info["meta"] or {}
-    benchmark = meta.get("benchmark")
-    if not benchmark:
-        raise ServiceSetupError(
-            "snapshot %s has no 'benchmark' in its meta; rebuild it with "
-            "'python -m repro.service build'" % key[:12]
-        )
-    scale = float(meta.get("scale", 1.0))
-    program = load_benchmark(benchmark, scale=scale).program
+    meta = peek_tea_binary(data)["meta"] or {}
+    program = snapshot_program(image, key)
     trace_set, tea, profile = load_tea_binary(data, BlockIndex(program))
     # Lower the snapshot's automaton tables into the compiled flat-table
     # layout once, up front; the successor dispatch dicts are built
@@ -364,9 +359,9 @@ class TeaService:
         Snapshots that fail static verification (or cannot be decoded
         at all) are *quarantined* in :attr:`invalid` — the service
         still starts, and requests naming them get a structured
-        ``invalid-automaton`` error instead of a crash.  A snapshot
-        without benchmark meta remains a hard setup error: that is a
-        deployment mistake, not data damage.
+        ``invalid-automaton`` error instead of a crash.  So are
+        snapshots without a sound program image: their error says to
+        rebuild them.
         """
         with self.obs.metrics.timer("service.preload"):
             for key in self.store.keys():
@@ -395,14 +390,15 @@ class TeaService:
 
     def _load_key(self, key):
         """Load one snapshot — zero-copy off a shared ``mmap`` for v2
-        files, a private decoded copy for v1."""
+        files, a private decoded copy for v1 — with its program image."""
         from repro.store.mapping import open_snapshot_mapping
 
+        image = self.store.get_image(key)
         mapping = open_snapshot_mapping(self.store.path_for(key))
         try:
             data = (mapping.data if mapping is not None
                     else self.store.get_bytes(key))
-            return load_entry(key, data, verify=self.config.verify,
+            return load_entry(key, data, image, verify=self.config.verify,
                               mapping=mapping, streams=self._stream_for)
         except BaseException:
             if mapping is not None:

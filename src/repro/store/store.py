@@ -19,13 +19,17 @@ The replay service (:mod:`repro.service`) preloads every snapshot in a
 store at startup and serves them by key (or by the ``label`` /
 ``benchmark`` recorded in the snapshot meta) to concurrent clients.
 
-Next to the snapshots a store keeps read-only execution-stream
-sidecars (``<key>.teas``, see :mod:`repro.cpu.stream`): one recorded
-run per program, filed under the stream key of the program digest and
-instruction budget, so the service replays a snapshot's program
-without running the interpreter.  No snapshot byte refers to a
-sidecar; :meth:`AutomatonStore.gc` keeps exactly the sidecars of the
-programs the present snapshots' ``benchmark``/``scale`` meta names.
+Beside each snapshot a store keeps the read-only image of the program
+it was recorded against (``<snapshot-key>.teap``, see
+:mod:`repro.isa.image`), so a replaying host decodes the program
+instead of generating and assembling it again; the image's header
+carries the program digest.  Next to both it keeps read-only
+execution-stream sidecars (``<key>.teas``, see :mod:`repro.cpu.stream`):
+one recorded run per program, filed under the stream key of the program
+digest and instruction budget, so the service replays a snapshot's
+program without running the interpreter.  No snapshot byte refers to
+an image or a sidecar; :meth:`AutomatonStore.gc` keeps exactly the
+sidecars of the programs the present snapshots' images name.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ import mmap
 import os
 import stat
 
-from repro.errors import SerializationError
+from repro.errors import SerializationError, VerificationError
+from repro.isa.image import ImageHeader, decode_image, encode_image
+from repro.isa.image import HEADER_SIZE as IMAGE_HEADER_SIZE
 from repro.obs import Observability
 from repro.store.binary import (
     BINARY_VERSION,
@@ -60,6 +66,11 @@ SNAPSHOT_SUFFIX = ".teab"
 #: File extension of execution-stream sidecars (``<stream-key>.teas``).
 STREAM_SUFFIX = ".teas"
 
+#: File extension of program images (``<snapshot-key>.teap``).
+IMAGE_SUFFIX = ".teap"
+
+_REBUILD = "rebuild it with 'python -m repro.service build'"
+
 #: Default store directory (relative to the invoking CWD).
 DEFAULT_STORE_DIR = ".tea_store"
 
@@ -67,6 +78,56 @@ DEFAULT_STORE_DIR = ".tea_store"
 def snapshot_key(data):
     """The content address (SHA-256 hex digest) of snapshot bytes."""
     return hashlib.sha256(data).hexdigest()
+
+
+def image_path_for(snapshot_path):
+    """The program image beside the snapshot file ``snapshot_path``."""
+    root, _suffix = os.path.splitext(str(snapshot_path))
+    return root + IMAGE_SUFFIX
+
+
+def read_image(path):
+    """The bytes of the image at ``path``, or ``None`` when absent."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
+
+
+def snapshot_program(image, key, source=None):
+    """The program snapshot ``key`` was recorded against, decoded from
+    its image bytes (``None``: the snapshot has none).
+
+    A missing image raises :class:`SerializationError`; one that fails
+    verify rule TEA027 (envelope, CRC, owner, digest) raises
+    :class:`VerificationError`.  Both say how to rebuild the snapshot:
+    no program is ever regenerated from the snapshot's meta.
+    """
+    if image is None:
+        raise SerializationError("snapshot %s has no program image; %s"
+                                 % (key[:12], _REBUILD))
+    try:
+        return decode_image(image, owner=key)
+    except SerializationError as error:
+        from repro.verify.api import verify_image_bytes
+
+        report = verify_image_bytes(image, key=key, source=source or key)
+        raise VerificationError(
+            "snapshot %s has a damaged program image (%s); %s"
+            % (key[:12], error, _REBUILD), report.diagnostics) from None
+
+
+def _header_digest(path, parse, header_size):
+    """The program digest in the header of the file at ``path``, read
+    without reading the rest; ``None`` when it is unreadable."""
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(header_size)
+            size = os.fstat(handle.fileno()).st_size
+        return parse(head, size=size).program_digest
+    except (OSError, SerializationError):
+        return None
 
 
 def stable_hash64(text, salt=""):
@@ -118,6 +179,7 @@ class AutomatonStore:
         self._verify_failed = metrics.counter("store.verify_failed")
         self._gc_removed = metrics.counter("store.gc_removed")
         self._gc_streams_removed = metrics.counter("store.gc_streams_removed")
+        self._gc_images_removed = metrics.counter("store.gc_images_removed")
         self._streams_written = metrics.counter("store.streams_written")
         self._mmap_opened = metrics.counter("store.mmap_opened")
 
@@ -140,15 +202,22 @@ class AutomatonStore:
         """File backing ``key`` (two-level sharding by hash prefix)."""
         return os.path.join(self.root, key[:2], key + SNAPSHOT_SUFFIX)
 
-    def put_bytes(self, data):
+    def put_bytes(self, data, program=None):
         """Store raw snapshot bytes; returns their content key.
 
         Validates the envelope first so a store can never hold a file
         that is not a parseable snapshot.  Re-putting existing content
         is a cheap no-op (the key already names identical bytes).
+
+        ``program`` (the program the snapshot was recorded against) is
+        stored as the snapshot's image, before the snapshot itself, so
+        a reader never meets the snapshot without it.  The replay
+        service serves only snapshots that have an image.
         """
         peek_tea_binary(data)  # envelope + CRC validation
         key = snapshot_key(data)
+        if program is not None:
+            self._put_image(key, program)
         path = self.path_for(key)
         if not os.path.exists(path):
             atomic_write_bytes(path, data)
@@ -157,13 +226,15 @@ class AutomatonStore:
         return key
 
     def put(self, trace_set, tea=None, profile=None, meta=None,
-            version=DEFAULT_SNAPSHOT_VERSION):
+            version=DEFAULT_SNAPSHOT_VERSION, program=None):
         """Encode and store one automaton; returns its content key.
 
         ``version`` selects the snapshot format: 2 (the default) writes
         the mmap-able section layout, 1 the legacy varint stream.  Both
         are canonical per version — the same automaton always produces
         the same bytes, hence the same content key, within a format.
+        ``program`` is stored as the snapshot's image (see
+        :meth:`put_bytes`).
         """
         if version == BINARY_VERSION_V2:
             data = dump_tea_binary_v2(trace_set, tea=tea, profile=profile,
@@ -175,7 +246,31 @@ class AutomatonStore:
             raise SerializationError(
                 "unknown snapshot version %r (know 1 and 2)" % (version,)
             )
-        return self.put_bytes(data)
+        return self.put_bytes(data, program=program)
+
+    def image_path(self, key):
+        """File backing snapshot ``key``'s program image."""
+        return os.path.join(self.root, key[:2], key + IMAGE_SUFFIX)
+
+    def _put_image(self, key, program):
+        """Write ``program``'s image for snapshot ``key``, read-only; an
+        identical present image is kept (the encoding is canonical)."""
+        data = encode_image(program, key)
+        path = self.image_path(key)
+        if read_image(path) != data:
+            atomic_write_bytes(path, data)
+            os.chmod(path, stat.S_IRUSR | stat.S_IRGRP | stat.S_IROTH)
+            self._bytes_written.inc(len(data))
+
+    def get_image(self, key):
+        """Snapshot ``key``'s program image bytes, or ``None``."""
+        return read_image(self.image_path(key))
+
+    def load_program(self, key):
+        """The program snapshot ``key`` was recorded against, decoded
+        from its image (see :func:`snapshot_program`)."""
+        return snapshot_program(self.get_image(key), key,
+                                source=self.image_path(key))
 
     def get_bytes(self, key):
         """Raw snapshot bytes for ``key``; raises on unknown keys."""
@@ -275,11 +370,16 @@ class AutomatonStore:
                     "snapshot %s does not survive the v%d round-trip; "
                     "refusing to migrate it" % (old_key, to_version)
                 )
-            migrated[old_key] = self.put_bytes(converted)
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            # The image is bound to the snapshot's key, which changes.
+            image = self.image_path(old_key)
+            program = (self.load_program(old_key) if os.path.exists(image)
+                       else None)
+            migrated[old_key] = self.put_bytes(converted, program=program)
+            for old in (path, image):
+                try:
+                    os.unlink(old)
+                except OSError:
+                    pass
         return migrated
 
     def describe(self, key):
@@ -301,9 +401,9 @@ class AutomatonStore:
         ``-min`` suffix so the two never alias in the service registry.
 
         ``block_index`` must cover the program the snapshot was
-        recorded against; when omitted it is rebuilt from the
-        snapshot's ``benchmark``/``scale`` meta (the service
-        convention).  The profile section is dropped — its counts are
+        recorded against; when omitted it is built from the snapshot's
+        program image.  The minimized snapshot gets that program as its
+        own image.  The profile section is dropped — its counts are
         keyed by original state identities.
         """
         from repro.minimize import minimize_tea
@@ -313,15 +413,8 @@ class AutomatonStore:
         meta = peek_tea_binary(data).get("meta") or {}
         if block_index is None:
             from repro.cfg.basic_block import BlockIndex
-            from repro.verify.api import program_for_meta
 
-            program = program_for_meta(meta)
-            if program is None:
-                raise SerializationError(
-                    "snapshot %s carries no benchmark meta; pass a "
-                    "block_index to minimize it" % key
-                )
-            block_index = BlockIndex(program)
+            block_index = BlockIndex(self.load_program(key))
         trace_set, tea, _profile = load_tea_binary(data, block_index)
         result = minimize_tea(tea, mode=mode, budget=budget,
                               hotness=hotness, obs=self.obs)
@@ -330,7 +423,8 @@ class AutomatonStore:
         out_meta["minimize"] = result.describe()
         if out_meta.get("label"):
             out_meta["label"] = "%s-min" % out_meta["label"]
-        new_key = self.put(trace_set, tea=result.tea, meta=out_meta)
+        new_key = self.put(trace_set, tea=result.tea, meta=out_meta,
+                           program=block_index.program)
         return new_key, result
 
     # ------------------------------------------------------------------
@@ -403,28 +497,6 @@ class AutomatonStore:
             for path in self._stream_paths()
         ]
 
-    def _referenced_programs(self):
-        """Program digests named by the present snapshots' meta."""
-        from repro.errors import ReproError
-        from repro.workloads import program_digest
-
-        digests = set()
-        for path in self._entry_paths():
-            try:
-                with open(path, "rb") as handle:
-                    meta = peek_tea_binary(handle.read()).get("meta") or {}
-            except (OSError, SerializationError):
-                continue
-            benchmark = meta.get("benchmark")
-            if not benchmark:
-                continue
-            try:
-                digests.add(program_digest(benchmark,
-                                           float(meta.get("scale", 1.0))))
-            except (ReproError, TypeError, ValueError):
-                continue
-        return digests
-
     # ------------------------------------------------------------------
 
     def _shard_files(self, suffix):
@@ -459,7 +531,21 @@ class AutomatonStore:
         """Bytes used by all snapshots."""
         return sum(os.path.getsize(path) for path in self._entry_paths())
 
-    def _superseded_keys(self):
+    def _snapshot_metas(self):
+        """``{key: meta}`` of every readable snapshot (one read each)."""
+        metas = {}
+        for path in self._entry_paths():
+            key = os.path.basename(path)[:-len(SNAPSHOT_SUFFIX)]
+            try:
+                with open(path, "rb") as handle:
+                    metas[key] = (peek_tea_binary(handle.read()).get("meta")
+                                  or {})
+            except (OSError, SerializationError):
+                continue
+        return metas
+
+    @staticmethod
+    def _superseded_keys(metas):
         """Keys named in another present snapshot's ``supersedes`` meta.
 
         ``meta["supersedes"]`` (a content key or list of them) is the
@@ -470,13 +556,7 @@ class AutomatonStore:
         supersedes A, one pass prunes both A and B.
         """
         superseded = set()
-        for path in self._entry_paths():
-            key = os.path.basename(path)[:-len(SNAPSHOT_SUFFIX)]
-            try:
-                with open(path, "rb") as handle:
-                    meta = peek_tea_binary(handle.read()).get("meta") or {}
-            except (OSError, SerializationError):
-                continue
+        for key, meta in metas.items():
             names = meta.get("supersedes")
             if isinstance(names, str):
                 names = (names,)
@@ -486,9 +566,9 @@ class AutomatonStore:
         return superseded
 
     def gc(self):
-        """Prune superseded snapshots, leftover JIT-source files and
-        unreferenced stream sidecars; returns how many snapshot and JIT
-        files were removed.
+        """Prune superseded snapshots with their images, leftover
+        JIT-source files and unreferenced stream sidecars; returns how
+        many snapshot and JIT files were removed.
 
         The first two passes are counted together in
         ``store.gc_removed`` and in the return value:
@@ -496,31 +576,37 @@ class AutomatonStore:
         1. Any snapshot named in another present snapshot's
            ``meta["supersedes"]`` is deleted — these are the old
            versions a hot-reload swap retired but left on disk so
-           in-flight replays could drain.
+           in-flight replays could drain.  Its program image goes with
+           it, counted in ``store.gc_images_removed`` alone.
         2. Every ``*.jit.py`` file is deleted: older stores cached
            generated replay code there, and nothing reads it any more
            (see :meth:`_remove_legacy_jit`).
 
-        Third, a stream sidecar is kept only while some remaining
-        snapshot's ``benchmark``/``scale`` meta names the program it
-        was recorded from (any budget).  Sidecars are derived data, so
-        their removals go to ``store.gc_streams_removed`` alone and do
-        not count in the return value.
+        Third, a stream sidecar is kept only while the image of some
+        remaining snapshot names the program it was recorded from (any
+        budget).  Sidecars are derived data, so their removals go to
+        ``store.gc_streams_removed`` alone and do not count in the
+        return value.  Only the headers of images and sidecars are read.
         """
+        metas = self._snapshot_metas()
         removed = 0
-        superseded = self._superseded_keys()
-        for key in superseded:
-            path = self.path_for(key)
-            if not os.path.exists(path):
-                continue
+        images_removed = 0
+        for key in sorted(self._superseded_keys(metas)):
             try:
-                os.unlink(path)
+                os.unlink(self.path_for(key))
                 removed += 1
+            except OSError:
+                continue
+            metas.pop(key, None)
+            try:
+                os.unlink(self.image_path(key))
+                images_removed += 1
             except OSError:
                 pass
         removed += self._remove_legacy_jit()
         self._gc_removed.inc(removed)
-        self._gc_streams_removed.inc(self._gc_streams())
+        self._gc_images_removed.inc(images_removed)
+        self._gc_streams_removed.inc(self._gc_streams(metas))
         return removed
 
     def _remove_legacy_jit(self):
@@ -537,23 +623,20 @@ class AutomatonStore:
                 pass
         return removed
 
-    def _gc_streams(self):
-        from repro.cpu.stream import StreamHeader
+    def _gc_streams(self, metas):
+        """Delete the sidecars no image of a snapshot in ``metas``
+        names; returns how many went."""
+        from repro.cpu.stream import HEADER_SIZE, StreamHeader
 
         paths = list(self._stream_paths())
         if not paths:
             return 0
-        live = self._referenced_programs()
+        live = {_header_digest(self.image_path(key), ImageHeader.parse,
+                               IMAGE_HEADER_SIZE) for key in metas}
+        live.discard(None)
         removed = 0
         for path in paths:
-            try:
-                with open(path, "rb") as handle:
-                    digest = StreamHeader.parse(handle.read()).program_digest
-            except OSError:
-                continue
-            except SerializationError:
-                digest = None   # unreadable: nothing can use it
-            if digest in live:
+            if _header_digest(path, StreamHeader.parse, HEADER_SIZE) in live:
                 continue
             try:
                 os.unlink(path)
@@ -563,8 +646,8 @@ class AutomatonStore:
         return removed
 
     def clear(self):
-        """Delete every snapshot (and stream sidecar and leftover JIT
-        source); returns how many snapshots were removed."""
+        """Delete every snapshot (and program image, stream sidecar and
+        leftover JIT source); returns how many snapshots were removed."""
         removed = 0
         for path in list(self._entry_paths()):
             try:
@@ -572,7 +655,8 @@ class AutomatonStore:
                 removed += 1
             except OSError:
                 pass
-        for path in list(self._stream_paths()):
+        for path in (list(self._stream_paths())
+                     + list(self._shard_files(IMAGE_SUFFIX))):
             try:
                 os.unlink(path)
             except OSError:

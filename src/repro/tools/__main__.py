@@ -214,16 +214,16 @@ def _cmd_tea_info(args):
 def _load_tea_file(path, args):
     """Load ``(trace_set, tea, origin_key)`` from a TEAB or JSON file.
 
-    TEAB snapshots rebuild their program from ``--benchmark`` /
-    ``--source`` when given, falling back to their own benchmark meta
-    (the service convention); JSON documents require an explicit
-    program.  ``origin_key`` is the snapshot content key for TEAB input
-    (provenance for minimized output), ``None`` for JSON documents.
+    TEAB snapshots take their program from ``--benchmark`` /
+    ``--source`` when given, and otherwise from the program image
+    stored beside them (``<key>.teap``); JSON documents require an
+    explicit program.  ``origin_key`` is the snapshot content key for
+    TEAB input (provenance for minimized output), ``None`` for JSON
+    documents.
     """
     from repro.core import build_tea
     from repro.errors import SerializationError
     from repro.store import load_tea_binary, snapshot_key
-    from repro.verify import program_for_meta
 
     with open(path, "rb") as handle:
         data = handle.read()
@@ -231,17 +231,22 @@ def _load_tea_file(path, args):
     if args.benchmark or args.source:
         program = _load_program(args)
     if data[:4] == b"TEAB":
+        key = snapshot_key(data)
         if program is None:
-            from repro.store import peek_tea_binary
+            from repro.store.store import (
+                image_path_for, read_image, snapshot_program,
+            )
 
-            program = program_for_meta(peek_tea_binary(data).get("meta"))
-            if program is None:
+            image = read_image(image_path_for(path))
+            if image is None:
                 raise SerializationError(
-                    "%s carries no benchmark meta; pass --benchmark or "
-                    "--source" % path
+                    "%s has no program image beside it; pass --benchmark "
+                    "or --source" % path
                 )
+            program = snapshot_program(image, key,
+                                       source=image_path_for(path))
         trace_set, tea, _profile = load_tea_binary(data, BlockIndex(program))
-        return trace_set, tea, snapshot_key(data)
+        return trace_set, tea, key
     document = json.loads(data.decode("utf-8"))
     if program is None:
         raise SerializationError(
@@ -347,16 +352,18 @@ def _cmd_diff(args):
 
 
 def _cmd_store_gc(args):
-    """Prune superseded snapshots, orphaned cached JIT sources and
-    unreferenced stream sidecars."""
+    """Prune superseded snapshots with their program images, orphaned
+    cached JIT sources and unreferenced stream sidecars."""
     from repro.store import AutomatonStore
 
     store = AutomatonStore(args.dir)
     removed = store.gc()
-    streams = store.obs.metrics.counter("store.gc_streams_removed").value
+    counter = store.obs.metrics.counter
     print("store %s: %d snapshots, removed %d superseded/orphaned "
-          "file(s) and %d stream sidecar(s)"
-          % (args.dir, len(store), removed, streams))
+          "file(s), %d program image(s) and %d stream sidecar(s)"
+          % (args.dir, len(store), removed,
+             counter("store.gc_images_removed").value,
+             counter("store.gc_streams_removed").value))
     return 0
 
 

@@ -17,9 +17,9 @@ API import the rest of ``repro`` lazily inside functions.
 from repro.errors import VerificationError
 from repro.verify.api import (
     default_engine,
-    program_for_meta,
     verify_compiled,
     verify_diff_report,
+    verify_image_bytes,
     verify_minimization,
     verify_path,
     verify_python_source,
@@ -50,9 +50,10 @@ from repro.verify.engine import (
 __all__ = [
     "Diagnostic", "Report", "Rule", "RuleEngine", "Subject",
     "VerificationError", "ERROR", "WARNING", "INFO", "SEVERITIES",
-    "all_rules", "catalog_version", "default_engine", "program_for_meta",
+    "all_rules", "catalog_version", "default_engine",
     "report_from_json", "reports_to_sarif", "rule_by_id",
-    "verify_compiled", "verify_diff_report", "verify_minimization",
+    "verify_compiled", "verify_diff_report", "verify_image_bytes",
+    "verify_minimization",
     "verify_path", "verify_python_source", "verify_snapshot_bytes",
     "verify_stream_bytes", "verify_tea", "verify_trace_set",
 ]

@@ -143,30 +143,45 @@ def verify_stream_bytes(data, key=None, program_digest=None,
     return _engine(engine, obs).verify(subject)
 
 
-def program_for_meta(meta):
-    """Rebuild the program image a snapshot's meta names, or ``None``.
+def verify_image_bytes(data, key=None, source="<image>", engine=None,
+                       obs=None):
+    """Verify ``TEAP`` program-image bytes (rule TEA027).
 
-    Mirrors the replay service's convention: ``meta["benchmark"]`` is a
-    :mod:`repro.workloads` benchmark name, ``meta["scale"]`` its scale.
+    ``key`` is the key of the snapshot the image is filed under; the
+    image's header must name it when given.
     """
-    benchmark = (meta or {}).get("benchmark")
-    if not benchmark:
-        return None
-    from repro.workloads import load_benchmark
+    subject = Subject(source=source, stream=data, stream_key=key)
+    return _engine(engine, obs).verify(subject)
 
-    scale = float(meta.get("scale", 1.0))
-    return load_benchmark(benchmark, scale=scale).program
+
+def _sibling_program(path, data):
+    """The program decoded from the image beside snapshot file
+    ``path`` (whose bytes are ``data``), or ``None`` when it has no
+    sound image."""
+    from repro.errors import SerializationError
+    from repro.isa.image import decode_image
+    from repro.store.store import image_path_for, read_image, snapshot_key
+
+    image = read_image(image_path_for(path))
+    if image is None:
+        return None
+    try:
+        return decode_image(image, owner=snapshot_key(data))
+    except SerializationError:
+        return None
 
 
 def verify_path(path, program=None, engine=None, obs=None, deep=True):
     """Verify a TEA artifact on disk (TEAB snapshot, ``TEAS`` stream
-    sidecar, Python module, or JSON document).  ``.py`` files run the
-    concurrency lint family.
+    sidecar, ``TEAP`` program image, Python module, or JSON document).
+    ``.py`` files run the concurrency lint family.
 
-    TEAB files may carry a benchmark name in their meta; when they do
-    and no ``program`` is passed, the program image is rebuilt from it
-    (the service convention) so the CFG family can run.  JSON TEA
-    documents *require* ``program`` — the document stores only spans.
+    A TEAB file verified deeply without ``program`` uses the program
+    image stored beside it (``<key>.teap``) when that image is sound,
+    so the CFG family can run; without one it is verified without a
+    program (the image's own damage is TEA027's, on the image file).
+    JSON TEA documents *require* ``program`` — the document stores
+    only spans.
 
     Raises :class:`~repro.errors.SerializationError` when the file
     cannot be read or is a JSON document without a program — usage
@@ -190,28 +205,26 @@ def verify_path(path, program=None, engine=None, obs=None, deep=True):
             source_name=str(path), engine=engine, obs=obs,
         )
 
-    if data[:4] == b"TEAS":
-        import os
+    import os
 
-        name = os.path.basename(str(path))
-        key = name[:-len(".teas")] if name.endswith(".teas") else None
+    name, suffix = os.path.splitext(os.path.basename(str(path)))
+    if data[:4] == b"TEAS":
         return verify_stream_bytes(
-            data, key=key,
+            data, key=name if suffix == ".teas" else None,
             program_digest=(program.content_digest() if program is not None
                             else None),
             source=str(path), engine=engine, obs=obs,
         )
 
+    if data[:4] == b"TEAP":
+        return verify_image_bytes(
+            data, key=name if suffix == ".teap" else None,
+            source=str(path), engine=engine, obs=obs,
+        )
+
     if data[:4] == b"TEAB":
         if program is None and deep:
-            from repro.store.binary import peek_tea_binary
-
-            try:
-                program = program_for_meta(peek_tea_binary(data)["meta"])
-            except Exception:
-                # Unknown benchmark / unreadable meta: verify what we
-                # can without a program image.
-                program = None
+            program = _sibling_program(path, data)
         return verify_snapshot_bytes(
             data, program=program, source=str(path), engine=engine,
             obs=obs, deep=deep,

@@ -155,10 +155,12 @@ class Subject:
       alongside the automaton (enables TEA061's profile cross-check);
     - ``python_source`` — Python module text for the concurrency lint
       family (TEA080-TEA082);
-    - ``stream`` — raw ``TEAS`` execution-stream sidecar bytes (rule
-      TEA027), with the optional expectations ``stream_key`` (the store
-      key the file is filed under) and ``stream_digest`` (the content
-      digest of the program it must have been recorded from).
+    - ``stream`` — raw sidecar bytes (rule TEA027): a ``TEAS``
+      execution stream or a ``TEAP`` program image, with the optional
+      expectations ``stream_key`` (the store key the file is filed
+      under: the stream key, or the snapshot key of an image) and
+      ``stream_digest`` (the content digest of the program a stream
+      must have been recorded from).
 
     ``views`` lazily materialises one uniform
     :class:`~repro.verify.views.AutomatonView` per available automaton

@@ -24,7 +24,6 @@ from repro.workloads.spec import (
     BenchmarkSpec,
     get_benchmark,
     load_benchmark,
-    program_digest,
 )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "BenchmarkSpec",
     "get_benchmark",
     "load_benchmark",
-    "program_digest",
     "WorkloadProgram",
     "build_workload_program",
     "figure1_program",

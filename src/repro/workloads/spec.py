@@ -20,8 +20,6 @@ hundreds of times so that, as in the paper's full-length SPEC runs, the
 recording warm-up is a small fraction of execution.
 """
 
-import threading
-
 from repro.errors import WorkloadError
 from repro.workloads.generator import build_workload_program
 
@@ -271,31 +269,3 @@ def get_benchmark(name):
 def load_benchmark(name, scale=1.0):
     """Build the program for benchmark ``name`` at ``scale``."""
     return build_workload_program(get_benchmark(name), scale=scale)
-
-
-#: ``(name, scale)`` -> program content digest, memoised per process.
-_DIGEST_CACHE = {}
-_DIGEST_CACHE_LOCK = threading.Lock()
-_DIGEST_CACHE_LIMIT = 1024
-
-
-def program_digest(name, scale=1.0, program=None):
-    """:meth:`~repro.isa.program.Program.content_digest` of benchmark
-    ``name`` at ``scale``, memoised per process.
-
-    Pass the already built ``program`` to seed the memo without
-    building it again (the store's ``gc`` maps every snapshot's meta to
-    its program digest this way).
-    """
-    key = (name, float(scale))
-    with _DIGEST_CACHE_LOCK:
-        found = _DIGEST_CACHE.get(key)
-    if found is None:
-        if program is None:
-            program = load_benchmark(name, scale=scale).program
-        found = program.content_digest()
-        with _DIGEST_CACHE_LOCK:
-            if len(_DIGEST_CACHE) >= _DIGEST_CACHE_LIMIT:
-                _DIGEST_CACHE.clear()
-            _DIGEST_CACHE[key] = found
-    return found

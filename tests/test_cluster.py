@@ -86,6 +86,7 @@ class _World:
         self.key = self.store.put(
             self.trace_set, tea=self.tea,
             meta={"benchmark": BENCHMARK, "scale": SCALE, "label": "world"},
+            program=self.program,
         )
 
 

@@ -41,10 +41,11 @@ class _World:
         meta = {"benchmark": BENCHMARK, "scale": SCALE}
         self.key_tt = self.store.put(
             self.traces_tt, tea=self.tea_tt, meta=dict(meta, label="tt"),
+            program=self.program,
         )
         self.key_mret = self.store.put(
             self.traces_mret, tea=self.tea_mret,
-            meta=dict(meta, label="mret"),
+            meta=dict(meta, label="mret"), program=self.program,
         )
         self.key_min, self.minimized = self.store.put_minimized(self.key_tt)
 

@@ -385,7 +385,8 @@ def test_service_replays_via_jit_engine(tmp_path):
     ).run().trace_set
     store = AutomatonStore(tmp_path / "store")
     key = store.put(trace_set,
-                    meta={"benchmark": "164.gzip", "scale": 0.3})
+                    meta={"benchmark": "164.gzip", "scale": 0.3},
+                    program=program)
 
     with ServiceThread(store) as service:
         with service.client(timeout=120.0) as client:

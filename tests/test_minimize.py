@@ -348,7 +348,8 @@ def test_minimized_teab_round_trip(world):
 def test_store_put_minimized_provenance(world, tmp_path):
     store = AutomatonStore(tmp_path / "store")
     meta = {"benchmark": BENCHMARK, "scale": SCALE, "label": "w"}
-    key = store.put(world.trace_set, tea=world.tea, meta=meta)
+    key = store.put(world.trace_set, tea=world.tea, meta=meta,
+                    program=world.program)
     new_key, result = store.put_minimized(key)
     assert new_key != key
     assert result.states_after == world.result.states_after
@@ -387,7 +388,8 @@ def test_tea050_catches_tampered_provenance(world):
 def test_tea050_accepts_real_provenance(world, tmp_path):
     store = AutomatonStore(tmp_path / "store")
     key = store.put(world.trace_set, tea=world.tea,
-                    meta={"benchmark": BENCHMARK, "scale": SCALE})
+                    meta={"benchmark": BENCHMARK, "scale": SCALE},
+                    program=world.program)
     new_key, _result = store.put_minimized(key)
     report = verify_snapshot_bytes(store.get_bytes(new_key))
     assert report.ok(strict=True), report.render_text()
@@ -399,7 +401,8 @@ def test_store_gc_prunes_orphaned_jit_caches(world, tmp_path):
     ``gc`` whether or not their snapshot is still present."""
     store = AutomatonStore(tmp_path / "store")
     meta = {"benchmark": BENCHMARK, "scale": SCALE}
-    key_a = store.put(world.trace_set, tea=world.tea, meta=meta)
+    key_a = store.put(world.trace_set, tea=world.tea, meta=meta,
+                      program=world.program)
     key_b, _ = store.put_minimized(key_a)
     leftovers = []
     for key in (key_a, key_b):

@@ -19,6 +19,7 @@ from repro.dbt import StarDBT
 from repro.pin import Pin, TeaReplayTool
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
+    E_INVALID,
     E_METHOD,
     E_PARAMS,
     E_PARSE,
@@ -64,6 +65,7 @@ class _World:
         self.key = self.store.put(
             self.trace_set, tea=self.tea,
             meta={"benchmark": BENCHMARK, "scale": SCALE, "label": "world"},
+            program=self.program,
         )
 
 
@@ -299,12 +301,24 @@ def test_empty_store_refuses_to_start(tmp_path):
         ServiceThread(AutomatonStore(tmp_path / "empty")).start()
 
 
-def test_snapshot_without_benchmark_meta_refuses_to_start(
-        tmp_path, nested_traces):
+def test_snapshot_without_program_image_is_quarantined_for_rebuild(
+        tmp_path, world, nested_traces):
     store = AutomatonStore(tmp_path / "anon")
-    store.put(nested_traces)  # no meta: the program can't be rebuilt
-    with pytest.raises(ServiceSetupError):
+    key = store.put(nested_traces)  # no program image beside it
+    with pytest.raises(ServiceSetupError):   # its one snapshot is invalid
         ServiceThread(store).start()
+    store.put(world.trace_set, tea=world.tea, meta={"label": "world"},
+              program=world.program)
+    with ServiceThread(store) as service:
+        with service.client() as client:
+            (invalid,) = client.call("snapshots")["invalid"]
+            assert invalid["key"] == key
+            assert "no program image" in invalid["error"]
+            assert "python -m repro.service build" in invalid["error"]
+            with pytest.raises(ServiceError) as excinfo:
+                client.replay(snapshot=key)
+            assert excinfo.value.code == E_INVALID
+            assert client.replay(snapshot="world")["coverage_pin"] > 0
 
 
 def test_service_preload_is_idempotent(world):

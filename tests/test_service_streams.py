@@ -111,7 +111,7 @@ def _snapshot_only_store(tmp_path):
                      limits=RecorderLimits(hot_threshold=10)).run().trace_set
     store = AutomatonStore(tmp_path / "store")
     store.put(traces, tea=build_tea(traces),
-              meta={"benchmark": BENCHMARK, "scale": SCALE})
+              meta={"benchmark": BENCHMARK, "scale": SCALE}, program=program)
     return store
 
 
@@ -229,7 +229,8 @@ def test_gc_prunes_unreferenced_streams_but_counts_snapshots(tmp_path,
 
 def test_jit_replays_leave_only_snapshots_and_sidecars(tmp_path, capsys):
     """JIT code is generated in memory: a built store gains no files
-    from JIT replays, served or hosted in process."""
+    from JIT replays, served or hosted in process.  (Its sidecars are
+    the stream and the snapshot's program image.)"""
     from repro.cfg.basic_block import BlockIndex
     from repro.core import ReplayConfig
 
@@ -253,7 +254,7 @@ def test_jit_replays_leave_only_snapshots_and_sidecars(tmp_path, capsys):
     names = [name for _root, _dirs, files in os.walk(store_dir)
              for name in files]
     assert sorted({os.path.splitext(name)[1] for name in names}) == \
-        [".teab", ".teas"]
+        [".teab", ".teap", ".teas"]
 
 
 # ---------------------------------------------------------------------

@@ -388,7 +388,7 @@ def test_hot_reload_drops_nothing_under_concurrency(tmp_path):
                                   meta=meta)
 
     store = AutomatonStore(tmp_path / "store")
-    key_old = store.put_bytes(snapshot_bytes(10))
+    key_old = store.put_bytes(snapshot_bytes(10), program=program)
     replies = []
     errors = []
     with ServiceThread(store) as service:
@@ -405,7 +405,8 @@ def test_hot_reload_drops_nothing_under_concurrency(tmp_path):
         threads = [threading.Thread(target=client_loop) for _ in range(4)]
         for thread in threads:
             thread.start()
-        key_new = store.put_bytes(snapshot_bytes(5, supersedes=key_old))
+        key_new = store.put_bytes(snapshot_bytes(5, supersedes=key_old),
+                                  program=program)
         with ServiceClient(host, port, timeout=60.0) as admin:
             out = admin.call("reload")
             assert out["loaded"] == [key_new]

@@ -313,10 +313,10 @@ def test_minimize_cli_budget_too_small_is_clean_error(teab_file,
     assert "budget" in capsys.readouterr().err
 
 
-def test_minimize_cli_teab_without_meta_needs_program(teab_file, capsys):
+def test_minimize_cli_teab_without_image_needs_program(teab_file, capsys):
     code = main(["minimize", teab_file])
     assert code == 1
-    assert "benchmark meta" in capsys.readouterr().err
+    assert "no program image" in capsys.readouterr().err
 
 
 def test_diff_cli_exit_codes(teab_file, nested_source_file, tmp_path,

@@ -459,9 +459,13 @@ def _noncanonical(snapshot):
 def quarantine_store(tmp_path_factory, snapshot):
     from pathlib import Path
 
+    from repro.workloads import load_benchmark
+
     golden = Path(__file__).parent / "golden" / "mcf_mret.teab"
     store = AutomatonStore(tmp_path_factory.mktemp("svc") / "store")
-    good_key = store.put_bytes(golden.read_bytes())
+    good_key = store.put_bytes(golden.read_bytes(),
+                               program=load_benchmark("181.mcf",
+                                                      scale=0.4).program)
     bad_key = store.put_bytes(_noncanonical(snapshot))
     return store, good_key, bad_key
 
