@@ -3,7 +3,7 @@
 Pins the DBT runtime and the four trace-selection strategies to exact
 bytes: for each program :mod:`tests.test_program_digests` covers and
 each of MRET, MFET, CTT and TT at hot threshold 30, the SHA-256 of the
-recorded trace set's TEAB bytes, the exact total cycles, the cost
+recorded trace set's TEAB (v2) bytes, the exact total cycles, the cost
 breakdown (values and key order), the covered instruction count and the
 block count.  Extra TT and CTT rows run with ``max_total_tbbs=200``, so
 the budget-exhaustion paths are pinned too.  A change to the recorders,
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro.cpu import ExecutionStream
 from repro.dbt import StarDBT
-from repro.store import dump_tea_binary
+from repro.store import dump_tea_binary_v2
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
 from tests.test_program_digests import _cases, _key
@@ -48,7 +48,7 @@ def _row(program, stream, strategy, limits):
                      stream=stream).run()
     return {
         "teab": hashlib.sha256(
-            dump_tea_binary(result.trace_set)).hexdigest(),
+            dump_tea_binary_v2(result.trace_set)).hexdigest(),
         "cycles": repr(result.cost.cycles),
         "breakdown": repr(list(result.cost.breakdown.items())),
         "covered_dbt": result.covered_dbt,
