@@ -2,17 +2,22 @@
 
 Exercises the operator path end to end against the golden snapshot:
 
-1. seed a fresh store with the golden v1 ``mcf_mret.teab``;
+1. seed a fresh store with the golden v1 ``mcf_mret.teab`` and its
+   program image;
 2. ``repro tools store migrate`` it to v2 — the CLI must report the
    key mapping and the store must hold exactly the migrated snapshot;
 3. ``repro tools verify --strict`` must pass the v2 file clean
-   (TEA024/TEA025 section + CRC rules, TEA026 round-trip rule);
+   (deep: the v2 section and CRC rules TEA024/TEA025, the walk of the
+   embedded blobs, and the rule families that need the program image);
 4. ``repro tools tea info`` must report the v2 section table without
    materialising the automaton;
 5. the zero-copy ``map_compiled`` automaton must be structurally
    identical to the decoded one, and ``store.mmap_opened`` must tick;
-6. migrating back to v1 must restore the original golden content key
-   byte-for-byte (the conversions are exact inverses).
+6. the migrated snapshot must hold the golden content: it loads to the
+   same trace set, automaton and profile as the golden v1 file, and
+   compiles structurally equal to it;
+7. a second ``store migrate`` must be a no-op (v1 is only ever read,
+   and v2 is never converted back).
 
 Run from the repository root with PYTHONPATH=src.  Exits non-zero on
 the first violated invariant.
@@ -26,11 +31,16 @@ import sys
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
+from repro.cfg.basic_block import BlockIndex  # noqa: E402
 from repro.store import (  # noqa: E402
     AutomatonStore,
+    compile_tea_binary,
+    dump_tea_binary,
+    load_tea_binary,
     snapshot_key,
     snapshot_version,
 )
+from repro.workloads import load_benchmark  # noqa: E402
 
 GOLDEN = os.path.join("tests", "golden", "mcf_mret.teab")
 WORKDIR = ".ci_store"
@@ -56,7 +66,8 @@ def main():
         golden = handle.read()
     if snapshot_version(golden) != 1:
         fail("golden snapshot is not v1 — refresh this smoke test")
-    key_v1 = AutomatonStore(store_dir).put_bytes(golden)
+    program = load_benchmark("181.mcf", scale=0.4).program
+    key_v1 = AutomatonStore(store_dir).put_bytes(golden, program=program)
     if key_v1 != snapshot_key(golden):
         fail("store key does not content-address the golden bytes")
     print("seeded store with golden v1 snapshot %s" % key_v1[:12])
@@ -110,17 +121,29 @@ def main():
     print("map_compiled: %d states, structurally equal, 1 mapping"
           % mapped.n_states)
 
-    proc = tools("store", "migrate", "--dir", store_dir, "--to-version", "1")
+    # The writer is canonical, so equal re-encodings of the two decoded
+    # contents mean equal trace sets, automata, profiles and meta.
+    content = [
+        dump_tea_binary(*load_tea_binary(data, BlockIndex(program),
+                                         with_meta=True))
+        for data in (golden, data_v2)
+    ]
+    if content[0] != content[1]:
+        fail("migrated snapshot holds other content than the golden")
+    if not compile_tea_binary(data_v2).structurally_equal(
+            compile_tea_binary(golden)):
+        fail("migrated snapshot compiles to another automaton")
+    print("content: migrated snapshot loads to the golden trace set, "
+          "automaton, profile and meta")
+
+    proc = tools("store", "migrate", "--dir", store_dir)
     if proc.returncode != 0:
-        fail("backward migrate exited %d: %s"
-             % (proc.returncode, proc.stderr))
-    store = AutomatonStore(store_dir)
-    keys = list(store.keys())
-    if keys != [key_v1]:
-        fail("backward migration did not restore the golden key: %s" % keys)
-    if store.get_bytes(key_v1) != golden:
-        fail("backward migration did not restore the golden bytes")
-    print("round trip: v1 -> v2 -> v1 restored the golden snapshot exactly")
+        fail("second migrate exited %d: %s" % (proc.returncode, proc.stderr))
+    if "migrated 0 snapshot(s)" not in proc.stdout:
+        fail("second migrate was not a no-op: %s" % proc.stdout)
+    if AutomatonStore(store_dir).keys() != [key_v2]:
+        fail("second migrate changed the store")
+    print("second migrate: no-op")
 
     shutil.rmtree(WORKDIR, ignore_errors=True)
     print("OK")

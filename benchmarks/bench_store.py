@@ -2,16 +2,20 @@
 
 The store exists so a replay service can preload automata without
 re-running Algorithm 1, and so snapshots are cheap to keep around.
-This bench measures both claims on real recorded workloads:
+This bench measures both claims on real recorded workloads, with the
+one snapshot writer (``dump_tea_binary``, TEAB v2):
 
-- **size** — the varint/delta-encoded binary snapshot must be smaller
-  than the JSON document for every workload (it measures ~4x smaller);
+- **size** — the binary snapshot must be smaller than the JSON
+  document for every workload.  It measures ~1.3x smaller: v2 keeps
+  the automaton as raw int64 tables behind a fixed section table, so
+  it is ~3.4x the size the read-only v1 varint stream took, in
+  exchange for zero-copy loads;
 - **load time** — rebuilding ``(trace_set, tea)`` from the binary
   snapshot (direct table reconstruction, no Algorithm 1) vs the JSON
   path (C json parse + Algorithm 1 rebuild), best-of-N.  Pure-Python
-  varint decoding gives back some of what skipping Algorithm 1 saves,
-  so the binary path lands around par (~0.7-1x) — the bench pins it
-  inside a band so a decoding regression can't hide;
+  varint decoding of the trace blob gives back some of what skipping
+  Algorithm 1 saves, so the binary path lands around par (~0.8-0.9x) —
+  the bench pins it inside a band so a decoding regression can't hide;
 - **fidelity** — both loaders must agree on state, transition and head
   counts (the round-trip tests in tests/test_store.py assert full
   bit-exactness; here we only sanity-check the bench inputs).

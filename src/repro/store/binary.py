@@ -1,7 +1,14 @@
-"""The binary TEA snapshot codec (format ``TEAB``; the v1 varint blob
-lives here, the mmap-able v2 section layout in
-:mod:`repro.store.binary_v2` — the public loaders below dispatch on the
-version byte, so callers never care which format a snapshot uses).
+"""The binary TEA snapshot codec (format ``TEAB``).
+
+Snapshots are written in one format, the mmap-able v2 section layout of
+:mod:`repro.store.binary_v2`.  This module holds the public entry points
+(:func:`dump_tea_binary`, :func:`load_tea_binary`,
+:func:`compile_tea_binary`, :func:`peek_tea_binary`), the varint codec,
+and the two varint blobs v2 embeds verbatim: the traces section and the
+profile section.  The original v1 format is read-only: the loaders
+convert v1 bytes once with
+:func:`~repro.store.binary_v2.convert_v1_to_v2` and then take the v2
+path, so callers never care which format a file uses.
 
 The JSON TEA document (:mod:`repro.core.serialization`) stores only the
 trace *shape* and rebuilds the automaton by re-running Algorithm 1 on
@@ -14,8 +21,8 @@ reuse in future executions" turned into a reusable artifact: the
 :class:`~repro.store.store.AutomatonStore` keeps snapshots
 content-addressed and the replay service serves them to many clients.
 
-Layout
-------
+v1 layout (read-only)
+---------------------
 ::
 
     magic   b"TEAB"
@@ -29,18 +36,19 @@ All integers in the payload are unsigned LEB128 varints; deltas
 encoded so occasional backwards jumps stay cheap.  Sections, in order:
 
 1. **meta** (optional): length-prefixed UTF-8 JSON — free-form snapshot
-   metadata (benchmark name, scale, recording strategy, label).  The
-   service uses it to rebuild the program image a snapshot belongs to.
+   metadata (benchmark name, scale, recording strategy, label).
 2. **traces**: the trace-set document — per trace: id, kind, anchor,
    delta-encoded TBB spans, and (from, to) edge pairs.  Edge labels are
    not stored: a label is by construction the successor TBB's start.
+   v2 embeds this section byte for byte.
 3. **automaton**: per non-NTE state its (trace_id, tbb_index) in state-id
    order, then per state the transition list as (label delta, dest sid)
    pairs sorted by label, then the head registry as (entry delta, sid)
-   pairs sorted by entry.
+   pairs sorted by entry.  v2 stores these as int64 tables instead.
 4. **profile** (optional): state counts as (trace_id, tbb_index, count)
    triples plus the three per-trace counter maps — the same
-   renumbering-safe keying the JSON format uses.
+   renumbering-safe keying the JSON format uses.  v2 embeds this
+   section byte for byte.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from __future__ import annotations
 import json
 import zlib
 
-from repro.core.automaton import NTE_SID, TEA
+from repro.core.automaton import NTE_SID
 from repro.core.builder import build_tea
 from repro.core.profile import TeaProfile
 from repro.errors import SerializationError
@@ -59,16 +67,11 @@ BINARY_VERSION = 1
 
 
 def snapshot_version(data):
-    """The format version byte of TEAB bytes, or ``None`` if not TEAB.
-
-    The public loaders (:func:`load_tea_binary`,
-    :func:`compile_tea_binary`, :func:`peek_tea_binary`) dispatch on
-    this: v1 snapshots take the varint decode path below, v2 snapshots
-    the zero-copy section path in :mod:`repro.store.binary_v2`.
-    """
+    """The format version byte of TEAB bytes, or ``None`` if not TEAB."""
     if len(data) >= 5 and bytes(data[:4]) == MAGIC:
         return data[4]
     return None
+
 
 FLAG_PROFILE = 0x01
 FLAG_META = 0x02
@@ -220,7 +223,8 @@ def _write_optional_uvarint(out, value):
 # ---------------------------------------------------------------------
 
 def dump_tea_binary(trace_set, tea=None, profile=None, meta=None):
-    """Serialize ``trace_set`` (+ automaton, profile, meta) to bytes.
+    """Serialize ``trace_set`` (+ automaton, profile, meta) to TEAB v2
+    bytes.
 
     ``tea`` defaults to a fresh Algorithm 1 build over ``trace_set`` —
     passing the automaton you actually used guarantees the snapshot
@@ -228,31 +232,54 @@ def dump_tea_binary(trace_set, tea=None, profile=None, meta=None):
     deterministic: the same inputs always produce the same bytes, which
     is what makes the store content-addressable.
     """
+    from repro.store.binary_v2 import _assemble_v2
+
     if tea is None:
         tea = build_tea(trace_set)
-    flags = 0
-    if profile is not None:
-        flags |= FLAG_PROFILE
+    traces_raw = bytearray()
+    _encode_traces(traces_raw, trace_set)
+    meta_raw = None
     if meta is not None:
-        flags |= FLAG_META
-
-    out = bytearray()
-    out += MAGIC
-    out.append(BINARY_VERSION)
-    out.append(flags)
-
-    if meta is not None:
-        _write_string(
-            out, json.dumps(meta, sort_keys=True, separators=(",", ":"))
-        )
-
-    _encode_traces(out, trace_set)
-    _encode_automaton(out, trace_set, tea)
+        meta_raw = json.dumps(
+            meta, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+    profile_raw = None
     if profile is not None:
-        _encode_profile(out, tea, profile)
+        profile_raw = bytearray()
+        _encode_profile(profile_raw, tea, profile)
+    summary = (
+        trace_set.kind or None,
+        len(trace_set.traces),
+        sum(len(trace.tbbs) for trace in trace_set),
+        sum(len(tbb.successors) for trace in trace_set for tbb in trace),
+    )
+    return _assemble_v2(summary, meta_raw, bytes(traces_raw),
+                        _automaton_tables(tea), profile_raw)
 
-    out += zlib.crc32(out).to_bytes(4, "little")
-    return bytes(out)
+
+def _automaton_tables(tea):
+    """The CSR tables of ``tea``: ``(n_states, refs, trans_offset,
+    trans_labels, trans_dest, head_entries, head_sids)``, transitions
+    sorted by label per state and heads by entry."""
+    refs = []
+    trans_offset = [0]
+    trans_labels = []
+    trans_dest = []
+    for state in tea.states:
+        if state.sid != NTE_SID:
+            if state.tbb is None:
+                raise SerializationError(
+                    "state %d has no TBB and is not NTE" % state.sid
+                )
+            refs += (state.tbb.trace_id, state.tbb.index)
+        for label, destination in sorted(state.transitions.items()):
+            trans_labels.append(label)
+            trans_dest.append(destination.sid)
+        trans_offset.append(len(trans_labels))
+    heads = sorted(tea.heads.items())
+    return (tea.n_states, refs, trans_offset, trans_labels, trans_dest,
+            [entry for entry, _head in heads],
+            [head.sid for _entry, head in heads])
 
 
 def _encode_traces(out, trace_set):
@@ -281,32 +308,6 @@ def _encode_traces(out, trace_set):
             previous = from_index
 
 
-def _encode_automaton(out, trace_set, tea):
-    write_uvarint(out, tea.n_states)
-    for state in tea.states:
-        if state.sid == NTE_SID:
-            continue
-        if state.tbb is None:
-            raise SerializationError(
-                "state %d has no TBB and is not NTE" % state.sid
-            )
-        write_uvarint(out, state.tbb.trace_id)
-        write_uvarint(out, state.tbb.index)
-    for state in tea.states:
-        write_uvarint(out, len(state.transitions))
-        previous = 0
-        for label, destination in sorted(state.transitions.items()):
-            write_svarint(out, label - previous)
-            write_uvarint(out, destination.sid)
-            previous = label
-    write_uvarint(out, len(tea.heads))
-    previous = 0
-    for entry, head in sorted(tea.heads.items()):
-        write_svarint(out, entry - previous)
-        write_uvarint(out, head.sid)
-        previous = entry
-
-
 def _encode_profile(out, tea, profile):
     counts = []
     for state in tea.states:
@@ -333,7 +334,8 @@ def _encode_profile(out, tea, profile):
 # ---------------------------------------------------------------------
 
 def _open_snapshot(data):
-    """Validate the envelope; returns ``(reader, flags)`` over the payload."""
+    """Validate the v1 envelope; returns ``(reader, flags)`` over the
+    payload."""
     if len(data) < len(MAGIC) + 2 + 4:
         raise SerializationError("snapshot too short to be a TEAB file")
     if data[:4] != MAGIC:
@@ -352,17 +354,6 @@ def _open_snapshot(data):
         )
     flags = data[5]
     return _Reader(data, start=6, end=len(data) - 4), flags
-
-
-def _decode_meta(reader, flags):
-    if not flags & FLAG_META:
-        return None
-    try:
-        return json.loads(reader.string())
-    except json.JSONDecodeError as error:
-        raise SerializationError(
-            "malformed snapshot meta: %s" % error
-        ) from None
 
 
 def _decode_traces(reader, block_index):
@@ -406,58 +397,8 @@ def _decode_traces(reader, block_index):
     return trace_set
 
 
-def _decode_automaton(reader, trace_set):
-    """Rebuild the automaton tables directly — no Algorithm 1 pass."""
-    by_key = {
-        (tbb.trace_id, tbb.index): tbb
-        for trace in trace_set
-        for tbb in trace
-    }
-    n_states = reader.uvarint()
-    if n_states < 1:
-        raise SerializationError("snapshot automaton has no NTE state")
-    tea = TEA()
-    refs = reader.uvarint_run(2 * (n_states - 1))
-    add_tbb_state = tea.add_tbb_state
-    for position in range(0, len(refs), 2):
-        key = (refs[position], refs[position + 1])
-        tbb = by_key.get(key)
-        if tbb is None:
-            raise SerializationError(
-                "automaton state refers to unknown TBB (T%d, #%d)" % key
-            )
-        add_tbb_state(tbb)
-    states = tea.states
-    for state in states:
-        n_transitions = reader.uvarint()
-        run = reader.uvarint_run(2 * n_transitions)
-        previous = 0
-        transitions = state.transitions
-        for position in range(0, 2 * n_transitions, 2):
-            label = previous + unzigzag(run[position])
-            sid = run[position + 1]
-            if not 0 <= sid < n_states:
-                raise SerializationError(
-                    "transition to unknown state %d" % sid
-                )
-            transitions[label] = states[sid]
-            previous = label
-    n_heads = reader.uvarint()
-    run = reader.uvarint_run(2 * n_heads)
-    previous = 0
-    for position in range(0, 2 * n_heads, 2):
-        entry = previous + unzigzag(run[position])
-        sid = run[position + 1]
-        if not 0 < sid < n_states:
-            raise SerializationError("head refers to unknown state %d" % sid)
-        tea.heads[entry] = states[sid]
-        previous = entry
-    return tea
-
-
-def _decode_profile(reader, flags, trace_set, tea):
-    if not flags & FLAG_PROFILE:
-        return None
+def _decode_profile(reader, trace_set, tea):
+    """Decode a profile section against the decoded automaton."""
     by_key = {}
     for trace in trace_set:
         for tbb in trace:
@@ -482,39 +423,36 @@ def _decode_profile(reader, flags, trace_set, tea):
     return profile
 
 
+def _as_v2(data):
+    """``data`` as v2 bytes: v2 is returned as is, v1 is converted once
+    (anything else raises :class:`SerializationError`)."""
+    from repro.store.binary_v2 import BINARY_VERSION_V2, convert_v1_to_v2
+
+    if snapshot_version(data) == BINARY_VERSION_V2:
+        return data
+    return convert_v1_to_v2(data)
+
+
 def load_tea_binary(data, block_index, with_meta=False):
     """Rebuild ``(trace_set, tea, profile_or_None)`` from snapshot bytes.
 
     The automaton comes back exactly as saved — same state ids, same
     transition lists, same head registry — without re-running
     Algorithm 1.  With ``with_meta=True`` the result is a 4-tuple whose
-    last element is the snapshot's meta dict (or ``None``).
+    last element is the snapshot's meta dict (or ``None``).  v1 bytes
+    are converted to v2 first.
     """
-    from repro.store.binary_v2 import BINARY_VERSION_V2, load_tea_binary_v2
+    from repro.store.binary_v2 import load_tea_binary_v2
 
-    if snapshot_version(data) == BINARY_VERSION_V2:
-        return load_tea_binary_v2(data, block_index, with_meta=with_meta)
-    reader, flags = _open_snapshot(data)
-    meta = _decode_meta(reader, flags)
-    trace_set = _decode_traces(reader, block_index)
-    tea = _decode_automaton(reader, trace_set)
-    profile = _decode_profile(reader, flags, trace_set, tea)
-    if not reader.exhausted:
-        raise SerializationError(
-            "%d trailing bytes after snapshot payload"
-            % (reader.end - reader.pos)
-        )
-    if with_meta:
-        return trace_set, tea, profile, meta
-    return trace_set, tea, profile
+    return load_tea_binary_v2(_as_v2(data), block_index,
+                              with_meta=with_meta)
 
 
 def _scan_traces(reader):
     """Skip the traces section; returns ``(kind, n_traces, n_tbbs, n_edges)``.
 
-    Shared by the inspection paths that need the automaton section but
-    no program image (:func:`peek_tea_binary`,
-    :func:`compile_tea_binary`): block spans are scanned, not interned.
+    Block spans are scanned, not interned: the v1 -> v2 converter needs
+    the section's extent and counts, not a program image.
     """
     kind = reader.string() or None
     n_traces = reader.uvarint()
@@ -538,10 +476,10 @@ def _decode_automaton_tables(reader):
 
     Returns ``(n_states, refs, trans_offset, trans_labels, trans_dest,
     head_entries, head_sids)`` where ``refs`` is the flattened
-    ``(trace_id, tbb_index)`` int list.  Shared by
-    :func:`compile_tea_binary` and the v1 → v2 converter — the TEAB
-    automaton section *is* the compiled layout (label-sorted transition
-    runs, entry-sorted heads), so one pass fills every table.
+    ``(trace_id, tbb_index)`` int list — the shape
+    :func:`_automaton_tables` builds from objects.  The v1 automaton
+    section *is* the compiled layout (label-sorted transition runs,
+    entry-sorted heads), so one pass fills every table.
     """
     from array import array
 
@@ -586,88 +524,55 @@ def _decode_automaton_tables(reader):
 
 def compile_tea_binary(data, verify=True):
     """Lower snapshot bytes straight into a
-    :class:`~repro.core.compiled.CompiledTea`.
+    :class:`~repro.core.compiled.CompiledTea`, without materializing
+    the ``TeaState`` object graph, the trace set, or a program image.
 
     v2 snapshots take the zero-copy path
     (:func:`~repro.store.binary_v2.compile_tea_binary_v2`): the CSR
     tables are int64 views straight into ``data``, so passing an
     ``mmap`` shares the page cache across processes.  v1 snapshots are
-    decoded below: the TEAB automaton section *is* the compiled layout
-    — per-state transition runs sorted by label, heads sorted by entry
-    — so the tables can be filled in one decoding pass without
-    materializing the ``TeaState`` object graph, the trace set, or a
-    program image.  The per-state instruction metadata arrays come back
-    zeroed: the format does not store instruction counts (and must not
-    change — snapshot bytes are content-addressed), and the compiled
-    replayer never reads them (packed transition streams carry the
-    dynamic counts).
+    converted to v2 first.  The per-state instruction metadata arrays
+    come back zeroed: the format does not store instruction counts, and
+    the compiled replayer never reads them (packed transition streams
+    carry the dynamic counts).
 
     With ``verify=True`` (the default) the snapshot rule family
-    (``TEA020``-``TEA026``) certifies the bytes first and a
+    (``TEA020``-``TEA025``) certifies the bytes first and a
     :class:`~repro.errors.VerificationError` — still a
     :class:`SerializationError` — carries the full diagnostics when
     they are damaged.  Pass ``verify=False`` to skip the pass (the
     verifier itself does, to avoid re-scanning).
     """
-    from repro.core.compiled import CompiledTea
     from repro.store.binary_v2 import BINARY_VERSION_V2, compile_tea_binary_v2
 
-    if snapshot_version(data) == BINARY_VERSION_V2:
-        return compile_tea_binary_v2(data, verify=verify)
-    if verify:
-        from repro.verify.api import verify_snapshot_bytes
+    if snapshot_version(data) != BINARY_VERSION_V2:
+        if verify:
+            from repro.verify.api import verify_snapshot_bytes
 
-        verify_snapshot_bytes(data, deep=False).raise_on_error()
-    reader, flags = _open_snapshot(data)
-    _decode_meta(reader, flags)
-    _scan_traces(reader)
-    (n_states, _refs, trans_offset, trans_labels, trans_dest,
-     head_entries, head_sids) = _decode_automaton_tables(reader)
-    # Any trailing profile section is irrelevant to the tables.
-    tbb_flag = b"\x00" + b"\x01" * (n_states - 1)
-    return CompiledTea(n_states, tbb_flag, trans_offset, trans_labels,
-                       trans_dest, head_entries, head_sids)
+            verify_snapshot_bytes(data, deep=False).raise_on_error()
+        data, verify = _as_v2(data), False
+    return compile_tea_binary_v2(data, verify=verify)
 
 
 def peek_tea_binary(data):
     """Structural summary of snapshot bytes, without a program image.
 
-    Unlike :func:`load_tea_binary` this needs no :class:`BlockIndex`:
-    block spans are scanned but not interned.  Returns a dict with the
-    version, counts, profile presence, meta, and byte size.  v2
-    snapshots dispatch to the header-only
-    :func:`~repro.store.binary_v2.peek_tea_binary_v2` (no varint decode
-    at all) and additionally report the section table.
+    Unlike :func:`load_tea_binary` this needs no :class:`BlockIndex`
+    and decodes no varint: counts come from the v2 header
+    (:func:`~repro.store.binary_v2.peek_tea_binary_v2`).  Returns a
+    dict with the file's own version, counts, profile presence, meta,
+    byte size and, for v2 files, the section table.  v1 bytes are
+    converted to v2 first.
     """
-    from repro.store.binary_v2 import BINARY_VERSION_V2, peek_tea_binary_v2
+    from repro.store.binary_v2 import peek_tea_binary_v2
 
-    if snapshot_version(data) == BINARY_VERSION_V2:
-        return peek_tea_binary_v2(data)
-    reader, flags = _open_snapshot(data)
-    meta = _decode_meta(reader, flags)
-    kind, n_traces, n_tbbs, n_edges = _scan_traces(reader)
-    n_states = reader.uvarint()
-    reader.uvarint_run(2 * (n_states - 1))
-    n_transitions = 0
-    for _ in range(n_states):
-        state_transitions = reader.uvarint()
-        n_transitions += state_transitions
-        reader.uvarint_run(2 * state_transitions)
-    n_heads = reader.uvarint()
-    return {
-        "format": "binary",
-        "version": BINARY_VERSION,
-        "kind": kind,
-        "traces": n_traces,
-        "tbbs": n_tbbs,
-        "edges": n_edges,
-        "states": n_states,
-        "transitions": n_transitions,
-        "heads": n_heads,
-        "profile": bool(flags & FLAG_PROFILE),
-        "meta": meta,
-        "bytes": len(data),
-    }
+    converted = _as_v2(data)
+    info = peek_tea_binary_v2(converted)
+    if converted is not data:
+        # The section table describes the converted image, not the file.
+        del info["sections"]
+        info.update(version=snapshot_version(data), bytes=len(data))
+    return info
 
 
 def save_tea_binary(path, trace_set, tea=None, profile=None, meta=None):

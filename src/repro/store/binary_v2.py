@@ -1,9 +1,12 @@
 """The mmap-able binary TEA snapshot codec (format ``TEAB`` v2).
 
-TEAB v1 (:mod:`repro.store.binary`) is a monolithic varint blob: every
-load re-decodes every transition with a Python loop.  v2 keeps the v1
-*content* — the same trace grammar, the same automaton, the same
-optional profile and meta — but lays the automaton tables out exactly
+v2 is the one format snapshots are written in
+(:func:`~repro.store.binary.dump_tea_binary`).  The older TEAB v1
+(:mod:`repro.store.binary`) is a monolithic varint blob that every load
+had to re-decode with a Python loop; it is read-only now, converted
+once by :func:`convert_v1_to_v2`.  v2 keeps the v1 *content* — the same
+trace grammar, the same automaton, the same optional profile and meta
+— but lays the automaton tables out exactly
 the way :class:`~repro.core.compiled.CompiledTea` consumes them: raw
 little-endian int64 arrays, each section 8-byte aligned, addressed by a
 fixed header + section table.  Loading the compiled automaton is then
@@ -49,10 +52,11 @@ Sections (``*`` = required):
 12  PROFILE        the v1 profile section, byte-for-byte
 ==  =============  =====================================================
 
-The encoding is fully deterministic — same content, same bytes — so v2
-snapshots content-address exactly like v1, and the conversions
-:func:`convert_v1_to_v2` / :func:`convert_v2_to_v1` are exact inverses
-on canonical inputs (verify rule ``TEA026`` checks that round trip).
+The encoding is fully deterministic — same content, same bytes — so
+snapshots are content-addressed, and :func:`convert_v1_to_v2` of a
+canonical v1 file gives exactly the bytes the writer produces for the
+same content.  Deep verification walks the embedded TRACES, META and
+PROFILE blobs and re-derives SUMMARY and LABEL_POOL from them.
 All multi-byte integers are little-endian regardless of host byte
 order; big-endian hosts fall back to a byteswapping ``array`` copy.
 """
@@ -76,15 +80,9 @@ from repro.store.binary import (
     _open_snapshot,
     _Reader,
     _scan_traces,
-    dump_tea_binary,
-    write_svarint,
-    write_uvarint,
 )
 
 BINARY_VERSION_V2 = 2
-
-#: The format new snapshots are written in (:meth:`AutomatonStore.put`).
-DEFAULT_SNAPSHOT_VERSION = 2
 
 HEADER_SIZE = 24
 ENTRY_SIZE = 32
@@ -134,8 +132,12 @@ INT64_SECTIONS = frozenset((
 ))
 
 
-def _canon_json(value):
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+def summary_json(kind, n_traces, n_tbbs, n_edges):
+    """The canonical SUMMARY section bytes for a traces blob."""
+    return json.dumps(
+        {"edges": n_edges, "kind": kind, "tbbs": n_tbbs, "traces": n_traces},
+        sort_keys=True, separators=(",", ":"),
+    ).encode("utf-8")
 
 
 def _int64_bytes(values):
@@ -167,20 +169,21 @@ def int64_section(buffer, offset, length):
 # encoding
 # ---------------------------------------------------------------------
 
-def _assemble_v2(kind, n_traces, n_tbbs, n_edges, meta_raw, traces_raw,
-                 tables, profile_raw):
-    """Build v2 bytes from pre-encoded blobs + decoded automaton tables."""
+def _assemble_v2(summary, meta_raw, traces_raw, tables, profile_raw):
+    """Build v2 bytes from pre-encoded blobs + automaton tables.
+
+    ``summary`` is ``(kind, n_traces, n_tbbs, n_edges)`` of the traces
+    blob; ``tables`` is the CSR tuple of
+    :func:`~repro.store.binary._automaton_tables`.
+    """
     (n_states, refs, trans_offset, trans_labels, trans_dest,
      head_entries, head_sids) = tables
-    summary = _canon_json({
-        "edges": n_edges, "kind": kind, "tbbs": n_tbbs, "traces": n_traces,
-    }).encode("utf-8")
     label_pool = sorted(set(trans_labels) | set(head_entries))
-    sections = [(SEC_SUMMARY, summary, 0)]
+    sections = [(SEC_SUMMARY, summary_json(*summary), 0)]
     if meta_raw is not None:
         sections.append((SEC_META, meta_raw, 0))
     sections.extend([
-        (SEC_TRACES, traces_raw, n_traces),
+        (SEC_TRACES, traces_raw, summary[1]),
         (SEC_STATE_REFS, _int64_bytes(refs), 2 * (n_states - 1)),
         (SEC_TBB_FLAG, b"\x00" + b"\x01" * (n_states - 1), n_states),
         (SEC_TRANS_OFFSET, _int64_bytes(trans_offset), n_states + 1),
@@ -217,29 +220,26 @@ def _pack_v2(sections):
     return prefix + struct.pack("<II", table_crc, 0) + table + bytes(body)
 
 
-def dump_tea_binary_v2(trace_set, tea=None, profile=None, meta=None):
-    """Serialize to v2 bytes (same content model as v1's dump).
-
-    Implemented as encode-v1 + :func:`convert_v1_to_v2`, which makes the
-    canonical-roundtrip guarantee structural: the v2 bytes for any
-    content are *defined* as the conversion of its canonical v1 bytes.
-    Writes are rare and loads are the hot path, so the extra encode is
-    the right trade.
-    """
-    return convert_v1_to_v2(
-        dump_tea_binary(trace_set, tea=tea, profile=profile, meta=meta)
-    )
-
-
 def convert_v1_to_v2(data):
-    """Re-encode canonical v1 snapshot bytes as v2 bytes (exact inverse
-    of :func:`convert_v2_to_v1` on canonical inputs)."""
+    """Re-encode v1 snapshot bytes as v2 bytes.
+
+    The META, TRACES and PROFILE slices are carried over byte for byte;
+    the automaton section becomes the int64 tables.  This is the only
+    conversion: v2 is never turned back into v1.
+    """
+    return _assemble_v2(*v1_parts(data))
+
+
+def v1_parts(data):
+    """Split v1 snapshot bytes into :func:`_assemble_v2`'s arguments:
+    ``(summary, meta_raw, traces_raw, tables, profile_raw)``, the blobs
+    as the exact v1 slices."""
     reader, flags = _open_snapshot(data)
     meta_raw = None
     if flags & FLAG_META:
         meta_raw = bytes(reader.take(reader.uvarint()))
     traces_start = reader.pos
-    kind, n_traces, n_tbbs, n_edges = _scan_traces(reader)
+    summary = _scan_traces(reader)
     traces_raw = bytes(data[traces_start:reader.pos])
     tables = _decode_automaton_tables(reader)
     profile_raw = None
@@ -251,60 +251,7 @@ def convert_v1_to_v2(data):
             "%d trailing bytes after snapshot payload"
             % (reader.end - reader.pos)
         )
-    return _assemble_v2(kind, n_traces, n_tbbs, n_edges, meta_raw,
-                        traces_raw, tables, profile_raw)
-
-
-def convert_v2_to_v1(data):
-    """Re-encode v2 snapshot bytes as canonical v1 bytes."""
-    sections = open_v2(data)
-    out = bytearray()
-    out += MAGIC
-    out.append(1)
-    flags = 0
-    if SEC_META in sections:
-        flags |= FLAG_META
-    if SEC_PROFILE in sections:
-        flags |= FLAG_PROFILE
-    out.append(flags)
-    if SEC_META in sections:
-        meta_raw = _section_bytes(data, sections, SEC_META)
-        write_uvarint(out, len(meta_raw))
-        out += meta_raw
-    out += _section_bytes(data, sections, SEC_TRACES)
-    refs = _int64_of(data, sections, SEC_STATE_REFS)
-    trans_offset = _int64_of(data, sections, SEC_TRANS_OFFSET)
-    trans_labels = _int64_of(data, sections, SEC_TRANS_LABELS)
-    trans_dest = _int64_of(data, sections, SEC_TRANS_DEST)
-    head_entries = _int64_of(data, sections, SEC_HEAD_ENTRIES)
-    head_sids = _int64_of(data, sections, SEC_HEAD_SIDS)
-    n_states = sections[SEC_TBB_FLAG][2]
-    write_uvarint(out, n_states)
-    for value in refs:
-        if value < 0:
-            raise SerializationError(
-                "negative state reference %d in v2 snapshot" % value
-            )
-        write_uvarint(out, value)
-    for sid in range(n_states):
-        low, high = trans_offset[sid], trans_offset[sid + 1]
-        write_uvarint(out, high - low)
-        previous = 0
-        for position in range(low, high):
-            label = trans_labels[position]
-            write_svarint(out, label - previous)
-            write_uvarint(out, trans_dest[position])
-            previous = label
-    write_uvarint(out, len(head_entries))
-    previous = 0
-    for entry, sid in zip(head_entries, head_sids):
-        write_svarint(out, entry - previous)
-        write_uvarint(out, sid)
-        previous = entry
-    if SEC_PROFILE in sections:
-        out += _section_bytes(data, sections, SEC_PROFILE)
-    out += zlib.crc32(out).to_bytes(4, "little")
-    return bytes(out)
+    return summary, meta_raw, traces_raw, tables, profile_raw
 
 
 # ---------------------------------------------------------------------
@@ -530,10 +477,9 @@ def compile_tea_binary_v2(data, verify=True):
 def load_tea_binary_v2(data, block_index, with_meta=False):
     """Rebuild ``(trace_set, tea, profile_or_None)`` from v2 bytes.
 
-    Bit-exact with the v1 loader on converted snapshots: the TRACES and
-    PROFILE sections carry the v1 grammar verbatim, and the automaton
-    is rebuilt from the CSR sections in the same state/transition/head
-    order the v1 decoder produces.
+    The TRACES and PROFILE sections carry the v1 varint grammar
+    verbatim; the automaton is rebuilt from the CSR sections in
+    state-id order, transitions in label order and heads in entry order.
     """
     from repro.core.automaton import TEA
 
@@ -585,7 +531,7 @@ def load_tea_binary_v2(data, block_index, with_meta=False):
     profile = None
     if SEC_PROFILE in sections:
         reader = _Reader(_section_bytes(data, sections, SEC_PROFILE))
-        profile = _decode_profile(reader, FLAG_PROFILE, trace_set, tea)
+        profile = _decode_profile(reader, trace_set, tea)
         if not reader.exhausted:
             raise SerializationError(
                 "%d trailing bytes after the profile section"

@@ -9,11 +9,12 @@ the binary codec is deterministic, storing the same automaton twice is
 a no-op, and a key fully identifies an automaton's shape, numbering and
 profile.
 
-New snapshots are written in the TEAB v2 section layout
-(:mod:`repro.store.binary_v2`) so :meth:`AutomatonStore.map_compiled`
-can serve them zero-copy off a shared read-only ``mmap``; v1 snapshots
-load transparently everywhere and :meth:`AutomatonStore.migrate`
-re-encodes a store in place.
+Snapshots are written in the TEAB v2 section layout
+(:mod:`repro.store.binary_v2`), the only format ever written, so
+:meth:`AutomatonStore.map_compiled` can serve them zero-copy off a
+shared read-only ``mmap``.  v1 files left by older stores still load
+everywhere (converted on read), and :meth:`AutomatonStore.migrate`
+re-encodes them as v2 in place.
 
 The replay service (:mod:`repro.service`) preloads every snapshot in a
 store at startup and serves them by key (or by the ``label`` /
@@ -44,20 +45,13 @@ from repro.isa.image import ImageHeader, decode_image, encode_image
 from repro.isa.image import HEADER_SIZE as IMAGE_HEADER_SIZE
 from repro.obs import Observability
 from repro.store.binary import (
-    BINARY_VERSION,
     compile_tea_binary,
     dump_tea_binary,
     load_tea_binary,
     peek_tea_binary,
     snapshot_version,
 )
-from repro.store.binary_v2 import (
-    BINARY_VERSION_V2,
-    DEFAULT_SNAPSHOT_VERSION,
-    convert_v1_to_v2,
-    convert_v2_to_v1,
-    dump_tea_binary_v2,
-)
+from repro.store.binary_v2 import BINARY_VERSION_V2, convert_v1_to_v2
 from repro.util import atomic_write_bytes
 
 #: File extension for stored snapshots.
@@ -128,6 +122,39 @@ def _header_digest(path, parse, header_size):
         return parse(head, size=size).program_digest
     except (OSError, SerializationError):
         return None
+
+
+def _check_migration(key, old, new):
+    """Refuse the v1 -> v2 conversion ``old`` -> ``new`` of snapshot
+    ``key`` unless it lost nothing: the v2 META, TRACES and PROFILE
+    sections must equal the v1 slices byte for byte, STATE_REFS the v1
+    state references, and the compiled v2 automaton must be
+    structurally equal to the tables decoded straight from the v1
+    automaton section."""
+    from repro.core.compiled import CompiledTea
+    from repro.store.binary_v2 import (
+        SEC_META, SEC_PROFILE, SEC_STATE_REFS, SEC_TRACES,
+        _int64_of, _section_bytes, open_v2, v1_parts,
+    )
+
+    _summary, meta_raw, traces_raw, tables, profile_raw = v1_parts(old)
+    n_states, refs, *csr = tables
+    sections = open_v2(new)
+    carried = all(
+        (_section_bytes(new, sections, sec_id) if sec_id in sections
+         else None) == raw
+        for sec_id, raw in ((SEC_META, meta_raw), (SEC_TRACES, traces_raw),
+                            (SEC_PROFILE, profile_raw))
+    )
+    if not (carried
+            and list(_int64_of(new, sections, SEC_STATE_REFS)) == list(refs)
+            and compile_tea_binary(new, verify=False).structurally_equal(
+                CompiledTea(n_states, b"\x00" + b"\x01" * (n_states - 1),
+                            *csr))):
+        raise SerializationError(
+            "snapshot %s does not survive the v1 -> v2 conversion; "
+            "refusing to migrate it" % key
+        )
 
 
 def stable_hash64(text, salt=""):
@@ -226,26 +253,16 @@ class AutomatonStore:
         return key
 
     def put(self, trace_set, tea=None, profile=None, meta=None,
-            version=DEFAULT_SNAPSHOT_VERSION, program=None):
-        """Encode and store one automaton; returns its content key.
+            program=None):
+        """Encode one automaton as TEAB v2 and store it; returns its
+        content key.
 
-        ``version`` selects the snapshot format: 2 (the default) writes
-        the mmap-able section layout, 1 the legacy varint stream.  Both
-        are canonical per version — the same automaton always produces
-        the same bytes, hence the same content key, within a format.
-        ``program`` is stored as the snapshot's image (see
-        :meth:`put_bytes`).
+        The encoding is canonical — the same automaton always produces
+        the same bytes, hence the same content key.  ``program`` is
+        stored as the snapshot's image (see :meth:`put_bytes`).
         """
-        if version == BINARY_VERSION_V2:
-            data = dump_tea_binary_v2(trace_set, tea=tea, profile=profile,
-                                      meta=meta)
-        elif version == BINARY_VERSION:
-            data = dump_tea_binary(trace_set, tea=tea, profile=profile,
-                                   meta=meta)
-        else:
-            raise SerializationError(
-                "unknown snapshot version %r (know 1 and 2)" % (version,)
-            )
+        data = dump_tea_binary(trace_set, tea=tea, profile=profile,
+                               meta=meta)
         return self.put_bytes(data, program=program)
 
     def image_path(self, key):
@@ -338,38 +355,26 @@ class AutomatonStore:
         self._gets.inc()
         return cached_mapping(path, gate=gate).compiled()
 
-    def migrate(self, to_version=BINARY_VERSION_V2):
-        """Re-encode every snapshot into ``to_version``; returns a dict
-        mapping each re-encoded snapshot's old content key to its new
-        one (unchanged snapshots are not in the dict).
+    def migrate(self):
+        """Re-encode every v1 snapshot as v2; returns a dict mapping
+        each re-encoded snapshot's old content key to its new one (v2
+        snapshots are not in the dict, so a second call returns ``{}``).
 
-        The conversion is checked before anything is deleted: the new
-        bytes must convert *back* to the original image byte-for-byte
-        (the TEA026 invariant), so a migration can never lose content.
-        Because keys are content addresses, migrating changes them.
+        Each conversion is checked before anything is deleted (see
+        :func:`_check_migration`), so a migration can never lose
+        content.  Because keys are content addresses, migrating changes
+        them.
         """
-        if to_version not in (BINARY_VERSION, BINARY_VERSION_V2):
-            raise SerializationError(
-                "unknown snapshot version %r (know 1 and 2)" % (to_version,)
-            )
-        forward = (convert_v1_to_v2 if to_version == BINARY_VERSION_V2
-                   else convert_v2_to_v1)
-        backward = (convert_v2_to_v1 if to_version == BINARY_VERSION_V2
-                    else convert_v1_to_v2)
         migrated = {}
         for path in list(self._entry_paths()):
             with open(path, "rb") as handle:
                 data = handle.read()
-            if snapshot_version(data) == to_version:
+            if snapshot_version(data) == BINARY_VERSION_V2:
                 continue
             old_key = os.path.basename(path)[:-len(SNAPSHOT_SUFFIX)]
             self._gate(old_key, data)
-            converted = forward(data)
-            if backward(converted) != data:
-                raise SerializationError(
-                    "snapshot %s does not survive the v%d round-trip; "
-                    "refusing to migrate it" % (old_key, to_version)
-                )
+            converted = convert_v1_to_v2(data)
+            _check_migration(old_key, data, converted)
             # The image is bound to the snapshot's key, which changes.
             image = self.image_path(old_key)
             program = (self.load_program(old_key) if os.path.exists(image)
@@ -692,25 +697,20 @@ def describe_snapshot(path):
         raise SerializationError("cannot read %s: %s" % (path, error)) from None
     if data[:4] == b"TEAB":
         info = peek_tea_binary(data)
-        if snapshot_version(data) == BINARY_VERSION_V2:
-            # The CSR tables sit raw in the file: read them as int64
-            # views, never materializing an automaton at all.
-            from repro.store.binary_v2 import (
-                SEC_HEAD_SIDS, SEC_TRANS_LABELS, SEC_TRANS_OFFSET,
-                int64_section, open_v2,
-            )
+        # The CSR tables sit raw in the v2 file: read them as int64
+        # views, never materializing an automaton at all.
+        from repro.store.binary import _as_v2
+        from repro.store.binary_v2 import (
+            SEC_HEAD_SIDS, SEC_TRANS_LABELS, SEC_TRANS_OFFSET,
+            int64_section, open_v2,
+        )
 
-            sections = open_v2(data)
-            offsets = int64_section(data, *sections[SEC_TRANS_OFFSET][:2])
-            labels = int64_section(data, *sections[SEC_TRANS_LABELS][:2])
-            head_sids = int64_section(data, *sections[SEC_HEAD_SIDS][:2])
-            n_states = len(offsets) - 1
-        else:
-            compiled = compile_tea_binary(data, verify=False)
-            offsets = compiled.trans_offset
-            labels = compiled.trans_labels
-            head_sids = compiled.head_sids
-            n_states = compiled.n_states
+        data = _as_v2(data)
+        sections = open_v2(data)
+        offsets = int64_section(data, *sections[SEC_TRANS_OFFSET][:2])
+        labels = int64_section(data, *sections[SEC_TRANS_LABELS][:2])
+        head_sids = int64_section(data, *sections[SEC_HEAD_SIDS][:2])
+        n_states = len(offsets) - 1
         edge_labels = [
             list(labels[offsets[sid]:offsets[sid + 1]])
             for sid in range(n_states)

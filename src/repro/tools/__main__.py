@@ -368,15 +368,15 @@ def _cmd_store_gc(args):
 
 
 def _cmd_store_migrate(args):
-    """Re-encode every snapshot in a store into the target format."""
+    """Re-encode every v1 snapshot in a store as TEAB v2."""
     from repro.store import AutomatonStore
 
     store = AutomatonStore(args.dir)
-    migrated = store.migrate(to_version=args.to_version)
+    migrated = store.migrate()
     for old_key, new_key in sorted(migrated.items()):
         print("%s -> %s" % (old_key, new_key))
-    print("store %s: migrated %d snapshot(s) to v%d (%d total)"
-          % (args.dir, len(migrated), args.to_version, len(store)))
+    print("store %s: migrated %d snapshot(s) to v2 (%d total)"
+          % (args.dir, len(migrated), len(store)))
     return 0
 
 
@@ -652,14 +652,11 @@ def main(argv=None):
                           help="store directory (default %(default)s)")
     store_migrate = store_commands.add_parser(
         "migrate",
-        help="re-encode every snapshot into the target TEAB format "
-             "(v2 = mmap-able sections, v1 = legacy varint stream)",
+        help="re-encode every v1 snapshot (the read-only legacy varint "
+             "stream) as TEAB v2 (mmap-able sections)",
     )
     store_migrate.add_argument("--dir", default=".tea_store",
                                help="store directory (default %(default)s)")
-    store_migrate.add_argument("--to-version", type=int, choices=(1, 2),
-                               default=2,
-                               help="target format version (default 2)")
 
     metrics = commands.add_parser(
         "metrics",

@@ -78,22 +78,21 @@ def verify_snapshot_bytes(data, program=None, source="<snapshot>",
                           engine=None, obs=None, deep=True):
     """Verify TEAB snapshot bytes.
 
-    The snapshot family always runs.  With ``deep=True`` (default) and
-    structurally sound bytes, the snapshot is also lowered to a
+    The snapshot family always runs, over one scan of the bytes.  With
+    ``deep=True`` (default) that scan also walks the blobs a v2
+    snapshot embeds, and structurally sound bytes are lowered to a
     :class:`~repro.core.compiled.CompiledTea` — and, when ``program``
     is provided, fully decoded to a trace set + automaton — so the
     automaton, CFG and compiled families check the decoded content in
-    the same report.  Deep runs also enable the v1<->v2 conversion
-    round-trip rule (TEA026); shallow runs (the store's verify-on-load
-    gate) skip it to stay O(section table) on v2 snapshots.
+    the same report.  Shallow runs (the store's verify-on-load gate)
+    stay O(section table) on v2 snapshots.
     """
     subject = Subject(source=source, snapshot=data)
     if deep:
         from repro.errors import SerializationError
-        from repro.verify.rules_snapshot import scan_snapshot
 
         subject.snapshot_deep = True
-        if scan_snapshot(data).sound():
+        if subject.snapshot_scan.sound():
             from repro.store.binary import compile_tea_binary
 
             try:

@@ -142,9 +142,9 @@ class Subject:
       against (enables the CFG-consistency family);
     - ``compiled`` — a :class:`~repro.core.compiled.CompiledTea`;
     - ``snapshot`` — raw TEAB snapshot bytes;
-    - ``snapshot_deep`` — ``True`` when the caller opted into the
-      expensive deep snapshot checks (the conversion round-trip rule
-      TEA026); load-path gating leaves it unset so verify-on-load stays
+    - ``snapshot_deep`` — ``True`` when the caller opted into the deep
+      snapshot scan (walking the blobs a v2 snapshot embeds);
+      load-path gating leaves it unset so verify-on-load stays
       O(section table);
     - ``minimization`` — a
       :class:`~repro.minimize.MinimizationResult` (original automaton,
@@ -165,13 +165,14 @@ class Subject:
     ``views`` lazily materialises one uniform
     :class:`~repro.verify.views.AutomatonView` per available automaton
     representation, so the automaton family checks the object graph and
-    the flat tables with the same code.
+    the flat tables with the same code.  ``snapshot_scan`` likewise
+    scans ``snapshot`` once for every snapshot rule.
     """
 
     __slots__ = ("source", "tea", "trace_set", "program", "compiled",
                  "snapshot", "snapshot_deep", "minimization", "tea_diff",
                  "profile", "python_source", "stream", "stream_key",
-                 "stream_digest", "_views")
+                 "stream_digest", "_views", "_snapshot_scan")
 
     def __init__(self, source="<memory>", tea=None, trace_set=None,
                  program=None, compiled=None, snapshot=None,
@@ -193,6 +194,7 @@ class Subject:
         self.stream_key = stream_key
         self.stream_digest = stream_digest
         self._views = None
+        self._snapshot_scan = None
 
     @property
     def views(self):
@@ -207,6 +209,17 @@ class Subject:
                 views.append(AutomatonView.from_compiled(self.compiled))
             self._views = views
         return self._views or None
+
+    @property
+    def snapshot_scan(self):
+        """The :class:`~repro.verify.rules_snapshot.SnapshotScan` of
+        ``snapshot`` (deep when ``snapshot_deep``), made on first use."""
+        if self._snapshot_scan is None:
+            from repro.verify.rules_snapshot import scan_snapshot
+
+            self._snapshot_scan = scan_snapshot(
+                self.snapshot, deep=bool(self.snapshot_deep))
+        return self._snapshot_scan
 
     def __repr__(self):
         facets = [

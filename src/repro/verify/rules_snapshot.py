@@ -1,4 +1,4 @@
-"""TEAB snapshot rules (TEA020-TEA026).
+"""TEAB snapshot rules (TEA020-TEA025).
 
 The binary codec (:mod:`repro.store.binary`) already rejects the worst
 corruption — bad magic, CRC mismatch, truncated varints — but it stops
@@ -8,18 +8,23 @@ encoded, so a decreasing label decodes fine), and overlong varint
 encodings (``0x80 0x00`` for zero) that break the content-addressing
 contract because two byte strings decode to the same automaton.
 
-This module re-walks the TEAB v1 grammar with its own *collecting*
+This module re-walks the varint grammar with its own *collecting*
 scanner: every finding becomes a diagnostic, nothing raises, and every
 varint read is simultaneously re-encoded canonically so the
 decode -> re-encode byte-identity check (TEA023) falls out of the scan
-for free.
+for free.  One walker per section (meta, traces, automaton, profile)
+serves both formats: a v1 payload is the four in a row, and v2 embeds
+the meta, traces and profile blobs verbatim.
 
 The v2 section layout (:mod:`repro.store.binary_v2`) gets the same
 treatment: TEA024 covers the section table (bounds, overlap,
 alignment, required sections, count consistency, canonical ordering of
-the zero-copy tables), TEA025 the table and per-section CRCs, and
-TEA026 — deep scans only — the v1<->v2 conversion round-trip that
-anchors content addressing across both formats.
+the zero-copy tables) and TEA025 the table and per-section CRCs.  A
+deep scan (``verify_snapshot_bytes(deep=True)``) also walks v2's
+embedded blobs, checks STATE_REFS against the walked TBBs and
+re-derives SUMMARY and LABEL_POOL; the shallow scan of the load-path
+gate stays O(section table).  A :class:`~repro.verify.engine.Subject`
+scans its snapshot once, however many rules read the result.
 """
 
 import json
@@ -104,12 +109,12 @@ class _Scanner:
 class SnapshotScan:
     """Result of one collecting scan over snapshot bytes.
 
-    ``envelope`` / ``structure`` / ``order`` / ``roundtrip`` (v1) and
-    ``sections`` / ``crc`` (v2) are lists of ``(message, data_dict)``
-    findings, one list per rule family member.  An envelope failure
-    aborts the payload scan (the other lists stay empty — the envelope
-    finding is the root cause).  A v1 scan leaves the v2 lists empty
-    and vice versa.
+    ``envelope`` / ``structure`` / ``order`` / ``roundtrip`` (varint
+    sections: the v1 payload, or the blobs a deep v2 scan walks) and
+    ``sections`` / ``crc`` (v2 only) are lists of ``(message,
+    data_dict)`` findings, one list per rule family member.  An
+    envelope failure aborts the payload scan (the other lists stay
+    empty — the envelope finding is the root cause).
     """
 
     __slots__ = ("envelope", "structure", "order", "roundtrip",
@@ -132,8 +137,13 @@ class SnapshotScan:
                 and not self.crc)
 
 
-def scan_snapshot(data):
-    """Structurally scan TEAB bytes; returns a :class:`SnapshotScan`."""
+def scan_snapshot(data, deep=False):
+    """Structurally scan TEAB bytes; returns a :class:`SnapshotScan`.
+
+    A v1 payload is always walked in full.  A v2 scan checks the header
+    and section table, and with ``deep`` also walks the embedded META,
+    TRACES and PROFILE blobs and re-derives SUMMARY and LABEL_POOL.
+    """
     from repro.store.binary import (
         BINARY_VERSION, FLAG_META, FLAG_PROFILE, MAGIC,
     )
@@ -156,7 +166,7 @@ def scan_snapshot(data):
         return scan
     version = data[4]
     if version == 2:
-        _scan_v2(data, scan)
+        _scan_v2(data, scan, deep)
         return scan
     if version != BINARY_VERSION:
         scan.envelope.append((
@@ -184,67 +194,95 @@ def scan_snapshot(data):
             {"stored": stored_crc, "computed": actual_crc},
         ))
         return scan
+    scan.payload_scanned = _walk(
+        data, 6, len(data) - 4, "payload", scan,
+        lambda scanner: _walk_v1(scanner, flags, scan),
+    ) is not None
+    return scan
 
-    scanner = _Scanner(data, 6, len(data) - 4)
+
+def _walk(data, start, end, what, scan, walk):
+    """Run ``walk(scanner)`` over ``data[start:end]``, one varint
+    grammar (the v1 payload, or a blob v2 embeds); returns its result,
+    or ``None`` when the bytes cannot be walked to the end.
+
+    A walk that stops early, or leaves trailing bytes, is a structure
+    finding; one whose canonical re-encoding differs from the bytes is
+    a roundtrip finding.
+    """
+    scanner = _Scanner(data, start, end)
     try:
-        _scan_payload(scanner, flags, scan)
-        scan.payload_scanned = True
+        result = walk(scanner)
     except _ScanError as error:
         scan.structure.append((
-            "payload scan failed at byte %d: %s" % (scanner.pos, error),
+            "%s scan failed at byte %d: %s" % (what, scanner.pos, error),
             {"offset": scanner.pos},
         ))
-        return scan
-
+        return None
     if not scanner.exhausted:
         scan.structure.append((
-            "%d trailing byte(s) after the snapshot payload"
-            % (scanner.end - scanner.pos),
-            {"trailing": scanner.end - scanner.pos},
+            "%d trailing byte(s) after the %s" % (end - scanner.pos, what),
+            {"trailing": end - scanner.pos},
         ))
-    elif bytes(scanner.canon) != bytes(data[6:len(data) - 4]):
+    elif bytes(scanner.canon) != bytes(data[start:end]):
         # Same decoded values, different bytes: some varint is overlong
         # (or a string length disagrees).  Find the first divergence for
         # the message.
         canon = bytes(scanner.canon)
-        original = bytes(data[6:len(data) - 4])
+        original = bytes(data[start:end])
         offset = next(
             (i for i, (a, b) in enumerate(zip(canon, original)) if a != b),
             min(len(canon), len(original)),
         )
         scan.roundtrip.append((
-            "payload is not canonically encoded: re-encoding the "
-            "decoded values diverges at payload byte %d (snapshot "
-            "byte %d); content addressing requires canonical varints"
-            % (offset, offset + 6),
-            {"offset": offset + 6},
+            "%s is not canonically encoded: re-encoding the decoded "
+            "values diverges at its byte %d (snapshot byte %d); content "
+            "addressing requires canonical varints"
+            % (what, offset, start + offset),
+            {"offset": start + offset},
         ))
-    return scan
+    return result
 
 
-def _scan_payload(scanner, flags, scan):
+def _walk_v1(scanner, flags, scan):
     """Walk the whole TEAB v1 grammar, collecting findings into ``scan``."""
     from repro.store.binary import FLAG_META, FLAG_PROFILE
 
     if flags & FLAG_META:
-        meta_text = scanner.string()
-        try:
-            json.loads(meta_text)
-        except json.JSONDecodeError as error:
-            scan.structure.append((
-                "meta section is not valid JSON: %s" % error, {},
-            ))
+        _check_meta(scanner.string(), scan)
+    tbb_keys, _summary = _walk_traces(scanner, scan)
+    _walk_automaton(scanner, tbb_keys, scan)
+    if flags & FLAG_PROFILE:
+        _walk_profile(scanner, tbb_keys, scan)
+    return True
 
-    # -- traces section ------------------------------------------------
-    scanner.string()                       # trace-set kind
+
+def _check_meta(text, scan):
+    """The meta section must be JSON (``text``: str or UTF-8 bytes)."""
+    try:
+        json.loads(text)
+    except ValueError as error:
+        scan.structure.append((
+            "meta section is not valid JSON: %s" % error, {},
+        ))
+
+
+def _walk_traces(scanner, scan):
+    """Walk the traces grammar; returns ``(tbb_keys, summary)`` — the
+    set of ``(trace_id, index)`` keys and ``(kind, n_traces, n_tbbs,
+    n_edges)``."""
+    kind = scanner.string() or None
     n_traces = scanner.uvarint()
-    tbb_keys = set()                       # (trace_id, index)
+    tbb_keys = set()
     entries = set()
+    total_tbbs = 0
+    total_edges = 0
     for _ in range(n_traces):
         trace_id = scanner.uvarint()
         scanner.string()                   # trace kind
         scanner.optional_uvarint()         # anchor
         n_tbbs = scanner.uvarint()
+        total_tbbs += n_tbbs
         if n_tbbs == 0:
             scan.structure.append((
                 "trace T%d has no TBBs" % trace_id,
@@ -274,6 +312,7 @@ def _scan_payload(scanner, flags, scan):
                 ))
             entries.add(entry)
         n_edges = scanner.uvarint()
+        total_edges += n_edges
         previous = 0
         for _ in range(n_edges):
             from_index = previous + scanner.uvarint()
@@ -285,30 +324,42 @@ def _scan_payload(scanner, flags, scan):
                     {"trace": trace_id},
                 ))
             previous = from_index
+    return tbb_keys, (kind, n_traces, total_tbbs, total_edges)
 
-    # -- automaton section ---------------------------------------------
-    n_states = scanner.uvarint()
-    if n_states < 1:
-        scan.structure.append((
-            "automaton section declares %d states; the NTE state is "
-            "mandatory" % n_states, {},
-        ))
-    seen_refs = set()
-    for sid in range(1, max(n_states, 1)):
-        key = (scanner.uvarint(), scanner.uvarint())
+
+def _check_state_refs(refs, tbb_keys, scan):
+    """Each non-NTE state (``refs`` yields their ``(trace_id, index)``
+    keys in state-id order from sid 1) must name its own walked TBB."""
+    seen = set()
+    for sid, key in enumerate(refs, start=1):
         if key not in tbb_keys:
             scan.structure.append((
                 "state %d refers to unknown TBB (T%d, #%d)"
                 % (sid, key[0], key[1]),
                 {"sid": sid},
             ))
-        if key in seen_refs:
+        if key in seen:
             scan.structure.append((
                 "two states refer to the same TBB (T%d, #%d)"
                 % (key[0], key[1]),
                 {"sid": sid},
             ))
-        seen_refs.add(key)
+        seen.add(key)
+
+
+def _walk_automaton(scanner, tbb_keys, scan):
+    """Walk the v1 automaton section."""
+    n_states = scanner.uvarint()
+    if n_states < 1:
+        scan.structure.append((
+            "automaton section declares %d states; the NTE state is "
+            "mandatory" % n_states, {},
+        ))
+    _check_state_refs(
+        [(scanner.uvarint(), scanner.uvarint())
+         for _ in range(1, max(n_states, 1))],
+        tbb_keys, scan,
+    )
     for sid in range(max(n_states, 1)):
         n_transitions = scanner.uvarint()
         previous = 0
@@ -346,34 +397,35 @@ def _scan_payload(scanner, flags, scan):
             ))
         previous = entry
 
-    # -- profile section -----------------------------------------------
-    if flags & FLAG_PROFILE:
-        n_counts = scanner.uvarint()
-        for _ in range(n_counts):
-            key = (scanner.uvarint(), scanner.uvarint())
-            scanner.uvarint()              # count
-            if key not in tbb_keys:
-                scan.structure.append((
-                    "profile count refers to unknown TBB (T%d, #%d)"
-                    % key, {},
+
+def _walk_profile(scanner, tbb_keys, scan):
+    """Walk the profile grammar against the walked TBB keys."""
+    n_counts = scanner.uvarint()
+    for _ in range(n_counts):
+        key = (scanner.uvarint(), scanner.uvarint())
+        scanner.uvarint()              # count
+        if key not in tbb_keys:
+            scan.structure.append((
+                "profile count refers to unknown TBB (T%d, #%d)"
+                % key, {},
+            ))
+    for map_index in range(3):
+        n_items = scanner.uvarint()
+        previous = None
+        for _ in range(n_items):
+            trace_id = scanner.uvarint()
+            scanner.uvarint()          # value
+            if previous is not None and trace_id <= previous:
+                scan.order.append((
+                    "profile map %d keys are not strictly "
+                    "increasing (T%d after T%d)"
+                    % (map_index, trace_id, previous),
+                    {"map": map_index},
                 ))
-        for map_index in range(3):
-            n_items = scanner.uvarint()
-            previous = None
-            for _ in range(n_items):
-                trace_id = scanner.uvarint()
-                scanner.uvarint()          # value
-                if previous is not None and trace_id <= previous:
-                    scan.order.append((
-                        "profile map %d keys are not strictly "
-                        "increasing (T%d after T%d)"
-                        % (map_index, trace_id, previous),
-                        {"map": map_index},
-                    ))
-                previous = trace_id
+            previous = trace_id
 
 
-def _scan_v2(data, scan):
+def _scan_v2(data, scan, deep):
     """Collecting scan of the TEAB v2 section layout.
 
     The same checks :func:`repro.store.binary_v2.open_v2` applies
@@ -382,7 +434,8 @@ def _scan_v2(data, scan):
     exactly at the last section, CSR monotonicity, head/label-pool
     ordering, and the in-trace flag pattern.  Envelope damage lands in
     ``scan.envelope``, section-table/structure damage in
-    ``scan.sections``, CRC mismatches in ``scan.crc``.
+    ``scan.sections``, CRC mismatches in ``scan.crc``.  ``deep`` adds
+    :func:`_scan_v2_blobs` once all of that is clean.
     """
     import struct
     import zlib
@@ -623,6 +676,58 @@ def _scan_v2(data, scan):
         scan.sections.append((
             "label_pool is not strictly increasing", {},
         ))
+    if deep and not scan.sections:
+        _scan_v2_blobs(data, sections, view, scan)
+
+
+def _scan_v2_blobs(data, sections, view, scan):
+    """Deep v2 checks: walk the embedded META, TRACES and PROFILE blobs
+    with the v1 grammar walkers, check STATE_REFS against the walked
+    TBBs, and re-derive SUMMARY and LABEL_POOL.
+
+    Blob findings go where the same damage in a v1 payload goes
+    (structure, order, roundtrip); a SUMMARY or LABEL_POOL that does
+    not match what it is derived from is a section finding.
+    """
+    from repro.store.binary_v2 import (
+        SEC_HEAD_ENTRIES, SEC_LABEL_POOL, SEC_META, SEC_PROFILE,
+        SEC_STATE_REFS, SEC_SUMMARY, SEC_TRACES, SEC_TRANS_LABELS,
+        summary_json,
+    )
+
+    def blob(sec_id):
+        offset, length, _count = sections[sec_id]
+        return offset, offset + length
+
+    if SEC_META in sections:
+        start, end = blob(SEC_META)
+        _check_meta(bytes(memoryview(data)[start:end]), scan)
+    start, end = blob(SEC_TRACES)
+    walked = _walk(data, start, end, "traces section", scan,
+                   lambda scanner: _walk_traces(scanner, scan))
+    if walked is None:
+        return
+    tbb_keys, summary = walked
+    refs = view(SEC_STATE_REFS)
+    _check_state_refs(zip(refs[0::2], refs[1::2]), tbb_keys, scan)
+    start, end = blob(SEC_SUMMARY)
+    if bytes(memoryview(data)[start:end]) != summary_json(*summary):
+        scan.sections.append((
+            "summary section does not match the traces section "
+            "(derived %s)" % summary_json(*summary).decode("utf-8"),
+            {},
+        ))
+    derived = sorted(set(view(SEC_TRANS_LABELS))
+                     | set(view(SEC_HEAD_ENTRIES)))
+    if list(view(SEC_LABEL_POOL)) != derived:
+        scan.sections.append((
+            "label_pool is not the sorted set of transition labels and "
+            "head entries", {},
+        ))
+    if SEC_PROFILE in sections:
+        start, end = blob(SEC_PROFILE)
+        _walk(data, start, end, "profile section", scan,
+              lambda scanner: _walk_profile(scanner, tbb_keys, scan))
 
 
 class _SnapshotRule(Rule):
@@ -633,7 +738,7 @@ class _SnapshotRule(Rule):
     scan_field = None
 
     def check(self, subject):
-        scan = scan_snapshot(subject.snapshot)
+        scan = subject.snapshot_scan
         for message, data in getattr(scan, self.scan_field):
             yield self.diag(message, **data)
 
@@ -653,8 +758,9 @@ class SnapshotStructure(_SnapshotRule):
     rule_id = "TEA021"
     name = "snapshot-structure"
     description = (
-        "A payload section is malformed: truncated varint, "
-        "out-of-range index, unknown TBB reference, or trailing bytes."
+        "A varint section (the v1 payload, or a blob v2 embeds) is "
+        "malformed: truncated varint, out-of-range index, unknown or "
+        "shared TBB reference, invalid meta JSON, or trailing bytes."
     )
     paper = "Section 5 (storing trace shape for reuse)"
     scan_field = "structure"
@@ -676,9 +782,10 @@ class SnapshotRoundtrip(_SnapshotRule):
     rule_id = "TEA023"
     name = "snapshot-roundtrip"
     description = (
-        "Decoding then re-encoding the payload does not reproduce the "
-        "original bytes (overlong varints); content addressing "
-        "requires canonical encoding."
+        "Decoding then re-encoding a varint section (the v1 payload, or "
+        "a blob v2 embeds) does not reproduce the original bytes "
+        "(overlong varints); content addressing requires canonical "
+        "encoding."
     )
     paper = "Section 5 (content-addressed snapshot reuse)"
     scan_field = "roundtrip"
@@ -690,8 +797,9 @@ class SnapshotSections(_SnapshotRule):
     description = (
         "A TEAB v2 section-table entry is invalid: misaligned, "
         "overlapping, escaping the file, missing a required section, "
-        "inconsistent item counts, or a zero-copy table that is not in "
-        "canonical sorted form."
+        "inconsistent item counts, a zero-copy table that is not in "
+        "canonical sorted form, or a summary or label pool that does "
+        "not match what it is derived from."
     )
     paper = "Section 4.2 (sorted dispatch tables)"
     scan_field = "sections"
@@ -709,66 +817,9 @@ class SnapshotSectionCrc(_SnapshotRule):
     scan_field = "crc"
 
 
-class SnapshotConvertRoundtrip(Rule):
-    rule_id = "TEA026"
-    name = "snapshot-convert-roundtrip"
-    description = (
-        "Converting the snapshot to the other format and back does not "
-        "reproduce the original bytes, or the converted image fails its "
-        "own scan; v1 and v2 must address the same content."
-    )
-    paper = "Section 5 (content-addressed snapshot reuse)"
-    family = "snapshot"
-    requires = ("snapshot", "snapshot_deep")
-
-    def check(self, subject):
-        from repro.errors import SerializationError
-        from repro.store.binary import BINARY_VERSION, snapshot_version
-        from repro.store.binary_v2 import (
-            BINARY_VERSION_V2, convert_v1_to_v2, convert_v2_to_v1,
-        )
-
-        data = subject.snapshot
-        if not scan_snapshot(data).sound():
-            return  # structural rules already own the root cause
-        version = snapshot_version(data)
-        try:
-            if version == BINARY_VERSION:
-                other = convert_v1_to_v2(data)
-                back = convert_v2_to_v1(other)
-            elif version == BINARY_VERSION_V2:
-                other = convert_v2_to_v1(data)
-                back = convert_v1_to_v2(other)
-            else:
-                return
-        except SerializationError as error:
-            yield self.diag(
-                "snapshot does not convert to the other format: %s"
-                % error,
-            )
-            return
-        if bytes(back) != bytes(data):
-            yield self.diag(
-                "v%d -> v%d -> v%d conversion does not reproduce the "
-                "original %d bytes; the snapshot is not in canonical "
-                "form" % (version, 3 - version, version, len(data)),
-                version=version,
-            )
-        converted = scan_snapshot(other)
-        if not converted.sound():
-            first = (converted.envelope + converted.structure
-                     + converted.sections + converted.crc)[0][0]
-            yield self.diag(
-                "converted v%d image fails its own scan: %s"
-                % (3 - version, first),
-                version=version,
-            )
-
-
 register(SnapshotEnvelope())
 register(SnapshotStructure())
 register(SnapshotOrder())
 register(SnapshotRoundtrip())
 register(SnapshotSections())
 register(SnapshotSectionCrc())
-register(SnapshotConvertRoundtrip())

@@ -241,7 +241,7 @@ def test_service_stack_lint_clean():
 
 def test_cached_mapping_concurrent_opens_gate_once(tmp_path):
     from repro.core import build_tea
-    from repro.store.binary_v2 import dump_tea_binary_v2
+    from repro.store import dump_tea_binary
     from repro.store.mapping import cached_mapping, clear_mapping_cache
 
     from .conftest import NESTED_DIAMOND_SOURCE, record_traces
@@ -249,7 +249,7 @@ def test_cached_mapping_concurrent_opens_gate_once(tmp_path):
 
     program = assemble(NESTED_DIAMOND_SOURCE)
     trace_set = record_traces(program).trace_set
-    data = dump_tea_binary_v2(trace_set, tea=build_tea(trace_set))
+    data = dump_tea_binary(trace_set, tea=build_tea(trace_set))
     path = tmp_path / "snap.teab"
     path.write_bytes(data)
 
@@ -287,7 +287,7 @@ def test_cached_mapping_concurrent_opens_gate_once(tmp_path):
 
 def test_cached_mapping_failed_gate_not_cached(tmp_path):
     from repro.core import build_tea
-    from repro.store.binary_v2 import dump_tea_binary_v2
+    from repro.store import dump_tea_binary
     from repro.store.mapping import cached_mapping, clear_mapping_cache
 
     from .conftest import NESTED_DIAMOND_SOURCE, record_traces
@@ -296,7 +296,7 @@ def test_cached_mapping_failed_gate_not_cached(tmp_path):
     program = assemble(NESTED_DIAMOND_SOURCE)
     trace_set = record_traces(program).trace_set
     path = tmp_path / "snap.teab"
-    path.write_bytes(dump_tea_binary_v2(trace_set,
+    path.write_bytes(dump_tea_binary(trace_set,
                                         tea=build_tea(trace_set)))
     clear_mapping_cache()
     calls = []

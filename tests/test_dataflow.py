@@ -27,12 +27,12 @@ def test_dataflow_certifies_recorded_profile(nested_program,
     from repro.core import TeaProfile
     from repro.pin import Pin, TeaReplayTool
     from repro.verify import verify_path
-    from repro.store.binary_v2 import dump_tea_binary_v2
+    from repro.store import dump_tea_binary
 
     profile = TeaProfile()
     tool = TeaReplayTool(trace_set=nested_traces, profile=profile)
     Pin(nested_program, tool=tool).run()
-    data = dump_tea_binary_v2(nested_traces, tea=tool.tea,
+    data = dump_tea_binary(nested_traces, tea=tool.tea,
                               profile=profile)
     import os
     import tempfile

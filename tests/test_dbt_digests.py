@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro.cpu import ExecutionStream
 from repro.dbt import StarDBT
-from repro.store import dump_tea_binary_v2
+from repro.store import dump_tea_binary
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
 from tests.test_program_digests import _cases, _key
@@ -48,7 +48,7 @@ def _row(program, stream, strategy, limits):
                      stream=stream).run()
     return {
         "teab": hashlib.sha256(
-            dump_tea_binary_v2(result.trace_set)).hexdigest(),
+            dump_tea_binary(result.trace_set)).hexdigest(),
         "cycles": repr(result.cost.cycles),
         "breakdown": repr(list(result.cost.breakdown.items())),
         "covered_dbt": result.covered_dbt,

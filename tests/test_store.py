@@ -20,7 +20,6 @@ from repro.store import (
     AutomatonStore,
     describe_snapshot,
     dump_tea_binary,
-    dump_tea_binary_v2,
     load_tea_binary,
     peek_tea_binary,
     save_tea_binary,
@@ -35,7 +34,12 @@ from repro.store.binary import (
     zigzag,
 )
 from repro.util import atomic_write, atomic_write_bytes
-from tests.conftest import CALL_LOOP_SOURCE, SIMPLE_LOOP_SOURCE, record_traces
+from tests.conftest import (
+    CALL_LOOP_SOURCE,
+    SIMPLE_LOOP_SOURCE,
+    record_traces,
+    reseal_v1,
+)
 
 
 def assert_same_automaton(original, rebuilt):
@@ -173,11 +177,16 @@ def test_binary_encoding_is_deterministic(nested_traces):
     assert snapshot_key(first) == snapshot_key(second)
 
 
-def test_binary_smaller_than_json(nested_traces):
+def test_binary_smaller_than_json():
+    # On a real recording: the v2 header and section table are a fixed
+    # ~350 bytes, more than a toy program's whole JSON document.
     from repro.core.serialization import tea_to_json
+    from repro.workloads import load_benchmark
 
-    binary = dump_tea_binary(nested_traces)
-    text = json.dumps(tea_to_json(nested_traces))
+    program = load_benchmark("164.gzip", scale=0.25).program
+    trace_set = record_traces(program, hot_threshold=30).trace_set
+    binary = dump_tea_binary(trace_set)
+    text = json.dumps(tea_to_json(trace_set))
     assert len(binary) < len(text)
 
 
@@ -231,19 +240,18 @@ def test_bad_magic_rejected(nested_traces):
         peek_tea_binary(bytes(data))
 
 
-def test_bad_version_rejected(nested_traces):
-    data = bytearray(dump_tea_binary(nested_traces))
+def test_bad_version_rejected(golden_v1):
+    data = bytearray(golden_v1)
     data[4] = 99
     # Re-seal the CRC so the version check itself is what fires.
-    import zlib
-    data[-4:] = zlib.crc32(bytes(data[:-4])).to_bytes(4, "little")
     with pytest.raises(SerializationError, match="v99"):
-        peek_tea_binary(bytes(data))
+        peek_tea_binary(reseal_v1(data[:-4]))
 
 
 @pytest.mark.parametrize("position", [7, 40, -5])
-def test_bit_flip_fails_crc(nested_traces, position):
-    data = bytearray(dump_tea_binary(nested_traces))
+def test_bit_flip_fails_crc(golden_v1, position):
+    # v1's whole-file CRC; v2's per-section CRCs are tests/test_store_v2.py's.
+    data = bytearray(golden_v1)
     data[position] ^= 0x10
     with pytest.raises(SerializationError, match="CRC"):
         peek_tea_binary(bytes(data))
@@ -256,13 +264,10 @@ def test_truncation_rejected(nested_program, nested_traces):
             load_tea_binary(data[:cut], BlockIndex(nested_program))
 
 
-def test_trailing_bytes_rejected(nested_program, nested_traces):
-    import zlib
-    data = dump_tea_binary(nested_traces)
-    padded = bytearray(data[:-4] + b"\x00\x00")
-    padded += zlib.crc32(bytes(padded)).to_bytes(4, "little")
+def test_trailing_bytes_rejected(golden_v1, nested_program):
+    padded = reseal_v1(golden_v1[:-4] + b"\x00\x00")
     with pytest.raises(SerializationError, match="trailing"):
-        load_tea_binary(bytes(padded), BlockIndex(nested_program))
+        load_tea_binary(padded, BlockIndex(nested_program))
 
 
 # ---------------------------------------------------------------------
@@ -294,18 +299,13 @@ def test_store_is_content_addressed(tmp_path, nested_traces):
     again = store.put(nested_traces, tea=tea)
     assert again == key
     assert len(store) == 1
-    # The default format is v2, so the key addresses the v2 bytes.
-    assert key == snapshot_key(dump_tea_binary_v2(nested_traces, tea=tea))
+    assert key == snapshot_key(dump_tea_binary(nested_traces, tea=tea))
     # Sharded layout: <root>/<first two hex chars>/<key>.teab
     assert store.path_for(key).endswith("%s/%s.teab" % (key[:2], key))
     # The dedup shows in the traffic counters: two puts, one write.
     counters = store.obs.metrics.snapshot()["counters"]
     assert counters["store.puts"] == 2
     assert counters["store.bytes_written"] == store.total_bytes()
-    # A v1 put of the same automaton is distinct content.
-    key_v1 = store.put(nested_traces, tea=tea, version=1)
-    assert key_v1 == snapshot_key(dump_tea_binary(nested_traces, tea=tea))
-    assert key_v1 != key
 
 
 def test_store_distinct_snapshots_get_distinct_keys(tmp_path, nested_traces):

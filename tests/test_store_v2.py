@@ -1,45 +1,41 @@
 """The TEAB v2 section format: zero-copy snapshots, shared mappings,
-migration, and hot-reload.
+the one-way v1 migration, and hot-reload.
 
-The acceptance bar mirrors the v1 codec's and adds the v2-specific
-contracts: the v1<->v2 conversion is byte-canonical in both directions,
-an automaton lowered zero-copy off an ``mmap`` replays bit-exactly
-against its v1 decode under every Table 4 configuration and every
-engine, hand-corrupted images trip exactly their TEA024/TEA025 rule,
-and a service hot-reload under concurrent clients drops or corrupts
-nothing.
+v2 is the only format written; v1 is read through
+:func:`~repro.store.convert_v1_to_v2`.  The acceptance bar: the writer
+produces exactly the conversion of the golden v1 snapshot, whatever
+is written decodes back to the content it was given, an automaton
+lowered zero-copy off an ``mmap`` replays bit-exactly against the v1
+decode under every Table 4 configuration and every engine, ``migrate``
+is one-way and refuses a lossy conversion, and a service hot-reload
+under concurrent clients drops or corrupts nothing.  Seeded faults and
+the rules that catch them are tests/test_rule_matrix.py's.
 """
 
-import struct
 import threading
-import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cfg.basic_block import BlockIndex
 from repro.core import ReplayConfig, TeaProfile, build_tea
+from repro.core.compiled import CompiledTea
 from repro.errors import SerializationError, VerificationError
 from repro.isa.assembler import assemble
 from repro.pin import Pin, TeaReplayTool
 from repro.store import (
     AutomatonStore,
+    compile_tea_binary,
     convert_v1_to_v2,
-    convert_v2_to_v1,
     dump_tea_binary,
-    dump_tea_binary_v2,
     load_tea_binary,
     open_snapshot_mapping,
     peek_tea_binary,
+    snapshot_key,
     snapshot_version,
 )
-from repro.store.binary_v2 import (
-    ENTRY_SIZE,
-    HEADER_SIZE,
-    SEC_TRACES,
-    _ENTRY,
-    open_v2,
-)
+from repro.store.binary import _automaton_tables
+from repro.store.binary_v2 import SEC_TRACES, open_v2, v1_parts
 from repro.verify import verify_snapshot_bytes
 from tests.conftest import (
     CALL_LOOP_SOURCE,
@@ -59,104 +55,124 @@ ENGINES = ("object", "compiled", "jit")
 
 
 @pytest.fixture(scope="module")
-def world():
-    nested_program = assemble(NESTED_DIAMOND_SOURCE)
-    nested_traces = record_traces(nested_program).trace_set
-    tea = build_tea(nested_traces)
-    profile = TeaProfile()
-    tool = TeaReplayTool(trace_set=nested_traces, profile=profile, tea=tea)
-    Pin(nested_program, tool=tool).run()
-    meta = {"benchmark": "nested", "label": "w"}
-    v1 = dump_tea_binary(nested_traces, tea=tea, profile=profile, meta=meta)
-    return nested_program, nested_traces, tea, profile, v1
+def world(golden_v1, golden_v1_program):
+    """The golden v1 snapshot, its program, and its v2 conversion."""
+    return golden_v1_program, golden_v1, convert_v1_to_v2(golden_v1)
 
 
 # ---------------------------------------------------------------------
-# conversion canonicality
+# the writer, and v1 read through the converter
 # ---------------------------------------------------------------------
 
 def test_dump_v2_is_the_converted_v1(world):
-    _program, traces, tea, profile, v1 = world
-    meta = {"benchmark": "nested", "label": "w"}
-    v2 = dump_tea_binary_v2(traces, tea=tea, profile=profile, meta=meta)
-    assert v2 == convert_v1_to_v2(v1)
+    program, v1, v2 = world
+    traces, tea, profile, meta = load_tea_binary(
+        v1, BlockIndex(program), with_meta=True)
+    assert profile is None and meta["label"] == "golden"
+    assert dump_tea_binary(traces, tea=tea, meta=meta) == v2
     assert snapshot_version(v2) == 2
 
 
-def test_conversion_round_trips_byte_identically(world):
-    *_rest, v1 = world
-    v2 = convert_v1_to_v2(v1)
-    assert convert_v2_to_v1(v2) == v1
-    assert convert_v1_to_v2(convert_v2_to_v1(v2)) == v2
-
-
 def test_peek_v2_matches_v1_and_adds_sections(world):
-    *_rest, v1 = world
-    v2 = convert_v1_to_v2(v1)
+    _program, v1, v2 = world
     info_v1 = peek_tea_binary(v1)
     info_v2 = peek_tea_binary(v2)
     for field in ("kind", "traces", "tbbs", "edges", "states",
                   "transitions", "heads", "profile", "meta"):
         assert info_v2[field] == info_v1[field], field
+    # peek reports the file's own version and size.
+    assert (info_v1["version"], info_v1["bytes"]) == (1, len(v1))
+    assert "sections" not in info_v1
     assert info_v2["version"] == 2
     names = [section["name"] for section in info_v2["sections"]]
     assert names[0] == "summary" and "trans_offset" in names
-    # Every section is 8-byte aligned and the entries tile the file.
     for section in info_v2["sections"]:
         assert section["offset"] % 8 == 0
 
 
 def test_load_v2_is_bit_exact(world):
-    program, traces, tea, profile, v1 = world
-    v2 = convert_v1_to_v2(v1)
+    program, v1, v2 = world
     index = BlockIndex(program)
     traces_1, tea_1, profile_1 = load_tea_binary(v1, index)
     traces_2, tea_2, profile_2 = load_tea_binary(v2, index)
-    assert_same_automaton(tea, tea_2)
     assert_same_automaton(tea_1, tea_2)
     assert [t.trace_id for t in traces_2] == [t.trace_id for t in traces_1]
-    assert profile_2.state_counts == profile_1.state_counts
-    assert profile_2.edge_counts == profile_1.edge_counts
+    assert profile_1 is None and profile_2 is None
+    # The automaton is the one the v1 automaton section stores.
+    _summary, _meta, _traces, tables, _profile = v1_parts(v1)
+    assert _automaton_tables(tea_1) == tuple(
+        value if isinstance(value, int) else list(value)
+        for value in tables)
 
 
 def test_compiled_v2_equals_compiled_v1(world):
-    *_rest, v1 = world
-    from repro.store import compile_tea_binary
-
-    v2 = convert_v1_to_v2(v1)
+    _program, v1, v2 = world
     compiled_1 = compile_tea_binary(v1)
     compiled_2 = compile_tea_binary(v2)
     assert compiled_2.structurally_equal(compiled_1)
-    assert list(compiled_2.trans_offset) == list(compiled_1.trans_offset)
-    assert list(compiled_2.trans_labels) == list(compiled_1.trans_labels)
-    assert list(compiled_2.trans_dest) == list(compiled_1.trans_dest)
+    n_states, _refs, *csr = v1_parts(v1)[3]
+    direct = CompiledTea(n_states, b"\x00" + b"\x01" * (n_states - 1),
+                         *csr)
+    assert compiled_1.structurally_equal(direct)
+    assert list(compiled_1.trans_offset) == list(direct.trans_offset)
+    assert list(compiled_1.trans_labels) == list(direct.trans_labels)
+    assert list(compiled_1.trans_dest) == list(direct.trans_dest)
+
+
+def _same_traces(expected, actual):
+    assert actual.kind == expected.kind
+    assert [(t.trace_id, t.kind, t.anchor) for t in actual] == \
+        [(t.trace_id, t.kind, t.anchor) for t in expected]
+    for old, new in zip(expected, actual):
+        assert [tbb.block.key for tbb in new] == \
+            [tbb.block.key for tbb in old]
+        assert [dict(tbb.successors) for tbb in new] == \
+            [dict(tbb.successors) for tbb in old]
 
 
 @given(
     source=st.sampled_from([NESTED_DIAMOND_SOURCE, SIMPLE_LOOP_SOURCE,
                             CALL_LOOP_SOURCE]),
+    strategy=st.sampled_from(["mret", "tt", "ctt"]),
     threshold=st.integers(min_value=2, max_value=30),
     with_profile=st.booleans(),
+    meta=st.none() | st.dictionaries(
+        st.text(max_size=8), st.integers() | st.text(max_size=8),
+        max_size=3),
 )
 @settings(max_examples=12, deadline=None)
-def test_hypothesis_round_trip_is_bit_exact(source, threshold, with_profile):
-    """TEA -> v2 bytes -> automaton, bit-exact against the v1 image."""
+def test_hypothesis_round_trip_is_bit_exact(source, strategy, threshold,
+                                            with_profile, meta):
+    """The decoded ``dump_tea_binary`` output is the content it was
+    given: traces, automaton, profile and meta."""
     program = assemble(source)
-    trace_set = record_traces(program, hot_threshold=threshold).trace_set
+    trace_set = record_traces(program, strategy=strategy,
+                              hot_threshold=threshold).trace_set
     tea = build_tea(trace_set)
     profile = None
     if with_profile:
         profile = TeaProfile()
         tool = TeaReplayTool(trace_set=trace_set, profile=profile, tea=tea)
         Pin(program, tool=tool).run()
-    v1 = dump_tea_binary(trace_set, tea=tea, profile=profile)
-    v2 = convert_v1_to_v2(v1)
-    assert convert_v2_to_v1(v2) == v1
-    assert verify_snapshot_bytes(v2, deep=True).ok()
-    index = BlockIndex(program)
-    _traces_1, tea_1, _ = load_tea_binary(v1, index)
-    _traces_2, tea_2, _ = load_tea_binary(v2, index)
-    assert_same_automaton(tea_1, tea_2)
+    data = dump_tea_binary(trace_set, tea=tea, profile=profile, meta=meta)
+    assert snapshot_version(data) == 2
+    assert verify_snapshot_bytes(data, program=program).ok()
+    traces_2, tea_2, profile_2, meta_2 = load_tea_binary(
+        data, BlockIndex(program), with_meta=True)
+    _same_traces(trace_set, traces_2)
+    assert_same_automaton(tea, tea_2)
+    assert meta_2 == meta
+    if profile is None:
+        assert profile_2 is None
+    else:
+        # NTE and zero counts are not stored (profile keys are TBBs).
+        assert dict(profile_2.state_counts) == {
+            sid: count for sid, count in profile.state_counts.items()
+            if sid and count}
+        for name in ("trace_enters", "trace_exits",
+                     "trace_head_executions"):
+            assert dict(getattr(profile_2, name)) == \
+                dict(getattr(profile, name)), name
 
 
 # ---------------------------------------------------------------------
@@ -166,12 +182,10 @@ def test_hypothesis_round_trip_is_bit_exact(source, threshold, with_profile):
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("engine", ENGINES)
 def test_replay_bit_exact_v1_vs_v2_mmap(world, tmp_path, config_name, engine):
-    program, _traces, _tea, _profile, v1 = world
+    program, v1, v2 = world
     block_index = BlockIndex(program)
 
     def replay(data, mapping=None):
-        from repro.store import compile_tea_binary
-
         trace_set, tea, _ = load_tea_binary(data, block_index)
         compiled = (mapping.compiled() if mapping is not None
                     else compile_tea_binary(data, verify=False))
@@ -191,7 +205,7 @@ def test_replay_bit_exact_v1_vs_v2_mmap(world, tmp_path, config_name, engine):
         return tool.stats.as_dict(), result.cycles
 
     path = tmp_path / "w.teab"
-    path.write_bytes(convert_v1_to_v2(v1))
+    path.write_bytes(v2)
     mapping = open_snapshot_mapping(path)
     try:
         stats_v1, cycles_v1 = replay(v1)
@@ -203,74 +217,19 @@ def test_replay_bit_exact_v1_vs_v2_mmap(world, tmp_path, config_name, engine):
 
 
 # ---------------------------------------------------------------------
-# corrupted vectors: each trips exactly its rule
+# the loader on damaged bytes
 # ---------------------------------------------------------------------
 
-def _retable(buffer):
-    """Recompute the section-table CRC after editing table entries."""
-    n_sections = struct.unpack_from("<H", buffer, 6)[0]
-    table_end = HEADER_SIZE + ENTRY_SIZE * n_sections
-    crc = zlib.crc32(bytes(buffer[HEADER_SIZE:table_end]),
-                     zlib.crc32(bytes(buffer[:16])))
-    struct.pack_into("<I", buffer, 16, crc)
-    return bytes(buffer)
-
-
-def _rule_ids(data):
-    report = verify_snapshot_bytes(data, deep=True)
-    return sorted({diag.rule_id for diag in report.diagnostics})
-
-
-def test_misaligned_section_trips_exactly_tea024(world):
-    *_rest, v1 = world
-    bad = bytearray(convert_v1_to_v2(v1))
-    entry = list(_ENTRY.unpack_from(bad, HEADER_SIZE))
-    entry[2] += 1  # knock the first section off 8-byte alignment
-    _ENTRY.pack_into(bad, HEADER_SIZE, *entry)
-    assert _rule_ids(_retable(bad)) == ["TEA024"]
-
-
-def test_overlapping_sections_trip_exactly_tea024(world):
-    *_rest, v1 = world
-    bad = bytearray(convert_v1_to_v2(v1))
-    first = _ENTRY.unpack_from(bad, HEADER_SIZE)
-    entry = list(_ENTRY.unpack_from(bad, HEADER_SIZE + ENTRY_SIZE))
-    entry[2] = first[2]  # second section starts on top of the first
-    _ENTRY.pack_into(bad, HEADER_SIZE + ENTRY_SIZE, *entry)
-    assert _rule_ids(_retable(bad)) == ["TEA024"]
-
-
-def test_bad_section_crc_trips_exactly_tea025(world):
-    *_rest, v1 = world
-    v2 = convert_v1_to_v2(v1)
-    offset = open_v2(v2)[SEC_TRACES][0]
-    bad = bytearray(v2)
-    bad[offset] ^= 0xFF  # flip one payload byte; table stays intact
-    assert _rule_ids(bytes(bad)) == ["TEA025"]
-
-
 def test_open_v2_raises_on_damage(world):
-    *_rest, v1 = world
-    v2 = convert_v1_to_v2(v1)
+    *_rest, v2 = world
     bad = bytearray(v2)
     bad[open_v2(v2)[SEC_TRACES][0]] ^= 0xFF
     with pytest.raises(SerializationError, match="CRC"):
         open_v2(bytes(bad))
 
 
-def test_clean_images_pass_deep_verify_including_tea026(world):
-    *_rest, v1 = world
-    v2 = convert_v1_to_v2(v1)
-    for image in (v1, v2):
-        report = verify_snapshot_bytes(image, deep=True)
-        assert report.ok(), report.to_json()
-        assert "TEA026" in report.rules_run
-    # The shallow (load-path) scan never pays for the conversion rule.
-    assert "TEA026" not in verify_snapshot_bytes(v2, deep=False).rules_run
-
-
 # ---------------------------------------------------------------------
-# store: default format, mapping reuse, migrate, gc
+# store: the one format, mapping reuse, migrate, gc
 # ---------------------------------------------------------------------
 
 def test_store_writes_v2_and_maps_zero_copy(tmp_path, nested_traces):
@@ -286,30 +245,56 @@ def test_store_writes_v2_and_maps_zero_copy(tmp_path, nested_traces):
     assert counters["store.mmap_opened"] == 1
 
 
-def test_store_map_compiled_falls_back_for_v1(tmp_path, nested_traces):
+def test_store_map_compiled_falls_back_for_v1(tmp_path, golden_v1):
     store = AutomatonStore(tmp_path / "store")
-    tea = build_tea(nested_traces)
-    key = store.put(nested_traces, tea=tea, version=1)
+    key = store.put_bytes(golden_v1)
     compiled = store.map_compiled(key)
     assert compiled.structurally_equal(store.get_compiled(key))
     counters = store.obs.metrics.snapshot()["counters"]
     assert counters.get("store.mmap_opened", 0) == 0
 
 
-def test_store_migrate_both_directions(tmp_path, nested_traces):
+def test_store_migrate_is_one_way(tmp_path, golden_v1, golden_v1_program):
     store = AutomatonStore(tmp_path / "store")
-    tea = build_tea(nested_traces)
-    key_v1 = store.put(nested_traces, tea=tea, meta={"label": "m"},
-                       version=1)
+    key_v1 = store.put_bytes(golden_v1, program=golden_v1_program)
     forward = store.migrate()
-    assert set(forward) == {key_v1}
+    assert forward == {key_v1: snapshot_key(convert_v1_to_v2(golden_v1))}
     key_v2 = forward[key_v1]
     assert key_v1 not in store and key_v2 in store
     assert snapshot_version(store.get_bytes(key_v2)) == 2
-    # Round-tripping the store restores the original content keys.
-    backward = store.migrate(to_version=1)
-    assert backward == {key_v2: key_v1}
-    assert snapshot_version(store.get_bytes(key_v1)) == 1
+    assert store.load_program(key_v2).content_digest() == \
+        golden_v1_program.content_digest()
+    # v2 is never converted back: a second migrate has nothing to do.
+    assert store.migrate() == {}
+    assert store.keys() == [key_v2]
+
+
+@pytest.mark.parametrize("loss", ["traces", "automaton"])
+def test_store_migrate_refuses_a_lossy_conversion(tmp_path, golden_v1,
+                                                  monkeypatch, loss):
+    import repro.store.store as store_module
+
+    store = AutomatonStore(tmp_path / "store")
+    key = store.put_bytes(golden_v1)
+
+    def lossy(data):
+        summary, meta_raw, traces_raw, tables, profile_raw = v1_parts(data)
+        if loss == "traces":
+            traces_raw = traces_raw[:-1] + bytes([traces_raw[-1] ^ 1])
+        else:
+            n_states, refs, offsets, labels, dests, entries, sids = tables
+            dests = [(dest + 1) % n_states for dest in dests]
+            tables = (n_states, refs, offsets, labels, dests, entries, sids)
+        from repro.store.binary_v2 import _assemble_v2
+
+        return _assemble_v2(summary, meta_raw, traces_raw, tables,
+                            profile_raw)
+
+    monkeypatch.setattr(store_module, "convert_v1_to_v2", lossy)
+    with pytest.raises(SerializationError, match="refusing to migrate"):
+        store.migrate()
+    assert store.keys() == [key]
+    assert store.get_bytes(key) == golden_v1
 
 
 def test_store_gate_rejects_corrupted_v2(tmp_path, nested_traces):
@@ -384,8 +369,8 @@ def test_hot_reload_drops_nothing_under_concurrency(tmp_path):
         meta = {"benchmark": benchmark, "scale": scale, "label": "hot"}
         if supersedes:
             meta["supersedes"] = supersedes
-        return dump_tea_binary_v2(trace_set, tea=build_tea(trace_set),
-                                  meta=meta)
+        return dump_tea_binary(trace_set, tea=build_tea(trace_set),
+                               meta=meta)
 
     store = AutomatonStore(tmp_path / "store")
     key_old = store.put_bytes(snapshot_bytes(10), program=program)

@@ -198,7 +198,7 @@ def test_tea_info_binary_snapshot(source_file, tmp_path, capsys):
     code = main(["tea", "info", str(snap_path)])
     assert code == 0
     output = capsys.readouterr().out
-    assert "binary format v1" in output
+    assert "binary format v2" in output
     assert "states" in output and "heads" in output
     assert '"label": "cli"' in output
 

@@ -1,14 +1,15 @@
 """The static verification subsystem (``repro.verify``).
 
-Each hand-corrupted TEAB vector trips exactly the rule built to catch
-it — including damage the CRC cannot see (the corruptions re-seal the
-checksum, so only the verifier stands between the bytes and the
-decoder).  The round-trip property pins down the other direction:
-anything the recorder produces and the store serves verifies clean.
+Hand-corrupted automata, compiled tables and trace sets trip exactly
+the rule built to catch them; the seeded TEAB faults and the rules
+that catch them are tests/test_rule_matrix.py's.  The gates built on
+the snapshot rules (store load, service preload, CLI, SARIF) are
+checked here, and so is the cost of a snapshot verify: one scan.  The
+round-trip property pins down the other direction: anything the
+recorder produces and the store serves verifies clean.
 """
 
 import json
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -20,17 +21,13 @@ from tests.conftest import (
     SIMPLE_LOOP_SOURCE,
     record_traces,
 )
+from tests.test_rule_matrix import stale_version, v1_overlong_varint
 from repro.core import build_tea
 from repro.core.compiled import CompiledTea
 from repro.errors import SerializationError, VerificationError
 from repro.isa import assemble
 from repro.store import AutomatonStore
-from repro.store.binary import (
-    compile_tea_binary,
-    dump_tea_binary,
-    write_svarint,
-    write_uvarint,
-)
+from repro.store.binary import compile_tea_binary, dump_tea_binary
 from repro.verify import (
     all_rules,
     default_engine,
@@ -59,12 +56,6 @@ def world():
 def snapshot(world):
     _, trace_set, tea = world
     return dump_tea_binary(trace_set, tea=tea)
-
-
-def _reseal(body):
-    """Append a fresh CRC32 trailer so only the *payload* damage shows."""
-    body = bytes(body)
-    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 # ---------------------------------------------------------------------
@@ -114,132 +105,71 @@ def test_engine_disable_and_obs_counters(world):
 
 
 # ---------------------------------------------------------------------
-# corrupted snapshot vectors (satellite 4)
+# one scan per snapshot verify
 # ---------------------------------------------------------------------
 
 
-def test_stale_version_trips_envelope_rule(snapshot):
-    bad = bytearray(snapshot)
-    bad[4] = 9
-    report = verify_snapshot_bytes(_reseal(bad[:-4]), deep=False)
-    assert report.rule_ids == ["TEA020"]
-    assert "version 9" in report.errors[0].message
+@pytest.fixture
+def count_scans(monkeypatch):
+    """Counts calls of ``scan_snapshot`` and of the deep v2 blob walk."""
+    from repro.verify import rules_snapshot
+
+    calls = {"scan": 0, "blobs": 0}
+    scan, blobs = rules_snapshot.scan_snapshot, rules_snapshot._scan_v2_blobs
+
+    def counting_scan(*args, **kwargs):
+        calls["scan"] += 1
+        return scan(*args, **kwargs)
+
+    def counting_blobs(*args, **kwargs):
+        calls["blobs"] += 1
+        return blobs(*args, **kwargs)
+
+    monkeypatch.setattr(rules_snapshot, "scan_snapshot", counting_scan)
+    monkeypatch.setattr(rules_snapshot, "_scan_v2_blobs", counting_blobs)
+    return calls
 
 
-def test_unknown_flag_bits_trip_envelope_rule(snapshot):
-    bad = bytearray(snapshot)
-    bad[5] |= 0x80
-    report = verify_snapshot_bytes(_reseal(bad[:-4]), deep=False)
-    assert report.rule_ids == ["TEA020"]
+@pytest.mark.parametrize("deep", [False, True])
+@pytest.mark.parametrize("fmt", ["v1", "v2"])
+def test_snapshot_verify_scans_once(world, snapshot, golden_v1,
+                                    count_scans, fmt, deep):
+    program, _, _ = world
+    data = snapshot if fmt == "v2" else golden_v1
+    report = verify_snapshot_bytes(
+        data, program=program if fmt == "v2" else None, deep=deep)
+    assert report.ok()
+    assert {"TEA020", "TEA025"} <= set(report.rules_run)
+    assert count_scans["scan"] == 1
+    # Only a deep scan of a v2 snapshot walks the blobs it embeds.
+    assert count_scans["blobs"] == (1 if fmt == "v2" and deep else 0)
 
 
-def test_crc_mismatch_trips_envelope_rule(snapshot):
-    bad = bytearray(snapshot)
-    bad[-1] ^= 0xFF
-    report = verify_snapshot_bytes(bytes(bad), deep=False)
-    assert report.rule_ids == ["TEA020"]
-    assert "CRC" in report.errors[0].message
+def test_store_gate_scans_once_per_load(world, snapshot, tmp_path,
+                                        count_scans):
+    from repro.cfg.basic_block import BlockIndex
+
+    program, _, _ = world
+    store = AutomatonStore(tmp_path / "store")
+    key = store.put_bytes(snapshot)
+    store.load(key, BlockIndex(program))
+    store.get_compiled(key)
+    assert count_scans == {"scan": 2, "blobs": 0}
 
 
-def test_truncated_section_trips_structure_rule(snapshot):
-    # Drop the last three payload bytes and re-seal the CRC: the
-    # envelope is pristine, but the grammar runs out mid-table.
-    report = verify_snapshot_bytes(_reseal(snapshot[:-7]), deep=False)
-    assert report.rule_ids == ["TEA021"]
-
-
-def test_overlong_varint_trips_roundtrip_rule(snapshot):
-    # Payload byte 0 is the trace-set kind's string length — a
-    # single-byte varint.  Re-encode it overlong (value | 0x80, 0x00):
-    # it decodes to the same value, the CRC re-seals, every decoder
-    # accepts it — but the bytes are no longer canonical, which breaks
-    # content addressing.  Only TEA023 can see this.
-    value = snapshot[6]
-    assert value < 0x80
-    bad = snapshot[:6] + bytes([value | 0x80, 0x00]) + snapshot[7:-4]
-    data = _reseal(bad)
-    report = verify_snapshot_bytes(data, deep=False)
-    assert report.rule_ids == ["TEA023"]
-    assert report.errors[0].data["offset"] == 6
+def test_overlong_varint_trips_roundtrip_rule(golden_v1):
+    # An overlong varint decodes to the same value and the CRC re-seals,
+    # so every decoder accepts it — but the bytes are no longer
+    # canonical, which breaks content addressing.  Only TEA023 sees it.
+    data = v1_overlong_varint(golden_v1)
     # The decoder itself is fooled: it reads identical values.
-    assert compile_tea_binary(data, verify=False) is not None
+    assert compile_tea_binary(data, verify=False).structurally_equal(
+        compile_tea_binary(golden_v1))
     # The verify gate is not.
     with pytest.raises(VerificationError) as excinfo:
         compile_tea_binary(data)
     assert excinfo.value.rule_ids == ["TEA023"]
-
-
-def _build_snapshot(nonmonotone_labels=False, nonmonotone_heads=False):
-    """Hand-encode a tiny 3-state TEAB payload byte by byte."""
-    out = bytearray()
-    out += b"TEAB"
-    out.append(1)                      # version
-    out.append(0)                      # flags: no meta, no profile
-    write_uvarint(out, 4)
-    out += b"mret"                     # trace-set kind
-    write_uvarint(out, 1)              # one trace
-    write_uvarint(out, 1)              # trace id 1
-    write_uvarint(out, 4)
-    out += b"mret"                     # trace kind
-    write_uvarint(out, 0)              # no anchor
-    write_uvarint(out, 2)              # two TBBs
-    write_svarint(out, 0x10)           # tbb0 start
-    write_uvarint(out, 4)              # tbb0 length
-    write_svarint(out, 0x10)           # tbb1 start (0x20)
-    write_uvarint(out, 4)
-    write_uvarint(out, 1)              # one edge: 0 -> 1
-    write_uvarint(out, 0)
-    write_uvarint(out, 1)
-    write_uvarint(out, 3)              # automaton: three states
-    write_uvarint(out, 1)              # sid1 = (T1, #0)
-    write_uvarint(out, 0)
-    write_uvarint(out, 1)              # sid2 = (T1, #1)
-    write_uvarint(out, 1)
-    write_uvarint(out, 0)              # NTE: no transitions
-    if nonmonotone_labels:             # sid1: labels 0x20 then 0x10
-        write_uvarint(out, 2)
-        write_svarint(out, 0x20)
-        write_uvarint(out, 2)
-        write_svarint(out, -0x10)
-        write_uvarint(out, 2)
-    else:                              # sid1: one transition to sid2
-        write_uvarint(out, 1)
-        write_svarint(out, 0x20)
-        write_uvarint(out, 2)
-    write_uvarint(out, 0)              # sid2: no transitions
-    if nonmonotone_heads:              # heads at 0x20 then 0x10
-        write_uvarint(out, 2)
-        write_svarint(out, 0x20)
-        write_uvarint(out, 2)
-        write_svarint(out, -0x10)
-        write_uvarint(out, 1)
-    else:                              # one head: 0x10 -> sid1
-        write_uvarint(out, 1)
-        write_svarint(out, 0x10)
-        write_uvarint(out, 1)
-    return _reseal(out)
-
-
-def test_hand_built_snapshot_is_sound():
-    report = verify_snapshot_bytes(_build_snapshot(), deep=False)
-    assert report.ok()
-    assert report.diagnostics == []
-
-
-def test_non_monotone_transition_labels_trip_order_rule():
-    report = verify_snapshot_bytes(
-        _build_snapshot(nonmonotone_labels=True), deep=False
-    )
-    assert report.rule_ids == ["TEA022"]
-    assert "not strictly increasing" in report.errors[0].message
-
-
-def test_non_monotone_head_entries_trip_order_rule():
-    report = verify_snapshot_bytes(
-        _build_snapshot(nonmonotone_heads=True), deep=False
-    )
-    assert report.rule_ids == ["TEA022"]
-    assert "head entries" in report.errors[0].message
+    assert excinfo.value.diagnostics[0].data["offset"] == 6
 
 
 # ---------------------------------------------------------------------
@@ -375,9 +305,7 @@ def test_store_round_trip_verifies_clean(tmp_path_factory, source,
 
 
 def test_sarif_log_shape(snapshot):
-    bad = bytearray(snapshot)
-    bad[4] = 9
-    failing = verify_snapshot_bytes(_reseal(bad[:-4]), deep=False,
+    failing = verify_snapshot_bytes(stale_version(snapshot), deep=False,
                                     source="bad.teab")
     clean = verify_snapshot_bytes(snapshot, deep=False,
                                   source="good.teab")
@@ -408,12 +336,11 @@ def test_sarif_log_shape(snapshot):
 # ---------------------------------------------------------------------
 
 
-def test_store_load_gate_rejects_noncanonical_snapshot(world, snapshot,
+def test_store_load_gate_rejects_noncanonical_snapshot(golden_v1,
+                                                       golden_v1_program,
                                                        tmp_path):
-    program, _, _ = world
-    value = snapshot[6]
-    bad = _reseal(snapshot[:6] + bytes([value | 0x80, 0x00])
-                  + snapshot[7:-4])
+    program = golden_v1_program
+    bad = v1_overlong_varint(golden_v1)
     store = AutomatonStore(tmp_path / "store")
     key = store.put_bytes(bad)   # envelope + CRC are fine
     from repro.cfg.basic_block import BlockIndex
@@ -449,24 +376,11 @@ def test_store_gate_passes_clean_snapshots(world, snapshot, tmp_path):
 # ---------------------------------------------------------------------
 
 
-def _noncanonical(snapshot):
-    value = snapshot[6]
-    return _reseal(snapshot[:6] + bytes([value | 0x80, 0x00])
-                   + snapshot[7:-4])
-
-
 @pytest.fixture(scope="module")
-def quarantine_store(tmp_path_factory, snapshot):
-    from pathlib import Path
-
-    from repro.workloads import load_benchmark
-
-    golden = Path(__file__).parent / "golden" / "mcf_mret.teab"
+def quarantine_store(tmp_path_factory, golden_v1, golden_v1_program):
     store = AutomatonStore(tmp_path_factory.mktemp("svc") / "store")
-    good_key = store.put_bytes(golden.read_bytes(),
-                               program=load_benchmark("181.mcf",
-                                                      scale=0.4).program)
-    bad_key = store.put_bytes(_noncanonical(snapshot))
+    good_key = store.put_bytes(golden_v1, program=golden_v1_program)
+    bad_key = store.put_bytes(v1_overlong_varint(golden_v1))
     return store, good_key, bad_key
 
 
@@ -503,13 +417,13 @@ def test_service_rpc_reports_invalid_automaton(quarantine_store):
             assert result["coverage_pin"] > 0
 
 
-def test_service_refuses_store_with_only_invalid_snapshots(snapshot,
+def test_service_refuses_store_with_only_invalid_snapshots(golden_v1,
                                                            tmp_path):
     from repro.service.server import ServiceSetupError
     from repro.service.testing import ServiceThread
 
     store = AutomatonStore(tmp_path / "store")
-    store.put_bytes(_noncanonical(snapshot))
+    store.put_bytes(v1_overlong_varint(golden_v1))
     with pytest.raises(ServiceSetupError):
         ServiceThread(store).start()
 
@@ -574,9 +488,7 @@ def test_cli_verify_clean_snapshot(snapshot, tmp_path, capsys):
 def test_cli_verify_corrupt_snapshot_fails(snapshot, tmp_path, capsys):
     from repro.tools.__main__ import main
 
-    bad = bytearray(snapshot)
-    bad[4] = 9
-    path = _write(tmp_path, "bad.teab", _reseal(bad[:-4]))
+    path = _write(tmp_path, "bad.teab", stale_version(snapshot))
     assert main(["verify", path]) == 1
     out = capsys.readouterr().out
     assert "TEA020" in out and "FAIL" in out
@@ -585,9 +497,7 @@ def test_cli_verify_corrupt_snapshot_fails(snapshot, tmp_path, capsys):
 def test_cli_verify_disable_and_strict(snapshot, tmp_path, capsys):
     from repro.tools.__main__ import main
 
-    bad = bytearray(snapshot)
-    bad[4] = 9
-    path = _write(tmp_path, "bad.teab", _reseal(bad[:-4]))
+    path = _write(tmp_path, "bad.teab", stale_version(snapshot))
     assert main(["verify", "--disable", "TEA020", path]) == 0
     capsys.readouterr()
     assert main(["verify", "--disable", "TEA999", path]) == 2
