@@ -1,44 +1,47 @@
-"""Sustained-throughput benchmark for the sharded replay cluster.
+"""Sustained-throughput storm against one replay service.
 
-Boots a real cluster — router in-process, N ``repro.service`` workers
-as subprocesses over one shared store — then drives a mixed
+Builds one snapshot into a fresh store, serves it from one
+``python -m repro.service serve`` subprocess, then drives a mixed
 replay-family workload from >= 100 concurrent clients and reports:
 
 - **qps** — completed requests / wall-clock for the storm;
 - **latency** — client-observed p50/p95/p99/max per method (collected
-  with the same :class:`repro.obs.Histogram` the router uses);
-- **router accounting** — forwards, sheds, retries, evictions; the
-  bench asserts every request was answered and every replay-family
-  answer is identical across all clients (the cluster must not change
-  results, only throughput).
+  with :class:`repro.obs.Histogram`);
+- **service accounting** — the ``stats`` RPC's per-method request
+  counts and error count.  The bench asserts every request was
+  answered without an error, the service counted exactly what was
+  sent, and every replay-family answer is identical across all
+  clients.
 
 Modes:
 
-- default: 100 clients x 5 requests over 3 workers;
-- ``REPRO_BENCH_SMOKE=1``: 32 clients x 3 requests over 2 workers —
-  the CI configuration;
-- ``REPRO_BENCH_FULL=1``: 128 clients x 8 requests over 4 workers.
+- default: 100 clients x 5 requests, 6 service threads;
+- ``REPRO_BENCH_SMOKE=1``: 32 clients x 3 requests, 4 threads — the
+  CI configuration;
+- ``REPRO_BENCH_FULL=1``: 128 clients x 8 requests, 8 threads.
 
 Runnable under pytest (``python -m pytest -s benchmarks/
-bench_cluster.py``) or standalone with a JSON artifact for CI::
+bench_storm.py``) or standalone with a JSON artifact for CI::
 
-    PYTHONPATH=src python benchmarks/bench_cluster.py --json out.json
+    PYTHONPATH=src python benchmarks/bench_storm.py --json out.json
 
-The numbers land in EXPERIMENTS.md ("Sharded replay cluster").
+EXPERIMENTS.md ("Router vs one service") records the default storm.
 """
 
+import contextlib
 import json
 import os
+import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cluster import ClusterConfig
-from repro.cluster.testing import ClusterProcessHarness
 from repro.core import build_tea
 from repro.dbt import StarDBT
 from repro.obs import Histogram
-from repro.service.client import RetryPolicy, ServiceClient
+from repro.service.client import ServiceClient
+from repro.service.testing import wait_for_port_file
 from repro.store import AutomatonStore
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
@@ -49,11 +52,15 @@ FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 BENCHMARK = "164.gzip"
 
 if SMOKE:
-    N_CLIENTS, REQUESTS_EACH, N_WORKERS, SCALE = 32, 3, 2, 0.3
+    N_CLIENTS, REQUESTS_EACH, N_THREADS, SCALE = 32, 3, 4, 0.3
 elif FULL:
-    N_CLIENTS, REQUESTS_EACH, N_WORKERS, SCALE = 128, 8, 4, 0.5
+    N_CLIENTS, REQUESTS_EACH, N_THREADS, SCALE = 128, 8, 8, 0.5
 else:
-    N_CLIENTS, REQUESTS_EACH, N_WORKERS, SCALE = 100, 5, 3, 0.5
+    N_CLIENTS, REQUESTS_EACH, N_THREADS, SCALE = 100, 5, 6, 0.5
+
+SRC_ROOT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 #: Request mix per (client, request) index: one heavy replay per
 #: client-visit cycle, the rest cheap automaton-walk / metadata reads —
@@ -83,6 +90,30 @@ def _build_store(root):
     return store
 
 
+@contextlib.contextmanager
+def _serve(store_root):
+    """One ``repro.service serve`` subprocess; yields its port."""
+    workdir = tempfile.TemporaryDirectory()
+    port_file = os.path.join(workdir.name, "storm.port")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (SRC_ROOT, env.get("PYTHONPATH")) if path
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve",
+         "--store", str(store_root), "--port", "0",
+         "--port-file", port_file, "--workers", str(N_THREADS),
+         "--timeout", "120"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        yield wait_for_port_file(port_file, timeout=240.0)
+    finally:
+        process.terminate()
+        process.wait(timeout=60.0)
+        workdir.cleanup()
+
+
 def run_bench(store_root):
     """One full storm; returns the results dict (asserts invariants)."""
     histograms = {}
@@ -90,10 +121,8 @@ def run_bench(store_root):
     errors = []
 
     def storm(client_index):
-        policy = RetryPolicy(attempts=8, base_delay=0.05, max_delay=0.5)
         samples = []
-        with ServiceClient(host, port, timeout=240.0,
-                           retry=policy) as client:
+        with ServiceClient(port=port, timeout=240.0) as client:
             for request_index in range(REQUESTS_EACH):
                 method = _pick_method(client_index + request_index)
                 started = time.perf_counter()
@@ -119,15 +148,12 @@ def run_bench(store_root):
                 samples.append((method, time.perf_counter() - started))
         return samples
 
-    config = ClusterConfig(replicas=2, max_queue=64, health_interval=0.5)
-    with ClusterProcessHarness(store_root, n_workers=N_WORKERS,
-                               router_config=config) as cluster:
-        host, port = cluster.router_thread.address
+    with _serve(store_root) as port:
         wall_started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=N_CLIENTS) as pool:
             all_samples = list(pool.map(storm, range(N_CLIENTS)))
         wall = time.perf_counter() - wall_started
-        with cluster.client() as client:
+        with ServiceClient(port=port) as client:
             stats = client.stats()
 
     for samples in all_samples:
@@ -137,20 +163,24 @@ def run_bench(store_root):
             histograms.setdefault(
                 "all", Histogram("all")).observe(seconds)
 
-    total = sum(h.count for name, h in histograms.items() if name != "all")
+    sent = {name: h.count for name, h in histograms.items() if name != "all"}
+    methods = {name: stats["methods"].get(name, 0) for name in sent}
+    service_errors = stats["metrics"]["counters"].get("service.errors", 0)
+
+    total = sum(sent.values())
     assert not errors, "dropped/failed requests: %s" % errors[:5]
     assert total == N_CLIENTS * REQUESTS_EACH
-    # The cluster must never change answers, only spread the load.
+    assert service_errors == 0
+    assert methods == sent, (methods, sent)
+    # Concurrency must never change answers.
     assert len(answers["replay"]) == 1
     assert len(answers["coverage"]) == 1
 
-    counters = stats["metrics"]["counters"]
     return {
         "config": {
             "clients": N_CLIENTS,
             "requests_per_client": REQUESTS_EACH,
-            "workers": N_WORKERS,
-            "replicas": 2,
+            "threads": N_THREADS,
             "benchmark": BENCHMARK,
             "scale": SCALE,
         },
@@ -163,11 +193,9 @@ def run_bench(store_root):
             name: histograms[name].snapshot()
             for name in sorted(histograms)
         },
-        "router": {
-            "forwards": counters["router.forwards"],
-            "shed": stats["shed"],
-            "retries": stats["retries"],
-            "evictions": stats["evictions"],
+        "service": {
+            "methods": methods,
+            "errors": service_errors,
         },
     }
 
@@ -175,11 +203,10 @@ def run_bench(store_root):
 def _render(results):
     totals = results["totals"]
     print()
-    print("cluster throughput: %d clients x %d requests, %d workers "
-          "(replicas=2)"
+    print("storm: %d clients x %d requests, one service with %d threads"
           % (results["config"]["clients"],
              results["config"]["requests_per_client"],
-             results["config"]["workers"]))
+             results["config"]["threads"]))
     print("  %d requests in %.2f s  ->  %.1f qps"
           % (totals["requests"], totals["seconds"], totals["qps"]))
     print("  %-14s %8s %8s %8s %8s %6s"
@@ -189,24 +216,22 @@ def _render(results):
               % (name, 1e3 * latency["p50"], 1e3 * latency["p95"],
                  1e3 * latency["p99"], 1e3 * latency["max"],
                  latency["count"]))
-    router = results["router"]
-    print("  router: %d forwards, %d shed, %d retries, %d evictions"
-          % (router["forwards"], router["shed"], router["retries"],
-             router["evictions"]))
+    service = results["service"]
+    print("  service: %s, %d errors"
+          % (", ".join("%d %s" % (count, name) for name, count
+                       in sorted(service["methods"].items())),
+             service["errors"]))
 
 
-def test_cluster_throughput(tmp_path):
+def test_storm_throughput(tmp_path):
     store = _build_store(tmp_path / "store")
     results = run_bench(str(store.root))
     _render(results)
     assert results["totals"]["qps"] > 0
-    # Healthy cluster: nothing was evicted during a plain storm.
-    assert results["router"]["evictions"] == 0
 
 
 if __name__ == "__main__":
     import argparse
-    import tempfile
 
     parser = argparse.ArgumentParser()
     parser.add_argument("--json", help="write the results dict here")

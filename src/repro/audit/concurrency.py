@@ -32,7 +32,7 @@ A line containing ``# audit: ok-blocking`` suppresses blocking
 findings anchored on it (the escape hatch for sanctioned exceptions).
 The analysis is heuristic by design — it must be cheap enough to run
 on every commit — and is calibrated to be finding-free on the repo's
-own service/cluster/store tree (a property the test suite pins).
+own service/store tree (a property the test suite pins).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Audited artifacts:
 - every ``*.teas`` execution-stream sidecar and ``*.teap`` program
   image (TEA027);
 - the concurrency-lint source targets (``repro/service``,
-  ``repro/cluster``, ``repro/store/mapping.py`` — TEA08x).
+  ``repro/store/mapping.py`` — TEA08x).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 #: Source targets of the TEA08x concurrency lint, relative to the
 #: ``repro`` package root.
-CODE_TARGETS = ("service", "cluster", os.path.join("store", "mapping.py"))
+CODE_TARGETS = ("service", os.path.join("store", "mapping.py"))
 
 
 def default_code_paths() -> List[str]:

@@ -105,8 +105,7 @@ class Histogram:
     plus an exact running count and total; percentiles are computed
     over the retained window at read time.  Overwriting the oldest
     sample (rather than random replacement) keeps the metric fully
-    deterministic, which the cluster tests rely on.  The router uses
-    these for its per-method forward latencies (p50/p95/p99).
+    deterministic, so tests and benchmarks can assert on p50/p95/p99.
     """
 
     __slots__ = ("name", "count", "total", "capacity", "_samples",

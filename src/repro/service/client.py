@@ -11,21 +11,17 @@ pipeline: :meth:`call_many` sends a batch of requests back-to-back and
 collects the replies in request order even if the server answers out
 of order.
 
-Against a cluster router the interesting failures are *transient* —
-``overloaded`` (every worker queue full), ``quota-exceeded`` (token
-bucket empty) and ``worker-unavailable`` (ring mid-eviction) — so the
-client takes an optional :class:`RetryPolicy`: retryable errors are
-retried with capped exponential backoff, everything else raises
-immediately, and each retry/giveup is counted in ``client.*`` metrics.
+A transport failure (a dropped connection, a malformed or oversized
+frame) leaves the stream at an unknown position, so the client closes
+the socket and forgets stashed replies before re-raising; the next call
+reconnects.
 """
 
 import socket
-import time
 
 from repro.obs import Observability
 from repro.service.protocol import (
     MAX_PAYLOAD_DEFAULT,
-    RETRYABLE_CODES,
     ProtocolError,
     ServiceError,
     read_frame_blocking,
@@ -33,55 +29,21 @@ from repro.service.protocol import (
 )
 
 
-class RetryPolicy:
-    """Capped exponential backoff for transient service errors.
-
-    ``attempts`` bounds the *total* number of tries (so ``attempts=1``
-    disables retries); the delay before retry ``n`` (0-based) is
-    ``min(max_delay, base_delay * multiplier ** n)``.  ``sleep`` is
-    injectable so tests can count backoffs without waiting them out.
-    """
-
-    __slots__ = ("attempts", "base_delay", "max_delay", "multiplier",
-                 "sleep")
-
-    def __init__(self, attempts=4, base_delay=0.05, max_delay=2.0,
-                 multiplier=2.0, sleep=time.sleep):
-        if attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        self.attempts = int(attempts)
-        self.base_delay = float(base_delay)
-        self.max_delay = float(max_delay)
-        self.multiplier = float(multiplier)
-        self.sleep = sleep
-
-    def delay(self, attempt):
-        """Backoff before retry number ``attempt`` (0-based)."""
-        return min(self.max_delay,
-                   self.base_delay * self.multiplier ** attempt)
-
-
 class ServiceClient:
-    """One blocking connection to a :class:`~repro.service.TeaService`
-    or :class:`~repro.cluster.ClusterRouter` (same wire protocol).
+    """One blocking connection to a :class:`~repro.service.TeaService`.
 
     Usable as a context manager::
 
         with ServiceClient(host, port) as client:
             report = client.replay(snapshot=key)
-
-    With a :class:`RetryPolicy`, retryable structured errors
-    (``overloaded``, ``quota-exceeded``, ``worker-unavailable``) and
-    transport drops are retried with backoff; see docs/cluster.md.
     """
 
     def __init__(self, host="127.0.0.1", port=7321, timeout=60.0,
-                 max_payload=MAX_PAYLOAD_DEFAULT, retry=None, obs=None):
+                 max_payload=MAX_PAYLOAD_DEFAULT, obs=None):
         self.host = host
         self.port = int(port)
         self.timeout = timeout
         self.max_payload = max_payload
-        self.retry = retry
         self.obs = obs if obs is not None else Observability()
         self._sock = None
         self._next_id = 0
@@ -145,45 +107,15 @@ class ServiceClient:
         )
 
     def call(self, method, **params):
-        """One RPC round-trip; returns the result or raises ServiceError.
-
-        With a :class:`RetryPolicy` set, retryable errors back off and
-        retry (the RPCs are idempotent reads, so a retry after a
-        transport drop cannot double-apply anything); attempts are
-        capped by ``retry.attempts`` and the final error re-raises.
-        """
-        policy = self.retry
+        """One RPC round-trip; returns the result or raises ServiceError."""
         self.obs.metrics.counter("client.requests").inc()
-        if policy is None:
+        try:
             request_id = self._send_request(method, params)
-            return self._unwrap(self._receive(request_id))
-        for attempt in range(policy.attempts):
-            last = attempt + 1 >= policy.attempts
-            try:
-                request_id = self._send_request(method, params)
-                return self._unwrap(self._receive(request_id))
-            except ServiceError as error:
-                if error.code not in RETRYABLE_CODES:
-                    raise
-                if last:
-                    self.obs.metrics.counter(
-                        "client.retries_exhausted").inc()
-                    raise
-                self.obs.metrics.counter("client.retries").inc()
-                self.obs.metrics.counter(
-                    "client.retry.%s" % error.code).inc()
-            except (ConnectionError, ProtocolError, OSError):
-                # The far end dropped us mid-call (e.g. a router or
-                # worker restart).  Reconnect fresh and retry.
-                self.close()
-                self._stash.clear()
-                if last:
-                    self.obs.metrics.counter(
-                        "client.retries_exhausted").inc()
-                    raise
-                self.obs.metrics.counter("client.retries").inc()
-                self.obs.metrics.counter("client.retry.transport").inc()
-            policy.sleep(policy.delay(attempt))
+            reply = self._receive(request_id)
+        except (ProtocolError, OSError):
+            self._reset()
+            raise
+        return self._unwrap(reply)
 
     def call_many(self, requests):
         """Pipeline ``[(method, params), ...]`` on this connection.
@@ -191,11 +123,21 @@ class ServiceClient:
         All requests are written before any reply is read; results come
         back in request order.  Raises on the first failed reply.
         """
-        ids = [
-            self._send_request(method, params)
-            for method, params in requests
-        ]
-        return [self._unwrap(self._receive(request_id)) for request_id in ids]
+        try:
+            ids = [
+                self._send_request(method, params)
+                for method, params in requests
+            ]
+            replies = [self._receive(request_id) for request_id in ids]
+        except (ProtocolError, OSError):
+            self._reset()
+            raise
+        return [self._unwrap(reply) for reply in replies]
+
+    def _reset(self):
+        """Drop a connection whose stream position is unknown."""
+        self.close()
+        self._stash.clear()
 
     # -- convenience wrappers ------------------------------------------
 

@@ -35,21 +35,10 @@ E_TIMEOUT = "request-timeout"
 E_SHUTDOWN = "shutting-down"     # server is draining; request refused
 E_INTERNAL = "internal-error"
 
-# -- cluster-router codes (docs/cluster.md) ---------------------------
-E_OVERLOADED = "overloaded"          # every eligible worker queue is full
-E_QUOTA = "quota-exceeded"           # per-client token bucket is empty
-E_UNAVAILABLE = "worker-unavailable"  # no healthy worker can take this
-
 ERROR_CODES = (
     E_PARSE, E_METHOD, E_PARAMS, E_SNAPSHOT, E_INVALID, E_TOO_LARGE,
-    E_TIMEOUT, E_SHUTDOWN, E_INTERNAL, E_OVERLOADED, E_QUOTA,
-    E_UNAVAILABLE,
+    E_TIMEOUT, E_SHUTDOWN, E_INTERNAL,
 )
-
-#: Error codes that signal a *transient* condition a client should
-#: retry with backoff (the load will shed, the bucket will refill, the
-#: ring will re-route around an evicted worker).
-RETRYABLE_CODES = (E_OVERLOADED, E_QUOTA, E_UNAVAILABLE)
 
 
 class ProtocolError(ReproError):

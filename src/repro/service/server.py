@@ -307,7 +307,6 @@ class TeaService:
         self._pool = None
         self._inflight = set()
         self._draining = False
-        self._drain_hooks = []     # callables run as the drain begins
         self._stopped = None       # asyncio.Event, created in start()
         self._started_at = None
         self._replay_memo = {}     # (key, config) -> result dict
@@ -480,17 +479,6 @@ class TeaService:
         if not self._draining:
             asyncio.ensure_future(self.stop())
 
-    def add_drain_hook(self, hook):
-        """Register a callable to run when a drain begins.
-
-        Hooks run synchronously, in registration order, right after the
-        listener closes and before in-flight requests are awaited — a
-        cluster worker uses one to deregister from its router so no new
-        forwards race the drain.  Hook exceptions are swallowed: a
-        failing deregistration must not block the drain.
-        """
-        self._drain_hooks.append(hook)
-
     async def stop(self):
         """Graceful drain: refuse new work, finish in-flight, close."""
         if self._server is None:
@@ -501,11 +489,6 @@ class TeaService:
         self._draining = True
         self._server.close()
         await self._server.wait_closed()
-        for hook in self._drain_hooks:
-            try:
-                hook()
-            except Exception:  # noqa: BLE001 — never block the drain
-                pass
         pending = [task for task in self._inflight if not task.done()]
         if pending:
             done, still_pending = await asyncio.wait(
@@ -848,11 +831,9 @@ class TeaService:
 
         ``snapshot`` (or its alias ``a``) names the left side — the
         usual single-snapshot default applies — and ``b`` the right
-        side.  The router's consistent-hash affinity keys on
-        ``snapshot``, so diffs pass through the cluster untouched and
-        land on a worker holding the left snapshot.  With
-        ``replay: true`` both sides are also replayed (honouring
-        ``config`` / ``engine``) and the numeric deltas attached.
+        side.  With ``replay: true`` both sides are also replayed
+        (honouring ``config`` / ``engine``) and the numeric deltas
+        attached.
         """
         from repro.compare import diff_automata, replay_delta
 

@@ -11,16 +11,15 @@ and handy for interactive experiments::
             print(client.ping())
 
 The module also owns the ephemeral-port discipline for every service
-and cluster test: :func:`ephemeral_config` builds a
+test: :func:`ephemeral_config` builds a
 :class:`~repro.service.server.ServiceConfig` pinned to ``port=0`` (the
 kernel picks a free port at bind time, so parallel test runs can never
 collide on a fixed port), and :func:`wait_for_port_file` reads the
-bound port back from a subprocess worker's ``--port-file``.
+bound port back from a subprocess server's ``--port-file``.
 """
 
 import asyncio
 import os
-import socket
 import threading
 import time
 
@@ -42,21 +41,6 @@ def ephemeral_config(**kwargs):
         )
     kwargs["port"] = 0
     return ServiceConfig(**kwargs)
-
-
-def free_port(host="127.0.0.1"):
-    """One currently-free TCP port on ``host``.
-
-    Prefer ``port=0`` binds (:func:`ephemeral_config`) — the port here
-    is only *probably* still free by the time the caller binds it.  It
-    exists for the one case that genuinely needs a port before the
-    process that will own it: restarting a killed cluster worker on its
-    old address so ring rejoin can be observed.
-    """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
 
 
 def wait_for_port_file(path, timeout=120.0, poll=0.05):

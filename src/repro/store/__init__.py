@@ -55,7 +55,6 @@ from repro.store.store import (
     AutomatonStore,
     describe_snapshot,
     snapshot_key,
-    stable_hash64,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "DEFAULT_STORE_DIR",
     "describe_snapshot",
     "snapshot_key",
-    "stable_hash64",
     "SnapshotMapping",
     "cached_compiled",
     "cached_mapping",

@@ -6,8 +6,8 @@ zero-copy over it.  Because the compiled tables are int64 views into
 the mapping, every process that maps the same snapshot file shares one
 copy of the automaton in the page cache — the per-process resident
 cost of "loading" a snapshot collapses to a few dict builds.  This is
-how the replay service, the cluster workers and the parallel-harness
-worker pools hold fleet-wide automata without pickling them around.
+how the replay service and the parallel-harness worker pools hold
+fleet-wide automata without pickling them around.
 
 :func:`cached_compiled` adds the per-process discipline: one mapping
 per (path, mtime, size), reused by every caller in the process (e.g.

@@ -157,21 +157,6 @@ def _check_migration(key, old, new):
         )
 
 
-def stable_hash64(text, salt=""):
-    """A deterministic 64-bit hash of a string (SHA-256 prefix).
-
-    Unlike ``hash()``, this is independent of ``PYTHONHASHSEED`` and
-    identical across processes and machines — the property the cluster
-    router's consistent-hash ring needs so every router instance (and
-    the ``repro tools cluster plan`` CLI) agrees on which worker owns a
-    snapshot digest.  ``salt`` separates hash domains (ring points vs
-    routed keys) so a node name can never collide with a content key
-    by construction.
-    """
-    payload = ("%s\x00%s" % (salt, text)).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-
-
 class AutomatonStore:
     """A directory of content-addressed binary TEA snapshots.
 

@@ -23,9 +23,6 @@ Examples::
     python -m repro.tools verify snapshot.teab
     python -m repro.tools verify --benchmark 176.gcc tea.json
     python -m repro.tools verify --format sarif --out report.sarif *.teab
-    python -m repro.tools cluster up --store .tea_store --workers 3
-    python -m repro.tools cluster plan --store .tea_store --worker w1 \\
-        --worker w2
 """
 
 import argparse
@@ -719,8 +716,8 @@ def main(argv=None):
     audit.add_argument("--code", action="append", default=[],
                        metavar="PATH",
                        help="extra concurrency-lint source target "
-                            "(repeatable; default: the shipped service/"
-                            "cluster/mapping sources)")
+                            "(repeatable; default: the shipped service "
+                            "and mapping sources)")
     audit.add_argument("--no-code", action="store_true",
                        help="audit snapshots and JIT sources only")
     audit.add_argument("--jobs", type=int, default=1,
@@ -752,19 +749,7 @@ def main(argv=None):
     cache.add_argument("--clear", action="store_true",
                        help="delete every cached stage summary")
 
-    cluster = commands.add_parser(
-        "cluster",
-        help="sharded replay cluster: router, workers, routing plans "
-             "(forwards to python -m repro.cluster; see docs/cluster.md)",
-        add_help=False,
-    )
-    cluster.add_argument("cluster_args", nargs=argparse.REMAINDER)
-
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
-    if args.command == "cluster":
-        from repro.cluster.__main__ import main as cluster_main
-
-        return cluster_main(args.cluster_args)
     try:
         if args.command == "record":
             return _cmd_record(args)

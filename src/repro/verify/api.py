@@ -123,7 +123,7 @@ def verify_python_source(source, source_name="<python>", engine=None,
 
     ``source`` is Python source; ``source_name`` the display path.  The
     audit scheduler calls this for every file in the service stack
-    (``repro.service``, ``repro.cluster``, ``repro.store.mapping``).
+    (``repro.service``, ``repro.store.mapping``).
     """
     subject = Subject(source=source_name, python_source=source)
     return _engine(engine, obs).verify(subject)

@@ -13,9 +13,14 @@ import time
 
 import pytest
 
+import repro
 from repro.audit import AuditCache, audit_store, default_code_paths
 from repro.audit.cache import audit_fingerprint, file_digest
-from repro.audit.scheduler import audit_paths, store_artifact_paths
+from repro.audit.scheduler import (
+    CODE_TARGETS,
+    audit_paths,
+    store_artifact_paths,
+)
 from repro.core import build_tea
 from repro.store import AutomatonStore
 from repro.tools.__main__ import main
@@ -151,7 +156,9 @@ def test_default_code_paths_cover_the_service_stack():
     names = {os.path.basename(p) for p in paths}
     assert "server.py" in names
     assert "mapping.py" in names
-    assert any(os.sep + "cluster" + os.sep in p for p in paths)
+    package_root = os.path.dirname(os.path.abspath(repro.__file__))
+    for target in CODE_TARGETS:
+        assert os.path.exists(os.path.join(package_root, target)), target
 
 
 # ---------------------------------------------------------------------

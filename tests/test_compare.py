@@ -1,16 +1,13 @@
-"""The TEA diff subsystem (``repro.compare``) — library, RPC, cluster.
+"""The TEA diff subsystem (``repro.compare``) — library and RPC.
 
 Covers the alignment semantics (self-diff is identical, including
-across object/compiled representations), the TEA054 report gate, the
-``diff`` RPC on the replay service with replay deltas, and router
-passthrough on a live cluster.
+across object/compiled representations), the TEA054 report gate, and
+the ``diff`` RPC on the replay service with replay deltas.
 """
 
 import pytest
 
 from tests.conftest import record_traces
-from repro.cluster import ClusterConfig
-from repro.cluster.testing import ClusterThreadHarness
 from repro.compare import TeaDiff, diff_automata, replay_delta
 from repro.core import build_tea
 from repro.minimize import minimize_tea
@@ -27,7 +24,7 @@ SCALE = 0.3
 
 class _World:
     """Two recordings of one benchmark plus a store with both (and a
-    minimized third) preloaded for the service/cluster tests."""
+    minimized third) preloaded for the service tests."""
 
     def __init__(self, root):
         self.program = load_benchmark(BENCHMARK, scale=SCALE).program
@@ -233,22 +230,3 @@ def test_rpc_diff_unknown_b_is_unknown_snapshot(service):
         with pytest.raises(ServiceError) as err:
             client.diff("nonesuch", a="tt")
     assert err.value.code == E_SNAPSHOT
-
-
-# ---------------------------------------------------------------------
-# cluster passthrough
-# ---------------------------------------------------------------------
-
-
-def test_cluster_routes_diff_to_workers(world):
-    config = ClusterConfig(replicas=1, health_interval=5.0)
-    with ClusterThreadHarness(world.store, n_workers=2,
-                              router_config=config) as cluster:
-        with cluster.client(timeout=120.0) as client:
-            routed = client.diff("mret", a="tt")
-            self_routed = client.diff("tt", a="tt")
-    direct = diff_automata(world.tea_tt, world.tea_mret)
-    assert routed["similarity"] == direct.similarity
-    assert routed["transitions"] == direct.to_json()["transitions"]
-    assert routed["snapshot_a"] == world.key_tt
-    assert self_routed["identical"]

@@ -2,8 +2,8 @@
 
 The lint earns its keep twice: unit cases prove each check fires on a
 minimal synthetic module, and the self-audit proves the shipped
-service stack (`repro/service`, `repro/cluster`,
-`repro/store/mapping.py`) carries zero findings — the very findings
+service stack (`repro/service`, `repro/store/mapping.py`) carries
+zero findings — the very findings
 the lint first surfaced there are fixed and locked in by the
 regression tests at the bottom.
 """
@@ -223,7 +223,7 @@ def test_syntax_error_reported_once_via_tea080():
 def test_service_stack_lint_clean():
     engine = default_engine(strict=True)
     paths = default_code_paths()
-    assert len(paths) >= 3  # service/, cluster/, store/mapping.py
+    assert len(paths) >= 3  # service/*.py, store/mapping.py
     dirty = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as handle:

@@ -28,6 +28,7 @@ from repro.service.protocol import (
     E_TIMEOUT,
     E_TOO_LARGE,
     HEADER,
+    PayloadTooLarge,
     ProtocolError,
     ServiceError,
     decode_payload,
@@ -38,7 +39,11 @@ from repro.service.protocol import (
     write_frame_blocking,
 )
 from repro.service.server import ServiceSetupError, TeaService
-from repro.service.testing import ServiceThread, ephemeral_config
+from repro.service.testing import (
+    ServiceThread,
+    ephemeral_config,
+    wait_for_port_file,
+)
 from repro.store import AutomatonStore
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
@@ -132,6 +137,22 @@ def test_blocking_read_eof_and_truncation():
             read_frame_blocking(right)
     finally:
         right.close()
+
+
+def test_ephemeral_config_pins_port_zero():
+    config = ephemeral_config(debug=True, max_payload=512)
+    assert config.port == 0
+    assert config.debug is True and config.max_payload == 512
+    with pytest.raises(ValueError):
+        ephemeral_config(port=7321)
+
+
+def test_wait_for_port_file(tmp_path):
+    path = tmp_path / "svc.port"
+    with pytest.raises(TimeoutError):
+        wait_for_port_file(str(path), timeout=0.2, poll=0.05)
+    path.write_text("7777\n")
+    assert wait_for_port_file(str(path), timeout=1.0) == 7777
 
 
 # ---------------------------------------------------------------------
@@ -274,6 +295,15 @@ def test_payload_too_large_reply(world):
             reply = read_frame_blocking(sock)
         assert reply["ok"] is False
         assert reply["error"]["code"] == E_TOO_LARGE
+
+
+def test_client_reconnects_after_a_transport_error(shared_service):
+    # The snapshots reply is larger than the client's payload cap; the
+    # unread payload must not be taken for the next reply's header.
+    with shared_service.client(max_payload=200) as client:
+        with pytest.raises(PayloadTooLarge):
+            client.call("snapshots")
+        assert client.ping()["pong"] is True
 
 
 def test_request_timeout(world):
