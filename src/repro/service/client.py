@@ -109,13 +109,7 @@ class ServiceClient:
     def call(self, method, **params):
         """One RPC round-trip; returns the result or raises ServiceError."""
         self.obs.metrics.counter("client.requests").inc()
-        try:
-            request_id = self._send_request(method, params)
-            reply = self._receive(request_id)
-        except (ProtocolError, OSError):
-            self._reset()
-            raise
-        return self._unwrap(reply)
+        return self.call_many([(method, params)])[0]
 
     def call_many(self, requests):
         """Pipeline ``[(method, params), ...]`` on this connection.
@@ -130,14 +124,10 @@ class ServiceClient:
             ]
             replies = [self._receive(request_id) for request_id in ids]
         except (ProtocolError, OSError):
-            self._reset()
+            self.close()
+            self._stash.clear()
             raise
         return [self._unwrap(reply) for reply in replies]
-
-    def _reset(self):
-        """Drop a connection whose stream position is unknown."""
-        self.close()
-        self._stash.clear()
 
     # -- convenience wrappers ------------------------------------------
 
