@@ -27,33 +27,44 @@ tables: into contiguous integer arrays, indexed by state id.
   (advisory; zero when lowered straight from a TEAB snapshot, which
   does not store them).
 
-:class:`CompiledReplayer` drives those tables over **packed transition
-batches** — flat ``(next_start, instrs_dbt, instrs_pin)`` int triples
-(see :mod:`repro.pin.packed`) — instead of transition objects, with
-accounting identical to ``TeaReplayer``: the same ``replay.*``
-counters, the same CostModel charges in the same order, the same
-local-cache/directory semantics on side exits.  The differential suite
-in ``tests/test_compiled_engine.py`` pins that equivalence down.
+:class:`CompiledReplayer` replays **packed transition batches** — flat
+``(next_start, instrs_dbt, instrs_pin)`` int triples (see
+:mod:`repro.pin.packed`) — instead of transition objects.  It links the
+tables into one small list per state (a *cell*: the state's expected
+next PC and a direct link to that successor's cell, its local cache,
+its last side exit), so an in-trace block costs one compare and one
+list index.  The accounting is identical to ``TeaReplayer``: the same
+``replay.*`` counters, the same CostModel charges in the same order,
+the same local-cache/directory semantics on side exits.  The
+differential suite in ``tests/test_compiled_engine.py`` pins that
+equivalence down.
 
 ``CompiledTea`` instances are immutable after construction and safe to
 share read-only across threads (the replay service preloads one per
-snapshot); each :class:`CompiledReplayer` owns its own mutable caches,
+snapshot); each :class:`CompiledReplayer` owns its own cells, caches,
 directory and stats, exactly like ``TeaReplayer``.
 """
 
 from array import array
 
 from repro.core.automaton import NTE_SID
-from repro.core.directory import DIRECTORY_COST_PARAM, make_directory
+from repro.core.directory import (
+    DIRECTORY_COST_PARAM,
+    DIRECTORY_UNITS_ATTR,
+    make_directory,
+)
 from repro.core.replay import ReplayConfig, ReplayStats
 from repro.dbt.cost import CostModel
 from repro.obs import Observability
-from repro.structures.lru import MISS, DirectMappedCache, LRUCache
 
 #: ``next_start`` value marking an end-of-run transition in a packed
 #: stream (``BlockTransition.next_start is None``).  Real PCs are
 #: non-negative, so any negative value is terminal.
 END_OF_RUN = -1
+
+#: A cell's expected or last-exit PC when it has none: outside the
+#: int64 range of a packed batch, so no ``next_start`` ever equals it.
+NO_MATCH = -(2 ** 64)
 
 
 class CompiledTea:
@@ -295,8 +306,30 @@ class CompiledReplayer:
     :meth:`run` consumes packed int triples rather than transition
     objects (:func:`repro.pin.packed.pack_transitions` produces them).
 
-    Directory and local-cache values are integer state ids, so the slow
-    path allocates nothing per event.
+    The walk runs over :attr:`cells`, one list per state, built from
+    :meth:`CompiledTea.successor_maps`: ``[expected_pc, next_cell, sid,
+    cache_keys, cache_values, last_exit_pc, last_exit_cell, multi]``:
+
+    - the fast path is one compare and one index: a state's first
+      successor label is baked into its cell with a direct link to the
+      successor's cell, and the remaining successors of a fan-out > 1
+      state sit in the cell's own ``multi`` dict (empty for the other
+      in-trace states, ``None`` for out-of-trace ones);
+    - the *exit memo* holds the last side exit taken from the state.  A
+      state's local cache changes only on that state's own exits, so the
+      same PC as the previous exit proves the cache would hit again
+      (90-97% of exits on the Table 4 workloads repeat the previous
+      exit PC);
+    - the local cache lives in the cell, created on the state's first
+      exit: a dict in recency order (LRU) or parallel key/value lists
+      (direct-mapped), holding destination cells;
+    - directory lookups are memoised per replayer (the directory only
+      changes through :meth:`register_trace`, which drops the memo); the
+      probe and unit counts of memoised lookups are added to the
+      directory's counters at the batch boundary.
+
+    Cells link to each other in cycles, so :meth:`__del__` unlinks them:
+    a finished replayer is freed by reference counting alone.
     """
 
     def __init__(self, compiled, config=None, cost=None, obs=None):
@@ -312,17 +345,41 @@ class CompiledReplayer:
         for entry, head_sid in zip(compiled.head_entries,
                                    compiled.head_sids):
             self.directory.insert(entry, head_sid)
-        self._caches = {}
-        self._succ = compiled.successor_maps()
-        # Pre-bound per-state dispatch (one dict.get per sid) saves an
-        # attribute lookup on every hot-path transition.
-        self._succ_get = [mapping.get for mapping in self._succ]
+        self._dir_memo = {}
+        self._agg_cache_hits = 0
+        self._agg_cache_misses = 0
+        self.cells = cells = [
+            [NO_MATCH, None, sid, None, None, NO_MATCH, None, None]
+            for sid in range(compiled.n_states)
+        ]
+        tbb_flag = compiled.tbb_flag
+        no_more = {}
+        for cell, successors in zip(cells, compiled.successor_maps()):
+            # Only in-trace states consult their successors; a negative
+            # label could never be taken (negative PCs end the run).
+            if not tbb_flag[cell[2]]:
+                continue
+            links = [(label, cells[dest])
+                     for label, dest in successors.items() if label >= 0]
+            if links:
+                cell[0], cell[1] = links[0]
+            cell[7] = dict(links[1:]) if len(links) > 1 else no_more
+
+    def __del__(self):
+        for cell in getattr(self, "cells", ()):
+            cell.clear()
 
     # ------------------------------------------------------------------
 
     def register_trace(self, entry, head_sid):
-        """Make a newly known trace findable (parity with TeaReplayer)."""
+        """Make a newly known trace findable (parity with TeaReplayer).
+
+        Drops the directory memo wholesale: an insertion reshapes the
+        container, so the memoised unit counts of other entries go
+        stale too.
+        """
         self.directory.insert(entry, head_sid)
+        self._dir_memo.clear()
 
     # ------------------------------------------------------------------
 
@@ -346,6 +403,10 @@ class CompiledReplayer:
         batch's totals are still flushed (batch-atomic, vs. the object
         engine's partial-progress flush) — the automaton walk itself
         cannot raise, so this only shows under injected faults.
+
+        Configuration branches sit only on the cache-miss path.  The
+        in-trace hit count is derived at the flush (blocks walked minus
+        every other outcome) rather than counted per block.
         """
         length = len(packed)
         if length % 3:
@@ -355,109 +416,148 @@ class CompiledReplayer:
         counters = self.stats._counters
         cost = self.cost
         params = cost.params
-        succ_get = self._succ_get
-        tbb_flag = self.compiled.tbb_flag
-        sid = self.sid
+        cells = self.cells
+        node = cells[self.sid]
+        nte_cell = cells[NTE_SID]
 
         # Slow-path collaborators, hoisted out of the walk loop.
         config = self.config
         use_cache = config.local_cache
         cache_size = config.cache_size
         is_lru = config.cache_kind != "direct"
-        cache_ctor = LRUCache if is_lru else DirectMappedCache
-        caches = self._caches
-        caches_get = caches.get
-        lookup = self.directory.lookup
-        per_unit = getattr(params, DIRECTORY_COST_PARAM[self.directory.kind])
+        directory = self.directory
+        lookup = directory.lookup
+        memo = self._dir_memo
+        memo_get = memo.get
+        per_unit = getattr(params, DIRECTORY_COST_PARAM[directory.kind])
 
         blocks = length // 3
-        # The per-lane work is done at C speed: one boxed int per block
-        # in the walk loop (the next PC), totals via sum() over the
-        # instruction lanes.  Coverage is total minus the instructions
-        # of out-of-trace blocks, accumulated only on the (rare) NTE
-        # path — all integer arithmetic, so the counters are exact.
-        starts = list(packed[0::3])
+        # Totals are summed at C speed; coverage is total minus the
+        # instructions of out-of-trace blocks, read from ``packed`` only
+        # on the (rare) NTE path — all integer arithmetic, so the
+        # counters are exact.
         total_dbt = sum(packed[1::3])
         total_pin = sum(packed[2::3])
         uncovered_dbt = 0
         uncovered_pin = 0
-        fast_hits = 0
+        exit_memo_hits = 0
         trace_exits = 0
         nte_probes = 0
+        run_ends = 0
         cache_hits = 0
         cache_misses = 0
         cache_inserts = 0
         directory_hits = 0
         directory_misses = 0
         directory_units = 0
+        lookups = 0
+        lookup_units = 0
+        keys = None
+        walk = iter(list(packed[0::3]))
+        remaining = walk.__length_hint__
 
         try:
-            for index, next_start in enumerate(starts):
-                if tbb_flag[sid]:
-                    if next_start >= 0:
-                        destination = succ_get[sid](next_start)
-                        if destination is not None:
-                            fast_hits += 1
-                            sid = destination
+            for pc in walk:
+                if pc == node[0]:
+                    node = node[1]
+                    continue
+                if pc == node[5]:
+                    exit_memo_hits += 1
+                    node = node[6]
+                    continue
+                multi = node[7]
+                if multi is not None:
+                    # In-trace state: another successor, or a side exit
+                    # (local cache, then directory).
+                    if multi:
+                        dest = multi.get(pc)
+                        if dest is not None:
+                            node = dest
                             continue
-                        # Side exit: local cache, then directory.  The
-                        # LRU probe is inlined (dict get + move_to_end)
-                        # — the cache object's own hit/miss counters are
-                        # still maintained so snapshot() gauges match.
-                        trace_exits += 1
-                        cache = None
-                        if use_cache:
-                            cache = caches_get(sid)
-                            if cache is None:
-                                cache = cache_ctor(cache_size)
-                                caches[sid] = cache
+                    if pc < 0:
+                        run_ends += 1
+                        continue
+                    trace_exits += 1
+                    if use_cache:
+                        keys = node[3]
+                        if keys is None:
+                            dest = None
                             if is_lru:
-                                entries = cache._entries
-                                found = entries.get(next_start, MISS)
-                                if found is not MISS:
-                                    entries.move_to_end(next_start)
-                                    cache.hits += 1
-                                    cache_hits += 1
-                                    sid = found
-                                    continue
-                                cache.misses += 1
+                                keys = node[3] = {}
                             else:
-                                found = cache.probe(next_start)
-                                if found is not MISS:
-                                    cache_hits += 1
-                                    sid = found
-                                    continue
-                            cache_misses += 1
-                        found, units = lookup(next_start)
-                        directory_units += units
-                        if found is None:
-                            directory_misses += 1
-                            sid = NTE_SID
+                                keys = node[3] = [None] * cache_size
+                                node[4] = [None] * cache_size
+                        elif is_lru:
+                            dest = keys.get(pc)
+                            if dest is not None:
+                                del keys[pc]
+                                keys[pc] = dest
                         else:
-                            directory_hits += 1
-                            sid = found
-                            if cache is not None:
-                                cache.insert(next_start, found)
-                                cache_inserts += 1
+                            slot = pc % cache_size
+                            dest = node[4][slot] if keys[slot] == pc else None
+                        if dest is not None:
+                            cache_hits += 1
+                            node[5] = pc
+                            node[6] = dest
+                            node = dest
+                            continue
+                        cache_misses += 1
                 else:
-                    base = 3 * index
-                    uncovered_dbt += packed[base + 1]
-                    uncovered_pin += packed[base + 2]
-                    if next_start >= 0:
-                        nte_probes += 1
-                        found, units = lookup(next_start)
-                        directory_units += units
-                        if found is None:
-                            directory_misses += 1
-                            sid = NTE_SID
-                        else:
-                            directory_hits += 1
-                            sid = found
+                    # Out of trace: the block is uncovered; probe the
+                    # directory unless the run ends here.
+                    base = 3 * (blocks - remaining())
+                    uncovered_dbt += packed[base - 2]
+                    uncovered_pin += packed[base - 1]
+                    if pc < 0:
+                        run_ends += 1
+                        continue
+                    nte_probes += 1
+                    keys = None
+                memoised = memo_get(pc)
+                if memoised is None:
+                    found, units = lookup(pc)
+                    lookups += 1
+                    lookup_units += units
+                    memoised = memo[pc] = (
+                        cells[found] if found is not None else None, units,
+                    )
+                dest, units = memoised
+                directory_units += units
+                if dest is None:
+                    directory_misses += 1
+                    node = nte_cell
+                    continue
+                directory_hits += 1
+                if keys is not None:
+                    # A side exit found its trace: fill the local cache.
+                    cache_inserts += 1
+                    if is_lru:
+                        keys[pc] = dest
+                        if len(keys) > cache_size:
+                            del keys[next(iter(keys))]
+                    else:
+                        slot = pc % cache_size
+                        keys[slot] = pc
+                        node[4][slot] = dest
+                    node[5] = pc
+                    node[6] = dest
+                node = dest
         finally:
             # Batch-boundary flush: counters first, then every deferred
             # cycle charge (see the docstring for why batching the
             # slow-path charges is still bit-exact).
-            self.sid = sid
+            trace_exits += exit_memo_hits
+            cache_hits += exit_memo_hits
+            fast_hits = (blocks - remaining() - trace_exits - nte_probes
+                         - run_ends)
+            self.sid = sid = node[2]
+            # The directory counted its own lookups; add the memoised ones.
+            directory.probes += directory_hits + directory_misses - lookups
+            units_attr = DIRECTORY_UNITS_ATTR[directory.kind]
+            setattr(directory, units_attr, getattr(directory, units_attr)
+                    + directory_units - lookup_units)
+            self._agg_cache_hits += cache_hits
+            self._agg_cache_misses += cache_misses
             counters["blocks"].value += blocks
             counters["total_dbt"].value += total_dbt
             counters["total_pin"].value += total_pin
@@ -515,15 +615,10 @@ class CompiledReplayer:
         metrics.set_gauge("replay.directory.size", len(directory))
         metrics.set_gauge("replay.directory.probes", directory.probes)
         metrics.set_gauge("replay.directory.units", directory.units)
-        metrics.set_gauge("replay.local_caches", len(self._caches))
-        metrics.set_gauge(
-            "replay.local_cache_hits",
-            sum(cache.hits for cache in self._caches.values()),
-        )
-        metrics.set_gauge(
-            "replay.local_cache_misses",
-            sum(cache.misses for cache in self._caches.values()),
-        )
+        metrics.set_gauge("replay.local_caches", self.local_caches())
+        metrics.set_gauge("replay.local_cache_hits", self._agg_cache_hits)
+        metrics.set_gauge("replay.local_cache_misses",
+                          self._agg_cache_misses)
         snap = self.obs.snapshot()
         snap["cost"] = {
             "cycles": self.cost.cycles,
@@ -531,11 +626,19 @@ class CompiledReplayer:
         }
         return snap
 
+    def local_caches(self):
+        """How many states hold a local cache (created on first exit)."""
+        return sum(1 for cell in self.cells if cell[3] is not None)
+
     def reset(self, clear_caches=True):
         """Return to NTE; by default also drop per-state caches and
         zero the directory probe/unit counters (see
         :meth:`TeaReplayer.reset`)."""
         self.sid = NTE_SID
         if clear_caches:
-            self._caches.clear()
+            for cell in self.cells:
+                cell[3] = cell[4] = cell[6] = None
+                cell[5] = NO_MATCH
+            self._agg_cache_hits = 0
+            self._agg_cache_misses = 0
             self.directory.reset_counters()

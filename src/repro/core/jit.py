@@ -1,14 +1,12 @@
 """Per-automaton specializing replay codegen (the TEA JIT engine).
 
-The compiled engine (:mod:`repro.core.compiled`) already lowers the
-automaton into flat tables, but its hot loop is still *generic*: every
-block pays a per-state successor-dict probe, and every side exit walks
-the configurable cache/directory machinery through runtime flags.  The
-paper's observation that the transition function dominates replay
+The paper's observation that the transition function dominates replay
 (Table 4) points at the classic DBT answer — specialize the dispatch
 code *per automaton*, the way a translator specializes per trace.
-
-This module is that translator.  :func:`generate_replay_source` emits a
+This module is that translator.  Its speed turned out to come from the
+state cells below rather than from the generated code: the compiled
+engine (:mod:`repro.core.compiled`) walks the same kind of cells in
+plain Python and is as fast.  :func:`generate_replay_source` emits a
 Python module tailored to one :class:`~repro.core.compiled.CompiledTea`
 and one :class:`~repro.core.replay.ReplayConfig`:
 
@@ -73,7 +71,6 @@ from repro.core.directory import (
 from repro.core.replay import ReplayConfig, ReplayStats
 from repro.dbt.cost import CostModel
 from repro.obs import Observability
-from repro.structures.lru import DirectMappedCache, LRUCache
 
 #: A state whose successor fan-out exceeds this is left unspecialized;
 #: reaching it deopts the batch remainder to the compiled engine.
@@ -515,7 +512,7 @@ class JitCode:
     """
 
     __slots__ = ("source", "digest", "config_token", "params_token",
-                 "threshold", "_namespace")
+                 "threshold", "_namespace", "_bind")
 
     def __init__(self, compiled, config=None, params=None,
                  threshold=DEFAULT_SPECIALIZE_THRESHOLD):
@@ -533,6 +530,9 @@ class JitCode:
         # Executes only ``self.source``, generated above in this
         # process; no JIT code is ever read from disk.
         exec(code, namespace)  # noqa: S102
+        # ``bind`` keeps the namespace as its globals; taken out of it,
+        # the two form no reference cycle.
+        self._bind = namespace.pop("bind")
         self._namespace = namespace
 
     @classmethod
@@ -565,7 +565,7 @@ class JitCode:
     def bind(self):
         """Build fresh cells + runner closure for one replayer; the
         runner is called as ``run(replayer, packed)``."""
-        return self._namespace["bind"]()
+        return self._bind()
 
     def __repr__(self):
         return "<JitCode digest=%s config=%s states=%d deopt=%d>" % (
@@ -662,6 +662,12 @@ class JitReplayer:
         self.cells, self._runner = code.bind()
         self._node = self.cells[NTE_SID]
 
+    def __del__(self):
+        # Cells link to each other in cycles; unlinking them lets
+        # reference counting free a finished replayer's cells.
+        for cell in getattr(self, "cells", None) or ():
+            cell.clear()
+
     # ------------------------------------------------------------------
 
     @property
@@ -696,7 +702,11 @@ class JitReplayer:
         the container, so the memoised probe-unit counts of *other*
         entries go stale too, not just this PC's result.
         """
-        self.directory.insert(entry, head_sid)
+        if self._fallback is not None:
+            # Inserts into the shared directory and drops its own memo.
+            self._fallback.register_trace(entry, head_sid)
+        else:
+            self.directory.insert(entry, head_sid)
         self._dir_memo.clear()
 
     def run(self, packed):
@@ -735,7 +745,7 @@ class JitReplayer:
         fallback.stats = self.stats
         fallback.directory = self.directory
         fallback.sid = sid
-        fallback._caches = self._convert_caches()
+        self._convert_caches(fallback.cells)
         self._fallback = fallback
         self._fallback_active = True
         self._permanent_deopt = self._permanent_deopt or permanent
@@ -744,47 +754,40 @@ class JitReplayer:
         self.obs.emit("replay.jit_deopt", reason=reason,
                       permanent=bool(permanent))
 
-    def _convert_caches(self):
-        """Lower cell-embedded caches into the compiled engine's shape."""
-        caches = {}
+    def _convert_caches(self, target):
+        """Copy the cell-embedded caches into the compiled engine's
+        ``target`` cells, relinked to those cells."""
         if self.cells is None or not self.config.local_cache:
-            return caches
+            return
         is_lru = self.config.cache_kind != "direct"
         size = self.config.cache_size
         deopt_sids = set(self.code.deopt_sids)
         for cell in self.cells:
+            sid = cell[2]
+            store = cell[3]
             # Unspecialized cells carry the _DEOPT marker (a list) in
             # the cache slot — not a cache.
-            if cell[2] in deopt_sids:
+            if sid in deopt_sids or not isinstance(store, (dict, list)):
                 continue
-            store = cell[3]
-            if store is None or not isinstance(store, (dict, list)):
-                continue
+            into = target[sid]
             if is_lru:
-                if not store:
-                    continue
-                cache = LRUCache(size)
-                # The emulation dict is maintained in recency order
-                # (hits reinsert), exactly OrderedDict's convention.
-                for pc, dest in store.items():
-                    cache._entries[pc] = dest[2]
-                caches[cell[2]] = cache
-            else:
-                if not any(key is not None for key in store):
-                    continue
-                cache = DirectMappedCache(size)
-                cache._keys = list(store)
-                cache._values = [
-                    dest[2] if dest is not None else None
-                    for dest in cell[4]
-                ]
-                caches[cell[2]] = cache
+                if store:
+                    # Recency order (hits reinsert) carries over as is.
+                    into[3] = {pc: target[dest[2]]
+                               for pc, dest in store.items()}
+            elif any(key is not None for key in store):
+                into[3] = list(store)
+                into[4] = [target[dest[2]] if dest is not None else None
+                           for dest in cell[4]]
         # Dir-miss-only states: compiled holds an empty cache for them.
-        cache_ctor = LRUCache if is_lru else DirectMappedCache
         for sid in self._cache_touched:
-            if sid not in caches:
-                caches[sid] = cache_ctor(size)
-        return caches
+            into = target[sid]
+            if into[3] is None:
+                if is_lru:
+                    into[3] = {}
+                else:
+                    into[3] = [None] * size
+                    into[4] = [None] * size
 
     # ------------------------------------------------------------------
 
@@ -806,10 +809,9 @@ class JitReplayer:
         cache_misses = self._agg_cache_misses
         active = 0
         if self._fallback is not None:
-            fallback_caches = self._fallback._caches
-            active = len(fallback_caches)
-            cache_hits += sum(c.hits for c in fallback_caches.values())
-            cache_misses += sum(c.misses for c in fallback_caches.values())
+            active = self._fallback.local_caches()
+            cache_hits += self._fallback._agg_cache_hits
+            cache_misses += self._fallback._agg_cache_misses
         elif self.cells is not None and self.config.local_cache:
             deopt_sids = set(self.code.deopt_sids)
             populated = set(self._cache_touched)

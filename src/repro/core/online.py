@@ -32,15 +32,31 @@ class OnlineTeaRecorder:
 
     def __init__(self, recorder, config=None, cost=None, profile=None,
                  obs=None):
-        self.tea = TEA()
+        self.tea = tea = TEA()
         self.recorder = recorder
-        recorder.on_trace = self._trace_committed
-        self.replayer = TeaReplayer(
-            self.tea, config=config or ReplayConfig.global_local(),
+        self.replayer = replayer = TeaReplayer(
+            tea, config=config or ReplayConfig.global_local(),
             cost=cost, profile=profile, obs=obs,
         )
-        self.obs = self.replayer.obs
-        self._synced = set()
+        self.obs = obs = replayer.obs
+        self._synced = synced = set()
+
+        def trace_committed(trace):
+            sync_trace(tea, trace)
+            replayer.register_trace(trace.entry,
+                                    tea.state_for(trace.tbbs[0]))
+            synced.add(trace.trace_id)
+            obs.metrics.counter("record.traces_committed").inc()
+            obs.emit(
+                "record.trace_committed",
+                trace_id=trace.trace_id,
+                entry=trace.entry,
+                tbbs=len(trace.tbbs),
+            )
+
+        # A closure, not a bound method: the recorder must not hold this
+        # object, or the two would form a reference cycle.
+        recorder.on_trace = trace_committed
 
     @property
     def cost(self):
@@ -49,18 +65,6 @@ class OnlineTeaRecorder:
     @property
     def stats(self):
         return self.replayer.stats
-
-    def _trace_committed(self, trace):
-        sync_trace(self.tea, trace)
-        self.replayer.register_trace(trace.entry, self.tea.state_for(trace.tbbs[0]))
-        self._synced.add(trace.trace_id)
-        self.obs.metrics.counter("record.traces_committed").inc()
-        self.obs.emit(
-            "record.trace_committed",
-            trace_id=trace.trace_id,
-            entry=trace.entry,
-            tbbs=len(trace.tbbs),
-        )
 
     def observe(self, transition):
         """Feed one block transition to both the recorder and the replayer."""

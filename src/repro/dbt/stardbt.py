@@ -97,25 +97,26 @@ class StarDBT:
         self.stream = matching(stream, max_instructions)
         self.strategy = strategy
         self.block_index = BlockIndex(program)
-        self.cost = CostModel(cost_params or CostParameters())
-        self.code_cache = CodeCache(memory_model=memory_model)
+        self.cost = cost = CostModel(cost_params or CostParameters())
+        self.code_cache = code_cache = CodeCache(memory_model=memory_model)
+        # Trace-build charges of commits the run has not added yet.
+        self._builds = builds = []
+
+        def trace_committed(trace):
+            builds.append(cost.params.DBT_TRACE_BUILD_PER_TBB * len(trace))
+            code_cache.install(trace)
+
         kwargs = dict(recorder_kwargs or {})
         kwargs["limits"] = limits
-        kwargs["on_trace"] = self._trace_committed
+        # A closure, not a bound method: the recorder must not hold the
+        # runtime, or the two would form a reference cycle.
+        kwargs["on_trace"] = trace_committed
         self.recorder = make_recorder(strategy, **kwargs)
         self.max_instructions = max_instructions
-
-        # Trace-build charges of commits the run has not added yet.
-        self._builds = []
         self._covered_dbt = 0
         self._blocks = 0
 
     # ------------------------------------------------------------------
-
-    def _trace_committed(self, trace):
-        self._builds.append(
-            self.cost.params.DBT_TRACE_BUILD_PER_TBB * len(trace))
-        self.code_cache.install(trace)
 
     def run(self):
         """Run the program under the DBT; returns :class:`DBTResult`."""

@@ -78,15 +78,14 @@ REPLAY_CONFIGS = {
 }
 
 #: Engines the ``replay``/``coverage`` RPCs accept.  The compiled
-#: flat-table engine is the default: every preloaded snapshot carries a
-#: ready :class:`~repro.core.compiled.CompiledTea` (lowered straight
-#: from the snapshot bytes), the accounting is identical, and it is the
-#: faster dispatch loop.  ``engine="object"`` keeps the TeaReplayer
-#: object walk for differential checks; ``engine="jit"`` drives
-#: per-automaton generated code (specialized lazily per config on first
-#: request, shared read-only across workers thereafter) — identical
-#: accounting again, faster still.  The default stays ``compiled``
-#: until the JIT bench gate has soaked.
+#: engine is the default: every preloaded snapshot carries a ready
+#: :class:`~repro.core.compiled.CompiledTea` (lowered straight from the
+#: snapshot bytes), the accounting is identical, and its walk over
+#: per-state cells is as fast as the JIT's without generating code.
+#: ``engine="object"`` keeps the TeaReplayer object walk for
+#: differential checks; ``engine="jit"`` drives per-automaton generated
+#: code (specialized lazily per config on first request, shared
+#: read-only across workers thereafter) — identical accounting again.
 REPLAY_ENGINES = ("object", "compiled", "jit")
 DEFAULT_ENGINE = "compiled"
 

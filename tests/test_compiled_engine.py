@@ -65,10 +65,21 @@ def _capture(program):
     return transitions
 
 
+#: The compiled engine's batch-boundary charge order.
+FLUSH_ORDER = ("callback", "transition", "cache", "directory", "enter")
+
+
 def _stepwise(tea, transitions, config):
+    """The ``step()`` reference; also records, per cost category, the
+    index of the block that first charged it (``first_charged``)."""
     replayer = TeaReplayer(tea, config=config)
-    for transition in transitions:
+    breakdown = replayer.cost.breakdown
+    replayer.first_charged = first_charged = {}
+    for index, transition in enumerate(transitions):
         replayer.step(transition)
+        if len(breakdown) > len(first_charged):
+            for key in breakdown:
+                first_charged.setdefault(key, index)
     return replayer
 
 
@@ -84,15 +95,43 @@ def _compiled(compiled_tea, transitions, config, chunk=None):
     return replayer
 
 
-def _assert_identical(reference, candidate):
-    """Stats, final state, coverage and *whole* cost model, bit-exact."""
+#: Local-cache gauges every engine's ``snapshot()`` reports.
+CACHE_GAUGES = ("replay.local_caches", "replay.local_cache_hits",
+                "replay.local_cache_misses")
+
+
+def _cache_gauges(replayer):
+    gauges = replayer.snapshot()["metrics"]["gauges"]
+    return {name: gauges[name] for name in CACHE_GAUGES}
+
+
+def _batch_order(reference, chunk):
+    """The breakdown key order a batched engine must produce: categories
+    in the order of the batch that first charged them, and within one
+    batch in :data:`FLUSH_ORDER`."""
+    first = reference.first_charged
+    return sorted(first, key=lambda key: (
+        first[key] // chunk if chunk else 0, FLUSH_ORDER.index(key)))
+
+
+def _assert_identical(reference, candidate, chunk=None):
+    """Stats, final state, coverage, directory work, local-cache gauges
+    and *whole* cost model (key order included), bit-exact.
+
+    ``chunk`` is the candidate's batch size (``None``: one batch)."""
     assert candidate.stats.as_dict() == reference.stats.as_dict()
     assert candidate.sid == reference.state.sid
     assert candidate.coverage() == reference.stats.coverage()
     assert candidate.coverage(pin_counting=False) == \
         reference.stats.coverage(pin_counting=False)
-    assert candidate.cost.breakdown == reference.cost.breakdown
+    assert list(candidate.cost.breakdown.items()) == [
+        (key, reference.cost.breakdown[key])
+        for key in _batch_order(reference, chunk)
+    ]
     assert candidate.cost.cycles == reference.cost.cycles
+    assert candidate.directory.probes == reference.directory.probes
+    assert candidate.directory.units == reference.directory.units
+    assert _cache_gauges(candidate) == _cache_gauges(reference)
 
 
 # ---------------------------------------------------------------------
@@ -114,7 +153,7 @@ def test_compiled_matches_step_for_all_index_kinds(workload, chunk):
         one_batch = _compiled(compiled_tea, transitions, config())
         _assert_identical(reference, one_batch)
         chunked = _compiled(compiled_tea, transitions, config(), chunk=chunk)
-        _assert_identical(reference, chunked)
+        _assert_identical(reference, chunked, chunk=chunk)
 
 
 @settings(max_examples=6, deadline=None)
@@ -225,6 +264,52 @@ def test_compiled_tea_interning_and_describe(nested_traces):
     assert summary["heads"] == len(tea.heads)
     assert summary["in_trace_states"] == tea.n_states - 1
     assert summary["labels"] == compiled_tea.n_labels
+
+
+def test_lru_cache_hit_refreshes_recency():
+    """A local LRU cache hit makes that entry the most recent one.
+
+    State 1 exits to 200, 300, 200 (a hit), 400, 200 with a two-entry
+    cache: inserting 400 must evict 300, not the refreshed 200, so the
+    last exit hits.  Each exit target returns to state 1 via PC 50.
+    """
+    compiled_tea = CompiledTea(
+        5, b"\x00\x01\x01\x01\x01", [0, 0, 0, 1, 2, 3], [50, 50, 50],
+        [1, 1, 1], [50, 200, 300, 400], [1, 2, 3, 4],
+    )
+    pcs = [50, 200, 50, 300, 50, 200, 50, 400, 50, 200, 50, END_OF_RUN]
+    packed = array("q", [value for pc in pcs for value in (pc, 1, 1)])
+    config = ReplayConfig(global_index="list", local_cache=True,
+                          cache_kind="lru", cache_size=2)
+    replayer = CompiledReplayer(compiled_tea, config=config)
+    replayer.run(packed)
+    assert replayer.stats.trace_exits == 5
+    assert replayer.stats.cache_hits == 2
+    assert replayer.stats.cache_misses == 3
+    assert _cache_gauges(replayer) == {"replay.local_caches": 1,
+                                       "replay.local_cache_hits": 2,
+                                       "replay.local_cache_misses": 3}
+
+
+def test_every_negative_next_start_ends_the_run(nested_program,
+                                                nested_traces):
+    """Any negative ``next_start`` is terminal, not only END_OF_RUN."""
+    compiled_tea = CompiledTea.from_tea(build_tea(nested_traces))
+    packed = pack_transitions(_capture(nested_program))
+    odd = array("q", packed)
+    for index in range(0, len(odd), 3 * 97):
+        odd[index] = -3 - index
+    marked = array("q", packed)
+    for index in range(0, len(marked), 3 * 97):
+        marked[index] = END_OF_RUN
+    for factory in TABLE4_CONFIGS.values():
+        reference = CompiledReplayer(compiled_tea, config=factory())
+        reference.run(marked)
+        candidate = CompiledReplayer(compiled_tea, config=factory())
+        candidate.run(odd)
+        assert candidate.stats.as_dict() == reference.stats.as_dict()
+        assert candidate.cost.cycles == reference.cost.cycles
+        assert candidate.sid == reference.sid
 
 
 def test_run_rejects_misaligned_batches(nested_traces):
@@ -353,10 +438,11 @@ def test_reset_clears_caches_and_directory_counters(nested_program,
     tea = build_tea(nested_traces)
     transitions = _capture(nested_program)
     replayer = _stepwise(tea, transitions, ReplayConfig.no_global_local())
-    assert replayer._caches and replayer.directory.probes > 0
+    assert _cache_gauges(replayer)["replay.local_caches"] > 0
+    assert replayer.directory.probes > 0
     replayer.reset()
     assert replayer.state is tea.nte
-    assert not replayer._caches
+    assert _cache_gauges(replayer) == dict.fromkeys(CACHE_GAUGES, 0)
     assert replayer.directory.probes == 0
     # Directory contents survive — only the work counters are zeroed.
     assert len(replayer.directory) == len(tea.heads)
@@ -367,12 +453,13 @@ def test_reset_keep_caches_preserves_old_behaviour(nested_program,
     tea = build_tea(nested_traces)
     transitions = _capture(nested_program)
     replayer = _stepwise(tea, transitions, ReplayConfig.global_local())
-    caches = dict(replayer._caches)
+    gauges = _cache_gauges(replayer)
     probes = replayer.directory.probes
     assert probes > 0
+    assert gauges["replay.local_caches"] > 0
     replayer.reset(clear_caches=False)
     assert replayer.state is tea.nte
-    assert replayer._caches == caches  # warm caches kept
+    assert _cache_gauges(replayer) == gauges  # warm caches kept
     assert replayer.directory.probes == probes
 
 
@@ -382,12 +469,14 @@ def test_compiled_reset_matches_object_reset(nested_program, nested_traces):
     transitions = _capture(nested_program)
     config = ReplayConfig.global_local
     replayer = _compiled(compiled_tea, transitions, config())
-    assert replayer._caches and replayer.directory.probes > 0
+    gauges = _cache_gauges(replayer)
+    assert gauges["replay.local_caches"] > 0
+    assert replayer.directory.probes > 0
     replayer.reset(clear_caches=False)
     assert replayer.sid == NTE_SID
-    assert replayer._caches
+    assert _cache_gauges(replayer) == gauges
     replayer.reset()
-    assert not replayer._caches
+    assert _cache_gauges(replayer) == dict.fromkeys(CACHE_GAUGES, 0)
     assert replayer.directory.probes == 0
     # A reset replayer re-runs to the exact same accounting as a
     # fresh one (stale caches would poison it).
@@ -396,6 +485,7 @@ def test_compiled_reset_matches_object_reset(nested_program, nested_traces):
     assert replayer.directory.units == 0
     replayer.run(pack_transitions(transitions))
     assert replayer.directory.units == rerun.directory.units
+    assert _cache_gauges(replayer) == _cache_gauges(rerun)
 
 
 # ---------------------------------------------------------------------

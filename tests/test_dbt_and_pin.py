@@ -189,14 +189,22 @@ def test_pintool_base_class_hooks(simple_loop_program):
 @pytest.mark.parametrize("engine", ("object", "compiled", "jit"))
 def test_finished_pin_and_tool_freed_by_refcount(nested_program,
                                                  nested_traces, engine):
-    """No Pin <-> pintool cycle and no replayer <-> runner cycle: with
-    the cycle collector off, dropping the tool and the result frees the
-    engine, the tool and the tool's replayer at once."""
+    """No Pin <-> pintool cycle, no replayer <-> runner cycle and no
+    cyclic cell graph left behind: with the cycle collector off,
+    dropping the tool and the result frees the engine, the tool, the
+    tool's replayer and everything they own at once.
+
+    The automaton is built up front and outlives the replay, as the
+    replay service's preloaded ones do: its state graph has loops."""
+    from repro.core import build_tea
     from repro.pin import TeaReplayTool
 
+    tea = build_tea(nested_traces)
+    gc.collect()
     gc.disable()
     try:
-        tool = TeaReplayTool(trace_set=nested_traces, engine=engine)
+        tool = TeaReplayTool(trace_set=nested_traces, engine=engine,
+                             tea=tea)
         pin = Pin(nested_program, tool=tool)
         result = pin.run()
         assert pin.tool is tool
@@ -206,6 +214,40 @@ def test_finished_pin_and_tool_freed_by_refcount(nested_program,
         refs = (weakref.ref(pin), weakref.ref(tool),
                 weakref.ref(tool.replayer))
         del pin, tool, result
+        assert [ref() for ref in refs] == [None, None, None]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("strategy", ("mret", "ctt", "tt", "mfet"))
+def test_finished_recorders_freed_by_refcount(nested_program, strategy):
+    """Neither StarDBT nor the online TEA recorder forms a cycle with
+    its trace recorder's commit callback: with the cycle collector off,
+    dropping a finished run frees the runtime (and everything it owns)
+    and the online recorder at once."""
+    from repro.pin import TeaRecordTool
+
+    limits = RecorderLimits(hot_threshold=10)
+    gc.collect()
+    gc.disable()
+    try:
+        dbt = StarDBT(nested_program, strategy=strategy, limits=limits)
+        result = dbt.run()
+        assert len(result.trace_set) > 0
+        refs = (weakref.ref(dbt), weakref.ref(dbt.recorder))
+        del dbt, result
+        assert [ref() for ref in refs] == [None, None]
+        assert gc.collect() == 0
+
+        tool = TeaRecordTool(strategy=strategy, limits=limits)
+        Pin(nested_program, tool=tool).run()
+        assert len(tool.trace_set) > 0
+        refs = (weakref.ref(tool), weakref.ref(tool.online),
+                weakref.ref(tool.recorder))
+        # The grown automaton's state graph has loops of its own; only
+        # the tool and its recorders must go by reference counting.
+        del tool
         assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()

@@ -99,6 +99,13 @@ def _assert_identical(reference, candidate):
     assert candidate.coverage() == reference.stats.coverage()
     assert candidate.cost.breakdown == reference.cost.breakdown
     assert candidate.cost.cycles == reference.cost.cycles
+    assert candidate.directory.probes == reference.directory.probes
+    assert candidate.directory.units == reference.directory.units
+    gauges = [replayer.snapshot()["metrics"]["gauges"]
+              for replayer in (reference, candidate)]
+    for name in ("replay.local_caches", "replay.local_cache_hits",
+                 "replay.local_cache_misses"):
+        assert gauges[1][name] == gauges[0][name], name
 
 
 # ---------------------------------------------------------------------
