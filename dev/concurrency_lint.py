@@ -1,4 +1,16 @@
-"""AST concurrency analysis for the service stack (TEA08x substrate).
+"""Concurrency lint for the service stack: a development check.
+
+Usage, from the repository root::
+
+    python dev/concurrency_lint.py [PATH ...]
+
+Lints every ``*.py`` file under each PATH (default: the service
+package and the store's mapping cache, :data:`DEFAULT_TARGETS`),
+prints one ``path:line: [check] message`` line per finding, and exits
+1 when there is any finding or a module does not parse, 0 otherwise.
+CI runs it in the lint job.  The checks read source code, not TEA
+artifacts, so they live here rather than in the ``repro.verify``
+rule catalog.
 
 The replay service promises "zero dropped or wrong answers" while
 serving from an asyncio event loop backed by a worker-thread pool.
@@ -38,6 +50,13 @@ own service/store tree (a property the test suite pins).
 from __future__ import annotations
 
 import ast
+import os
+import sys
+
+#: Lint targets relative to the repository root: the asyncio server
+#: and its worker pool, and the process-shared snapshot mapping cache.
+DEFAULT_TARGETS = (os.path.join("src", "repro", "service"),
+                   os.path.join("src", "repro", "store", "mapping.py"))
 
 #: Dotted call prefixes that always block the calling thread.
 BLOCKING_MODULE_CALLS = frozenset({
@@ -161,7 +180,7 @@ class Finding:
 
 
 class ConcurrencyAnalysis:
-    """Parse one module and expose the TEA08x analyses.
+    """Parse one module and expose the three analyses.
 
     ``source`` is the module text, ``filename`` a display handle.
     Raises ``SyntaxError`` when the module does not parse (callers
@@ -264,7 +283,7 @@ class ConcurrencyAnalysis:
                         break
         return blocking
 
-    # -- TEA080: blocking calls reachable from coroutines --------------
+    # -- blocking-call: blocking calls reachable from coroutines -------
 
     def coroutine_blocking_findings(self):
         findings = []
@@ -289,7 +308,7 @@ class ConcurrencyAnalysis:
                         info.node.lineno))
         return findings
 
-    # -- TEA081: lock discipline ---------------------------------------
+    # -- lock-discipline -----------------------------------------------
 
     def _lock_name(self, node):
         """The lock variable a ``with`` item acquires, or ``None``."""
@@ -359,7 +378,7 @@ class ConcurrencyAnalysis:
                         getattr(child, "lineno", info.node.lineno)))
             self._walk_locks(info, child, held + acquired, findings)
 
-    # -- TEA082: unguarded shared caches -------------------------------
+    # -- unguarded-cache: module caches mutated outside a lock ---------
 
     def _shared_caches(self):
         names = set()
@@ -441,3 +460,55 @@ class ConcurrencyAnalysis:
                     + self.lock_findings()
                     + self.shared_cache_findings())
         return sorted(findings, key=lambda f: (f.lineno or 0, f.check))
+
+
+def default_paths(root=None):
+    """The ``*.py`` files of :data:`DEFAULT_TARGETS` under ``root``
+    (default: the repository this script lives in), sorted."""
+    if root is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return python_files(os.path.join(root, target)
+                        for target in DEFAULT_TARGETS)
+
+
+def python_files(targets):
+    """Every ``*.py`` file named by, or directly inside, ``targets``."""
+    paths = []
+    for target in targets:
+        if os.path.isdir(target):
+            paths.extend(os.path.join(target, name)
+                         for name in sorted(os.listdir(target))
+                         if name.endswith(".py"))
+        else:
+            paths.append(target)
+    return paths
+
+
+def lint_file(path):
+    """Findings for one module; a module that does not parse is one
+    ``syntax`` finding."""
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    try:
+        return ConcurrencyAnalysis(source, filename=path).all_findings()
+    except SyntaxError as error:
+        return [Finding("syntax", "module does not parse: %s" % error.msg,
+                        error.lineno)]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    paths = python_files(argv) if argv else default_paths()
+    count = 0
+    for path in paths:
+        for finding in lint_file(path):
+            count += 1
+            print("%s:%s: [%s] %s" % (path, finding.lineno, finding.check,
+                                      finding.message))
+    print("concurrency lint: %d file(s), %d finding(s)"
+          % (len(paths), count))
+    return 1 if count else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -230,7 +230,7 @@ def validate_trace_file(path, program, config=None, dynamic=True):
 
     The static portion is the verifier's own rule families — trace
     structure (``TEA040``-``TEA043``) and CFG consistency
-    (``TEA010``-``TEA012``) — run through
+    (``TEA010``-``TEA011``) — run through
     :func:`repro.verify.verify_trace_set`, so this entry point reports
     exactly what ``repro tools verify`` would; the former ad-hoc
     per-edge checks live only there now.  A blocking finding raises

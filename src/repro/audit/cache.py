@@ -3,9 +3,11 @@
 Mirrors the harness :class:`~repro.harness.cache.ResultCache`
 discipline — two-level hash-prefix sharding, atomic JSON writes,
 corrupt entries count as misses — but keys on the *audit fingerprint*:
-the artifact's content digest, the rule-catalog version
-(:func:`repro.verify.catalog_version`), and the engine options that
-change what a run means (disabled rules, strict mode, deep decode).
+the artifact's content digest, the digest of the program image a deep
+snapshot verify reads from beside the snapshot (or its absence), the
+rule-catalog version (:func:`repro.verify.catalog_version`), and the
+engine options that change what a run means (disabled rules, strict
+mode, deep decode).
 
 Because the catalog version hashes every registered rule's metadata,
 adding or rewording a rule invalidates every cached result
@@ -26,11 +28,17 @@ AUDIT_CACHE_SCHEMA = 1
 
 def audit_fingerprint(artifact_digest: str, catalog_version: str,
                       disabled: Iterable[str] = (),
-                      strict: bool = False, deep: bool = True) -> str:
-    """The cache key for one (artifact, catalog, options) triple."""
+                      strict: bool = False, deep: bool = True,
+                      image_digest: Optional[str] = None) -> str:
+    """The cache key for one (artifact, catalog, options) triple.
+
+    ``image_digest`` is the digest of the program image the artifact's
+    verify reads (``None``: it reads none).
+    """
     payload = json.dumps({
         "schema": AUDIT_CACHE_SCHEMA,
         "artifact": artifact_digest,
+        "image": image_digest,
         "catalog": catalog_version,
         "disabled": sorted(disabled),
         "strict": bool(strict),

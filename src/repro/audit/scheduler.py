@@ -1,4 +1,4 @@
-"""Fleet audit scheduler: walk a store + the service tree in parallel.
+"""Fleet audit scheduler: walk a store's artifacts in parallel.
 
 Reuses the parallel-harness sharding pattern
 (:mod:`repro.harness.parallel`): a module-level worker function so the
@@ -12,12 +12,10 @@ deterministic per artifact.
 Audited artifacts:
 
 - every ``*.teab`` snapshot in the store (deep verify: snapshot,
-  automaton, dataflow and — with a sound program image beside it —
-  CFG families);
+  compiled, automaton and — with a sound program image beside it —
+  CFG and trace families);
 - every ``*.teas`` execution-stream sidecar and ``*.teap`` program
-  image (TEA027);
-- the concurrency-lint source targets (``repro/service``,
-  ``repro/store/mapping.py`` — TEA08x).
+  image (TEA027).
 """
 
 from __future__ import annotations
@@ -26,27 +24,6 @@ import multiprocessing
 import os
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-#: Source targets of the TEA08x concurrency lint, relative to the
-#: ``repro`` package root.
-CODE_TARGETS = ("service", os.path.join("store", "mapping.py"))
-
-
-def default_code_paths() -> List[str]:
-    """The concurrency-lint source files shipped in this install."""
-    import repro
-
-    package_root = os.path.dirname(os.path.abspath(repro.__file__))
-    paths = []
-    for target in CODE_TARGETS:
-        full = os.path.join(package_root, target)
-        if os.path.isfile(full):
-            paths.append(full)
-        elif os.path.isdir(full):
-            for name in sorted(os.listdir(full)):
-                if name.endswith(".py") and not name.startswith("."):
-                    paths.append(os.path.join(full, name))
-    return paths
 
 
 def store_artifact_paths(store_root: Any) -> List[str]:
@@ -90,16 +67,18 @@ def _audit_worker(job: Tuple[Any, Tuple[str, ...], bool, bool]) -> Tuple[Any, Di
     """Verify one artifact; returns ``(path, report_document)``.
 
     Module-level so ``multiprocessing`` can pickle it; everything it
-    needs rides in the job tuple.
+    needs rides in the job tuple.  An artifact the verifier cannot
+    process gets an error report of its own; the rest of the fleet is
+    still audited.
     """
     path, disabled, strict, deep = job
-    from repro.errors import SerializationError
+    from repro.errors import ReproError
     from repro.verify import default_engine, verify_path
 
     engine = default_engine(disabled=disabled, strict=strict)
     try:
         report = verify_path(path, engine=engine, deep=deep)
-    except SerializationError as error:
+    except ReproError as error:
         return path, _synthetic_error_report(path, str(error))
     return path, report.to_json(strict=strict)
 
@@ -142,6 +121,7 @@ def audit_paths(paths: Iterable[Any], jobs: int = 1,
     one content digest per artifact.
     """
     from repro.audit.cache import audit_fingerprint, file_digest
+    from repro.store.store import SNAPSHOT_SUFFIX, image_path_for
     from repro.verify import catalog_version
 
     started = time.monotonic()
@@ -157,8 +137,14 @@ def audit_paths(paths: Iterable[Any], jobs: int = 1,
             documents[path] = _synthetic_error_report(
                 path, "cannot read artifact")
             continue
+        # A deep snapshot verify also reads the program image beside
+        # the snapshot, so the image's bytes are part of the key.
+        image_digest = None
+        if deep and str(path).endswith(SNAPSHOT_SUFFIX):
+            image_digest = file_digest(image_path_for(path))
         key = audit_fingerprint(digest, version, disabled=disabled,
-                                strict=strict, deep=deep)
+                                strict=strict, deep=deep,
+                                image_digest=image_digest)
         keys[path] = key
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
@@ -200,18 +186,12 @@ def audit_paths(paths: Iterable[Any], jobs: int = 1,
     return AuditResult([documents[path] for path in paths], stats)
 
 
-def audit_store(store_root: Any, code_paths: Optional[Iterable[Any]] = None,
-                jobs: int = 1, cache: Optional[Any] = None,
+def audit_store(store_root: Any, jobs: int = 1,
+                cache: Optional[Any] = None,
                 disabled: Iterable[str] = (), strict: bool = False,
                 deep: bool = True, obs: Any = None) -> AuditResult:
-    """Audit a whole :class:`~repro.store.AutomatonStore` tree.
-
-    ``code_paths`` — the concurrency-lint targets; defaults to
-    :func:`default_code_paths`, pass ``()`` to audit snapshots only.
-    """
-    paths = store_artifact_paths(store_root)
-    if code_paths is None:
-        code_paths = default_code_paths()
-    paths = list(paths) + list(code_paths)
-    return audit_paths(paths, jobs=jobs, cache=cache, disabled=disabled,
-                       strict=strict, deep=deep, obs=obs)
+    """Audit every artifact of a :class:`~repro.store.AutomatonStore`
+    tree."""
+    return audit_paths(store_artifact_paths(store_root), jobs=jobs,
+                       cache=cache, disabled=disabled, strict=strict,
+                       deep=deep, obs=obs)

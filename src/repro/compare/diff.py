@@ -45,8 +45,7 @@ class TeaDiff:
     """Structured outcome of :func:`diff_automata`.
 
     All counters are plain ints; ``to_json()`` is the wire/CLI shape
-    (validated by verify rule TEA054) and ``render_text()`` the human
-    one.  ``matching`` maps matched state ids of *a* to their partner
+    and ``render_text()`` the human one.  ``matching`` maps matched state ids of *a* to their partner
     in *b* (it always contains ``NTE -> NTE``).
     """
 

@@ -111,7 +111,7 @@ class MinimizationResult:
     ``state_map[old_sid]`` is the minimized state id the original state
     collapsed into, or ``None`` when budget mode spilled it.  The
     ``original`` automaton is retained so verification (rules
-    TEA051-TEA053) and diffing can compare both sides.
+    TEA052-TEA053) and diffing can compare both sides.
     """
 
     __slots__ = ("original", "tea", "state_map", "mode", "budget",

@@ -443,7 +443,8 @@ class TeaService:
         # loop, so the service object itself can be built anywhere.
         # The pool exists before the preload so the store walk (file
         # I/O, mmap, verify-on-load) runs off the event loop — the
-        # loop stays responsive while a large fleet loads (TEA080).
+        # loop stays responsive while a large fleet loads (see
+        # dev/concurrency_lint.py).
         self._stopped = asyncio.Event()
         self._replay_memo_lock = asyncio.Lock()
         self._pool = ThreadPoolExecutor(
@@ -537,7 +538,7 @@ class TeaService:
 
         Also returns the full set of keys currently present in the
         store — the retire scan needs it, and computing it here keeps
-        the store's directory walk off the event loop (TEA080).
+        the store's directory walk off the event loop.
         """
         added = []
         invalid = []

@@ -116,7 +116,7 @@ def open_snapshot_mapping(path):
 #: Guarded by ``_PROCESS_LOCK`` — service worker threads and the event
 #: loop's executor all call :func:`cached_mapping` concurrently, and
 #: the "open + gate exactly once" contract needs the whole check-open-
-#: gate-insert sequence to be atomic (TEA082).  ``_PROCESS_LOCK`` is
+#: gate-insert sequence to be atomic.  ``_PROCESS_LOCK`` is
 #: the outermost lock in the documented acquisition order
 #: (``_PROCESS_LOCK`` < ``_jit_lock`` < ``_replay_memo_lock``).
 _PROCESS_CACHE = {}

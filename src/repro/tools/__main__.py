@@ -442,7 +442,7 @@ def _cmd_verify(args):
 
 
 def _cmd_audit(args):
-    """Fleet audit: walk a whole store (plus the service sources).
+    """Fleet audit: verify every artifact of a whole store.
 
     Exit codes follow the shared convention: 0 clean, 1 blocking
     findings (with ``--baseline``: *new* blocking findings), 2 usage
@@ -478,13 +478,8 @@ def _cmd_audit(args):
                   file=sys.stderr)
             return 2
     cache = None if args.no_cache else AuditCache(args.cache_dir)
-    code_paths = None
-    if args.no_code:
-        code_paths = ()
-    elif args.code:
-        code_paths = args.code
     result = audit_store(
-        args.store, code_paths=code_paths, jobs=args.jobs, cache=cache,
+        args.store, jobs=args.jobs, cache=cache,
         disabled=args.disable, strict=args.strict,
     )
     reports = result.report_objects()
@@ -713,13 +708,6 @@ def main(argv=None):
     )
     audit.add_argument("store", metavar="STORE",
                        help="AutomatonStore directory to audit")
-    audit.add_argument("--code", action="append", default=[],
-                       metavar="PATH",
-                       help="extra concurrency-lint source target "
-                            "(repeatable; default: the shipped service "
-                            "and mapping sources)")
-    audit.add_argument("--no-code", action="store_true",
-                       help="audit snapshots and JIT sources only")
     audit.add_argument("--jobs", type=int, default=1,
                        help="parallel audit workers (default 1)")
     audit.add_argument("--cache-dir", default=".repro_audit_cache",

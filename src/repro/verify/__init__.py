@@ -3,7 +3,7 @@
 A rule engine (:mod:`repro.verify.engine`) runs a catalog of
 ``TEAxxx`` rules over any combination of facets — a built automaton, a
 trace set plus program image, a compiled lowering, raw TEAB snapshot
-bytes — and produces :class:`Report` objects that render as text, JSON
+bytes, a sidecar — and produces :class:`Report` objects that render as text, JSON
 or SARIF 2.1.0 (:mod:`repro.verify.diagnostics`).  See
 ``docs/static_verification.md`` for the full rule catalog.
 
@@ -18,11 +18,9 @@ from repro.errors import VerificationError
 from repro.verify.api import (
     default_engine,
     verify_compiled,
-    verify_diff_report,
     verify_image_bytes,
     verify_minimization,
     verify_path,
-    verify_python_source,
     verify_snapshot_bytes,
     verify_stream_bytes,
     verify_tea,
@@ -52,8 +50,7 @@ __all__ = [
     "VerificationError", "ERROR", "WARNING", "INFO", "SEVERITIES",
     "all_rules", "catalog_version", "default_engine",
     "report_from_json", "reports_to_sarif", "rule_by_id",
-    "verify_compiled", "verify_diff_report", "verify_image_bytes",
-    "verify_minimization",
-    "verify_path", "verify_python_source", "verify_snapshot_bytes",
+    "verify_compiled", "verify_image_bytes", "verify_minimization",
+    "verify_path", "verify_snapshot_bytes",
     "verify_stream_bytes", "verify_tea", "verify_trace_set",
 ]

@@ -54,23 +54,11 @@ def verify_minimization(result, trace_set=None, program=None,
     """Verify a :class:`~repro.minimize.MinimizationResult`.
 
     The minimized automaton is exposed as the ``tea`` facet too, so the
-    whole automaton family (TEA001-TEA005) checks the quotient alongside
-    the minimization-specific rules TEA051-TEA053.
+    whole automaton family (TEA003-TEA005) checks the quotient alongside
+    the minimization-specific rules TEA052-TEA053.
     """
     subject = Subject(source=source, tea=result.tea, trace_set=trace_set,
                       program=program, minimization=result)
-    return _engine(engine, obs).verify(subject)
-
-
-def verify_diff_report(report, source="<diff>", engine=None, obs=None):
-    """Verify a diff report (rule TEA054).
-
-    ``report`` may be a :class:`~repro.compare.TeaDiff` or the dict its
-    ``to_json()`` produces (e.g. straight off the service wire).
-    """
-    if hasattr(report, "to_json"):
-        report = report.to_json()
-    subject = Subject(source=source, tea_diff=report)
     return _engine(engine, obs).verify(subject)
 
 
@@ -84,12 +72,14 @@ def verify_snapshot_bytes(data, program=None, source="<snapshot>",
     :class:`~repro.core.compiled.CompiledTea` — and, when ``program``
     is provided, fully decoded to a trace set + automaton — so the
     automaton, CFG and compiled families check the decoded content in
-    the same report.  Shallow runs (the store's verify-on-load gate)
-    stay O(section table) on v2 snapshots.
+    the same report.  Traces that do not decode against ``program``
+    (it is not the program they were recorded from) are a TEA010
+    finding.  Shallow runs (the store's verify-on-load gate) stay
+    O(section table) on v2 snapshots.
     """
     subject = Subject(source=source, snapshot=data)
     if deep:
-        from repro.errors import SerializationError
+        from repro.errors import ReproError, SerializationError
 
         subject.snapshot_deep = True
         if subject.snapshot_scan.sound():
@@ -103,29 +93,12 @@ def verify_snapshot_bytes(data, program=None, source="<snapshot>",
                 from repro.cfg.basic_block import BlockIndex
                 from repro.store.binary import load_tea_binary
 
+                subject.program = program
                 try:
-                    trace_set, tea, profile = load_tea_binary(
-                        data, BlockIndex(program)
-                    )
-                except SerializationError:
-                    pass
-                else:
-                    subject.trace_set = trace_set
-                    subject.tea = tea
-                    subject.program = program
-                    subject.profile = profile
-    return _engine(engine, obs).verify(subject)
-
-
-def verify_python_source(source, source_name="<python>", engine=None,
-                         obs=None):
-    """Run the concurrency lint family (TEA080-TEA082) over module text.
-
-    ``source`` is Python source; ``source_name`` the display path.  The
-    audit scheduler calls this for every file in the service stack
-    (``repro.service``, ``repro.store.mapping``).
-    """
-    subject = Subject(source=source_name, python_source=source)
+                    subject.trace_set, subject.tea, _profile = \
+                        load_tea_binary(data, BlockIndex(program))
+                except ReproError as error:
+                    subject.program_mismatch = str(error)
     return _engine(engine, obs).verify(subject)
 
 
@@ -172,8 +145,7 @@ def _sibling_program(path, data):
 
 def verify_path(path, program=None, engine=None, obs=None, deep=True):
     """Verify a TEA artifact on disk (TEAB snapshot, ``TEAS`` stream
-    sidecar, ``TEAP`` program image, Python module, or JSON document).
-    ``.py`` files run the concurrency lint family.
+    sidecar, ``TEAP`` program image, or JSON document).
 
     A TEAB file verified deeply without ``program`` uses the program
     image stored beside it (``<key>.teap``) when that image is sound,
@@ -197,12 +169,6 @@ def verify_path(path, program=None, engine=None, obs=None, deep=True):
         raise SerializationError(
             "cannot read %s: %s" % (path, error)
         ) from None
-
-    if str(path).endswith(".py"):
-        return verify_python_source(
-            data.decode("utf-8", errors="replace"),
-            source_name=str(path), engine=engine, obs=obs,
-        )
 
     import os
 

@@ -1,6 +1,6 @@
 """Diagnostic and report value objects for the static verifier.
 
-A :class:`Diagnostic` is one finding: a rule id (``TEA001`` style), a
+A :class:`Diagnostic` is one finding: a rule id (``TEA003`` style), a
 severity, a human message, and optional machine-readable ``location``
 / ``data`` payloads.  A :class:`Report` is an ordered collection of
 diagnostics for one verification target with three renderings:

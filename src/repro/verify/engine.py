@@ -1,7 +1,7 @@
 """The verification rule engine.
 
 A :class:`Rule` packages one static invariant: a stable id
-(``TEA001``), a default severity, a one-line description, the paper
+(``TEA003``), a default severity, a one-line description, the paper
 section it guards, and a ``check(subject)`` generator yielding
 :class:`~repro.verify.diagnostics.Diagnostic` findings.  Rules declare
 which *facets* of a :class:`Subject` they need (``requires``); the
@@ -60,8 +60,6 @@ def _load_builtin_rules():
         rules_automaton,
         rules_cfg,
         rules_compiled,
-        rules_concurrency,
-        rules_dataflow,
         rules_minimize,
         rules_snapshot,
         rules_stream,
@@ -93,13 +91,14 @@ class Rule:
     yielding diagnostics (an empty iterator means the invariant holds).
     """
 
-    #: Stable identifier, e.g. ``"TEA001"``.
+    #: Stable identifier, e.g. ``"TEA003"``.
     rule_id = None
-    #: Short kebab-case name, e.g. ``"automaton-determinism"``.
+    #: Short kebab-case name, e.g. ``"automaton-unreachable-state"``.
     name = None
     #: Default severity of this rule's findings.
     severity = ERROR
-    #: Rule family: automaton / cfg / snapshot / compiled / traces.
+    #: Rule family: automaton / cfg / snapshot / stream / compiled /
+    #: traces / minimize.
     family = None
     #: One-line description (shown in SARIF rule metadata and docs).
     description = ""
@@ -140,6 +139,9 @@ class Subject:
     - ``trace_set`` — a :class:`~repro.traces.model.TraceSet`;
     - ``program`` — the ISA program image the traces were recorded
       against (enables the CFG-consistency family);
+    - ``program_mismatch`` — why the snapshot's traces could not be
+      decoded against ``program`` (set by the deep snapshot verify;
+      reported by TEA010);
     - ``compiled`` — a :class:`~repro.core.compiled.CompiledTea`;
     - ``snapshot`` — raw TEAB snapshot bytes;
     - ``snapshot_deep`` — ``True`` when the caller opted into the deep
@@ -148,13 +150,7 @@ class Subject:
       O(section table);
     - ``minimization`` — a
       :class:`~repro.minimize.MinimizationResult` (original automaton,
-      quotient and state map; enables TEA051-TEA053);
-    - ``tea_diff`` — a diff report dict in the
-      :meth:`~repro.compare.TeaDiff.to_json` shape (enables TEA054);
-    - ``profile`` — a :class:`~repro.core.profile.TeaProfile` recorded
-      alongside the automaton (enables TEA061's profile cross-check);
-    - ``python_source`` — Python module text for the concurrency lint
-      family (TEA080-TEA082);
+      quotient and state map; enables TEA052-TEA053);
     - ``stream`` — raw sidecar bytes (rule TEA027): a ``TEAS``
       execution stream or a ``TEAP`` program image, with the optional
       expectations ``stream_key`` (the store key the file is filed
@@ -169,27 +165,24 @@ class Subject:
     scans ``snapshot`` once for every snapshot rule.
     """
 
-    __slots__ = ("source", "tea", "trace_set", "program", "compiled",
-                 "snapshot", "snapshot_deep", "minimization", "tea_diff",
-                 "profile", "python_source", "stream", "stream_key",
+    __slots__ = ("source", "tea", "trace_set", "program",
+                 "program_mismatch", "compiled", "snapshot",
+                 "snapshot_deep", "minimization", "stream", "stream_key",
                  "stream_digest", "_views", "_snapshot_scan")
 
     def __init__(self, source="<memory>", tea=None, trace_set=None,
                  program=None, compiled=None, snapshot=None,
-                 snapshot_deep=None, minimization=None, tea_diff=None,
-                 profile=None, python_source=None,
+                 snapshot_deep=None, minimization=None,
                  stream=None, stream_key=None, stream_digest=None):
         self.source = str(source)
         self.tea = tea
         self.trace_set = trace_set
         self.program = program
+        self.program_mismatch = None
         self.compiled = compiled
         self.snapshot = snapshot
         self.snapshot_deep = snapshot_deep
         self.minimization = minimization
-        self.tea_diff = tea_diff
-        self.profile = profile
-        self.python_source = python_source
         self.stream = stream
         self.stream_key = stream_key
         self.stream_digest = stream_digest
@@ -225,8 +218,7 @@ class Subject:
         facets = [
             facet for facet in
             ("tea", "trace_set", "program", "compiled", "snapshot",
-             "snapshot_deep", "minimization", "tea_diff",
-             "profile", "python_source", "stream")
+             "snapshot_deep", "minimization", "stream")
             if getattr(self, facet) is not None
         ]
         return "<Subject %s: %s>" % (self.source, "+".join(facets) or "empty")

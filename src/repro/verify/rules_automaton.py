@@ -1,87 +1,20 @@
-"""Automaton-family rules (TEA001-TEA005).
+"""Automaton-family rules (TEA003-TEA005).
 
-These certify the Section 3 invariants: the TEA is a *deterministic*
-finite automaton whose states are the recorded TBBs plus NTE, whose
-transitions point at real states, and whose NTE head registry mirrors
-the recorded trace entries (Algorithm 1 lines 15-17).  Every rule runs
-over :class:`~repro.verify.views.AutomatonView`, so the object-graph
-``TEA`` and the flat-table ``CompiledTea`` get identical checks.
+These certify the Section 3 invariants: every state of the TEA hangs
+off NTE, NTE itself models execution outside any trace, and the NTE
+head registry mirrors the recorded trace entries (Algorithm 1 lines
+15-17).  TEA003 and TEA004 run over
+:class:`~repro.verify.views.AutomatonView`, so the object-graph ``TEA``
+and the flat-table ``CompiledTea`` get identical checks.
+
+Determinism and in-range targets need no rule of their own: the
+object graph stores one destination per label and holds its states
+by reference, and the compiled tables are checked for both by TEA030
+(``tests/test_rule_matrix.py`` pins which rule catches which fault).
 """
 
 from repro.verify.diagnostics import WARNING
 from repro.verify.engine import Rule, register
-
-
-class AutomatonDeterminism(Rule):
-    rule_id = "TEA001"
-    name = "automaton-determinism"
-    family = "automaton"
-    description = (
-        "A state has two outgoing transitions with the same PC label; "
-        "the TEA must be a deterministic automaton."
-    )
-    paper = "Section 3, Definition 4 (the TEA is a DFA)"
-    requires = ("views",)
-
-    def check(self, subject):
-        for view in subject.views:
-            for sid in range(view.n_states):
-                seen = set()
-                for label, dest in view.edges[sid]:
-                    if label not in seen:
-                        seen.add(label)
-                    else:
-                        # Any duplicate label breaks determinism, even a
-                        # repeat of the same destination (the table no
-                        # longer encodes a function).
-                        yield self.diag(
-                            "state %s has duplicate transition label %#x "
-                            "(%s representation)"
-                            % (view.state_label(sid), label, view.kind),
-                            location=view.state_label(sid),
-                            label=label,
-                            representation=view.kind,
-                        )
-
-
-class AutomatonDanglingTarget(Rule):
-    rule_id = "TEA002"
-    name = "automaton-dangling-target"
-    family = "automaton"
-    description = (
-        "A transition or head points at a state id outside the state "
-        "table."
-    )
-    paper = "Section 3 (transition function is total over the states)"
-    requires = ("views",)
-
-    def check(self, subject):
-        for view in subject.views:
-            n_states = view.n_states
-            for sid in range(n_states):
-                for label, dest in view.edges[sid]:
-                    if not 0 <= dest < n_states:
-                        yield self.diag(
-                            "transition %s --%#x--> sid=%d targets a "
-                            "state outside the %d-state table (%s)"
-                            % (view.state_label(sid), label, dest,
-                               n_states, view.kind),
-                            location=view.state_label(sid),
-                            label=label,
-                            dest=dest,
-                            representation=view.kind,
-                        )
-            for entry, dest in view.heads:
-                if not 0 <= dest < n_states:
-                    yield self.diag(
-                        "head entry %#x targets sid=%d outside the "
-                        "%d-state table (%s)"
-                        % (entry, dest, n_states, view.kind),
-                        location="heads",
-                        entry=entry,
-                        dest=dest,
-                        representation=view.kind,
-                    )
 
 
 class AutomatonUnreachableState(Rule):
@@ -216,8 +149,6 @@ class AutomatonHeadMismatch(Rule):
                 )
 
 
-register(AutomatonDeterminism())
-register(AutomatonDanglingTarget())
 register(AutomatonUnreachableState())
 register(AutomatonNteConsistency())
 register(AutomatonHeadMismatch())

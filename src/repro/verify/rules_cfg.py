@@ -1,15 +1,17 @@
-"""CFG-consistency rules (TEA010-TEA012).
+"""CFG-consistency rules (TEA010-TEA011).
 
 A recorded trace claims to be a path the program actually executed, so
 every in-trace edge must be *statically feasible*: the label (the
 successor block's start PC) must be one of the terminator's possible
-successors in the :mod:`repro.cfg` graph.  Side-exit targets likewise
-must be real program addresses, and no trace may carry control flow
-out of a ``hlt`` — the machine stops there.
+successors in the :mod:`repro.cfg` graph.  A ``hlt`` has no feasible
+successor, so TEA010 also rejects a trace that runs past a machine
+halt.  Side-exit targets likewise must be real program addresses.
 
-All three rules need the trace set **and** the program image the
+Both rules need the trace set **and** the program image the
 traces were recorded against (``Subject.program``); without a program
-they simply do not run.
+they simply do not run.  When a snapshot's traces cannot even be
+decoded against the program (``Subject.program_mismatch``: some trace
+block is not its code), TEA010 reports that instead.
 """
 
 from repro.verify.engine import Rule, register
@@ -41,14 +43,23 @@ class CfgInfeasibleEdge(Rule):
     family = "cfg"
     description = (
         "An in-trace edge takes a transition the program's static CFG "
-        "does not allow; the trace is not a feasible path."
+        "does not allow, or a trace block is not code of the program "
+        "at all; the trace is not a feasible path."
     )
     paper = "Section 2, Figure 2 (traces are paths through the CFG)"
-    requires = ("trace_set", "program")
+    requires = ("program",)
 
     def check(self, subject):
         from repro.cfg.cfg import build_cfg
 
+        if subject.trace_set is None:
+            if subject.program_mismatch is not None:
+                yield self.diag(
+                    "the snapshot's traces do not decode against the "
+                    "program: %s" % subject.program_mismatch,
+                    location=subject.source,
+                )
+            return
         program = subject.program
         cfg = build_cfg(program)
         for trace in subject.trace_set:
@@ -135,32 +146,5 @@ class CfgSideExitTarget(Rule):
                         )
 
 
-class CfgHltCrossing(Rule):
-    rule_id = "TEA012"
-    name = "cfg-hlt-crossing"
-    family = "cfg"
-    description = (
-        "A trace continues past a hlt-terminated block; execution "
-        "cannot cross a machine halt."
-    )
-    paper = "Section 2 (a trace ends where execution ends)"
-    requires = ("trace_set", "program")
-
-    def check(self, subject):
-        for trace in subject.trace_set:
-            for tbb in trace:
-                terminator = tbb.block.terminator
-                if (terminator is not None
-                        and terminator.opcode == "hlt"
-                        and tbb.successors):
-                    yield self.diag(
-                        "%s terminates in hlt but carries %d outgoing "
-                        "in-trace edge(s)" % (tbb.name, len(tbb.successors)),
-                        location=tbb.name,
-                        trace=trace.trace_id,
-                    )
-
-
 register(CfgInfeasibleEdge())
 register(CfgSideExitTarget())
-register(CfgHltCrossing())

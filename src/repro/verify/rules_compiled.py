@@ -1,10 +1,13 @@
-"""Compiled-lowering rules (TEA030-TEA032).
+"""Compiled-lowering rules (TEA030, TEA032).
 
 :class:`~repro.core.compiled.CompiledTea` is the CSR lowering of the
 automaton; these rules certify the tables themselves (offsets sorted
-and in-bounds, per-state label runs sorted), the PC intern table
-(bijective), and — when the source automaton is also at hand — that
-the lowering is structurally equivalent to a fresh ``from_tea`` pass.
+and in-bounds, per-state label runs sorted, every state id in range)
+and — when the source automaton is also at hand — that the lowering is
+structurally equivalent to a fresh ``from_tea`` pass.  The PC intern
+table needs no rule: the constructor derives it from the tables, and
+the one table adopted as stored (a v2 snapshot's label pool) is
+re-derived by the deep snapshot scan (TEA024).
 
 :func:`structural_diagnostics` is the single source of truth for the
 table-shape checks: ``CompiledTea._validate`` calls it at construction
@@ -105,46 +108,6 @@ class CompiledOffsets(Rule):
         return structural_diagnostics(subject.compiled, check_order=True)
 
 
-class CompiledInterning(Rule):
-    rule_id = "TEA031"
-    name = "compiled-interning"
-    family = "compiled"
-    description = (
-        "The PC intern table is not a sorted bijection over the labels "
-        "actually used by transitions and heads."
-    )
-    paper = "Section 4.2 (label interning for dispatch)"
-    requires = ("compiled",)
-
-    def check(self, subject):
-        compiled = subject.compiled
-        expected = sorted(set(compiled.trans_labels)
-                          | set(compiled.head_entries))
-        actual = list(compiled.labels)
-        if actual != expected:
-            yield self.diag(
-                "labels table has %d entries but the transitions and "
-                "heads use %d distinct PCs (table must be their sorted "
-                "union)" % (len(actual), len(expected)),
-                location="labels",
-            )
-        for pc, label_id in compiled.label_ids.items():
-            if not (0 <= label_id < len(actual)
-                    and actual[label_id] == pc):
-                yield self.diag(
-                    "label_ids[%#x] = %d does not invert the labels "
-                    "table" % (pc, label_id),
-                    location="label_ids",
-                )
-        if len(compiled.label_ids) != len(actual):
-            yield self.diag(
-                "label_ids has %d entries for %d interned labels "
-                "(interning is not bijective)"
-                % (len(compiled.label_ids), len(actual)),
-                location="label_ids",
-            )
-
-
 class CompiledEquivalence(Rule):
     rule_id = "TEA032"
     name = "compiled-equivalence"
@@ -189,5 +152,4 @@ class CompiledEquivalence(Rule):
 
 
 register(CompiledOffsets())
-register(CompiledInterning())
 register(CompiledEquivalence())

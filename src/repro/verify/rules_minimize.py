@@ -1,32 +1,24 @@
-"""Minimization and diff rules (TEA050-TEA054).
+"""Minimization rules (TEA050, TEA052-TEA053).
 
-The minimizer (:mod:`repro.minimize`) and the diff engine
-(:mod:`repro.compare`) both produce artifacts that cross load
-boundaries: minimized snapshots are stored content-addressed next to
-their originals, and diff reports travel over the service protocol.
-This family gates both.
+Minimized snapshots are stored content-addressed next to their
+originals, so the minimizer's output crosses load boundaries.  This
+family gates it.
 
 - TEA050 checks the *provenance meta* of minimized snapshots (the
   ``minimized_from`` / ``minimize`` keys written by
   ``AutomatonStore.put_minimized``).  It requires only the ``snapshot``
-  facet, so it runs automatically wherever TEAB bytes are already
-  verified — store gets, service preload, ``repro tools verify``.
-- TEA051-TEA053 check a live :class:`~repro.minimize.MinimizationResult`
-  (language preservation on sampled label walks, state-map soundness,
-  budget invariants) and run through
-  :func:`~repro.verify.api.verify_minimization`.
-- TEA054 checks the structural soundness of a diff report dict and runs
-  through :func:`~repro.verify.api.verify_diff_report`.
+  facet and reads the meta from the subject's one snapshot scan, so it
+  runs wherever TEAB bytes are already verified — store gets, service
+  preload, ``repro tools verify`` — without parsing them again.
+- TEA052-TEA053 check a live :class:`~repro.minimize.MinimizationResult`
+  (state-map soundness, budget invariants) and run through
+  :func:`~repro.verify.api.verify_minimization`.  A state map that is a
+  structure-preserving quotient (TEA052) also preserves the in-trace
+  language: walking both automata from the same head keeps them in
+  mapped states, so no separate language check is needed.
 """
 
 from repro.verify.engine import Rule, register
-
-#: TEA051 sampling parameters: heads probed per automaton and labels
-#: fed per walk.  Small on purpose — this is a smoke gate at load
-#: boundaries, not the differential suite.
-SAMPLE_HEADS = 16
-SAMPLE_DEPTH = 48
-
 
 class MinimizeProvenance(Rule):
     rule_id = "TEA050"
@@ -42,17 +34,13 @@ class MinimizeProvenance(Rule):
     requires = ("snapshot",)
 
     def check(self, subject):
-        from repro.errors import ReproError
         from repro.minimize import MODES
-        from repro.store.binary import peek_tea_binary
 
-        try:
-            info = peek_tea_binary(subject.snapshot)
-        except (ReproError, ValueError):
-            return  # corrupt envelope: TEA020/TEA021 own that finding
-        meta = info.get("meta")
-        if not isinstance(meta, dict) or "minimized_from" not in meta:
-            return
+        scan = subject.snapshot_scan
+        meta = scan.meta
+        if (not scan.sound() or not isinstance(meta, dict)
+                or "minimized_from" not in meta):
+            return  # bytes the other rules reject, or no provenance
         origin = meta["minimized_from"]
         if (not isinstance(origin, str) or len(origin) != 64
                 or any(ch not in "0123456789abcdef" for ch in origin)):
@@ -98,79 +86,13 @@ class MinimizeProvenance(Rule):
                 "< states_after=%d" % (before, after),
                 states_before=before, states_after=after,
             )
-        if after != info["states"]:
+        if after != scan.n_states:
             yield self.diag(
                 "minimize summary states_after=%d disagrees with the "
                 "snapshot's own state table (%d states)"
-                % (after, info["states"]),
-                states_after=after, states=info["states"],
+                % (after, scan.n_states),
+                states_after=after, states=scan.n_states,
             )
-
-
-def _sample_walks(tea):
-    """Deterministic label walks exercising every sampled head.
-
-    Each walk starts at a trace entry and then follows the *original*
-    automaton greedily — once by smallest outgoing label, once by
-    largest — injecting a guaranteed-miss label near the end so the
-    NTE fallback path is sampled too.  Deterministic by construction
-    (sorted heads, sorted labels), so verification is reproducible.
-    """
-    labels = {label for state in tea.states for label in state.transitions}
-    labels.update(tea.heads)
-    miss = (max(labels) + 1) if labels else 1
-    walks = []
-    for entry in sorted(tea.heads)[:SAMPLE_HEADS]:
-        for chooser in (min, max):
-            walk = [entry]
-            state = tea.heads[entry]
-            for position in range(SAMPLE_DEPTH):
-                if position == SAMPLE_DEPTH // 2:
-                    label = miss
-                elif state.transitions:
-                    label = chooser(state.transitions)
-                else:
-                    label = miss
-                walk.append(label)
-                state = tea.next_state(state, label)
-            walks.append(walk)
-    return walks
-
-
-class MinimizeLanguage(Rule):
-    rule_id = "TEA051"
-    name = "minimize-language"
-    family = "minimize"
-    description = (
-        "On sampled label walks the minimized automaton must agree "
-        "with the original about being in-trace (exactly without a "
-        "budget; minimized-in-trace implies original-in-trace when "
-        "states were spilled)."
-    )
-    paper = "Section 3 (TEA accepts the recorded trace language)"
-    requires = ("minimization",)
-
-    def check(self, subject):
-        result = subject.minimization
-        original = result.original
-        minimized = result.tea
-        lossless = not result.spilled
-        for walk in _sample_walks(original):
-            path_a = [s.tbb is not None for s in original.simulate(walk)]
-            path_b = [s.tbb is not None for s in minimized.simulate(walk)]
-            for step, (in_a, in_b) in enumerate(zip(path_a, path_b)):
-                if in_a == in_b:
-                    continue
-                if lossless or in_b:
-                    yield self.diag(
-                        "sampled walk from entry %#x diverges at step "
-                        "%d: original %s, minimized %s"
-                        % (walk[0], step,
-                           "in-trace" if in_a else "NTE",
-                           "in-trace" if in_b else "NTE"),
-                        entry=walk[0], step=step,
-                    )
-                    break
 
 
 class MinimizeStateMap(Rule):
@@ -318,123 +240,6 @@ class MinimizeBudget(Rule):
             )
 
 
-#: Required diff-report sections and the counters each must carry.
-_DIFF_SECTIONS = {
-    "states": ("matched", "removed", "added"),
-    "transitions": ("matched", "removed", "added", "retargeted"),
-    "heads": ("matched", "removed", "added", "retargeted"),
-}
-
-
-class DiffReportShape(Rule):
-    rule_id = "TEA054"
-    name = "diff-report-shape"
-    family = "minimize"
-    description = (
-        "A TEA diff report must be structurally sound: all sections "
-        "present, counters non-negative and consistent with both "
-        "sides' totals, similarity within [0, 1], and the 'identical' "
-        "flag agreeing with the counters."
-    )
-    paper = "Section 3 (comparing recorded trace shape)"
-    requires = ("tea_diff",)
-
-    def check(self, subject):
-        report = subject.tea_diff
-        if not isinstance(report, dict):
-            yield self.diag(
-                "diff report must be a dict, got %r"
-                % type(report).__name__,
-            )
-            return
-        for key in ("a", "b", "similarity", "identical"):
-            if key not in report:
-                yield self.diag("diff report is missing key %r" % key)
-                return
-        for section, fields in _DIFF_SECTIONS.items():
-            body = report.get(section)
-            if not isinstance(body, dict):
-                yield self.diag(
-                    "diff report section %r is missing or not a dict"
-                    % section,
-                )
-                return
-            for field in fields:
-                value = body.get(field)
-                if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < 0:
-                    yield self.diag(
-                        "diff counter %s.%s must be a non-negative "
-                        "integer, got %r" % (section, field, value),
-                    )
-                    return
-        for side in ("a", "b"):
-            body = report[side]
-            if not isinstance(body, dict):
-                yield self.diag("diff side %r is not a dict" % side)
-                return
-            for field in ("states", "transitions", "heads"):
-                value = body.get(field)
-                if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < 0:
-                    yield self.diag(
-                        "diff side total %s.%s must be a non-negative "
-                        "integer, got %r" % (side, field, value),
-                    )
-                    return
-
-        states = report["states"]
-        trans = report["transitions"]
-        heads = report["heads"]
-        checks = (
-            ("states", states["matched"] + states["removed"],
-             report["a"]["states"]),
-            ("states", states["matched"] + states["added"],
-             report["b"]["states"]),
-            ("transitions",
-             trans["matched"] + trans["removed"] + trans["retargeted"],
-             report["a"]["transitions"]),
-            ("transitions",
-             trans["matched"] + trans["added"] + trans["retargeted"],
-             report["b"]["transitions"]),
-            ("heads",
-             heads["matched"] + heads["removed"] + heads["retargeted"],
-             report["a"]["heads"]),
-            ("heads",
-             heads["matched"] + heads["added"] + heads["retargeted"],
-             report["b"]["heads"]),
-        )
-        for section, got, expected in checks:
-            if got != expected:
-                yield self.diag(
-                    "diff %s counters sum to %d but the side total is "
-                    "%d" % (section, got, expected),
-                    section=section, sum=got, total=expected,
-                )
-        similarity = report["similarity"]
-        if not isinstance(similarity, (int, float)) \
-                or isinstance(similarity, bool) \
-                or not 0.0 <= similarity <= 1.0:
-            yield self.diag(
-                "diff similarity must be a number in [0, 1], got %r"
-                % (similarity,),
-            )
-        clean = (
-            states["removed"] == 0 and states["added"] == 0
-            and trans["removed"] == 0 and trans["added"] == 0
-            and trans["retargeted"] == 0
-            and heads["removed"] == 0 and heads["added"] == 0
-            and heads["retargeted"] == 0
-        )
-        if bool(report["identical"]) != clean:
-            yield self.diag(
-                "diff 'identical' flag is %r but the counters say %r"
-                % (report["identical"], clean),
-            )
-
-
 register(MinimizeProvenance())
-register(MinimizeLanguage())
 register(MinimizeStateMap())
 register(MinimizeBudget())
-register(DiffReportShape())

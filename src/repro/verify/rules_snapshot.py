@@ -115,10 +115,15 @@ class SnapshotScan:
     data_dict)`` findings, one list per rule family member.  An
     envelope failure aborts the payload scan (the other lists stay
     empty — the envelope finding is the root cause).
+
+    ``meta`` (the decoded meta JSON) and ``n_states`` (the automaton's
+    state count) are what the scan learned on the way, for the rules
+    that read the snapshot's content (TEA050); each stays ``None``
+    until the scan reaches it.
     """
 
     __slots__ = ("envelope", "structure", "order", "roundtrip",
-                 "sections", "crc", "payload_scanned")
+                 "sections", "crc", "payload_scanned", "meta", "n_states")
 
     def __init__(self):
         self.envelope = []
@@ -128,6 +133,8 @@ class SnapshotScan:
         self.sections = []
         self.crc = []
         self.payload_scanned = False
+        self.meta = None
+        self.n_states = None
 
     def sound(self):
         """True when nothing blocks decoding the payload (ordering and
@@ -260,7 +267,7 @@ def _walk_v1(scanner, flags, scan):
 def _check_meta(text, scan):
     """The meta section must be JSON (``text``: str or UTF-8 bytes)."""
     try:
-        json.loads(text)
+        scan.meta = json.loads(text)
     except ValueError as error:
         scan.structure.append((
             "meta section is not valid JSON: %s" % error, {},
@@ -349,7 +356,7 @@ def _check_state_refs(refs, tbb_keys, scan):
 
 def _walk_automaton(scanner, tbb_keys, scan):
     """Walk the v1 automaton section."""
-    n_states = scanner.uvarint()
+    n_states = scan.n_states = scanner.uvarint()
     if n_states < 1:
         scan.structure.append((
             "automaton section declares %d states; the NTE state is "
@@ -442,9 +449,9 @@ def _scan_v2(data, scan, deep):
 
     from repro.store.binary_v2 import (
         ENTRY_SIZE, HEADER_SIZE, INT64_SECTIONS, REQUIRED_SECTIONS,
-        SEC_HEAD_ENTRIES, SEC_HEAD_SIDS, SEC_LABEL_POOL, SEC_STATE_REFS,
-        SEC_TBB_FLAG, SEC_TRANS_DEST, SEC_TRANS_LABELS, SEC_TRANS_OFFSET,
-        SECTION_NAMES, _ENTRY, _HEADER, int64_section,
+        SEC_HEAD_ENTRIES, SEC_HEAD_SIDS, SEC_LABEL_POOL, SEC_META,
+        SEC_STATE_REFS, SEC_TBB_FLAG, SEC_TRANS_DEST, SEC_TRANS_LABELS,
+        SEC_TRANS_OFFSET, SECTION_NAMES, _ENTRY, _HEADER, int64_section,
     )
 
     size = len(data)
@@ -583,7 +590,7 @@ def _scan_v2(data, scan, deep):
         # content checks below would read through the damage.
         return
 
-    n_states = sections[SEC_TBB_FLAG][2]
+    n_states = scan.n_states = sections[SEC_TBB_FLAG][2]
     if n_states < 1:
         scan.sections.append((
             "tbb_flag declares %d states; the NTE state is mandatory"
@@ -678,6 +685,15 @@ def _scan_v2(data, scan, deep):
         ))
     if deep and not scan.sections:
         _scan_v2_blobs(data, sections, view, scan)
+    elif SEC_META in sections:
+        # The shallow scan reads the meta without judging it: meta that
+        # is not JSON is a finding of the deep blob walk.
+        offset, length, _count = sections[SEC_META]
+        try:
+            scan.meta = json.loads(bytes(memoryview(data)[offset:
+                                                          offset + length]))
+        except ValueError:
+            pass
 
 
 def _scan_v2_blobs(data, sections, view, scan):

@@ -2,9 +2,8 @@
 
 The object-graph :class:`~repro.core.automaton.TEA` and the flat-table
 :class:`~repro.core.compiled.CompiledTea` encode the same DFA, so the
-automaton rule family (determinism, dangling targets, reachability,
-NTE consistency, head registry shape) should check both with the same
-code.  :class:`AutomatonView` is the adapter: integer state ids, a
+automaton rule family (reachability, NTE consistency) checks both with
+the same code, and the diff engine aligns either with the other.  :class:`AutomatonView` is the adapter: integer state ids, a
 transition list per state as ``(label, dest_sid)`` pairs in storage
 order, the head registry as ``(entry, sid)`` pairs, and in-trace
 flags.  Nothing here mutates the underlying automaton.
@@ -19,10 +18,9 @@ class AutomatonView:
     """One automaton representation flattened for rule checking."""
 
     __slots__ = ("kind", "n_states", "in_trace", "names", "edges",
-                 "heads", "trace_keys")
+                 "heads")
 
-    def __init__(self, kind, n_states, in_trace, names, edges, heads,
-                 trace_keys=None):
+    def __init__(self, kind, n_states, in_trace, names, edges, heads):
         #: ``"tea"`` (object graph) or ``"compiled"`` (flat tables).
         self.kind = kind
         self.n_states = n_states
@@ -35,9 +33,6 @@ class AutomatonView:
         self.edges = edges
         #: Head registry as ``(entry_pc, head_sid)`` in storage order.
         self.heads = heads
-        #: ``trace_keys[sid]`` — ``(trace_id, index)`` for TBB states,
-        #: ``None`` otherwise (only the object view carries these).
-        self.trace_keys = trace_keys
 
     @classmethod
     def from_tea(cls, tea):
@@ -49,13 +44,7 @@ class AutomatonView:
             for state in tea.states
         ]
         heads = [(entry, head.sid) for entry, head in tea.heads.items()]
-        trace_keys = [
-            None if state.tbb is None
-            else (state.tbb.trace_id, state.tbb.index)
-            for state in tea.states
-        ]
-        return cls("tea", n_states, in_trace, names, edges, heads,
-                   trace_keys=trace_keys)
+        return cls("tea", n_states, in_trace, names, edges, heads)
 
     @classmethod
     def from_compiled(cls, compiled):

@@ -9,23 +9,22 @@ when the rule catalog changes.
 
 import json
 import os
+import stat
 import time
 
 import pytest
 
-import repro
-from repro.audit import AuditCache, audit_store, default_code_paths
+from dev.concurrency_lint import DEFAULT_TARGETS, default_paths
+from repro.audit import AuditCache, audit_store
 from repro.audit.cache import audit_fingerprint, file_digest
-from repro.audit.scheduler import (
-    CODE_TARGETS,
-    audit_paths,
-    store_artifact_paths,
-)
+from repro.audit.scheduler import audit_paths, store_artifact_paths
 from repro.core import build_tea
+from repro.isa import assemble
+from repro.isa.image import encode_image
 from repro.store import AutomatonStore
 from repro.tools.__main__ import main
 
-from .conftest import NESTED_DIAMOND_SOURCE, record_traces
+from .conftest import NESTED_DIAMOND_SOURCE, SIMPLE_LOOP_SOURCE, record_traces
 
 N_SNAPSHOTS = 50
 
@@ -58,6 +57,8 @@ def test_audit_fingerprint_varies_with_every_input():
                              disabled=("TEA003",)) != base
     assert audit_fingerprint("d" * 64, "1-abc", strict=True) != base
     assert audit_fingerprint("d" * 64, "1-abc", deep=False) != base
+    assert audit_fingerprint("d" * 64, "1-abc",
+                             image_digest="e" * 64) != base
     # Disabled-rule order does not matter.
     assert audit_fingerprint("d" * 64, "1-abc",
                              disabled=("TEA003", "TEA001")) == \
@@ -110,8 +111,8 @@ def test_fleet_audit_parallel_and_warm_rerun(fleet, tmp_path):
     assert cold.stats["jobs"] == 4
     assert cold.stats["cold_runs"] == len(cold.reports)
     assert cold.stats["cache_hits"] == 0
-    # Snapshots + the three concurrency-lint targets.
-    assert cold.stats["artifacts"] >= N_SNAPSHOTS + 3
+    # Store artifacts only: the fleet has no images or sidecars.
+    assert cold.stats["artifacts"] == N_SNAPSHOTS
 
     started = time.monotonic()
     warm = audit_store(fleet, jobs=4, cache=cache)
@@ -152,13 +153,88 @@ def test_unreadable_artifact_gets_synthetic_report(tmp_path):
 
 
 def test_default_code_paths_cover_the_service_stack():
-    paths = default_code_paths()
+    # The concurrency lint is dev/concurrency_lint.py, run by CI; the
+    # audit walks store artifacts only.
+    paths = default_paths()
     names = {os.path.basename(p) for p in paths}
     assert "server.py" in names
     assert "mapping.py" in names
-    package_root = os.path.dirname(os.path.abspath(repro.__file__))
-    for target in CODE_TARGETS:
-        assert os.path.exists(os.path.join(package_root, target)), target
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for target in DEFAULT_TARGETS:
+        assert os.path.exists(os.path.join(root, target)), target
+
+
+# ---------------------------------------------------------------------
+# the program image beside a snapshot
+# ---------------------------------------------------------------------
+
+@pytest.fixture
+def imaged(tmp_path):
+    """A store holding one snapshot with its program image; returns
+    ``(store, key)``."""
+    program = assemble(NESTED_DIAMOND_SOURCE)
+    trace_set = record_traces(program).trace_set
+    store = AutomatonStore(tmp_path / "store")
+    key = store.put(trace_set, tea=build_tea(trace_set), program=program)
+    assert os.path.exists(store.image_path(key))
+    return store, key
+
+
+def _snapshot_report(store, key, cache=None):
+    result = audit_store(store.root, cache=cache)
+    path = store.path_for(key)
+    return next(report for report in result.reports
+                if report["target"] == path)
+
+
+def _replace(path, data):
+    os.chmod(path, stat.S_IRUSR | stat.S_IWUSR)
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+def test_cached_audit_follows_a_replaced_image(imaged, tmp_path):
+    store, key = imaged
+    cache = AuditCache(tmp_path / "cache")
+    warm = _snapshot_report(store, key, cache)
+    assert warm["ok"] and "TEA011" in warm["rules_run"]
+    image = store.image_path(key)
+    with open(image, "rb") as handle:
+        damaged = bytearray(handle.read())
+    damaged[-1] ^= 0xFF
+    _replace(image, bytes(damaged))
+    assert _snapshot_report(store, key, cache) == \
+        _snapshot_report(store, key)
+
+
+def test_cached_audit_follows_a_deleted_image(imaged, tmp_path):
+    store, key = imaged
+    cache = AuditCache(tmp_path / "cache")
+    _snapshot_report(store, key, cache)
+    os.unlink(store.image_path(key))
+    uncached = _snapshot_report(store, key)
+    assert "TEA011" not in uncached["rules_run"]
+    assert _snapshot_report(store, key, cache) == uncached
+
+
+def test_image_of_another_program_is_a_finding(imaged, tmp_path, capsys):
+    # The image decodes under the snapshot's key but holds another
+    # program: the snapshot's traces do not decode against it.
+    store, key = imaged
+    _replace(store.image_path(key),
+             encode_image(assemble(SIMPLE_LOOP_SOURCE), owner=key))
+    other = AutomatonStore(tmp_path / "store").put(
+        record_traces(assemble(SIMPLE_LOOP_SOURCE)).trace_set)
+    result = audit_store(store.root)
+    by_target = {report["target"]: report for report in result.reports}
+    assert len(by_target) == 3          # both snapshots and the image
+    report = by_target[store.path_for(key)]
+    assert [diag["rule"] for diag in report["diagnostics"]] == ["TEA010"]
+    assert "do not decode against the program" in \
+        report["diagnostics"][0]["message"]
+    assert by_target[store.path_for(other)]["ok"]
+    assert main(["verify", store.path_for(key)]) == 1
+    assert "[TEA010]" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------

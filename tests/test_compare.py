@@ -1,8 +1,9 @@
 """The TEA diff subsystem (``repro.compare``) — library and RPC.
 
 Covers the alignment semantics (self-diff is identical, including
-across object/compiled representations), the TEA054 report gate, and
-the ``diff`` RPC on the replay service with replay deltas.
+across object/compiled representations), counters that add up to each
+side's totals, and the ``diff`` RPC on the replay service with replay
+deltas.
 """
 
 import pytest
@@ -10,12 +11,10 @@ import pytest
 from tests.conftest import record_traces
 from repro.compare import TeaDiff, diff_automata, replay_delta
 from repro.core import build_tea
-from repro.minimize import minimize_tea
 from repro.obs import Observability
 from repro.service.protocol import E_PARAMS, E_SNAPSHOT, ServiceError
 from repro.service.testing import ServiceThread
 from repro.store import AutomatonStore, compile_tea_binary, dump_tea_binary
-from repro.verify import verify_diff_report
 from repro.workloads import load_benchmark
 
 BENCHMARK = "181.mcf"
@@ -76,6 +75,27 @@ def test_self_diff_across_representations(world):
     assert diff.similarity == 1.0
 
 
+def assert_counters_add_up(diff):
+    """Each side's totals split into matched, removed or added, and
+    retargeted entries; the similarity is a fraction."""
+    report = diff.to_json()
+    states = report["states"]
+    assert states["matched"] + states["removed"] == report["a"]["states"]
+    assert states["matched"] + states["added"] == report["b"]["states"]
+    for section in ("transitions", "heads"):
+        body = report[section]
+        assert (body["matched"] + body["removed"] + body["retargeted"]
+                == report["a"][section]), section
+        assert (body["matched"] + body["added"] + body["retargeted"]
+                == report["b"][section]), section
+    assert 0.0 <= report["similarity"] <= 1.0
+    assert report["identical"] == (
+        states["matched"] == report["a"]["states"] == report["b"]["states"]
+        and not any(report[section][field]
+                    for section in ("transitions", "heads")
+                    for field in ("removed", "added", "retargeted")))
+
+
 def test_diff_of_different_recordings(world):
     diff = diff_automata(world.tea_tt, world.tea_mret,
                          label_a="tt", label_b="mret")
@@ -83,9 +103,7 @@ def test_diff_of_different_recordings(world):
     assert 0.0 < diff.similarity < 1.0
     assert diff.a["states"] == world.tea_tt.n_states
     assert diff.b["states"] == world.tea_mret.n_states
-    report = verify_diff_report(diff)
-    assert report.ok(strict=True), report.render_text()
-    assert "TEA054" in report.rules_run
+    assert_counters_add_up(diff)
 
 
 def test_diff_original_vs_minimized(world):
@@ -95,7 +113,7 @@ def test_diff_original_vs_minimized(world):
     assert diff.states["added"] == 0
     assert diff.states["removed"] == world.minimized.merged
     assert diff.heads["matched"] == world.tea_tt.n_traces
-    assert verify_diff_report(diff).ok(strict=True)
+    assert_counters_add_up(diff)
 
 
 def test_diff_detects_retargeted_transition(world):
@@ -114,7 +132,7 @@ def test_diff_detects_retargeted_transition(world):
     diff = diff_automata(world.tea_tt, mutated)
     assert not diff.identical
     assert diff.transitions["retargeted"] >= 1
-    assert verify_diff_report(diff).ok(strict=True)
+    assert_counters_add_up(diff)
 
 
 def test_render_text_shape(world):
@@ -148,22 +166,6 @@ def test_replay_delta_arithmetic():
     assert "ok" not in delta  # bools are not numbers
     assert "label" not in delta
     assert delta["stats"] == {"blocks": 2, "hits": 0}
-
-
-def test_verify_diff_report_negatives(world):
-    report_dict = diff_automata(world.tea_tt, world.tea_mret).to_json()
-    tampered = dict(report_dict,
-                    states=dict(report_dict["states"],
-                                matched=report_dict["states"]["matched"] + 1))
-    report = verify_diff_report(tampered)
-    assert not report.ok()
-    assert "TEA054" in report.rule_ids
-
-    lying = dict(report_dict, identical=True)
-    assert not verify_diff_report(lying).ok()
-
-    assert not verify_diff_report({"similarity": 2.0}).ok()
-    assert not verify_diff_report("not-a-dict").ok()
 
 
 # ---------------------------------------------------------------------

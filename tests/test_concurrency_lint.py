@@ -1,23 +1,28 @@
-"""TEA08x concurrency lint: synthetic findings + the tree stays clean.
+"""The concurrency lint (``dev/concurrency_lint.py``): synthetic
+findings + the tree stays clean.
 
 The lint earns its keep twice: unit cases prove each check fires on a
-minimal synthetic module, and the self-audit proves the shipped
+minimal synthetic module, and the self-check proves the shipped
 service stack (`repro/service`, `repro/store/mapping.py`) carries
 zero findings — the very findings
 the lint first surfaced there are fixed and locked in by the
 regression tests at the bottom.
 """
 
+import os
 import threading
 
 import pytest
 
-from repro.audit import default_code_paths
-from repro.audit.concurrency import ConcurrencyAnalysis
-from repro.verify import default_engine, verify_python_source
+from dev.concurrency_lint import (
+    ConcurrencyAnalysis,
+    default_paths,
+    lint_file,
+    main,
+)
 
 # ---------------------------------------------------------------------
-# TEA080: blocking calls reachable from coroutines
+# blocking-call: blocking calls reachable from coroutines
 # ---------------------------------------------------------------------
 
 BLOCKING_DIRECT = """
@@ -93,7 +98,7 @@ def test_sync_function_not_flagged():
 
 
 # ---------------------------------------------------------------------
-# TEA081: lock discipline
+# lock-discipline
 # ---------------------------------------------------------------------
 
 AWAIT_UNDER_THREAD_LOCK = """
@@ -167,7 +172,7 @@ def test_lock_order_respected_is_clean():
 
 
 # ---------------------------------------------------------------------
-# TEA082: unguarded module-level caches
+# unguarded-cache: module-level caches mutated outside a lock
 # ---------------------------------------------------------------------
 
 UNGUARDED_CACHE = """
@@ -198,41 +203,41 @@ def test_guarded_cache_mutation_clean():
 
 
 # ---------------------------------------------------------------------
-# rule wiring: the TEA08x rules own their checks and report locations
+# the script: one line per finding, exit 1 on any
 # ---------------------------------------------------------------------
 
-def test_rules_partition_checks_by_owner():
-    report = verify_python_source(BLOCKING_DIRECT, source_name="a.py")
-    assert report.rule_ids == ["TEA080"]
-    report = verify_python_source(UNGUARDED_CACHE, source_name="b.py")
-    assert report.rule_ids == ["TEA082"]
-    report = verify_python_source(AWAIT_UNDER_THREAD_LOCK,
-                                  source_name="c.py")
-    assert report.rule_ids == ["TEA081"]
+def test_rules_partition_checks_by_owner(tmp_path, capsys):
+    for name, source in (("a.py", BLOCKING_DIRECT),
+                         ("b.py", UNGUARDED_CACHE),
+                         ("c.py", AWAIT_UNDER_THREAD_LOCK)):
+        (tmp_path / name).write_text(source)
+    assert main([str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line.split("[", 1)[1].split("]", 1)[0]
+              for line in lines if "[" in line]
+    assert checks == ["blocking-call", "unguarded-cache",
+                      "lock-discipline"]
+    assert lines[-1] == "concurrency lint: 3 file(s), 3 finding(s)"
 
 
-def test_syntax_error_reported_once_via_tea080():
-    report = verify_python_source("def broken(:\n", source_name="bad.py")
-    assert report.rule_ids == ["TEA080"]
+def test_syntax_error_reported_once_via_tea080(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def broken(:\n")
+    assert [finding.check for finding in lint_file(str(bad))] == ["syntax"]
+    assert main([str(bad)]) == 1
 
 
 # ---------------------------------------------------------------------
-# the shipped tree must be clean (satellite: self-findings fixed)
+# the shipped tree must be clean
 # ---------------------------------------------------------------------
 
-def test_service_stack_lint_clean():
-    engine = default_engine(strict=True)
-    paths = default_code_paths()
-    assert len(paths) >= 3  # service/*.py, store/mapping.py
-    dirty = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        report = verify_python_source(source, source_name=path,
-                                      engine=engine)
-        if not report.ok(strict=True):
-            dirty.append((path, report.rule_ids))
+def test_service_stack_lint_clean(capsys):
+    paths = default_paths()
+    names = {os.path.basename(path) for path in paths}
+    assert {"server.py", "mapping.py"} <= names
+    dirty = [(path, lint_file(path)) for path in paths if lint_file(path)]
     assert not dirty, dirty
+    assert main([]) == 0
 
 
 # ---------------------------------------------------------------------

@@ -311,7 +311,7 @@ def test_audit_verifies_images(two_programs):
     assert sorted(path for path in paths if path.endswith(".teap")) == \
         sorted(store.image_path(key) for key in keys.values())
     _overwrite(store.image_path(keys["b"]), b"TEAP")
-    result = audit_store(store.root, code_paths=())
+    result = audit_store(store.root)
     failed = [report["target"] for report in result.reports
               if not report["ok"]]
     assert failed == [store.image_path(keys["b"])]

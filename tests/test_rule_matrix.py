@@ -2,9 +2,9 @@
 
 Each row seeds one realistic fault into a known-good artifact and pins
 the exact set of rule ids that verification reports as errors or
-warnings.  A rule earns its place in the catalog by being what catches
-some row; a fault that nothing catches shows up as a row whose deep
-set is empty.
+warnings.  A rule earns its place in the catalog by being the only
+rule that catches some row; a fault that nothing catches shows up as a
+row whose deep set is empty.
 
 Rows are grouped by the rule family they were written for.  A row
 names a *base*: how to make a fresh known-good artifact and which
@@ -33,8 +33,6 @@ other base has one depth, and its rows leave ``shallow`` as ``None``.
   (``verify_minimization``).
 - ``image`` / ``stream``: the program's ``TEAP`` image and ``TEAS``
   execution stream (rule TEA027).
-- ``diff``: the diff report of the automaton against its budgeted
-  minimization (``verify_diff_report``).
 """
 
 import struct
@@ -45,7 +43,6 @@ from collections import namedtuple
 import pytest
 
 from repro.cfg.basic_block import BlockIndex
-from repro.compare import diff_automata
 from repro.core import TeaProfile
 from repro.core.automaton import TeaState
 from repro.core.compiled import CompiledTea
@@ -85,7 +82,6 @@ from repro.verify import (
     WARNING,
     all_rules,
     verify_compiled,
-    verify_diff_report,
     verify_image_bytes,
     verify_minimization,
     verify_snapshot_bytes,
@@ -666,16 +662,6 @@ def stream_of_another_program(triple):
     return data, key, "d" * 64
 
 
-def _diff(world):
-    return diff_automata(world.tea, minimize_tea(world.tea,
-                                                 budget=20).tea).to_json()
-
-
-def diff_counters_disagree(report):
-    report["states"]["matched"] += 1
-    return report
-
-
 # ---------------------------------------------------------------------
 # the matrix
 # ---------------------------------------------------------------------
@@ -772,11 +758,11 @@ ROWS = SNAPSHOT_ROWS + [
     # one state's transition run repeats a label
     Row("compiled", "duplicate-label", "tables",
         lambda world: _lowered(world, duplicate_label), None,
-        _ids("TEA001", "TEA030")),
+        _ids("TEA030")),
     # a transition into a state past the end of the table
     Row("compiled", "dangling-destination", "tables",
         lambda world: _lowered(world, dangling_destination), None,
-        _ids("TEA002", "TEA003", "TEA030", "TEA060")),
+        _ids("TEA003", "TEA030")),
     # NTE's in-trace flag set
     Row("compiled", "nte-flagged-in-trace", "tables",
         lambda world: _lowered(world, nte_flagged_in_trace), None,
@@ -790,7 +776,7 @@ ROWS = SNAPSHOT_ROWS + [
     # a transition into a state past the end of the table
     Row("compiled", "lowered-dangling-destination", "lowered",
         lambda world: _lowered(world, dangling_destination), None,
-        _ids("TEA002", "TEA003", "TEA030", "TEA032", "TEA060")),
+        _ids("TEA003", "TEA030", "TEA032")),
     # cfg: a recorder or image bug, checked as a trace file is
     Row("cfg", "traces-clean", "traces", _traces, None, NONE),
     # an in-trace edge the terminator cannot take
@@ -801,7 +787,7 @@ ROWS = SNAPSHOT_ROWS + [
         None, _ids("TEA011")),
     # a trace that continues past hlt
     Row("cfg", "trace-past-hlt", "traces", trace_past_hlt, None,
-        _ids("TEA010", "TEA012")),
+        _ids("TEA010")),
     # traces: structural recorder bugs
     Row("traces", "empty-trace", "traces", empty_trace, None,
         _ids("TEA040")),
@@ -838,7 +824,7 @@ ROWS = SNAPSHOT_ROWS + [
     Row("minimize", "budgeted-clean", "minimized", _budgeted, None, NONE),
     Row("minimize", "minimized-transition-dropped", "minimized",
         minimized_transition_dropped, None,
-        _ids("TEA003", "TEA051", "TEA052", "TEA060")),
+        _ids("TEA003", "TEA052")),
     Row("minimize", "state-map-wrong-block", "minimized",
         state_map_wrong_block, None, _ids("TEA052")),
     Row("minimize", "over-budget", "minimized", over_budget, None,
@@ -848,24 +834,21 @@ ROWS = SNAPSHOT_ROWS + [
     Row("minimize", "minimized-head-dropped", "minimized",
         minimized_head_dropped, None,
         _ids("TEA003", "TEA005", "TEA052", "TEA053")),
-    # minimize: a diff report whose counters do not add up
-    Row("minimize", "diff-clean", "diff", _unchanged, None, NONE),
-    Row("minimize", "diff-counters-disagree", "diff",
-        diff_counters_disagree, None, _ids("TEA054")),
-    # dataflow
+    # dataflow: rows written for the deleted TEA060-TEA062, which never
+    # caught one of them alone
     # a stranded state whose own transitions can never fire
     Row("dataflow", "dead-transition", "built", orphan_with_transitions,
-        None, _ids("TEA003", "TEA060")),
+        None, _ids("TEA003")),
     # a state reachable only through an NTE edge
     Row("dataflow", "head-dead-state", "built",
-        nte_edge_to_stranded_state, None, _ids("TEA004", "TEA060")),
+        nte_edge_to_stranded_state, None, _ids("TEA004")),
     # a profile that counts a state the automaton can no longer reach
     Row("dataflow", "profiled-state-stranded", "rewritten",
-        profiled_state_stranded, NONE, _ids("TEA003", "TEA060", "TEA061")),
+        profiled_state_stranded, NONE, _ids("TEA003")),
     # two heads on one entry PC
     Row("dataflow", "duplicate-head-entry", "tables",
         lambda world: _lowered(world, duplicate_head_entry), None,
-        _ids("TEA030", "TEA031", "TEA062")),
+        _ids("TEA030")),
 ]
 
 Base = namedtuple("Base", "make verify")
@@ -913,14 +896,12 @@ def bases(golden_v1, golden_v1_program):
                        lambda triple, _deep: verify_stream_bytes(
                            triple[0], key=triple[1],
                            program_digest=triple[2])),
-        "diff": Base(lambda: _diff(world()),
-                     lambda report, _deep: verify_diff_report(report)),
     }
 
 
 def _finding_ids(report):
-    """Rule ids of the blocking-or-warning findings (TEA003 and TEA060
-    are warnings)."""
+    """Rule ids of the blocking-or-warning findings (TEA003 is a
+    warning)."""
     return frozenset(diag.rule_id for diag in report.diagnostics
                      if diag.severity in (ERROR, WARNING))
 
@@ -952,7 +933,19 @@ def test_every_fault_is_caught_deep():
 
 def test_every_rule_of_a_covered_family_catches_some_fault():
     caught = set().union(*(row.deep for row in ROWS))
-    for family in {row.family for row in ROWS}:
+    for family in {rule.family for rule in all_rules()}:
         members = {rule.rule_id for rule in all_rules()
                    if rule.family == family}
         assert members <= caught, sorted(members - caught)
+
+
+def test_every_rule_is_the_sole_catcher_of_some_row():
+    # A rule that only ever fires next to another one guards nothing
+    # the other does not.
+    sole = set()
+    for row in ROWS:
+        for caught in (row.shallow, row.deep):
+            if caught is not None and len(caught) == 1:
+                sole |= caught
+    registered = {rule.rule_id for rule in all_rules()}
+    assert registered <= sole, sorted(registered - sole)

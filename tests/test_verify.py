@@ -68,10 +68,10 @@ def test_catalog_is_complete_and_stable():
     assert ids == sorted(ids)
     assert len(ids) == len(set(ids))
     for family, members in {
-        "automaton": ["TEA001", "TEA002", "TEA003", "TEA004", "TEA005"],
-        "cfg": ["TEA010", "TEA011", "TEA012"],
+        "automaton": ["TEA003", "TEA004", "TEA005"],
+        "cfg": ["TEA010", "TEA011"],
         "snapshot": ["TEA020", "TEA021", "TEA022", "TEA023"],
-        "compiled": ["TEA030", "TEA031", "TEA032"],
+        "compiled": ["TEA030", "TEA032"],
         "traces": ["TEA040", "TEA041", "TEA042", "TEA043"],
     }.items():
         for rule_id in members:
@@ -85,7 +85,7 @@ def test_clean_recording_passes_every_applicable_rule(world):
     assert report.ok()
     assert report.diagnostics == []
     # All five families had their facets present.
-    assert {"TEA001", "TEA005", "TEA010", "TEA030", "TEA040"} \
+    assert {"TEA003", "TEA005", "TEA010", "TEA030", "TEA040"} \
         <= set(report.rules_run)
 
 
@@ -111,22 +111,26 @@ def test_engine_disable_and_obs_counters(world):
 
 @pytest.fixture
 def count_scans(monkeypatch):
-    """Counts calls of ``scan_snapshot`` and of the deep v2 blob walk."""
+    """Counts calls of ``scan_snapshot``, of the deep v2 blob walk, and
+    of the codec's own header parse (``peek``)."""
+    from repro.store import binary, binary_v2
     from repro.verify import rules_snapshot
 
-    calls = {"scan": 0, "blobs": 0}
-    scan, blobs = rules_snapshot.scan_snapshot, rules_snapshot._scan_v2_blobs
+    calls = {"scan": 0, "blobs": 0, "peek": 0}
 
-    def counting_scan(*args, **kwargs):
-        calls["scan"] += 1
-        return scan(*args, **kwargs)
+    def counting(module, name, counter):
+        original = getattr(module, name)
 
-    def counting_blobs(*args, **kwargs):
-        calls["blobs"] += 1
-        return blobs(*args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls[counter] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(rules_snapshot, "scan_snapshot", counting_scan)
-    monkeypatch.setattr(rules_snapshot, "_scan_v2_blobs", counting_blobs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(rules_snapshot, "scan_snapshot", "scan")
+    counting(rules_snapshot, "_scan_v2_blobs", "blobs")
+    counting(binary, "peek_tea_binary", "peek")
+    counting(binary_v2, "peek_tea_binary_v2", "peek")
     return calls
 
 
@@ -143,6 +147,9 @@ def test_snapshot_verify_scans_once(world, snapshot, golden_v1,
     assert count_scans["scan"] == 1
     # Only a deep scan of a v2 snapshot walks the blobs it embeds.
     assert count_scans["blobs"] == (1 if fmt == "v2" and deep else 0)
+    # Every rule reads the snapshot through that one scan (TEA050's
+    # provenance meta included), never through a second parse.
+    assert count_scans["peek"] == 0
 
 
 def test_store_gate_scans_once_per_load(world, snapshot, tmp_path,
@@ -154,7 +161,7 @@ def test_store_gate_scans_once_per_load(world, snapshot, tmp_path,
     key = store.put_bytes(snapshot)
     store.load(key, BlockIndex(program))
     store.get_compiled(key)
-    assert count_scans == {"scan": 2, "blobs": 0}
+    assert (count_scans["scan"], count_scans["blobs"]) == (2, 0)
 
 
 def test_overlong_varint_trips_roundtrip_rule(golden_v1):
@@ -180,8 +187,8 @@ def test_overlong_varint_trips_roundtrip_rule(golden_v1):
 def test_nondeterministic_automaton_trips_determinism_rule():
     # Duplicate labels in one state's transition run: constructible
     # (the constructor gate checks structure, not ordering), caught by
-    # TEA001.  TEA030's full ordering check fires on the same bytes,
-    # so disable it to show TEA001 alone convicts.
+    # TEA030's ordering check — a run of strictly increasing labels is
+    # what makes the tables a deterministic automaton.
     compiled = CompiledTea(
         3, b"\x00\x01\x01",
         trans_offset=[0, 0, 2, 2],
@@ -189,11 +196,8 @@ def test_nondeterministic_automaton_trips_determinism_rule():
         head_entries=[0x30], head_sids=[1],
     )
     report = verify_compiled(compiled)
-    assert "TEA001" in report.rule_ids
-    isolated = verify_compiled(
-        compiled, engine=default_engine(disabled=("TEA030",))
-    )
-    assert isolated.rule_ids == ["TEA001"]
+    assert report.rule_ids == ["TEA030"]
+    assert "not strictly increasing" in report.errors[0].message
 
 
 def test_unreachable_state_is_a_warning_and_strict_blocks():
