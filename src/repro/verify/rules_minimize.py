@@ -20,6 +20,7 @@ family gates it.
 
 from repro.verify.engine import Rule, register
 
+
 class MinimizeProvenance(Rule):
     rule_id = "TEA050"
     name = "minimize-provenance"

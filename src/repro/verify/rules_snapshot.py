@@ -24,7 +24,8 @@ deep scan (``verify_snapshot_bytes(deep=True)``) also walks v2's
 embedded blobs, checks STATE_REFS against the walked TBBs and
 re-derives SUMMARY and LABEL_POOL; the shallow scan of the load-path
 gate stays O(section table).  A :class:`~repro.verify.engine.Subject`
-scans its snapshot once, however many rules read the result.
+scans its snapshot once, however many rules read the result; the scan
+also keeps the meta and state count it passes (TEA050 reads them).
 """
 
 import json
