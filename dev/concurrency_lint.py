@@ -2,11 +2,10 @@
 
 Usage, from the repository root::
 
-    python dev/concurrency_lint.py [PATH ...]
+    python dev/concurrency_lint.py
 
-Lints every ``*.py`` file under each PATH (default: the service
-package and the store's mapping cache, :data:`DEFAULT_TARGETS`),
-prints one ``path:line: [check] message`` line per finding, and exits
+Lints the service package and the store's mapping cache
+(:data:`DEFAULT_TARGETS`), prints one ``path:line: [check] message`` line per finding, and exits
 1 when there is any finding or a module does not parse, 0 otherwise.
 CI runs it in the lint job.  The checks read source code, not TEA
 artifacts, so they live here rather than in the ``repro.verify``
@@ -53,8 +52,11 @@ import ast
 import os
 import sys
 
-#: Lint targets relative to the repository root: the asyncio server
-#: and its worker pool, and the process-shared snapshot mapping cache.
+#: The repository this script lives in.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Lint targets relative to :data:`ROOT`: the asyncio server and its
+#: worker pool, and the process-shared snapshot mapping cache.
 DEFAULT_TARGETS = (os.path.join("src", "repro", "service"),
                    os.path.join("src", "repro", "store", "mapping.py"))
 
@@ -462,19 +464,12 @@ class ConcurrencyAnalysis:
         return sorted(findings, key=lambda f: (f.lineno or 0, f.check))
 
 
-def default_paths(root=None):
-    """The ``*.py`` files of :data:`DEFAULT_TARGETS` under ``root``
-    (default: the repository this script lives in), sorted."""
-    if root is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return python_files(os.path.join(root, target)
-                        for target in DEFAULT_TARGETS)
-
-
-def python_files(targets):
-    """Every ``*.py`` file named by, or directly inside, ``targets``."""
+def default_paths():
+    """The ``*.py`` files of :data:`DEFAULT_TARGETS` in this repository,
+    sorted within each directory."""
     paths = []
-    for target in targets:
+    for target in DEFAULT_TARGETS:
+        target = os.path.join(ROOT, target)
         if os.path.isdir(target):
             paths.extend(os.path.join(target, name)
                          for name in sorted(os.listdir(target))
@@ -496,9 +491,8 @@ def lint_file(path):
                         error.lineno)]
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    paths = python_files(argv) if argv else default_paths()
+def main():
+    paths = default_paths()
     count = 0
     for path in paths:
         for finding in lint_file(path):

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from dev.concurrency_lint import DEFAULT_TARGETS, default_paths
+from dev.concurrency_lint import DEFAULT_TARGETS, ROOT, default_paths
 from repro.audit import AuditCache, audit_store
 from repro.audit.cache import audit_fingerprint, file_digest
 from repro.audit.scheduler import audit_paths, store_artifact_paths
@@ -159,9 +159,8 @@ def test_default_code_paths_cover_the_service_stack():
     names = {os.path.basename(p) for p in paths}
     assert "server.py" in names
     assert "mapping.py" in names
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for target in DEFAULT_TARGETS:
-        assert os.path.exists(os.path.join(root, target)), target
+        assert os.path.exists(os.path.join(ROOT, target)), target
 
 
 # ---------------------------------------------------------------------

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from dev import concurrency_lint
 from dev.concurrency_lint import (
     ConcurrencyAnalysis,
     default_paths,
@@ -206,12 +207,15 @@ def test_guarded_cache_mutation_clean():
 # the script: one line per finding, exit 1 on any
 # ---------------------------------------------------------------------
 
-def test_rules_partition_checks_by_owner(tmp_path, capsys):
+def test_rules_partition_checks_by_owner(tmp_path, monkeypatch, capsys):
+    paths = []
     for name, source in (("a.py", BLOCKING_DIRECT),
                          ("b.py", UNGUARDED_CACHE),
                          ("c.py", AWAIT_UNDER_THREAD_LOCK)):
         (tmp_path / name).write_text(source)
-    assert main([str(tmp_path)]) == 1
+        paths.append(str(tmp_path / name))
+    monkeypatch.setattr(concurrency_lint, "default_paths", lambda: paths)
+    assert main() == 1
     lines = capsys.readouterr().out.splitlines()
     checks = [line.split("[", 1)[1].split("]", 1)[0]
               for line in lines if "[" in line]
@@ -220,11 +224,13 @@ def test_rules_partition_checks_by_owner(tmp_path, capsys):
     assert lines[-1] == "concurrency lint: 3 file(s), 3 finding(s)"
 
 
-def test_syntax_error_reported_once_via_tea080(tmp_path):
+def test_syntax_error_reported_once_via_tea080(tmp_path, monkeypatch):
     bad = tmp_path / "bad.py"
     bad.write_text("def broken(:\n")
     assert [finding.check for finding in lint_file(str(bad))] == ["syntax"]
-    assert main([str(bad)]) == 1
+    monkeypatch.setattr(concurrency_lint, "default_paths",
+                        lambda: [str(bad)])
+    assert main() == 1
 
 
 # ---------------------------------------------------------------------
@@ -237,7 +243,7 @@ def test_service_stack_lint_clean(capsys):
     assert {"server.py", "mapping.py"} <= names
     dirty = [(path, lint_file(path)) for path in paths if lint_file(path)]
     assert not dirty, dirty
-    assert main([]) == 0
+    assert main() == 0
 
 
 # ---------------------------------------------------------------------
