@@ -9,8 +9,8 @@ rule-catalog version (:func:`repro.verify.catalog_version`), and the
 engine options that change what a run means (disabled rules, strict
 mode, deep decode).
 
-Because the catalog version hashes every registered rule's metadata,
-adding or rewording a rule invalidates every cached result
+Because the catalog version hashes the source of every rule module,
+adding or changing a rule invalidates every cached result
 automatically: the fleet re-audits exactly when the rules change, and
 warm reruns over an unchanged store cost one digest per artifact.
 """

@@ -514,7 +514,7 @@ def _cmd_audit(args):
             print(body)
     stats = result.stats
     print("audit: %d artifact(s), %d cached, %d cold, %d unreadable, "
-          "%.2fs (catalog %s, jobs=%d)"
+          "%.3fs (catalog %s, jobs=%d)"
           % (stats["artifacts"], stats["cache_hits"], stats["cold_runs"],
              stats["unreadable"], stats["elapsed"],
              stats["catalog_version"], stats["jobs"]))

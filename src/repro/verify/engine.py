@@ -22,14 +22,17 @@ cycles.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import os
 
 from repro.verify.diagnostics import ERROR, Diagnostic, Report
 
 #: The global rule catalog: rule_id -> Rule instance.
 _CATALOG = {}
 
-#: Bumped by hand when rule *semantics* change without any catalog
-#: text changing — forces audit-cache invalidation either way.
+#: Bumped by hand when what the rules report changes without any rule
+#: module changing (a facet or view they read) — forces audit-cache
+#: invalidation either way.
 CATALOG_EPOCH = 1
 
 
@@ -54,34 +57,34 @@ def rule_by_id(rule_id):
     return _CATALOG[rule_id]
 
 
+#: The built-in rule modules of this package, in catalog order.
+BUILTIN_RULE_MODULES = ("rules_automaton", "rules_cfg", "rules_compiled",
+                        "rules_minimize", "rules_snapshot", "rules_stream",
+                        "rules_traces")
+
+
 def _load_builtin_rules():
     """Import the built-in rule modules (registration side effect)."""
-    from repro.verify import (  # noqa: F401 — imported for registration
-        rules_automaton,
-        rules_cfg,
-        rules_compiled,
-        rules_minimize,
-        rules_snapshot,
-        rules_stream,
-        rules_traces,
-    )
+    for name in BUILTIN_RULE_MODULES:
+        importlib.import_module("repro.verify." + name)
 
 
 def catalog_version() -> str:
     """Content version of the rule catalog: ``<epoch>-<12 hex>``.
 
-    Hashes every registered rule's id, name, severity and description
-    plus :data:`CATALOG_EPOCH`, so adding, removing or rewording a
-    rule (or bumping the epoch) changes the version — the audit result
-    cache keys on it and invalidates itself automatically.
+    Hashes the source of every built-in rule module plus
+    :data:`CATALOG_EPOCH`, so adding, removing, rewording or changing
+    a rule (or bumping the epoch) changes the version — the audit
+    result cache keys on it and invalidates itself automatically.
+    Reading the sources, not importing them, keeps a fully cached
+    audit from compiling the rule modules it never runs.
     """
-    payload = "|".join(
-        "%s:%s:%s:%s" % (rule.rule_id, rule.name, rule.severity,
-                         rule.description)
-        for rule in all_rules()
-    )
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-    return "%d-%s" % (CATALOG_EPOCH, digest)
+    digest = hashlib.sha256()
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in BUILTIN_RULE_MODULES:
+        with open(os.path.join(here, name + ".py"), "rb") as handle:
+            digest.update(handle.read())
+    return "%d-%s" % (CATALOG_EPOCH, digest.hexdigest()[:12])
 
 
 class Rule:

@@ -6,7 +6,10 @@ every registered rule must be well-formed, resolvable, fully described
 and documented with a matching row in docs/static_verification.md.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.verify import all_rules, catalog_version, rule_by_id
@@ -89,3 +92,22 @@ def test_catalog_version_shape_and_epoch(monkeypatch):
     assert version == catalog_version(), "must be deterministic"
     monkeypatch.setattr(engine, "CATALOG_EPOCH", engine.CATALOG_EPOCH + 1)
     assert catalog_version() != version, "epoch bump must change it"
+
+
+def test_catalog_version_covers_every_rule_module_without_importing():
+    # A fully cached audit needs the version only; compiling the rule
+    # modules for it cost a warm audit most of its time.
+    from repro.verify import engine
+
+    registered = {rule.__class__.__module__.rsplit(".", 1)[1]
+                  for rule in all_rules()}
+    assert registered == set(engine.BUILTIN_RULE_MODULES)
+    script = ("import sys\n"
+              "from repro.verify import catalog_version\n"
+              "catalog_version()\n"
+              "print(sorted(m for m in sys.modules if '.rules_' in m))\n")
+    src = str(Path(engine.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    assert out.strip() == "[]"
