@@ -16,6 +16,12 @@ path that its traced run reports as ``cpu.self_s`` and ``dbt.self_s``.
 The server's load of a freshly built snapshot of that program (what its
 ``reload`` RPC runs: verify, decode the stored program image, decode
 the automaton, map the stream) is timed with a fresh service per round.
+
+MiniPin's charges are timed on the ``replay-hot`` program, without a
+tool: once on a fresh stream per round, where the run builds the
+stream's charge tape and folds it, and once on a stream whose tape is
+built, where it only folds.  Both must give the same cycles, bit for
+bit.
 """
 
 import pytest
@@ -24,6 +30,7 @@ from repro.core import ReplayConfig, TeaReplayer, build_tea
 from repro.cpu import ExecutionStream, Executor
 from repro.dbt import StarDBT
 from repro.isa import assemble
+from repro.pin import Pin
 from repro.service.__main__ import main as service_main
 from repro.service.server import TeaService
 from repro.store import AutomatonStore
@@ -102,6 +109,37 @@ def test_load_entry_fresh_ingest_program(benchmark, tmp_path, capsys):
             loaded.mapping.close()
     assert entry.key == key
     assert entry.stream.get() is not None    # the stored sidecar, mapped
+
+
+@pytest.fixture(scope="module")
+def pin_stream():
+    """The ``replay-hot`` program and its stream's sidecar bytes."""
+    program = load_benchmark("164.gzip", scale=1.0).program
+    return program, ExecutionStream.record(program).to_bytes()
+
+
+def test_pin_charges_fresh_stream(benchmark, pin_stream):
+    program, data = pin_stream
+    seen = []
+
+    def fresh_stream():
+        return (ExecutionStream.from_buffer(data),), {}
+
+    def run(stream):
+        seen.append(repr(Pin(program, stream=stream).run().cycles))
+
+    benchmark.pedantic(run, setup=fresh_stream, rounds=10)
+    warm = ExecutionStream.from_buffer(data)
+    Pin(program, stream=warm).run()
+    assert set(seen) == {repr(Pin(program, stream=warm).run().cycles)}
+
+
+def test_pin_charges_warm_stream(benchmark, pin_stream):
+    program, data = pin_stream
+    stream = ExecutionStream.from_buffer(data)
+    fresh = repr(Pin(program, stream=stream).run().cycles)
+    result = benchmark(lambda: Pin(program, stream=stream).run())
+    assert repr(result.cycles) == fresh
 
 
 @pytest.fixture(scope="module")

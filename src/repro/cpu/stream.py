@@ -48,7 +48,6 @@ keeps next to snapshots (``docs/architecture.md`` has the layout);
 ``from_buffer`` over an ``mmap`` is zero-copy.
 """
 
-import bisect
 import hashlib
 import struct
 import sys
@@ -212,7 +211,7 @@ class ExecutionStream:
     __slots__ = ("program_digest", "max_instructions", "instrs_dbt",
                  "instrs_pin", "edges", "halted", "exceeded",
                  "translated", "indirects", "transitions", "flags",
-                 "splits", "_split_rows", "_slow")
+                 "splits", "_split_rows", "_tape")
 
     def __init__(self, program_digest, max_instructions, totals, lanes):
         self.program_digest = program_digest
@@ -221,7 +220,7 @@ class ExecutionStream:
          self.exceeded, self.translated, self.indirects) = totals
         self.transitions, self.flags, self.splits = lanes
         self._split_rows = None
-        self._slow = None
+        self._tape = None
 
     # ------------------------------------------------------------------
     # recording
@@ -325,25 +324,18 @@ class ExecutionStream:
             self._split_rows = rows
         return rows.get(transition, ())
 
-    def slow_transitions(self):
-        """Sorted indices of the blocks whose Pin charges cannot be
-        applied in bulk: first-seen or merged-split or terminal blocks,
-        and the first indirect one (it creates its cost category)."""
-        slow = self._slow
-        if slow is None:
-            flags = bytes(self.flags)
-            marks = flags.translate(_flag_table(FLAG_FIRST | FLAG_SPLITS
-                                                | FLAG_FINAL))
-            slow = []
-            index = marks.find(1)
-            while index >= 0:
-                slow.append(index)
-                index = marks.find(1, index + 1)
-            first_indirect = flags.translate(_flag_table(FLAG_INDIRECT)).find(1)
-            if first_indirect >= 0 and first_indirect not in slow:
-                bisect.insort(slow, first_indirect)
-            self._slow = slow
-        return slow
+    def charge_tape(self, key, build):
+        """MiniPin's charge tape (:class:`repro.pin.pin.ChargeTape`) for
+        ``key``: ``build()`` once, then the cached tape.
+
+        A stream holds one tape; a new ``key`` replaces the old one.
+        Threads that race on a new key may each build; their tapes are
+        equal, and the last one stays.
+        """
+        held = self._tape
+        if held is None or held[0] != key:
+            held = self._tape = (key, build())
+        return held[1]
 
     def block_transitions(self, block_index, entry):
         """Yield the StarDBT-flavour

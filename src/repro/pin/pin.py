@@ -1,6 +1,6 @@
 """The MiniPin engine.
 
-Runs a program on the interpreter while (a) charging Pin's own overheads
+Replays a program's recorded run while (a) charging Pin's own overheads
 per the cost model and (b) delivering StarDBT-flavour block transitions
 to the attached pintool.  Engine overheads, per the cost-model docs:
 
@@ -13,13 +13,17 @@ Instruction totals are exposed under both counting semantics; coverage
 figures computed by TEA tools use Pin counting (REP iterations counted),
 which is what makes our Table 2/3 coverages differ slightly from the
 DBT's — the Section 4.1 effect.
+
+These overheads depend only on the recorded run, so they are not
+recomputed per run: a :class:`ChargeTape`, built once per stream and
+cached on it, lists them per packed batch, and each run folds it.
 """
 
 import functools
 import operator
 import weakref
 from bisect import bisect_left
-from itertools import repeat
+from itertools import compress, repeat
 
 from repro.cfg.basic_block import BlockIndex
 from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
@@ -32,6 +36,7 @@ from repro.cpu.stream import (
     matching,
 )
 from repro.dbt.cost import CostModel, CostParameters
+from repro.pin.packed import DEFAULT_PACKED_BATCH
 
 class PinResult:
     """Outcome of a MiniPin run."""
@@ -71,7 +76,7 @@ class PinResult:
 
 
 class _EngineCharges:
-    """MiniPin's own per-event charges, applied from a recorded stream.
+    """MiniPin's own per-event charges for one block at a time.
 
     Per Pin-flavour event the live engine charged, in this order:
     ``PIN_BLOCK_STUB``; ``PIN_TRANSLATION_PER_INSTR`` times the event's
@@ -81,17 +86,14 @@ class _EngineCharges:
     :attr:`CostModel.cycles <repro.dbt.cost.CostModel.cycles>` is one
     float accumulated in call order and the stub (1.6) is inexact, so
     the charges are added one at a time in exactly that order — never
-    pre-summed, never with ``sum()`` (compensated on Python >= 3.12) or
-    ``math.fsum``.  :meth:`through` does so in bulk, one loop over the
-    lanes for the total and the per-category sums, and
-    ``functools.reduce`` for the constant charges.  Blocks that create
-    a cost category or carry extra events
-    (:meth:`ExecutionStream.slow_transitions`) go through :meth:`block`,
-    one ``charge`` call per charge.
+    pre-summed, never with ``math.fsum`` (or ``sum()``, compensated on
+    Python >= 3.12).  Per-transition tools are charged through
+    :meth:`block`, one ``charge`` call per charge; it is the oracle the
+    :class:`ChargeTape` is tested against, and the tape lists the
+    charges of merged-split rows through it.
     """
 
-    __slots__ = ("cost", "stream", "stub", "translate", "indirect", "rate",
-                 "slow")
+    __slots__ = ("cost", "stream", "stub", "translate", "indirect")
 
     def __init__(self, cost, stream):
         params = cost.params
@@ -100,8 +102,6 @@ class _EngineCharges:
         self.stub = params.PIN_BLOCK_STUB
         self.translate = params.PIN_TRANSLATION_PER_INSTR
         self.indirect = params.PIN_INDIRECT_EXTRA
-        self.rate = params.NATIVE_INSTRUCTION
-        self.slow = stream.slow_transitions()
 
     def splits(self, index):
         """Charge the split events merged into block ``index``; returns
@@ -138,46 +138,162 @@ class _EngineCharges:
             cost.charge("pin_indirect", self.indirect)
         cost.charge_instructions(instrs_pin)
 
-    def through(self, lo, hi):
-        """Charge every event that completed blocks ``lo`` .. ``hi - 1``."""
-        slow = self.slow
-        at = lo
-        for index in slow[bisect_left(slow, lo):bisect_left(slow, hi)]:
-            if index > at:
-                self._bulk(at, index)
-            self.block(index)
-            at = index + 1
-        if hi > at:
-            self._bulk(at, hi)
 
-    def _bulk(self, lo, hi):
-        # Blocks here end in one event each, none of them new to Pin,
-        # and every category they charge already exists.
-        cost = self.cost
-        breakdown = cost.breakdown
-        stub = self.stub
-        indirect = self.indirect
-        rate = self.rate
-        cycles = cost.cycles
-        instructions = breakdown["instructions"]
-        indirects = 0
-        for code, count in zip(self.stream.flags[lo:hi],
-                               self.stream.transitions[3 * lo + 2:3 * hi:3]):
-            cycles += stub
-            if code & FLAG_INDIRECT:
-                cycles += indirect
-                indirects += 1
-            count = count * rate
-            cycles += count
-            instructions += count
-        cost.cycles = cycles
-        breakdown["instructions"] = instructions
-        breakdown["pin_dispatch"] = functools.reduce(
-            operator.add, repeat(stub, hi - lo), breakdown["pin_dispatch"])
-        if indirects:
-            breakdown["pin_indirect"] = functools.reduce(
-                operator.add, repeat(indirect, indirects),
-                breakdown["pin_indirect"])
+#: Pin's cost categories, in the order one plain row charges them.
+_SLOTS = ("pin_dispatch", "pin_translation", "pin_indirect", "instructions")
+
+
+def _row_table(charges):
+    """``bytes.translate`` table: a flags byte -> 1 when ``charges(code)``,
+    else 0."""
+    return bytes(1 if charges(code) else 0 for code in range(256))
+
+
+def _is_plain(code):
+    return not code & (FLAG_FINAL | FLAG_SPLITS)
+
+
+#: Per slot of :data:`_SLOTS`, which plain rows charge it.  Rows with
+#: merged splits charge nothing here: :meth:`_EngineCharges.block` lists
+#: theirs.  The terminal row charges only its instructions.
+_SLOT_TABLES = (
+    _row_table(_is_plain),
+    _row_table(lambda code: _is_plain(code) and code & FLAG_FIRST),
+    _row_table(lambda code: _is_plain(code) and code & FLAG_INDIRECT),
+    _row_table(lambda code: not code & FLAG_SPLITS),
+)
+_SPLIT_TABLE = _row_table(lambda code: code & FLAG_SPLITS)
+
+
+def _marked(marks, lo, hi):
+    """The indices ``lo <= index < hi`` where ``marks[index]`` is 1."""
+    found = []
+    index = marks.find(1, lo, hi)
+    while index >= 0:
+        found.append(index)
+        index = marks.find(1, index + 1, hi)
+    return found
+
+
+class _Amounts(dict):
+    """``count -> count * rate``, one float object per distinct count."""
+
+    __slots__ = ("rate",)
+
+    def __init__(self, rate):
+        super().__init__()
+        self.rate = rate
+
+    def __missing__(self, count):
+        amount = self[count] = count * self.rate
+        return amount
+
+
+class _TapeCost(CostModel):
+    """A cost model that also lists each charge in :attr:`charges`."""
+
+    __slots__ = ("charges",)
+
+    def charge(self, category, cycles):
+        self.charges.append(cycles)
+        CostModel.charge(self, category, cycles)
+
+
+class ChargeTape:
+    """MiniPin's charges on one stream, built once and folded per run.
+
+    Pin's charges depend only on the recorded run, four cost parameters
+    and the tool's packed batch size, so one tape serves every run with
+    those: :class:`Pin` keeps it on the stream
+    (:meth:`ExecutionStream.charge_tape
+    <repro.cpu.stream.ExecutionStream.charge_tape>`), keyed on those
+    five, and a run with another key replaces it.  A tape has one
+    segment per packed batch the tool receives, plus,
+    for a run that exceeded its budget, an undelivered tail: the blocks
+    after the last full batch and the split events after the last block.
+    Per segment ``k``:
+
+    - ``cycles[k]`` lists the segment's charges in live order (see
+      :class:`_EngineCharges`), one float object per distinct amount;
+    - ``categories[k]`` maps each Pin category charged so far to its
+      running value at the segment's end, keyed in first-charge order.
+
+    A run adds ``cycles[k]`` to ``CostModel.cycles`` with
+    ``functools.reduce(operator.add, ...)`` — the same IEEE additions,
+    in the same order, as one ``charge`` per charge — and writes
+    ``categories[k]`` into ``breakdown`` before the tool sees batch
+    ``k``.  The tool's replay engine charges only its own categories,
+    so writing absolute values keeps both the values and the key order.
+
+    The build runs at C speed over the lanes, one segment at a time:
+    per-block slot masks from ``bytes.translate``, a repeated-list
+    template of the four slot charges, and ``itertools.compress``.
+    Blocks with merged splits are listed through
+    :meth:`_EngineCharges.block`.
+    """
+
+    __slots__ = ("cycles", "categories")
+
+    def __init__(self, stream, params, batch):
+        self.cycles = []
+        self.categories = []
+        rows = stream.n_transitions
+        flags = bytes(stream.flags)
+        transitions = stream.transitions
+        masks = [flags.translate(table) for table in _SLOT_TABLES]
+        stub = params.PIN_BLOCK_STUB
+        indirect = params.PIN_INDIRECT_EXTRA
+        translate = params.PIN_TRANSLATION_PER_INSTR
+        amount = _Amounts(params.NATIVE_INSTRUCTION).__getitem__
+        cost = _TapeCost(params)
+        running = cost.breakdown
+        charges = _EngineCharges(cost, stream)
+
+        def plain(lo, hi):
+            # The charges of blocks lo .. hi - 1, none of which has
+            # merged splits; their categories' running values move on.
+            instructions = list(map(amount, transitions[3 * lo + 2:3 * hi:3]))
+            template = [stub, None, indirect, None] * (hi - lo)
+            template[3::4] = instructions
+            translations = []
+            for row in _marked(masks[1], lo, hi):
+                translations.append(translate * transitions[3 * row + 1])
+                template[4 * (row - lo) + 1] = translations[-1]
+            mask = bytearray(4 * (hi - lo))
+            for slot in range(4):
+                mask[slot::4] = masks[slot][lo:hi]
+            firsts = []
+            for slot, amounts in enumerate((
+                    repeat(stub, masks[0].count(1, lo, hi)), translations,
+                    repeat(indirect, masks[2].count(1, lo, hi)),
+                    instructions)):
+                first = masks[slot].find(1, lo, hi)
+                if first >= 0:
+                    firsts.append((4 * first + slot, slot, amounts))
+            for _position, slot, amounts in sorted(firsts):
+                category = _SLOTS[slot]
+                running[category] = functools.reduce(
+                    operator.add, amounts, running.get(category, 0.0))
+            return compress(template, mask)
+
+        split = _marked(flags.translate(_SPLIT_TABLE), 0, rows)
+        full = rows - rows % batch if stream.exceeded else rows
+        bounds = [(lo, min(lo + batch, rows)) for lo in range(0, full, batch)]
+        if stream.exceeded:
+            bounds.append((full, rows))
+        for lo, hi in bounds:
+            out = cost.charges = []
+            for index in split[bisect_left(split, lo):bisect_left(split, hi)]:
+                out += plain(lo, index)
+                charges.block(index)
+                lo = index + 1
+            out += plain(lo, hi)
+            self.cycles.append(out)
+            self.categories.append(dict(running))
+        if stream.exceeded:
+            # The trailing splits close the tail segment.
+            charges.splits(rows)
+            self.categories[-1] = dict(running)
 
 
 class Pin:
@@ -188,6 +304,12 @@ class Pin:
     ``max_instructions``); when omitted, :meth:`run` records one first
     — the one interpreter run.  Pass one stream to every engine that
     runs the same program to execute it once.
+
+    A run without a tool, or with a packed-batch tool, folds the
+    stream's :class:`ChargeTape` for its cost parameters and batch size,
+    built by the first such run and reused by the next.  A
+    per-transition tool is charged block by block, before each
+    transition it receives.
 
     ``obs`` (optional :class:`~repro.obs.Observability`) is shared with
     the executor and exposed to the attached pintool, so one registry
@@ -245,30 +367,42 @@ class Pin:
         if tool is not None:
             tool.attach(self)
             self._tool = weakref.ref(tool)
-        charges = _EngineCharges(self.cost, stream)
-        blocks = stream.n_transitions
-        batch = tool.packed_batch if tool is not None else None
-        if tool is None:
-            charges.through(0, blocks)
-        elif batch:
-            # Packed-batch tools see exactly the live encoder's batches:
-            # full ones as they fill, the remainder at the end.
-            view = stream.transitions
-            full = blocks - blocks % batch if stream.exceeded else blocks
-            for lo in range(0, full, batch):
-                hi = min(lo + batch, blocks)
-                charges.through(lo, hi)
-                tool.on_packed(view[3 * lo:3 * hi])
-            charges.through(full, blocks)
-        else:
+        cost = self.cost
+        if tool is not None and not tool.packed_batch:
+            charges = _EngineCharges(cost, stream)
             deliver = tool.on_transition
-            block = charges.block
             for index, transition in enumerate(stream.block_transitions(
                     self.block_index, self.program.entry)):
-                block(index)
+                charges.block(index)
                 deliver(transition)
+            if stream.exceeded:
+                charges.splits(stream.n_transitions)
+        else:
+            # Packed-batch tools see exactly the live encoder's batches:
+            # full ones as they fill, the remainder at the end; a run
+            # over its budget delivers no partial batch.  A run without
+            # a tool folds the same segments.
+            batch = tool.packed_batch if tool is not None \
+                else DEFAULT_PACKED_BATCH
+            params = cost.params
+            key = (params.PIN_BLOCK_STUB, params.PIN_TRANSLATION_PER_INSTR,
+                   params.PIN_INDIRECT_EXTRA, params.NATIVE_INSTRUCTION,
+                   batch)
+            tape = stream.charge_tape(
+                key, lambda: ChargeTape(stream, params, batch))
+            breakdown = cost.breakdown
+            blocks = stream.n_transitions
+            view = stream.transitions
+            delivered = (len(tape.cycles) - stream.exceeded
+                         if tool is not None else 0)
+            for segment, charges in enumerate(tape.cycles):
+                cost.cycles = functools.reduce(operator.add, charges,
+                                               cost.cycles)
+                breakdown.update(tape.categories[segment])
+                if segment < delivered:
+                    lo = segment * batch
+                    tool.on_packed(view[3 * lo:3 * min(lo + batch, blocks)])
         if stream.exceeded:
-            charges.splits(blocks)
             raise stream.limit_error()
         if tool is not None:
             tool.on_finish()

@@ -18,6 +18,9 @@ class Pintool:
     to its batch size in transitions by the end of :meth:`attach`; the
     engine then calls :meth:`on_packed` with zero-copy int64 slices of
     the recorded stream instead of :meth:`on_transition` per block.
+    Such a tool charges only its own cost categories, never Pin's
+    (``pin_*`` and ``instructions``): the engine writes those from its
+    charge tape as running values (:class:`repro.pin.pin.ChargeTape`).
     """
 
     #: Transitions per :meth:`on_packed` batch; ``None`` = per-call

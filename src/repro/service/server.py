@@ -61,11 +61,7 @@ from repro.service.protocol import (
     read_frame,
     result_reply,
 )
-from repro.store.binary import (
-    compile_tea_binary,
-    load_tea_binary,
-    peek_tea_binary,
-)
+from repro.store.binary import load_and_compile_tea_binary
 from repro.store.store import snapshot_program
 
 #: Replay configuration names accepted by the ``replay``/``coverage``
@@ -251,11 +247,12 @@ def load_entry(key, data, image, verify=True, mapping=None, streams=None):
     the offending rule ids.  :meth:`TeaService.preload` quarantines
     the snapshot on any of these errors rather than crash at startup.
 
+    The compiled automaton's tables are views into ``data``.  Pass
     ``mapping`` (a :class:`~repro.store.mapping.SnapshotMapping` whose
-    bytes ``data`` must be) makes the entry zero-copy: the compiled
-    automaton's tables become views into the shared read-only ``mmap``
-    instead of private decoded arrays, so N service workers mapping the
-    same snapshot share one page-cache copy.
+    bytes ``data`` must be) to make the entry zero-copy: the tables
+    then view the shared read-only ``mmap``, so N service workers
+    mapping the same snapshot share one page-cache copy, and retiring
+    the entry closes the mapping.
 
     ``streams`` maps the snapshot's program to its shared
     :class:`StreamSource` (the service passes its own registry); a
@@ -265,18 +262,15 @@ def load_entry(key, data, image, verify=True, mapping=None, streams=None):
         from repro.verify import verify_snapshot_bytes
 
         verify_snapshot_bytes(data, source=key, deep=False).raise_on_error()
-    meta = peek_tea_binary(data)["meta"] or {}
     program = snapshot_program(image, key)
-    trace_set, tea, profile = load_tea_binary(data, BlockIndex(program))
-    # Lower the snapshot's automaton tables into the compiled flat-table
-    # layout once, up front; the successor dispatch dicts are built
+    # One decode of the section table (its CRCs checked once, gate or
+    # no gate) gives the objects and the compiled flat-table layout,
+    # whose tables view ``data``; the successor dispatch dicts are built
     # eagerly so the worker pool shares them read-only from the start.
-    if mapping is not None:
-        compiled = mapping.compiled()
-    else:
-        compiled = compile_tea_binary(data, verify=False)
+    trace_set, tea, profile, meta, compiled = load_and_compile_tea_binary(
+        data, BlockIndex(program))
     compiled.successor_maps()
-    return SnapshotEntry(key, meta, program, trace_set, tea, profile,
+    return SnapshotEntry(key, meta or {}, program, trace_set, tea, profile,
                          len(data), compiled=compiled, mapping=mapping,
                          stream=streams(program) if streams else None)
 

@@ -448,6 +448,16 @@ def load_tea_binary(data, block_index, with_meta=False):
                               with_meta=with_meta)
 
 
+def load_and_compile_tea_binary(data, block_index):
+    """``load_tea_binary(data, block_index, with_meta=True)`` plus the
+    automaton :func:`compile_tea_binary` lowers without verifying, from
+    one decode of the section table (one CRC sweep): ``(trace_set, tea,
+    profile, meta, compiled)``.  v1 bytes are converted to v2 once."""
+    from repro.store.binary_v2 import load_and_compile_v2
+
+    return load_and_compile_v2(_as_v2(data), block_index)
+
+
 def _scan_traces(reader):
     """Skip the traces section; returns ``(kind, n_traces, n_tbbs, n_edges)``.
 

@@ -456,9 +456,12 @@ def compile_tea_binary_v2(data, verify=True):
         from repro.verify.api import verify_snapshot_bytes
 
         verify_snapshot_bytes(data, deep=False).raise_on_error()
+    return _compile_sections(data, open_v2(data, check_crc=not verify))
+
+
+def _compile_sections(data, sections):
     from repro.core.compiled import CompiledTea
 
-    sections = open_v2(data, check_crc=not verify)
     offset, length, n_states = sections[SEC_TBB_FLAG]
     tbb_flag = bytes(memoryview(data)[offset:offset + length])
     return CompiledTea.from_buffers(
@@ -481,9 +484,23 @@ def load_tea_binary_v2(data, block_index, with_meta=False):
     verbatim; the automaton is rebuilt from the CSR sections in
     state-id order, transitions in label order and heads in entry order.
     """
+    loaded = _load_sections(data, open_v2(data), block_index)
+    return loaded if with_meta else loaded[:3]
+
+
+def load_and_compile_v2(data, block_index):
+    """:func:`load_tea_binary_v2` with meta and
+    :func:`compile_tea_binary_v2` (unverified) from one
+    :func:`open_v2`, so one CRC sweep: ``(trace_set, tea, profile,
+    meta, compiled)``."""
+    sections = open_v2(data)
+    return _load_sections(data, sections, block_index) + (
+        _compile_sections(data, sections),)
+
+
+def _load_sections(data, sections, block_index):
     from repro.core.automaton import TEA
 
-    sections = open_v2(data)
     meta = None
     if SEC_META in sections:
         meta = _json_of(data, sections, SEC_META, "meta")
@@ -537,6 +554,4 @@ def load_tea_binary_v2(data, block_index, with_meta=False):
                 "%d trailing bytes after the profile section"
                 % (reader.end - reader.pos)
             )
-    if with_meta:
-        return trace_set, tea, profile, meta
-    return trace_set, tea, profile
+    return trace_set, tea, profile, meta

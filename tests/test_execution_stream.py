@@ -10,6 +10,9 @@ including its key order, replay statistics and coverage, StarDBT's
 trace sets and costs, and the ``InstructionLimitExceeded`` behaviour.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
@@ -22,11 +25,13 @@ from repro.cpu.events import (
 )
 from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
 from repro.cpu.stream import ExecutionStream, check_stream_bytes
-from repro.dbt import StarDBT
+from repro.dbt import CostParameters, StarDBT
 from repro.errors import InstructionLimitExceeded
 from repro.isa import assemble
 from repro.obs import Observability
 from repro.pin import Pin, PinResult, TeaRecordTool, TeaReplayTool, run_native
+from repro.pin import pin as pin_module
+from repro.pin.pin import _EngineCharges
 from repro.traces.recorder import STATE_CREATING, RecorderLimits
 from repro.traces.serialization import trace_set_to_json
 from repro.workloads import load_benchmark
@@ -472,6 +477,182 @@ def test_stream_budget_must_match():
         StarDBT(program, stream=stream, max_instructions=1000)
     with pytest.raises(ValueError):
         run_native(program, stream=stream, max_instructions=1000)
+
+
+# ---------------------------------------------------------------------
+# MiniPin's charge tape against the per-block oracle
+# ---------------------------------------------------------------------
+
+#: A loop of direct branches and then calls: the first indirect edge
+#: (the first ``ret``) comes ~40 blocks in, so with a small batch
+#: ``pin_indirect`` is created after the engine's own categories.
+LATE_INDIRECT_SOURCE = """
+main:
+    mov ecx, 40
+spin:
+    dec ecx
+    jnz spin
+    mov ecx, 5
+again:
+    call helper
+    dec ecx
+    jnz again
+    hlt
+helper:
+    add eax, 1
+    ret
+"""
+
+#: The rates the tape is keyed on, moved off their defaults.
+PERTURBED = {"PIN_BLOCK_STUB": 1.7, "PIN_INDIRECT_EXTRA": 9.3}
+
+
+def tape_workload(name):
+    """``(program, stream, traces, budget)``: a :func:`workload`, the
+    late-indirect program, or ``"<workload>/limited"`` — its stream
+    over a :func:`_limited` budget."""
+    if name == "late_indirect":
+        found = _CACHE.get(name)
+        if found is None:
+            program = assemble(LATE_INDIRECT_SOURCE)
+            found = _CACHE[name] = (program, ExecutionStream.record(program),
+                                    None)
+        return found + (DEFAULT_MAX_INSTRUCTIONS,)
+    if name.endswith("/limited"):
+        program, traces, budget = _limited(name.split("/")[0])
+        return (program, ExecutionStream.record(program, budget), traces,
+                budget)
+    return workload(name) + (DEFAULT_MAX_INSTRUCTIONS,)
+
+
+def tape_tool(traces, batch):
+    if batch is None:
+        return None
+    return TeaReplayTool(trace_set=traces, engine="compiled",
+                         batch_size=batch)
+
+
+def per_block_run(program, stream, tool, params, budget):
+    """The packed-batch run with every Pin charge made by
+    ``_EngineCharges.block``, one ``charge`` call per charge."""
+    pin = Pin(program, tool=tool, cost_params=params,
+              max_instructions=budget, stream=stream)
+    charges = _EngineCharges(pin.cost, stream)
+    blocks = stream.n_transitions
+    lo = 0
+    if tool is not None:
+        tool.attach(pin)
+        batch = tool.packed_batch
+        full = blocks - blocks % batch if stream.exceeded else blocks
+        for lo in range(0, full, batch):
+            hi = min(lo + batch, blocks)
+            for index in range(lo, hi):
+                charges.block(index)
+            tool.on_packed(stream.transitions[3 * lo:3 * hi])
+        lo = full
+    for index in range(lo, blocks):
+        charges.block(index)
+    if stream.exceeded:
+        charges.splits(blocks)
+    elif tool is not None:
+        tool.on_finish()
+    return pin, stream.exceeded
+
+
+def charged(pin, raised):
+    cost = pin.cost
+    return repr(cost.cycles), list(cost.breakdown.items()), raised
+
+
+@pytest.mark.parametrize("name", ("splits", "177.mesa@0.3", "164.gzip@0.15",
+                                  "late_indirect", "splits/limited",
+                                  "164.gzip@0.15/limited"))
+@pytest.mark.parametrize("batch", (None, 1, 7, 4096),
+                         ids=lambda batch: ("no-tool" if batch is None
+                                            else "batch=%d" % batch))
+@pytest.mark.parametrize("perturbed", (False, True),
+                         ids=("default", "perturbed"))
+def test_charge_tape_matches_per_block_charges(name, batch, perturbed):
+    """Bit for bit: ``repr(cycles)`` and the breakdown with its key
+    order, also across merged splits, over budget and with other
+    rates."""
+    program, stream, traces, budget = tape_workload(name)
+    stream = ExecutionStream.from_buffer(stream.to_bytes())  # no tape yet
+    params = CostParameters(**PERTURBED) if perturbed else None
+    want = charged(*per_block_run(program, stream, tape_tool(traces, batch),
+                                  params, budget))
+    pin = Pin(program, tool=tape_tool(traces, batch), cost_params=params,
+              max_instructions=budget, stream=stream)
+    raised = False
+    try:
+        pin.run()
+    except InstructionLimitExceeded:
+        raised = True
+    assert raised == stream.exceeded == name.endswith("/limited")
+    assert charged(pin, raised) == want
+
+
+def test_late_indirect_category_follows_the_engines():
+    program, stream, _traces, _budget = tape_workload("late_indirect")
+    result = Pin(program, tool=tape_tool(None, 7), stream=stream).run()
+    keys = list(result.cost.breakdown)
+    assert keys.index("callback") < keys.index("pin_indirect")
+    assert keys[:2] == ["pin_dispatch", "pin_translation"]
+
+
+def test_threads_share_one_stream():
+    program, stream, traces, _budget = tape_workload("177.mesa@0.3")
+    stream = ExecutionStream.from_buffer(stream.to_bytes())
+    want = charged(*per_block_run(program, stream, tape_tool(traces, 100),
+                                  None, DEFAULT_MAX_INSTRUCTIONS))
+    start = threading.Barrier(8)
+    seen = []
+
+    def replay():
+        tool = tape_tool(traces, 100)
+        start.wait()
+        seen.append(charged(Pin(program, tool=tool, stream=stream).run(),
+                            False))
+
+    threads = [threading.Thread(target=replay) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [want] * 8
+
+
+def test_stream_holds_one_tape(monkeypatch):
+    program, stream, traces, _budget = tape_workload("splits")
+    stream = ExecutionStream.from_buffer(stream.to_bytes())
+    built = []
+
+    class CountedTape(pin_module.ChargeTape):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[1:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(pin_module, "ChargeTape", CountedTape)
+
+    def run(batch, params=None):
+        Pin(program, tool=tape_tool(traces, batch), cost_params=params,
+            stream=stream).run()
+        return len(built)
+
+    assert run(100) == 1
+    assert run(100) == 1  # same key: no new tape
+    assert run(None) == 2  # a run without a tool folds the default batch
+    assert run(None) == 2
+    assert run(None, CostParameters(**PERTURBED)) == 3
+    assert run(None) == 4  # the perturbed tape replaced the default one
 
 
 # ---------------------------------------------------------------------

@@ -312,6 +312,55 @@ def test_store_gate_rejects_corrupted_v2(tmp_path, nested_traces):
         store.map_compiled(key)
 
 
+def test_served_snapshot_is_opened_once(world, monkeypatch, tmp_path):
+    """``load_entry`` decodes the section table (one CRC sweep) once
+    after the verify gate; without the gate, damage is still refused."""
+    from repro.isa.image import encode_image
+    from repro.service.server import ServiceConfig, TeaService, load_entry
+    from repro.store import binary_v2
+
+    program, _v1, v2 = world
+    key = snapshot_key(v2)
+    image = encode_image(program, owner=key)
+    opened = []
+    real_open = binary_v2.open_v2
+
+    def counted_open(data, check_crc=True):
+        opened.append(check_crc)
+        return real_open(data, check_crc)
+
+    monkeypatch.setattr(binary_v2, "open_v2", counted_open)
+    verify_snapshot_bytes(v2, deep=False)
+    gate = len(opened)
+    opened.clear()
+    entry = load_entry(key, v2, image)
+    assert opened == [True] * (gate + 1)
+    opened.clear()
+    unverified = load_entry(key, v2, image, verify=False)
+    assert opened == [True]
+    monkeypatch.undo()
+
+    traces, tea, profile, meta = load_tea_binary(
+        v2, BlockIndex(program), with_meta=True)
+    for loaded in (entry, unverified):
+        assert loaded.meta == meta and loaded.profile is profile is None
+        assert_same_automaton(loaded.tea, tea)
+        assert loaded.compiled.structurally_equal(compile_tea_binary(v2))
+
+    store = AutomatonStore(tmp_path / "store")
+    damaged_key = store.put(traces, tea=tea, meta=meta, program=program)
+    path = store.path_for(damaged_key)
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    data[open_v2(bytes(data))[SEC_TRACES][0]] ^= 0xFF
+    with open(path, "wb") as handle:
+        handle.write(data)
+    service = TeaService(store, ServiceConfig(verify=False))
+    service.preload()
+    assert service.entries == {}
+    assert "CRC" in service.invalid[damaged_key]["error"]
+
+
 def test_gc_prunes_superseded_snapshots_and_counts(tmp_path, nested_traces):
     store = AutomatonStore(tmp_path / "store")
     tea = build_tea(nested_traces)
