@@ -13,10 +13,12 @@ workloads:
 
 - ``step``      — per-call ``TeaReplayer.step()`` (the baseline);
 - ``run``       — batched ``TeaReplayer.run()`` over transition objects;
-- ``compiled``  — ``CompiledReplayer.run()`` over one packed
-  ``array('q')`` stream (packing time is *excluded*: under Pin hosting
-  the encoder packs incrementally on the callback path, and the service
-  replays the same pre-lowered snapshot many times).
+- ``compiled``  — ``CompiledReplayer.run()`` over one
+  :class:`~repro.core.compiled.PackedBatch` of the whole stream
+  (packing and wrapping are *excluded*: under Pin hosting a replay
+  receives the recorded stream's batches, which the stream builds once
+  and every later replay reuses — ``bench_components.py``'s
+  ``test_served_engine_*`` time that path, first replay and warm).
 
 Modes:
 
@@ -39,8 +41,8 @@ import time
 
 import pytest
 
-from repro.core import CompiledReplayer, CompiledTea, ReplayConfig, \
-    TeaReplayer, build_tea
+from repro.core import CompiledReplayer, CompiledTea, PackedBatch, \
+    ReplayConfig, TeaReplayer, build_tea
 from repro.dbt import StarDBT
 from repro.pin import Pin, pack_transitions
 from repro.pin.pintool import CallbackTool
@@ -80,7 +82,7 @@ def _capture(name):
     Pin(program, tool=CallbackTool(on_transition=transitions.append)).run()
     tea = build_tea(trace_set)
     return tea, CompiledTea.from_tea(tea), transitions, \
-        pack_transitions(transitions)
+        PackedBatch(pack_transitions(transitions))
 
 
 @pytest.fixture(scope="module")

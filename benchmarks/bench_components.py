@@ -21,16 +21,21 @@ MiniPin's charges are timed on the ``replay-hot`` program, without a
 tool: once on a fresh stream per round, where the run builds the
 stream's charge tape and folds it, and once on a stream whose tape is
 built, where it only folds.  Both must give the same cycles, bit for
-bit.
+bit.  The served engine is timed the same two ways: a Pin-hosted
+compiled replay of that program under the served configuration
+(``global_local``, MRET traces at hot threshold 30, automaton lowered
+once), where a fresh stream also builds its packed batches and a warm
+one hands out the ones it holds.  Every round must give the same
+replay stats and cycles.
 """
 
 import pytest
 
-from repro.core import ReplayConfig, TeaReplayer, build_tea
+from repro.core import CompiledTea, ReplayConfig, TeaReplayer, build_tea
 from repro.cpu import ExecutionStream, Executor
 from repro.dbt import StarDBT
 from repro.isa import assemble
-from repro.pin import Pin
+from repro.pin import Pin, TeaReplayTool
 from repro.service.__main__ import main as service_main
 from repro.service.server import TeaService
 from repro.store import AutomatonStore
@@ -140,6 +145,48 @@ def test_pin_charges_warm_stream(benchmark, pin_stream):
     fresh = repr(Pin(program, stream=stream).run().cycles)
     result = benchmark(lambda: Pin(program, stream=stream).run())
     assert repr(result.cycles) == fresh
+
+
+@pytest.fixture(scope="module")
+def served_replay(pin_stream):
+    """A served-shape replay of the ``replay-hot`` program on a stream:
+    returns ``(stats, repr(cycles))``."""
+    program, _data = pin_stream
+    traces = StarDBT(program, limits=RecorderLimits(hot_threshold=30)) \
+        .run().trace_set
+    tea = build_tea(traces)
+    compiled = CompiledTea.from_tea(tea)
+
+    def replay(stream):
+        tool = TeaReplayTool(trace_set=traces, tea=tea, compiled=compiled,
+                             engine="compiled")
+        result = Pin(program, tool=tool, stream=stream).run()
+        return tool.stats.as_dict(), repr(result.cycles)
+
+    return replay
+
+
+def test_served_engine_fresh_stream(benchmark, pin_stream, served_replay):
+    _program, data = pin_stream
+    seen = []
+
+    def fresh_stream():
+        return (ExecutionStream.from_buffer(data),), {}
+
+    def run(stream):
+        seen.append(served_replay(stream))
+
+    benchmark.pedantic(run, setup=fresh_stream, rounds=10)
+    warm = ExecutionStream.from_buffer(data)
+    served_replay(warm)
+    assert seen == [served_replay(warm)] * len(seen)
+
+
+def test_served_engine_warm_stream(benchmark, pin_stream, served_replay):
+    _program, data = pin_stream
+    stream = ExecutionStream.from_buffer(data)
+    fresh = served_replay(stream)
+    assert benchmark(lambda: served_replay(stream)) == fresh
 
 
 @pytest.fixture(scope="module")

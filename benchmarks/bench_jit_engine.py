@@ -12,8 +12,8 @@ cells, so the generated code buys no speed over the compiled walk.
 Timed engines, all driven over identical pre-captured replay workloads
 under the Table 4 ``global_local`` configuration:
 
-- ``compiled`` — ``CompiledReplayer.run()`` over one packed
-  ``array('q')`` stream;
+- ``compiled`` — ``CompiledReplayer.run()`` over one
+  :class:`~repro.core.compiled.PackedBatch` of the whole stream;
 - ``jit``      — ``JitReplayer.run()`` over the same stream, with
   codegen+``exec`` time *excluded* from the timed region but reported
   separately (``codegen_seconds``): the store caches generated sources
@@ -41,7 +41,7 @@ import time
 import pytest
 
 from repro.core import CompiledReplayer, CompiledTea, JitCode, \
-    JitReplayer, ReplayConfig, build_tea
+    JitReplayer, PackedBatch, ReplayConfig, build_tea
 from repro.dbt import StarDBT
 from repro.pin import Pin, pack_transitions
 from repro.pin.pintool import CallbackTool
@@ -78,7 +78,8 @@ def _capture(name):
     start = time.perf_counter()
     code = JitCode.from_compiled(compiled, config=ReplayConfig.global_local())
     codegen = time.perf_counter() - start
-    return compiled, code, codegen, pack_transitions(transitions)
+    return compiled, code, codegen, \
+        PackedBatch(pack_transitions(transitions))
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +128,7 @@ def measure(streams_dict, repeats=REPEATS):
         }
         for engine, elapsed in times.items():
             totals[engine] += elapsed
-        blocks = len(packed) // 3
+        blocks = len(packed)
         rows.append({
             "workload": name,
             "blocks": blocks,

@@ -30,7 +30,7 @@ Package contents:
 
 from repro.core.automaton import NTE_SID, TEA, TeaState
 from repro.core.builder import build_tea, sync_trace
-from repro.core.compiled import CompiledReplayer, CompiledTea
+from repro.core.compiled import CompiledReplayer, CompiledTea, PackedBatch
 from repro.core.directory import (
     BPlusTreeDirectory,
     LinkedListDirectory,
@@ -62,6 +62,7 @@ __all__ = [
     "TeaReplayer",
     "CompiledTea",
     "CompiledReplayer",
+    "PackedBatch",
     "JitCode",
     "JitReplayer",
     "generate_replay_source",

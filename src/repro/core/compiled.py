@@ -29,15 +29,16 @@ tables: into contiguous integer arrays, indexed by state id.
 
 :class:`CompiledReplayer` replays **packed transition batches** — flat
 ``(next_start, instrs_dbt, instrs_pin)`` int triples (see
-:mod:`repro.pin.packed`) — instead of transition objects.  It links the
-tables into one small list per state (a *cell*: the state's expected
-next PC and a direct link to that successor's cell, its local cache,
-its last side exit), so an in-trace block costs one compare and one
-list index.  The accounting is identical to ``TeaReplayer``: the same
-``replay.*`` counters, the same CostModel charges in the same order,
-the same local-cache/directory semantics on side exits.  The
-differential suite in ``tests/test_compiled_engine.py`` pins that
-equivalence down.
+:mod:`repro.pin.packed`) in a :class:`PackedBatch`, which also carries
+their ``next_start`` list and instruction totals — instead of
+transition objects.  It links the tables into one small list per state
+(a *cell*: the state's expected next PC and a direct link to that
+successor's cell, its local cache, its last side exit), so an in-trace
+block costs one compare and one list index.  The accounting is
+identical to ``TeaReplayer``: the same ``replay.*`` counters, the same
+CostModel charges in the same order, the same local-cache/directory
+semantics on side exits.  The differential suite in
+``tests/test_compiled_engine.py`` pins that equivalence down.
 
 ``CompiledTea`` instances are immutable after construction and safe to
 share read-only across threads (the replay service preloads one per
@@ -65,6 +66,44 @@ END_OF_RUN = -1
 #: A cell's expected or last-exit PC when it has none: outside the
 #: int64 range of a packed batch, so no ``next_start`` ever equals it.
 NO_MATCH = -(2 ** 64)
+
+
+class PackedBatch:
+    """One packed batch in the shape :meth:`CompiledReplayer.run` walks.
+
+    - ``triples`` — the flat ``(next_start, instrs_dbt, instrs_pin)``
+      int sequence itself (``array('q')``, a list, or a zero-copy slice
+      of a recorded stream's ``transitions`` lane);
+    - ``pcs`` — its ``next_start`` lane as a list holding one int object
+      per distinct PC: ``seen`` maps each PC to the object every later
+      occurrence reuses (pass one dict to every batch of a stream to
+      share the objects across batches);
+    - ``instrs_dbt`` / ``instrs_pin`` — the batch's instruction totals.
+
+    Everything here depends only on the triples, so a recorded stream
+    builds its batches once and every replay reuses them (MiniPin keeps
+    them in its :class:`~repro.pin.pin.ChargeTape`); a flat sequence
+    from anywhere else is wrapped by this constructor.
+    """
+
+    __slots__ = ("triples", "pcs", "instrs_dbt", "instrs_pin")
+
+    def __init__(self, triples, seen=None):
+        if len(triples) % 3:
+            raise ValueError(
+                "packed batch length %d is not a multiple of 3"
+                % len(triples)
+            )
+        intern = ({} if seen is None else seen).setdefault
+        starts = triples[0::3]
+        self.triples = triples
+        self.pcs = list(map(intern, starts, starts))
+        self.instrs_dbt = sum(triples[1::3])
+        self.instrs_pin = sum(triples[2::3])
+
+    def __len__(self):
+        """Transitions (triples) in the batch."""
+        return len(self.pcs)
 
 
 class CompiledTea:
@@ -303,8 +342,9 @@ class CompiledReplayer:
     The API mirrors :class:`~repro.core.replay.TeaReplayer` — same
     constructor knobs, same ``stats``/``cost``/``directory``/``snapshot``
     surface — except the current state is the integer :attr:`sid` and
-    :meth:`run` consumes packed int triples rather than transition
-    objects (:func:`repro.pin.packed.pack_transitions` produces them).
+    :meth:`run` consumes a :class:`PackedBatch` of int triples rather
+    than transition objects (:func:`repro.pin.packed.pack_transitions`
+    produces the triples).
 
     The walk runs over :attr:`cells`, one list per state, built from
     :meth:`CompiledTea.successor_maps`: ``[expected_pc, next_cell, sid,
@@ -383,14 +423,16 @@ class CompiledReplayer:
 
     # ------------------------------------------------------------------
 
-    def run(self, packed):
-        """Consume one packed batch; returns the final state id.
+    def run(self, batch):
+        """Consume one :class:`PackedBatch`; returns the final state id.
 
-        ``packed`` is any flat int sequence of ``(next_start,
-        instrs_dbt, instrs_pin)`` triples (``array('q')`` from the
-        packed-stream encoder, or a plain list).  A negative
-        ``next_start`` (:data:`END_OF_RUN`) accounts the block but takes
-        no transition, exactly like a ``next_start=None`` object.
+        The walk reads the batch's ``pcs`` list and adds its
+        precomputed instruction totals, so a batch a stream built once
+        costs no per-replay boxing or summing; wrap any other flat
+        ``(next_start, instrs_dbt, instrs_pin)`` sequence with
+        ``PackedBatch(triples)``.  A negative ``next_start``
+        (:data:`END_OF_RUN`) accounts the block but takes no transition,
+        exactly like a ``next_start=None`` object.
 
         Accounting matches :meth:`TeaReplayer.run` with *every* charge
         deferred to the batch boundary — the object engine defers only
@@ -398,21 +440,17 @@ class CompiledReplayer:
         per event, but every replay charge constant is an integral
         float, so summing them in a different association is still
         bit-exact (exact double arithmetic below 2**53).  One more
-        deliberate difference: block/instruction totals are summed at C
-        speed up front, so if an exception escapes mid-batch the whole
-        batch's totals are still flushed (batch-atomic, vs. the object
-        engine's partial-progress flush) — the automaton walk itself
-        cannot raise, so this only shows under injected faults.
+        deliberate difference: the batch's block and instruction totals
+        are flushed whole, so if an exception escapes mid-batch the
+        whole batch's totals are still counted (batch-atomic, vs. the
+        object engine's partial-progress flush) — the automaton walk
+        itself cannot raise, so this only shows under injected faults.
 
         Configuration branches sit only on the cache-miss path.  The
         in-trace hit count is derived at the flush (blocks walked minus
         every other outcome) rather than counted per block.
         """
-        length = len(packed)
-        if length % 3:
-            raise ValueError(
-                "packed batch length %d is not a multiple of 3" % length
-            )
+        packed = batch.triples
         counters = self.stats._counters
         cost = self.cost
         params = cost.params
@@ -431,13 +469,13 @@ class CompiledReplayer:
         memo_get = memo.get
         per_unit = getattr(params, DIRECTORY_COST_PARAM[directory.kind])
 
-        blocks = length // 3
-        # Totals are summed at C speed; coverage is total minus the
-        # instructions of out-of-trace blocks, read from ``packed`` only
-        # on the (rare) NTE path — all integer arithmetic, so the
-        # counters are exact.
-        total_dbt = sum(packed[1::3])
-        total_pin = sum(packed[2::3])
+        pcs = batch.pcs
+        blocks = len(pcs)
+        # Coverage is the batch's total minus the instructions of
+        # out-of-trace blocks, read from ``packed`` only on the (rare)
+        # NTE path — all integer arithmetic, so the counters are exact.
+        total_dbt = batch.instrs_dbt
+        total_pin = batch.instrs_pin
         uncovered_dbt = 0
         uncovered_pin = 0
         exit_memo_hits = 0
@@ -453,7 +491,7 @@ class CompiledReplayer:
         lookups = 0
         lookup_units = 0
         keys = None
-        walk = iter(list(packed[0::3]))
+        walk = iter(pcs)
         remaining = walk.__length_hint__
 
         try:

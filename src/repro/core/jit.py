@@ -62,7 +62,7 @@ specialized for; :meth:`JitCode.matches` checks the same identity.
 import hashlib
 
 from repro.core.automaton import NTE_SID
-from repro.core.compiled import CompiledReplayer
+from repro.core.compiled import CompiledReplayer, PackedBatch
 from repro.core.directory import (
     DIRECTORY_COST_PARAM,
     DIRECTORY_UNITS_ATTR,
@@ -709,26 +709,26 @@ class JitReplayer:
             self.directory.insert(entry, head_sid)
         self._dir_memo.clear()
 
-    def run(self, packed):
+    def run(self, batch):
         """Consume one packed batch; returns the final state id.
 
-        Accepts the same flat ``(next_start, instrs_dbt, instrs_pin)``
-        int sequences as :meth:`CompiledReplayer.run`, with the same
-        batch-boundary accounting.  One deviation: the compiled engine
-        flushes batch-atomically even when an injected fault escapes
-        mid-batch; the generated loop has no try/finally (nothing in
-        the specialized walk can raise), so a fault injected into the
-        directory surfaces before any flush.
+        Accepts the same :class:`~repro.core.compiled.PackedBatch` as
+        :meth:`CompiledReplayer.run`, with the same batch-boundary
+        accounting; the generated code reads its ``triples``.  One
+        deviation: the compiled engine flushes batch-atomically even
+        when an injected fault escapes mid-batch; the generated loop has
+        no try/finally (nothing in the specialized walk can raise), so a
+        fault injected into the directory surfaces before any flush.
         """
         if self._fallback_active:
-            return self._fallback.run(packed)
-        result = self._runner(self, packed)
+            return self._fallback.run(batch)
+        result = self._runner(self, batch.triples)
         if type(result) is tuple:
             sid, index = result
             self._activate_fallback("specialization threshold", sid=sid)
-            remainder = packed[3 * index:]
+            remainder = batch.triples[3 * index:]
             if len(remainder):
-                return self._fallback.run(remainder)
+                return self._fallback.run(PackedBatch(remainder))
             return self._fallback.sid
         return result
 

@@ -87,10 +87,17 @@ HEADER_SIZE = _HEADER.size
 _CRC_OFFSET = HEADER_SIZE - 8
 
 
-def matching(stream, max_instructions):
+def matching(stream, program, max_instructions):
     """``stream`` (possibly ``None``) after checking it was recorded
-    with ``max_instructions``; raises ``ValueError`` otherwise."""
-    if stream is not None and stream.max_instructions != max_instructions:
+    from ``program`` (by content digest) with ``max_instructions``;
+    raises ``ValueError`` otherwise."""
+    if stream is None:
+        return None
+    if stream.program_digest != program.content_digest():
+        raise ValueError(
+            "stream was recorded from program %s, not %s"
+            % (stream.program_digest, program.content_digest()))
+    if stream.max_instructions != max_instructions:
         raise ValueError(
             "stream was recorded with max_instructions=%d, not %d"
             % (stream.max_instructions, max_instructions))
@@ -211,7 +218,7 @@ class ExecutionStream:
     __slots__ = ("program_digest", "max_instructions", "instrs_dbt",
                  "instrs_pin", "edges", "halted", "exceeded",
                  "translated", "indirects", "transitions", "flags",
-                 "splits", "_split_rows", "_tape")
+                 "splits", "_split_rows", "_tape", "__weakref__")
 
     def __init__(self, program_digest, max_instructions, totals, lanes):
         self.program_digest = program_digest
@@ -326,7 +333,9 @@ class ExecutionStream:
 
     def charge_tape(self, key, build):
         """MiniPin's charge tape (:class:`repro.pin.pin.ChargeTape`) for
-        ``key``: ``build()`` once, then the cached tape.
+        ``key``: ``build()`` once, then the cached tape.  Besides Pin's
+        charges it holds the packed batches a tool receives, so it is
+        the stream's one per-batch cache.
 
         A stream holds one tape; a new ``key`` replaces the old one.
         Threads that race on a new key may each build; their tapes are

@@ -85,8 +85,9 @@ class StarDBT:
     """The runtime.  Build one per program run and call :meth:`run`.
 
     ``stream`` is the program's recorded
-    :class:`~repro.cpu.stream.ExecutionStream` (same
-    ``max_instructions``); :meth:`run` records one when it is omitted.
+    :class:`~repro.cpu.stream.ExecutionStream` (same program content
+    digest and ``max_instructions``, else ``ValueError``); :meth:`run`
+    records one when it is omitted.
     """
 
     def __init__(self, program, strategy="mret", limits=None,
@@ -94,7 +95,7 @@ class StarDBT:
                  max_instructions=DEFAULT_MAX_INSTRUCTIONS,
                  recorder_kwargs=None, stream=None):
         self.program = program
-        self.stream = matching(stream, max_instructions)
+        self.stream = matching(stream, program, max_instructions)
         self.strategy = strategy
         self.block_index = BlockIndex(program)
         self.cost = cost = CostModel(cost_params or CostParameters())

@@ -17,9 +17,17 @@ Two entry points:
 - :func:`pack_transitions` — one-shot packing of a whole stream, for
   benchmarks and tests that pre-capture transitions;
 - :class:`PackedTransitionEncoder` — incremental packing with batch
-  hand-off, what :class:`~repro.pin.tea_tool.TeaReplayTool` uses on the
-  live callback path: ``add()`` returns a full batch when one is ready,
-  ``flush()`` drains the remainder at end of run.
+  hand-off, what :class:`~repro.pin.tea_tool.TeaReplayTool` uses when
+  it is delivered transitions one at a time (inside a
+  :class:`~repro.pin.pintool.MultiTool`): ``add()`` returns a full
+  batch when one is ready, ``flush()`` drains the remainder at end of
+  run.
+
+The engine walks a :class:`~repro.core.compiled.PackedBatch`; both
+entry points' arrays are wrapped by its constructor.  Under
+:class:`~repro.pin.pin.Pin` alone a tool needs neither: a recorded
+stream already holds its transitions in this layout and builds its
+batches once (:class:`~repro.pin.pin.ChargeTape`).
 """
 
 from array import array

@@ -16,7 +16,10 @@ DBT's — the Section 4.1 effect.
 
 These overheads depend only on the recorded run, so they are not
 recomputed per run: a :class:`ChargeTape`, built once per stream and
-cached on it, lists them per packed batch, and each run folds it.
+cached on it, lists them per packed batch, and each run folds it.  The
+tape also holds each batch as the packed-batch tool receives it, a
+:class:`~repro.core.compiled.PackedBatch`, so replays do not rebuild
+those either.
 """
 
 import functools
@@ -26,6 +29,7 @@ from bisect import bisect_left
 from itertools import compress, repeat
 
 from repro.cfg.basic_block import BlockIndex
+from repro.core.compiled import PackedBatch
 from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
 from repro.cpu.stream import (
     FLAG_FINAL,
@@ -200,7 +204,8 @@ class _TapeCost(CostModel):
 
 
 class ChargeTape:
-    """MiniPin's charges on one stream, built once and folded per run.
+    """MiniPin's charges and packed batches on one stream, built once
+    and used by every run.
 
     Pin's charges depend only on the recorded run, four cost parameters
     and the tool's packed batch size, so one tape serves every run with
@@ -216,7 +221,13 @@ class ChargeTape:
     - ``cycles[k]`` lists the segment's charges in live order (see
       :class:`_EngineCharges`), one float object per distinct amount;
     - ``categories[k]`` maps each Pin category charged so far to its
-      running value at the segment's end, keyed in first-charge order.
+      running value at the segment's end, keyed in first-charge order;
+    - ``batches[k]`` (delivered segments only, so no entry for the
+      tail) is the :class:`~repro.core.compiled.PackedBatch` the tool
+      receives: a zero-copy slice of the stream's ``transitions`` lane,
+      its ``next_start`` list and its instruction totals.  One dict
+      interns the PCs of every batch, so the lists of a tape share one
+      int object per distinct PC.
 
     A run adds ``cycles[k]`` to ``CostModel.cycles`` with
     ``functools.reduce(operator.add, ...)`` — the same IEEE additions,
@@ -232,11 +243,13 @@ class ChargeTape:
     :meth:`_EngineCharges.block`.
     """
 
-    __slots__ = ("cycles", "categories")
+    __slots__ = ("cycles", "categories", "batches")
 
     def __init__(self, stream, params, batch):
         self.cycles = []
         self.categories = []
+        self.batches = []
+        seen = {}
         rows = stream.n_transitions
         flags = bytes(stream.flags)
         transitions = stream.transitions
@@ -281,6 +294,9 @@ class ChargeTape:
         bounds = [(lo, min(lo + batch, rows)) for lo in range(0, full, batch)]
         if stream.exceeded:
             bounds.append((full, rows))
+        for lo, hi in bounds[:len(bounds) - stream.exceeded]:
+            self.batches.append(
+                PackedBatch(transitions[3 * lo:3 * hi], seen))
         for lo, hi in bounds:
             out = cost.charges = []
             for index in split[bisect_left(split, lo):bisect_left(split, hi)]:
@@ -300,16 +316,17 @@ class Pin:
     """The engine: one instance per program run.
 
     ``stream`` is the program's recorded
-    :class:`~repro.cpu.stream.ExecutionStream` (same
-    ``max_instructions``); when omitted, :meth:`run` records one first
-    — the one interpreter run.  Pass one stream to every engine that
-    runs the same program to execute it once.
+    :class:`~repro.cpu.stream.ExecutionStream` (same program content
+    digest and ``max_instructions``, else ``ValueError``); when omitted,
+    :meth:`run` records one first — the one interpreter run.  Pass one
+    stream to every engine that runs the same program to execute it
+    once.
 
     A run without a tool, or with a packed-batch tool, folds the
     stream's :class:`ChargeTape` for its cost parameters and batch size,
-    built by the first such run and reused by the next.  A
-    per-transition tool is charged block by block, before each
-    transition it receives.
+    built by the first such run and reused by the next; a packed-batch
+    tool receives the tape's batches.  A per-transition tool is charged
+    block by block, before each transition it receives.
 
     ``obs`` (optional :class:`~repro.obs.Observability`) is shared with
     the executor and exposed to the attached pintool, so one registry
@@ -332,7 +349,7 @@ class Pin:
         self.block_index = BlockIndex(program)
         self.max_instructions = max_instructions
         self.obs = obs
-        self.stream = matching(stream, max_instructions)
+        self.stream = matching(stream, program, max_instructions)
 
     @property
     def tool(self):
@@ -391,17 +408,13 @@ class Pin:
             tape = stream.charge_tape(
                 key, lambda: ChargeTape(stream, params, batch))
             breakdown = cost.breakdown
-            blocks = stream.n_transitions
-            view = stream.transitions
-            delivered = (len(tape.cycles) - stream.exceeded
-                         if tool is not None else 0)
+            delivered = len(tape.batches) if tool is not None else 0
             for segment, charges in enumerate(tape.cycles):
                 cost.cycles = functools.reduce(operator.add, charges,
                                                cost.cycles)
                 breakdown.update(tape.categories[segment])
                 if segment < delivered:
-                    lo = segment * batch
-                    tool.on_packed(view[3 * lo:3 * min(lo + batch, blocks)])
+                    tool.on_packed(tape.batches[segment])
         if stream.exceeded:
             raise stream.limit_error()
         if tool is not None:
@@ -437,7 +450,7 @@ def run_native(program, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
     every configuration uniformly.  ``stream`` is the program's recorded
     run, as for :class:`Pin`; one is recorded when omitted.
     """
-    stream = matching(stream, max_instructions)
+    stream = matching(stream, program, max_instructions)
     if stream is None:
         stream = ExecutionStream.record(program, max_instructions)
     return PinResult(

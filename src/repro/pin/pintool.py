@@ -16,8 +16,9 @@ class Pintool:
     A tool that consumes packed ``(next_start, instrs_dbt, instrs_pin)``
     int batches (see :mod:`repro.pin.packed`) sets :attr:`packed_batch`
     to its batch size in transitions by the end of :meth:`attach`; the
-    engine then calls :meth:`on_packed` with zero-copy int64 slices of
-    the recorded stream instead of :meth:`on_transition` per block.
+    engine then calls :meth:`on_packed` with the stream's
+    :class:`~repro.core.compiled.PackedBatch` batches instead of
+    :meth:`on_transition` per block.
     Such a tool charges only its own cost categories, never Pin's
     (``pin_*`` and ``instructions``): the engine writes those from its
     charge tape as running values (:class:`repro.pin.pin.ChargeTape`).
@@ -41,9 +42,16 @@ class Pintool:
     def on_transition(self, transition):
         """One dynamic basic block completed (StarDBT-flavour blocks)."""
 
-    def on_packed(self, packed):
+    def on_packed(self, batch):
         """A batch of ``packed_batch`` packed transitions completed (the
-        last batch of a run may be shorter)."""
+        last batch of a run may be shorter).
+
+        ``batch`` is a :class:`~repro.core.compiled.PackedBatch` the
+        stream built once and hands to every run with this batch size:
+        ``batch.triples`` is a zero-copy int64 slice of the stream's
+        ``transitions`` lane, ``batch.pcs`` its ``next_start`` values
+        and ``batch.instrs_dbt`` / ``batch.instrs_pin`` its totals.
+        Treat it as read-only."""
         raise NotImplementedError
 
     def on_finish(self):

@@ -13,7 +13,7 @@ execution."  That pintool is these two classes:
 """
 
 from repro.core.builder import build_tea
-from repro.core.compiled import CompiledReplayer, CompiledTea
+from repro.core.compiled import CompiledReplayer, CompiledTea, PackedBatch
 from repro.core.jit import JitReplayer
 from repro.core.online import OnlineTeaRecorder
 from repro.core.replay import REPLAY_ENGINES, ReplayConfig, TeaReplayer
@@ -59,10 +59,15 @@ class TeaReplayTool(Pintool):
         the snapshot already fixed the transition tables).
     engine:
         ``"object"``, ``"compiled"`` or ``"jit"``; defaults to
-        ``config.engine``.  The compiled and jit engines pack
-        transitions into flat int batches and drive
+        ``config.engine``.  The compiled and jit engines drive
         :class:`~repro.core.compiled.CompiledReplayer` /
-        :class:`~repro.core.jit.JitReplayer` respectively.
+        :class:`~repro.core.jit.JitReplayer` respectively over
+        :class:`~repro.core.compiled.PackedBatch` batches: under
+        :class:`~repro.pin.pin.Pin` alone, the stream's batches, built
+        once per stream and batch size and handed to :meth:`on_packed`;
+        delivered per transition (inside a
+        :class:`~repro.pin.pintool.MultiTool`), the tool packs them
+        itself and wraps each full batch.
     compiled:
         A prebuilt :class:`~repro.core.compiled.CompiledTea` (e.g. from
         :func:`repro.store.compile_tea_binary`).  Lowered from ``tea``
@@ -136,7 +141,7 @@ class TeaReplayTool(Pintool):
         if encoder is not None:
             batch = encoder.add(transition)
             if batch is not None:
-                self.replayer.run(batch)
+                self.replayer.run(PackedBatch(batch))
             return
         if self.batch_size is None:
             self.replayer.step(transition)
@@ -147,14 +152,14 @@ class TeaReplayTool(Pintool):
             self.replayer.run(buffer)
             buffer.clear()
 
-    def on_packed(self, packed):
-        self.replayer.run(packed)
+    def on_packed(self, batch):
+        self.replayer.run(batch)
 
     def on_finish(self):
         if self._encoder is not None:
             batch = self._encoder.flush()
             if batch is not None:
-                self.replayer.run(batch)
+                self.replayer.run(PackedBatch(batch))
             return
         if self._buffer:
             self.replayer.run(self._buffer)

@@ -31,7 +31,7 @@ from repro.core import (
     build_tea,
 )
 from repro.core.automaton import NTE_SID
-from repro.core.compiled import END_OF_RUN
+from repro.core.compiled import END_OF_RUN, PackedBatch
 from repro.pin import (
     DEFAULT_PACKED_BATCH,
     PackedTransitionEncoder,
@@ -89,9 +89,9 @@ def _compiled(compiled_tea, transitions, config, chunk=None):
     if chunk:
         step = 3 * chunk
         for start in range(0, len(packed), step):
-            replayer.run(packed[start:start + step])
+            replayer.run(PackedBatch(packed[start:start + step]))
     else:
-        replayer.run(packed)
+        replayer.run(PackedBatch(packed))
     return replayer
 
 
@@ -282,7 +282,7 @@ def test_lru_cache_hit_refreshes_recency():
     config = ReplayConfig(global_index="list", local_cache=True,
                           cache_kind="lru", cache_size=2)
     replayer = CompiledReplayer(compiled_tea, config=config)
-    replayer.run(packed)
+    replayer.run(PackedBatch(packed))
     assert replayer.stats.trace_exits == 5
     assert replayer.stats.cache_hits == 2
     assert replayer.stats.cache_misses == 3
@@ -304,19 +304,17 @@ def test_every_negative_next_start_ends_the_run(nested_program,
         marked[index] = END_OF_RUN
     for factory in TABLE4_CONFIGS.values():
         reference = CompiledReplayer(compiled_tea, config=factory())
-        reference.run(marked)
+        reference.run(PackedBatch(marked))
         candidate = CompiledReplayer(compiled_tea, config=factory())
-        candidate.run(odd)
+        candidate.run(PackedBatch(odd))
         assert candidate.stats.as_dict() == reference.stats.as_dict()
         assert candidate.cost.cycles == reference.cost.cycles
         assert candidate.sid == reference.sid
 
 
-def test_run_rejects_misaligned_batches(nested_traces):
-    compiled_tea = CompiledTea.from_tea(build_tea(nested_traces))
-    replayer = CompiledReplayer(compiled_tea)
+def test_run_rejects_misaligned_batches():
     with pytest.raises(ValueError):
-        replayer.run(array("q", [1, 2]))
+        PackedBatch(array("q", [1, 2]))
 
 
 # ---------------------------------------------------------------------
@@ -481,9 +479,9 @@ def test_compiled_reset_matches_object_reset(nested_program, nested_traces):
     # A reset replayer re-runs to the exact same accounting as a
     # fresh one (stale caches would poison it).
     rerun = CompiledReplayer(compiled_tea, config=config())
-    rerun.run(pack_transitions(transitions))
+    rerun.run(PackedBatch(pack_transitions(transitions)))
     assert replayer.directory.units == 0
-    replayer.run(pack_transitions(transitions))
+    replayer.run(PackedBatch(pack_transitions(transitions)))
     assert replayer.directory.units == rerun.directory.units
     assert _cache_gauges(replayer) == _cache_gauges(rerun)
 

@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
-from repro.core import ReplayConfig
+from repro.core import PackedBatch, ReplayConfig
 from repro.cpu.events import (
     EDGE_IND_CALL,
     EDGE_IND_JMP,
@@ -548,7 +548,7 @@ def per_block_run(program, stream, tool, params, budget):
             hi = min(lo + batch, blocks)
             for index in range(lo, hi):
                 charges.block(index)
-            tool.on_packed(stream.transitions[3 * lo:3 * hi])
+            tool.on_packed(PackedBatch(stream.transitions[3 * lo:3 * hi]))
         lo = full
     for index in range(lo, blocks):
         charges.block(index)
@@ -683,6 +683,38 @@ def test_exceeded_stream_round_trips():
     assert check_stream_bytes(data, key=stream.key) == []
     loaded = ExecutionStream.from_buffer(data)
     assert loaded.exceeded and loaded.to_bytes() == data
+
+
+#: The engines that take a recorded stream, each run to completion.
+STREAM_ENGINES = {
+    "Pin": lambda program, stream: Pin(program, stream=stream).run().cycles,
+    "run_native": lambda program, stream: run_native(
+        program, stream=stream).cycles,
+    "StarDBT": lambda program, stream: StarDBT(
+        program, stream=stream).run().cycles,
+}
+
+
+@pytest.mark.parametrize("engine", STREAM_ENGINES)
+def test_engines_reject_another_programs_stream(engine):
+    gzip = load_benchmark("164.gzip", scale=0.2).program
+    swim = load_benchmark("171.swim", scale=0.2).program
+    stream = ExecutionStream.record(gzip)
+    with pytest.raises(ValueError) as raised:
+        STREAM_ENGINES[engine](swim, stream)
+    assert gzip.content_digest() in str(raised.value)
+    assert swim.content_digest() in str(raised.value)
+
+
+@pytest.mark.parametrize("engine", STREAM_ENGINES)
+def test_engines_accept_an_equal_programs_stream(engine):
+    """Streams match by content digest, not by ``Program`` identity."""
+    program = load_benchmark("164.gzip", scale=0.2).program
+    twin = load_benchmark("164.gzip", scale=0.2).program
+    assert twin is not program
+    stream = ExecutionStream.record(program)
+    run = STREAM_ENGINES[engine]
+    assert repr(run(twin, stream)) == repr(run(program, None))
 
 
 def test_one_interpreter_run_per_stream():

@@ -35,7 +35,7 @@ from repro.core import (
     generate_replay_source,
 )
 from repro.core.automaton import NTE_SID
-from repro.core.compiled import END_OF_RUN
+from repro.core.compiled import PackedBatch
 from repro.core.jit import (
     DEFAULT_SPECIALIZE_THRESHOLD,
     jit_config_token,
@@ -71,7 +71,7 @@ def _stepwise(tea, transitions, config):
 
 def _compiled(compiled_tea, packed, config):
     replayer = CompiledReplayer(compiled_tea, config=config)
-    replayer.run(packed)
+    replayer.run(PackedBatch(packed))
     return replayer
 
 
@@ -80,9 +80,9 @@ def _jit(compiled_tea, packed, config, chunk=None, **kwargs):
     if chunk:
         step = 3 * chunk
         for start in range(0, len(packed), step):
-            replayer.run(packed[start:start + step])
+            replayer.run(PackedBatch(packed[start:start + step]))
     else:
-        replayer.run(packed)
+        replayer.run(PackedBatch(packed))
     return replayer
 
 
@@ -208,11 +208,11 @@ def test_jit_reset_semantics(nested_program):
     again = _jit(compiled_tea, packed, config())
     again.reset(clear_caches=True)
     assert again.sid == NTE_SID
-    again.run(packed)
+    again.run(PackedBatch(packed))
     ref = CompiledReplayer(compiled_tea, config=config())
-    ref.run(packed)
+    ref.run(PackedBatch(packed))
     ref.reset(clear_caches=True)
-    ref.run(packed)
+    ref.run(PackedBatch(packed))
     assert again.stats.as_dict() == ref.stats.as_dict()
     assert again.stats.blocks == 2 * baseline["blocks"]
 
@@ -222,8 +222,8 @@ def test_jit_reset_semantics(nested_program):
     warm_ref = _compiled(compiled_tea, packed, config())
     warm_jit.reset(clear_caches=False)
     warm_ref.reset(clear_caches=False)
-    warm_jit.run(packed)
-    warm_ref.run(packed)
+    warm_jit.run(PackedBatch(packed))
+    warm_ref.run(PackedBatch(packed))
     assert warm_jit.stats.as_dict() == warm_ref.stats.as_dict()
     assert warm_jit.cost.breakdown == warm_ref.cost.breakdown
 
@@ -238,7 +238,8 @@ def test_jit_reset_rearms_after_threshold_deopt(nested_program):
     replayer.reset(clear_caches=True)
     assert not replayer.deopted
     assert replayer.sid == NTE_SID
-    replayer.run(packed)   # immediately deopts again, still bit-exact
+    # Immediately deopts again, still bit-exact.
+    replayer.run(PackedBatch(packed))
     assert replayer.deopted
     assert replayer.stats.blocks == 2 * (len(packed) // 3)
 
@@ -256,8 +257,8 @@ def test_jit_register_trace_invalidates_memo(nested_program, call_loop_program):
 
     jit = JitReplayer(compiled_tea, config=config())
     ref = CompiledReplayer(compiled_tea, config=config())
-    jit.run(first)
-    ref.run(first)
+    jit.run(PackedBatch(first))
+    ref.run(PackedBatch(first))
     assert len(jit._dir_memo) > 0
     # Register a synthetic head: entry PC nobody uses, routed to an
     # existing in-trace state.  Insertion reshapes the directory, so
@@ -267,8 +268,8 @@ def test_jit_register_trace_invalidates_memo(nested_program, call_loop_program):
     jit.register_trace(fake_entry, target)
     ref.register_trace(fake_entry, target)
     assert jit._dir_memo == {}
-    jit.run(second)
-    ref.run(second)
+    jit.run(PackedBatch(second))
+    ref.run(PackedBatch(second))
     assert jit.stats.as_dict() == ref.stats.as_dict()
     assert jit.cost.breakdown == ref.cost.breakdown
     assert len(jit.directory) == len(ref.directory)
