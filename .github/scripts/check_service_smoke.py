@@ -9,10 +9,12 @@ way an operator would run it):
 3. fire >= 32 concurrent client queries (replay / coverage /
    step-batch / snapshot-info) from worker threads and assert every
    one succeeds with consistent results;
-4. replay the same snapshot once with ``engine=compiled`` (the default)
-   and once with ``engine=object`` and assert identical transition
-   accounting and coverage (cycles only up to float tolerance — the
-   Pin block-stub charge interleaves differently between engines);
+4. replay the snapshot once more and compare the reply with an
+   in-process replay of the same snapshot and stream through the
+   ``step()`` oracle (a ``TeaReplayTool`` with a ``TeaProfile``):
+   identical transition accounting and coverage, cycles only up to
+   float tolerance (the Pin block-stub charge interleaves differently
+   with the compiled walk's batch-boundary charges);
 5. assert the ``stats`` RPC counters add up (requests == ok + errors,
    per-method counts == what we sent);
 6. SIGTERM the server and assert a clean graceful drain (exit 0,
@@ -31,7 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
+from repro.cfg.basic_block import BlockIndex  # noqa: E402
+from repro.core import TeaProfile  # noqa: E402
+from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS  # noqa: E402
+from repro.pin import Pin, TeaReplayTool  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
+from repro.store import AutomatonStore  # noqa: E402
 
 STORE = ".ci_service_store"
 PORT_FILE = ".ci_service_port"
@@ -98,25 +105,40 @@ def one_query(port, index):
         return "snapshot-info", None
 
 
-def check_engines_agree(port, sent):
-    """One replay per engine: identical accounting, close cycles."""
+def oracle_replay(key):
+    """``(stats, coverage_pin, cycles)`` of snapshot ``key`` replayed in
+    process through ``TeaReplayer.step()`` on the store's stream."""
+    store = AutomatonStore(STORE)
+    program = store.load_program(key)
+    trace_set, tea, _profile = store.load(key, BlockIndex(program))
+    stream = store.open_stream(program.content_digest(),
+                               DEFAULT_MAX_INSTRUCTIONS)
+    if stream is None:
+        fail("the store holds no execution stream for snapshot %s" % key)
+    tool = TeaReplayTool(trace_set=trace_set, tea=tea, profile=TeaProfile())
+    result = Pin(program, tool=tool, stream=stream).run()
+    return tool.stats.as_dict(), tool.coverage, result.cycles
+
+
+def check_served_matches_oracle(port, sent):
+    """The served replay against the ``step()`` oracle: identical
+    accounting, close cycles."""
     with ServiceClient("127.0.0.1", port, timeout=120.0) as client:
-        compiled = client.replay(snapshot="smoke", engine="compiled")
-        via_objects = client.replay(snapshot="smoke", engine="object")
-    sent["replay"] += 2
-    if compiled["engine"] != "compiled" or via_objects["engine"] != "object":
-        fail("engine field not echoed: %r / %r"
-             % (compiled["engine"], via_objects["engine"]))
-    if compiled["stats"] != via_objects["stats"]:
-        fail("engines disagree on replay stats:\ncompiled: %r\nobject:   %r"
-             % (compiled["stats"], via_objects["stats"]))
-    if compiled["coverage_pin"] != via_objects["coverage_pin"]:
-        fail("engines disagree on coverage: %r vs %r"
-             % (compiled["coverage_pin"], via_objects["coverage_pin"]))
-    drift = abs(compiled["cycles"] - via_objects["cycles"])
-    if drift > 1e-9 * max(abs(via_objects["cycles"]), 1.0):
-        fail("engine cycle totals drifted: %r vs %r"
-             % (compiled["cycles"], via_objects["cycles"]))
+        served = client.replay(snapshot="smoke")
+    sent["replay"] += 1
+    if served["engine"] != "compiled":
+        fail("engine field not echoed: %r" % served["engine"])
+    stats, coverage, cycles = oracle_replay(served["snapshot"])
+    if served["stats"] != stats:
+        fail("served replay and step() oracle disagree on replay stats:"
+             "\nserved: %r\noracle: %r" % (served["stats"], stats))
+    if served["coverage_pin"] != coverage:
+        fail("served replay and step() oracle disagree on coverage: "
+             "%r vs %r" % (served["coverage_pin"], coverage))
+    drift = abs(served["cycles"] - cycles)
+    if drift > 1e-9 * max(abs(cycles), 1.0):
+        fail("served cycle total drifted from the step() oracle: %r vs %r"
+             % (served["cycles"], cycles))
 
 
 def main():
@@ -139,7 +161,7 @@ def main():
         if len(coverages) != 1:
             fail("replay/coverage disagree across clients: %r" % coverages)
 
-        check_engines_agree(port, sent)
+        check_served_matches_oracle(port, sent)
 
         with ServiceClient("127.0.0.1", port, timeout=60.0) as client:
             stats = client.stats()

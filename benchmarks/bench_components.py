@@ -158,8 +158,7 @@ def served_replay(pin_stream):
     compiled = CompiledTea.from_tea(tea)
 
     def replay(stream):
-        tool = TeaReplayTool(trace_set=traces, tea=tea, compiled=compiled,
-                             engine="compiled")
+        tool = TeaReplayTool(trace_set=traces, tea=tea, compiled=compiled)
         result = Pin(program, tool=tool, stream=stream).run()
         return tool.stats.as_dict(), repr(result.cycles)
 

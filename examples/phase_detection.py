@@ -8,14 +8,18 @@ automaton stayed inside a trace.
 
 This example builds a three-phase program (a lucas-like FFT pass, a
 gzip-like branchy pass, then the FFT again), records traces, replays
-with a :class:`~repro.analysis.phases.PhaseDetector` attached, and
-prints the detected phase timeline.
+them through :meth:`TeaReplayer.step` — the per-transition walk, whose
+``on_step`` observer sees every automaton move — with a
+:class:`~repro.analysis.phases.PhaseDetector` attached, and prints the
+detected phase timeline.
 
 Run:  python examples/phase_detection.py
 """
 
-from repro import Pin, ReplayConfig, StarDBT, TeaReplayTool, assemble
+from repro import ReplayConfig, StarDBT, TeaReplayer, assemble, build_tea
 from repro.analysis import PhaseDetector
+from repro.cfg.basic_block import BlockIndex
+from repro.cpu.stream import ExecutionStream
 from repro.traces.recorder import RecorderLimits
 
 THREE_PHASE_SOURCE = """
@@ -66,16 +70,13 @@ def main():
               % (trace.trace_id, trace.entry, len(trace)))
 
     detector = PhaseDetector(window=128, exit_threshold=0.15)
-    tool = TeaReplayTool(trace_set=recorded.trace_set,
-                         config=ReplayConfig.global_local())
-    original_attach = tool.attach
-
-    def attach(pin):
-        original_attach(pin)
-        tool.replayer.on_step = detector.on_step
-
-    tool.attach = attach
-    Pin(program, tool=tool).run()
+    replayer = TeaReplayer(build_tea(recorded.trace_set),
+                           config=ReplayConfig.global_local())
+    replayer.on_step = detector.on_step
+    stream = ExecutionStream.record(program)
+    for transition in stream.block_transitions(BlockIndex(program),
+                                               program.entry):
+        replayer.step(transition)
     detector.finish()
 
     print("\ndetected phases (block-transition timeline):")

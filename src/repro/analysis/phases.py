@@ -5,8 +5,8 @@ there is a low trace exit ratio).  Whenever program execution start to
 take side exits more often, the program is said to be ... between
 phases."
 
-:class:`PhaseDetector` hooks into the replayer (``replayer.on_step``),
-maintains a sliding window of block transitions, and classifies each
+:class:`PhaseDetector` hooks into the ``step()`` walk
+(:attr:`TeaReplayer.on_step <repro.core.replay.TeaReplayer>`), maintains a sliding window of block transitions, and classifies each
 window as *stable* (exit ratio below the threshold) or *unstable*.
 Consecutive stable windows dominated by the same trace set form a
 :class:`Phase`.
@@ -48,8 +48,11 @@ class PhaseDetector:
     min_phase_windows:
         Stable windows needed before a phase is opened.
 
-    Attach with ``replayer.on_step = detector.on_step`` and read
-    ``detector.phases`` after the run (call :meth:`finish` first).
+    Attach with ``replayer.on_step = detector.on_step`` on a
+    :class:`~repro.core.replay.TeaReplayer`, drive its ``step()`` over
+    the run's transitions (e.g. ``ExecutionStream.record(program)
+    .block_transitions(...)``) and read ``detector.phases`` after the
+    run (call :meth:`finish` first).
     """
 
     def __init__(self, window=256, exit_threshold=0.08, min_phase_windows=2):

@@ -33,6 +33,8 @@ class BlockTransition:
         self.instrs_pin = instrs_pin
 
     def __repr__(self):
+        if self.next_start is None:
+            return "<Transition %r -> end of run>" % (self.block,)
         return "<Transition %r -> %#x>" % (self.block, self.next_start)
 
 

@@ -14,10 +14,15 @@ Package contents:
 - :mod:`repro.core.directory` — the transition function's trace lookup
   (linked list vs global B+ tree, Section 4.2).
 - :mod:`repro.core.replay` — the replayer: drives the automaton from
-  block transitions, accounts coverage and cost (Tables 2 and 4).
+  block transitions one ``step()`` at a time, accounts coverage and
+  cost (Tables 2 and 4); the oracle and the profiling walk.
+- :mod:`repro.core.compiled` — the automaton lowered to flat tables and
+  the cell walk over packed batches: the one replay engine the
+  harness, the service, ``repro tools`` and ``TeaReplayTool`` run.
 - :mod:`repro.core.jit` — per-automaton specializing codegen: emits a
   replay loop tailored to one compiled automaton, with guard + deopt
-  back to the compiled engine.
+  back to the compiled engine; reachable only from its tests and
+  benchmark.
 - :mod:`repro.core.online` — **Algorithm 2**: recording TEA online while
   the program runs (Table 3).
 - :mod:`repro.core.memory_model` — byte accounting for Table 1.

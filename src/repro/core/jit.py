@@ -53,8 +53,10 @@ Generated code lives only in the process that generated it: a
 string :func:`generate_replay_source` has just returned, and is never
 written to or read back from disk.  Codegen costs a few milliseconds
 per automaton and config, so callers that replay repeatedly keep the
-``JitCode`` in memory (the replay service caches one per snapshot and
-config).  The source's first line is a comment naming the automaton
+``JitCode`` in memory.  No production caller is left: the compiled
+engine is the one replay engine, and the JIT is reachable only from
+``tests/test_jit_engine.py`` and ``benchmarks/bench_jit_engine.py``.
+The source's first line is a comment naming the automaton
 digest, config token, cost-parameter token and threshold it was
 specialized for; :meth:`JitCode.matches` checks the same identity.
 """

@@ -21,13 +21,15 @@ Coverage is accounted per completed block under both counting semantics
 
 Two consumption APIs drive the automaton:
 
-- :meth:`TeaReplayer.step` — one transition per call (what the pintool's
-  callback delivers);
-- :meth:`TeaReplayer.run` — the batched engine: consumes an iterable of
-  transitions in one loop with attribute lookups and cost parameters
-  hoisted out of the per-block work and metric flushes deferred to the
-  batch boundary.  Identical accounting, measurably faster
-  (``benchmarks/bench_replay_engine.py``).
+- :meth:`TeaReplayer.step` — one transition per call.  It is the
+  reference the compiled engine (:mod:`repro.core.compiled`, the one
+  production walk) is tested against, the walk that fills a
+  :class:`~repro.core.profile.TeaProfile`
+  (``TeaReplayTool(profile=...)``) and the online recorder's walk;
+- :meth:`TeaReplayer.run` — a batched variant that consumes an iterable
+  of transitions in one loop with metric flushes deferred to the batch
+  boundary.  Identical accounting; no production caller is left, only
+  its tests and ``benchmarks/bench_replay_engine.py``.
 
 All event counts live in one :class:`~repro.obs.metrics.MetricsRegistry`
 (the ``replay.*`` namespace); :class:`ReplayStats` keeps the historic
@@ -50,13 +52,6 @@ GLOBAL_INDEX_LABELS = {
     "sorted": "Global (Sorted)",
 }
 
-#: Replay engines a config can select: the object-graph walker
-#: (:class:`TeaReplayer`), the flat-table compiled engine
-#: (:class:`~repro.core.compiled.CompiledReplayer`), or the
-#: per-automaton specializing codegen engine
-#: (:class:`~repro.core.jit.JitReplayer`).
-REPLAY_ENGINES = ("object", "compiled", "jit")
-
 
 class ReplayConfig:
     """Transition-function configuration (the Table 4 axes).
@@ -68,18 +63,13 @@ class ReplayConfig:
     ``cache_kind``: ``"direct"`` (direct-mapped) or ``"lru"``.
     ``cache_size``: entries per state cache (>= 1).
     ``bptree_order``: B+ tree fan-out (>= 3, the tree's own minimum).
-    ``engine``: ``"object"`` (TeaReplayer), ``"compiled"``
-    (CompiledReplayer over packed transition streams) or ``"jit"``
-    (JitReplayer driving per-automaton generated code, same packed
-    streams) — identical accounting, different dispatch machinery.
     """
 
     __slots__ = ("global_index", "local_cache", "cache_kind", "cache_size",
-                 "bptree_order", "engine")
+                 "bptree_order")
 
     def __init__(self, global_index="bptree", local_cache=True,
-                 cache_kind="direct", cache_size=16, bptree_order=16,
-                 engine="object"):
+                 cache_kind="direct", cache_size=16, bptree_order=16):
         if global_index not in GLOBAL_INDEX_LABELS:
             raise ValueError(
                 "global_index must be one of 'bptree', 'list', 'hash', "
@@ -100,36 +90,29 @@ class ReplayConfig:
                 "bptree_order must be an integer >= 3 (got %r); a B+ tree "
                 "node cannot hold fewer than two keys" % (bptree_order,)
             )
-        if engine not in REPLAY_ENGINES:
-            raise ValueError(
-                "engine must be one of %s" % ", ".join(
-                    repr(name) for name in REPLAY_ENGINES
-                )
-            )
         self.global_index = global_index
         self.local_cache = local_cache
         self.cache_kind = cache_kind
         self.cache_size = cache_size
         self.bptree_order = bptree_order
-        self.engine = engine
 
     @classmethod
-    def global_local(cls, engine="object"):
+    def global_local(cls):
         """The paper's best configuration (B+ tree + local cache)."""
-        return cls(global_index="bptree", local_cache=True, engine=engine)
+        return cls(global_index="bptree", local_cache=True)
 
     @classmethod
-    def global_no_local(cls, engine="object"):
-        return cls(global_index="bptree", local_cache=False, engine=engine)
+    def global_no_local(cls):
+        return cls(global_index="bptree", local_cache=False)
 
     @classmethod
-    def no_global_local(cls, engine="object"):
-        return cls(global_index="list", local_cache=True, engine=engine)
+    def no_global_local(cls):
+        return cls(global_index="list", local_cache=True)
 
     @classmethod
-    def no_global_no_local(cls, engine="object"):
+    def no_global_no_local(cls):
         """The configuration the paper could not even measure (>100x)."""
-        return cls(global_index="list", local_cache=False, engine=engine)
+        return cls(global_index="list", local_cache=False)
 
     def describe(self):
         global_name = GLOBAL_INDEX_LABELS[self.global_index]

@@ -53,14 +53,6 @@ def _parse_args(argv):
         help="hot threshold for trace selection (default 30)",
     )
     parser.add_argument(
-        "--engine", choices=("object", "compiled", "jit"), default="object",
-        help="replay engine for the TEA replay stages: 'object' walks "
-             "the TeaState graph, 'compiled' drives the flat-table "
-             "engine over packed transition streams, 'jit' drives "
-             "per-automaton generated code over the same streams "
-             "(default object)",
-    )
-    parser.add_argument(
         "--verify", action="store_true",
         help="statically verify each benchmark's recorded automaton "
              "(full TEA rule catalog) before its trace-consuming "
@@ -130,7 +122,6 @@ def main(argv=None):
         scale=args.scale,
         hot_threshold=args.threshold,
         benchmarks=benchmarks,
-        engine=args.engine,
         verify=args.verify,
     )
     progress = None

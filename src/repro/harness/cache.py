@@ -74,12 +74,6 @@ def config_fingerprint(config):
         "scale": config.scale,
         "hot_threshold": config.hot_threshold,
         "max_instructions": config.max_instructions,
-        # The replay engine cannot change a summary's *values* (the
-        # engines account identically), but float charge interleaving
-        # differs under Pin hosting, so cycles may drift in the last
-        # ULPs — keep the engines' entries separate rather than let a
-        # warm object-engine cache mask a compiled-engine regression.
-        "engine": getattr(config, "engine", "object"),
         "memory_model": {
             name: value for name, value in sorted(vars(memory).items())
         },

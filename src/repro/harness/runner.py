@@ -2,7 +2,7 @@
 
 Tables 1-4 share most of their raw runs (Table 2 replays the traces the
 Table 1 MRET recording produced; Table 4's Global/Local column is
-Table 2's run).  The :class:`Runner` memoises every (benchmark, engine,
+Table 2's run).  The :class:`Runner` memoises every (benchmark, stage,
 configuration) result so ``python -m repro.harness all`` does the minimum
 amount of simulation.
 
@@ -28,7 +28,6 @@ fraction of the run, as in the paper.
 """
 
 from repro.core import MemoryModel, ReplayConfig
-from repro.core.replay import REPLAY_ENGINES
 from repro.cpu.stream import ExecutionStream
 from repro.dbt import StarDBT
 from repro.harness.cache import stage_key
@@ -66,22 +65,12 @@ class HarnessConfig:
 
     def __init__(self, scale=4.0, hot_threshold=30, benchmarks=None,
                  memory_model=None, max_instructions=50_000_000,
-                 engine="object", verify=False):
-        if engine not in REPLAY_ENGINES:
-            raise ValueError(
-                "engine must be one of %s" % ", ".join(
-                    repr(name) for name in REPLAY_ENGINES
-                )
-            )
+                 verify=False):
         self.scale = scale
         self.hot_threshold = hot_threshold
         self.benchmarks = list(benchmarks) if benchmarks else list(BENCHMARKS)
         self.memory_model = memory_model or MemoryModel()
         self.max_instructions = max_instructions
-        #: Which replay engine the TEA replay stages drive
-        #: (``"object"`` = TeaReplayer, ``"compiled"`` = the flat-table
-        #: CompiledReplayer over packed transition streams).
-        self.engine = engine
         #: Run the static verifier over each benchmark's recorded
         #: automaton before its trace-consuming stages (``--verify``).
         #: A pre-flight check, not a knob that changes any summary —
@@ -282,7 +271,7 @@ class Runner(SummaryProvider):
         if found is None:
             self._log("%s: TEA empty" % name)
             program = self.workload(name).program
-            tool = TeaReplayTool(trace_set=None, engine=self.config.engine)
+            tool = TeaReplayTool(trace_set=None)
             with timer:
                 result = Pin(
                     program,
@@ -305,7 +294,6 @@ class Runner(SummaryProvider):
             program = self.workload(name).program
             tool = TeaReplayTool(
                 trace_set=trace_set, config=REPLAY_CONFIGS[config_key](),
-                engine=self.config.engine,
             )
             with timer:
                 result = Pin(

@@ -17,13 +17,9 @@ The TEA pintools of the paper's experiments live in
 :mod:`repro.pin.tea_tool`.
 """
 
-from repro.pin.packed import (
-    DEFAULT_PACKED_BATCH,
-    PackedTransitionEncoder,
-    pack_transitions,
-)
+from repro.pin.packed import DEFAULT_PACKED_BATCH, pack_transitions
 from repro.pin.pin import Pin, PinResult, run_native
-from repro.pin.pintool import CallbackTool, MultiTool, Pintool
+from repro.pin.pintool import CallbackTool, Pintool
 from repro.pin.tea_tool import TeaRecordTool, TeaReplayTool
 
 __all__ = [
@@ -32,10 +28,8 @@ __all__ = [
     "run_native",
     "Pintool",
     "CallbackTool",
-    "MultiTool",
     "TeaReplayTool",
     "TeaRecordTool",
     "pack_transitions",
-    "PackedTransitionEncoder",
     "DEFAULT_PACKED_BATCH",
 ]

@@ -395,10 +395,10 @@ class Pin:
             if stream.exceeded:
                 charges.splits(stream.n_transitions)
         else:
-            # Packed-batch tools see exactly the live encoder's batches:
-            # full ones as they fill, the remainder at the end; a run
-            # over its budget delivers no partial batch.  A run without
-            # a tool folds the same segments.
+            # Packed-batch tools see the batches a live run would hand
+            # over: full ones as they fill, the remainder at the end; a
+            # run over its budget delivers no partial batch.  A run
+            # without a tool folds the same segments.
             batch = tool.packed_batch if tool is not None \
                 else DEFAULT_PACKED_BATCH
             params = cost.params

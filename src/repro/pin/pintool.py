@@ -73,44 +73,3 @@ class CallbackTool(Pintool):
     def on_finish(self):
         if self._finish_fn is not None:
             self._finish_fn()
-
-
-class MultiTool(Pintool):
-    """Run several pintools over one execution.
-
-    Real Pin runs one tool per process; analyses that want to share a run
-    compose inside the tool.  ``MultiTool`` is that composition: each
-    sub-tool is attached to the same engine (one shared cost model — each
-    tool still charges its own analysis work) and receives every
-    transition in registration order.
-
-    Example: replay a TEA *and* collect the DCFG in a single pass::
-
-        tool = MultiTool([TeaReplayTool(trace_set=traces), DcfgTool()])
-        Pin(program, tool=tool).run()
-    """
-
-    def __init__(self, tools):
-        super().__init__()
-        if not tools:
-            raise ValueError("MultiTool needs at least one tool")
-        self.tools = list(tools)
-
-    def attach(self, pin):
-        super().attach(pin)
-        for tool in self.tools:
-            tool.attach(pin)
-
-    def on_transition(self, transition):
-        for tool in self.tools:
-            tool.on_transition(transition)
-
-    def on_finish(self):
-        for tool in self.tools:
-            tool.on_finish()
-
-    def __getitem__(self, index):
-        return self.tools[index]
-
-    def __len__(self):
-        return len(self.tools)

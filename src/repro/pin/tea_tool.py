@@ -13,11 +13,10 @@ execution."  That pintool is these two classes:
 """
 
 from repro.core.builder import build_tea
-from repro.core.compiled import CompiledReplayer, CompiledTea, PackedBatch
-from repro.core.jit import JitReplayer
+from repro.core.compiled import CompiledReplayer, CompiledTea
 from repro.core.online import OnlineTeaRecorder
-from repro.core.replay import REPLAY_ENGINES, ReplayConfig, TeaReplayer
-from repro.pin.packed import DEFAULT_PACKED_BATCH, PackedTransitionEncoder
+from repro.core.replay import ReplayConfig, TeaReplayer
+from repro.pin.packed import DEFAULT_PACKED_BATCH
 from repro.pin.pintool import Pintool
 from repro.traces import make_recorder
 from repro.traces.model import TraceSet
@@ -25,6 +24,18 @@ from repro.traces.model import TraceSet
 
 class TeaReplayTool(Pintool):
     """Replay previously recorded traces via TEA.
+
+    The tool has two walks.  By default it drives
+    :class:`~repro.core.compiled.CompiledReplayer` over the stream's
+    :class:`~repro.core.compiled.PackedBatch` batches, which
+    :class:`~repro.pin.pin.Pin` builds once per stream and batch size
+    and hands to :meth:`on_packed`.  Given a ``profile``, it drives
+    :meth:`TeaReplayer.step() <repro.core.replay.TeaReplayer.step>`
+    once per transition instead: the object-graph walk that fills the
+    profile and that the differential suite treats as the oracle.  Both
+    walks count identically (stats, coverage, cost categories); the
+    compiled walk adds its charges at batch boundaries, so total cycles
+    may differ from the oracle's in the last ULPs.
 
     Parameters
     ----------
@@ -34,9 +45,8 @@ class TeaReplayTool(Pintool):
     config:
         The transition-function configuration (Table 4 axes).
     profile:
-        Optional :class:`~repro.core.profile.TeaProfile` to fill
-        (object engine only — the compiled engine consumes packed int
-        streams, which carry no per-transition objects to profile).
+        Optional :class:`~repro.core.profile.TeaProfile` to fill;
+        selects the per-transition ``step()`` walk.
     link_traces:
         Materialise statically known trace-to-trace transitions in the
         automaton (ablation; the paper resolves them dynamically).
@@ -45,125 +55,57 @@ class TeaReplayTool(Pintool):
         metrics; when omitted, the engine's own (``Pin(obs=...)``) is
         used so the whole run reports into one registry.
     batch_size:
-        When set (> 0), transitions are buffered and fed to the batched
-        engine in chunks of this size instead of per-call :meth:`step` —
-        same accounting, lower interpreter overhead.  ``None`` (default)
-        keeps exact per-call behaviour for the object engine
-        (bit-identical float charge ordering); the compiled engine is
-        batch-only and defaults to
-        :data:`~repro.pin.packed.DEFAULT_PACKED_BATCH`.
+        Transitions per packed batch of the compiled walk (> 0);
+        ``None`` means :data:`~repro.pin.packed.DEFAULT_PACKED_BATCH`.
+        Batch boundaries change only when the engine flushes its
+        metrics, never what it counts.  Ignored with a ``profile``.
     tea:
         A prebuilt automaton to replay.  When given, Algorithm 1 is
         *not* re-run — this is how the replay service drives automata
         loaded from binary store snapshots (``link_traces`` is ignored;
         the snapshot already fixed the transition tables).
-    engine:
-        ``"object"``, ``"compiled"`` or ``"jit"``; defaults to
-        ``config.engine``.  The compiled and jit engines drive
-        :class:`~repro.core.compiled.CompiledReplayer` /
-        :class:`~repro.core.jit.JitReplayer` respectively over
-        :class:`~repro.core.compiled.PackedBatch` batches: under
-        :class:`~repro.pin.pin.Pin` alone, the stream's batches, built
-        once per stream and batch size and handed to :meth:`on_packed`;
-        delivered per transition (inside a
-        :class:`~repro.pin.pintool.MultiTool`), the tool packs them
-        itself and wraps each full batch.
     compiled:
         A prebuilt :class:`~repro.core.compiled.CompiledTea` (e.g. from
         :func:`repro.store.compile_tea_binary`).  Lowered from ``tea``
-        on attach when omitted and the compiled or jit engine is
-        selected.
-    jit:
-        A prebuilt :class:`~repro.core.jit.JitCode` (e.g. one an
-        earlier tool generated, exposed as its ``jit``).  Generated from
-        the compiled automaton on attach when omitted and the jit
-        engine is selected.
+        on attach when omitted.
     """
 
     def __init__(self, trace_set=None, config=None, profile=None,
                  link_traces=False, obs=None, batch_size=None, tea=None,
-                 engine=None, compiled=None, jit=None):
+                 compiled=None):
         super().__init__()
         self.trace_set = trace_set if trace_set is not None else TraceSet()
         self.config = config or ReplayConfig.global_local()
-        self.engine = engine if engine is not None else self.config.engine
-        if self.engine not in REPLAY_ENGINES:
-            raise ValueError(
-                "engine must be one of %s" % ", ".join(
-                    repr(name) for name in REPLAY_ENGINES
-                )
-            )
-        if profile is not None and self.engine in ("compiled", "jit"):
-            raise ValueError(
-                "the %s engine cannot fill a TeaProfile (it replays "
-                "packed int streams, not transition objects); use "
-                "engine='object' for profiling runs" % self.engine
-            )
         self.profile = profile
         self.obs = obs
         self.batch_size = batch_size if batch_size and batch_size > 0 else None
-        self._buffer = []
-        self._encoder = None
         self.tea = tea if tea is not None else build_tea(
             self.trace_set, link_traces=link_traces
         )
         self.compiled = compiled
-        self.jit = jit
         self.replayer = None
 
     def attach(self, pin):
         super().attach(pin)
         obs = self.obs if self.obs is not None else pin.obs
-        if self.engine in ("compiled", "jit"):
-            if self.compiled is None:
-                self.compiled = CompiledTea.from_tea(self.tea)
-            if self.engine == "jit":
-                self.replayer = JitReplayer(
-                    self.compiled, config=self.config, cost=pin.cost,
-                    obs=obs, code=self.jit,
-                )
-                self.jit = self.replayer.code
-            else:
-                self.replayer = CompiledReplayer(
-                    self.compiled, config=self.config, cost=pin.cost,
-                    obs=obs,
-                )
-            self.packed_batch = self.batch_size or DEFAULT_PACKED_BATCH
-            self._encoder = PackedTransitionEncoder(self.packed_batch)
+        if self.profile is not None:
+            self.replayer = TeaReplayer(
+                self.tea, config=self.config, cost=pin.cost,
+                profile=self.profile, obs=obs,
+            )
             return
-        self.replayer = TeaReplayer(
-            self.tea, config=self.config, cost=pin.cost, profile=self.profile,
-            obs=obs,
+        if self.compiled is None:
+            self.compiled = CompiledTea.from_tea(self.tea)
+        self.replayer = CompiledReplayer(
+            self.compiled, config=self.config, cost=pin.cost, obs=obs,
         )
+        self.packed_batch = self.batch_size or DEFAULT_PACKED_BATCH
 
     def on_transition(self, transition):
-        encoder = self._encoder
-        if encoder is not None:
-            batch = encoder.add(transition)
-            if batch is not None:
-                self.replayer.run(PackedBatch(batch))
-            return
-        if self.batch_size is None:
-            self.replayer.step(transition)
-            return
-        buffer = self._buffer
-        buffer.append(transition)
-        if len(buffer) >= self.batch_size:
-            self.replayer.run(buffer)
-            buffer.clear()
+        self.replayer.step(transition)
 
     def on_packed(self, batch):
         self.replayer.run(batch)
-
-    def on_finish(self):
-        if self._encoder is not None:
-            batch = self._encoder.flush()
-            if batch is not None:
-                self.replayer.run(PackedBatch(batch))
-            return
-        if self._buffer:
-            self.replayer.run(self._buffer)
-            self._buffer.clear()
 
     @property
     def stats(self):

@@ -141,34 +141,27 @@ class ServiceClient:
         params = {} if snapshot is None else {"snapshot": snapshot}
         return self.call("snapshot-info", **params)
 
-    def replay(self, snapshot=None, config="global_local", batch=None,
-               engine=None):
+    def replay(self, snapshot=None, config="global_local", batch=None):
         params = {"config": config}
         if snapshot is not None:
             params["snapshot"] = snapshot
         if batch is not None:
             params["batch"] = batch
-        if engine is not None:
-            params["engine"] = engine
         return self.call("replay", **params)
 
-    def coverage(self, snapshot=None, config="global_local", engine=None):
+    def coverage(self, snapshot=None, config="global_local"):
         params = {"config": config}
         if snapshot is not None:
             params["snapshot"] = snapshot
-        if engine is not None:
-            params["engine"] = engine
         return self.call("coverage", **params)
 
-    def diff(self, b, a=None, config=None, engine=None, replay=False):
+    def diff(self, b, a=None, config=None, replay=False):
         """Diff snapshot ``a`` (default resolution) against ``b``."""
         params = {"b": b}
         if a is not None:
             params["snapshot"] = a
         if config is not None:
             params["config"] = config
-        if engine is not None:
-            params["engine"] = engine
         if replay:
             params["replay"] = True
         return self.call("diff", **params)

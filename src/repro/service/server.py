@@ -73,17 +73,12 @@ REPLAY_CONFIGS = {
     "no_global_no_local": ReplayConfig.no_global_no_local,
 }
 
-#: Engines the ``replay``/``coverage`` RPCs accept.  The compiled
-#: engine is the default: every preloaded snapshot carries a ready
-#: :class:`~repro.core.compiled.CompiledTea` (lowered straight from the
-#: snapshot bytes), the accounting is identical, and its walk over
-#: per-state cells is as fast as the JIT's without generating code.
-#: ``engine="object"`` keeps the TeaReplayer object walk for
-#: differential checks; ``engine="jit"`` drives per-automaton generated
-#: code (specialized lazily per config on first request, shared
-#: read-only across workers thereafter) — identical accounting again.
-REPLAY_ENGINES = ("object", "compiled", "jit")
-DEFAULT_ENGINE = "compiled"
+#: The one replay engine, echoed in every ``replay``/``coverage`` reply
+#: and the only value a request's optional ``engine`` param may carry:
+#: the compiled walk over the stream's packed batches, on the
+#: :class:`~repro.core.compiled.CompiledTea` each preloaded snapshot
+#: carries (lowered straight from the snapshot bytes).
+REPLAY_ENGINE = "compiled"
 
 
 class ServiceSetupError(ReproError):
@@ -172,7 +167,7 @@ class SnapshotEntry:
 
     __slots__ = ("key", "meta", "label", "program", "trace_set", "tea",
                  "compiled", "profile", "n_bytes", "mapping", "stream",
-                 "inflight", "retired", "_jit_codes", "_jit_lock")
+                 "inflight", "retired")
 
     def __init__(self, key, meta, program, trace_set, tea, profile, n_bytes,
                  compiled=None, mapping=None, stream=None):
@@ -190,25 +185,6 @@ class SnapshotEntry:
                        else StreamSource(program, threading.Lock()))
         self.inflight = 0
         self.retired = False
-        # JIT codes are specialized per replay config, lazily, on the
-        # worker threads — hence the lock (JitCode itself is immutable
-        # and shared read-only once built).
-        self._jit_codes = {}
-        self._jit_lock = threading.Lock()
-
-    def jit_for(self, config):
-        """The (cached) specialized :class:`~repro.core.jit.JitCode`
-        for this snapshot under ``config``."""
-        from repro.core.jit import JitCode, jit_config_token
-
-        token = jit_config_token(config)
-        with self._jit_lock:
-            code = self._jit_codes.get(token)
-        if code is None:
-            code = JitCode.from_compiled(self.compiled, config=config)
-            with self._jit_lock:
-                code = self._jit_codes.setdefault(token, code)
-        return code
 
     def describe(self):
         return {
@@ -786,19 +762,18 @@ class TeaService:
             )
         return name, factory
 
-    def _replay_engine(self, params):
-        engine = params.get("engine", DEFAULT_ENGINE)
-        if engine not in REPLAY_ENGINES:
+    def _check_engine(self, params):
+        engine = params.get("engine", REPLAY_ENGINE)
+        if engine != REPLAY_ENGINE:
             raise _BadParams(
-                "unknown replay engine %r (expected one of %s)"
-                % (engine, ", ".join(REPLAY_ENGINES))
+                "unknown replay engine %r (the only engine is %r; omit "
+                "'engine')" % (engine, REPLAY_ENGINE)
             )
-        return engine
 
     async def _rpc_replay(self, params):
         entry = self._resolve(params)
         name, factory = self._replay_config(params)
-        engine = self._replay_engine(params)
+        self._check_engine(params)
         batch = params.get("batch")
         if batch is not None and (not isinstance(batch, int) or batch < 1):
             raise _BadParams("'batch' must be a positive integer")
@@ -807,17 +782,15 @@ class TeaService:
         try:
             result = await loop.run_in_executor(
                 self._pool, self._replay_blocking, entry, factory(), batch,
-                engine,
             )
         finally:
             self._release(entry)
         result["snapshot"] = entry.key
         result["config"] = name
-        result["engine"] = engine
+        result["engine"] = REPLAY_ENGINE
         async with self._replay_memo_lock:
             if not entry.retired:
-                self._replay_memo.setdefault((entry.key, name, engine),
-                                             result)
+                self._replay_memo.setdefault((entry.key, name), result)
         return result
 
     async def _rpc_diff(self, params):
@@ -826,13 +799,14 @@ class TeaService:
         ``snapshot`` (or its alias ``a``) names the left side — the
         usual single-snapshot default applies — and ``b`` the right
         side.  With ``replay: true`` both sides are also replayed
-        (honouring ``config`` / ``engine``) and the numeric deltas
+        (honouring ``config`` / ``batch``) and the numeric deltas
         attached.
         """
         from repro.compare import diff_automata, replay_delta
 
         if "snapshot" not in params and "a" in params:
             params = dict(params, snapshot=params["a"])
+        self._check_engine(params)
         entry_a = self._resolve(params)
         name_b = params.get("b")
         if name_b is None:
@@ -858,7 +832,7 @@ class TeaService:
         result["snapshot_b"] = entry_b.key
         if params.get("replay"):
             base = {
-                key: params[key] for key in ("config", "engine", "batch")
+                key: params[key] for key in ("config", "batch")
                 if key in params
             }
             report_a = await self._rpc_replay(
@@ -877,30 +851,26 @@ class TeaService:
     async def _rpc_coverage(self, params):
         entry = self._resolve(params)
         name, _ = self._replay_config(params)
-        engine = self._replay_engine(params)
+        self._check_engine(params)
         async with self._replay_memo_lock:
-            memo = self._replay_memo.get((entry.key, name, engine))
+            memo = self._replay_memo.get((entry.key, name))
         if memo is None:
             memo = await self._rpc_replay(params)
         return {
             "snapshot": entry.key,
             "config": name,
-            "engine": engine,
+            "engine": REPLAY_ENGINE,
             "coverage_pin": memo["coverage_pin"],
             "coverage_dbt": memo["coverage_dbt"],
             "covered_pin": memo["stats"]["covered_pin"],
             "total_pin": memo["stats"]["total_pin"],
         }
 
-    def _replay_blocking(self, entry, config, batch, engine):
+    def _replay_blocking(self, entry, config, batch):
         """Worker-pool body: one full replay over a shared automaton."""
-        jit = entry.jit_for(config) if engine == "jit" else None
         tool = TeaReplayTool(
             trace_set=entry.trace_set, config=config,
-            batch_size=batch, tea=entry.tea, engine=engine,
-            compiled=(entry.compiled if engine in ("compiled", "jit")
-                      else None),
-            jit=jit,
+            batch_size=batch, tea=entry.tea, compiled=entry.compiled,
         )
         stream = entry.stream.get(self.obs)
         result = Pin(entry.program, tool=tool, stream=stream).run()

@@ -118,7 +118,7 @@ def open_snapshot_mapping(path):
 #: the "open + gate exactly once" contract needs the whole check-open-
 #: gate-insert sequence to be atomic.  ``_PROCESS_LOCK`` is
 #: the outermost lock in the documented acquisition order
-#: (``_PROCESS_LOCK`` < ``_jit_lock`` < ``_replay_memo_lock``).
+#: (``_PROCESS_LOCK`` < ``_replay_memo_lock``).
 _PROCESS_CACHE = {}
 _PROCESS_LOCK = threading.Lock()
 

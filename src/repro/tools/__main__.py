@@ -38,7 +38,7 @@ from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.harness.reporting import render_metrics
 from repro.isa import assemble
 from repro.obs import Observability, snapshot_to_json
-from repro.pin import Pin, TeaReplayTool, run_native
+from repro.pin import DEFAULT_PACKED_BATCH, Pin, TeaReplayTool, run_native
 from repro.traces import STRATEGIES, load_trace_set, save_trace_set
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import BENCHMARKS, load_benchmark
@@ -93,20 +93,12 @@ def _cmd_record(args):
 def _cmd_replay(args):
     program = _load_program(args)
     trace_set = load_trace_set(args.traces, BlockIndex(program))
-    if args.profile and args.engine in ("compiled", "jit"):
-        print("error: --profile needs the object engine (the %s "
-              "engine replays packed int streams, which carry nothing "
-              "to profile); drop --profile or use --engine object"
-              % args.engine,
-              file=sys.stderr)
-        return 2
     profile = TeaProfile() if args.profile else None
     tool = TeaReplayTool(
         trace_set=trace_set,
         config=CONFIGS[args.config](),
         profile=profile,
         link_traces=args.link_traces,
-        engine=args.engine,
     )
     # One interpreter run serves the replay and the native baseline.
     stream = ExecutionStream.record(program)
@@ -117,9 +109,9 @@ def _cmd_replay(args):
           % (len(trace_set), tool.tea.n_states, tool.tea.n_transitions))
     print("replay coverage %.1f%% (%d of %d Pin-counted instructions)"
           % (100 * tool.coverage, stats.covered_pin, stats.total_pin))
-    print("time %.2f Mcycles (%.1fx native), config %s, engine %s"
+    print("time %.2f Mcycles (%.1fx native), config %s"
           % (result.megacycles, result.cycles / native.cycles,
-             tool.config.describe(), args.engine))
+             tool.config.describe()))
     print("transition function: %d in-trace hits, %d cache hits, "
           "%d directory probes, %d NTE blocks"
           % (stats.in_trace_hits, stats.cache_hits,
@@ -147,7 +139,7 @@ def _cmd_metrics(args):
         trace_set = StarDBT(program, strategy="mret", limits=limits,
                             stream=stream).run().trace_set
     tool = TeaReplayTool(trace_set=trace_set, config=CONFIGS[args.config](),
-                         batch_size=args.batch or None, engine=args.engine)
+                         batch_size=args.batch or None)
     Pin(program, tool=tool, obs=obs, stream=stream).run()
     snapshot = tool.snapshot()
     if args.out:
@@ -562,14 +554,9 @@ def main(argv=None):
     replay.add_argument("--traces", required=True, help="trace file to load")
     replay.add_argument("--config", choices=sorted(CONFIGS),
                         default="global_local")
-    replay.add_argument("--engine", choices=("object", "compiled", "jit"),
-                        default="object",
-                        help="replay engine: object-graph walk, the "
-                             "compiled flat-table engine, or per-automaton "
-                             "generated code (default object)")
     replay.add_argument("--profile", action="store_true",
-                        help="collect and print a per-TBB profile "
-                             "(object engine only)")
+                        help="collect and print a per-TBB profile (replays "
+                             "through the per-transition step() walk)")
     replay.add_argument("--link-traces", action="store_true",
                         help="materialise static trace-to-trace transitions")
     replay.add_argument("--top", type=int, default=8,
@@ -666,12 +653,9 @@ def main(argv=None):
     metrics.add_argument("--events", type=int, default=128,
                          help="event-tracer ring capacity (default 128)")
     metrics.add_argument("--batch", type=int, default=0,
-                         help="feed the replayer in batches of N "
-                              "transitions (0 = per-call step; the "
-                              "compiled engine always batches)")
-    metrics.add_argument("--engine", choices=("object", "compiled", "jit"),
-                         default="object",
-                         help="replay engine (default object)")
+                         help="feed the replayer in packed batches of N "
+                              "transitions (0 = the default packed "
+                              "batch, %d)" % DEFAULT_PACKED_BATCH)
     metrics.add_argument("--format", choices=("json", "text"),
                          default="json")
     metrics.add_argument("--out", help="write the JSON snapshot here")

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis import CoverageReport, Phase, PhaseDetector
-from repro.core import ReplayConfig
+from repro.cfg.basic_block import BlockIndex
+from repro.core import ReplayConfig, TeaReplayer, build_tea
+from repro.cpu.stream import ExecutionStream
 from repro.isa import assemble
 from repro.pin import Pin, TeaReplayTool
 from tests.conftest import record_traces
@@ -70,16 +72,13 @@ def test_percent_formatting_matches_paper():
 def run_with_detector(program, window=64):
     trace_set = record_traces(program, hot_threshold=10).trace_set
     detector = PhaseDetector(window=window)
-    tool = TeaReplayTool(trace_set=trace_set,
-                         config=ReplayConfig.global_local())
-    original_attach = tool.attach
-
-    def attach(pin):
-        original_attach(pin)
-        tool.replayer.on_step = detector.on_step
-
-    tool.attach = attach
-    Pin(program, tool=tool).run()
+    replayer = TeaReplayer(build_tea(trace_set),
+                           config=ReplayConfig.global_local())
+    replayer.on_step = detector.on_step
+    stream = ExecutionStream.record(program)
+    for transition in stream.block_transitions(BlockIndex(program),
+                                               program.entry):
+        replayer.step(transition)
     detector.finish()
     return detector, trace_set
 

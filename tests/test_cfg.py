@@ -109,6 +109,15 @@ def test_blocks_chain_contiguously(nested_program):
     assert transitions[-1].next_start is None  # flush
 
 
+def test_transition_repr_names_its_successor(nested_program):
+    transitions, _, _ = collect_transitions(nested_program, FLAVOR_STARDBT)
+    first, last = transitions[0], transitions[-1]
+    assert repr(first) == "<Transition %r -> %#x>" % (first.block,
+                                                      first.next_start)
+    # The terminal transition has no successor PC to format.
+    assert repr(last) == "<Transition %r -> end of run>" % (last.block,)
+
+
 def test_stardbt_merges_rep_splits():
     program = assemble(REP_SOURCE)
     dbt_transitions, result, _ = collect_transitions(program, FLAVOR_STARDBT)

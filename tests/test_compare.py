@@ -201,8 +201,7 @@ def test_rpc_self_diff_identical(world, service):
 
 def test_rpc_diff_with_replay_delta(world, service):
     with service.client(timeout=120.0) as client:
-        result = client.diff("tt-min", a="tt", replay=True,
-                             engine="compiled")
+        result = client.diff("tt-min", a="tt", replay=True)
     assert not result["identical"]
     replay = result["replay"]
     # Exact-mode minimization: the full accounting is bit-identical,

@@ -27,18 +27,13 @@ from repro.core import (
     CompiledReplayer,
     CompiledTea,
     ReplayConfig,
+    TeaProfile,
     TeaReplayer,
     build_tea,
 )
 from repro.core.automaton import NTE_SID
 from repro.core.compiled import END_OF_RUN, PackedBatch
-from repro.pin import (
-    DEFAULT_PACKED_BATCH,
-    PackedTransitionEncoder,
-    Pin,
-    TeaReplayTool,
-    pack_transitions,
-)
+from repro.pin import DEFAULT_PACKED_BATCH, Pin, TeaReplayTool, pack_transitions
 from repro.pin.pintool import CallbackTool
 from repro.store import AutomatonStore, compile_tea_binary, dump_tea_binary
 from repro.workloads import BenchmarkSpec, build_workload_program
@@ -336,44 +331,6 @@ def test_pack_transitions_encodes_end_of_run():
     assert list(packed) == [0x40, 3, 4, END_OF_RUN, 7, 8]
 
 
-def test_packed_encoder_hands_off_full_batches():
-    encoder = PackedTransitionEncoder(batch_size=2)
-    assert encoder.add(_FakeTransition(1)) is None
-    assert len(encoder) == 1
-    batch = encoder.add(_FakeTransition(2))
-    assert list(batch) == [1, 3, 4, 2, 3, 4]
-    assert len(encoder) == 0
-    assert encoder.add(_FakeTransition(3)) is None
-    remainder = encoder.flush()
-    assert list(remainder) == [3, 3, 4]
-    assert encoder.flush() is None
-
-
-def test_packed_encoder_rejects_bad_batch_size():
-    with pytest.raises(ValueError):
-        PackedTransitionEncoder(batch_size=0)
-    assert PackedTransitionEncoder().batch_size == DEFAULT_PACKED_BATCH
-
-
-@settings(max_examples=8, deadline=None)
-@given(batch_size=st.integers(1, 7), n=st.integers(0, 40))
-def test_packed_encoder_stream_equals_one_shot_packing(batch_size, n):
-    transitions = [
-        _FakeTransition(pc if pc % 5 else None, pc + 1, pc + 2)
-        for pc in range(n)
-    ]
-    encoder = PackedTransitionEncoder(batch_size=batch_size)
-    streamed = array("q")
-    for transition in transitions:
-        batch = encoder.add(transition)
-        if batch is not None:
-            streamed.extend(batch)
-    tail = encoder.flush()
-    if tail is not None:
-        streamed.extend(tail)
-    assert streamed == pack_transitions(transitions)
-
-
 def test_pack_transitions_rejects_negative_real_pcs():
     """A genuinely negative next_start must not silently alias onto the
     END_OF_RUN sentinel — the stream would replay as a truncated run."""
@@ -389,20 +346,6 @@ def test_pack_transitions_rejects_negative_real_pcs():
     # END_OF_RUN itself (as a raw int) is just as impossible a PC.
     with pytest.raises(PackedStreamError):
         pack_transitions([_FakeTransition(END_OF_RUN)])
-
-
-def test_packed_encoder_rejects_negative_real_pcs():
-    from repro.errors import PackedStreamError
-
-    encoder = PackedTransitionEncoder(batch_size=4)
-    encoder.add(_FakeTransition(1))
-    with pytest.raises(PackedStreamError) as excinfo:
-        encoder.add(_FakeTransition(-7))
-    assert excinfo.value.index == 1
-    assert excinfo.value.value == -7
-    # The poisoned transition was not buffered: the stream stays usable.
-    assert len(encoder) == 1
-    assert list(encoder.flush()) == [1, 3, 4]
 
 
 # ---------------------------------------------------------------------
@@ -421,14 +364,6 @@ def test_replay_config_rejects_bad_bptree_order():
         with pytest.raises(ValueError, match="bptree_order"):
             ReplayConfig(bptree_order=bad)
     assert ReplayConfig(bptree_order=3).bptree_order == 3
-
-
-def test_replay_config_rejects_unknown_engine():
-    with pytest.raises(ValueError, match="engine"):
-        ReplayConfig(engine="llvm")
-    assert ReplayConfig(engine="compiled").engine == "compiled"
-    assert ReplayConfig(engine="jit").engine == "jit"
-    assert ReplayConfig.global_local(engine="compiled").engine == "compiled"
 
 
 def test_reset_clears_caches_and_directory_counters(nested_program,
@@ -515,10 +450,10 @@ def test_tea_tool_compiled_engine_matches_object(nested_program,
                                                  nested_traces):
     for name, factory in TABLE4_CONFIGS.items():
         via_objects = TeaReplayTool(trace_set=nested_traces,
-                                    config=factory())
+                                    config=factory(), profile=TeaProfile())
         object_run = Pin(nested_program, tool=via_objects).run()
         via_tables = TeaReplayTool(trace_set=nested_traces,
-                                   config=factory(), engine="compiled")
+                                   config=factory())
         table_run = Pin(nested_program, tool=via_tables).run()
         assert via_tables.stats.as_dict() == via_objects.stats.as_dict()
         assert via_tables.coverage == via_objects.coverage
@@ -528,30 +463,23 @@ def test_tea_tool_compiled_engine_matches_object(nested_program,
                                                  rel=1e-12), name
 
 
-def test_tea_tool_engine_comes_from_config(nested_program, nested_traces):
-    tool = TeaReplayTool(trace_set=nested_traces,
-                         config=ReplayConfig.global_local(engine="compiled"))
-    assert tool.engine == "compiled"
+def test_tea_tool_walk_follows_profile(nested_program, nested_traces):
+    tool = TeaReplayTool(trace_set=nested_traces)
     Pin(nested_program, tool=tool).run()
     assert isinstance(tool.replayer, CompiledReplayer)
+    assert tool.packed_batch == DEFAULT_PACKED_BATCH
     assert tool.stats.blocks > 0
+    profiled = TeaReplayTool(trace_set=nested_traces, profile=TeaProfile())
+    Pin(nested_program, tool=profiled).run()
+    assert isinstance(profiled.replayer, TeaReplayer)
+    assert profiled.packed_batch is None
+    assert profiled.profile.state_counts
 
 
 def test_tea_tool_small_batches_account_identically(nested_program,
                                                     nested_traces):
-    reference = TeaReplayTool(trace_set=nested_traces)
+    reference = TeaReplayTool(trace_set=nested_traces, profile=TeaProfile())
     Pin(nested_program, tool=reference).run()
-    tiny = TeaReplayTool(trace_set=nested_traces, engine="compiled",
-                         batch_size=7)
+    tiny = TeaReplayTool(trace_set=nested_traces, batch_size=7)
     Pin(nested_program, tool=tiny).run()
     assert tiny.stats.as_dict() == reference.stats.as_dict()
-
-
-def test_tea_tool_rejects_profile_with_compiled_engine(nested_traces):
-    from repro.core import TeaProfile
-
-    with pytest.raises(ValueError, match="TeaProfile"):
-        TeaReplayTool(trace_set=nested_traces, profile=TeaProfile(),
-                      engine="compiled")
-    with pytest.raises(ValueError, match="engine"):
-        TeaReplayTool(trace_set=nested_traces, engine="interpreted")

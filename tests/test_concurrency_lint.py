@@ -105,10 +105,10 @@ def test_sync_function_not_flagged():
 AWAIT_UNDER_THREAD_LOCK = """
 import threading
 
-_jit_lock = threading.Lock()
+_PROCESS_LOCK = threading.Lock()
 
 async def handler(work):
-    with _jit_lock:
+    with _PROCESS_LOCK:
         await work()
 """
 
@@ -125,10 +125,10 @@ def handler():
 THREAD_LOCK_ASYNC_WITH = """
 import threading
 
-_jit_lock = threading.Lock()
+_PROCESS_LOCK = threading.Lock()
 
 async def handler():
-    async with _jit_lock:
+    async with _PROCESS_LOCK:
         pass
 """
 
@@ -136,10 +136,10 @@ LOCK_ORDER_VIOLATION = """
 import threading
 
 _PROCESS_LOCK = threading.Lock()
-_jit_lock = threading.Lock()
+_replay_memo_lock = threading.Lock()
 
 def handler():
-    with _jit_lock:
+    with _replay_memo_lock:
         with _PROCESS_LOCK:
             pass
 """
@@ -148,11 +148,11 @@ LOCK_ORDER_OK = """
 import threading
 
 _PROCESS_LOCK = threading.Lock()
-_jit_lock = threading.Lock()
+_replay_memo_lock = threading.Lock()
 
 def handler():
     with _PROCESS_LOCK:
-        with _jit_lock:
+        with _replay_memo_lock:
             pass
 """
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cfg.basic_block import BlockIndex
 from repro.core import ReplayConfig, TeaProfile, TeaReplayer, build_tea
 from repro.core.directory import BPlusTreeDirectory, LinkedListDirectory
+from repro.cpu.stream import ExecutionStream
 from repro.pin import Pin, TeaReplayTool, run_native
 from tests.conftest import record_traces
 
@@ -205,21 +207,18 @@ def test_profile_collected_during_replay(nested_program):
 
 def test_on_step_observer_called(nested_program):
     trace_set = record_traces(nested_program).trace_set
-    tool = TeaReplayTool(trace_set=trace_set)
+    replayer = TeaReplayer(build_tea(trace_set))
     seen = []
-    original_attach = tool.attach
 
-    def attach(pin):
-        original_attach(pin)
+    def observe(prev, new, t):
+        seen.append((prev, new))
 
-        def observe(prev, new, t):
-            seen.append((prev, new))
-
-        tool.replayer.on_step = observe
-
-    tool.attach = attach
-    Pin(nested_program, tool=tool).run()
-    assert len(seen) == tool.stats.blocks - 1  # flush step has no next
+    replayer.on_step = observe
+    stream = ExecutionStream.record(nested_program)
+    for transition in stream.block_transitions(BlockIndex(nested_program),
+                                               nested_program.entry):
+        replayer.step(transition)
+    assert len(seen) == replayer.stats.blocks - 1  # flush step has no next
 
 
 def test_cost_breakdown_categories(nested_program):

@@ -186,24 +186,26 @@ def test_pintool_base_class_hooks(simple_loop_program):
     assert tool.cost is result.cost
 
 
-@pytest.mark.parametrize("engine", ("object", "compiled", "jit"))
+@pytest.mark.parametrize("walk", ("object", "compiled"))
 def test_finished_pin_and_tool_freed_by_refcount(nested_program,
-                                                 nested_traces, engine):
+                                                 nested_traces, walk):
     """No Pin <-> pintool cycle, no replayer <-> runner cycle and no
     cyclic cell graph left behind: with the cycle collector off,
     dropping the tool and the result frees the engine, the tool, the
-    tool's replayer and everything they own at once.
+    tool's replayer and everything they own at once — for both of the
+    tool's walks (``step()`` under a profile, and the compiled walk).
 
     The automaton is built up front and outlives the replay, as the
     replay service's preloaded ones do: its state graph has loops."""
-    from repro.core import build_tea
+    from repro.core import TeaProfile, build_tea
     from repro.pin import TeaReplayTool
 
     tea = build_tea(nested_traces)
     gc.collect()
     gc.disable()
     try:
-        tool = TeaReplayTool(trace_set=nested_traces, engine=engine,
+        profile = TeaProfile() if walk == "object" else None
+        tool = TeaReplayTool(trace_set=nested_traces, profile=profile,
                              tea=tea)
         pin = Pin(nested_program, tool=tool)
         result = pin.run()
@@ -213,7 +215,7 @@ def test_finished_pin_and_tool_freed_by_refcount(nested_program,
         assert 0.0 < tool.coverage <= 1.0
         refs = (weakref.ref(pin), weakref.ref(tool),
                 weakref.ref(tool.replayer))
-        del pin, tool, result
+        del pin, tool, result, profile
         assert [ref() for ref in refs] == [None, None, None]
         assert gc.collect() == 0
     finally:

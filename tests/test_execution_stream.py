@@ -3,7 +3,7 @@
 The oracle below is MiniPin's and StarDBT's pre-stream execution path:
 the interpreter drives a per-event callback that charges Pin's own
 costs, feeds a ``DynamicBlockBuilder`` and delivers each transition as
-it completes.  Every engine configuration that now consumes an
+it completes.  Every engine and tool that now consumes an
 :class:`~repro.cpu.stream.ExecutionStream` must reproduce it exactly:
 result fields, ``cycles`` compared with ``==``, the cost breakdown
 including its key order, replay statistics and coverage, StarDBT's
@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
-from repro.core import PackedBatch, ReplayConfig
+from repro.core import PackedBatch, ReplayConfig, TeaProfile
 from repro.cpu.events import (
     EDGE_IND_CALL,
     EDGE_IND_JMP,
@@ -29,7 +29,14 @@ from repro.dbt import CostParameters, StarDBT
 from repro.errors import InstructionLimitExceeded
 from repro.isa import assemble
 from repro.obs import Observability
-from repro.pin import Pin, PinResult, TeaRecordTool, TeaReplayTool, run_native
+from repro.pin import (
+    Pin,
+    PinResult,
+    TeaRecordTool,
+    TeaReplayTool,
+    pack_transitions,
+    run_native,
+)
 from repro.pin import pin as pin_module
 from repro.pin.pin import _EngineCharges
 from repro.traces.recorder import STATE_CREATING, RecorderLimits
@@ -80,11 +87,11 @@ CONFIGS = {
     "no_global_no_local": ReplayConfig.no_global_no_local,
 }
 
-#: ``(engine, batch_size)``: the object engine per call and batched,
-#: and the two packed-batch engines (one with a small batch so runs
-#: cross many batch boundaries).
-ENGINES = (("object", None), ("object", 64), ("compiled", None),
-           ("compiled", 100), ("jit", None))
+#: ``(walk, batch_size)`` of a :class:`TeaReplayTool`: the object-graph
+#: ``step()`` walk a ``TeaProfile`` selects, and the compiled walk over
+#: packed batches, with the default batch and with a small one so runs
+#: cross many batch boundaries.
+WALKS = (("object", None), ("compiled", None), ("compiled", 100))
 
 _CACHE = {}
 
@@ -119,15 +126,18 @@ def live_pin(program, tool=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
         pin = Pin(program, tool=tool, max_instructions=max_instructions)
     cost = pin.cost
     params = cost.params
+    deliver = flush = None
     if tool is not None:
         tool.attach(pin)
+        deliver = tool.on_transition
+        if tool.packed_batch:
+            deliver, flush = packing(tool)
     builder = DynamicBlockBuilder(pin.block_index, program.entry,
                                   flavor=FLAVOR_STARDBT)
     executor = Executor(program, max_instructions=max_instructions)
     consumed = [0, 0]
     pin_blocks = [0]
     seen_ends = set()
-    deliver = tool.on_transition if tool is not None else None
 
     def on_event(event):
         consumed[0] += event.instrs_dbt
@@ -151,10 +161,31 @@ def live_pin(program, tool=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
                           result.instrs_pin - consumed[1])
     if deliver is not None:
         deliver(final)
+    if flush is not None:
+        flush()
     if tool is not None:
         tool.on_finish()
     return PinResult(cost, result.instrs_dbt, result.instrs_pin,
                      pin_blocks[0] + 1, tool, result.halted)
+
+
+def packing(tool):
+    """``(deliver, flush)`` feeding a packed-batch tool per transition:
+    each full batch of ``tool.packed_batch`` goes to ``on_packed`` as it
+    fills, ``flush()`` hands over the remainder."""
+    pending = []
+
+    def deliver(transition):
+        pending.append(transition)
+        if len(pending) == tool.packed_batch:
+            flush()
+
+    def flush():
+        if pending:
+            tool.on_packed(PackedBatch(pack_transitions(pending)))
+            pending.clear()
+
+    return deliver, flush
 
 
 def live_transitions(program):
@@ -279,18 +310,20 @@ def live_stardbt(program, strategy="mret"):
 # ---------------------------------------------------------------------
 
 def make_tool(kind, traces):
-    """A fresh pintool: None, "empty:<engine>", "record", or
-    "<config>:<engine>:<batch>"."""
+    """A fresh pintool: None, "empty:<walk>", "record", or
+    "<config>:<walk>:<batch>", where the "object" walk is ``step()``
+    under a ``TeaProfile``."""
     if kind is None:
         return None
     if kind == "record":
         return TeaRecordTool(strategy="mret",
                              limits=RecorderLimits(hot_threshold=10))
     if kind.startswith("empty:"):
-        return TeaReplayTool(trace_set=None, engine=kind.split(":")[1])
-    config, engine, batch = kind.split(":")
+        kind = "global_local:%s:None" % kind.split(":")[1]
+        traces = None
+    config, walk, batch = kind.split(":")
     return TeaReplayTool(trace_set=traces, config=CONFIGS[config](),
-                         engine=engine,
+                         profile=TeaProfile() if walk == "object" else None,
                          batch_size=int(batch) if batch != "None" else None)
 
 
@@ -313,9 +346,9 @@ def outcome(result):
 
 
 TOOLS = ([None, "record"]
-         + ["empty:%s" % engine for engine in ("object", "compiled", "jit")]
-         + ["%s:%s:%s" % (config, engine, batch)
-            for config in CONFIGS for engine, batch in ENGINES])
+         + ["empty:%s" % walk for walk in ("object", "compiled")]
+         + ["%s:%s:%s" % (config, walk, batch)
+            for config in CONFIGS for walk, batch in WALKS])
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -412,7 +445,7 @@ def _limited(name):
 @pytest.mark.parametrize("name", ("164.gzip@0.15", "splits"))
 @pytest.mark.parametrize("kind", [None, "record", "global_local:object:None",
                                   "global_local:compiled:100",
-                                  "no_global_local:jit:None"],
+                                  "no_global_local:compiled:None"],
                          ids=lambda kind: str(kind))
 def test_instruction_limit_matches_live_loop(name, kind):
     """Same exception, and the cost and tool state at the raise are
@@ -528,8 +561,7 @@ def tape_workload(name):
 def tape_tool(traces, batch):
     if batch is None:
         return None
-    return TeaReplayTool(trace_set=traces, engine="compiled",
-                         batch_size=batch)
+    return TeaReplayTool(trace_set=traces, batch_size=batch)
 
 
 def per_block_run(program, stream, tool, params, budget):

@@ -14,9 +14,10 @@ final sid and coverage), plus three obligations of its own:
 - ``reset``/``register_trace`` semantics matching the other engines.
 
 Checked across hypothesis-random programs, all four Table 4
-configurations, chunked batches (the Pin encoder hands over 4096-block
-batches, so mid-stream state carry matters), and hosted replays
-(``TeaReplayTool`` and the replay service RPC).
+configurations and chunked batches (Pin hands over 4096-block batches,
+so mid-stream state carry matters).  No production caller hosts the
+JIT: it is reachable only from these tests and
+``benchmarks/bench_jit_engine.py``.
 """
 
 from array import array
@@ -44,8 +45,7 @@ from repro.core.jit import (
     structural_digest,
 )
 from repro.dbt.cost import CostModel
-from repro.obs import Observability
-from repro.pin import Pin, TeaReplayTool, pack_transitions
+from repro.pin import Pin, pack_transitions
 from repro.pin.pintool import CallbackTool
 from repro.store import AutomatonStore
 
@@ -350,61 +350,3 @@ def test_store_jit_replays_identically(tmp_path, nested_program):
     _assert_identical(reference, candidate)
     assert not candidate.deopted   # supplied code bound without regen
     assert candidate.code is code
-
-
-# ---------------------------------------------------------------------
-# hosting: Pin tool and the replay service
-# ---------------------------------------------------------------------
-
-def test_tea_replay_tool_hosts_jit_engine(nested_program):
-    trace_set = record_traces(nested_program).trace_set
-    tea = build_tea(trace_set)
-    compiled_tea = CompiledTea.from_tea(tea)
-
-    via_jit = TeaReplayTool(trace_set=trace_set, tea=tea, engine="jit",
-                            compiled=compiled_tea)
-    jit_result = Pin(nested_program, tool=via_jit).run()
-    via_compiled = TeaReplayTool(trace_set=trace_set, tea=tea,
-                                 engine="compiled", compiled=compiled_tea)
-    compiled_result = Pin(nested_program, tool=via_compiled).run()
-
-    assert isinstance(via_jit.replayer, JitReplayer)
-    assert via_jit.stats.as_dict() == via_compiled.stats.as_dict()
-    assert via_jit.coverage == via_compiled.coverage
-    assert jit_result.cycles == compiled_result.cycles
-    # The bound code is exposed for reuse across hosted replays.
-    assert via_jit.jit is via_jit.replayer.code
-    rehosted = TeaReplayTool(trace_set=trace_set, tea=tea, engine="jit",
-                             compiled=compiled_tea, jit=via_jit.jit)
-    Pin(nested_program, tool=rehosted).run()
-    assert rehosted.replayer.code is via_jit.jit
-    assert rehosted.stats.as_dict() == via_jit.stats.as_dict()
-
-
-def test_service_replays_via_jit_engine(tmp_path):
-    from repro.service.testing import ServiceThread
-    from repro.dbt import StarDBT
-    from repro.traces.recorder import RecorderLimits
-    from repro.workloads import load_benchmark
-
-    program = load_benchmark("164.gzip", scale=0.3).program
-    trace_set = StarDBT(
-        program, limits=RecorderLimits(hot_threshold=10)
-    ).run().trace_set
-    store = AutomatonStore(tmp_path / "store")
-    key = store.put(trace_set,
-                    meta={"benchmark": "164.gzip", "scale": 0.3},
-                    program=program)
-
-    with ServiceThread(store) as service:
-        with service.client(timeout=120.0) as client:
-            compiled = client.replay(snapshot=key, engine="compiled")
-            jit = client.replay(snapshot=key, engine="jit")
-            jit_again = client.replay(snapshot=key, engine="jit")
-    assert jit["engine"] == "jit"
-    assert compiled["engine"] == "compiled"
-    assert jit["stats"] == compiled["stats"]
-    assert jit["cycles"] == compiled["cycles"]
-    assert jit["coverage_pin"] == compiled["coverage_pin"]
-    # Same engine+config memoises; the distinct engines do not collide.
-    assert jit_again["stats"] == jit["stats"]

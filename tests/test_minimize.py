@@ -1,8 +1,9 @@
 """The minimization subsystem (``repro.minimize``).
 
-The contract under test is the ISSUE's acceptance bar: exact-mode
-minimized automata replay **bit-exact** against their originals on all
-four Table 4 configurations and all three engines, round-trip through
+The contract under test: exact-mode minimized automata replay
+**bit-exact** against their originals on all four Table 4
+configurations under both replay walks (the compiled walk and the
+``step()`` oracle), round-trip through
 TEAB / the store with full provenance, pass the TEA05x verify family,
 and degrade gracefully (never silently) under a state budget.
 """
@@ -14,7 +15,7 @@ import pytest
 from tests.conftest import NESTED_DIAMOND_SOURCE, record_traces
 from repro.analysis import check_minimization
 from repro.cfg.basic_block import BlockIndex
-from repro.core import build_tea
+from repro.core import TeaProfile, build_tea
 from repro.core.replay import ReplayConfig
 from repro.errors import TeaError
 from repro.isa import assemble
@@ -73,10 +74,11 @@ def world():
     return _World()
 
 
-def _replay(world, automaton, config=None, engine=None):
-    """(stats, coverage, cost) of one full replay run."""
+def _replay(world, automaton, config=None, profile=None):
+    """(stats, coverage, cost) of one full replay run: the compiled
+    walk, or the ``step()`` walk when a ``profile`` is given."""
     tool = TeaReplayTool(trace_set=world.trace_set, tea=automaton,
-                         config=config, engine=engine)
+                         config=config, profile=profile)
     Pin(world.program, tool=tool).run()
     return tool.stats.as_dict(), tool.coverage, tool.snapshot()["cost"]
 
@@ -196,10 +198,13 @@ def test_bit_exact_replay_all_configs(world, factory):
     assert original == minimized
 
 
-@pytest.mark.parametrize("engine", ("compiled", "jit"))
-def test_bit_exact_replay_compiled_and_jit(world, engine):
-    original = _replay(world, world.tea, engine=engine)
-    minimized = _replay(world, world.result.tea, engine=engine)
+@pytest.mark.parametrize("factory", CONFIG_FACTORIES,
+                         ids=lambda f: f.__name__)
+def test_bit_exact_replay_step_oracle(world, factory):
+    original = _replay(world, world.tea, config=factory(),
+                       profile=TeaProfile())
+    minimized = _replay(world, world.result.tea, config=factory(),
+                        profile=TeaProfile())
     assert original == minimized
 
 

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import build_tea
+from repro.core import TeaProfile, build_tea
 from repro.dbt import StarDBT
 from repro.pin import Pin, TeaReplayTool
 from repro.service.client import ServiceClient
@@ -172,12 +172,12 @@ def test_ping_and_snapshots(shared_service, world):
 
 
 def test_replay_matches_in_process_replay(shared_service, world):
-    # The service replays via the compiled engine by default, over flat
-    # tables built straight from the snapshot bytes; drive the same
-    # compiled automaton in-process so cycles match bit-for-bit.
+    # The service replays via the compiled walk, over flat tables built
+    # straight from the snapshot bytes; drive the same compiled
+    # automaton in-process so cycles match bit-for-bit.
     compiled = world.store.get_compiled(world.key)
     direct = TeaReplayTool(trace_set=world.trace_set, tea=world.tea,
-                           engine="compiled", compiled=compiled)
+                           compiled=compiled)
     direct_result = Pin(world.program, tool=direct).run()
 
     with shared_service.client(timeout=120.0) as client:
@@ -189,13 +189,20 @@ def test_replay_matches_in_process_replay(shared_service, world):
     assert served["states"] == world.tea.n_states
     assert served["slowdown"] > 1.0
 
-    # The object engine walks the TeaState graph instead; transition
+    # The step() oracle walks the TeaState graph instead; transition
     # accounting is identical, only float charge interleaving differs.
+    oracle = TeaReplayTool(trace_set=world.trace_set, tea=world.tea,
+                           profile=TeaProfile())
+    oracle_result = Pin(world.program, tool=oracle).run()
+    assert oracle.stats.as_dict() == served["stats"]
+    assert oracle.coverage == served["coverage_pin"]
+    assert oracle_result.cycles == pytest.approx(served["cycles"],
+                                                 rel=1e-12)
+
+    # A request may still name the one engine.
     with shared_service.client(timeout=120.0) as client:
-        via_objects = client.replay(snapshot=world.key, engine="object")
-    assert via_objects["engine"] == "object"
-    assert via_objects["stats"] == served["stats"]
-    assert via_objects["coverage_pin"] == served["coverage_pin"]
+        named = client.call("replay", snapshot=world.key, engine="compiled")
+    assert named == served
 
     with shared_service.client(timeout=120.0) as client:
         coverage = client.coverage(snapshot="world")
@@ -265,9 +272,15 @@ def test_bad_params(shared_service):
         with pytest.raises(ServiceError) as excinfo:
             client.call("replay", config="warp-speed")
         assert excinfo.value.code == E_PARAMS
-        with pytest.raises(ServiceError) as excinfo:
-            client.call("replay", engine="llvm")
-        assert excinfo.value.code == E_PARAMS
+        for engine in ("llvm", "object", "jit"):
+            for method in ("replay", "coverage"):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.call(method, engine=engine)
+                assert excinfo.value.code == E_PARAMS
+            with pytest.raises(ServiceError) as excinfo:
+                client.call("diff", b=client.snapshots()[0]["key"],
+                            engine=engine)
+            assert excinfo.value.code == E_PARAMS
         with pytest.raises(ServiceError) as excinfo:
             client.call("step-batch", labels=[1], start=10 ** 6)
         assert excinfo.value.code == E_PARAMS

@@ -51,7 +51,7 @@ def in_process_replay():
     program = load_benchmark(BENCHMARK, scale=SCALE).program
     traces = StarDBT(program,
                      limits=RecorderLimits(hot_threshold=10)).run().trace_set
-    tool = TeaReplayTool(trace_set=traces, engine="compiled")
+    tool = TeaReplayTool(trace_set=traces)
     result = Pin(program, tool=tool).run()
     return result, tool, run_native(program)
 
@@ -225,36 +225,6 @@ def test_gc_prunes_unreferenced_streams_but_counts_snapshots(tmp_path,
     program = load_benchmark(BENCHMARK, scale=0.25).program
     assert store.stream_keys() == [ExecutionStream.record(program).key]
     assert store.gc() == 0                     # nothing left to prune
-
-
-def test_jit_replays_leave_only_snapshots_and_sidecars(tmp_path, capsys):
-    """JIT code is generated in memory: a built store gains no files
-    from JIT replays, served or hosted in process.  (Its sidecars are
-    the stream and the snapshot's program image.)"""
-    from repro.cfg.basic_block import BlockIndex
-    from repro.core import ReplayConfig
-
-    store_dir = tmp_path / "store"
-    key = build(store_dir, capsys=capsys)
-    store = AutomatonStore(store_dir)
-    with ServiceThread(store, config=ephemeral_config()) as service:
-        with service.client() as client:
-            served = client.call("replay", config="global_local",
-                                 engine="jit")
-    assert served["engine"] == "jit"
-
-    program = load_benchmark(BENCHMARK, scale=SCALE).program
-    trace_set, tea, _profile = store.load(key, BlockIndex(program))
-    tool = TeaReplayTool(trace_set=trace_set, tea=tea, engine="jit",
-                         config=ReplayConfig.global_local(),
-                         compiled=store.get_compiled(key))
-    Pin(program, tool=tool).run()
-    assert tool.stats.as_dict() == served["stats"]
-
-    names = [name for _root, _dirs, files in os.walk(store_dir)
-             for name in files]
-    assert sorted({os.path.splitext(name)[1] for name in names}) == \
-        [".teab", ".teap", ".teas"]
 
 
 # ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ v2 is the only format written; v1 is read through
 produces exactly the conversion of the golden v1 snapshot, whatever
 is written decodes back to the content it was given, an automaton
 lowered zero-copy off an ``mmap`` replays bit-exactly against the v1
-decode under every Table 4 configuration and every engine, ``migrate``
+decode under every Table 4 configuration and both replay walks, ``migrate``
 is one-way and refuses a lossy conversion, and a service hot-reload
 under concurrent clients drops or corrupts nothing.  Seeded faults and
 the rules that catch them are tests/test_rule_matrix.py's.
@@ -51,7 +51,9 @@ CONFIGS = {
     "no_global_local": ReplayConfig.no_global_local,
     "no_global_no_local": ReplayConfig.no_global_no_local,
 }
-ENGINES = ("object", "compiled", "jit")
+#: The replay walks: ``step()`` under a ``TeaProfile`` (the object
+#: graph) and the compiled walk over the lowered tables.
+WALKS = ("object", "compiled")
 
 
 @pytest.fixture(scope="module")
@@ -176,12 +178,12 @@ def test_hypothesis_round_trip_is_bit_exact(source, strategy, threshold,
 
 
 # ---------------------------------------------------------------------
-# replay equivalence: every Table 4 config, every engine, v1 vs v2 mmap
+# replay equivalence: every Table 4 config, both walks, v1 vs v2 mmap
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-@pytest.mark.parametrize("engine", ENGINES)
-def test_replay_bit_exact_v1_vs_v2_mmap(world, tmp_path, config_name, engine):
+@pytest.mark.parametrize("walk", WALKS)
+def test_replay_bit_exact_v1_vs_v2_mmap(world, tmp_path, config_name, walk):
     program, v1, v2 = world
     block_index = BlockIndex(program)
 
@@ -189,17 +191,10 @@ def test_replay_bit_exact_v1_vs_v2_mmap(world, tmp_path, config_name, engine):
         trace_set, tea, _ = load_tea_binary(data, block_index)
         compiled = (mapping.compiled() if mapping is not None
                     else compile_tea_binary(data, verify=False))
-        jit = None
-        if engine == "jit":
-            from repro.core.jit import JitCode
-
-            jit = JitCode.from_compiled(compiled,
-                                        config=CONFIGS[config_name]())
         tool = TeaReplayTool(
             trace_set=trace_set, config=CONFIGS[config_name](), tea=tea,
-            engine=engine,
-            compiled=compiled if engine in ("compiled", "jit") else None,
-            jit=jit,
+            profile=TeaProfile() if walk == "object" else None,
+            compiled=compiled,
         )
         result = Pin(program, tool=tool).run()
         return tool.stats.as_dict(), result.cycles

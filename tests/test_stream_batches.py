@@ -65,7 +65,7 @@ def replay(name, stream, config="global_local", batch=None, tool=TeaReplayTool):
     the run raised the budget error."""
     program, _stream, traces, budget = tape_workload(name)
     tool = tool(trace_set=traces, config=CONFIGS[config](),
-                engine="compiled", batch_size=batch)
+                batch_size=batch)
     pin = Pin(program, tool=tool, max_instructions=budget, stream=stream)
     raised = False
     try:
@@ -119,7 +119,7 @@ def test_threads_share_one_streams_batches():
 
 def kept_batches(name, stream, batch):
     program, _stream, traces, budget = tape_workload(name)
-    tool = KeepingTool(trace_set=traces, engine="compiled", batch_size=batch)
+    tool = KeepingTool(trace_set=traces, batch_size=batch)
     Pin(program, tool=tool, max_instructions=budget, stream=stream).run()
     return tool.received
 
