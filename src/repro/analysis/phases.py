@@ -6,10 +6,10 @@ take side exits more often, the program is said to be ... between
 phases."
 
 :class:`PhaseDetector` hooks into the ``step()`` walk
-(:attr:`TeaReplayer.on_step <repro.core.replay.TeaReplayer>`), maintains a sliding window of block transitions, and classifies each
-window as *stable* (exit ratio below the threshold) or *unstable*.
-Consecutive stable windows dominated by the same trace set form a
-:class:`Phase`.
+(``TeaReplayer.on_step``), maintains a sliding window of block
+transitions, and classifies each window as *stable* (exit ratio below
+the threshold) or *unstable*.  Consecutive stable windows dominated by
+the same trace set form a :class:`Phase`.
 """
 
 

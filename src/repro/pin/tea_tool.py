@@ -58,7 +58,8 @@ class TeaReplayTool(Pintool):
         Transitions per packed batch of the compiled walk (> 0);
         ``None`` means :data:`~repro.pin.packed.DEFAULT_PACKED_BATCH`.
         Batch boundaries change only when the engine flushes its
-        metrics, never what it counts.  Ignored with a ``profile``.
+        metrics, never what it counts (total cycles may move in the
+        last ULPs).  Ignored with a ``profile``.
     tea:
         A prebuilt automaton to replay.  When given, Algorithm 1 is
         *not* re-run — this is how the replay service drives automata
