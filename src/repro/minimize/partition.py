@@ -30,9 +30,9 @@ Two modes resolve this:
   terminator) — is *pinned* into a singleton group before refinement
   starts.  Merged groups therefore never insert into their caches, and
   replay statistics, coverage and the cost breakdown are **bit-exact**
-  against the original on all four Table 4 configurations and all
-  three engines (asserted by ``tests/test_minimize.py`` and the CI
-  minimize smoke).
+  against the original on all four Table 4 configurations under both
+  replay walks, the compiled engine and the ``step()`` oracle
+  (asserted by ``tests/test_minimize.py`` and the CI minimize smoke).
 - ``"aggressive"``: the full quotient.  Bit-exact under the two
   No-Local configurations; under Local configurations the cache and
   directory counters may legitimately drift while blocks, coverage,
