@@ -3,7 +3,8 @@
 The contract under test: exact-mode minimized automata replay
 **bit-exact** against their originals on all four Table 4
 configurations under both replay walks (the compiled walk and the
-``step()`` oracle), round-trip through
+``step()`` oracle) and, driven directly, under the compiled and JIT
+engines, round-trip through
 TEAB / the store with full provenance, pass the TEA05x verify family,
 and degrade gracefully (never silently) under a state budget.
 """
@@ -15,7 +16,14 @@ import pytest
 from tests.conftest import NESTED_DIAMOND_SOURCE, record_traces
 from repro.analysis import check_minimization
 from repro.cfg.basic_block import BlockIndex
-from repro.core import TeaProfile, build_tea
+from repro.core import (
+    CompiledReplayer,
+    CompiledTea,
+    JitReplayer,
+    TeaProfile,
+    build_tea,
+)
+from repro.core.compiled import PackedBatch
 from repro.core.replay import ReplayConfig
 from repro.errors import TeaError
 from repro.isa import assemble
@@ -26,7 +34,8 @@ from repro.minimize import (
     state_cache_safe,
 )
 from repro.obs import Observability
-from repro.pin import Pin, TeaReplayTool
+from repro.pin import Pin, TeaReplayTool, pack_transitions
+from repro.pin.pintool import CallbackTool
 from repro.store import (
     AutomatonStore,
     compile_tea_binary,
@@ -206,6 +215,27 @@ def test_bit_exact_replay_step_oracle(world, factory):
     minimized = _replay(world, world.result.tea, config=factory(),
                         profile=TeaProfile())
     assert original == minimized
+
+
+ENGINES = {"compiled": CompiledReplayer, "jit": JitReplayer}
+
+
+@pytest.mark.parametrize("engine", ("compiled", "jit"))
+def test_bit_exact_replay_compiled_and_jit(world, engine):
+    """Each engine, driven directly over the packed stream, replays the
+    minimized automaton bit-exact against the original."""
+    transitions = []
+    Pin(world.program,
+        tool=CallbackTool(on_transition=transitions.append)).run()
+    batch = PackedBatch(pack_transitions(transitions))
+
+    def replay(automaton):
+        replayer = ENGINES[engine](CompiledTea.from_tea(automaton))
+        replayer.run(batch)
+        return (replayer.stats.as_dict(), replayer.stats.coverage(),
+                dict(replayer.cost.breakdown), replayer.cost.cycles)
+
+    assert replay(world.tea) == replay(world.result.tea)
 
 
 def test_aggressive_exact_under_no_local_configs(world):
