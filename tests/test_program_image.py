@@ -5,7 +5,18 @@ program.
 ``repro.service build`` stores the assembled program beside each
 snapshot (``<snapshot-key>.teap``).  The server, ``gc``, minimization
 and the tools decode it; none of them calls the workload generator.
+
+``tests/golden/image_digests.json`` pins the SHA-256 of every golden
+program's image bytes, so a change to how the encoder finds its shape
+rows cannot reorder or duplicate them unnoticed.  Regenerating it
+(after an *intentional* image change, with a bump of
+:data:`~repro.isa.image.IMAGE_VERSION`)::
+
+    PYTHONPATH=src python -m pytest tests/test_program_image.py --update-golden
 """
+
+import hashlib
+
 
 import json
 import os
@@ -35,6 +46,7 @@ from repro.verify import verify_image_bytes, verify_path
 from repro.workloads import load_benchmark
 
 GOLDEN = Path(__file__).parent / "golden" / "program_digests.json"
+IMAGE_GOLDEN = Path(__file__).parent / "golden" / "image_digests.json"
 OWNER = "5e" * 32
 BENCHMARK = "164.gzip"
 
@@ -52,13 +64,22 @@ def _rules(report):
 # the codec
 # ---------------------------------------------------------------------
 
-def test_golden_programs_round_trip_through_their_images():
+@pytest.fixture(scope="module")
+def golden_images():
+    """``case -> (program digest, program, image)`` for every program
+    of ``program_digests.json``."""
     golden = json.loads(GOLDEN.read_text())
     assert len(golden) == 71
+    images = {}
     for case, digest in sorted(golden.items()):
         name, scale = case.split("@")
         program = load_benchmark(name, scale=float(scale)).program
-        image = encode_image(program, OWNER)
+        images[case] = (digest, program, encode_image(program, OWNER))
+    return images
+
+
+def test_golden_programs_round_trip_through_their_images(golden_images):
+    for case, (digest, program, image) in golden_images.items():
         assert ImageHeader.parse(image).program_digest == digest, case
         decoded = decode_image(image, owner=OWNER)
         assert decoded.content_digest() == digest, case
@@ -68,6 +89,20 @@ def test_golden_programs_round_trip_through_their_images():
         assert decoded.data == program.data, case
         assert _layout(decoded) == _layout(program), case
         assert decoded.code_end == program.code_end, case
+
+
+def test_golden_program_images_match_their_pinned_bytes(golden_images,
+                                                        request):
+    digests = {case: hashlib.sha256(image).hexdigest()
+               for case, (_digest, _program, image) in golden_images.items()}
+    if request.config.getoption("--update-golden"):
+        IMAGE_GOLDEN.write_text(
+            json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        return
+    golden = json.loads(IMAGE_GOLDEN.read_text())
+    assert sorted(golden) == sorted(digests)
+    drifted = sorted(case for case in digests if digests[case] != golden[case])
+    assert not drifted, "image bytes drifted: %s" % ", ".join(drifted)
 
 
 def test_encoding_is_canonical_and_owner_bound(nested_program):
