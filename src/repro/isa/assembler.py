@@ -24,20 +24,28 @@ resolves every :class:`~repro.isa.operands.LabelRef` into an address —
 branch targets land in ``Instruction.target``, data references become
 immediates or memory displacements.
 
-Both passes translate each distinct instruction once.  Pass one parses
-each distinct operand text once and shares the resulting operand tuple
-between every instruction spelling it, except texts with a memory
-operand naming a label: pass two patches that operand's ``disp`` in
-place, so it stays private to its instruction.  Pass two computes the
-length and resolution shape once per distinct ``(opcode, operands)``.
-Every memo lives and dies with its :class:`Assembler`.
+Both passes translate each distinct instruction once.  Pass one keeps
+a memo of raw source lines: a line seen before as a plain instruction
+(no label, no directive) becomes a new :class:`Instruction` sharing
+the first one's opcode and operand tuple, without being split, looked
+up or validated again.  A line seen for the first time is split with
+``str.split`` (character loops only for bracketed or signed operand
+text), and its operand text is parsed once and shared with every other
+line spelling it.  The exception is a text with a memory operand
+naming a label: pass two patches that operand's ``disp`` in place, so
+it stays private to its instruction and its line is never memoized.
+Pass two computes the length and resolution shape once per distinct
+``(opcode, operands)``, finding it by the identity of the operand
+tuple first and by value only on a miss, and resolves each distinct
+label-bearing operand tuple once.  Every memo lives and dies with its
+:class:`Assembler`.
 """
 
 import re
 
 from repro.errors import AssemblerError
 from repro.isa.encoding import instruction_length
-from repro.isa.instructions import Instruction, OPCODES
+from repro.isa.instructions import OPCODES, Instruction, is_direct_branch
 from repro.isa.operands import Imm, LabelRef, Mem, Reg
 from repro.isa.program import DEFAULT_BASE, Program
 from repro.isa.registers import is_register_name, register_index
@@ -49,6 +57,9 @@ _IDENT_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
 #: Sentinel displacement used for not-yet-resolved label displacements so
 #: pass-one layout reserves a full disp32.
 _PENDING_DISP = 0x7FFFFFFF
+
+#: Pass-two patch flags of an instruction shape.
+_RESOLVE, _DIRECT = 1, 2
 
 
 def _parse_number(text):
@@ -85,27 +96,49 @@ class Assembler:
         self.base = None
         self.entry_label = None
         self.instructions = []
+        self.line_numbers = []  # source line of each instruction
         self.labels = {}
         self.pending_labels = []
         self.mem_fixups = []
         self.data_items = []  # (kind, payload, line) in layout order
         self.in_data = False
         self._operand_memo = {}  # label-free operand text -> operand tuple
+        self._line_memo = {}  # plain instruction line -> (opcode, operands)
 
     # ------------------------------------------------------------------
     # pass one: parsing
     # ------------------------------------------------------------------
 
     def feed(self, source):
+        line_memo = self._line_memo
+        instructions = self.instructions
+        line_numbers = self.line_numbers
+        new = Instruction.__new__
         for line_number, raw in enumerate(source.splitlines(), start=1):
-            line = _strip_comment(raw)
-            if not line:
+            known = line_memo.get(raw)
+            if known is not None and not self.in_data:
+                instruction = new(Instruction)
+                instruction.opcode, instruction.operands = known
+                instruction.addr = instruction.length = None
+                instruction.target = None
+                if self.pending_labels:
+                    self._bind_pending_labels()
+                instructions.append(instruction)
+                line_numbers.append(line_number)
                 continue
-            self._feed_line(line, line_number)
+            if ";" in raw or "#" in raw:
+                line = _strip_comment(raw)
+            else:
+                line = raw.strip()
+            if line:
+                self._feed_line(line, line_number, raw)
 
-    def _feed_line(self, line, line_number):
-        match = _LABEL_RE.match(line)
-        if match and not self._looks_like_mem_tail(line):
+    def _feed_line(self, line, line_number, raw=None):
+        """Parse one comment-free line; ``raw`` is its source text when
+        the whole line is this text, so an instruction can be memoized
+        under it."""
+        match = _LABEL_RE.match(line) if ":" in line else None
+        if match:
             name, rest = match.group(1), match.group(2).strip()
             self._define_label(name, line_number)
             if rest:
@@ -118,15 +151,7 @@ class Assembler:
             raise AssemblerError(
                 "instruction %r inside .data section" % line, line_number
             )
-        self._instruction(line, line_number)
-
-    @staticmethod
-    def _looks_like_mem_tail(line):
-        # "mov eax, [esi+4]" must not be mistaken for a label because of
-        # the ':' ... there is no ':' in operands, so any line whose head
-        # matches the label regex is genuinely a label.  Kept as a hook
-        # should operand syntax ever grow a ':'.
-        return False
+        self._instruction(line, line_number, raw)
 
     def _define_label(self, name, line_number):
         if name in self.labels or name in (pending for pending, _ in self.pending_labels):
@@ -135,6 +160,13 @@ class Assembler:
             self.data_items.append(("label", name, line_number))
         else:
             self.pending_labels.append((name, line_number))
+
+    def _bind_pending_labels(self):
+        """Point the labels seen since the last instruction at the next
+        one (an index; pass two turns it into an address)."""
+        for name, _declared_line in self.pending_labels:
+            self.labels[name] = len(self.instructions)
+        self.pending_labels = []
 
     def _directive(self, line, line_number):
         parts = line.split(None, 1)
@@ -165,9 +197,10 @@ class Assembler:
         else:
             raise AssemblerError("unknown directive %r" % name, line_number)
 
-    def _instruction(self, line, line_number):
-        mnemonic, _, operand_text = line.partition(" ")
-        mnemonic = mnemonic.lower()
+    def _instruction(self, line, line_number, raw=None):
+        parts = line.split(None, 1)
+        mnemonic = parts[0].lower()
+        operand_text = parts[1] if len(parts) > 1 else ""
         if mnemonic == "rep":
             rest = operand_text.strip().lower()
             mnemonic = "rep_" + rest
@@ -175,50 +208,55 @@ class Assembler:
         if mnemonic not in OPCODES:
             raise AssemblerError("unknown opcode %r" % mnemonic, line_number)
         operands = self._operand_memo.get(operand_text)
+        shared = True
         if operands is None:
             n_fixups = len(self.mem_fixups)
             operands = self._parse_operands(operand_text, line_number)
-            if len(self.mem_fixups) == n_fixups:
+            shared = len(self.mem_fixups) == n_fixups
+            if shared:
                 self._operand_memo[operand_text] = operands
         try:
             instruction = Instruction(mnemonic, operands)
         except AssemblerError as error:
             raise AssemblerError(str(error), line_number) from None
-        for name, declared_line in self.pending_labels:
-            self.labels[name] = len(self.instructions)  # index; addr later
-        self.pending_labels = []
-        self.instructions.append((instruction, line_number))
+        if shared and raw is not None:
+            self._line_memo[raw] = (mnemonic, operands)
+        if self.pending_labels:
+            self._bind_pending_labels()
+        self.instructions.append(instruction)
+        self.line_numbers.append(line_number)
 
     def _parse_operands(self, text, line_number):
         text = text.strip()
         if not text:
             return ()
-        operands = []
-        for piece in self._split_operands(text, line_number):
-            operands.append(self._parse_operand(piece, line_number))
-        return tuple(operands)
+        return tuple(self._parse_operand(piece, line_number)
+                     for piece in self._split_operands(text, line_number))
 
     @staticmethod
     def _split_operands(text, line_number):
-        pieces = []
-        depth = 0
-        current = []
-        for char in text:
-            if char == "[":
-                depth += 1
-            elif char == "]":
-                depth -= 1
-                if depth < 0:
-                    raise AssemblerError("unbalanced ']'", line_number)
-            if char == "," and depth == 0:
-                pieces.append("".join(current).strip())
-                current = []
-            else:
-                current.append(char)
-        if depth != 0:
-            raise AssemblerError("unbalanced '['", line_number)
-        pieces.append("".join(current).strip())
-        return [piece for piece in pieces if piece]
+        if "[" in text or "]" in text:
+            pieces = []
+            depth = 0
+            start = 0
+            for position, char in enumerate(text):
+                if char == "[":
+                    depth += 1
+                elif char == "]":
+                    depth -= 1
+                    if depth < 0:
+                        raise AssemblerError("unbalanced ']'", line_number)
+                elif char == "," and depth == 0:
+                    pieces.append(text[start:position].strip())
+                    start = position + 1
+            if depth != 0:
+                raise AssemblerError("unbalanced '['", line_number)
+            pieces.append(text[start:].strip())
+        else:
+            pieces = [piece.strip() for piece in text.split(",")]
+        if "" in pieces:
+            raise AssemblerError("empty operand in %r" % text, line_number)
+        return pieces
 
     def _parse_operand(self, text, line_number):
         if text.startswith("["):
@@ -285,21 +323,26 @@ class Assembler:
     def _terms(inner, line_number):
         if not inner:
             raise AssemblerError("empty memory operand", line_number)
-        terms = []
-        sign = 1
-        current = []
-        for char in inner:
-            if char in "+-":
-                if current:
-                    terms.append((sign, "".join(current).strip()))
-                    current = []
-                    sign = 1 if char == "+" else -1
-                elif char == "-":
-                    sign = -sign
-            else:
-                current.append(char)
-        if current:
-            terms.append((sign, "".join(current).strip()))
+        if "-" not in inner:
+            # Only additions: empty pieces come from a leading, trailing
+            # or doubled '+', which the signed loop below skips as well.
+            terms = [(1, piece.strip()) for piece in inner.split("+") if piece]
+        else:
+            terms = []
+            sign = 1
+            current = []
+            for char in inner:
+                if char in "+-":
+                    if current:
+                        terms.append((sign, "".join(current).strip()))
+                        current = []
+                        sign = 1 if char == "+" else -1
+                    elif char == "-":
+                        sign = -sign
+                else:
+                    current.append(char)
+            if current:
+                terms.append((sign, "".join(current).strip()))
         if not terms:
             raise AssemblerError("empty memory operand", line_number)
         return terms
@@ -311,23 +354,31 @@ class Assembler:
     def finish(self, source=None):
         base = self.base if self.base is not None else DEFAULT_BASE
 
-        shapes = {}  # (opcode, operands) -> (length, has_label_ref, direct)
-        instruction_shapes = []
+        instructions = self.instructions
+        shapes = {}  # (opcode, id(operands)) -> (length, patch)
+        value_shapes = {}  # (opcode, operands) -> (length, patch)
+        patches = []  # (position, patch) wherever patch is not 0
         addr = base
-        for instruction, _line in self.instructions:
-            key = (instruction.opcode, instruction.operands)
-            shape = shapes.get(key)
+        for position, instruction in enumerate(instructions):
+            opcode = instruction.opcode
+            operands = instruction.operands
+            shape = shapes.get((opcode, id(operands)))
             if shape is None:
-                shape = shapes[key] = self._shape(instruction)
+                shape = value_shapes.get((opcode, operands))
+                if shape is None:
+                    shape = value_shapes[opcode, operands] = self._shape(
+                        instruction)
+                shapes[opcode, id(operands)] = shape
             instruction.addr = addr
             instruction.length = shape[0]
-            instruction_shapes.append(shape)
+            if shape[1]:
+                patches.append((position, shape[1]))
             addr += shape[0]
         code_end = addr
         label_addrs = {}
         for name, position in self.labels.items():
-            if position < len(self.instructions):
-                label_addrs[name] = self.instructions[position][0].addr
+            if position < len(instructions):
+                label_addrs[name] = instructions[position].addr
             else:
                 label_addrs[name] = code_end
         for name, _line in self.pending_labels:
@@ -368,15 +419,20 @@ class Assembler:
         for fixup in self.mem_fixups:
             fixup.resolve(label_addrs)
 
-        instructions = []
-        for (instruction, line_number), (_length, has_label_ref, direct) in zip(
-                self.instructions, instruction_shapes):
-            if has_label_ref:
-                instruction.operands = self._resolve_operands(
-                    instruction.operands, label_addrs, line_number)
-            if direct:
+        resolved = {}  # id(operands) -> (operands, resolved operands)
+        for position, patch in patches:
+            instruction = instructions[position]
+            if patch & _RESOLVE:
+                operands = instruction.operands
+                known = resolved.get(id(operands))
+                if known is None:
+                    known = resolved[id(operands)] = (
+                        operands, self._resolve_operands(
+                            operands, label_addrs,
+                            self.line_numbers[position]))
+                instruction.operands = known[1]
+            if patch & _DIRECT:
                 instruction.target = instruction.operands[0].value & 0xFFFFFFFF
-            instructions.append(instruction)
 
         if self.entry_label is not None:
             if self.entry_label not in label_addrs:
@@ -397,16 +453,18 @@ class Assembler:
 
     @staticmethod
     def _shape(instruction):
-        """``(length, has_label_ref, direct)`` of one distinct instruction;
-        ``direct`` marks a branch whose target is its resolved operand."""
-        has_label_ref = any(
-            isinstance(operand, LabelRef) for operand in instruction.operands
-        )
-        direct = (instruction.is_control and not instruction.is_indirect
-                  and instruction.opcode != "ret"
-                  and instruction.opcode != "hlt")
+        """``(length, patch)`` of one distinct instruction; ``patch`` has
+        :data:`_RESOLVE` set when an operand is a label reference and
+        :data:`_DIRECT` for a branch whose target is its resolved
+        operand."""
+        patch = 0
+        if any(isinstance(operand, LabelRef)
+               for operand in instruction.operands):
+            patch |= _RESOLVE
+        if is_direct_branch(instruction.opcode, instruction.operands):
+            patch |= _DIRECT
         return (instruction_length(instruction.opcode, instruction.operands),
-                has_label_ref, direct)
+                patch)
 
     @staticmethod
     def _resolve_operands(operands, label_addrs, line_number):

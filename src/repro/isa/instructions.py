@@ -12,7 +12,7 @@ its address once laid out, and its control-flow role.  The interpreter in
 """
 
 from repro.errors import AssemblerError
-from repro.isa.operands import Imm, LabelRef, Mem, Reg
+from repro.isa.operands import Imm, Mem, Reg
 
 #: Condition codes accepted after ``j`` (e.g. ``jnz``), matching IA-32.
 CONDITION_CODES = ("z", "nz", "l", "le", "g", "ge", "b", "be", "a", "ae", "s", "ns")
@@ -80,6 +80,17 @@ def _specs():
 OPCODES = _specs()
 
 _CONTROL_KINDS = frozenset(("jmp", "jcc", "call", "ret"))
+
+
+def is_direct_branch(opcode, operands):
+    """True for a control transfer whose target is its operand: every
+    ``jcc``, and ``jmp``/``call`` through an immediate or a label.  The
+    assembler resolves such a branch's ``target`` from that operand."""
+    kind = OPCODES[opcode].kind
+    if kind == "jcc":
+        return True
+    return ((kind == "jmp" or kind == "call")
+            and not isinstance(operands[0], (Reg, Mem)))
 
 
 class Instruction:
@@ -173,12 +184,8 @@ class Instruction:
         name = self.opcode.replace("rep_", "rep ")
         if not self.operands:
             return name
-        rendered = []
-        for operand in self.operands:
-            if isinstance(operand, Imm) and self.is_control:
-                rendered.append("%#x" % (operand.value & 0xFFFFFFFF,))
-            elif isinstance(operand, LabelRef):
-                rendered.append(operand.name)
-            else:
-                rendered.append(str(operand))
+        control = self.is_control
+        rendered = ["%#x" % (operand.value & 0xFFFFFFFF)
+                    if control and isinstance(operand, Imm) else str(operand)
+                    for operand in self.operands]
         return "%s %s" % (name, ", ".join(rendered))

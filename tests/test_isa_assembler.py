@@ -201,6 +201,16 @@ def test_rep_prefix_parsing():
     assert program.instructions[0].is_rep
 
 
+def test_mnemonic_ends_at_any_whitespace():
+    spaced = assemble("main:\n    mov eax, 1\n    rep movsd\n    hlt")
+    tabbed = assemble("main:\n\tmov\teax, 1\n\trep\tmovsd\n\thlt")
+    wide = assemble("main:\n    mov  \t eax, 1\n    rep \t movsd\n    hlt")
+    for program in (tabbed, wide):
+        assert program.content_digest() == spaced.content_digest()
+    assert tabbed.instructions[0].operands == (Reg(0), Imm(1))
+    assert tabbed.instructions[1].opcode == "rep_movsd"
+
+
 def test_entry_directive():
     program = assemble("""
 .entry start
@@ -263,6 +273,47 @@ buf: .word 1, 2, 3
     assert mems[1].disp == buf + 4
 
 
+def test_repeated_line_is_parsed_once():
+    program = assemble("""
+main:
+    mov eax, [ebx+4]
+    add eax, 1
+    mov eax, [ebx+4]
+    add eax, 1
+    hlt
+""")
+    first, add, second, add_again, _ = program.instructions
+    assert first is not second
+    assert (first.opcode, first.operands) == (second.opcode, second.operands)
+    assert first.operands is second.operands
+    assert add.operands is add_again.operands
+    assert second.length == first.length
+    assert second.addr == add.addr + add.length
+    assert add_again.addr == second.addr + second.length
+
+
+def test_repeated_line_inside_data_is_still_refused():
+    with pytest.raises(AssemblerError) as excinfo:
+        assemble("main:\n    nop\n.data\n    nop")
+    assert "inside .data" in str(excinfo.value)
+    assert "line 4" in str(excinfo.value)
+
+
+def test_label_before_a_repeated_line_binds_to_it():
+    program = assemble("main:\n    add eax, 1\nagain:\n    add eax, 1\n"
+                       "    jmp again")
+    assert program.label_addr("again") == program.instructions[1].addr
+    assert program.instructions[2].target == program.instructions[1].addr
+
+
+def test_label_branches_share_one_resolved_operand_tuple():
+    program = assemble("main:\n    jnz main\n    jz main\n    jmp main")
+    operands = [instr.operands for instr in program]
+    assert operands[0] is operands[1] is operands[2]
+    assert operands[0] == (Imm(program.base),)
+    assert all(instr.target == program.base for instr in program)
+
+
 @pytest.mark.parametrize("source,fragment", [
     # Same operand text as the valid line 2, wrong arity for ``inc``.
     ("main:\n    add eax, 1\n    inc eax, 1", "takes 1 operand"),
@@ -292,11 +343,42 @@ def test_malformed_repeat_of_valid_text_reports_its_own_line(source,
     (".data\n    nop", "inside .data"),
     ("main:\n    mov eax, [ebx+ecx+edx]", "too many registers"),
     (".unknown 3", "unknown directive"),
+    ("main:\n    mov eax,,1", "empty operand"),
+    ("main:\n    push ,eax", "empty operand"),
+    ("main:\n    mov eax, 1,", "empty operand"),
+    ("main:\n    mov [ebx+4],,eax", "empty operand"),
+    ("main:\n    mov eax, [ebx+4", "unbalanced '['"),
+    ("main:\n    mov eax, ebx+4]", "unbalanced ']'"),
+    ("main:\n    mov eax, [ebx + + 4]", "cannot parse ''"),
+    ("main:\n    mov eax, [+]", "empty memory operand"),
 ])
 def test_assembler_error_messages(source, fragment):
     with pytest.raises(AssemblerError) as excinfo:
         assemble(source)
     assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize("source", [
+    "main:\n    nop\n    mov eax,,1",
+    "main:\n    nop\n    push ,eax",
+])
+def test_empty_operand_reports_its_line(source):
+    with pytest.raises(AssemblerError) as excinfo:
+        assemble(source)
+    assert "line 3" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("[ebx+4]", Mem(base=1, disp=4)),
+    ("[+ebx++4+]", Mem(base=1, disp=4)),
+    ("[ ebx + ecx*4 + 8 ]", Mem(base=1, index=2, scale=4, disp=8)),
+    ("[ebx-4]", Mem(base=1, disp=-4)),
+    ("[ebx+-4]", Mem(base=1, disp=-4)),
+    ("[--8]", Mem(disp=8)),
+])
+def test_memory_terms_split_the_same_with_or_without_signs(text, expected):
+    program = assemble("main:\n    mov eax, %s\n    hlt" % text)
+    assert program.instructions[0].operands[1] == expected
 
 
 def test_assembler_errors_carry_line_numbers():
