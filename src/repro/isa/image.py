@@ -40,9 +40,11 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import accumulate
+from operator import attrgetter
 
 from repro.errors import ReproError, SerializationError
-from repro.isa.instructions import OPCODES, Instruction
+from repro.isa.instructions import OPCODES, Instruction, is_direct_branch
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.program import Program
 
@@ -59,6 +61,10 @@ _SLOTS = 2
 #: Ints per row of the ``shapes`` lane.
 SHAPE_FIELDS = 1 + 5 * _SLOTS
 _REG, _IMM, _MEM = 1, 2, 3
+
+_addr = attrgetter("addr")
+_length = attrgetter("length")
+_target = attrgetter("target")
 
 #: magic, version, reserved, owner key, program digest, base, entry,
 #: n_shapes, n_instructions, n_labels, n_data, names bytes, crc32,
@@ -166,10 +172,18 @@ def _operand_fields(operand):
     raise SerializationError("operand %r has no image encoding" % (operand,))
 
 
-def _direct(instruction):
-    """True for a branch whose target is its (immediate) operand."""
-    return (instruction.is_control and not instruction.is_indirect
-            and instruction.opcode != "ret" and instruction.opcode != "hlt")
+def _refuse_layout(instructions, addrs, targets):
+    """Raise for the first instruction that is not at ``addrs[i]`` or
+    whose target is not ``targets[i]``."""
+    for instr, addr, target in zip(instructions, addrs, targets):
+        if instr.addr != addr:
+            raise SerializationError(
+                "instruction at %#x does not follow the one before it "
+                "(expected %#x)" % (instr.addr, addr))
+        if instr.target != target:
+            raise SerializationError(
+                "branch at %#x targets %r, not its operand" % (addr,
+                                                              instr.target))
 
 
 def encode_image(program, owner):
@@ -180,33 +194,36 @@ def encode_image(program, owner):
     hold: instructions not laid out back to back from ``base``, or a
     branch target other than the one the assembler resolves.
     """
-    shapes = {}         # (opcode, operands) -> (row index, direct)
+    instructions = program.instructions
+    shapes = {}         # (opcode, id(operands)) -> (row index, target)
+    value_shapes = {}   # (opcode, operands) -> (row index, target)
     rows = []
     shape_of = []
-    lengths = []
-    addr = program.base
-    for instr in program.instructions:
-        if instr.addr != addr:
-            raise SerializationError(
-                "instruction at %#x does not follow the one before it "
-                "(expected %#x)" % (instr.addr, addr))
-        key = (instr.opcode, instr.operands)
-        shape = shapes.get(key)
+    targets = []
+    for instr in instructions:
+        opcode = instr.opcode
+        operands = instr.operands
+        shape = shapes.get((opcode, id(operands)))
         if shape is None:
-            shape = shapes[key] = (len(shapes), _direct(instr))
-            rows.append(_OPCODE_IDS[instr.opcode])
-            for slot in range(_SLOTS):
-                rows.extend(_operand_fields(instr.operands[slot])
-                            if slot < len(instr.operands) else (0,) * 5)
-        row, direct = shape
-        want = instr.operands[0].value & 0xFFFFFFFF if direct else None
-        if instr.target != want:
-            raise SerializationError(
-                "branch at %#x targets %r, not its operand" % (addr,
-                                                              instr.target))
-        shape_of.append(row)
-        lengths.append(instr.length)
-        addr += instr.length
+            shape = value_shapes.get((opcode, operands))
+            if shape is None:
+                shape = value_shapes[opcode, operands] = (
+                    len(value_shapes),
+                    operands[0].value & 0xFFFFFFFF
+                    if is_direct_branch(opcode, operands) else None)
+                rows.append(_OPCODE_IDS[opcode])
+                for slot in range(_SLOTS):
+                    rows.extend(_operand_fields(operands[slot])
+                                if slot < len(operands) else (0,) * 5)
+            shapes[opcode, id(operands)] = shape
+        shape_of.append(shape[0])
+        targets.append(shape[1])
+    lengths = list(map(_length, instructions))
+    addrs = list(map(_addr, instructions))
+    expected = list(accumulate(lengths, initial=program.base))
+    if addrs != expected[:-1] or targets != list(map(_target,
+                                                       instructions)):
+        _refuse_layout(instructions, expected, targets)
     if any("\n" in name for name in program.labels):
         raise SerializationError("a label name holds a newline")
     names = "\n".join(program.labels).encode("utf-8")
@@ -221,7 +238,7 @@ def encode_image(program, owner):
     header = _HEADER.pack(
         IMAGE_MAGIC, IMAGE_VERSION, 0, bytes.fromhex(owner),
         bytes.fromhex(program.content_digest()), program.base,
-        program.entry, len(shapes), len(shape_of), len(program.labels),
+        program.entry, len(value_shapes), len(shape_of), len(program.labels),
         len(program.data), len(names), 0, 0)
     image = bytearray(header + body)
     struct.pack_into("<I", image, _CRC_OFFSET, image_crc(image))
@@ -240,21 +257,24 @@ def _operand(kind, a, b, c, d):
 
 
 def _table(rows):
-    """``(opcode, operands, direct)`` per shape row."""
+    """``(opcode, operands, target)`` per shape row; ``target`` is the
+    branch target of a direct branch, else ``None``."""
     table = []
     for first in range(0, len(rows), SHAPE_FIELDS):
         opcode_id = rows[first]
         if not 0 <= opcode_id < len(_OPCODE_NAMES):
             raise SerializationError("unknown opcode index %d" % opcode_id)
         opcode = _OPCODE_NAMES[opcode_id]
-        arity = OPCODES[opcode].arity
         operands = tuple(
             _operand(*rows[first + 1 + 5 * slot:first + 6 + 5 * slot])
-            for slot in range(arity))
-        direct = _direct(Instruction(opcode, operands))
-        if direct and not isinstance(operands[0], Imm):
-            raise SerializationError("%s needs an immediate target" % opcode)
-        table.append((opcode, operands, direct))
+            for slot in range(OPCODES[opcode].arity))
+        target = None
+        if is_direct_branch(opcode, operands):
+            if not isinstance(operands[0], Imm):
+                raise SerializationError("%s needs an immediate target"
+                                         % opcode)
+            target = operands[0].value & 0xFFFFFFFF
+        table.append((opcode, operands, target))
     return table
 
 
@@ -264,8 +284,9 @@ def decode_image(data, owner=None):
     Checks the envelope, the CRC, that the image belongs to ``owner``
     (when given) and that the decoded program's content digest equals
     the header's; raises :class:`SerializationError` naming the first
-    problem.  Instructions are built once per image row without
-    re-validating each one; the program's ``source`` is ``None``.
+    problem.  Each image row is decoded and validated once, and its
+    instructions share the row's operand tuple, so the digest check
+    renders each row once; the program's ``source`` is ``None``.
     """
     header = ImageHeader.parse(data)
     crc = image_crc(data)
@@ -293,18 +314,15 @@ def decode_image(data, owner=None):
         instructions = []
         append = instructions.append
         new = Instruction.__new__
-        addr = header.base
-        for row, length in zip(lanes["shape_of"], lanes["lengths"]):
-            opcode, operands, direct = table[row]
+        lengths = lanes["lengths"]
+        for row, length, addr in zip(lanes["shape_of"], lengths,
+                                     accumulate(lengths,
+                                                initial=header.base)):
             instr = new(Instruction)
-            instr.opcode = opcode
-            instr.operands = operands
+            instr.opcode, instr.operands, instr.target = table[row]
             instr.addr = addr
             instr.length = length
-            instr.target = (operands[0].value & 0xFFFFFFFF if direct
-                            else None)
             append(instr)
-            addr += length
         words = lanes["data"]
         program = Program(
             instructions,

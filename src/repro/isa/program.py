@@ -12,6 +12,7 @@ memory before execution.
 """
 
 import hashlib
+from operator import attrgetter
 
 from repro.errors import ExecutionError
 
@@ -20,6 +21,9 @@ DEFAULT_BASE = 0x08048000
 
 #: Default stack pointer on entry (grows down).
 DEFAULT_STACK_TOP = 0x0BFFF000
+
+_addr = attrgetter("addr")
+_length = attrgetter("length")
 
 
 class Program:
@@ -48,7 +52,8 @@ class Program:
         self.entry = entry
         self.data = dict(data or {})
         self.source = source
-        self._by_addr = {instr.addr: instr for instr in self.instructions}
+        self._by_addr = dict(zip(map(_addr, self.instructions),
+                                 self.instructions))
         self._digest = None
         if self.instructions:
             last = self.instructions[-1]
@@ -83,16 +88,24 @@ class Program:
         Keys recorded execution streams (:mod:`repro.cpu.stream`).
         """
         if self._digest is None:
-            lines = ["SX86-PROGRAM 1 %x %x" % (self.base, self.entry)]
-            assembly = {}  # (opcode, operands) -> rendered text
+            # Each instruction is rendered once per distinct opcode and
+            # operand tuple identity; repeats of a source line share one
+            # tuple, and rendering a text again costs less than hashing
+            # its operands by value.  The lines are then formatted in
+            # one bulk pass.
+            texts = {}  # (opcode, id(operands)) -> rendered assembly
+            rendered = []
             for instr in self.instructions:
-                key = (instr.opcode, instr.operands)
-                text = assembly.get(key)
+                text = texts.get((instr.opcode, id(instr.operands)))
                 if text is None:
-                    text = assembly[key] = instr.to_assembly()
-                lines.append("%x %d %s" % (instr.addr, instr.length, text))
-            lines.extend("%x=%d" % (addr, self.data[addr])
-                         for addr in sorted(self.data))
+                    text = texts[instr.opcode, id(instr.operands)] = (
+                        instr.to_assembly())
+                rendered.append(text)
+            lines = ["SX86-PROGRAM 1 %x %x" % (self.base, self.entry)]
+            lines.extend(map("%x %d %s".__mod__, zip(
+                map(_addr, self.instructions),
+                map(_length, self.instructions), rendered)))
+            lines.extend(map("%x=%d".__mod__, sorted(self.data.items())))
             text = "\n".join(lines).encode("utf-8")
             self._digest = hashlib.sha256(text).hexdigest()
         return self._digest
