@@ -4,6 +4,12 @@ Classic pytest-benchmark timing (multiple rounds) of the pieces whose
 speed bounds every experiment: the interpreter, StarDBT, the B+ tree
 probe, the replayer's step function, and Algorithm 1 construction.
 
+The SX86 front end is timed on the ``ingest`` workload's program
+(176.gcc at scale 0.3), one never assembled or encoded before in every
+round: the assembler over the generated source, and the program image
+round trip the service's write path makes (encode with the content
+digest, then decode with the digest check).
+
 The interpreter appears twice.  The hot 20,000-iteration loop reuses
 each translated block thousands of times, so translation is free there.
 The ingest-shaped case records a program no executor has run before in
@@ -35,6 +41,7 @@ from repro.core import CompiledTea, ReplayConfig, TeaReplayer, build_tea
 from repro.cpu import ExecutionStream, Executor
 from repro.dbt import StarDBT
 from repro.isa import assemble
+from repro.isa.image import decode_image, encode_image
 from repro.pin import Pin, TeaReplayTool
 from repro.service.__main__ import main as service_main
 from repro.service.server import TeaService
@@ -70,6 +77,29 @@ def test_executor_with_events(benchmark):
 
     result = benchmark(run)
     assert result.halted
+
+
+def test_assemble_fresh_ingest_program(benchmark):
+    source = load_benchmark("176.gcc", scale=0.3).program.source
+    program = benchmark(assemble, source)
+    assert program.content_digest() == assemble(source).content_digest()
+
+
+def test_image_round_trip_fresh_ingest_program(benchmark):
+    source = load_benchmark("176.gcc", scale=0.3).program.source
+    owner = "5e" * 32
+
+    def fresh_program():
+        return (assemble(source),), {}
+
+    def round_trip(program):
+        return program, decode_image(encode_image(program, owner),
+                                     owner=owner)
+
+    program, decoded = benchmark.pedantic(round_trip, setup=fresh_program,
+                                          rounds=10)
+    assert decoded.content_digest() == program.content_digest()
+    assert len(decoded) == len(program)
 
 
 def test_record_fresh_ingest_program(benchmark):
