@@ -18,27 +18,29 @@ Syntax (a pragmatic subset of Intel syntax)::
     buffer: .zero 16     ; sixteen zero words
     answer: .word 42
 
-Pass one parses instructions, lays out code from the base address and
-records label addresses (data follows code, 16-byte aligned).  Pass two
-resolves every :class:`~repro.isa.operands.LabelRef` into an address —
-branch targets land in ``Instruction.target``, data references become
-immediates or memory displacements.
+Pass one parses instructions and records which instruction each label
+precedes.  Pass two lays out code from the base address (data follows
+code, 16-byte aligned) and resolves every
+:class:`~repro.isa.operands.LabelRef` into an address — branch targets
+land in ``Instruction.target``, data references become immediates or
+memory displacements.
 
-Both passes translate each distinct instruction once.  Pass one keeps
-a memo of raw source lines: a line seen before as a plain instruction
-(no label, no directive) becomes a new :class:`Instruction` sharing
-the first one's opcode and operand tuple, without being split, looked
-up or validated again.  A line seen for the first time is split with
-``str.split`` (character loops only for bracketed or signed operand
-text), and its operand text is parsed once and shared with every other
-line spelling it.  The exception is a text with a memory operand
-naming a label: pass two patches that operand's ``disp`` in place, so
-it stays private to its instruction and its line is never memoized.
-Pass two computes the length and resolution shape once per distinct
-``(opcode, operands)``, finding it by the identity of the operand
-tuple first and by value only on a miss, and resolves each distinct
-label-bearing operand tuple once.  Every memo lives and dies with its
-:class:`Assembler`.
+Both passes do their work once per distinct source line.  Pass one
+keeps a memo of raw lines: a line seen before as an instruction (no
+label, no directive) becomes a new :class:`Instruction`, built through
+``Instruction.__new__``, that shares the first one's opcode and operand
+tuple and its shape (byte length, and what pass two must patch)
+without being split, looked up or validated again.  A line seen for
+the first time is split with ``str.split`` (character loops only for
+bracketed or signed operand text), and its operand text is parsed once
+and shared with every other line spelling it.  A memory operand naming
+a label stays private: pass two patches its ``disp`` in place, so each
+instruction gets its own ``Mem``, and a repeat of such a line copies
+the first parse's registers and scale into a fresh one.  Pass two lays
+out every instruction from the shape its line carries, visits again
+only those needing a label resolved or a branch target set, and
+resolves each distinct label-bearing operand tuple once.  Every memo
+lives and dies with its :class:`Assembler`.
 """
 
 import re
@@ -97,13 +99,15 @@ class Assembler:
         self.entry_label = None
         self.instructions = []
         self.line_numbers = []  # source line of each instruction
+        self.shapes = []  # (length, patch) of each instruction
         self.labels = {}
         self.pending_labels = []
         self.mem_fixups = []
         self.data_items = []  # (kind, payload, line) in layout order
         self.in_data = False
         self._operand_memo = {}  # label-free operand text -> operand tuple
-        self._line_memo = {}  # plain instruction line -> (opcode, operands)
+        # instruction line -> (opcode, operands, label fixups, shape)
+        self._line_memo = {}
 
     # ------------------------------------------------------------------
     # pass one: parsing
@@ -113,18 +117,25 @@ class Assembler:
         line_memo = self._line_memo
         instructions = self.instructions
         line_numbers = self.line_numbers
+        shapes = self.shapes
         new = Instruction.__new__
         for line_number, raw in enumerate(source.splitlines(), start=1):
             known = line_memo.get(raw)
             if known is not None and not self.in_data:
+                opcode, operands, fixups, shape = known
+                if fixups is not None:
+                    operands = self._private_operands(operands, fixups,
+                                                      line_number)
                 instruction = new(Instruction)
-                instruction.opcode, instruction.operands = known
+                instruction.opcode = opcode
+                instruction.operands = operands
                 instruction.addr = instruction.length = None
                 instruction.target = None
                 if self.pending_labels:
                     self._bind_pending_labels()
                 instructions.append(instruction)
                 line_numbers.append(line_number)
+                shapes.append(shape)
                 continue
             if ";" in raw or "#" in raw:
                 line = _strip_comment(raw)
@@ -208,30 +219,52 @@ class Assembler:
         if mnemonic not in OPCODES:
             raise AssemblerError("unknown opcode %r" % mnemonic, line_number)
         operands = self._operand_memo.get(operand_text)
-        shared = True
+        fixups = None
         if operands is None:
             n_fixups = len(self.mem_fixups)
             operands = self._parse_operands(operand_text, line_number)
-            shared = len(self.mem_fixups) == n_fixups
-            if shared:
+            if len(self.mem_fixups) == n_fixups:
                 self._operand_memo[operand_text] = operands
+            else:
+                fixups = tuple(
+                    (next(slot for slot, operand in enumerate(operands)
+                          if operand is fixup.mem),
+                     fixup.label, fixup.extra_disp)
+                    for fixup in self.mem_fixups[n_fixups:])
         try:
             instruction = Instruction(mnemonic, operands)
         except AssemblerError as error:
             raise AssemblerError(str(error), line_number) from None
-        if shared and raw is not None:
-            self._line_memo[raw] = (mnemonic, operands)
+        shape = self._shape(instruction)
+        if raw is not None:
+            self._line_memo[raw] = (mnemonic, operands, fixups, shape)
+        self.shapes.append(shape)
         if self.pending_labels:
             self._bind_pending_labels()
         self.instructions.append(instruction)
         self.line_numbers.append(line_number)
 
+    def _private_operands(self, operands, fixups, line_number):
+        """A copy of a label-bearing operand tuple for a repeated line:
+        each ``(slot, label, extra_disp)`` in ``fixups`` gets a fresh
+        ``Mem`` with the first parse's registers and scale, and its own
+        fixup for pass two to patch."""
+        operands = list(operands)
+        for slot, label, extra_disp in fixups:
+            first = operands[slot]
+            mem = Mem(base=first.base, index=first.index, scale=first.scale,
+                      disp=_PENDING_DISP)
+            self.mem_fixups.append(
+                _MemFixup(mem, label, extra_disp, line_number))
+            operands[slot] = mem
+        return tuple(operands)
+
     def _parse_operands(self, text, line_number):
         text = text.strip()
         if not text:
             return ()
-        return tuple(self._parse_operand(piece, line_number)
-                     for piece in self._split_operands(text, line_number))
+        return tuple([self._parse_operand(piece, line_number)
+                      for piece in self._split_operands(text, line_number)])
 
     @staticmethod
     def _split_operands(text, line_number):
@@ -355,25 +388,15 @@ class Assembler:
         base = self.base if self.base is not None else DEFAULT_BASE
 
         instructions = self.instructions
-        shapes = {}  # (opcode, id(operands)) -> (length, patch)
-        value_shapes = {}  # (opcode, operands) -> (length, patch)
         patches = []  # (position, patch) wherever patch is not 0
         addr = base
-        for position, instruction in enumerate(instructions):
-            opcode = instruction.opcode
-            operands = instruction.operands
-            shape = shapes.get((opcode, id(operands)))
-            if shape is None:
-                shape = value_shapes.get((opcode, operands))
-                if shape is None:
-                    shape = value_shapes[opcode, operands] = self._shape(
-                        instruction)
-                shapes[opcode, id(operands)] = shape
+        for position, (instruction, (length, patch)) in enumerate(
+                zip(instructions, self.shapes)):
             instruction.addr = addr
-            instruction.length = shape[0]
-            if shape[1]:
-                patches.append((position, shape[1]))
-            addr += shape[0]
+            instruction.length = length
+            if patch:
+                patches.append((position, patch))
+            addr += length
         code_end = addr
         label_addrs = {}
         for name, position in self.labels.items():

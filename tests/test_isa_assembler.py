@@ -1,9 +1,11 @@
 """Assembler tests: syntax, layout, labels, data, diagnostics."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import AssemblerError
 from repro.isa import Imm, Mem, Reg, assemble
+from repro.isa.assembler import Assembler
 from repro.isa.program import DEFAULT_BASE
 
 
@@ -379,6 +381,72 @@ def test_empty_operand_reports_its_line(source):
 def test_memory_terms_split_the_same_with_or_without_signs(text, expected):
     program = assemble("main:\n    mov eax, %s\n    hlt" % text)
     assert program.instructions[0].operands[1] == expected
+
+
+def _reference_pieces(text):
+    """Character-loop split at top-level commas, keeping empty pieces;
+    ``None`` when the brackets do not balance."""
+    pieces, depth, current = [], 0, []
+    for char in text:
+        depth += {"[": 1, "]": -1}.get(char, 0)
+        if depth < 0:
+            return None
+        if char == "," and depth == 0:
+            pieces.append("".join(current).strip())
+            current = []
+        else:
+            current.append(char)
+    pieces.append("".join(current).strip())
+    return pieces if depth == 0 else None
+
+
+def _reference_terms(inner):
+    """Character-loop split of memory terms at signs."""
+    terms, sign, current = [], 1, []
+    for char in inner:
+        if char in "+-":
+            if current:
+                terms.append((sign, "".join(current).strip()))
+                current = []
+                sign = 1 if char == "+" else -1
+            elif char == "-":
+                sign = -sign
+        else:
+            current.append(char)
+    if current:
+        terms.append((sign, "".join(current).strip()))
+    return terms
+
+
+_OPERAND_TEXT = st.lists(st.sampled_from(
+    ["eax", "ebx", "4", "0x10", "buf", " ", ",", "[", "]", "+", "-", "*"]),
+    min_size=1, max_size=12).map("".join)
+
+
+@given(_OPERAND_TEXT)
+def test_operand_split_matches_the_character_loop(text):
+    """``str.split`` stands in for the loop on text without brackets."""
+    reference = _reference_pieces(text)
+    if reference is None:
+        with pytest.raises(AssemblerError, match="unbalanced"):
+            Assembler._split_operands(text, 1)
+    elif "" in reference:
+        with pytest.raises(AssemblerError, match="empty operand"):
+            Assembler._split_operands(text, 1)
+    else:
+        assert Assembler._split_operands(text, 1) == reference
+
+
+@given(_OPERAND_TEXT.filter(lambda text: "," not in text and text.strip()))
+def test_memory_terms_match_the_character_loop(inner):
+    """``str.split`` stands in for the loop on terms without a '-'."""
+    inner = inner.strip()
+    reference = _reference_terms(inner)
+    if not reference:
+        with pytest.raises(AssemblerError, match="empty memory operand"):
+            Assembler._terms(inner, 1)
+    else:
+        assert Assembler._terms(inner, 1) == reference
 
 
 def test_assembler_errors_carry_line_numbers():
