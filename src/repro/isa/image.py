@@ -172,6 +172,24 @@ def _operand_fields(operand):
     raise SerializationError("operand %r has no image encoding" % (operand,))
 
 
+def _row(opcode, operands, rows_of, rows):
+    """``(row index, target)`` of the shape row holding ``(opcode,
+    operands)``: found by the row's fields, or appended to ``rows``."""
+    fields = [_OPCODE_IDS[opcode]]
+    for slot in range(_SLOTS):
+        fields.extend(_operand_fields(operands[slot])
+                      if slot < len(operands) else (0,) * 5)
+    fields = tuple(fields)
+    shape = rows_of.get(fields)
+    if shape is None:
+        shape = rows_of[fields] = (
+            len(rows_of),
+            operands[0].value & 0xFFFFFFFF
+            if is_direct_branch(opcode, operands) else None)
+        rows.extend(fields)
+    return shape
+
+
 def _refuse_layout(instructions, addrs, targets):
     """Raise for the first instruction that is not at ``addrs[i]`` or
     whose target is not ``targets[i]``."""
@@ -196,26 +214,15 @@ def encode_image(program, owner):
     """
     instructions = program.instructions
     shapes = {}         # (opcode, id(operands)) -> (row index, target)
-    value_shapes = {}   # (opcode, operands) -> (row index, target)
+    rows_of = {}        # row fields -> (row index, target)
     rows = []
     shape_of = []
     targets = []
     for instr in instructions:
-        opcode = instr.opcode
-        operands = instr.operands
-        shape = shapes.get((opcode, id(operands)))
+        shape = shapes.get((instr.opcode, id(instr.operands)))
         if shape is None:
-            shape = value_shapes.get((opcode, operands))
-            if shape is None:
-                shape = value_shapes[opcode, operands] = (
-                    len(value_shapes),
-                    operands[0].value & 0xFFFFFFFF
-                    if is_direct_branch(opcode, operands) else None)
-                rows.append(_OPCODE_IDS[opcode])
-                for slot in range(_SLOTS):
-                    rows.extend(_operand_fields(operands[slot])
-                                if slot < len(operands) else (0,) * 5)
-            shapes[opcode, id(operands)] = shape
+            shape = _row(instr.opcode, instr.operands, rows_of, rows)
+            shapes[instr.opcode, id(instr.operands)] = shape
         shape_of.append(shape[0])
         targets.append(shape[1])
     lengths = list(map(_length, instructions))
@@ -238,7 +245,7 @@ def encode_image(program, owner):
     header = _HEADER.pack(
         IMAGE_MAGIC, IMAGE_VERSION, 0, bytes.fromhex(owner),
         bytes.fromhex(program.content_digest()), program.base,
-        program.entry, len(value_shapes), len(shape_of), len(program.labels),
+        program.entry, len(rows_of), len(shape_of), len(program.labels),
         len(program.data), len(names), 0, 0)
     image = bytearray(header + body)
     struct.pack_into("<I", image, _CRC_OFFSET, image_crc(image))
