@@ -15,9 +15,8 @@ rows cannot reorder or duplicate them unnoticed.  Regenerating it
     PYTHONPATH=src python -m pytest tests/test_program_image.py --update-golden
 """
 
+import copy
 import hashlib
-
-
 import json
 import os
 import shutil
@@ -133,6 +132,20 @@ def test_program_without_a_contiguous_layout_is_refused(nested_program):
                      base=nested_program.base)
     with pytest.raises(SerializationError, match="does not follow"):
         encode_image(gapped, OWNER)
+
+
+def test_branch_off_its_operand_is_refused(nested_program):
+    from repro.isa.program import Program
+
+    instructions = [copy.copy(instr) for instr in nested_program.instructions]
+    branch = next(instr for instr in instructions if instr.target is not None)
+    branch.target += 1
+    moved = Program(instructions, nested_program.labels,
+                    nested_program.entry, base=nested_program.base,
+                    data=nested_program.data)
+    with pytest.raises(SerializationError,
+                       match="branch at %#x targets" % branch.addr):
+        encode_image(moved, OWNER)
 
 
 # ---------------------------------------------------------------------
