@@ -16,7 +16,9 @@ The ingest-shaped case records a program no executor has run before in
 every round, the way the service's write path does, so block
 translation is paid in full and weighed against what reuse saves.
 StarDBT runs over that program's recorded stream the same way, with a
-fresh runtime (and so a fresh block index and recorder) per round.
+fresh runtime (and so a fresh block index and recorder) per round, and
+its trace set, cycles and cost breakdown must equal the program's MRET
+row of ``tests/golden/dbt_digests.json``.
 These are the two layers of the ``ingest`` end-to-end workload's write
 path that its traced run reports as ``cpu.self_s`` and ``dbt.self_s``.
 The server's load of a freshly built snapshot of that program (what its
@@ -35,6 +37,7 @@ one hands out the ones it holds.  Every round must give the same
 replay stats and cycles.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -48,7 +51,7 @@ from repro.isa.image import decode_image, encode_image
 from repro.pin import Pin, TeaReplayTool
 from repro.service.__main__ import main as service_main
 from repro.service.server import TeaService
-from repro.store import AutomatonStore
+from repro.store import AutomatonStore, dump_tea_binary
 from repro.structures import BPlusTree
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
@@ -82,10 +85,14 @@ def test_executor_with_events(benchmark):
     assert result.halted
 
 
+_GOLDEN = Path(__file__).parent.parent / "tests" / "golden"
+
 #: ``content_digest()`` of 176.gcc@0.3, pinned by the front-end golden.
 _INGEST_DIGEST = json.loads(
-    (Path(__file__).parent.parent / "tests" / "golden"
-     / "program_digests.json").read_text())["176.gcc@0.3"]
+    (_GOLDEN / "program_digests.json").read_text())["176.gcc@0.3"]
+
+#: StarDBT's outputs at hot threshold 30, pinned by the DBT golden.
+_DBT_DIGESTS = json.loads((_GOLDEN / "dbt_digests.json").read_text())
 
 
 def test_assemble_fresh_ingest_program(benchmark):
@@ -131,6 +138,13 @@ def test_stardbt_fresh_ingest_program(benchmark):
     result = benchmark.pedantic(StarDBT.run, setup=fresh_runtime, rounds=10)
     assert result.halted and len(result.trace_set) > 0
     assert result.blocks == stream.n_transitions
+    row = _DBT_DIGESTS["176.gcc@0.3 mret"]
+    assert hashlib.sha256(
+        dump_tea_binary(result.trace_set)).hexdigest() == row["teab"]
+    assert repr(result.cost.cycles) == row["cycles"]
+    assert repr(list(result.cost.breakdown.items())) == row["breakdown"]
+    assert (result.covered_dbt, result.blocks) == (row["covered_dbt"],
+                                                   row["blocks"])
 
 
 def test_load_entry_fresh_ingest_program(benchmark, tmp_path, capsys):

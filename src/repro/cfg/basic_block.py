@@ -8,6 +8,7 @@ then work across recorders, the DBT and the TEA layers.
 """
 
 from repro.errors import TraceError
+from repro.isa.instructions import CONTROL_OPCODES
 
 
 class BasicBlock:
@@ -70,19 +71,29 @@ class BlockIndex:
         Execution entering at ``start`` runs straight through plain
         instructions and ``cpuid``/REP splitters to the first control
         transfer or ``hlt``, so that instruction ends the block whatever
-        the run: the block of a start is static.
+        the run: the block of a start is static.  One walk finds the end
+        and sums the metadata; the block is interned with
+        :meth:`block`'s.
         """
         found = self._from.get(start)
         if found is not None:
             return found
-        program = self.program
-        end = start
+        instruction_at = self.program.instruction_at
+        addr = start
+        n_instrs = size_bytes = 0
         for _ in range(100_000):
-            instr = program.instruction_at(end)
-            if instr.is_control:
-                found = self._from[start] = self.block(start, end)
+            instr = instruction_at(addr)
+            n_instrs += 1
+            size_bytes += instr.length
+            if instr.opcode in CONTROL_OPCODES:
+                key = (start, addr)
+                found = self._blocks.get(key)
+                if found is None:
+                    found = self._blocks[key] = BasicBlock(
+                        start, addr, n_instrs, size_bytes, instr)
+                self._from[start] = found
                 return found
-            end = instr.fallthrough
+            addr += instr.length
         raise TraceError("runaway block from %#x (no control transfer)"
                          % start)
 

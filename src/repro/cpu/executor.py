@@ -401,6 +401,10 @@ class Executor:
         self.result = None
         self._blocks = {}    # start PC -> translated block
         self._closures = {}  # (opcode, operands, live flags) -> closure
+        # (opcode, id(operands), live flags) -> (operands, closure): an
+        # instruction's operand tuple is shared by every repeat of its
+        # text, so most lookups never hash the operands.
+        self._closures_by_id = {}
 
     def _translate(self, pc):
         """The block starting at ``pc``: ``(body closures, size,
@@ -429,6 +433,7 @@ class Executor:
         """Closures of a block's straight-line instructions, dropping the
         flag writes a later instruction of the block overwrites."""
         closures = self._closures
+        by_id = self._closures_by_id
         body = []
         live = _ALL_FLAGS
         for instr in reversed(plain):
@@ -441,10 +446,16 @@ class Executor:
                     kills = writes = _ALL_FLAGS if count.value & 31 else 0
                 else:
                     kills, writes = 0, _ALL_FLAGS
-            key = (opcode, operands, writes & live)
-            run = closures.get(key, key)
-            if run is key:
-                run = closures[key] = _instantiate(*key)
+            id_key = (opcode, id(operands), writes & live)
+            found = by_id.get(id_key)
+            if found is None:
+                key = (opcode, operands, writes & live)
+                run = closures.get(key, key)
+                if run is key:
+                    run = closures[key] = _instantiate(*key)
+                by_id[id_key] = operands, run
+            else:
+                run = found[1]
             if run is not None:
                 body.append(run)
             live &= ~kills

@@ -23,16 +23,32 @@ row per block, no per-block event or transition object.  It charges the
 cost model in bulk, adding every charge into local totals in the order
 the blocks run (the same float additions, in the same order, as one
 ``CostModel.charge`` per charge), so cycles and breakdown are exact.
+
+The recorder sees only the rows that can change it.  A recorder without
+a :attr:`~repro.traces.recorder.TraceRecorder.wake_rule` (TT, CTT) gets
+every row through ``observe``.  For MRET and MFET the trace-following
+cursor also decides, per Executing-state row, whether the row wakes the
+recorder (a taken back edge or a side exit under MRET, a taken edge
+under MFET, to an address that is no trace's entry); only those rows go
+to ``trigger``.  Creating-state rows go through ``observe``, and so do
+the rows after each recording until the recorder is ``in_step`` again:
+MRET drops its own cursor when a recording starts, and is blind to side
+exits until execution enters a trace through an entry or leaves traced
+code.
 """
 
 from repro.cfg.basic_block import BlockIndex
-from repro.cpu.events import FLAG_FINAL
+from repro.cpu.events import FLAG_FINAL, FLAG_TAKEN
 from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
 from repro.cpu.stream import ExecutionStream, matching
 from repro.dbt.code_cache import CodeCache
 from repro.dbt.cost import CostModel, CostParameters
 from repro.traces import make_recorder
-from repro.traces.recorder import STATE_CREATING
+from repro.traces.recorder import (
+    STATE_CREATING,
+    WAKE_BACK_EDGES_AND_EXITS,
+    WAKE_TAKEN_EDGES,
+)
 
 
 class DBTResult:
@@ -134,7 +150,13 @@ class StarDBT:
         record_rate = params.DBT_RECORD_PER_BLOCK
         recorder = self.recorder
         observe = recorder.observe
-        trace_at = recorder.traces.trace_at
+        trigger = recorder.trigger
+        in_step = recorder.in_step
+        rule = recorder.wake_rule
+        every_taken = rule == WAKE_TAKEN_EDGES
+        exits = rule == WAKE_BACK_EDGES_AND_EXITS
+        by_entry = recorder.traces.by_entry  # trace entry -> trace
+        trace_at = by_entry.get
         block_from = self.block_index.block_from
         builds = self._builds
 
@@ -148,6 +170,9 @@ class StarDBT:
         covered = 0
         blocks = {}          # block start -> block, translated this run
         trace = node = None  # the trace and TBB executing, if any
+        # Whether every row goes to ``observe``: always without a wake
+        # rule, else until the recorder is Executing and in step.
+        per_row = True
         start = self.program.entry
         transitions = stream.transitions
         for next_start, instrs_dbt, code in zip(
@@ -171,6 +196,9 @@ class StarDBT:
 
             # Follow in-trace edges; anything else (the cycle back to a
             # head included) enters the trace at ``next_start``, if any.
+            # Off the per-row path, also decide whether the row wakes the
+            # recorder: its target must be no trace's entry.
+            wake = False
             if code & FLAG_FINAL:
                 next_start = None
             else:
@@ -179,24 +207,48 @@ class StarDBT:
                     successor = node.successors.get(next_start)
                 if successor is not None:
                     node = trace.tbbs[successor]
+                    # TBB 0 is the trace's own entry.
+                    wake = (successor and not per_row and code & FLAG_TAKEN
+                            and (every_taken or next_start <= block.end)
+                            and next_start not in by_entry)
                 else:
+                    exited = node is not None
                     trace = trace_at(next_start)
-                    node = trace.tbbs[0] if trace is not None else None
-
-            observe(block, next_start, code)
-            if builds:
-                for charge in builds:
-                    cycles += charge
-                    breakdown["trace_build"] = (
-                        breakdown.get("trace_build", 0.0) + charge)
-                builds.clear()
-            if recorder.state == STATE_CREATING:
-                if not recording_keyed:
-                    breakdown["recording"] = 0.0
-                    recording_keyed = True
-                cycles += record_rate
-                recording += record_rate
+                    if trace is not None:
+                        node = trace.tbbs[0]
+                    else:
+                        node = None
+                        wake = not per_row and (
+                            exits and exited
+                            or code & FLAG_TAKEN
+                            and (every_taken or next_start <= block.end))
             start = next_start
+
+            if per_row:
+                observe(block, next_start, code)
+                if builds:
+                    for charge in builds:
+                        cycles += charge
+                        breakdown["trace_build"] = (
+                            breakdown.get("trace_build", 0.0) + charge)
+                    builds.clear()
+                if recorder.state != STATE_CREATING:
+                    per_row = rule is None or not in_step(trace, node)
+                    continue
+            elif not wake:
+                continue
+            else:
+                trigger(block, next_start)
+                if recorder.state != STATE_CREATING:
+                    continue
+                # Recording drops the recorder's cursor: observe every
+                # row until it is back in step with ``(trace, node)``.
+                per_row = True
+            if not recording_keyed:
+                breakdown["recording"] = 0.0
+                recording_keyed = True
+            cycles += record_rate
+            recording += record_rate
 
         cost.cycles = cycles
         if "instructions" in breakdown:

@@ -63,6 +63,14 @@ _PENDING_DISP = 0x7FFFFFFF
 #: Pass-two patch flags of an instruction shape.
 _RESOLVE, _DIRECT = 1, 2
 
+#: Opcode kind -> (operand types its one operand cannot be, what it takes):
+#: forms the parser accepts but the layout cannot encode.
+_REFUSED_OPERANDS = {
+    "jcc": ((Reg, Mem), "a label or an address"),
+    "unary": ((Imm, LabelRef), "a register or a memory operand"),
+    "push": ((LabelRef,), "a register, a memory operand or a number"),
+}
+
 
 def _parse_number(text):
     return int(text, 0)
@@ -194,9 +202,12 @@ class Assembler:
         elif name == ".word":
             if not self.in_data:
                 raise AssemblerError(".word outside .data section", line_number)
-            values = [value.strip() for value in argument.split(",") if value.strip()]
-            if not values:
+            if not argument:
                 raise AssemblerError(".word needs at least one value", line_number)
+            values = [value.strip() for value in argument.split(",")]
+            if "" in values:
+                raise AssemblerError("empty .word value in %r" % argument,
+                                     line_number)
             self.data_items.append(("word", values, line_number))
         elif name == ".zero":
             if not self.in_data:
@@ -235,6 +246,11 @@ class Assembler:
             instruction = Instruction(mnemonic, operands)
         except AssemblerError as error:
             raise AssemblerError(str(error), line_number) from None
+        refused = _REFUSED_OPERANDS.get(OPCODES[mnemonic].kind)
+        if refused is not None and isinstance(operands[0], refused[0]):
+            raise AssemblerError("%s takes %s, not %r"
+                                 % (mnemonic, refused[1], str(operands[0])),
+                                 line_number)
         shape = self._shape(instruction)
         if raw is not None:
             self._line_memo[raw] = (mnemonic, operands, fixups, shape)

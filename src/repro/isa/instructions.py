@@ -81,6 +81,11 @@ OPCODES = _specs()
 
 _CONTROL_KINDS = frozenset(("jmp", "jcc", "call", "ret"))
 
+#: Opcodes that end a basic block (:attr:`Instruction.is_control`).
+CONTROL_OPCODES = frozenset(
+    [name for name, spec in OPCODES.items() if spec.kind in _CONTROL_KINDS]
+    + ["hlt"])
+
 
 def is_direct_branch(opcode, operands):
     """True for a control transfer whose target is its operand: every
@@ -129,7 +134,7 @@ class Instruction:
     @property
     def is_control(self):
         """True for instructions that terminate a basic block."""
-        return OPCODES[self.opcode].kind in _CONTROL_KINDS or self.opcode == "hlt"
+        return self.opcode in CONTROL_OPCODES
 
     @property
     def is_conditional(self):

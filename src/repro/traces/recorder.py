@@ -16,8 +16,13 @@ per-block object is built to carry them.
 
 The base also maintains the hot-spot counters every strategy shares: a
 counter per backward-taken-branch target (Dynamo's "start of trace"
-heuristic — counting only back edges is what makes MRET cheap), and the
-set of observed loop headers that CTT consults.
+heuristic — counting only back edges is what makes MRET cheap).
+
+A caller that walks the committed traces itself (StarDBT) need not call
+:meth:`TraceRecorder.observe` on every row: a strategy whose
+:attr:`~TraceRecorder.wake_rule` is set names the Executing-state rows
+that can change it, and the caller hands only those to
+:meth:`~TraceRecorder.trigger`.
 """
 
 from repro.cpu.events import FLAG_TAKEN
@@ -26,6 +31,13 @@ from repro.traces.model import TraceSet
 STATE_INITIAL = "initial"
 STATE_EXECUTING = "executing"
 STATE_CREATING = "creating"
+
+#: Wake rules (:attr:`TraceRecorder.wake_rule`): the Executing-state rows
+#: that can change a recorder.  MRET's: a taken back edge, or a side exit
+#: from a trace to cold code, whose target is no trace's entry.
+WAKE_BACK_EDGES_AND_EXITS = "back edges and side exits"
+#: MFET's: any taken edge whose target is no trace's entry.
+WAKE_TAKEN_EDGES = "taken edges"
 
 
 class RecorderLimits:
@@ -80,6 +92,16 @@ class TraceRecorder:
 
     kind = "abstract"
 
+    #: The Executing-state rows that can change this recorder, for a
+    #: caller that walks the committed traces itself: ``None`` (any row
+    #: can; the caller calls :meth:`observe` on every row),
+    #: :data:`WAKE_BACK_EDGES_AND_EXITS` or :data:`WAKE_TAKEN_EDGES`.
+    #: With a rule, the caller calls :meth:`observe` on every row while
+    #: the recorder is not Executing or not :meth:`in_step` with the
+    #: caller's walk, and otherwise :meth:`trigger` on the rows the rule
+    #: picks and nothing on the rest.
+    wake_rule = None
+
     def __init__(self, limits=None, on_trace=None):
         self.limits = limits or RecorderLimits()
         self.on_trace = on_trace
@@ -89,9 +111,7 @@ class TraceRecorder:
         # so it must not re-sum every committed trace.
         self.committed_tbbs = 0
         self.hot_counters = {}
-        self.loop_headers = set()
         self.budget_exhausted = False
-        self._exec_cursor = None
 
     # ------------------------------------------------------------------
     # Algorithm 2
@@ -111,13 +131,25 @@ class TraceRecorder:
             state = self.state = STATE_EXECUTING
 
         backward = code & FLAG_TAKEN and next_start <= block.end
-        if backward:
-            self.loop_headers.add(next_start)
-
         if state == STATE_EXECUTING:
             self._observe_executing(block, next_start, code, backward)
         elif state == STATE_CREATING:
             self._observe_creating(block, next_start, code, backward)
+
+    def trigger(self, block, next_start):
+        """TriggerTraceRecording for a row the :attr:`wake_rule` picked:
+        ``block`` leads to ``next_start``, which is no trace's entry.
+        May enter Creating (the row then pays the recording charge);
+        never commits a trace."""
+        raise NotImplementedError
+
+    def in_step(self, trace, node):
+        """True when the recorder's view of where execution is agrees
+        with a caller that is at TBB ``node`` of committed ``trace``
+        (both ``None`` outside traces), so the caller's walk can stand in
+        for the recorder's own from the next row on.  A recorder that
+        keeps no cursor is always in step."""
+        return True
 
     def finish(self):
         """End of run: close any in-flight recording, return the traces."""
@@ -138,30 +170,6 @@ class TraceRecorder:
             self.hot_counters[addr] = 0
             return True
         return False
-
-    def _cursor_step(self, next_start):
-        """Track which recorded trace execution is currently inside.
-
-        Returns True when the transition to ``next_start`` is a *side
-        exit to cold code* — leaving a trace towards an address that is
-        no trace's entry.  Exits landing on another trace's entry are
-        trace-to-trace transitions, not trigger candidates.
-        """
-        cursor = self._exec_cursor
-        if next_start is None:
-            self._exec_cursor = None
-            return False
-        if cursor is not None:
-            trace, index = cursor
-            successor = trace.tbbs[index].successors.get(next_start)
-            if successor is not None:
-                self._exec_cursor = (trace, successor)
-                return False
-        # Anything else, the cycle back to the head included, enters the
-        # trace whose entry is ``next_start``, if there is one.
-        entered = self.traces.trace_at(next_start)
-        self._exec_cursor = (entered, 0) if entered is not None else None
-        return entered is None and cursor is not None
 
     def _total_budget_left(self):
         left = self.limits.max_total_tbbs - self.committed_tbbs

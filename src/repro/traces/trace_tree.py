@@ -157,20 +157,20 @@ class TraceTreeRecorder(TraceRecorder):
             return
 
         if self.header_termination and backward:
-            if next_start in self.loop_headers:
-                # CTT: terminate at a loop header already on this path, or
-                # (for extensions) anywhere in the tree — "branch targets
-                # within a path [may] be any loop header in that path".
-                position = recording.first_position.get(next_start)
-                if position is not None:
-                    self._commit_path(link=("path", position))
-                    return
-                tree_index = self._tree_starts.get(
-                    recording.trace.trace_id, {}
-                ).get(next_start)
-                if tree_index is not None:
-                    self._commit_path(link=("tree", tree_index))
-                    return
+            # CTT: a back-edge target is a loop header; terminate at one
+            # already on this path, or (for extensions) anywhere in the
+            # tree — "branch targets within a path [may] be any loop
+            # header in that path".
+            position = recording.first_position.get(next_start)
+            if position is not None:
+                self._commit_path(link=("path", position))
+                return
+            tree_index = self._tree_starts.get(
+                recording.trace.trace_id, {}
+            ).get(next_start)
+            if tree_index is not None:
+                self._commit_path(link=("tree", tree_index))
+                return
             if (code & KIND_MASK) in _BRANCH_KINDS:
                 # A *branch* cycle we cannot close compactly: abort rather
                 # than unroll.  Backward-landing calls/returns/indirects

@@ -365,7 +365,7 @@ def test_pin_on_stream_matches_live_loop(name, kind):
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_stardbt_on_stream_matches_live_loop(name):
     program, stream, _traces = workload(name)
-    for strategy in ("mret", "ctt", "tt"):
+    for strategy in ("mret", "mfet", "ctt", "tt"):
         live = live_stardbt(program, strategy=strategy)
         replayed = StarDBT(program, strategy=strategy,
                            limits=RecorderLimits(hot_threshold=10),

@@ -360,6 +360,24 @@ def test_assembler_error_messages(source, fragment):
     assert fragment in str(excinfo.value)
 
 
+@pytest.mark.parametrize("source,fragment", [
+    # Operand forms the parser reads but no encoding exists for.
+    ("main:\n    nop\n    jnz eax", "jnz takes a label or an address"),
+    ("main:\n    nop\n    jz [eax]", "jz takes a label or an address"),
+    ("main:\n    nop\n    push main", "push takes a register"),
+    ("main:\n    nop\n    inc main", "inc takes a register"),
+    ("main:\n    nop\n    neg 5", "neg takes a register"),
+    # An empty value would move every later data label up a word.
+    ("main:\n.data\nbuf: .word 1,,2\nend: .word 3", "empty .word value"),
+    ("main:\n.data\nbuf: .word 1,", "empty .word value"),
+])
+def test_unencodable_text_is_refused_with_its_line(source, fragment):
+    with pytest.raises(AssemblerError) as excinfo:
+        assemble(source)
+    assert fragment in str(excinfo.value)
+    assert "line 3" in str(excinfo.value)
+
+
 @pytest.mark.parametrize("source", [
     "main:\n    nop\n    mov eax,,1",
     "main:\n    nop\n    push ,eax",

@@ -122,6 +122,58 @@ def test_mret_pure_nest_exact():
     assert any(start > inner for start in all_starts)
 
 
+#: The inner loop runs 12 trips when ``esi`` is odd and none when it is
+#: even; ``outer`` reaches ``inner`` by a forward jump.
+BLIND_EXIT = """
+main:
+    mov esi, 12
+outer:
+    mov ecx, esi
+    and ecx, 1
+    imul ecx, 12
+    jmp inner
+inner:
+    test ecx, ecx
+    jz after
+body:
+    dec ecx
+    jmp inner
+after:
+    dec esi
+    jnz outer
+done:
+    hlt
+"""
+
+
+def test_mret_blind_after_recording_exact():
+    """A recording that ends at an existing trace's entry leaves MRET's
+    cursor blind until execution next enters a trace through an entry,
+    so a side exit right after it is not a trigger.
+
+    The loop trace at ``inner`` exits to ``after`` on every outer trip
+    from the second on, so ``after`` counts one side exit a trip while
+    ``outer`` counts one back edge.  ``outer`` gets hot first, on trip
+    10, and its trace, recorded on the even trip 11, ends at ``inner``;
+    the zero-trip exit that follows is the blind one.  So ``after`` gets
+    hot only on the last trip, and its trace runs on to ``hlt``.
+    Counting that exit would record ``after`` on trip 11 instead, ending
+    at the back edge to ``outer``.
+    """
+    program = assemble(BLIND_EXIT)
+    label = program.label_addr
+    trace_set = record_traces(program).trace_set
+    shapes = [[(tbb.block.start, tbb.successors) for tbb in trace]
+              for trace in trace_set]
+    assert shapes == [
+        [(label("inner"), {label("body"): 1}),
+         (label("body"), {label("inner"): 0})],
+        [(label("outer"), {})],
+        [(label("after"), {label("done"): 1}),
+         (label("done"), {})],
+    ]
+
+
 def test_mret_deterministic_across_runs(nested_program):
     first = record_traces(nested_program).trace_set
     second = record_traces(nested_program).trace_set
