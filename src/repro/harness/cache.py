@@ -21,7 +21,10 @@ Cache key
 - the **memory-model parameters** (Table 1 byte accounting);
 - the **cost-model parameters** (every ``CostParameters`` constant —
   recalibrating the cycle model invalidates everything);
-- the **repro version** and a cache **schema version**.
+- the **code**: a digest of every module of the ``repro`` package
+  (:func:`code_fingerprint`), so editing how any stage computes its
+  summary invalidates its entries;
+- a cache **schema version**.
 
 Anything not in the key cannot affect a summary; anything in the key
 that changes produces a different hash, so invalidation is purely
@@ -36,14 +39,14 @@ overwritten.  Traffic is counted in the shared metrics registry
 (``harness.cache.disk_hits`` / ``disk_misses`` / ``writes``).
 """
 
+import functools
 import hashlib
 import json
 import os
 
-from repro import __version__
 from repro.dbt.cost import CostParameters
 from repro.obs import Observability
-from repro.util import atomic_write_json
+from repro.util import atomic_write_json, source_digest
 from repro.workloads import get_benchmark
 
 #: Bumped on incompatible changes to the summary schema or key layout.
@@ -64,13 +67,31 @@ def benchmark_fingerprint(name):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def code_fingerprint():
+    """Digest of the source of every module of the ``repro`` package.
+
+    Any stage summary can depend on any layer (ISA, interpreter, CFG,
+    recorders, DBT, Pin, replay engine, workloads, harness), so the
+    whole package is hashed rather than an import-derived subset that
+    could miss a module.  Computed once per process.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(
+        os.path.relpath(os.path.join(directory, name), root)
+        for directory, _dirs, files in os.walk(root)
+        for name in files if name.endswith(".py")
+    )
+    return source_digest(root, paths)
+
+
 def config_fingerprint(config):
     """JSON-able fingerprint of every knob that can change a summary."""
     memory = config.memory_model
     params = CostParameters()
     return {
         "schema": CACHE_SCHEMA_VERSION,
-        "repro_version": __version__,
+        "code": code_fingerprint(),
         "scale": config.scale,
         "hot_threshold": config.hot_threshold,
         "max_instructions": config.max_instructions,

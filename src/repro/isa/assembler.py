@@ -63,12 +63,21 @@ _PENDING_DISP = 0x7FFFFFFF
 #: Pass-two patch flags of an instruction shape.
 _RESOLVE, _DIRECT = 1, 2
 
-#: Opcode kind -> (operand types its one operand cannot be, what it takes):
-#: forms the parser accepts but the layout cannot encode.
+#: The operand types a destination cannot be (the interpreter cannot
+#: write them), and what it takes.
+_WRITABLE = ((Imm, LabelRef), "a register or a memory operand")
+
+#: Opcode kind -> ``(operand slot, types it cannot be, what it takes)``
+#: triples: forms the parser accepts but the layout cannot encode or the
+#: interpreter cannot run.
 _REFUSED_OPERANDS = {
-    "jcc": ((Reg, Mem), "a label or an address"),
-    "unary": ((Imm, LabelRef), "a register or a memory operand"),
-    "push": ((LabelRef,), "a register, a memory operand or a number"),
+    "jcc": ((0, (Reg, Mem), "a label or an address"),),
+    "unary": ((0,) + _WRITABLE,),
+    "push": ((0, (LabelRef,), "a register, a memory operand or a number"),),
+    "pop": ((0,) + _WRITABLE,),
+    "alu": ((0,) + _WRITABLE,),
+    "mov": ((0,) + _WRITABLE,),
+    "lea": ((0,) + _WRITABLE, (1, (Reg, Imm, LabelRef), "a memory operand")),
 }
 
 
@@ -246,11 +255,13 @@ class Assembler:
             instruction = Instruction(mnemonic, operands)
         except AssemblerError as error:
             raise AssemblerError(str(error), line_number) from None
-        refused = _REFUSED_OPERANDS.get(OPCODES[mnemonic].kind)
-        if refused is not None and isinstance(operands[0], refused[0]):
-            raise AssemblerError("%s takes %s, not %r"
-                                 % (mnemonic, refused[1], str(operands[0])),
-                                 line_number)
+        for slot, refused, takes in _REFUSED_OPERANDS.get(
+                OPCODES[mnemonic].kind, ()):
+            if isinstance(operands[slot], refused):
+                raise AssemblerError(
+                    "%s takes %s as operand %d, not %r"
+                    % (mnemonic, takes, slot + 1, str(operands[slot])),
+                    line_number)
         shape = self._shape(instruction)
         if raw is not None:
             self._line_memo[raw] = (mnemonic, operands, fixups, shape)

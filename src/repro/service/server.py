@@ -155,7 +155,7 @@ class StreamSource:
 class SnapshotEntry:
     """One preloaded snapshot: program image + trace set + automaton.
 
-    v2 snapshots additionally carry the read-only
+    Entries loaded from a store additionally carry the read-only
     :class:`~repro.store.mapping.SnapshotMapping` their compiled tables
     view into (``mapping``); hot-reload retires an entry by flagging
     ``retired`` and closes the mapping once ``inflight`` — the number
@@ -357,20 +357,18 @@ class TeaService:
         self._refresh_gauges()
 
     def _load_key(self, key):
-        """Load one snapshot — zero-copy off a shared ``mmap`` for v2
-        files, a private decoded copy for v1 — with its program image."""
+        """Load one snapshot zero-copy off a shared ``mmap``, with its
+        program image."""
         from repro.store.mapping import open_snapshot_mapping
 
         image = self.store.get_image(key)
         mapping = open_snapshot_mapping(self.store.path_for(key))
         try:
-            data = (mapping.data if mapping is not None
-                    else self.store.get_bytes(key))
-            return load_entry(key, data, image, verify=self.config.verify,
-                              mapping=mapping, streams=self._stream_for)
+            return load_entry(key, mapping.data, image,
+                              verify=self.config.verify, mapping=mapping,
+                              streams=self._stream_for)
         except BaseException:
-            if mapping is not None:
-                mapping.close()
+            mapping.close()
             raise
 
     def _stream_for(self, program):

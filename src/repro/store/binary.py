@@ -1,14 +1,4 @@
-"""The binary TEA snapshot codec (format ``TEAB``).
-
-Snapshots are written in one format, the mmap-able v2 section layout of
-:mod:`repro.store.binary_v2`.  This module holds the public entry points
-(:func:`dump_tea_binary`, :func:`load_tea_binary`,
-:func:`compile_tea_binary`, :func:`peek_tea_binary`), the varint codec,
-and the two varint blobs v2 embeds verbatim: the traces section and the
-profile section.  The original v1 format is read-only: the loaders
-convert v1 bytes once with
-:func:`~repro.store.binary_v2.convert_v1_to_v2` and then take the v2
-path, so callers never care which format a file uses.
+"""The binary TEA snapshot codec (format ``TEAB``, version 2).
 
 The JSON TEA document (:mod:`repro.core.serialization`) stores only the
 trace *shape* and rebuilds the automaton by re-running Algorithm 1 on
@@ -21,40 +11,77 @@ reuse in future executions" turned into a reusable artifact: the
 :class:`~repro.store.store.AutomatonStore` keeps snapshots
 content-addressed and the replay service serves them to many clients.
 
-v1 layout (read-only)
----------------------
+The automaton tables are laid out exactly the way
+:class:`~repro.core.compiled.CompiledTea` consumes them: raw
+little-endian int64 arrays, each section 8-byte aligned, addressed by a
+fixed header + section table.  Loading the compiled automaton is then
+O(file size): one ``memoryview.cast('q')`` per section straight over an
+``mmap`` (zero-copy, page cache shared across every process mapping the
+same snapshot), with no varint decode loop and no per-element Python
+work.  A file with any other version byte is refused with a message
+that says how to rebuild it.
+
+Layout
+------
 ::
 
-    magic   b"TEAB"
-    u8      format version (1)
-    u8      flags (bit 0: profile section, bit 1: meta section)
-    ...     payload (varint-encoded sections, see below)
-    u32le   CRC32 over everything above
+    header (24 bytes)
+        magic        b"TEAB"
+        u8           format version (2)
+        u8           flags (reserved, must be 0)
+        u16le        n_sections
+        u64le        file size in bytes
+        u32le        CRC32 over header[0:16] + section table
+        u32le        reserved (must be 0)
+    section table (32 bytes per entry, ascending section id)
+        u32le        section id
+        u32le        CRC32 over the section payload
+        u64le        payload offset from file start (8-byte aligned)
+        u64le        payload length in bytes
+        u64le        item count (0 for blob sections)
+    sections, in table order, zero-padded to 8-byte alignment
 
-All integers in the payload are unsigned LEB128 varints; deltas
-(block start addresses, transition labels, head entries) are zigzag
-encoded so occasional backwards jumps stay cheap.  Sections, in order:
+Sections (``*`` = required):
 
-1. **meta** (optional): length-prefixed UTF-8 JSON — free-form snapshot
-   metadata (benchmark name, scale, recording strategy, label).
-2. **traces**: the trace-set document — per trace: id, kind, anchor,
-   delta-encoded TBB spans, and (from, to) edge pairs.  Edge labels are
-   not stored: a label is by construction the successor TBB's start.
-   v2 embeds this section byte for byte.
-3. **automaton**: per non-NTE state its (trace_id, tbb_index) in state-id
-   order, then per state the transition list as (label delta, dest sid)
-   pairs sorted by label, then the head registry as (entry delta, sid)
-   pairs sorted by entry.  v2 stores these as int64 tables instead.
-4. **profile** (optional): state counts as (trace_id, tbb_index, count)
-   triples plus the three per-trace counter maps — the same
-   renumbering-safe keying the JSON format uses.  v2 embeds this
-   section byte for byte.
+==  =============  =====================================================
+ 1  SUMMARY*       canonical JSON: trace-set kind + trace/TBB/edge counts
+ 2  META           canonical JSON snapshot metadata
+ 3  TRACES*        the trace-set blob (varint grammar, below)
+ 4  STATE_REFS*    (trace_id, tbb_index) int64 pairs, state-id order
+ 5  TBB_FLAG*      one byte per state (0 = NTE, 1 = in-trace)
+ 6  TRANS_OFFSET*  CSR row offsets, (n_states + 1) int64
+ 7  TRANS_LABELS*  transition labels, label-sorted per state
+ 8  TRANS_DEST*    transition destination state ids
+ 9  HEAD_ENTRIES*  head registry entry PCs, ascending
+10  HEAD_SIDS*     head registry state ids (parallel to 9)
+11  LABEL_POOL*    interned PC pool: sorted distinct labels + entries
+12  PROFILE        the profile blob (varint grammar, below)
+==  =============  =====================================================
+
+The TRACES and PROFILE blobs are varint streams: every integer is an
+unsigned LEB128 varint, and block start addresses are zigzag deltas so
+occasional backwards jumps stay cheap.  TRACES holds, per trace: id,
+kind, anchor, delta-encoded TBB spans and (from, to) edge pairs (an
+edge's label is by construction the successor TBB's start, so it is not
+stored).  PROFILE holds the state counts as (trace_id, tbb_index, count)
+triples plus the three per-trace counter maps — the same
+renumbering-safe keying the JSON format uses.
+
+The encoding is fully deterministic — same content, same bytes — so
+snapshots are content-addressed.  Deep verification walks the embedded
+TRACES, META and PROFILE blobs and re-derives SUMMARY and LABEL_POOL
+from them.  All multi-byte integers are little-endian regardless of
+host byte order; big-endian hosts fall back to a byteswapping ``array``
+copy.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import sys
 import zlib
+from array import array
 
 from repro.core.automaton import NTE_SID
 from repro.core.builder import build_tea
@@ -63,21 +90,94 @@ from repro.errors import SerializationError
 from repro.traces.model import Trace, TraceSet
 
 MAGIC = b"TEAB"
-BINARY_VERSION = 1
+BINARY_VERSION = 2
 
-
-def snapshot_version(data):
-    """The format version byte of TEAB bytes, or ``None`` if not TEAB."""
-    if len(data) >= 5 and bytes(data[:4]) == MAGIC:
-        return data[4]
-    return None
-
-
-FLAG_PROFILE = 0x01
-FLAG_META = 0x02
+#: How to replace a snapshot (or its program image) this code cannot
+#: read: every error that refuses one says it.
+_REBUILD = "rebuild it with 'python -m repro.service build'"
 
 #: Profile counter maps stored as (trace_id, value) pairs.
 _PROFILE_TRACE_MAPS = ("trace_enters", "trace_exits", "trace_head_executions")
+
+HEADER_SIZE = 24
+ENTRY_SIZE = 32
+
+_HEADER = struct.Struct("<4sBBHQII")   # magic, ver, flags, n, size, crc, rsvd
+_ENTRY = struct.Struct("<IIQQQ")       # id, crc, offset, length, count
+
+SEC_SUMMARY = 1
+SEC_META = 2
+SEC_TRACES = 3
+SEC_STATE_REFS = 4
+SEC_TBB_FLAG = 5
+SEC_TRANS_OFFSET = 6
+SEC_TRANS_LABELS = 7
+SEC_TRANS_DEST = 8
+SEC_HEAD_ENTRIES = 9
+SEC_HEAD_SIDS = 10
+SEC_LABEL_POOL = 11
+SEC_PROFILE = 12
+
+SECTION_NAMES = {
+    SEC_SUMMARY: "summary",
+    SEC_META: "meta",
+    SEC_TRACES: "traces",
+    SEC_STATE_REFS: "state_refs",
+    SEC_TBB_FLAG: "tbb_flag",
+    SEC_TRANS_OFFSET: "trans_offset",
+    SEC_TRANS_LABELS: "trans_labels",
+    SEC_TRANS_DEST: "trans_dest",
+    SEC_HEAD_ENTRIES: "head_entries",
+    SEC_HEAD_SIDS: "head_sids",
+    SEC_LABEL_POOL: "label_pool",
+    SEC_PROFILE: "profile",
+}
+
+#: Sections every snapshot must carry.
+REQUIRED_SECTIONS = frozenset((
+    SEC_SUMMARY, SEC_TRACES, SEC_STATE_REFS, SEC_TBB_FLAG,
+    SEC_TRANS_OFFSET, SEC_TRANS_LABELS, SEC_TRANS_DEST,
+    SEC_HEAD_ENTRIES, SEC_HEAD_SIDS, SEC_LABEL_POOL,
+))
+
+#: Sections whose payload is a packed little-endian int64 array.
+INT64_SECTIONS = frozenset((
+    SEC_STATE_REFS, SEC_TRANS_OFFSET, SEC_TRANS_LABELS, SEC_TRANS_DEST,
+    SEC_HEAD_ENTRIES, SEC_HEAD_SIDS, SEC_LABEL_POOL,
+))
+
+
+def summary_json(kind, n_traces, n_tbbs, n_edges):
+    """The canonical SUMMARY section bytes for a traces blob."""
+    return json.dumps(
+        {"edges": n_edges, "kind": kind, "tbbs": n_tbbs, "traces": n_traces},
+        sort_keys=True, separators=(",", ":"),
+    ).encode("utf-8")
+
+
+def _int64_bytes(values):
+    """Pack an int sequence as little-endian int64 bytes."""
+    packed = array("q", values)
+    if sys.byteorder != "little":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def int64_section(buffer, offset, length):
+    """A zero-copy int64 view over ``buffer[offset:offset+length]``.
+
+    On little-endian hosts this is a ``memoryview.cast('q')`` — no copy,
+    and the view keeps the underlying buffer (e.g. an ``mmap``) alive.
+    Big-endian hosts get a byteswapped ``array('q')`` copy instead; both
+    behave identically for indexing, slicing, iteration and equality.
+    """
+    view = memoryview(buffer)[offset:offset + length]
+    if sys.byteorder == "little":
+        return view.cast("q")
+    swapped = array("q")
+    swapped.frombytes(view)
+    swapped.byteswap()
+    return swapped
 
 
 # ---------------------------------------------------------------------
@@ -114,7 +214,7 @@ def write_svarint(out, value):
 
 
 class _Reader:
-    """Bounded varint reader over the payload bytes."""
+    """Bounded varint reader over a TRACES or PROFILE blob."""
 
     __slots__ = ("data", "pos", "end")
 
@@ -142,14 +242,11 @@ class _Reader:
             if shift > 70:
                 raise SerializationError("oversized varint in snapshot")
 
-    def svarint(self):
-        return unzigzag(self.uvarint())
-
     def uvarint_run(self, count):
         """Decode ``count`` consecutive varints in one tight loop.
 
-        The payload is mostly long homogeneous varint runs (TBB spans,
-        edge pairs, transition lists); decoding a run with locals
+        The blobs are mostly long homogeneous varint runs (TBB spans,
+        edge pairs, profile triples); decoding a run with locals
         instead of per-value method calls is what makes snapshot loads
         competitive with the C JSON parser.
         """
@@ -223,7 +320,7 @@ def _write_optional_uvarint(out, value):
 # ---------------------------------------------------------------------
 
 def dump_tea_binary(trace_set, tea=None, profile=None, meta=None):
-    """Serialize ``trace_set`` (+ automaton, profile, meta) to TEAB v2
+    """Serialize ``trace_set`` (+ automaton, profile, meta) to TEAB
     bytes.
 
     ``tea`` defaults to a fresh Algorithm 1 build over ``trace_set`` —
@@ -232,29 +329,39 @@ def dump_tea_binary(trace_set, tea=None, profile=None, meta=None):
     deterministic: the same inputs always produce the same bytes, which
     is what makes the store content-addressable.
     """
-    from repro.store.binary_v2 import _assemble_v2
-
     if tea is None:
         tea = build_tea(trace_set)
     traces_raw = bytearray()
     _encode_traces(traces_raw, trace_set)
-    meta_raw = None
-    if meta is not None:
-        meta_raw = json.dumps(
-            meta, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-    profile_raw = None
-    if profile is not None:
-        profile_raw = bytearray()
-        _encode_profile(profile_raw, tea, profile)
-    summary = (
+    (n_states, refs, trans_offset, trans_labels, trans_dest,
+     head_entries, head_sids) = _automaton_tables(tea)
+    label_pool = sorted(set(trans_labels) | set(head_entries))
+    sections = [(SEC_SUMMARY, summary_json(
         trace_set.kind or None,
         len(trace_set.traces),
         sum(len(trace.tbbs) for trace in trace_set),
         sum(len(tbb.successors) for trace in trace_set for tbb in trace),
-    )
-    return _assemble_v2(summary, meta_raw, bytes(traces_raw),
-                        _automaton_tables(tea), profile_raw)
+    ), 0)]
+    if meta is not None:
+        sections.append((SEC_META, json.dumps(
+            meta, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8"), 0))
+    sections.extend([
+        (SEC_TRACES, bytes(traces_raw), len(trace_set.traces)),
+        (SEC_STATE_REFS, _int64_bytes(refs), 2 * (n_states - 1)),
+        (SEC_TBB_FLAG, b"\x00" + b"\x01" * (n_states - 1), n_states),
+        (SEC_TRANS_OFFSET, _int64_bytes(trans_offset), n_states + 1),
+        (SEC_TRANS_LABELS, _int64_bytes(trans_labels), len(trans_labels)),
+        (SEC_TRANS_DEST, _int64_bytes(trans_dest), len(trans_dest)),
+        (SEC_HEAD_ENTRIES, _int64_bytes(head_entries), len(head_entries)),
+        (SEC_HEAD_SIDS, _int64_bytes(head_sids), len(head_sids)),
+        (SEC_LABEL_POOL, _int64_bytes(label_pool), len(label_pool)),
+    ])
+    if profile is not None:
+        profile_raw = bytearray()
+        _encode_profile(profile_raw, tea, profile)
+        sections.append((SEC_PROFILE, bytes(profile_raw), 0))
+    return _pack_v2(sections)
 
 
 def _automaton_tables(tea):
@@ -329,31 +436,169 @@ def _encode_profile(out, tea, profile):
             write_uvarint(out, value)
 
 
+def _pack_v2(sections):
+    """Serialize ``(id, payload, count)`` triples into a TEAB file."""
+    n_sections = len(sections)
+    position = HEADER_SIZE + ENTRY_SIZE * n_sections
+    body = bytearray()
+    entries = []
+    for sec_id, payload, count in sections:
+        pad = (-position) % 8
+        body += b"\x00" * pad
+        position += pad
+        entries.append(
+            (sec_id, zlib.crc32(payload), position, len(payload), count)
+        )
+        body += payload
+        position += len(payload)
+    table = b"".join(_ENTRY.pack(*entry) for entry in entries)
+    prefix = struct.pack("<4sBBHQ", MAGIC, BINARY_VERSION, 0,
+                         n_sections, position)
+    table_crc = zlib.crc32(table, zlib.crc32(prefix))
+    return prefix + struct.pack("<II", table_crc, 0) + table + bytes(body)
+
+
 # ---------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------
 
-def _open_snapshot(data):
-    """Validate the v1 envelope; returns ``(reader, flags)`` over the
-    payload."""
-    if len(data) < len(MAGIC) + 2 + 4:
-        raise SerializationError("snapshot too short to be a TEAB file")
-    if data[:4] != MAGIC:
-        raise SerializationError("bad magic: not a binary TEA snapshot")
-    stored_crc = int.from_bytes(data[-4:], "little")
-    actual_crc = zlib.crc32(data[:-4])
-    if stored_crc != actual_crc:
+def open_v2(data, check_crc=True):
+    """Validate the envelope; returns ``{id: (offset, length, count)}``.
+
+    Checks magic/version/flags, the header + section-table CRC, table
+    entry sanity (known ids, ascending, aligned, in bounds,
+    non-overlapping), required-section presence, int64 section size
+    consistency, and (with ``check_crc``, the default) every
+    per-section CRC.  Raises :class:`SerializationError` on the first
+    problem — the collecting equivalent lives in the verifier
+    (``TEA024``/``TEA025``).
+    """
+    size = len(data)
+    if size < HEADER_SIZE:
         raise SerializationError(
-            "snapshot CRC mismatch (stored %08x, computed %08x)"
-            % (stored_crc, actual_crc)
+            "snapshot is %d bytes, shorter than the %d-byte v2 header"
+            % (size, HEADER_SIZE)
         )
-    version = data[4]
+    magic, version, flags, n_sections, file_size, table_crc, reserved = (
+        _HEADER.unpack_from(data, 0)
+    )
+    if magic != MAGIC:
+        raise SerializationError("bad magic: not a binary TEA snapshot")
     if version != BINARY_VERSION:
         raise SerializationError(
-            "unsupported binary TEA snapshot v%d" % version
+            "unsupported binary TEA snapshot version %d (this code reads "
+            "version %d); %s" % (version, BINARY_VERSION, _REBUILD)
         )
-    flags = data[5]
-    return _Reader(data, start=6, end=len(data) - 4), flags
+    if flags or reserved:
+        raise SerializationError(
+            "reserved v2 header bits are set (flags=%#x reserved=%#x)"
+            % (flags, reserved)
+        )
+    if file_size != size:
+        raise SerializationError(
+            "v2 header names %d bytes but the snapshot is %d"
+            % (file_size, size)
+        )
+    table_end = HEADER_SIZE + ENTRY_SIZE * n_sections
+    if n_sections < 1 or table_end > size:
+        raise SerializationError(
+            "v2 section table (%d entries) does not fit in %d bytes"
+            % (n_sections, size)
+        )
+    actual_crc = zlib.crc32(memoryview(data)[HEADER_SIZE:table_end],
+                            zlib.crc32(memoryview(data)[:16]))
+    if actual_crc != table_crc:
+        raise SerializationError(
+            "v2 section table CRC mismatch (stored %08x, computed %08x)"
+            % (table_crc, actual_crc)
+        )
+    sections = {}
+    previous_id = 0
+    cursor = table_end
+    for index in range(n_sections):
+        sec_id, crc, offset, length, count = _ENTRY.unpack_from(
+            data, HEADER_SIZE + ENTRY_SIZE * index
+        )
+        if sec_id not in SECTION_NAMES:
+            raise SerializationError("unknown v2 section id %d" % sec_id)
+        if sec_id <= previous_id:
+            raise SerializationError(
+                "v2 section ids are not strictly ascending (%d after %d)"
+                % (sec_id, previous_id)
+            )
+        previous_id = sec_id
+        if offset % 8:
+            raise SerializationError(
+                "section %s at offset %d is not 8-byte aligned"
+                % (SECTION_NAMES[sec_id], offset)
+            )
+        if offset < cursor or offset + length > size:
+            raise SerializationError(
+                "section %s [%d, %d) overlaps or escapes the file"
+                % (SECTION_NAMES[sec_id], offset, offset + length)
+            )
+        if sec_id in INT64_SECTIONS and length != 8 * count:
+            raise SerializationError(
+                "int64 section %s declares %d items but %d bytes"
+                % (SECTION_NAMES[sec_id], count, length)
+            )
+        if sec_id == SEC_TBB_FLAG and length != count:
+            raise SerializationError(
+                "tbb_flag section declares %d states but %d bytes"
+                % (count, length)
+            )
+        if check_crc:
+            actual = zlib.crc32(memoryview(data)[offset:offset + length])
+            if actual != crc:
+                raise SerializationError(
+                    "section %s CRC mismatch (stored %08x, computed %08x)"
+                    % (SECTION_NAMES[sec_id], crc, actual)
+                )
+        sections[sec_id] = (offset, length, count)
+        cursor = offset + length
+    missing = REQUIRED_SECTIONS - sections.keys()
+    if missing:
+        raise SerializationError(
+            "v2 snapshot is missing required section(s): %s"
+            % ", ".join(sorted(SECTION_NAMES[m] for m in missing))
+        )
+    n_states = sections[SEC_TBB_FLAG][2]
+    if n_states < 1:
+        raise SerializationError("snapshot automaton has no NTE state")
+    if sections[SEC_STATE_REFS][2] != 2 * (n_states - 1):
+        raise SerializationError(
+            "state_refs holds %d values for %d states"
+            % (sections[SEC_STATE_REFS][2], n_states)
+        )
+    if sections[SEC_TRANS_OFFSET][2] != n_states + 1:
+        raise SerializationError(
+            "trans_offset holds %d values for %d states"
+            % (sections[SEC_TRANS_OFFSET][2], n_states)
+        )
+    if sections[SEC_TRANS_LABELS][2] != sections[SEC_TRANS_DEST][2]:
+        raise SerializationError("trans_labels/trans_dest length mismatch")
+    if sections[SEC_HEAD_ENTRIES][2] != sections[SEC_HEAD_SIDS][2]:
+        raise SerializationError("head_entries/head_sids length mismatch")
+    return sections
+
+
+def _section_bytes(data, sections, sec_id):
+    offset, length, _count = sections[sec_id]
+    return bytes(memoryview(data)[offset:offset + length])
+
+
+def _int64_of(data, sections, sec_id):
+    offset, length, _count = sections[sec_id]
+    return int64_section(data, offset, length)
+
+
+def _json_of(data, sections, sec_id, what):
+    try:
+        return json.loads(_section_bytes(data, sections, sec_id))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise SerializationError(
+            "malformed snapshot %s: %s" % (what, error)
+        ) from None
 
 
 def _decode_traces(reader, block_index):
@@ -423,14 +668,96 @@ def _decode_profile(reader, trace_set, tea):
     return profile
 
 
-def _as_v2(data):
-    """``data`` as v2 bytes: v2 is returned as is, v1 is converted once
-    (anything else raises :class:`SerializationError`)."""
-    from repro.store.binary_v2 import BINARY_VERSION_V2, convert_v1_to_v2
+def peek_tea_binary(data):
+    """Structural summary of snapshot bytes, without a program image.
 
-    if snapshot_version(data) == BINARY_VERSION_V2:
-        return data
-    return convert_v1_to_v2(data)
+    Unlike :func:`load_tea_binary` this needs no :class:`BlockIndex`:
+    counts come straight from the section table and the SUMMARY/META
+    JSON — no automaton tables are materialized and no varint is
+    decoded, so this is O(header) plus the CRC sweep.  Returns a dict
+    with the version, counts, profile presence, meta, byte size and a
+    ``sections`` list with per-section sizes.
+    """
+    sections = open_v2(data)
+    summary = _json_of(data, sections, SEC_SUMMARY, "summary")
+    meta = None
+    if SEC_META in sections:
+        meta = _json_of(data, sections, SEC_META, "meta")
+    return {
+        "format": "binary",
+        "version": BINARY_VERSION,
+        "kind": summary.get("kind"),
+        "traces": summary.get("traces"),
+        "tbbs": summary.get("tbbs"),
+        "edges": summary.get("edges"),
+        "states": sections[SEC_TBB_FLAG][2],
+        "transitions": sections[SEC_TRANS_LABELS][2],
+        "heads": sections[SEC_HEAD_ENTRIES][2],
+        "labels": sections[SEC_LABEL_POOL][2],
+        "profile": SEC_PROFILE in sections,
+        "meta": meta,
+        "bytes": len(data),
+        "sections": [
+            {
+                "id": sec_id,
+                "name": SECTION_NAMES[sec_id],
+                "offset": offset,
+                "bytes": length,
+                "count": count,
+            }
+            for sec_id, (offset, length, count) in sorted(sections.items())
+        ],
+    }
+
+
+def compile_tea_binary(data, verify=True):
+    """Lower snapshot bytes straight into a
+    :class:`~repro.core.compiled.CompiledTea`, zero-copy, without
+    materializing the ``TeaState`` object graph, the trace set, or a
+    program image.
+
+    Every CSR table becomes an int64 view *into* ``data`` — pass an
+    ``mmap`` (or any buffer) and the compiled automaton reads the page
+    cache directly; N processes mapping the same snapshot share those
+    pages.  The views keep ``data`` alive for the compiled automaton's
+    lifetime.  The per-state instruction metadata arrays come back
+    zeroed: the format does not store instruction counts, and the
+    compiled replayer never reads them (packed transition streams carry
+    the dynamic counts).
+
+    With ``verify=True`` (the default) the snapshot rule family
+    (``TEA020``-``TEA025``) certifies the bytes first and a
+    :class:`~repro.errors.VerificationError` — still a
+    :class:`SerializationError` — carries the full diagnostics when
+    they are damaged.  Pass ``verify=False`` to skip the pass (the
+    verifier itself does, to avoid re-scanning).  Structural validation
+    of the adopted tables is *not* repeated here: the section scan
+    (rule ``TEA024``) already proves CSR sanity, which is what makes
+    this path O(file size).
+    """
+    if verify:
+        from repro.verify.api import verify_snapshot_bytes
+
+        verify_snapshot_bytes(data, deep=False).raise_on_error()
+    return _compile_sections(data, open_v2(data, check_crc=not verify))
+
+
+def _compile_sections(data, sections):
+    from repro.core.compiled import CompiledTea
+
+    offset, length, n_states = sections[SEC_TBB_FLAG]
+    tbb_flag = bytes(memoryview(data)[offset:offset + length])
+    return CompiledTea.from_buffers(
+        n_states,
+        tbb_flag,
+        _int64_of(data, sections, SEC_TRANS_OFFSET),
+        _int64_of(data, sections, SEC_TRANS_LABELS),
+        _int64_of(data, sections, SEC_TRANS_DEST),
+        _int64_of(data, sections, SEC_HEAD_ENTRIES),
+        _int64_of(data, sections, SEC_HEAD_SIDS),
+        labels=_int64_of(data, sections, SEC_LABEL_POOL),
+        validate=False,
+    )
 
 
 def load_tea_binary(data, block_index, with_meta=False):
@@ -438,151 +765,82 @@ def load_tea_binary(data, block_index, with_meta=False):
 
     The automaton comes back exactly as saved — same state ids, same
     transition lists, same head registry — without re-running
-    Algorithm 1.  With ``with_meta=True`` the result is a 4-tuple whose
-    last element is the snapshot's meta dict (or ``None``).  v1 bytes
-    are converted to v2 first.
+    Algorithm 1: it is rebuilt from the CSR sections in state-id order,
+    transitions in label order and heads in entry order.  With
+    ``with_meta=True`` the result is a 4-tuple whose last element is the
+    snapshot's meta dict (or ``None``).
     """
-    from repro.store.binary_v2 import load_tea_binary_v2
-
-    return load_tea_binary_v2(_as_v2(data), block_index,
-                              with_meta=with_meta)
+    loaded = _load_sections(data, open_v2(data), block_index)
+    return loaded if with_meta else loaded[:3]
 
 
 def load_and_compile_tea_binary(data, block_index):
     """``load_tea_binary(data, block_index, with_meta=True)`` plus the
     automaton :func:`compile_tea_binary` lowers without verifying, from
-    one decode of the section table (one CRC sweep): ``(trace_set, tea,
-    profile, meta, compiled)``.  v1 bytes are converted to v2 once."""
-    from repro.store.binary_v2 import load_and_compile_v2
-
-    return load_and_compile_v2(_as_v2(data), block_index)
-
-
-def _scan_traces(reader):
-    """Skip the traces section; returns ``(kind, n_traces, n_tbbs, n_edges)``.
-
-    Block spans are scanned, not interned: the v1 -> v2 converter needs
-    the section's extent and counts, not a program image.
-    """
-    kind = reader.string() or None
-    n_traces = reader.uvarint()
-    n_tbbs = 0
-    n_edges = 0
-    for _ in range(n_traces):
-        reader.uvarint()               # trace id
-        reader.string()                # kind
-        reader.optional_uvarint()      # anchor
-        trace_tbbs = reader.uvarint()
-        n_tbbs += trace_tbbs
-        reader.uvarint_run(2 * trace_tbbs)
-        trace_edges = reader.uvarint()
-        n_edges += trace_edges
-        reader.uvarint_run(2 * trace_edges)
-    return kind, n_traces, n_tbbs, n_edges
+    one :func:`open_v2` (one CRC sweep): ``(trace_set, tea, profile,
+    meta, compiled)``."""
+    sections = open_v2(data)
+    return _load_sections(data, sections, block_index) + (
+        _compile_sections(data, sections),)
 
 
-def _decode_automaton_tables(reader):
-    """Decode the v1 automaton section into flat CSR tables.
+def _load_sections(data, sections, block_index):
+    from repro.core.automaton import TEA
 
-    Returns ``(n_states, refs, trans_offset, trans_labels, trans_dest,
-    head_entries, head_sids)`` where ``refs`` is the flattened
-    ``(trace_id, tbb_index)`` int list — the shape
-    :func:`_automaton_tables` builds from objects.  The v1 automaton
-    section *is* the compiled layout (label-sorted transition runs,
-    entry-sorted heads), so one pass fills every table.
-    """
-    from array import array
-
-    n_states = reader.uvarint()
-    if n_states < 1:
-        raise SerializationError("snapshot automaton has no NTE state")
-    refs = reader.uvarint_run(2 * (n_states - 1))
-    trans_offset = array("q", [0] * (n_states + 1))
-    trans_labels = array("q")
-    trans_dest = array("q")
+    meta = None
+    if SEC_META in sections:
+        meta = _json_of(data, sections, SEC_META, "meta")
+    reader = _Reader(_section_bytes(data, sections, SEC_TRACES))
+    trace_set = _decode_traces(reader, block_index)
+    if not reader.exhausted:
+        raise SerializationError(
+            "%d trailing bytes after the traces section"
+            % (reader.end - reader.pos)
+        )
+    by_key = {
+        (tbb.trace_id, tbb.index): tbb
+        for trace in trace_set
+        for tbb in trace
+    }
+    n_states = sections[SEC_TBB_FLAG][2]
+    refs = _int64_of(data, sections, SEC_STATE_REFS)
+    tea = TEA()
+    for position in range(0, len(refs), 2):
+        key = (refs[position], refs[position + 1])
+        tbb = by_key.get(key)
+        if tbb is None:
+            raise SerializationError(
+                "automaton state refers to unknown TBB (T%d, #%d)" % key
+            )
+        tea.add_tbb_state(tbb)
+    states = tea.states
+    trans_offset = _int64_of(data, sections, SEC_TRANS_OFFSET)
+    trans_labels = _int64_of(data, sections, SEC_TRANS_LABELS)
+    trans_dest = _int64_of(data, sections, SEC_TRANS_DEST)
     for sid in range(n_states):
-        n_transitions = reader.uvarint()
-        run = reader.uvarint_run(2 * n_transitions)
-        previous = 0
-        for position in range(0, 2 * n_transitions, 2):
-            label = previous + unzigzag(run[position])
-            dest = run[position + 1]
+        transitions = states[sid].transitions
+        for position in range(trans_offset[sid], trans_offset[sid + 1]):
+            dest = trans_dest[position]
             if not 0 <= dest < n_states:
                 raise SerializationError(
                     "transition to unknown state %d" % dest
                 )
-            trans_labels.append(label)
-            trans_dest.append(dest)
-            previous = label
-        trans_offset[sid + 1] = len(trans_labels)
-    n_heads = reader.uvarint()
-    run = reader.uvarint_run(2 * n_heads)
-    head_entries = array("q")
-    head_sids = array("q")
-    previous = 0
-    for position in range(0, 2 * n_heads, 2):
-        entry = previous + unzigzag(run[position])
-        sid = run[position + 1]
+            transitions[trans_labels[position]] = states[dest]
+    for entry, sid in zip(_int64_of(data, sections, SEC_HEAD_ENTRIES),
+                          _int64_of(data, sections, SEC_HEAD_SIDS)):
         if not 0 < sid < n_states:
             raise SerializationError("head refers to unknown state %d" % sid)
-        head_entries.append(entry)
-        head_sids.append(sid)
-        previous = entry
-    return (n_states, refs, trans_offset, trans_labels, trans_dest,
-            head_entries, head_sids)
-
-
-def compile_tea_binary(data, verify=True):
-    """Lower snapshot bytes straight into a
-    :class:`~repro.core.compiled.CompiledTea`, without materializing
-    the ``TeaState`` object graph, the trace set, or a program image.
-
-    v2 snapshots take the zero-copy path
-    (:func:`~repro.store.binary_v2.compile_tea_binary_v2`): the CSR
-    tables are int64 views straight into ``data``, so passing an
-    ``mmap`` shares the page cache across processes.  v1 snapshots are
-    converted to v2 first.  The per-state instruction metadata arrays
-    come back zeroed: the format does not store instruction counts, and
-    the compiled replayer never reads them (packed transition streams
-    carry the dynamic counts).
-
-    With ``verify=True`` (the default) the snapshot rule family
-    (``TEA020``-``TEA025``) certifies the bytes first and a
-    :class:`~repro.errors.VerificationError` — still a
-    :class:`SerializationError` — carries the full diagnostics when
-    they are damaged.  Pass ``verify=False`` to skip the pass (the
-    verifier itself does, to avoid re-scanning).
-    """
-    from repro.store.binary_v2 import BINARY_VERSION_V2, compile_tea_binary_v2
-
-    if snapshot_version(data) != BINARY_VERSION_V2:
-        if verify:
-            from repro.verify.api import verify_snapshot_bytes
-
-            verify_snapshot_bytes(data, deep=False).raise_on_error()
-        data, verify = _as_v2(data), False
-    return compile_tea_binary_v2(data, verify=verify)
-
-
-def peek_tea_binary(data):
-    """Structural summary of snapshot bytes, without a program image.
-
-    Unlike :func:`load_tea_binary` this needs no :class:`BlockIndex`
-    and decodes no varint: counts come from the v2 header
-    (:func:`~repro.store.binary_v2.peek_tea_binary_v2`).  Returns a
-    dict with the file's own version, counts, profile presence, meta,
-    byte size and, for v2 files, the section table.  v1 bytes are
-    converted to v2 first.
-    """
-    from repro.store.binary_v2 import peek_tea_binary_v2
-
-    converted = _as_v2(data)
-    info = peek_tea_binary_v2(converted)
-    if converted is not data:
-        # The section table describes the converted image, not the file.
-        del info["sections"]
-        info.update(version=snapshot_version(data), bytes=len(data))
-    return info
+        tea.heads[entry] = states[sid]
+    profile = None
+    if SEC_PROFILE in sections:
+        reader = _Reader(_section_bytes(data, sections, SEC_PROFILE))
+        profile = _decode_profile(reader, trace_set, tea)
+        if not reader.exhausted:
+            raise SerializationError(
+                "%d trailing bytes after the profile section"
+                % (reader.end - reader.pos)
+            )
+    return trace_set, tea, profile, meta
 
 
 def save_tea_binary(path, trace_set, tea=None, profile=None, meta=None):

@@ -1,6 +1,6 @@
 """Shared read-only snapshot mappings (``mmap`` + zero-copy compile).
 
-A :class:`SnapshotMapping` is an open, read-only ``mmap`` of a TEAB v2
+A :class:`SnapshotMapping` is an open, read-only ``mmap`` of a TEAB
 snapshot plus the :class:`~repro.core.compiled.CompiledTea` lowered
 zero-copy over it.  Because the compiled tables are int64 views into
 the mapping, every process that maps the same snapshot file shares one
@@ -28,12 +28,11 @@ import os
 import threading
 
 from repro.errors import SerializationError
-from repro.store.binary import snapshot_version
-from repro.store.binary_v2 import BINARY_VERSION_V2, compile_tea_binary_v2
+from repro.store.binary import compile_tea_binary
 
 
 class SnapshotMapping:
-    """One read-only ``mmap`` of a TEAB v2 snapshot file."""
+    """One read-only ``mmap`` of a TEAB snapshot file."""
 
     __slots__ = ("path", "_mmap", "_compiled", "closed")
 
@@ -68,7 +67,7 @@ class SnapshotMapping:
         shares one instance whose tables are views into the mapping.
         """
         if self._compiled is None:
-            self._compiled = compile_tea_binary_v2(self._mmap, verify=False)
+            self._compiled = compile_tea_binary(self._mmap, verify=False)
         return self._compiled
 
     def close(self) -> bool:
@@ -94,21 +93,11 @@ class SnapshotMapping:
 
 
 def open_snapshot_mapping(path):
-    """A :class:`SnapshotMapping` over ``path``, or ``None``.
+    """A :class:`SnapshotMapping` over ``path``.
 
-    Returns ``None`` when the file is not a TEAB v2 snapshot (v1 files
-    have no zero-copy layout — read and decode them instead).  Raises
-    :class:`SerializationError` when the file cannot be read at all.
+    Raises :class:`SerializationError` when the file cannot be mapped
+    at all; its bytes are judged when they are gated or compiled.
     """
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(5)
-    except OSError as error:
-        raise SerializationError(
-            "cannot read %s: %s" % (path, error)
-        ) from None
-    if snapshot_version(head) != BINARY_VERSION_V2:
-        return None
     return SnapshotMapping(path)
 
 
@@ -124,7 +113,7 @@ _PROCESS_LOCK = threading.Lock()
 
 
 def cached_mapping(path, gate=None):
-    """The process-shared :class:`SnapshotMapping` for a v2 snapshot.
+    """The process-shared :class:`SnapshotMapping` for a snapshot.
 
     The mapping is opened once per process per file version (keyed by
     path + mtime + size, so an atomically replaced snapshot gets a
@@ -134,8 +123,7 @@ def cached_mapping(path, gate=None):
     called with the mapping exactly once, on first open; when it raises
     the mapping is closed and not cached — how the store runs its
     verify-on-load scan once per mapping instead of once per call.
-    Raises :class:`SerializationError` for missing files or v1
-    snapshots (no zero-copy layout to share).
+    Raises :class:`SerializationError` for missing files.
     """
     real = os.path.realpath(path)
     try:
@@ -148,13 +136,7 @@ def cached_mapping(path, gate=None):
     with _PROCESS_LOCK:
         mapping = _PROCESS_CACHE.get(cache_key)
         if mapping is None:
-            mapping = open_snapshot_mapping(real)
-            if mapping is None:
-                raise SerializationError(
-                    "%s is not a TEAB v2 snapshot; only v2 has a "
-                    "zero-copy layout (run 'repro tools store migrate')"
-                    % path
-                )
+            mapping = SnapshotMapping(real)
             if gate is not None:
                 try:
                     gate(mapping)
@@ -166,7 +148,7 @@ def cached_mapping(path, gate=None):
 
 
 def cached_compiled(path):
-    """The process-shared compiled automaton for a v2 snapshot file.
+    """The process-shared compiled automaton for a snapshot file.
 
     Convenience over :func:`cached_mapping` — same cache, same
     errors — returning the zero-copy compiled automaton directly.

@@ -9,12 +9,11 @@ the binary codec is deterministic, storing the same automaton twice is
 a no-op, and a key fully identifies an automaton's shape, numbering and
 profile.
 
-Snapshots are written in the TEAB v2 section layout
-(:mod:`repro.store.binary_v2`), the only format ever written, so
-:meth:`AutomatonStore.map_compiled` can serve them zero-copy off a
-shared read-only ``mmap``.  v1 files left by older stores still load
-everywhere (converted on read), and :meth:`AutomatonStore.migrate`
-re-encodes them as v2 in place.
+Snapshots are written in the TEAB section layout
+(:mod:`repro.store.binary`), so :meth:`AutomatonStore.map_compiled` can
+serve them zero-copy off a shared read-only ``mmap``.  A file in any
+other format is refused at every read, with a message that says how to
+rebuild it.
 
 The replay service (:mod:`repro.service`) preloads every snapshot in a
 store at startup and serves them by key (or by the ``label`` /
@@ -45,13 +44,16 @@ from repro.isa.image import ImageHeader, decode_image, encode_image
 from repro.isa.image import HEADER_SIZE as IMAGE_HEADER_SIZE
 from repro.obs import Observability
 from repro.store.binary import (
+    _REBUILD,
+    SEC_HEAD_SIDS,
+    SEC_TRANS_LABELS,
+    SEC_TRANS_OFFSET,
     compile_tea_binary,
     dump_tea_binary,
+    int64_section,
     load_tea_binary,
     peek_tea_binary,
-    snapshot_version,
 )
-from repro.store.binary_v2 import BINARY_VERSION_V2, convert_v1_to_v2
 from repro.util import atomic_write_bytes
 
 #: File extension for stored snapshots.
@@ -62,8 +64,6 @@ STREAM_SUFFIX = ".teas"
 
 #: File extension of program images (``<snapshot-key>.teap``).
 IMAGE_SUFFIX = ".teap"
-
-_REBUILD = "rebuild it with 'python -m repro.service build'"
 
 #: Default store directory (relative to the invoking CWD).
 DEFAULT_STORE_DIR = ".tea_store"
@@ -122,39 +122,6 @@ def _header_digest(path, parse, header_size):
         return parse(head, size=size).program_digest
     except (OSError, SerializationError):
         return None
-
-
-def _check_migration(key, old, new):
-    """Refuse the v1 -> v2 conversion ``old`` -> ``new`` of snapshot
-    ``key`` unless it lost nothing: the v2 META, TRACES and PROFILE
-    sections must equal the v1 slices byte for byte, STATE_REFS the v1
-    state references, and the compiled v2 automaton must be
-    structurally equal to the tables decoded straight from the v1
-    automaton section."""
-    from repro.core.compiled import CompiledTea
-    from repro.store.binary_v2 import (
-        SEC_META, SEC_PROFILE, SEC_STATE_REFS, SEC_TRACES,
-        _int64_of, _section_bytes, open_v2, v1_parts,
-    )
-
-    _summary, meta_raw, traces_raw, tables, profile_raw = v1_parts(old)
-    n_states, refs, *csr = tables
-    sections = open_v2(new)
-    carried = all(
-        (_section_bytes(new, sections, sec_id) if sec_id in sections
-         else None) == raw
-        for sec_id, raw in ((SEC_META, meta_raw), (SEC_TRACES, traces_raw),
-                            (SEC_PROFILE, profile_raw))
-    )
-    if not (carried
-            and list(_int64_of(new, sections, SEC_STATE_REFS)) == list(refs)
-            and compile_tea_binary(new, verify=False).structurally_equal(
-                CompiledTea(n_states, b"\x00" + b"\x01" * (n_states - 1),
-                            *csr))):
-        raise SerializationError(
-            "snapshot %s does not survive the v1 -> v2 conversion; "
-            "refusing to migrate it" % key
-        )
 
 
 class AutomatonStore:
@@ -239,7 +206,7 @@ class AutomatonStore:
 
     def put(self, trace_set, tea=None, profile=None, meta=None,
             program=None):
-        """Encode one automaton as TEAB v2 and store it; returns its
+        """Encode one automaton as TEAB and store it; returns its
         content key.
 
         The encoding is canonical — the same automaton always produces
@@ -312,25 +279,19 @@ class AutomatonStore:
         """A zero-copy :class:`~repro.core.compiled.CompiledTea` for
         ``key``, backed by a shared read-only ``mmap``.
 
-        For v2 snapshots the automaton tables are int64 views straight
-        into the mapped file: every process (and every caller within a
-        process) mapping the same snapshot shares one page-cache copy,
-        so cold-start cost is O(section table) and resident growth per
-        extra worker is near zero.  The verify gate runs once per
+        The automaton tables are int64 views straight into the mapped
+        file: every process (and every caller within a process) mapping
+        the same snapshot shares one page-cache copy, so cold-start cost
+        is O(section table) and resident growth per extra worker is near
+        zero.  The verify gate runs once per
         mapping, not once per call; ``store.mmap_opened`` counts fresh
-        mappings.  v1 snapshots have no zero-copy layout and fall back
-        to :meth:`get_compiled` (a private decoded copy).
+        mappings.
         """
         path = self.path_for(key)
-        try:
-            with open(path, "rb") as handle:
-                head = handle.read(5)
-        except OSError:
+        if not os.path.exists(path):
             raise SerializationError(
                 "no snapshot %s in store %s" % (key, self.root)
-            ) from None
-        if snapshot_version(head) != BINARY_VERSION_V2:
-            return self.get_compiled(key)
+            )
         from repro.store.mapping import cached_mapping
 
         def gate(mapping):
@@ -339,38 +300,6 @@ class AutomatonStore:
 
         self._gets.inc()
         return cached_mapping(path, gate=gate).compiled()
-
-    def migrate(self):
-        """Re-encode every v1 snapshot as v2; returns a dict mapping
-        each re-encoded snapshot's old content key to its new one (v2
-        snapshots are not in the dict, so a second call returns ``{}``).
-
-        Each conversion is checked before anything is deleted (see
-        :func:`_check_migration`), so a migration can never lose
-        content.  Because keys are content addresses, migrating changes
-        them.
-        """
-        migrated = {}
-        for path in list(self._entry_paths()):
-            with open(path, "rb") as handle:
-                data = handle.read()
-            if snapshot_version(data) == BINARY_VERSION_V2:
-                continue
-            old_key = os.path.basename(path)[:-len(SNAPSHOT_SUFFIX)]
-            self._gate(old_key, data)
-            converted = convert_v1_to_v2(data)
-            _check_migration(old_key, data, converted)
-            # The image is bound to the snapshot's key, which changes.
-            image = self.image_path(old_key)
-            program = (self.load_program(old_key) if os.path.exists(image)
-                       else None)
-            migrated[old_key] = self.put_bytes(converted, program=program)
-            for old in (path, image):
-                try:
-                    os.unlink(old)
-                except OSError:
-                    pass
-        return migrated
 
     def describe(self, key):
         """Structural summary of ``key`` (no program image needed)."""
@@ -556,23 +485,18 @@ class AutomatonStore:
         return superseded
 
     def gc(self):
-        """Prune superseded snapshots with their images, leftover
-        JIT-source files and unreferenced stream sidecars; returns how
-        many snapshot and JIT files were removed.
+        """Prune superseded snapshots with their images, and
+        unreferenced stream sidecars; returns how many snapshots were
+        removed.
 
-        The first two passes are counted together in
-        ``store.gc_removed`` and in the return value:
+        Any snapshot named in another present snapshot's
+        ``meta["supersedes"]`` is deleted — these are the old versions
+        a hot-reload swap retired but left on disk so in-flight replays
+        could drain.  They are counted in ``store.gc_removed`` and in
+        the return value.  Each one's program image goes with it,
+        counted in ``store.gc_images_removed`` alone.
 
-        1. Any snapshot named in another present snapshot's
-           ``meta["supersedes"]`` is deleted — these are the old
-           versions a hot-reload swap retired but left on disk so
-           in-flight replays could drain.  Its program image goes with
-           it, counted in ``store.gc_images_removed`` alone.
-        2. Every ``*.jit.py`` file is deleted: older stores cached
-           generated replay code there, and nothing reads it any more
-           (see :meth:`_remove_legacy_jit`).
-
-        Third, a stream sidecar is kept only while the image of some
+        Then a stream sidecar is kept only while the image of some
         remaining snapshot names the program it was recorded from (any
         budget).  Sidecars are derived data, so their removals go to
         ``store.gc_streams_removed`` alone and do not count in the
@@ -593,24 +517,9 @@ class AutomatonStore:
                 images_removed += 1
             except OSError:
                 pass
-        removed += self._remove_legacy_jit()
         self._gc_removed.inc(removed)
         self._gc_images_removed.inc(images_removed)
         self._gc_streams_removed.inc(self._gc_streams(metas))
-        return removed
-
-    def _remove_legacy_jit(self):
-        """Delete the ``<key>.<config>.jit.py`` replay sources older
-        stores cached next to their snapshots; returns how many went.
-        JIT code is generated in memory per process and never read from
-        disk, so these files are removed unconditionally."""
-        removed = 0
-        for path in list(self._shard_files(".jit.py")):
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
         return removed
 
     def _gc_streams(self, metas):
@@ -636,8 +545,8 @@ class AutomatonStore:
         return removed
 
     def clear(self):
-        """Delete every snapshot (and program image, stream sidecar and
-        leftover JIT source); returns how many snapshots were removed."""
+        """Delete every snapshot (and program image and stream sidecar);
+        returns how many snapshots were removed."""
         removed = 0
         for path in list(self._entry_paths()):
             try:
@@ -651,7 +560,6 @@ class AutomatonStore:
                 os.unlink(path)
             except OSError:
                 pass
-        self._remove_legacy_jit()
         return removed
 
     def __repr__(self):
@@ -682,19 +590,14 @@ def describe_snapshot(path):
         raise SerializationError("cannot read %s: %s" % (path, error)) from None
     if data[:4] == b"TEAB":
         info = peek_tea_binary(data)
-        # The CSR tables sit raw in the v2 file: read them as int64
-        # views, never materializing an automaton at all.
-        from repro.store.binary import _as_v2
-        from repro.store.binary_v2 import (
-            SEC_HEAD_SIDS, SEC_TRANS_LABELS, SEC_TRANS_OFFSET,
-            int64_section, open_v2,
-        )
-
-        data = _as_v2(data)
-        sections = open_v2(data)
-        offsets = int64_section(data, *sections[SEC_TRANS_OFFSET][:2])
-        labels = int64_section(data, *sections[SEC_TRANS_LABELS][:2])
-        head_sids = int64_section(data, *sections[SEC_HEAD_SIDS][:2])
+        # The CSR tables sit raw in the file: read them as int64 views
+        # at the places peek found them, never materializing an
+        # automaton at all.
+        sections = {section["id"]: (section["offset"], section["bytes"])
+                    for section in info["sections"]}
+        offsets = int64_section(data, *sections[SEC_TRANS_OFFSET])
+        labels = int64_section(data, *sections[SEC_TRANS_LABELS])
+        head_sids = int64_section(data, *sections[SEC_HEAD_SIDS])
         n_states = len(offsets) - 1
         edge_labels = [
             list(labels[offsets[sid]:offsets[sid + 1]])

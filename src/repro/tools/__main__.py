@@ -189,8 +189,8 @@ def _cmd_tea_info(args):
         print("meta: %s" % json.dumps(info["meta"], sort_keys=True))
     print("on disk: %d bytes" % info["bytes"])
     if info.get("sections"):
-        # v2 snapshots: the mmap-able section table, straight from the
-        # header — nothing was decoded to print this.
+        # TEAB snapshots: the mmap-able section table, straight from
+        # the header — nothing was decoded to print this.
         print("sections:")
         for section in info["sections"]:
             count = section.get("count")
@@ -341,31 +341,18 @@ def _cmd_diff(args):
 
 
 def _cmd_store_gc(args):
-    """Prune superseded snapshots with their program images, orphaned
-    cached JIT sources and unreferenced stream sidecars."""
+    """Prune superseded snapshots with their program images, and
+    unreferenced stream sidecars."""
     from repro.store import AutomatonStore
 
     store = AutomatonStore(args.dir)
     removed = store.gc()
     counter = store.obs.metrics.counter
-    print("store %s: %d snapshots, removed %d superseded/orphaned "
-          "file(s), %d program image(s) and %d stream sidecar(s)"
+    print("store %s: %d snapshots, removed %d superseded snapshot(s), "
+          "%d program image(s) and %d stream sidecar(s)"
           % (args.dir, len(store), removed,
              counter("store.gc_images_removed").value,
              counter("store.gc_streams_removed").value))
-    return 0
-
-
-def _cmd_store_migrate(args):
-    """Re-encode every v1 snapshot in a store as TEAB v2."""
-    from repro.store import AutomatonStore
-
-    store = AutomatonStore(args.dir)
-    migrated = store.migrate()
-    for old_key, new_key in sorted(migrated.items()):
-        print("%s -> %s" % (old_key, new_key))
-    print("store %s: migrated %d snapshot(s) to v2 (%d total)"
-          % (args.dir, len(migrated), len(store)))
     return 0
 
 
@@ -624,18 +611,11 @@ def main(argv=None):
     store_commands = store.add_subparsers(dest="store_command", required=True)
     store_gc = store_commands.add_parser(
         "gc",
-        help="remove snapshots superseded by a hot-reload swap, JIT "
-             "sources older stores cached, and unreferenced stream sidecars",
+        help="remove snapshots superseded by a hot-reload swap, and "
+             "unreferenced stream sidecars",
     )
     store_gc.add_argument("--dir", default=".tea_store",
                           help="store directory (default %(default)s)")
-    store_migrate = store_commands.add_parser(
-        "migrate",
-        help="re-encode every v1 snapshot (the read-only legacy varint "
-             "stream) as TEAB v2 (mmap-able sections)",
-    )
-    store_migrate.add_argument("--dir", default=".tea_store",
-                               help="store directory (default %(default)s)")
 
     metrics = commands.add_parser(
         "metrics",
@@ -742,8 +722,6 @@ def main(argv=None):
         if args.command == "diff":
             return _cmd_diff(args)
         if args.command == "store":
-            if args.store_command == "migrate":
-                return _cmd_store_migrate(args)
             return _cmd_store_gc(args)
         return _cmd_info(args)
     except (ReproError, OSError, json.JSONDecodeError) as error:

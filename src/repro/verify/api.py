@@ -67,7 +67,7 @@ def verify_snapshot_bytes(data, program=None, source="<snapshot>",
     """Verify TEAB snapshot bytes.
 
     The snapshot family always runs, over one scan of the bytes.  With
-    ``deep=True`` (default) that scan also walks the blobs a v2
+    ``deep=True`` (default) that scan also walks the blobs the
     snapshot embeds, and structurally sound bytes are lowered to a
     :class:`~repro.core.compiled.CompiledTea` — and, when ``program``
     is provided, fully decoded to a trace set + automaton — so the
@@ -75,7 +75,7 @@ def verify_snapshot_bytes(data, program=None, source="<snapshot>",
     the same report.  Traces that do not decode against ``program``
     (it is not the program they were recorded from) are a TEA010
     finding.  Shallow runs (the store's verify-on-load gate) stay
-    O(section table) on v2 snapshots.
+    O(section table).
     """
     subject = Subject(source=source, snapshot=data)
     if deep:

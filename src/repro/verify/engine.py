@@ -21,7 +21,6 @@ cycles.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import os
 
@@ -79,12 +78,11 @@ def catalog_version() -> str:
     Reading the sources, not importing them, keeps a fully cached
     audit from compiling the rule modules it never runs.
     """
-    digest = hashlib.sha256()
-    here = os.path.dirname(os.path.abspath(__file__))
-    for name in BUILTIN_RULE_MODULES:
-        with open(os.path.join(here, name + ".py"), "rb") as handle:
-            digest.update(handle.read())
-    return "%d-%s" % (CATALOG_EPOCH, digest.hexdigest()[:12])
+    from repro.util.sources import source_digest
+
+    digest = source_digest(os.path.dirname(os.path.abspath(__file__)),
+                           [name + ".py" for name in BUILTIN_RULE_MODULES])
+    return "%d-%s" % (CATALOG_EPOCH, digest[:12])
 
 
 class Rule:
@@ -148,7 +146,7 @@ class Subject:
     - ``compiled`` — a :class:`~repro.core.compiled.CompiledTea`;
     - ``snapshot`` — raw TEAB snapshot bytes;
     - ``snapshot_deep`` — ``True`` when the caller opted into the deep
-      snapshot scan (walking the blobs a v2 snapshot embeds);
+      snapshot scan (walking the blobs the snapshot embeds);
       load-path gating leaves it unset so verify-on-load stays
       O(section table);
     - ``minimization`` — a

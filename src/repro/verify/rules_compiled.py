@@ -6,7 +6,7 @@ and in-bounds, per-state label runs sorted, every state id in range)
 and — when the source automaton is also at hand — that the lowering is
 structurally equivalent to a fresh ``from_tea`` pass.  The PC intern
 table needs no rule: the constructor derives it from the tables, and
-the one table adopted as stored (a v2 snapshot's label pool) is
+the one table adopted as stored (a snapshot's label pool) is
 re-derived by the deep snapshot scan (TEA024).
 
 :func:`structural_diagnostics` is the single source of truth for the

@@ -1,31 +1,27 @@
 """TEAB snapshot rules (TEA020-TEA025).
 
-The binary codec (:mod:`repro.store.binary`) already rejects the worst
-corruption — bad magic, CRC mismatch, truncated varints — but it stops
-at the first problem and it *accepts* some damage silently: unknown
-flag bits, non-monotone transition/head tables (the deltas are zigzag
-encoded, so a decreasing label decodes fine), and overlong varint
-encodings (``0x80 0x00`` for zero) that break the content-addressing
-contract because two byte strings decode to the same automaton.
+The codec (:mod:`repro.store.binary`) already rejects the worst
+corruption — bad magic, an unsupported version, CRC mismatch, a section
+table that escapes the file — but it stops at the first problem, and it
+*accepts* some damage silently: out-of-order profile keys, and overlong
+varint encodings (``0x80 0x00`` for zero) in the embedded blobs that
+break the content-addressing contract because two byte strings decode
+to the same automaton.
 
-This module re-walks the varint grammar with its own *collecting*
-scanner: every finding becomes a diagnostic, nothing raises, and every
-varint read is simultaneously re-encoded canonically so the
-decode -> re-encode byte-identity check (TEA023) falls out of the scan
-for free.  One walker per section (meta, traces, automaton, profile)
-serves both formats: a v1 payload is the four in a row, and v2 embeds
-the meta, traces and profile blobs verbatim.
-
-The v2 section layout (:mod:`repro.store.binary_v2`) gets the same
-treatment: TEA024 covers the section table (bounds, overlap,
-alignment, required sections, count consistency, canonical ordering of
-the zero-copy tables) and TEA025 the table and per-section CRCs.  A
-deep scan (``verify_snapshot_bytes(deep=True)``) also walks v2's
-embedded blobs, checks STATE_REFS against the walked TBBs and
-re-derives SUMMARY and LABEL_POOL; the shallow scan of the load-path
-gate stays O(section table).  A :class:`~repro.verify.engine.Subject`
-scans its snapshot once, however many rules read the result; the scan
-also keeps the meta and state count it passes (TEA050 reads them).
+This module re-checks the bytes with its own *collecting* scanner:
+every finding becomes a diagnostic and nothing raises.  TEA020 covers
+the header, TEA024 the section table (bounds, overlap, alignment,
+required sections, count consistency, canonical ordering of the
+zero-copy tables) and TEA025 the table and per-section CRCs.  A deep
+scan (``verify_snapshot_bytes(deep=True)``) also walks the embedded
+META, TRACES and PROFILE blobs — every varint read is re-encoded
+canonically as it goes, so the decode -> re-encode byte-identity check
+(TEA023) falls out of the walk for free — checks STATE_REFS against the
+walked TBBs and re-derives SUMMARY and LABEL_POOL; the shallow scan of
+the load-path gate stays O(section table).  A
+:class:`~repro.verify.engine.Subject` scans its snapshot once, however
+many rules read the result; the scan also keeps the meta and state
+count it passes (TEA050 reads them).
 """
 
 import json
@@ -38,7 +34,7 @@ class _ScanError(Exception):
 
 
 class _Scanner:
-    """Bounded TEAB payload reader that re-encodes canonically as it goes.
+    """Bounded TEAB blob reader that re-encodes canonically as it goes.
 
     Mirrors :class:`repro.store.binary._Reader`, but every value read
     is appended (in canonical LEB128) to :attr:`canon`; after a full
@@ -110,12 +106,12 @@ class _Scanner:
 class SnapshotScan:
     """Result of one collecting scan over snapshot bytes.
 
-    ``envelope`` / ``structure`` / ``order`` / ``roundtrip`` (varint
-    sections: the v1 payload, or the blobs a deep v2 scan walks) and
-    ``sections`` / ``crc`` (v2 only) are lists of ``(message,
+    ``envelope`` (the header), ``structure`` / ``order`` / ``roundtrip``
+    (the varint blobs a deep scan walks) and ``sections`` / ``crc``
+    (the section table and its checksums) are lists of ``(message,
     data_dict)`` findings, one list per rule family member.  An
-    envelope failure aborts the payload scan (the other lists stay
-    empty — the envelope finding is the root cause).
+    envelope failure aborts the scan (the other lists stay empty — the
+    envelope finding is the root cause).
 
     ``meta`` (the decoded meta JSON) and ``n_states`` (the automaton's
     state count) are what the scan learned on the way, for the rules
@@ -145,74 +141,10 @@ class SnapshotScan:
                 and not self.crc)
 
 
-def scan_snapshot(data, deep=False):
-    """Structurally scan TEAB bytes; returns a :class:`SnapshotScan`.
-
-    A v1 payload is always walked in full.  A v2 scan checks the header
-    and section table, and with ``deep`` also walks the embedded META,
-    TRACES and PROFILE blobs and re-derives SUMMARY and LABEL_POOL.
-    """
-    from repro.store.binary import (
-        BINARY_VERSION, FLAG_META, FLAG_PROFILE, MAGIC,
-    )
-    import zlib
-
-    scan = SnapshotScan()
-    min_size = len(MAGIC) + 2 + 4
-    if len(data) < min_size:
-        scan.envelope.append((
-            "snapshot is %d bytes, shorter than the %d-byte minimum "
-            "envelope" % (len(data), min_size),
-            {"size": len(data)},
-        ))
-        return scan
-    if data[:4] != MAGIC:
-        scan.envelope.append((
-            "bad magic %r (expected %r)" % (bytes(data[:4]), MAGIC),
-            {"magic": repr(bytes(data[:4]))},
-        ))
-        return scan
-    version = data[4]
-    if version == 2:
-        _scan_v2(data, scan, deep)
-        return scan
-    if version != BINARY_VERSION:
-        scan.envelope.append((
-            "unsupported snapshot version %d (this codec reads v1/v2)"
-            % version,
-            {"version": version},
-        ))
-        return scan
-    flags = data[5]
-    known = FLAG_PROFILE | FLAG_META
-    if flags & ~known:
-        scan.envelope.append((
-            "unknown flag bits %#04x set (known mask %#04x); a newer "
-            "or corrupted writer produced this snapshot"
-            % (flags & ~known, known),
-            {"flags": flags},
-        ))
-        return scan
-    stored_crc = int.from_bytes(data[-4:], "little")
-    actual_crc = zlib.crc32(data[:-4])
-    if stored_crc != actual_crc:
-        scan.envelope.append((
-            "CRC mismatch: stored %08x, computed %08x"
-            % (stored_crc, actual_crc),
-            {"stored": stored_crc, "computed": actual_crc},
-        ))
-        return scan
-    scan.payload_scanned = _walk(
-        data, 6, len(data) - 4, "payload", scan,
-        lambda scanner: _walk_v1(scanner, flags, scan),
-    ) is not None
-    return scan
-
-
 def _walk(data, start, end, what, scan, walk):
-    """Run ``walk(scanner)`` over ``data[start:end]``, one varint
-    grammar (the v1 payload, or a blob v2 embeds); returns its result,
-    or ``None`` when the bytes cannot be walked to the end.
+    """Run ``walk(scanner)`` over ``data[start:end]``, one varint blob;
+    returns its result, or ``None`` when the bytes cannot be walked to
+    the end.
 
     A walk that stops early, or leaves trailing bytes, is a structure
     finding; one whose canonical re-encoding differs from the bytes is
@@ -250,19 +182,6 @@ def _walk(data, start, end, what, scan, walk):
             {"offset": start + offset},
         ))
     return result
-
-
-def _walk_v1(scanner, flags, scan):
-    """Walk the whole TEAB v1 grammar, collecting findings into ``scan``."""
-    from repro.store.binary import FLAG_META, FLAG_PROFILE
-
-    if flags & FLAG_META:
-        _check_meta(scanner.string(), scan)
-    tbb_keys, _summary = _walk_traces(scanner, scan)
-    _walk_automaton(scanner, tbb_keys, scan)
-    if flags & FLAG_PROFILE:
-        _walk_profile(scanner, tbb_keys, scan)
-    return True
 
 
 def _check_meta(text, scan):
@@ -355,57 +274,6 @@ def _check_state_refs(refs, tbb_keys, scan):
         seen.add(key)
 
 
-def _walk_automaton(scanner, tbb_keys, scan):
-    """Walk the v1 automaton section."""
-    n_states = scan.n_states = scanner.uvarint()
-    if n_states < 1:
-        scan.structure.append((
-            "automaton section declares %d states; the NTE state is "
-            "mandatory" % n_states, {},
-        ))
-    _check_state_refs(
-        [(scanner.uvarint(), scanner.uvarint())
-         for _ in range(1, max(n_states, 1))],
-        tbb_keys, scan,
-    )
-    for sid in range(max(n_states, 1)):
-        n_transitions = scanner.uvarint()
-        previous = 0
-        for position in range(n_transitions):
-            label = previous + scanner.svarint()
-            dest = scanner.uvarint()
-            if position and label <= previous:
-                scan.order.append((
-                    "state %d transition labels are not strictly "
-                    "increasing (%#x after %#x)" % (sid, label, previous),
-                    {"sid": sid, "label": label},
-                ))
-            if not 0 <= dest < n_states:
-                scan.structure.append((
-                    "state %d transition on %#x targets unknown state "
-                    "%d" % (sid, label, dest),
-                    {"sid": sid, "dest": dest},
-                ))
-            previous = label
-    n_heads = scanner.uvarint()
-    previous = 0
-    for position in range(n_heads):
-        entry = previous + scanner.svarint()
-        sid = scanner.uvarint()
-        if position and entry <= previous:
-            scan.order.append((
-                "head entries are not strictly increasing (%#x after "
-                "%#x)" % (entry, previous),
-                {"entry": entry},
-            ))
-        if not 0 < sid < n_states:
-            scan.structure.append((
-                "head entry %#x targets unknown state %d" % (entry, sid),
-                {"entry": entry, "sid": sid},
-            ))
-        previous = entry
-
-
 def _walk_profile(scanner, tbb_keys, scan):
     """Walk the profile grammar against the walked TBB keys."""
     n_counts = scanner.uvarint()
@@ -433,42 +301,52 @@ def _walk_profile(scanner, tbb_keys, scan):
             previous = trace_id
 
 
-def _scan_v2(data, scan, deep):
-    """Collecting scan of the TEAB v2 section layout.
+def scan_snapshot(data, deep=False):
+    """Structurally scan TEAB bytes; returns a :class:`SnapshotScan`.
 
-    The same checks :func:`repro.store.binary_v2.open_v2` applies
-    (raising at the first problem), plus the canonical-layout rules a
-    loader does not need: zeroed inter-section padding, the file ending
-    exactly at the last section, CSR monotonicity, head/label-pool
-    ordering, and the in-trace flag pattern.  Envelope damage lands in
+    The same checks :func:`repro.store.binary.open_v2` applies (raising
+    at the first problem), plus the canonical-layout rules a loader does
+    not need: zeroed inter-section padding, the file ending exactly at
+    the last section, CSR monotonicity, head/label-pool ordering, and
+    the in-trace flag pattern.  Envelope damage lands in
     ``scan.envelope``, section-table/structure damage in
     ``scan.sections``, CRC mismatches in ``scan.crc``.  ``deep`` adds
-    :func:`_scan_v2_blobs` once all of that is clean.
+    :func:`_scan_blobs` once all of that is clean.
     """
-    import struct
     import zlib
 
-    from repro.store.binary_v2 import (
-        ENTRY_SIZE, HEADER_SIZE, INT64_SECTIONS, REQUIRED_SECTIONS,
+    from repro.store.binary import (
+        _ENTRY, _HEADER, _REBUILD, BINARY_VERSION, ENTRY_SIZE,
+        HEADER_SIZE, INT64_SECTIONS, MAGIC, REQUIRED_SECTIONS,
         SEC_HEAD_ENTRIES, SEC_HEAD_SIDS, SEC_LABEL_POOL, SEC_META,
         SEC_STATE_REFS, SEC_TBB_FLAG, SEC_TRANS_DEST, SEC_TRANS_LABELS,
-        SEC_TRANS_OFFSET, SECTION_NAMES, _ENTRY, _HEADER, int64_section,
+        SEC_TRANS_OFFSET, SECTION_NAMES, int64_section,
     )
 
+    scan = SnapshotScan()
     size = len(data)
     if size < HEADER_SIZE:
         scan.envelope.append((
-            "snapshot is %d bytes, shorter than the %d-byte v2 header"
+            "snapshot is %d bytes, shorter than the %d-byte header"
             % (size, HEADER_SIZE),
             {"size": size},
         ))
-        return
-    try:
-        (_magic, _version, flags, n_sections, file_size, table_crc,
-         reserved) = _HEADER.unpack_from(data, 0)
-    except struct.error as error:
-        scan.envelope.append(("unreadable v2 header: %s" % error, {}))
-        return
+        return scan
+    (magic, version, flags, n_sections, file_size, table_crc,
+     reserved) = _HEADER.unpack_from(data, 0)
+    if magic != MAGIC:
+        scan.envelope.append((
+            "bad magic %r (expected %r)" % (magic, MAGIC),
+            {"magic": repr(magic)},
+        ))
+        return scan
+    if version != BINARY_VERSION:
+        scan.envelope.append((
+            "unsupported snapshot version %d (this code reads version "
+            "%d); %s" % (version, BINARY_VERSION, _REBUILD),
+            {"version": version},
+        ))
+        return scan
     if flags or reserved:
         scan.envelope.append((
             "reserved v2 header bits are set (flags=%#x reserved=%#x); "
@@ -476,14 +354,14 @@ def _scan_v2(data, scan, deep):
             % (flags, reserved),
             {"flags": flags, "reserved": reserved},
         ))
-        return
+        return scan
     if file_size != size:
         scan.envelope.append((
             "v2 header names %d bytes but the snapshot is %d"
             % (file_size, size),
             {"declared": file_size, "size": size},
         ))
-        return
+        return scan
     table_end = HEADER_SIZE + ENTRY_SIZE * n_sections
     if n_sections < 1 or table_end > size:
         scan.envelope.append((
@@ -491,7 +369,7 @@ def _scan_v2(data, scan, deep):
             % (n_sections, size),
             {"n_sections": n_sections},
         ))
-        return
+        return scan
     actual_crc = zlib.crc32(memoryview(data)[HEADER_SIZE:table_end],
                             zlib.crc32(memoryview(data)[:16]))
     if actual_crc != table_crc:
@@ -501,7 +379,7 @@ def _scan_v2(data, scan, deep):
             {"stored": table_crc, "computed": actual_crc},
         ))
         scan.payload_scanned = True
-        return
+        return scan
 
     sections = {}
     previous_id = 0
@@ -585,11 +463,11 @@ def _scan_v2(data, scan, deep):
             % ", ".join(sorted(SECTION_NAMES[m] for m in missing)),
             {"missing": sorted(missing)},
         ))
-        return
+        return scan
     if not bounded or scan.sections or scan.crc:
         # Table geometry or payload integrity is already broken; the
         # content checks below would read through the damage.
-        return
+        return scan
 
     n_states = scan.n_states = sections[SEC_TBB_FLAG][2]
     if n_states < 1:
@@ -597,7 +475,7 @@ def _scan_v2(data, scan, deep):
             "tbb_flag declares %d states; the NTE state is mandatory"
             % n_states, {},
         ))
-        return
+        return scan
     counts = {
         SEC_STATE_REFS: 2 * (n_states - 1),
         SEC_TRANS_OFFSET: n_states + 1,
@@ -623,7 +501,7 @@ def _scan_v2(data, scan, deep):
             {},
         ))
     if scan.sections:
-        return
+        return scan
 
     def view(sec_id):
         offset, length, _count = sections[sec_id]
@@ -685,7 +563,7 @@ def _scan_v2(data, scan, deep):
             "label_pool is not strictly increasing", {},
         ))
     if deep and not scan.sections:
-        _scan_v2_blobs(data, sections, view, scan)
+        _scan_blobs(data, sections, view, scan)
     elif SEC_META in sections:
         # The shallow scan reads the meta without judging it: meta that
         # is not JSON is a finding of the deep blob walk.
@@ -695,18 +573,19 @@ def _scan_v2(data, scan, deep):
                                                           offset + length]))
         except ValueError:
             pass
+    return scan
 
 
-def _scan_v2_blobs(data, sections, view, scan):
-    """Deep v2 checks: walk the embedded META, TRACES and PROFILE blobs
-    with the v1 grammar walkers, check STATE_REFS against the walked
-    TBBs, and re-derive SUMMARY and LABEL_POOL.
+def _scan_blobs(data, sections, view, scan):
+    """Deep checks: walk the embedded META, TRACES and PROFILE blobs,
+    check STATE_REFS against the walked TBBs, and re-derive SUMMARY and
+    LABEL_POOL.
 
-    Blob findings go where the same damage in a v1 payload goes
-    (structure, order, roundtrip); a SUMMARY or LABEL_POOL that does
-    not match what it is derived from is a section finding.
+    Blob findings are structure, order or roundtrip findings; a SUMMARY
+    or LABEL_POOL that does not match what it is derived from is a
+    section finding.
     """
-    from repro.store.binary_v2 import (
+    from repro.store.binary import (
         SEC_HEAD_ENTRIES, SEC_LABEL_POOL, SEC_META, SEC_PROFILE,
         SEC_STATE_REFS, SEC_SUMMARY, SEC_TRACES, SEC_TRANS_LABELS,
         summary_json,
@@ -764,8 +643,10 @@ class SnapshotEnvelope(_SnapshotRule):
     rule_id = "TEA020"
     name = "snapshot-envelope"
     description = (
-        "The TEAB envelope is invalid: wrong magic, unsupported "
-        "version, unknown flag bits, or CRC mismatch."
+        "The TEAB header is invalid: too short, wrong magic, an "
+        "unsupported version (the message says how to rebuild the "
+        "snapshot), reserved bits set, a file size that disagrees with "
+        "the header, or a section table that does not fit."
     )
     paper = "Section 5 (storing trace shape for reuse)"
     scan_field = "envelope"
@@ -775,9 +656,9 @@ class SnapshotStructure(_SnapshotRule):
     rule_id = "TEA021"
     name = "snapshot-structure"
     description = (
-        "A varint section (the v1 payload, or a blob v2 embeds) is "
-        "malformed: truncated varint, out-of-range index, unknown or "
-        "shared TBB reference, invalid meta JSON, or trailing bytes."
+        "An embedded blob (meta, traces or profile) is malformed: "
+        "truncated varint, out-of-range index, unknown or shared TBB "
+        "reference, invalid meta JSON, or trailing bytes."
     )
     paper = "Section 5 (storing trace shape for reuse)"
     scan_field = "structure"
@@ -787,9 +668,8 @@ class SnapshotOrder(_SnapshotRule):
     rule_id = "TEA022"
     name = "snapshot-order"
     description = (
-        "A delta-encoded table is not strictly increasing (transition "
-        "labels, head entries, or profile map keys); the codec always "
-        "writes them sorted."
+        "A profile counter map's trace ids are not strictly increasing; "
+        "the codec always writes them sorted."
     )
     paper = "Section 4.2 (sorted dispatch tables)"
     scan_field = "order"
@@ -799,10 +679,9 @@ class SnapshotRoundtrip(_SnapshotRule):
     rule_id = "TEA023"
     name = "snapshot-roundtrip"
     description = (
-        "Decoding then re-encoding a varint section (the v1 payload, or "
-        "a blob v2 embeds) does not reproduce the original bytes "
-        "(overlong varints); content addressing requires canonical "
-        "encoding."
+        "Decoding then re-encoding an embedded varint blob (traces or "
+        "profile) does not reproduce the original bytes (overlong "
+        "varints); content addressing requires canonical encoding."
     )
     paper = "Section 5 (content-addressed snapshot reuse)"
     scan_field = "roundtrip"
@@ -812,7 +691,7 @@ class SnapshotSections(_SnapshotRule):
     rule_id = "TEA024"
     name = "snapshot-sections"
     description = (
-        "A TEAB v2 section-table entry is invalid: misaligned, "
+        "A TEAB section-table entry is invalid: misaligned, "
         "overlapping, escaping the file, missing a required section, "
         "inconsistent item counts, a zero-copy table that is not in "
         "canonical sorted form, or a summary or label pool that does "
@@ -826,7 +705,7 @@ class SnapshotSectionCrc(_SnapshotRule):
     rule_id = "TEA025"
     name = "snapshot-section-crc"
     description = (
-        "A TEAB v2 checksum does not match its payload (section table "
+        "A TEAB checksum does not match its payload (section table "
         "or an individual section); the mapped bytes were corrupted "
         "after writing."
     )

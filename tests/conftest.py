@@ -1,6 +1,5 @@
 """Shared fixtures: small programs and recorded trace sets."""
 
-import zlib
 from pathlib import Path
 
 import pytest
@@ -61,30 +60,22 @@ helper:
 """
 
 
-#: The one TEAB v1 snapshot the tests read (181.mcf at scale 0.4, MRET,
-#: with meta, no profile).  v1 is read-only: nothing writes it any more,
-#: so tests take v1 bytes from this file and never encode them.
-GOLDEN_V1 = Path(__file__).parent / "golden" / "mcf_mret.teab"
-GOLDEN_V1_BENCHMARK = ("181.mcf", 0.4)
-
-
-def reseal_v1(body):
-    """Append a fresh v1 CRC32 trailer to ``body`` (v1 bytes without
-    their trailer), so only the damage seeded into the payload shows."""
-    body = bytes(body)
-    return body + zlib.crc32(body).to_bytes(4, "little")
+#: The golden TEAB snapshot (181.mcf at scale 0.4, MRET, with meta, no
+#: profile), pinned byte for byte by ``tests/test_store_v2.py``.
+GOLDEN_SNAPSHOT = Path(__file__).parent / "golden" / "mcf_mret.teab"
+GOLDEN_SNAPSHOT_BENCHMARK = ("181.mcf", 0.4)
 
 
 @pytest.fixture(scope="session")
-def golden_v1():
-    return GOLDEN_V1.read_bytes()
+def golden_snapshot():
+    return GOLDEN_SNAPSHOT.read_bytes()
 
 
 @pytest.fixture(scope="session")
-def golden_v1_program():
+def golden_snapshot_program():
     from repro.workloads import load_benchmark
 
-    name, scale = GOLDEN_V1_BENCHMARK
+    name, scale = GOLDEN_SNAPSHOT_BENCHMARK
     return load_benchmark(name, scale=scale).program
 
 

@@ -9,7 +9,9 @@ from repro.cpu import ExecutionStream, Executor, Machine, run_program
 from repro.cpu import executor as executor_module
 from repro.cpu.events import EDGE_CALL, EDGE_COND, EDGE_IND_JMP, EDGE_RET, EDGE_SPLIT
 from repro.errors import ExecutionError, InstructionLimitExceeded
-from repro.isa import assemble
+from repro.isa import Program, assemble
+from repro.isa.instructions import Instruction
+from repro.isa.operands import Imm, Reg
 from repro.isa.registers import EAX, EBX, ECX
 from repro.workloads import load_benchmark
 
@@ -472,6 +474,17 @@ middle:
     assert result.instrs_dbt == 2 + 3 + 5 + 5 + 1
 
 
+def _refused(program, opcode, operands):
+    """``program`` with its first ``opcode`` instruction given
+    ``operands`` the assembler refuses, so only the interpreter sees
+    them."""
+    first = next(i for i in program.instructions if i.opcode == opcode)
+    return Program(
+        [Instruction(opcode, operands, i.addr, i.length, i.target)
+         if i is first else i for i in program.instructions],
+        program.labels, program.entry, base=program.base, data=program.data)
+
+
 def test_unexecutable_instruction_raises_when_its_block_is_reached():
     source = """
 main:
@@ -481,18 +494,21 @@ main:
     hlt
 bad:
     mov ebx, 1
-    lea eax, ebx
+    lea eax, [ebx]
     hlt
 """
-    program = assemble(source % 0)
+    lea_of_a_register = (Reg(EAX), Reg(EBX))
+    program = _refused(assemble(source % 0), "lea", lea_of_a_register)
     executor = Executor(program, machine=Machine())  # not translated yet
     assert executor.run().halted  # the bad block never runs
     machine = Machine()
     with pytest.raises(ExecutionError, match="lea needs a memory operand"):
-        run_program(assemble(source % 7), machine=machine)
+        run_program(_refused(assemble(source % 7), "lea", lea_of_a_register),
+                    machine=machine)
     assert machine.regs[EBX] == 0  # raised before its block ran
     with pytest.raises(ExecutionError, match="immediate"):
-        run_program(assemble("main:\n    mov 5, eax\n    hlt"))
+        run_program(_refused(assemble("main:\n    mov eax, 5\n    hlt"),
+                             "mov", (Imm(5), Reg(EAX))))
 
 
 def test_threads_translating_at_once_record_the_serial_streams(monkeypatch):

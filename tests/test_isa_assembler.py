@@ -367,6 +367,14 @@ def test_assembler_error_messages(source, fragment):
     ("main:\n    nop\n    push main", "push takes a register"),
     ("main:\n    nop\n    inc main", "inc takes a register"),
     ("main:\n    nop\n    neg 5", "neg takes a register"),
+    # Destinations the interpreter cannot write, and lea of a non-address.
+    ("main:\n    nop\n    pop 5", "pop takes a register or a memory "
+     "operand as operand 1, not '5'"),
+    ("main:\n    nop\n    mov main, eax", "mov takes a register"),
+    ("main:\n    nop\n    add 5, eax", "add takes a register"),
+    ("main:\n    nop\n    mov 5, eax", "mov takes a register"),
+    ("main:\n    nop\n    lea eax, ebx", "lea takes a memory operand as "
+     "operand 2, not 'ebx'"),
     # An empty value would move every later data label up a word.
     ("main:\n.data\nbuf: .word 1,,2\nend: .word 3", "empty .word value"),
     ("main:\n.data\nbuf: .word 1,", "empty .word value"),

@@ -9,8 +9,6 @@ TEAB / the store with full provenance, pass the TEA05x verify family,
 and degrade gracefully (never silently) under a state budget.
 """
 
-import os
-
 import pytest
 
 from tests.conftest import NESTED_DIAMOND_SOURCE, record_traces
@@ -430,29 +428,6 @@ def test_tea050_accepts_real_provenance(world, tmp_path):
     report = verify_snapshot_bytes(store.get_bytes(new_key))
     assert report.ok(strict=True), report.render_text()
     assert "TEA050" in report.rules_run
-
-
-def test_store_gc_prunes_orphaned_jit_caches(world, tmp_path):
-    """JIT sources older stores cached next to snapshots are removed by
-    ``gc`` whether or not their snapshot is still present."""
-    store = AutomatonStore(tmp_path / "store")
-    meta = {"benchmark": BENCHMARK, "scale": SCALE}
-    key_a = store.put(world.trace_set, tea=world.tea, meta=meta,
-                      program=world.program)
-    key_b, _ = store.put_minimized(key_a)
-    leftovers = []
-    for key in (key_a, key_b):
-        path = os.path.join(os.path.dirname(store.path_for(key)),
-                            key + ".bptree-o8-direct16.jit.py")
-        with open(path, "w") as handle:
-            handle.write("# left behind by an older store\n")
-        leftovers.append(path)
-    os.unlink(store.path_for(key_a))
-    assert store.gc() == 2
-    assert not any(os.path.exists(path) for path in leftovers)
-    assert store.keys() == [key_b]
-    assert store.obs.metrics.counters()["store.gc_removed"] == 2
-    assert store.gc() == 0  # idempotent
 
 
 def test_describe_snapshot_reports_mergeable_estimate(world, tmp_path):

@@ -178,6 +178,47 @@ def test_stage_key_sensitivity():
     assert key == stage_key("171.swim", "dbt:mret", subset)
 
 
+def test_edited_charge_misses_the_cache(tmp_path):
+    """Stage summaries are keyed on the code that computes them: after
+    one charge expression is edited in a copy of the package, a cached
+    stage misses; at unchanged code a warm rerun runs no stage."""
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = tmp_path / "src"
+    shutil.copytree(Path(repro.__file__).resolve().parent, src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    metrics = tmp_path / "metrics.json"
+
+    def run():
+        subprocess.run(
+            [sys.executable, "-m", "repro.harness", "table2",
+             "--scale", "0.2", "--benchmarks", "181.mcf",
+             "--cache-dir", str(tmp_path / "cache"),
+             "--metrics-out", str(metrics)],
+            check=True, capture_output=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src),
+                     PYTHONDONTWRITEBYTECODE="1"))
+        counters = json.loads(metrics.read_text())["metrics"]["counters"]
+        return (counters.get("harness.stage_runs", 0),
+                counters.get("harness.cache.disk_hits", 0))
+
+    cold_runs, _hits = run()
+    assert cold_runs > 0
+    assert run() == (0, cold_runs)
+    stardbt = src / "repro" / "dbt" / "stardbt.py"
+    text = stardbt.read_text()
+    charge = "cold_rate = 1.0 + params.DBT_COLD_TAX"
+    assert text.count(charge) == 1
+    stardbt.write_text(text.replace(charge,
+                                    "cold_rate = 3.0 + params.DBT_COLD_TAX"))
+    assert run() == (cold_runs, 0)
+
+
 def test_config_fingerprint_is_json_stable():
     fingerprint = config_fingerprint(small_config())
     blob = json.dumps(fingerprint, sort_keys=True)

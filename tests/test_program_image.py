@@ -313,21 +313,13 @@ def test_gc_drops_images_with_their_snapshots(tmp_path, capsys):
     assert store.gc() == 0
 
 
-def test_minimize_and_migrate_carry_the_image(two_programs, golden_v1,
-                                             golden_v1_program):
+def test_minimize_carries_the_image(two_programs):
     store, keys = two_programs
     program = store.load_program(keys["a"])
     new_key, _result = store.put_minimized(keys["a"])
     assert store.load_program(new_key).content_digest() == \
         program.content_digest()
-    old_key = store.put_bytes(golden_v1, program=golden_v1_program)
-    migrated = store.migrate()
-    assert sorted(migrated) == [old_key]
-    assert store.load_program(migrated[old_key]).content_digest() == \
-        golden_v1_program.content_digest()
-    for old_key, moved in migrated.items():
-        assert not os.path.exists(store.image_path(old_key))
-        assert verify_path(store.image_path(moved)).ok()
+    assert verify_path(store.image_path(new_key)).ok()
     images = sorted(name[:-len(".teap")]
                     for _root, _dirs, files in os.walk(store.root)
                     for name in files if name.endswith(".teap"))

@@ -12,14 +12,11 @@ entry point verifies it (the ``bases`` fixture).  Snapshot bases are
 verified at two depths, shallow (the load-path gate) and deep; every
 other base has one depth, and its rows leave ``shallow`` as ``None``.
 
-- ``v2``: a TEAB v2 snapshot with meta and a profile, written by
+- ``v2``: a TEAB snapshot with meta and a profile, written by
   ``dump_tea_binary`` from the golden snapshot's content (181.mcf at
   scale 0.4, MRET) and a recorded profile.  Most faults rewrite one
   section and re-pack the file, so every CRC and the layout are sound
   and only the seeded damage shows.
-- ``v1``: the golden v1 snapshot ``tests/golden/mcf_mret.teab``, for
-  the v1 envelope and grammar faults (CRC re-sealed unless the CRC is
-  the fault).
 - ``rewritten``: the v2 snapshot's decoded content, edited and dumped
   again, verified with its program (so deep runs decode it fully).
 - ``built``: the decoded automaton, trace set and program, verified as
@@ -53,28 +50,27 @@ from repro.minimize import minimize_tea
 from repro.pin import Pin, TeaReplayTool
 from repro.store import dump_tea_binary, load_tea_binary
 from repro.store.binary import (
-    FLAG_META,
-    _open_snapshot,
-    _Reader,
-    _scan_traces,
-    write_svarint,
-    write_uvarint,
-)
-from repro.store.binary_v2 import (
+    _ENTRY,
     ENTRY_SIZE,
     HEADER_SIZE,
     INT64_SECTIONS,
+    SEC_HEAD_ENTRIES,
+    SEC_HEAD_SIDS,
     SEC_LABEL_POOL,
     SEC_META,
     SEC_PROFILE,
     SEC_STATE_REFS,
     SEC_SUMMARY,
     SEC_TRACES,
-    _ENTRY,
+    SEC_TRANS_DEST,
+    SEC_TRANS_LABELS,
+    SEC_TRANS_OFFSET,
     _int64_bytes,
     _pack_v2,
+    _Reader,
     int64_section,
     open_v2,
+    write_uvarint,
 )
 from repro.traces.model import TBB
 from repro.verify import (
@@ -89,7 +85,6 @@ from repro.verify import (
     verify_tea,
     verify_trace_set,
 )
-from tests.conftest import reseal_v1
 
 Row = namedtuple("Row", "family name base seed shallow deep")
 
@@ -98,14 +93,15 @@ Row = namedtuple("Row", "family name base seed shallow deep")
 # v2 seeders
 # ---------------------------------------------------------------------
 
-def _repack(data, sec_id, edit):
-    """Re-pack v2 ``data`` with section ``sec_id``'s payload replaced by
-    ``edit(payload)``; every CRC and offset is recomputed."""
+def _repack(data, edits):
+    """Re-pack v2 ``data`` with each section ``sec_id`` of ``edits``
+    (``{sec_id: edit}``) holding ``edit(payload)`` in place of its
+    payload; every CRC and offset is recomputed."""
     sections = []
     for sid, (offset, length, count) in sorted(open_v2(data).items()):
         payload = bytes(data[offset:offset + length])
-        if sid == sec_id:
-            payload = edit(payload)
+        if sid in edits:
+            payload = edits[sid](payload)
             if sid in INT64_SECTIONS:
                 count = len(payload) // 8
         sections.append((sid, payload, count))
@@ -116,7 +112,7 @@ def _int64s(payload):
     return list(int64_section(payload, 0, len(payload)))
 
 
-def _retable(buffer):
+def reseal_table(buffer):
     """Recompute the section-table CRC after editing table entries."""
     n_sections = struct.unpack_from("<H", buffer, 6)[0]
     table_end = HEADER_SIZE + ENTRY_SIZE * n_sections
@@ -131,7 +127,7 @@ def misaligned_section(data):
     entry = list(_ENTRY.unpack_from(bad, HEADER_SIZE))
     entry[2] += 1          # knock the first section off 8-byte alignment
     _ENTRY.pack_into(bad, HEADER_SIZE, *entry)
-    return _retable(bad)
+    return reseal_table(bad)
 
 
 def overlapping_sections(data):
@@ -140,7 +136,7 @@ def overlapping_sections(data):
     entry = list(_ENTRY.unpack_from(bad, HEADER_SIZE + ENTRY_SIZE))
     entry[2] = first[2]    # the second section starts on the first
     _ENTRY.pack_into(bad, HEADER_SIZE + ENTRY_SIZE, *entry)
-    return _retable(bad)
+    return reseal_table(bad)
 
 
 def flipped_traces_byte(data):
@@ -164,7 +160,7 @@ def summary_edge_count_off_by_one(data):
         return json.dumps(summary, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
 
-    return _repack(data, SEC_SUMMARY, edit)
+    return _repack(data, {SEC_SUMMARY: edit})
 
 
 def state_ref_to_missing_tbb(data):
@@ -173,7 +169,7 @@ def state_ref_to_missing_tbb(data):
         refs[-1] = 999     # the last state's TBB index
         return _int64_bytes(refs)
 
-    return _repack(data, SEC_STATE_REFS, edit)
+    return _repack(data, {SEC_STATE_REFS: edit})
 
 
 def two_states_share_a_tbb(data):
@@ -182,11 +178,11 @@ def two_states_share_a_tbb(data):
         refs[2:4] = refs[0:2]   # state 2 names state 1's TBB
         return _int64_bytes(refs)
 
-    return _repack(data, SEC_STATE_REFS, edit)
+    return _repack(data, {SEC_STATE_REFS: edit})
 
 
 def traces_truncated(data):
-    return _repack(data, SEC_TRACES, lambda payload: payload[:-3])
+    return _repack(data, {SEC_TRACES: lambda payload: payload[:-3]})
 
 
 def traces_overlong_varint(data):
@@ -196,7 +192,7 @@ def traces_overlong_varint(data):
         assert payload[0] < 0x80
         return bytes([payload[0] | 0x80, 0x00]) + payload[1:]
 
-    return _repack(data, SEC_TRACES, edit)
+    return _repack(data, {SEC_TRACES: edit})
 
 
 def label_pool_missing_a_label(data):
@@ -205,7 +201,7 @@ def label_pool_missing_a_label(data):
         del pool[len(pool) // 2]
         return _int64_bytes(pool)
 
-    return _repack(data, SEC_LABEL_POOL, edit)
+    return _repack(data, {SEC_LABEL_POOL: edit})
 
 
 def profile_keys_unsorted(data):
@@ -223,106 +219,54 @@ def profile_keys_unsorted(data):
                 write_uvarint(out, value)
         return bytes(out)
 
-    return _repack(data, SEC_PROFILE, edit)
+    return _repack(data, {SEC_PROFILE: edit})
 
 
 def meta_not_json(data):
-    return _repack(data, SEC_META, lambda payload: b"{not json")
+    return _repack(data, {SEC_META: lambda payload: b"{not json"})
 
 
-# ---------------------------------------------------------------------
-# v1 seeders (the golden snapshot)
-# ---------------------------------------------------------------------
-
-def _v1_automaton(data):
-    """Where the automaton lives in v1 ``data``: the ``(start, end)`` of
-    each state's transition run, and of the head registry."""
-    reader, flags = _open_snapshot(data)
-    if flags & FLAG_META:
-        reader.take(reader.uvarint())
-    _scan_traces(reader)
-    n_states = reader.uvarint()
-    reader.uvarint_run(2 * (n_states - 1))
-    runs = []
-    for _ in range(n_states):
-        start = reader.pos
-        reader.uvarint_run(2 * reader.uvarint())
-        runs.append((start, reader.pos))
-    start = reader.pos
-    reader.uvarint_run(2 * reader.uvarint())
-    return runs, (start, reader.pos)
+def _tables(data, *sec_ids):
+    """The int64 sections ``sec_ids`` of ``data``, as lists."""
+    sections = open_v2(data)
+    return [_int64s(data[sections[sec_id][0]:
+                         sections[sec_id][0] + sections[sec_id][1]])
+            for sec_id in sec_ids]
 
 
-def _splice_v1(data, start, end, replacement):
-    return reseal_v1(data[:start] + replacement + data[end:-4])
+def _replaced(data, tables):
+    """``data`` with each int64 section of ``{sec_id: values}`` holding
+    ``values`` (see :func:`_repack`)."""
+    return _repack(data, {
+        sec_id: lambda _payload, values=values: _int64_bytes(values)
+        for sec_id, values in tables.items()})
 
 
-def v1_stale_version(data):
-    bad = bytearray(data)
-    bad[4] = 9
-    return reseal_v1(bad[:-4])
+def transition_labels_unsorted(data):
+    """Give the first state with a transition a second one on a label one
+    below its first: its run is no longer sorted by label."""
+    offsets, labels, dests, pool = _tables(
+        data, SEC_TRANS_OFFSET, SEC_TRANS_LABELS, SEC_TRANS_DEST,
+        SEC_LABEL_POOL)
+    sid = next(sid for sid in range(len(offsets) - 1)
+               if offsets[sid + 1] > offsets[sid])
+    at = offsets[sid] + 1
+    labels.insert(at, labels[at - 1] - 1)
+    dests.insert(at, dests[at - 1])
+    offsets[sid + 1:] = [offset + 1 for offset in offsets[sid + 1:]]
+    return _replaced(data, {
+        SEC_TRANS_OFFSET: offsets, SEC_TRANS_LABELS: labels,
+        SEC_TRANS_DEST: dests, SEC_LABEL_POOL: sorted({*pool, labels[at]}),
+    })
 
 
-def v1_unknown_flag_bits(data):
-    bad = bytearray(data)
-    bad[5] |= 0x80
-    return reseal_v1(bad[:-4])
+def head_entries_unsorted(data):
+    """Swap the first two heads of the registry (entries and states)."""
+    entries, sids = _tables(data, SEC_HEAD_ENTRIES, SEC_HEAD_SIDS)
+    entries[0:2] = entries[1], entries[0]
+    sids[0:2] = sids[1], sids[0]
+    return _replaced(data, {SEC_HEAD_ENTRIES: entries, SEC_HEAD_SIDS: sids})
 
-
-def v1_crc_mismatch(data):
-    bad = bytearray(data)
-    bad[-1] ^= 0xFF
-    return bytes(bad)
-
-
-def v1_truncated_payload(data):
-    # Drop the last three payload bytes: the grammar runs out mid-table.
-    return reseal_v1(data[:-7])
-
-
-def v1_overlong_varint(data):
-    # Payload byte 0 is the meta string's length, a one-byte varint.
-    assert data[6] < 0x80
-    return reseal_v1(data[:6] + bytes([data[6] | 0x80, 0x00]) + data[7:-4])
-
-
-def v1_transition_labels_unsorted(data):
-    """Give the first one-transition state a second transition on a
-    label one below the first."""
-    runs, _heads = _v1_automaton(data)
-    for start, end in runs:
-        reader = _Reader(data, start, end)
-        if reader.uvarint() == 1:
-            label, dest = reader.svarint(), reader.uvarint()
-            break
-    run = bytearray()
-    write_uvarint(run, 2)
-    write_svarint(run, label)
-    write_uvarint(run, dest)
-    write_svarint(run, -1)
-    write_uvarint(run, dest)
-    return _splice_v1(data, start, end, run)
-
-
-def v1_head_entries_unsorted(data):
-    """Swap the first two entries of the head registry."""
-    _runs, (start, end) = _v1_automaton(data)
-    reader = _Reader(data, start, end)
-    pairs = reader.uvarint_run(2 * reader.uvarint())
-    heads = []
-    entry = 0
-    for position in range(0, len(pairs), 2):
-        entry += (pairs[position] >> 1) ^ -(pairs[position] & 1)
-        heads.append((entry, pairs[position + 1]))
-    heads[0], heads[1] = heads[1], heads[0]
-    registry = bytearray()
-    write_uvarint(registry, len(heads))
-    previous = 0
-    for entry, sid in heads:
-        write_svarint(registry, entry - previous)
-        write_uvarint(registry, sid)
-        previous = entry
-    return _splice_v1(data, start, end, registry)
 
 
 # ---------------------------------------------------------------------
@@ -689,7 +633,7 @@ SNAPSHOT_ROWS = [
         _ids("TEA024"), _ids("TEA024")),
     Row("snapshot", "v2-section-crc", "v2", flipped_traces_byte,
         _ids("TEA025"), _ids("TEA025")),
-    # The next four were caught by nothing but the deleted v1 <-> v2
+    # The next four were caught by nothing but the deleted container
     # conversion rule (TEA026); the deep blob walk owns them now.
     Row("snapshot", "v2-summary-edge-count", "v2",
         summary_edge_count_off_by_one, NONE, _ids("TEA024")),
@@ -707,22 +651,10 @@ SNAPSHOT_ROWS = [
         NONE, _ids("TEA022")),
     Row("snapshot", "v2-meta-not-json", "v2", meta_not_json,
         NONE, _ids("TEA021")),
-    Row("snapshot", "v1-clean", "v1", _unchanged, NONE, NONE),
-    Row("snapshot", "v1-stale-version", "v1", v1_stale_version,
-        _ids("TEA020"), _ids("TEA020")),
-    Row("snapshot", "v1-unknown-flag-bits", "v1", v1_unknown_flag_bits,
-        _ids("TEA020"), _ids("TEA020")),
-    Row("snapshot", "v1-crc-mismatch", "v1", v1_crc_mismatch,
-        _ids("TEA020"), _ids("TEA020")),
-    Row("snapshot", "v1-truncated-payload", "v1", v1_truncated_payload,
-        _ids("TEA021"), _ids("TEA021")),
-    Row("snapshot", "v1-overlong-varint", "v1", v1_overlong_varint,
-        _ids("TEA023"), _ids("TEA023")),
-    Row("snapshot", "v1-transition-labels-unsorted", "v1",
-        v1_transition_labels_unsorted,
-        _ids("TEA022"), _ids("TEA022", "TEA030")),
-    Row("snapshot", "v1-head-entries-unsorted", "v1",
-        v1_head_entries_unsorted, _ids("TEA022"), _ids("TEA022")),
+    Row("snapshot", "v2-transition-labels-unsorted", "v2",
+        transition_labels_unsorted, _ids("TEA024"), _ids("TEA024")),
+    Row("snapshot", "v2-head-entries-unsorted", "v2", head_entries_unsorted,
+        _ids("TEA024"), _ids("TEA024")),
 ]
 
 ROWS = SNAPSHOT_ROWS + [
@@ -855,12 +787,12 @@ Base = namedtuple("Base", "make verify")
 
 
 @pytest.fixture(scope="module")
-def bases(golden_v1, golden_v1_program):
+def bases(golden_snapshot, golden_snapshot_program):
     """The known-good artifacts the rows seed faults into, by name:
     how to make a fresh one, and how to verify it."""
-    program = golden_v1_program
+    program = golden_snapshot_program
     trace_set, tea, _profile, meta = load_tea_binary(
-        golden_v1, BlockIndex(program), with_meta=True)
+        golden_snapshot, BlockIndex(program), with_meta=True)
     profile = TeaProfile()
     tool = TeaReplayTool(trace_set=trace_set, profile=profile, tea=tea)
     Pin(program, tool=tool).run()
@@ -875,7 +807,6 @@ def bases(golden_v1, golden_v1_program):
         return verify_snapshot_bytes(data, deep=deep)
 
     return {
-        "v1": Base(lambda: golden_v1, snapshot),
         "v2": Base(lambda: v2, snapshot),
         "rewritten": Base(world, lambda data, deep: verify_snapshot_bytes(
             data, program=program, deep=deep)),

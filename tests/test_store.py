@@ -38,8 +38,8 @@ from tests.conftest import (
     CALL_LOOP_SOURCE,
     SIMPLE_LOOP_SOURCE,
     record_traces,
-    reseal_v1,
 )
+from tests.test_rule_matrix import reseal_table
 
 
 def assert_same_automaton(original, rebuilt):
@@ -78,7 +78,7 @@ def test_svarint_round_trip(value):
     assert unzigzag(zigzag(value)) == value
     out = bytearray()
     write_svarint(out, value)
-    assert _Reader(bytes(out)).svarint() == value
+    assert unzigzag(_Reader(bytes(out)).uvarint()) == value
 
 
 def test_uvarint_rejects_negative():
@@ -240,18 +240,20 @@ def test_bad_magic_rejected(nested_traces):
         peek_tea_binary(bytes(data))
 
 
-def test_bad_version_rejected(golden_v1):
-    data = bytearray(golden_v1)
+def test_bad_version_rejected(golden_snapshot):
+    data = bytearray(golden_snapshot)
     data[4] = 99
-    # Re-seal the CRC so the version check itself is what fires.
-    with pytest.raises(SerializationError, match="v99"):
-        peek_tea_binary(reseal_v1(data[:-4]))
+    # Re-seal the table CRC so the version check itself is what fires.
+    with pytest.raises(SerializationError,
+                       match="version 99 .*python -m repro.service build"):
+        peek_tea_binary(reseal_table(data))
 
 
-@pytest.mark.parametrize("position", [7, 40, -5])
-def test_bit_flip_fails_crc(golden_v1, position):
-    # v1's whole-file CRC; v2's per-section CRCs are tests/test_store_v2.py's.
-    data = bytearray(golden_v1)
+@pytest.mark.parametrize("position", [17, 40, -5])
+def test_bit_flip_fails_crc(golden_snapshot, position):
+    # Byte 17 is in the stored table CRC, 40 in the section table, -5 in
+    # the last section's payload (checked against its own CRC).
+    data = bytearray(golden_snapshot)
     data[position] ^= 0x10
     with pytest.raises(SerializationError, match="CRC"):
         peek_tea_binary(bytes(data))
@@ -264,9 +266,11 @@ def test_truncation_rejected(nested_program, nested_traces):
             load_tea_binary(data[:cut], BlockIndex(nested_program))
 
 
-def test_trailing_bytes_rejected(golden_v1, nested_program):
-    padded = reseal_v1(golden_v1[:-4] + b"\x00\x00")
-    with pytest.raises(SerializationError, match="trailing"):
+def test_trailing_bytes_rejected(golden_snapshot, nested_program):
+    padded = golden_snapshot + b"\x00\x00"
+    with pytest.raises(SerializationError,
+                       match="header names %d bytes but the snapshot is %d"
+                       % (len(golden_snapshot), len(padded))):
         load_tea_binary(padded, BlockIndex(nested_program))
 
 

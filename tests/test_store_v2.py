@@ -1,17 +1,18 @@
-"""The TEAB v2 section format: zero-copy snapshots, shared mappings,
-the one-way v1 migration, and hot-reload.
+"""The TEAB section format: zero-copy snapshots, shared mappings, the
+refusal of any other version, and hot-reload.
 
-v2 is the only format written; v1 is read through
-:func:`~repro.store.convert_v1_to_v2`.  The acceptance bar: the writer
-produces exactly the conversion of the golden v1 snapshot, whatever
-is written decodes back to the content it was given, an automaton
-lowered zero-copy off an ``mmap`` replays bit-exactly against the v1
-decode under every Table 4 configuration and both replay walks, ``migrate``
-is one-way and refuses a lossy conversion, and a service hot-reload
-under concurrent clients drops or corrupts nothing.  Seeded faults and
-the rules that catch them are tests/test_rule_matrix.py's.
+The acceptance bar: the writer reproduces the golden snapshot byte for
+byte, whatever is written decodes back to the content it was given, an
+automaton lowered zero-copy off an ``mmap`` replays bit-exactly against
+the decoded copy under every Table 4 configuration and both replay
+walks, a file of another version is quarantined with a message saying
+how to rebuild it, and a service hot-reload under concurrent clients
+drops or corrupts nothing.  Seeded faults and the rules that catch them
+are tests/test_rule_matrix.py's.
 """
 
+import hashlib
+import os
 import threading
 
 import pytest
@@ -26,16 +27,24 @@ from repro.pin import Pin, TeaReplayTool
 from repro.store import (
     AutomatonStore,
     compile_tea_binary,
-    convert_v1_to_v2,
     dump_tea_binary,
     load_tea_binary,
     open_snapshot_mapping,
     peek_tea_binary,
     snapshot_key,
-    snapshot_version,
 )
-from repro.store.binary import _automaton_tables
-from repro.store.binary_v2 import SEC_TRACES, open_v2, v1_parts
+from repro.store.binary import (
+    SEC_HEAD_ENTRIES,
+    SEC_HEAD_SIDS,
+    SEC_STATE_REFS,
+    SEC_TRACES,
+    SEC_TRANS_DEST,
+    SEC_TRANS_LABELS,
+    SEC_TRANS_OFFSET,
+    _automaton_tables,
+    int64_section,
+    open_v2,
+)
 from repro.verify import verify_snapshot_bytes
 from tests.conftest import (
     CALL_LOOP_SOURCE,
@@ -43,6 +52,7 @@ from tests.conftest import (
     SIMPLE_LOOP_SOURCE,
     record_traces,
 )
+from tests.test_rule_matrix import reseal_table
 from tests.test_store import assert_same_automaton
 
 CONFIGS = {
@@ -55,70 +65,74 @@ CONFIGS = {
 #: graph) and the compiled walk over the lowered tables.
 WALKS = ("object", "compiled")
 
+#: SHA-256 of ``tests/golden/mcf_mret.teab``.
+GOLDEN_SHA256 = (
+    "c3aedd9cd91fc0b73b3c44a059106b6ca02c3c468cca03a64598f4d84523bbff")
+
 
 @pytest.fixture(scope="module")
-def world(golden_v1, golden_v1_program):
-    """The golden v1 snapshot, its program, and its v2 conversion."""
-    return golden_v1_program, golden_v1, convert_v1_to_v2(golden_v1)
+def world(golden_snapshot, golden_snapshot_program):
+    """The golden snapshot's program and bytes."""
+    return golden_snapshot_program, golden_snapshot
 
 
 # ---------------------------------------------------------------------
-# the writer, and v1 read through the converter
+# the writer and the readers on the golden snapshot
 # ---------------------------------------------------------------------
 
-def test_dump_v2_is_the_converted_v1(world):
-    program, v1, v2 = world
-    traces, tea, profile, meta = load_tea_binary(
-        v1, BlockIndex(program), with_meta=True)
+def test_dump_reproduces_the_golden_bytes(world):
+    program, data = world
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
+    loaded = load_tea_binary(data, BlockIndex(program), with_meta=True)
+    _traces, _tea, profile, meta = loaded
     assert profile is None and meta["label"] == "golden"
-    assert dump_tea_binary(traces, tea=tea, meta=meta) == v2
-    assert snapshot_version(v2) == 2
+    assert dump_tea_binary(*loaded) == data
 
 
-def test_peek_v2_matches_v1_and_adds_sections(world):
-    _program, v1, v2 = world
-    info_v1 = peek_tea_binary(v1)
-    info_v2 = peek_tea_binary(v2)
-    for field in ("kind", "traces", "tbbs", "edges", "states",
-                  "transitions", "heads", "profile", "meta"):
-        assert info_v2[field] == info_v1[field], field
-    # peek reports the file's own version and size.
-    assert (info_v1["version"], info_v1["bytes"]) == (1, len(v1))
-    assert "sections" not in info_v1
-    assert info_v2["version"] == 2
-    names = [section["name"] for section in info_v2["sections"]]
+def test_peek_reports_counts_and_sections(world):
+    program, data = world
+    traces, tea, _profile = load_tea_binary(data, BlockIndex(program))
+    info = peek_tea_binary(data)
+    assert info["version"] == 2 and info["bytes"] == len(data)
+    assert (info["kind"], info["traces"], info["tbbs"], info["edges"]) == (
+        traces.kind, len(traces.traces),
+        sum(len(trace.tbbs) for trace in traces),
+        sum(len(tbb.successors) for trace in traces for tbb in trace))
+    assert (info["states"], info["transitions"], info["heads"]) == (
+        tea.n_states, tea.n_transitions, len(tea.heads))
+    assert info["profile"] is False and info["meta"]["label"] == "golden"
+    names = [section["name"] for section in info["sections"]]
     assert names[0] == "summary" and "trans_offset" in names
-    for section in info_v2["sections"]:
+    for section in info["sections"]:
         assert section["offset"] % 8 == 0
 
 
 def test_load_v2_is_bit_exact(world):
-    program, v1, v2 = world
-    index = BlockIndex(program)
-    traces_1, tea_1, profile_1 = load_tea_binary(v1, index)
-    traces_2, tea_2, profile_2 = load_tea_binary(v2, index)
-    assert_same_automaton(tea_1, tea_2)
-    assert [t.trace_id for t in traces_2] == [t.trace_id for t in traces_1]
-    assert profile_1 is None and profile_2 is None
-    # The automaton is the one the v1 automaton section stores.
-    _summary, _meta, _traces, tables, _profile = v1_parts(v1)
-    assert _automaton_tables(tea_1) == tuple(
-        value if isinstance(value, int) else list(value)
-        for value in tables)
+    program, data = world
+    _traces, tea, profile = load_tea_binary(data, BlockIndex(program))
+    assert profile is None
+    # The automaton is the one the int64 sections store.
+    sections = open_v2(data)
+
+    def table(sec_id):
+        return list(int64_section(data, *sections[sec_id][:2]))
+
+    assert _automaton_tables(tea) == (
+        sections[SEC_TRANS_OFFSET][2] - 1, table(SEC_STATE_REFS),
+        table(SEC_TRANS_OFFSET), table(SEC_TRANS_LABELS),
+        table(SEC_TRANS_DEST), table(SEC_HEAD_ENTRIES),
+        table(SEC_HEAD_SIDS))
 
 
-def test_compiled_v2_equals_compiled_v1(world):
-    _program, v1, v2 = world
-    compiled_1 = compile_tea_binary(v1)
-    compiled_2 = compile_tea_binary(v2)
-    assert compiled_2.structurally_equal(compiled_1)
-    n_states, _refs, *csr = v1_parts(v1)[3]
-    direct = CompiledTea(n_states, b"\x00" + b"\x01" * (n_states - 1),
-                         *csr)
-    assert compiled_1.structurally_equal(direct)
-    assert list(compiled_1.trans_offset) == list(direct.trans_offset)
-    assert list(compiled_1.trans_labels) == list(direct.trans_labels)
-    assert list(compiled_1.trans_dest) == list(direct.trans_dest)
+def test_compiled_equals_the_lowered_automaton(world):
+    program, data = world
+    _traces, tea, _profile = load_tea_binary(data, BlockIndex(program))
+    compiled = compile_tea_binary(data)
+    lowered = CompiledTea.from_tea(tea)
+    assert compiled.structurally_equal(lowered)
+    assert list(compiled.trans_offset) == list(lowered.trans_offset)
+    assert list(compiled.trans_labels) == list(lowered.trans_labels)
+    assert list(compiled.trans_dest) == list(lowered.trans_dest)
 
 
 def _same_traces(expected, actual):
@@ -157,7 +171,7 @@ def test_hypothesis_round_trip_is_bit_exact(source, strategy, threshold,
         tool = TeaReplayTool(trace_set=trace_set, profile=profile, tea=tea)
         Pin(program, tool=tool).run()
     data = dump_tea_binary(trace_set, tea=tea, profile=profile, meta=meta)
-    assert snapshot_version(data) == 2
+    assert peek_tea_binary(data)["version"] == 2
     assert verify_snapshot_bytes(data, program=program).ok()
     traces_2, tea_2, profile_2, meta_2 = load_tea_binary(
         data, BlockIndex(program), with_meta=True)
@@ -178,13 +192,16 @@ def test_hypothesis_round_trip_is_bit_exact(source, strategy, threshold,
 
 
 # ---------------------------------------------------------------------
-# replay equivalence: every Table 4 config, both walks, v1 vs v2 mmap
+# replay equivalence: every Table 4 config, both walks, decoded vs mmap
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("walk", WALKS)
 def test_replay_bit_exact_v1_vs_v2_mmap(world, tmp_path, config_name, walk):
-    program, v1, v2 = world
+    """A private decoded copy of the golden snapshot and a zero-copy
+    ``mmap`` of the same file replay identically (the name is kept from
+    when the copy was a v1 file's conversion)."""
+    program, data = world
     block_index = BlockIndex(program)
 
     def replay(data, mapping=None):
@@ -200,15 +217,15 @@ def test_replay_bit_exact_v1_vs_v2_mmap(world, tmp_path, config_name, walk):
         return tool.stats.as_dict(), result.cycles
 
     path = tmp_path / "w.teab"
-    path.write_bytes(v2)
+    path.write_bytes(data)
     mapping = open_snapshot_mapping(path)
     try:
-        stats_v1, cycles_v1 = replay(v1)
-        stats_v2, cycles_v2 = replay(mapping.data, mapping=mapping)
+        stats_copy, cycles_copy = replay(bytes(data))
+        stats_mapped, cycles_mapped = replay(mapping.data, mapping=mapping)
     finally:
         mapping.close()
-    assert stats_v2 == stats_v1
-    assert cycles_v2 == cycles_v1
+    assert stats_mapped == stats_copy
+    assert cycles_mapped == cycles_copy
 
 
 # ---------------------------------------------------------------------
@@ -216,22 +233,22 @@ def test_replay_bit_exact_v1_vs_v2_mmap(world, tmp_path, config_name, walk):
 # ---------------------------------------------------------------------
 
 def test_open_v2_raises_on_damage(world):
-    *_rest, v2 = world
-    bad = bytearray(v2)
-    bad[open_v2(v2)[SEC_TRACES][0]] ^= 0xFF
+    _program, data = world
+    bad = bytearray(data)
+    bad[open_v2(data)[SEC_TRACES][0]] ^= 0xFF
     with pytest.raises(SerializationError, match="CRC"):
         open_v2(bytes(bad))
 
 
 # ---------------------------------------------------------------------
-# store: the one format, mapping reuse, migrate, gc
+# store: the one format, mapping reuse, another version refused, gc
 # ---------------------------------------------------------------------
 
 def test_store_writes_v2_and_maps_zero_copy(tmp_path, nested_traces):
     store = AutomatonStore(tmp_path / "store")
     tea = build_tea(nested_traces)
     key = store.put(nested_traces, tea=tea, meta={"label": "z"})
-    assert snapshot_version(store.get_bytes(key)) == 2
+    assert store.get_bytes(key)[4] == 2
     first = store.map_compiled(key)
     second = store.map_compiled(key)
     assert second is first  # one shared mapping per process per file
@@ -240,56 +257,40 @@ def test_store_writes_v2_and_maps_zero_copy(tmp_path, nested_traces):
     assert counters["store.mmap_opened"] == 1
 
 
-def test_store_map_compiled_falls_back_for_v1(tmp_path, golden_v1):
+def test_another_version_is_quarantined_for_rebuild(world, tmp_path):
+    """A TEAB file with another version byte (here 1) at a store path is
+    never served: the server preload quarantines it, and the store's
+    readers refuse it, each saying how to rebuild it."""
+    from repro.service.server import ServiceConfig, TeaService
+
+    program, data = world
     store = AutomatonStore(tmp_path / "store")
-    key = store.put_bytes(golden_v1)
-    compiled = store.map_compiled(key)
-    assert compiled.structurally_equal(store.get_compiled(key))
-    counters = store.obs.metrics.snapshot()["counters"]
-    assert counters.get("store.mmap_opened", 0) == 0
-
-
-def test_store_migrate_is_one_way(tmp_path, golden_v1, golden_v1_program):
-    store = AutomatonStore(tmp_path / "store")
-    key_v1 = store.put_bytes(golden_v1, program=golden_v1_program)
-    forward = store.migrate()
-    assert forward == {key_v1: snapshot_key(convert_v1_to_v2(golden_v1))}
-    key_v2 = forward[key_v1]
-    assert key_v1 not in store and key_v2 in store
-    assert snapshot_version(store.get_bytes(key_v2)) == 2
-    assert store.load_program(key_v2).content_digest() == \
-        golden_v1_program.content_digest()
-    # v2 is never converted back: a second migrate has nothing to do.
-    assert store.migrate() == {}
-    assert store.keys() == [key_v2]
-
-
-@pytest.mark.parametrize("loss", ["traces", "automaton"])
-def test_store_migrate_refuses_a_lossy_conversion(tmp_path, golden_v1,
-                                                  monkeypatch, loss):
-    import repro.store.store as store_module
-
-    store = AutomatonStore(tmp_path / "store")
-    key = store.put_bytes(golden_v1)
-
-    def lossy(data):
-        summary, meta_raw, traces_raw, tables, profile_raw = v1_parts(data)
-        if loss == "traces":
-            traces_raw = traces_raw[:-1] + bytes([traces_raw[-1] ^ 1])
-        else:
-            n_states, refs, offsets, labels, dests, entries, sids = tables
-            dests = [(dest + 1) % n_states for dest in dests]
-            tables = (n_states, refs, offsets, labels, dests, entries, sids)
-        from repro.store.binary_v2 import _assemble_v2
-
-        return _assemble_v2(summary, meta_raw, traces_raw, tables,
-                            profile_raw)
-
-    monkeypatch.setattr(store_module, "convert_v1_to_v2", lossy)
-    with pytest.raises(SerializationError, match="refusing to migrate"):
-        store.migrate()
-    assert store.keys() == [key]
-    assert store.get_bytes(key) == golden_v1
+    good = store.put_bytes(data, program=program)
+    old = bytearray(data)
+    old[4] = 1
+    old = reseal_table(old)
+    key = snapshot_key(old)
+    os.makedirs(os.path.dirname(store.path_for(key)), exist_ok=True)
+    with open(store.path_for(key), "wb") as handle:
+        handle.write(old)
+    with pytest.raises(SerializationError, match="version 1"):
+        store.put_bytes(old)
+    rebuild = "rebuild it with 'python -m repro.service build'"
+    for verify in (True, False):
+        service = TeaService(store, ServiceConfig(verify=verify))
+        service.preload()
+        assert list(service.entries) == [good]
+        assert rebuild in service.invalid[key]["error"]
+        assert service.invalid[key]["rules"] == (["TEA020"] if verify
+                                                 else [])
+    for read in (store.get_compiled, store.map_compiled):
+        with pytest.raises(VerificationError, match="TEA020") as excinfo:
+            read(key)
+        assert rebuild in str(excinfo.value)
+    trusting = AutomatonStore(store.root, verify_on_load=False)
+    for read in (trusting.get_compiled, trusting.map_compiled):
+        with pytest.raises(SerializationError, match="rebuild it with"):
+            read(key)
 
 
 def test_store_gate_rejects_corrupted_v2(tmp_path, nested_traces):
@@ -312,35 +313,35 @@ def test_served_snapshot_is_opened_once(world, monkeypatch, tmp_path):
     after the verify gate; without the gate, damage is still refused."""
     from repro.isa.image import encode_image
     from repro.service.server import ServiceConfig, TeaService, load_entry
-    from repro.store import binary_v2
+    from repro.store import binary
 
-    program, _v1, v2 = world
-    key = snapshot_key(v2)
+    program, data = world
+    key = snapshot_key(data)
     image = encode_image(program, owner=key)
     opened = []
-    real_open = binary_v2.open_v2
+    real_open = binary.open_v2
 
     def counted_open(data, check_crc=True):
         opened.append(check_crc)
         return real_open(data, check_crc)
 
-    monkeypatch.setattr(binary_v2, "open_v2", counted_open)
-    verify_snapshot_bytes(v2, deep=False)
+    monkeypatch.setattr(binary, "open_v2", counted_open)
+    verify_snapshot_bytes(data, deep=False)
     gate = len(opened)
     opened.clear()
-    entry = load_entry(key, v2, image)
+    entry = load_entry(key, data, image)
     assert opened == [True] * (gate + 1)
     opened.clear()
-    unverified = load_entry(key, v2, image, verify=False)
+    unverified = load_entry(key, data, image, verify=False)
     assert opened == [True]
     monkeypatch.undo()
 
     traces, tea, profile, meta = load_tea_binary(
-        v2, BlockIndex(program), with_meta=True)
+        data, BlockIndex(program), with_meta=True)
     for loaded in (entry, unverified):
         assert loaded.meta == meta and loaded.profile is profile is None
         assert_same_automaton(loaded.tea, tea)
-        assert loaded.compiled.structurally_equal(compile_tea_binary(v2))
+        assert loaded.compiled.structurally_equal(compile_tea_binary(data))
 
     store = AutomatonStore(tmp_path / "store")
     damaged_key = store.put(traces, tea=tea, meta=meta, program=program)
@@ -370,24 +371,6 @@ def test_gc_prunes_superseded_snapshots_and_counts(tmp_path, nested_traces):
     counters = store.obs.metrics.snapshot()["counters"]
     assert counters["store.gc_removed"] == 2
     # Idempotent: a second pass finds nothing.
-    assert store.gc() == 0
-
-
-def test_gc_still_prunes_orphaned_jit_sources(tmp_path, nested_traces):
-    """Nothing reads cached JIT sources any more, so ``gc`` deletes one
-    even next to a live snapshot, and counts it."""
-    import os
-
-    store = AutomatonStore(tmp_path / "store")
-    tea = build_tea(nested_traces)
-    key = store.put(nested_traces, tea=tea)
-    legacy = os.path.join(os.path.dirname(store.path_for(key)),
-                          key + ".bptree-o8-direct16.jit.py")
-    with open(legacy, "w") as handle:
-        handle.write("# left behind by an older store\n")
-    assert store.gc() == 1
-    assert not os.path.exists(legacy)
-    assert store.keys() == [key]
     assert store.gc() == 0
 
 

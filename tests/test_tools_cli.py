@@ -355,8 +355,6 @@ def test_diff_cli_json_without_program_is_usage_error(trace_file, capsys):
 
 
 def test_store_gc_cli(tmp_path, capsys):
-    import os
-
     from tests.conftest import NESTED_DIAMOND_SOURCE, record_traces
     from repro.core import build_tea
     from repro.isa import assemble
@@ -366,16 +364,16 @@ def test_store_gc_cli(tmp_path, capsys):
     trace_set = record_traces(program).trace_set
     store_dir = tmp_path / "store"
     store = AutomatonStore(store_dir)
-    key = store.put(trace_set, tea=build_tea(trace_set))
-    legacy = os.path.join(os.path.dirname(store.path_for(key)),
-                          key + ".bptree-o8-direct16.jit.py")
-    with open(legacy, "w") as handle:
-        handle.write("# left behind by an older store\n")
+    tea = build_tea(trace_set)
+    old = store.put(trace_set, tea=tea, meta={"label": "x"})
+    new = store.put(trace_set, tea=tea,
+                    meta={"label": "x", "supersedes": old})
 
     code = main(["store", "gc", "--dir", str(store_dir)])
     assert code == 0
     output = capsys.readouterr().out
-    assert "removed 1 superseded/orphaned" in output
+    assert "1 snapshots, removed 1 superseded snapshot(s)" in output
+    assert store.keys() == [new]
     capsys.readouterr()
     assert main(["store", "gc", "--dir", str(store_dir)]) == 0
     assert "removed 0" in capsys.readouterr().out

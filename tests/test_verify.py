@@ -21,13 +21,17 @@ from tests.conftest import (
     SIMPLE_LOOP_SOURCE,
     record_traces,
 )
-from tests.test_rule_matrix import stale_version, v1_overlong_varint
+from tests.test_rule_matrix import (
+    stale_version,
+    traces_overlong_varint,
+    transition_labels_unsorted,
+)
 from repro.core import build_tea
 from repro.core.compiled import CompiledTea
 from repro.errors import SerializationError, VerificationError
 from repro.isa import assemble
 from repro.store import AutomatonStore
-from repro.store.binary import compile_tea_binary, dump_tea_binary
+from repro.store.binary import dump_tea_binary, load_tea_binary
 from repro.verify import (
     all_rules,
     default_engine,
@@ -111,9 +115,9 @@ def test_engine_disable_and_obs_counters(world):
 
 @pytest.fixture
 def count_scans(monkeypatch):
-    """Counts calls of ``scan_snapshot``, of the deep v2 blob walk, and
-    of the codec's own header parse (``peek``)."""
-    from repro.store import binary, binary_v2
+    """Counts calls of ``scan_snapshot``, of the deep blob walk, and of
+    the codec's own header parse (``peek``)."""
+    from repro.store import binary
     from repro.verify import rules_snapshot
 
     calls = {"scan": 0, "blobs": 0, "peek": 0}
@@ -128,25 +132,26 @@ def count_scans(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(rules_snapshot, "scan_snapshot", "scan")
-    counting(rules_snapshot, "_scan_v2_blobs", "blobs")
+    counting(rules_snapshot, "_scan_blobs", "blobs")
     counting(binary, "peek_tea_binary", "peek")
-    counting(binary_v2, "peek_tea_binary_v2", "peek")
     return calls
 
 
 @pytest.mark.parametrize("deep", [False, True])
-@pytest.mark.parametrize("fmt", ["v1", "v2"])
-def test_snapshot_verify_scans_once(world, snapshot, golden_v1,
+@pytest.mark.parametrize("fmt", ["golden", "v2"])
+def test_snapshot_verify_scans_once(world, snapshot, golden_snapshot,
                                     count_scans, fmt, deep):
+    """``v2``: a snapshot verified with its program; ``golden``: the
+    golden snapshot verified without one."""
     program, _, _ = world
-    data = snapshot if fmt == "v2" else golden_v1
+    data = snapshot if fmt == "v2" else golden_snapshot
     report = verify_snapshot_bytes(
         data, program=program if fmt == "v2" else None, deep=deep)
     assert report.ok()
     assert {"TEA020", "TEA025"} <= set(report.rules_run)
     assert count_scans["scan"] == 1
-    # Only a deep scan of a v2 snapshot walks the blobs it embeds.
-    assert count_scans["blobs"] == (1 if fmt == "v2" and deep else 0)
+    # Only a deep scan walks the blobs a snapshot embeds.
+    assert count_scans["blobs"] == (1 if deep else 0)
     # Every rule reads the snapshot through that one scan (TEA050's
     # provenance meta included), never through a second parse.
     assert count_scans["peek"] == 0
@@ -164,19 +169,24 @@ def test_store_gate_scans_once_per_load(world, snapshot, tmp_path,
     assert (count_scans["scan"], count_scans["blobs"]) == (2, 0)
 
 
-def test_overlong_varint_trips_roundtrip_rule(golden_v1):
-    # An overlong varint decodes to the same value and the CRC re-seals,
+def test_overlong_varint_trips_roundtrip_rule(golden_snapshot,
+                                              golden_snapshot_program):
+    # An overlong varint decodes to the same value and the CRCs re-seal,
     # so every decoder accepts it — but the bytes are no longer
     # canonical, which breaks content addressing.  Only TEA023 sees it.
-    data = v1_overlong_varint(golden_v1)
+    from repro.cfg.basic_block import BlockIndex
+    from repro.store.binary import SEC_TRACES, open_v2
+    from tests.test_store import assert_same_automaton
+
+    data = traces_overlong_varint(golden_snapshot)
+    index = BlockIndex(golden_snapshot_program)
     # The decoder itself is fooled: it reads identical values.
-    assert compile_tea_binary(data, verify=False).structurally_equal(
-        compile_tea_binary(golden_v1))
-    # The verify gate is not.
-    with pytest.raises(VerificationError) as excinfo:
-        compile_tea_binary(data)
-    assert excinfo.value.rule_ids == ["TEA023"]
-    assert excinfo.value.diagnostics[0].data["offset"] == 6
+    assert_same_automaton(load_tea_binary(golden_snapshot, index)[1],
+                          load_tea_binary(data, index)[1])
+    # The deep verify is not.
+    report = verify_snapshot_bytes(data)
+    assert report.rule_ids == ["TEA023"]
+    assert report.errors[0].data["offset"] == open_v2(data)[SEC_TRACES][0]
 
 
 # ---------------------------------------------------------------------
@@ -340,18 +350,18 @@ def test_sarif_log_shape(snapshot):
 # ---------------------------------------------------------------------
 
 
-def test_store_load_gate_rejects_noncanonical_snapshot(golden_v1,
-                                                       golden_v1_program,
+def test_store_load_gate_rejects_noncanonical_snapshot(golden_snapshot,
+                                                       golden_snapshot_program,
                                                        tmp_path):
-    program = golden_v1_program
-    bad = v1_overlong_varint(golden_v1)
+    program = golden_snapshot_program
+    bad = transition_labels_unsorted(golden_snapshot)
     store = AutomatonStore(tmp_path / "store")
-    key = store.put_bytes(bad)   # envelope + CRC are fine
+    key = store.put_bytes(bad)   # envelope + CRCs are fine
     from repro.cfg.basic_block import BlockIndex
 
     with pytest.raises(VerificationError) as excinfo:
         store.load(key, BlockIndex(program))
-    assert excinfo.value.rule_ids == ["TEA023"]
+    assert excinfo.value.rule_ids == ["TEA024"]
     with pytest.raises(VerificationError):
         store.get_compiled(key)
     counters = store.obs.snapshot()["metrics"]["counters"]
@@ -381,10 +391,12 @@ def test_store_gate_passes_clean_snapshots(world, snapshot, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def quarantine_store(tmp_path_factory, golden_v1, golden_v1_program):
+def quarantine_store(tmp_path_factory, golden_snapshot,
+                     golden_snapshot_program):
     store = AutomatonStore(tmp_path_factory.mktemp("svc") / "store")
-    good_key = store.put_bytes(golden_v1, program=golden_v1_program)
-    bad_key = store.put_bytes(v1_overlong_varint(golden_v1))
+    good_key = store.put_bytes(golden_snapshot,
+                               program=golden_snapshot_program)
+    bad_key = store.put_bytes(transition_labels_unsorted(golden_snapshot))
     return store, good_key, bad_key
 
 
@@ -395,7 +407,7 @@ def test_service_preload_quarantines_corrupt_snapshot(quarantine_store):
     service = TeaService(store)
     service.preload()
     assert list(service.entries) == [good_key]
-    assert service.invalid[bad_key]["rules"] == ["TEA023"]
+    assert service.invalid[bad_key]["rules"] == ["TEA024"]
     counters = service.obs.snapshot()["metrics"]["counters"]
     assert counters["service.verify_ok"] == 1
     assert counters["service.verify_failed"] == 1
@@ -411,23 +423,23 @@ def test_service_rpc_reports_invalid_automaton(quarantine_store):
             listing = client.call("snapshots")
             assert [e["key"] for e in listing["snapshots"]] == [good_key]
             assert [e["key"] for e in listing["invalid"]] == [bad_key]
-            assert listing["invalid"][0]["rules"] == ["TEA023"]
+            assert listing["invalid"][0]["rules"] == ["TEA024"]
             with pytest.raises(ServiceError) as excinfo:
                 client.replay(snapshot=bad_key)
             assert excinfo.value.code == E_INVALID
-            assert "TEA023" in str(excinfo.value)
+            assert "TEA024" in str(excinfo.value)
             # The healthy snapshot still serves.
             result = client.replay(snapshot=good_key)
             assert result["coverage_pin"] > 0
 
 
-def test_service_refuses_store_with_only_invalid_snapshots(golden_v1,
+def test_service_refuses_store_with_only_invalid_snapshots(golden_snapshot,
                                                            tmp_path):
     from repro.service.server import ServiceSetupError
     from repro.service.testing import ServiceThread
 
     store = AutomatonStore(tmp_path / "store")
-    store.put_bytes(v1_overlong_varint(golden_v1))
+    store.put_bytes(transition_labels_unsorted(golden_snapshot))
     with pytest.raises(ServiceSetupError):
         ServiceThread(store).start()
 
