@@ -89,6 +89,17 @@ class _BadParams(ReproError):
     """Internal: invalid params for an RPC (mapped to ``bad-params``)."""
 
 
+def _integer(value, hex_string=False):
+    """``value`` when its type is exactly ``int`` (no bool, no float), or
+    with ``hex_string`` a hex string's value; else ``None``."""
+    if hex_string and isinstance(value, str):
+        try:
+            return int(value, 16)
+        except ValueError:
+            return None
+    return value if type(value) is int else None
+
+
 class _UnknownSnapshot(ReproError):
     """Internal: no such snapshot (mapped to ``unknown-snapshot``)."""
 
@@ -773,7 +784,7 @@ class TeaService:
         name, factory = self._replay_config(params)
         self._check_engine(params)
         batch = params.get("batch")
-        if batch is not None and (not isinstance(batch, int) or batch < 1):
+        if batch is not None and (_integer(batch) is None or batch < 1):
             raise _BadParams("'batch' must be a positive integer")
         loop = asyncio.get_event_loop()
         entry.inflight += 1
@@ -891,18 +902,12 @@ class TeaService:
         labels = params.get("labels")
         if not isinstance(labels, list) or not labels:
             raise _BadParams("'labels' must be a non-empty list of PCs")
-        try:
-            pcs = [
-                int(label, 16) if isinstance(label, str) else int(label)
-                for label in labels
-            ]
-        except (TypeError, ValueError):
-            raise _BadParams(
-                "labels must be integers or hex strings"
-            ) from None
+        pcs = [_integer(label, hex_string=True) for label in labels]
+        if None in pcs:
+            raise _BadParams("labels must be integers or hex strings")
         tea = entry.tea
         start = params.get("start", 0)
-        if not isinstance(start, int) or not 0 <= start < tea.n_states:
+        if _integer(start) is None or not 0 <= start < tea.n_states:
             raise _BadParams("'start' must be a state id in [0, %d)"
                              % tea.n_states)
         return_states = bool(params.get("return_states", False))

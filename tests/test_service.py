@@ -286,6 +286,28 @@ def test_bad_params(shared_service):
         assert excinfo.value.code == E_PARAMS
 
 
+def test_integer_params_refuse_booleans_and_fractions(shared_service):
+    with shared_service.client() as client:
+        for params in ({"batch": True}, {"batch": 4.7}, {"batch": 2.0}):
+            with pytest.raises(ServiceError) as excinfo:
+                client.call("replay", **params)
+            assert excinfo.value.code == E_PARAMS
+            assert "'batch' must be a positive integer" in str(excinfo.value)
+        for labels in ([True], [4.7], [1, True, "0x10"], [None]):
+            with pytest.raises(ServiceError) as excinfo:
+                client.call("step-batch", labels=labels)
+            assert excinfo.value.code == E_PARAMS
+            assert "labels must be integers or hex strings" in \
+                str(excinfo.value)
+        for start in (True, 1.0):
+            with pytest.raises(ServiceError) as excinfo:
+                client.call("step-batch", labels=[1], start=start)
+            assert excinfo.value.code == E_PARAMS
+            assert "'start' must be a state id" in str(excinfo.value)
+        result = client.call("step-batch", labels=[1, "0x10"], start=0)
+        assert result["steps"] == 2
+
+
 def test_parse_error_reply(shared_service):
     host, port = shared_service.address
     with socket.create_connection((host, port), timeout=10.0) as sock:
