@@ -43,7 +43,8 @@ def _compare(runner, name):
     model = MemoryModel()
 
     block_replayer = TeaReplayer(build_tea(trace_set))
-    _drive(program, block_replayer.step)
+    _drive(program, lambda t: block_replayer.step(t.next_start, t.instrs_dbt,
+                                                  t.instrs_pin))
     instruction_replayer = InstructionTeaReplayer(
         build_instruction_tea(trace_set, program), program
     )

@@ -43,9 +43,10 @@ import pytest
 
 from repro.core import CompiledReplayer, CompiledTea, PackedBatch, \
     ReplayConfig, TeaReplayer, build_tea
+from repro.cfg.basic_block import BlockIndex
+from repro.cpu import ExecutionStream
 from repro.dbt import StarDBT
-from repro.pin import Pin, pack_transitions
-from repro.pin.pintool import CallbackTool
+from repro.pin import pack_transitions
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
 
@@ -78,8 +79,8 @@ def _capture(name):
     trace_set = StarDBT(
         program, strategy="mret", limits=RecorderLimits(hot_threshold=30)
     ).run().trace_set
-    transitions = []
-    Pin(program, tool=CallbackTool(on_transition=transitions.append)).run()
+    transitions = list(ExecutionStream.record(program).block_transitions(
+        BlockIndex(program), program.entry))
     tea = build_tea(trace_set)
     return tea, CompiledTea.from_tea(tea), transitions, \
         PackedBatch(pack_transitions(transitions))
@@ -94,7 +95,8 @@ def _stepwise(tea, transitions, config):
     replayer = TeaReplayer(tea, config=config)
     step = replayer.step
     for transition in transitions:
-        step(transition)
+        step(transition.next_start, transition.instrs_dbt,
+             transition.instrs_pin)
     return replayer
 
 

@@ -284,21 +284,10 @@ def replay_setup():
 def test_replayer_step_throughput(benchmark, replay_setup):
     tea, labels = replay_setup
 
-    class _T:
-        __slots__ = ("next_start", "instrs_dbt", "instrs_pin", "block")
-
-        def __init__(self, next_start):
-            self.next_start = next_start
-            self.instrs_dbt = 4
-            self.instrs_pin = 4
-            self.block = None
-
-    transitions = [_T(label) for label in labels]
-
     def run():
         replayer = TeaReplayer(tea, config=ReplayConfig.global_local())
-        for transition in transitions:
-            replayer.step(transition)
+        for label in labels:
+            replayer.step(label, 4, 4)
         return replayer.stats.blocks
 
     assert benchmark(run) == len(labels)

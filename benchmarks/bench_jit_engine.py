@@ -42,9 +42,10 @@ import pytest
 
 from repro.core import CompiledReplayer, CompiledTea, JitCode, \
     JitReplayer, PackedBatch, ReplayConfig, build_tea
+from repro.cfg.basic_block import BlockIndex
+from repro.cpu import ExecutionStream
 from repro.dbt import StarDBT
-from repro.pin import Pin, pack_transitions
-from repro.pin.pintool import CallbackTool
+from repro.pin import pack_transitions
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
 
@@ -72,8 +73,8 @@ def _capture(name):
     trace_set = StarDBT(
         program, strategy="mret", limits=RecorderLimits(hot_threshold=30)
     ).run().trace_set
-    transitions = []
-    Pin(program, tool=CallbackTool(on_transition=transitions.append)).run()
+    transitions = list(ExecutionStream.record(program).block_transitions(
+        BlockIndex(program), program.entry))
     compiled = CompiledTea.from_tea(build_tea(trace_set))
     start = time.perf_counter()
     code = JitCode.from_compiled(compiled, config=ReplayConfig.global_local())

@@ -30,10 +30,10 @@ import time
 
 import pytest
 
+from repro.cfg.basic_block import BlockIndex
 from repro.core import ReplayConfig, TeaReplayer, build_tea
+from repro.cpu import ExecutionStream
 from repro.dbt import StarDBT
-from repro.pin import Pin
-from repro.pin.pintool import CallbackTool
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
 
@@ -64,8 +64,8 @@ def _capture(name):
     trace_set = StarDBT(
         program, strategy="mret", limits=RecorderLimits(hot_threshold=30)
     ).run().trace_set
-    transitions = []
-    Pin(program, tool=CallbackTool(on_transition=transitions.append)).run()
+    transitions = list(ExecutionStream.record(program).block_transitions(
+        BlockIndex(program), program.entry))
     return build_tea(trace_set), transitions
 
 
@@ -78,7 +78,8 @@ def _stepwise(tea, transitions, config):
     replayer = TeaReplayer(tea, config=config)
     step = replayer.step
     for transition in transitions:
-        step(transition)
+        step(transition.next_start, transition.instrs_dbt,
+             transition.instrs_pin)
     return replayer
 
 

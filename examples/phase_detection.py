@@ -8,8 +8,9 @@ automaton stayed inside a trace.
 
 This example builds a three-phase program (a lucas-like FFT pass, a
 gzip-like branchy pass, then the FFT again), records traces, replays
-them through :meth:`TeaReplayer.step` — the per-transition walk, whose
-``on_step`` observer sees every automaton move — with a
+them through :meth:`TeaReplayer.step` — the per-row walk over the
+recorded stream's lanes, whose ``on_step`` observer sees every
+automaton move — with a
 :class:`~repro.analysis.phases.PhaseDetector` attached, and prints the
 detected phase timeline.
 
@@ -18,7 +19,7 @@ Run:  python examples/phase_detection.py
 
 from repro import ReplayConfig, StarDBT, TeaReplayer, assemble, build_tea
 from repro.analysis import PhaseDetector
-from repro.cfg.basic_block import BlockIndex
+from repro.cpu.events import END_OF_RUN
 from repro.cpu.stream import ExecutionStream
 from repro.traces.recorder import RecorderLimits
 
@@ -73,10 +74,11 @@ def main():
     replayer = TeaReplayer(build_tea(recorded.trace_set),
                            config=ReplayConfig.global_local())
     replayer.on_step = detector.on_step
-    stream = ExecutionStream.record(program)
-    for transition in stream.block_transitions(BlockIndex(program),
-                                               program.entry):
-        replayer.step(transition)
+    rows = ExecutionStream.record(program).transitions
+    for next_start, instrs_dbt, instrs_pin in zip(rows[0::3], rows[1::3],
+                                                  rows[2::3]):
+        replayer.step(None if next_start == END_OF_RUN else next_start,
+                      instrs_dbt, instrs_pin)
     detector.finish()
 
     print("\ndetected phases (block-transition timeline):")

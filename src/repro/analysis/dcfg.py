@@ -7,13 +7,14 @@ models the whole program execution with the aid of the NTE state, while
 the DCFG only represents the hot code."
 
 :class:`DynamicCFG` collects the executed blocks and edges from the
-block-transition stream (via :class:`DcfgTool` under MiniPin), accounts
+run's packed batches (via :class:`DcfgTool` under MiniPin), accounts
 the bytes an explicit code-carrying representation would need, and
 renders to Graphviz.  :func:`compare_with_tea` quantifies the paper's
 "state information vs code replication" contrast on real executions.
 """
 
 from repro.core.memory_model import MemoryModel
+from repro.cpu.events import END_OF_RUN
 from repro.pin.pintool import Pintool
 
 
@@ -38,16 +39,16 @@ class DynamicCFG:
         self.nodes = {}   # block start -> DcfgNode
         self.edges = {}   # (src start, dst start) -> count
 
-    def add_transition(self, transition):
-        start = transition.block.start
+    def add_block(self, block, next_start, instrs_dbt):
+        start = block.start
         node = self.nodes.get(start)
         if node is None:
-            node = DcfgNode(transition.block)
+            node = DcfgNode(block)
             self.nodes[start] = node
         node.executions += 1
-        node.instrs_dbt += transition.instrs_dbt
-        if transition.next_start is not None:
-            key = (start, transition.next_start)
+        node.instrs_dbt += instrs_dbt
+        if next_start != END_OF_RUN:
+            key = (start, next_start)
             self.edges[key] = self.edges.get(key, 0) + 1
 
     @property
@@ -111,9 +112,20 @@ class DcfgTool(Pintool):
     def __init__(self):
         super().__init__()
         self.dcfg = DynamicCFG()
+        self._start = None  # where the next batch's first block starts
 
-    def on_transition(self, transition):
-        self.dcfg.add_transition(transition)
+    def attach(self, pin):
+        super().attach(pin)
+        self._start = pin.program.entry
+
+    def on_packed(self, batch):
+        add = self.dcfg.add_block
+        block_from = self.pin.block_index.block_from
+        start = self._start
+        for next_start, instrs_dbt in zip(batch.pcs, batch.triples[1::3]):
+            add(block_from(start), next_start, instrs_dbt)
+            start = next_start
+        self._start = start
 
 
 def compare_with_tea(dcfg, trace_set, model=None):

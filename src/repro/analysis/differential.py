@@ -97,7 +97,8 @@ class DifferentialChecker:
                 Divergence(self.steps, transition.block.start, cursor_name,
                            state.name)
             )
-        self.replayer.step(transition)
+        self.replayer.step(transition.next_start, transition.instrs_dbt,
+                           transition.instrs_pin)
         self._advance_cursor(transition.next_start)
 
     @property
@@ -185,8 +186,9 @@ class MinimizationChecker:
                 Divergence(self.steps, transition.block.start,
                            state_a.name, state_b.name)
             )
-        self.original.step(transition)
-        self.minimized.step(transition)
+        for replayer in (self.original, self.minimized):
+            replayer.step(transition.next_start, transition.instrs_dbt,
+                          transition.instrs_pin)
 
     @property
     def is_equivalent(self):

@@ -7,7 +7,7 @@ phases."
 
 :class:`PhaseDetector` hooks into the ``step()`` walk
 (``TeaReplayer.on_step``), maintains a sliding window of block
-transitions, and classifies each window as *stable* (exit ratio below
+steps, and classifies each window as *stable* (exit ratio below
 the threshold) or *unstable*.  Consecutive stable windows dominated by
 the same trace set form a :class:`Phase`.
 """
@@ -50,9 +50,9 @@ class PhaseDetector:
 
     Attach with ``replayer.on_step = detector.on_step`` on a
     :class:`~repro.core.replay.TeaReplayer`, drive its ``step()`` over
-    the run's transitions (e.g. ``ExecutionStream.record(program)
-    .block_transitions(...)``) and read ``detector.phases`` after the
-    run (call :meth:`finish` first).
+    the run's rows (the ``(next_start, instrs_dbt, instrs_pin)`` triples
+    of an ``ExecutionStream``'s ``transitions`` lane) and read
+    ``detector.phases`` after the run (call :meth:`finish` first).
     """
 
     def __init__(self, window=256, exit_threshold=0.08, min_phase_windows=2):
@@ -71,7 +71,7 @@ class PhaseDetector:
         self._open_phase_traces = set()
         self._stable_run = 0
 
-    def on_step(self, previous_state, new_state, transition):
+    def on_step(self, previous_state, new_state):
         """Replayer observer; see module docstring."""
         self._blocks += 1
         self._window_blocks += 1

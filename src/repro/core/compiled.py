@@ -1,8 +1,8 @@
 """The compiled flat-table replay engine.
 
 :class:`~repro.core.replay.TeaReplayer` walks the automaton as an
-object graph: per-transition :class:`~repro.cfg.builder.BlockTransition`
-objects, per-state ``TeaState`` attribute chasing, per-state transition
+object graph: one call per transition, per-state ``TeaState``
+attribute chasing, per-state transition
 dicts holding state *objects*.  That is fine for correctness work, but
 Table 4 says the transition function is the replay hot path — so this
 module lowers the automaton the way a real DBT lowers its dispatch
@@ -78,17 +78,19 @@ class PackedBatch:
       per distinct PC: ``seen`` maps each PC to the object every later
       occurrence reuses (pass one dict to every batch of a stream to
       share the objects across batches);
-    - ``instrs_dbt`` / ``instrs_pin`` — the batch's instruction totals.
+    - ``instrs_dbt`` / ``instrs_pin`` — the batch's instruction totals;
+    - ``flags`` — the rows' flag bytes, for tools that walk the rows
+      (the compiled walk does not read them).
 
-    Everything here depends only on the triples, so a recorded stream
-    builds its batches once and every replay reuses them (MiniPin keeps
-    them in its :class:`~repro.pin.pin.ChargeTape`); a flat sequence
-    from anywhere else is wrapped by this constructor.
+    Everything here depends only on the recorded run, so a recorded
+    stream builds its batches once and every replay reuses them (MiniPin
+    keeps them in its :class:`~repro.pin.pin.ChargeTape`); a flat
+    sequence from anywhere else is wrapped by this constructor.
     """
 
-    __slots__ = ("triples", "pcs", "instrs_dbt", "instrs_pin")
+    __slots__ = ("triples", "pcs", "instrs_dbt", "instrs_pin", "flags")
 
-    def __init__(self, triples, seen=None):
+    def __init__(self, triples, seen=None, flags=None):
         if len(triples) % 3:
             raise ValueError(
                 "packed batch length %d is not a multiple of 3"
@@ -100,6 +102,7 @@ class PackedBatch:
         self.pcs = list(map(intern, starts, starts))
         self.instrs_dbt = sum(triples[1::3])
         self.instrs_pin = sum(triples[2::3])
+        self.flags = flags
 
     def __len__(self):
         """Transitions (triples) in the batch."""

@@ -189,7 +189,7 @@ class InstructionTeaReplayer:
             surplus if state.tbb is not None else 0
         )
         if self.profile is not None:
-            self.profile.record_block(state, transition)
+            self.profile.record_block(state, transition.instrs_dbt)
         return state
 
     def _step_label(self, state, label):

@@ -6,7 +6,8 @@ profiling traces without the need for actual trace construction".
 
 The composition is: a strategy recorder
 (:class:`~repro.traces.recorder.TraceRecorder`) runs its Algorithm 2
-state machine over the block stream; whenever it commits a trace, the
+state machine over the rows of the run's packed batches; whenever it
+commits a trace, the
 trace is folded into the automaton with
 :func:`~repro.core.builder.sync_trace` and registered with the replayer's
 directory, so execution is tracked through the freshly recorded trace
@@ -18,7 +19,7 @@ same cost model (``RECORD_COUNTER`` per backward edge observed,
 from repro.core.automaton import TEA
 from repro.core.builder import sync_trace
 from repro.core.replay import ReplayConfig, TeaReplayer
-from repro.cpu.events import event_code
+from repro.cpu.events import FLAG_FINAL, FLAG_TAKEN
 from repro.traces.recorder import STATE_CREATING
 
 
@@ -66,20 +67,38 @@ class OnlineTeaRecorder:
     def stats(self):
         return self.replayer.stats
 
-    def observe(self, transition):
-        """Feed one block transition to both the recorder and the replayer."""
+    def observe(self, batch, block_from, start):
+        """Feed the rows of a packed ``batch`` to both the recorder and
+        the replayer; its first block starts at ``start`` (decoded by
+        ``block_from``).  Returns where the next batch's first block
+        starts."""
+        charge = self.cost.charge
         params = self.cost.params
+        recorder = self.recorder
+        observe = recorder.observe
+        step = self.replayer.step
+        triples = batch.triples
+        backward_edges = appends = 0
+        for next_start, instrs_dbt, instrs_pin, code in zip(
+                batch.pcs, triples[1::3], triples[2::3], batch.flags):
+            block = block_from(start)
+            if code & FLAG_FINAL:
+                next_start = None
+            elif code & FLAG_TAKEN and next_start <= block.end:
+                charge("recording", params.RECORD_COUNTER)
+                backward_edges += 1
+            observe(block, next_start, code)
+            if recorder.state == STATE_CREATING:
+                charge("recording", params.RECORD_APPEND)
+                appends += 1
+            step(next_start, instrs_dbt, instrs_pin)
+            start = next_start
         metrics = self.obs.metrics
-        event = transition.event
-        if event is not None and event.is_backward:
-            self.cost.charge("recording", params.RECORD_COUNTER)
-            metrics.counter("record.backward_edges").inc()
-        self.recorder.observe(transition.block, transition.next_start,
-                              event_code(event))
-        if self.recorder.state == STATE_CREATING:
-            self.cost.charge("recording", params.RECORD_APPEND)
-            metrics.counter("record.appends").inc()
-        self.replayer.step(transition)
+        if backward_edges:
+            metrics.counter("record.backward_edges").inc(backward_edges)
+        if appends:
+            metrics.counter("record.appends").inc(appends)
+        return start
 
     def finish(self):
         """End of run: close pending recordings, final tree re-sync."""

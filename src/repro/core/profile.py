@@ -27,12 +27,13 @@ class TeaProfile:
     # recording (called by the replayer)
     # ------------------------------------------------------------------
 
-    def record_block(self, state, transition):
-        """The block just executed while the automaton was in ``state``."""
+    def record_block(self, state, instrs_dbt):
+        """A block of ``instrs_dbt`` instructions just executed while the
+        automaton was in ``state``."""
         sid = state.sid
         self.state_counts[sid] = self.state_counts.get(sid, 0) + 1
         self.state_instructions[sid] = (
-            self.state_instructions.get(sid, 0) + transition.instrs_dbt
+            self.state_instructions.get(sid, 0) + instrs_dbt
         )
         tbb = state.tbb
         if tbb is not None and tbb.index == 0:

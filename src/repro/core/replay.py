@@ -21,10 +21,10 @@ Coverage is accounted per completed block under both counting semantics
 
 Two consumption APIs drive the automaton:
 
-- :meth:`TeaReplayer.step` — one transition per call.  It is the
-  reference the compiled engine (:mod:`repro.core.compiled`, the one
-  production walk) is tested against, the walk that fills a
-  :class:`~repro.core.profile.TeaProfile`
+- :meth:`TeaReplayer.step` — one ``(next_start, instrs_dbt,
+  instrs_pin)`` row per call.  It is the reference the compiled engine
+  (:mod:`repro.core.compiled`, the one production walk) is tested
+  against, the walk that fills a :class:`~repro.core.profile.TeaProfile`
   (``TeaReplayTool(profile=...)``) and the online recorder's walk;
 - :meth:`TeaReplayer.run` — a batched variant that consumes an iterable
   of transitions in one loop with metric flushes deferred to the batch
@@ -247,8 +247,8 @@ class TeaReplayer:
         for entry, head in tea.heads.items():
             self.directory.insert(entry, head)
         self._caches = {}
-        #: Optional observer ``fn(previous_state, new_state, transition)``
-        #: called after every step — the phase detector hooks in here.
+        #: Optional observer ``fn(previous_state, new_state)`` called after
+        #: every step but the run's last — the phase detector hooks in here.
         self.on_step = None
 
     # ------------------------------------------------------------------
@@ -269,11 +269,12 @@ class TeaReplayer:
 
     # ------------------------------------------------------------------
 
-    def step(self, transition):
+    def step(self, next_start, instrs_dbt, instrs_pin):
         """Consume one block transition; returns the new state.
 
-        ``transition.block`` just finished executing; coverage for it is
-        attributed to the state the automaton was in while it ran.
+        A block of ``instrs_dbt`` / ``instrs_pin`` instructions just ran
+        and execution continues at ``next_start`` (``None``: the run
+        ended); its coverage goes to the state the automaton was in.
         """
         counters = self.stats._counters
         cost = self.cost
@@ -282,18 +283,17 @@ class TeaReplayer:
         previous = state
 
         counters["blocks"].value += 1
-        counters["total_dbt"].value += transition.instrs_dbt
-        counters["total_pin"].value += transition.instrs_pin
+        counters["total_dbt"].value += instrs_dbt
+        counters["total_pin"].value += instrs_pin
         in_trace = state.tbb is not None
         if in_trace:
-            counters["covered_dbt"].value += transition.instrs_dbt
-            counters["covered_pin"].value += transition.instrs_pin
+            counters["covered_dbt"].value += instrs_dbt
+            counters["covered_pin"].value += instrs_pin
 
-        next_start = transition.next_start
         if next_start is None:
             # Program ended; no transition to take.
             if self.profile is not None:
-                self.profile.record_block(state, transition)
+                self.profile.record_block(state, instrs_dbt)
             return state
 
         if in_trace:
@@ -313,10 +313,10 @@ class TeaReplayer:
             self.state = self._probe(next_start, cache=None)
 
         if self.profile is not None:
-            self.profile.record_block(previous, transition)
+            self.profile.record_block(previous, instrs_dbt)
             self.profile.record_edge(previous, self.state)
         if self.on_step is not None:
-            self.on_step(previous, self.state, transition)
+            self.on_step(previous, self.state)
         return self.state
 
     def run(self, transitions):
@@ -335,7 +335,8 @@ class TeaReplayer:
         if self.profile is not None or self.on_step is not None:
             state = self.state
             for transition in transitions:
-                state = self.step(transition)
+                state = self.step(transition.next_start, transition.instrs_dbt,
+                                  transition.instrs_pin)
             return state
 
         counters = self.stats._counters

@@ -63,15 +63,6 @@ KIND_CODES = {
 }
 
 
-def event_code(event):
-    """The kind and taken bits of the flag byte of ``event`` (a
-    control-transfer :class:`EdgeEvent`); ``None`` -- the end of the
-    run -- gives :data:`FLAG_FINAL`."""
-    if event is None:
-        return FLAG_FINAL
-    return KIND_CODES[event.kind] | (FLAG_TAKEN if event.taken else 0)
-
-
 class EdgeEvent:
     """One dynamic control-flow edge.  See module docstring for fields."""
 

@@ -350,7 +350,8 @@ class ExecutionStream:
         """Yield the StarDBT-flavour
         :class:`~repro.cfg.builder.BlockTransition` sequence of the run,
         identical to what a ``DynamicBlockBuilder`` fed the live event
-        stream produces (``entry`` is the program entry)."""
+        stream produces (``entry`` is the program entry).  For oracles
+        and the differential checker; the engines read the lanes."""
         from repro.cfg.builder import BlockTransition
 
         transitions = self.transitions

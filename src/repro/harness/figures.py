@@ -13,6 +13,7 @@ from repro.cfg import BlockIndex, build_cfg
 from repro.core import build_tea, duplicate_trace
 from repro.core.replay import ReplayConfig, TeaReplayer
 from repro.cpu import ExecutionStream
+from repro.cpu.events import END_OF_RUN
 from repro.traces.model import TraceSet
 from repro.workloads import figure1_program, figure2_program
 
@@ -150,22 +151,17 @@ def render_figure3(demo_steps=12):
         "Replaying the first %d block transitions through the TEA:" % demo_steps,
     ]
     replayer = TeaReplayer(tea, config=ReplayConfig.global_local())
-    block_index = BlockIndex(program)
-    steps = []
-
-    def on_transition(transition):
-        if len(steps) >= demo_steps or transition.next_start is None:
-            return
-        state = replayer.step(transition)
-        steps.append(
-            "  pc=%#x executed, next=%#x -> state %s"
-            % (transition.block.start, transition.next_start, state.name)
-        )
-
     stream = ExecutionStream.record(program)
-    for transition in stream.block_transitions(block_index, program.entry):
-        on_transition(transition)
-    sections.extend(steps)
+    rows = stream.transitions[:3 * demo_steps]
+    start = program.entry
+    for next_start, instrs_dbt, instrs_pin in zip(rows[0::3], rows[1::3],
+                                                  rows[2::3]):
+        if next_start == END_OF_RUN:
+            break
+        state = replayer.step(next_start, instrs_dbt, instrs_pin)
+        sections.append("  pc=%#x executed, next=%#x -> state %s"
+                        % (start, next_start, state.name))
+        start = next_start
     return "\n".join(sections)
 
 

@@ -19,7 +19,7 @@ The TEA pintools of the paper's experiments live in
 
 from repro.pin.packed import DEFAULT_PACKED_BATCH, pack_transitions
 from repro.pin.pin import Pin, PinResult, run_native
-from repro.pin.pintool import CallbackTool, Pintool
+from repro.pin.pintool import Pintool
 from repro.pin.tea_tool import TeaRecordTool, TeaReplayTool
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "PinResult",
     "run_native",
     "Pintool",
-    "CallbackTool",
     "TeaReplayTool",
     "TeaRecordTool",
     "pack_transitions",

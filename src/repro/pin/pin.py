@@ -1,8 +1,9 @@
 """The MiniPin engine.
 
 Replays a program's recorded run while (a) charging Pin's own overheads
-per the cost model and (b) delivering StarDBT-flavour block transitions
-to the attached pintool.  Engine overheads, per the cost-model docs:
+per the cost model and (b) handing the attached pintool the run's
+StarDBT-flavour block transitions in packed batches.  Engine overheads,
+per the cost-model docs:
 
 - ``PIN_BLOCK_STUB`` per *Pin-flavour* dynamic block (splits at
   cpuid/REP), modelling code-cache block dispatch;
@@ -17,9 +18,9 @@ DBT's — the Section 4.1 effect.
 These overheads depend only on the recorded run, so they are not
 recomputed per run: a :class:`ChargeTape`, built once per stream and
 cached on it, lists them per packed batch, and each run folds it.  The
-tape also holds each batch as the packed-batch tool receives it, a
-:class:`~repro.core.compiled.PackedBatch`, so replays do not rebuild
-those either.
+tape also holds each batch as the tool receives it, a
+:class:`~repro.core.compiled.PackedBatch`, so runs do not rebuild those
+either.
 """
 
 import functools
@@ -79,8 +80,9 @@ class PinResult:
         )
 
 
-class _EngineCharges:
-    """MiniPin's own per-event charges for one block at a time.
+def _charge_block(cost, stream, index):
+    """Charge to ``cost`` MiniPin's own charges for every event that
+    completed block ``index`` of ``stream``.
 
     Per Pin-flavour event the live engine charged, in this order:
     ``PIN_BLOCK_STUB``; ``PIN_TRANSLATION_PER_INSTR`` times the event's
@@ -91,56 +93,44 @@ class _EngineCharges:
     float accumulated in call order and the stub (1.6) is inexact, so
     the charges are added one at a time in exactly that order — never
     pre-summed, never with ``math.fsum`` (or ``sum()``, compensated on
-    Python >= 3.12).  Per-transition tools are charged through
-    :meth:`block`, one ``charge`` call per charge; it is the oracle the
-    :class:`ChargeTape` is tested against, and the tape lists the
-    charges of merged-split rows through it.
+    Python >= 3.12).  This makes one ``charge`` call per charge; it is
+    the oracle the :class:`ChargeTape` is tested against, and the tape
+    lists the charges of merged-split rows through it.
     """
-
-    __slots__ = ("cost", "stream", "stub", "translate", "indirect")
-
-    def __init__(self, cost, stream):
-        params = cost.params
-        self.cost = cost
-        self.stream = stream
-        self.stub = params.PIN_BLOCK_STUB
-        self.translate = params.PIN_TRANSLATION_PER_INSTR
-        self.indirect = params.PIN_INDIRECT_EXTRA
-
-    def splits(self, index):
-        """Charge the split events merged into block ``index``; returns
-        their ``(instrs_dbt, instrs_pin)`` totals."""
-        cost = self.cost
-        merged_dbt = merged_pin = 0
-        for instrs_dbt, instrs_pin, first in self.stream.split_rows(index):
-            cost.charge("pin_dispatch", self.stub)
-            if first:
-                cost.charge("pin_translation", self.translate * instrs_dbt)
-            cost.charge_instructions(instrs_pin)
-            merged_dbt += instrs_dbt
-            merged_pin += instrs_pin
-        return merged_dbt, merged_pin
-
-    def block(self, index):
-        """Charge every event that completed block ``index``."""
-        cost = self.cost
-        stream = self.stream
-        code = stream.flags[index]
-        instrs_dbt = stream.transitions[3 * index + 1]
-        instrs_pin = stream.transitions[3 * index + 2]
-        if code & FLAG_SPLITS:
-            merged_dbt, merged_pin = self.splits(index)
-            instrs_dbt -= merged_dbt
-            instrs_pin -= merged_pin
-        if code & FLAG_FINAL:
-            cost.charge_instructions(instrs_pin)
-            return
-        cost.charge("pin_dispatch", self.stub)
-        if code & FLAG_FIRST:
-            cost.charge("pin_translation", self.translate * instrs_dbt)
-        if code & FLAG_INDIRECT:
-            cost.charge("pin_indirect", self.indirect)
+    params = cost.params
+    code = stream.flags[index]
+    instrs_dbt = stream.transitions[3 * index + 1]
+    instrs_pin = stream.transitions[3 * index + 2]
+    if code & FLAG_SPLITS:
+        merged_dbt, merged_pin = _charge_splits(cost, stream, index)
+        instrs_dbt -= merged_dbt
+        instrs_pin -= merged_pin
+    if code & FLAG_FINAL:
         cost.charge_instructions(instrs_pin)
+        return
+    cost.charge("pin_dispatch", params.PIN_BLOCK_STUB)
+    if code & FLAG_FIRST:
+        cost.charge("pin_translation",
+                    params.PIN_TRANSLATION_PER_INSTR * instrs_dbt)
+    if code & FLAG_INDIRECT:
+        cost.charge("pin_indirect", params.PIN_INDIRECT_EXTRA)
+    cost.charge_instructions(instrs_pin)
+
+
+def _charge_splits(cost, stream, index):
+    """Charge the split events merged into block ``index`` (or after the
+    last block); returns their ``(instrs_dbt, instrs_pin)`` totals."""
+    params = cost.params
+    merged_dbt = merged_pin = 0
+    for instrs_dbt, instrs_pin, first in stream.split_rows(index):
+        cost.charge("pin_dispatch", params.PIN_BLOCK_STUB)
+        if first:
+            cost.charge("pin_translation",
+                        params.PIN_TRANSLATION_PER_INSTR * instrs_dbt)
+        cost.charge_instructions(instrs_pin)
+        merged_dbt += instrs_dbt
+        merged_pin += instrs_pin
+    return merged_dbt, merged_pin
 
 
 #: Pin's cost categories, in the order one plain row charges them.
@@ -158,7 +148,7 @@ def _is_plain(code):
 
 
 #: Per slot of :data:`_SLOTS`, which plain rows charge it.  Rows with
-#: merged splits charge nothing here: :meth:`_EngineCharges.block` lists
+#: merged splits charge nothing here: :func:`_charge_block` lists
 #: theirs.  The terminal row charges only its instructions.
 _SLOT_TABLES = (
     _row_table(_is_plain),
@@ -219,15 +209,16 @@ class ChargeTape:
     Per segment ``k``:
 
     - ``cycles[k]`` lists the segment's charges in live order (see
-      :class:`_EngineCharges`), one float object per distinct amount;
+      :func:`_charge_block`), one float object per distinct amount;
     - ``categories[k]`` maps each Pin category charged so far to its
       running value at the segment's end, keyed in first-charge order;
     - ``batches[k]`` (delivered segments only, so no entry for the
       tail) is the :class:`~repro.core.compiled.PackedBatch` the tool
       receives: a zero-copy slice of the stream's ``transitions`` lane,
-      its ``next_start`` list and its instruction totals.  One dict
-      interns the PCs of every batch, so the lists of a tape share one
-      int object per distinct PC.
+      its ``next_start`` list, its instruction totals and a zero-copy
+      slice of the ``flags`` lane.  One dict interns the PCs of every
+      batch, so the lists of a tape share one int object per distinct
+      PC.
 
     A run adds ``cycles[k]`` to ``CostModel.cycles`` with
     ``functools.reduce(operator.add, ...)`` — the same IEEE additions,
@@ -239,8 +230,7 @@ class ChargeTape:
     The build runs at C speed over the lanes, one segment at a time:
     per-block slot masks from ``bytes.translate``, a repeated-list
     template of the four slot charges, and ``itertools.compress``.
-    Blocks with merged splits are listed through
-    :meth:`_EngineCharges.block`.
+    Blocks with merged splits are listed through :func:`_charge_block`.
     """
 
     __slots__ = ("cycles", "categories", "batches")
@@ -260,7 +250,6 @@ class ChargeTape:
         amount = _Amounts(params.NATIVE_INSTRUCTION).__getitem__
         cost = _TapeCost(params)
         running = cost.breakdown
-        charges = _EngineCharges(cost, stream)
 
         def plain(lo, hi):
             # The charges of blocks lo .. hi - 1, none of which has
@@ -295,20 +284,20 @@ class ChargeTape:
         if stream.exceeded:
             bounds.append((full, rows))
         for lo, hi in bounds[:len(bounds) - stream.exceeded]:
-            self.batches.append(
-                PackedBatch(transitions[3 * lo:3 * hi], seen))
+            self.batches.append(PackedBatch(transitions[3 * lo:3 * hi],
+                                            seen, stream.flags[lo:hi]))
         for lo, hi in bounds:
             out = cost.charges = []
             for index in split[bisect_left(split, lo):bisect_left(split, hi)]:
                 out += plain(lo, index)
-                charges.block(index)
+                _charge_block(cost, stream, index)
                 lo = index + 1
             out += plain(lo, hi)
             self.cycles.append(out)
             self.categories.append(dict(running))
         if stream.exceeded:
             # The trailing splits close the tail segment.
-            charges.splits(rows)
+            _charge_splits(cost, stream, rows)
             self.categories[-1] = dict(running)
 
 
@@ -322,11 +311,10 @@ class Pin:
     stream to every engine that runs the same program to execute it
     once.
 
-    A run without a tool, or with a packed-batch tool, folds the
-    stream's :class:`ChargeTape` for its cost parameters and batch size,
-    built by the first such run and reused by the next; a packed-batch
-    tool receives the tape's batches.  A per-transition tool is charged
-    block by block, before each transition it receives.
+    A run folds the stream's :class:`ChargeTape` for its cost
+    parameters and the tool's ``packed_batch`` (the default batch size
+    without a tool), built by the first such run and reused by the
+    next: per segment, Pin's charges, then the tool gets its batch.
 
     ``obs`` (optional :class:`~repro.obs.Observability`) is shared with
     the executor and exposed to the attached pintool, so one registry
@@ -384,37 +372,26 @@ class Pin:
         if tool is not None:
             tool.attach(self)
             self._tool = weakref.ref(tool)
+        # The tool sees the batches a live run would hand over: full
+        # ones as they fill, the remainder at the end; a run over its
+        # budget delivers no partial batch.  A run without a tool folds
+        # the same segments.
         cost = self.cost
-        if tool is not None and not tool.packed_batch:
-            charges = _EngineCharges(cost, stream)
-            deliver = tool.on_transition
-            for index, transition in enumerate(stream.block_transitions(
-                    self.block_index, self.program.entry)):
-                charges.block(index)
-                deliver(transition)
-            if stream.exceeded:
-                charges.splits(stream.n_transitions)
-        else:
-            # Packed-batch tools see the batches a live run would hand
-            # over: full ones as they fill, the remainder at the end; a
-            # run over its budget delivers no partial batch.  A run
-            # without a tool folds the same segments.
-            batch = tool.packed_batch if tool is not None \
-                else DEFAULT_PACKED_BATCH
-            params = cost.params
-            key = (params.PIN_BLOCK_STUB, params.PIN_TRANSLATION_PER_INSTR,
-                   params.PIN_INDIRECT_EXTRA, params.NATIVE_INSTRUCTION,
-                   batch)
-            tape = stream.charge_tape(
-                key, lambda: ChargeTape(stream, params, batch))
-            breakdown = cost.breakdown
-            delivered = len(tape.batches) if tool is not None else 0
-            for segment, charges in enumerate(tape.cycles):
-                cost.cycles = functools.reduce(operator.add, charges,
-                                               cost.cycles)
-                breakdown.update(tape.categories[segment])
-                if segment < delivered:
-                    tool.on_packed(tape.batches[segment])
+        params = cost.params
+        batch = tool.packed_batch if tool is not None \
+            else DEFAULT_PACKED_BATCH
+        key = (params.PIN_BLOCK_STUB, params.PIN_TRANSLATION_PER_INSTR,
+               params.PIN_INDIRECT_EXTRA, params.NATIVE_INSTRUCTION, batch)
+        tape = stream.charge_tape(
+            key, lambda: ChargeTape(stream, params, batch))
+        breakdown = cost.breakdown
+        delivered = len(tape.batches) if tool is not None else 0
+        for segment, charges in enumerate(tape.cycles):
+            cost.cycles = functools.reduce(operator.add, charges,
+                                           cost.cycles)
+            breakdown.update(tape.categories[segment])
+            if segment < delivered:
+                tool.on_packed(tape.batches[segment])
         if stream.exceeded:
             raise stream.limit_error()
         if tool is not None:

@@ -16,7 +16,7 @@ from repro.core.builder import build_tea
 from repro.core.compiled import CompiledReplayer, CompiledTea
 from repro.core.online import OnlineTeaRecorder
 from repro.core.replay import ReplayConfig, TeaReplayer
-from repro.pin.packed import DEFAULT_PACKED_BATCH
+from repro.cpu.events import END_OF_RUN
 from repro.pin.pintool import Pintool
 from repro.traces import make_recorder
 from repro.traces.model import TraceSet
@@ -25,17 +25,16 @@ from repro.traces.model import TraceSet
 class TeaReplayTool(Pintool):
     """Replay previously recorded traces via TEA.
 
-    The tool has two walks.  By default it drives
-    :class:`~repro.core.compiled.CompiledReplayer` over the stream's
-    :class:`~repro.core.compiled.PackedBatch` batches, which
-    :class:`~repro.pin.pin.Pin` builds once per stream and batch size
-    and hands to :meth:`on_packed`.  Given a ``profile``, it drives
-    :meth:`TeaReplayer.step() <repro.core.replay.TeaReplayer.step>`
-    once per transition instead: the object-graph walk that fills the
-    profile and that the differential suite treats as the oracle.  Both
-    walks count identically (stats, coverage, cost categories); the
-    compiled walk adds its charges at batch boundaries, so total cycles
-    may differ from the oracle's in the last ULPs.
+    The tool has two walks over the packed batches :meth:`on_packed`
+    receives.  By default it drives
+    :class:`~repro.core.compiled.CompiledReplayer` over each batch.
+    Given a ``profile``, it calls :meth:`TeaReplayer.step()
+    <repro.core.replay.TeaReplayer.step>` once per row instead: the
+    object-graph walk that fills the profile and that the differential
+    suite treats as the oracle.  Both walks count identically (stats,
+    coverage, cost categories); the compiled walk adds its charges at
+    batch boundaries, so total cycles may differ from the oracle's in
+    the last ULPs.
 
     Parameters
     ----------
@@ -46,7 +45,7 @@ class TeaReplayTool(Pintool):
         The transition-function configuration (Table 4 axes).
     profile:
         Optional :class:`~repro.core.profile.TeaProfile` to fill;
-        selects the per-transition ``step()`` walk.
+        selects the per-row ``step()`` walk.
     link_traces:
         Materialise statically known trace-to-trace transitions in the
         automaton (ablation; the paper resolves them dynamically).
@@ -55,11 +54,11 @@ class TeaReplayTool(Pintool):
         metrics; when omitted, the engine's own (``Pin(obs=...)``) is
         used so the whole run reports into one registry.
     batch_size:
-        Transitions per packed batch of the compiled walk (> 0);
-        ``None`` means :data:`~repro.pin.packed.DEFAULT_PACKED_BATCH`.
-        Batch boundaries change only when the engine flushes its
-        metrics, never what it counts (total cycles may move in the
-        last ULPs).  Ignored with a ``profile``.
+        Rows per packed batch (> 0); ``None`` means
+        :data:`~repro.pin.packed.DEFAULT_PACKED_BATCH`.  Batch
+        boundaries change only when the engines flush their metrics and
+        Pin folds its charges, never what they count (total cycles may
+        move in the last ULPs).
     tea:
         A prebuilt automaton to replay.  When given, Algorithm 1 is
         *not* re-run — this is how the replay service drives automata
@@ -79,7 +78,8 @@ class TeaReplayTool(Pintool):
         self.config = config or ReplayConfig.global_local()
         self.profile = profile
         self.obs = obs
-        self.batch_size = batch_size if batch_size and batch_size > 0 else None
+        if batch_size and batch_size > 0:
+            self.packed_batch = batch_size
         self.tea = tea if tea is not None else build_tea(
             self.trace_set, link_traces=link_traces
         )
@@ -100,13 +100,17 @@ class TeaReplayTool(Pintool):
         self.replayer = CompiledReplayer(
             self.compiled, config=self.config, cost=pin.cost, obs=obs,
         )
-        self.packed_batch = self.batch_size or DEFAULT_PACKED_BATCH
-
-    def on_transition(self, transition):
-        self.replayer.step(transition)
 
     def on_packed(self, batch):
-        self.replayer.run(batch)
+        if self.profile is None:
+            self.replayer.run(batch)
+            return
+        step = self.replayer.step
+        triples = batch.triples
+        for next_start, instrs_dbt, instrs_pin in zip(
+                batch.pcs, triples[1::3], triples[2::3]):
+            step(None if next_start == END_OF_RUN else next_start,
+                 instrs_dbt, instrs_pin)
 
     @property
     def stats(self):
@@ -136,6 +140,7 @@ class TeaRecordTool(Pintool):
         self.obs = obs
         self.online = None
         self.trace_set = None
+        self._start = None  # where the next batch's first block starts
 
     def attach(self, pin):
         super().attach(pin)
@@ -144,9 +149,11 @@ class TeaRecordTool(Pintool):
             self.recorder, config=self.config, cost=pin.cost,
             profile=self.profile, obs=obs,
         )
+        self._start = pin.program.entry
 
-    def on_transition(self, transition):
-        self.online.observe(transition)
+    def on_packed(self, batch):
+        self._start = self.online.observe(
+            batch, self.pin.block_index.block_from, self._start)
 
     def on_finish(self):
         self.trace_set = self.online.finish()

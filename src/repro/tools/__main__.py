@@ -543,7 +543,7 @@ def main(argv=None):
                         default="global_local")
     replay.add_argument("--profile", action="store_true",
                         help="collect and print a per-TBB profile (replays "
-                             "through the per-transition step() walk)")
+                             "through the per-row step() walk)")
     replay.add_argument("--link-traces", action="store_true",
                         help="materialise static trace-to-trace transitions")
     replay.add_argument("--top", type=int, default=8,

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.cfg.basic_block import BlockIndex
+from repro.cpu import ExecutionStream
 from repro.dbt import StarDBT
 from repro.isa import assemble
 from repro.traces.recorder import RecorderLimits
@@ -111,6 +112,13 @@ def record_traces(program, strategy="mret", hot_threshold=10, **limit_kwargs):
     """Run the DBT over ``program`` and return its trace set."""
     limits = RecorderLimits(hot_threshold=hot_threshold, **limit_kwargs)
     return StarDBT(program, strategy=strategy, limits=limits).run()
+
+
+def recorded_transitions(program):
+    """The StarDBT-flavour block transitions of one recorded run of
+    ``program``, as objects (for oracles that step them one by one)."""
+    return list(ExecutionStream.record(program).block_transitions(
+        BlockIndex(program), program.entry))
 
 
 @pytest.fixture

@@ -78,7 +78,8 @@ def run_with_detector(program, window=64):
     stream = ExecutionStream.record(program)
     for transition in stream.block_transitions(BlockIndex(program),
                                                program.entry):
-        replayer.step(transition)
+        replayer.step(transition.next_start, transition.instrs_dbt,
+                       transition.instrs_pin)
     detector.finish()
     return detector, trace_set
 

@@ -22,10 +22,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core import ReplayConfig, TeaReplayer, build_tea
 from repro.dbt import StarDBT
 from repro.dbt.cost import CostModel
-from repro.pin import Pin
-from repro.pin.pintool import CallbackTool
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import BenchmarkSpec, build_workload_program
+
+from tests.conftest import recorded_transitions
 
 INDEX_KINDS = ("bptree", "list", "hash", "sorted")
 
@@ -80,8 +80,7 @@ def replay_workloads(draw):
 
     limits = RecorderLimits(hot_threshold=10)
     trace_set = StarDBT(program, strategy="mret", limits=limits).run().trace_set
-    transitions = []
-    Pin(program, tool=CallbackTool(on_transition=transitions.append)).run()
+    transitions = recorded_transitions(program)
     cache_kind = draw(st.sampled_from(["direct", "lru"]))
     cache_size = draw(st.integers(1, 4))
     return transitions, build_tea(trace_set), cache_kind, cache_size
@@ -91,7 +90,8 @@ def _drive(tea, transitions, config, batched, chunk=None):
     replayer = TeaReplayer(tea, config=config)
     if not batched:
         for transition in transitions:
-            replayer.step(transition)
+            replayer.step(transition.next_start, transition.instrs_dbt,
+                           transition.instrs_pin)
     elif chunk:
         for start in range(0, len(transitions), chunk):
             replayer.run(transitions[start:start + chunk])
@@ -153,9 +153,7 @@ def test_cache_miss_charges_match_exactly(nested_program, nested_traces):
     never miss; this fixture-based case pins the miss path down
     unconditionally so the ``CACHE_MISS`` accounting is always covered.
     """
-    transitions = []
-    Pin(nested_program,
-        tool=CallbackTool(on_transition=transitions.append)).run()
+    transitions = recorded_transitions(nested_program)
     tea = build_tea(nested_traces)
     def config():
         return ReplayConfig(global_index="bptree", local_cache=True,
@@ -177,7 +175,8 @@ def test_cache_miss_charges_match_exactly(nested_program, nested_traces):
 
     audited = TeaReplayer(tea, config=config(), cost=RecordingCostModel())
     for transition in transitions:
-        audited.step(transition)
+        audited.step(transition.next_start, transition.instrs_dbt,
+                      transition.instrs_pin)
 
     batched = _drive(tea, transitions, config(), batched=True)
     assert stepwise.stats.cache_misses > 0

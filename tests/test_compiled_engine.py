@@ -34,11 +34,10 @@ from repro.core import (
 from repro.core.automaton import NTE_SID
 from repro.core.compiled import END_OF_RUN, PackedBatch
 from repro.pin import DEFAULT_PACKED_BATCH, Pin, TeaReplayTool, pack_transitions
-from repro.pin.pintool import CallbackTool
 from repro.store import AutomatonStore, compile_tea_binary, dump_tea_binary
 from repro.workloads import BenchmarkSpec, build_workload_program
 
-from tests.conftest import record_traces
+from tests.conftest import record_traces, recorded_transitions
 from tests.test_batch_equivalence import (
     INDEX_KINDS,
     kernel_descriptors,
@@ -55,9 +54,7 @@ TABLE4_CONFIGS = {
 
 def _capture(program):
     """The Pin-side transition stream for one program."""
-    transitions = []
-    Pin(program, tool=CallbackTool(on_transition=transitions.append)).run()
-    return transitions
+    return recorded_transitions(program)
 
 
 #: The compiled engine's batch-boundary charge order.
@@ -71,7 +68,8 @@ def _stepwise(tea, transitions, config):
     breakdown = replayer.cost.breakdown
     replayer.first_charged = first_charged = {}
     for index, transition in enumerate(transitions):
-        replayer.step(transition)
+        replayer.step(transition.next_start, transition.instrs_dbt,
+                       transition.instrs_pin)
         if len(breakdown) > len(first_charged):
             for key in breakdown:
                 first_charged.setdefault(key, index)
@@ -472,7 +470,7 @@ def test_tea_tool_walk_follows_profile(nested_program, nested_traces):
     profiled = TeaReplayTool(trace_set=nested_traces, profile=TeaProfile())
     Pin(nested_program, tool=profiled).run()
     assert isinstance(profiled.replayer, TeaReplayer)
-    assert profiled.packed_batch is None
+    assert profiled.packed_batch == DEFAULT_PACKED_BATCH
     assert profiled.profile.state_counts
 
 

@@ -91,17 +91,11 @@ class _FakeTBB:
         self.index = index
 
 
-class _FakeTransition:
-    def __init__(self, instrs=5):
-        self.instrs_dbt = instrs
-        self.instrs_pin = instrs
-
-
 def test_profile_counts_blocks():
     profile = Profile()
     state = _FakeState(1, trace_id=1, index=0)
-    profile.record_block(state, _FakeTransition(4))
-    profile.record_block(state, _FakeTransition(4))
+    profile.record_block(state, 4)
+    profile.record_block(state, 4)
     assert profile.state_counts[1] == 2
     assert profile.state_instructions[1] == 8
     assert profile.trace_head_executions[1] == 2
@@ -125,7 +119,7 @@ def test_exit_ratio_semantics():
     head = _FakeState(1, trace_id=1, index=0)
     nte = _FakeState(0)
     for _ in range(10):
-        profile.record_block(head, _FakeTransition())
+        profile.record_block(head, 5)
     profile.record_edge(head, nte)
     assert profile.exit_ratio(1) == pytest.approx(0.1)
     assert profile.exit_ratio(99) == 0.0

@@ -66,28 +66,24 @@ def test_online_recording_charges_cost(simple_loop_program):
 
 
 def test_online_recorder_direct_api(simple_loop_program):
-    """Drive OnlineTeaRecorder without the pintool wrapper."""
+    """Drive OnlineTeaRecorder without the pintool wrapper, over packed
+    batches cut from a recorded stream's lanes."""
     from repro.cfg.basic_block import BlockIndex
-    from repro.cfg.builder import DynamicBlockBuilder
-    from repro.cpu import Executor
+    from repro.core import PackedBatch
+    from repro.cpu import ExecutionStream
 
     recorder = MRETRecorder(limits=RecorderLimits(hot_threshold=10))
     online = OnlineTeaRecorder(recorder, config=ReplayConfig.global_local())
     index = BlockIndex(simple_loop_program)
-    builder = DynamicBlockBuilder(
-        index, simple_loop_program.entry, on_transition=online.observe
-    )
-    executor = Executor(simple_loop_program)
-    consumed = [0, 0]
-
-    def on_event(event):
-        consumed[0] += event.instrs_dbt
-        consumed[1] += event.instrs_pin
-        builder.feed(event)
-
-    result = executor.run(on_event)
-    builder.flush(result.final_pc, result.instrs_dbt - consumed[0],
-                  result.instrs_pin - consumed[1])
+    stream = ExecutionStream.record(simple_loop_program)
+    rows = stream.n_transitions
+    start = simple_loop_program.entry
+    for lo in range(0, rows, 100):
+        hi = min(lo + 100, rows)
+        batch = PackedBatch(stream.transitions[3 * lo:3 * hi],
+                            flags=stream.flags[lo:hi])
+        start = online.observe(batch, index.block_from, start)
+    assert start is None  # the terminal row ended the walk
     traces = online.finish()
     assert len(traces) >= 1
     assert online.tea.n_traces == len(traces)

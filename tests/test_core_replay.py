@@ -210,14 +210,15 @@ def test_on_step_observer_called(nested_program):
     replayer = TeaReplayer(build_tea(trace_set))
     seen = []
 
-    def observe(prev, new, t):
+    def observe(prev, new):
         seen.append((prev, new))
 
     replayer.on_step = observe
     stream = ExecutionStream.record(nested_program)
     for transition in stream.block_transitions(BlockIndex(nested_program),
                                                nested_program.entry):
-        replayer.step(transition)
+        replayer.step(transition.next_start, transition.instrs_dbt,
+                       transition.instrs_pin)
     assert len(seen) == replayer.stats.blocks - 1  # flush step has no next
 
 

@@ -5,11 +5,11 @@ import weakref
 
 import pytest
 
+from repro.cpu.events import END_OF_RUN, FLAG_FINAL
 from repro.dbt import CodeCache, CostModel, CostParameters, StarDBT
 from repro.errors import InstructionLimitExceeded
 from repro.isa import assemble
 from repro.pin import Pin, Pintool, run_native
-from repro.pin.pintool import CallbackTool
 from repro.traces.recorder import RecorderLimits
 from tests.conftest import record_traces
 
@@ -165,17 +165,28 @@ def test_pin_translation_charged_once(simple_loop_program):
 
 
 def test_pintool_receives_all_transitions(simple_loop_program):
-    transitions = []
-    tool = CallbackTool(on_transition=transitions.append)
-    result = Pin(simple_loop_program, tool=tool).run()
-    assert sum(t.instrs_dbt for t in transitions) == result.instrs_dbt
-    assert transitions[-1].next_start is None  # flush delivered
+    batches = []
+
+    class Collect(Pintool):
+        packed_batch = 7
+
+        def on_packed(self, batch):
+            batches.append(batch)
+
+    result = Pin(simple_loop_program, tool=Collect()).run()
+    assert sum(batch.instrs_dbt for batch in batches) == result.instrs_dbt
+    assert batches[-1].pcs[-1] == END_OF_RUN  # flush delivered
+    assert batches[-1].flags[-1] & FLAG_FINAL
 
 
 def test_pintool_on_finish_called(simple_loop_program):
     finished = []
-    tool = CallbackTool(on_finish=lambda: finished.append(True))
-    Pin(simple_loop_program, tool=tool).run()
+
+    class Finish(Pintool):
+        def on_finish(self):
+            finished.append(True)
+
+    Pin(simple_loop_program, tool=Finish()).run()
     assert finished == [True]
 
 

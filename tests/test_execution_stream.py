@@ -2,8 +2,9 @@
 
 The oracle below is MiniPin's and StarDBT's pre-stream execution path:
 the interpreter drives a per-event callback that charges Pin's own
-costs, feeds a ``DynamicBlockBuilder`` and delivers each transition as
-it completes.  Every engine and tool that now consumes an
+costs, feeds a ``DynamicBlockBuilder`` and packs each transition as it
+completes, handing the tool a batch whenever one fills.  Every engine
+and tool that now consumes an
 :class:`~repro.cpu.stream.ExecutionStream` must reproduce it exactly:
 result fields, ``cycles`` compared with ``==``, the cost breakdown
 including its key order, replay statistics and coverage, StarDBT's
@@ -21,7 +22,9 @@ from repro.cpu.events import (
     EDGE_IND_CALL,
     EDGE_IND_JMP,
     EDGE_RET,
-    event_code,
+    FLAG_FINAL,
+    FLAG_TAKEN,
+    KIND_CODES,
 )
 from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
 from repro.cpu.stream import ExecutionStream, check_stream_bytes
@@ -38,7 +41,7 @@ from repro.pin import (
     run_native,
 )
 from repro.pin import pin as pin_module
-from repro.pin.pin import _EngineCharges
+from repro.pin.pin import _charge_block, _charge_splits
 from repro.traces.recorder import STATE_CREATING, RecorderLimits
 from repro.traces.serialization import trace_set_to_json
 from repro.workloads import load_benchmark
@@ -115,6 +118,15 @@ def workload(name):
 # the oracle: the live callback loop
 # ---------------------------------------------------------------------
 
+def event_code(event):
+    """The kind and taken bits of the flag byte of ``event`` (a
+    control-transfer ``EdgeEvent``); ``None`` -- the end of the run --
+    gives ``FLAG_FINAL``."""
+    if event is None:
+        return FLAG_FINAL
+    return KIND_CODES[event.kind] | (FLAG_TAKEN if event.taken else 0)
+
+
 def live_pin(program, tool=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
              pin=None):
     """MiniPin's live run: one interpreter run driving the pintool.
@@ -129,9 +141,7 @@ def live_pin(program, tool=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
     deliver = flush = None
     if tool is not None:
         tool.attach(pin)
-        deliver = tool.on_transition
-        if tool.packed_batch:
-            deliver, flush = packing(tool)
+        deliver, flush = packing(tool)
     builder = DynamicBlockBuilder(pin.block_index, program.entry,
                                   flavor=FLAVOR_STARDBT)
     executor = Executor(program, max_instructions=max_instructions)
@@ -170,9 +180,10 @@ def live_pin(program, tool=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
 
 
 def packing(tool):
-    """``(deliver, flush)`` feeding a packed-batch tool per transition:
-    each full batch of ``tool.packed_batch`` goes to ``on_packed`` as it
-    fills, ``flush()`` hands over the remainder."""
+    """``(deliver, flush)`` feeding a pintool per transition: each full
+    batch of ``tool.packed_batch`` goes to ``on_packed`` as it fills,
+    ``flush()`` hands over the remainder.  A row's flag byte holds its
+    event's kind and taken bits, or ``FLAG_FINAL`` for the last row."""
     pending = []
 
     def deliver(transition):
@@ -182,7 +193,9 @@ def packing(tool):
 
     def flush():
         if pending:
-            tool.on_packed(PackedBatch(pack_transitions(pending)))
+            flags = bytes(event_code(t.event) for t in pending)
+            tool.on_packed(PackedBatch(pack_transitions(pending),
+                                       flags=flags))
             pending.clear()
 
     return deliver, flush
@@ -566,10 +579,9 @@ def tape_tool(traces, batch):
 
 def per_block_run(program, stream, tool, params, budget):
     """The packed-batch run with every Pin charge made by
-    ``_EngineCharges.block``, one ``charge`` call per charge."""
+    ``_charge_block``, one ``charge`` call per charge."""
     pin = Pin(program, tool=tool, cost_params=params,
               max_instructions=budget, stream=stream)
-    charges = _EngineCharges(pin.cost, stream)
     blocks = stream.n_transitions
     lo = 0
     if tool is not None:
@@ -579,13 +591,13 @@ def per_block_run(program, stream, tool, params, budget):
         for lo in range(0, full, batch):
             hi = min(lo + batch, blocks)
             for index in range(lo, hi):
-                charges.block(index)
+                _charge_block(pin.cost, stream, index)
             tool.on_packed(PackedBatch(stream.transitions[3 * lo:3 * hi]))
         lo = full
     for index in range(lo, blocks):
-        charges.block(index)
+        _charge_block(pin.cost, stream, index)
     if stream.exceeded:
-        charges.splits(blocks)
+        _charge_splits(pin.cost, stream, blocks)
     elif tool is not None:
         tool.on_finish()
     return pin, stream.exceeded

@@ -126,7 +126,8 @@ def test_replay_coverage_matches_block_level(simple_loop_program):
         builder.flush(result.final_pc, result.instrs_dbt - consumed[0],
                       result.instrs_pin - consumed[1])
 
-    drive(block_replayer.step)
+    drive(lambda t: block_replayer.step(t.next_start, t.instrs_dbt,
+                                        t.instrs_pin))
     drive(instr_replayer.step_block)
     block_cov = block_replayer.stats.coverage(pin_counting=False)
     instr_cov = instr_replayer.stats.coverage(pin_counting=False)
@@ -148,7 +149,8 @@ def test_instruction_level_costs_more(simple_loop_program):
     index = BlockIndex(simple_loop_program)
     builder = DynamicBlockBuilder(
         index, simple_loop_program.entry, flavor=FLAVOR_STARDBT,
-        on_transition=block_replayer.step,
+        on_transition=lambda t: block_replayer.step(
+            t.next_start, t.instrs_dbt, t.instrs_pin),
     )
     executor = Executor(simple_loop_program)
     consumed = [0, 0]

@@ -45,11 +45,10 @@ from repro.core.jit import (
     structural_digest,
 )
 from repro.dbt.cost import CostModel
-from repro.pin import Pin, pack_transitions
-from repro.pin.pintool import CallbackTool
+from repro.pin import pack_transitions
 from repro.store import AutomatonStore
 
-from tests.conftest import record_traces
+from tests.conftest import record_traces, recorded_transitions
 from tests.test_batch_equivalence import replay_workloads
 from tests.test_compiled_engine import TABLE4_CONFIGS
 
@@ -57,15 +56,14 @@ pytestmark = []
 
 
 def _capture(program):
-    transitions = []
-    Pin(program, tool=CallbackTool(on_transition=transitions.append)).run()
-    return transitions
+    return recorded_transitions(program)
 
 
 def _stepwise(tea, transitions, config):
     replayer = TeaReplayer(tea, config=config)
     for transition in transitions:
-        replayer.step(transition)
+        replayer.step(transition.next_start, transition.instrs_dbt,
+                       transition.instrs_pin)
     return replayer
 
 

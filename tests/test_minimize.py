@@ -11,7 +11,11 @@ and degrade gracefully (never silently) under a state budget.
 
 import pytest
 
-from tests.conftest import NESTED_DIAMOND_SOURCE, record_traces
+from tests.conftest import (
+    NESTED_DIAMOND_SOURCE,
+    record_traces,
+    recorded_transitions,
+)
 from repro.analysis import check_minimization
 from repro.cfg.basic_block import BlockIndex
 from repro.core import (
@@ -33,7 +37,6 @@ from repro.minimize import (
 )
 from repro.obs import Observability
 from repro.pin import Pin, TeaReplayTool, pack_transitions
-from repro.pin.pintool import CallbackTool
 from repro.store import (
     AutomatonStore,
     compile_tea_binary,
@@ -222,10 +225,8 @@ ENGINES = {"compiled": CompiledReplayer, "jit": JitReplayer}
 def test_bit_exact_replay_compiled_and_jit(world, engine):
     """Each engine, driven directly over the packed stream, replays the
     minimized automaton bit-exact against the original."""
-    transitions = []
-    Pin(world.program,
-        tool=CallbackTool(on_transition=transitions.append)).run()
-    batch = PackedBatch(pack_transitions(transitions))
+    batch = PackedBatch(pack_transitions(
+        recorded_transitions(world.program)))
 
     def replay(automaton):
         replayer = ENGINES[engine](CompiledTea.from_tea(automaton))

@@ -5,9 +5,10 @@ import pytest
 from repro.core import ReplayConfig, TeaReplayer, build_tea
 from repro.dbt.cost import CostModel, CostParameters
 from repro.pin import Pin, TeaReplayTool
-from repro.pin.pintool import CallbackTool
 from repro.structures import BPlusTree, DirectMappedCache, LRUCache
 from repro.structures.lru import MISS
+
+from tests.conftest import recorded_transitions
 
 CONFIG_FACTORIES = [
     ReplayConfig.global_local,
@@ -22,9 +23,7 @@ INDEX_KINDS = ["bptree", "list", "hash", "sorted"]
 @pytest.fixture
 def nested_stream(nested_program, nested_traces):
     """(tea, transitions) for the nested-diamond workload."""
-    transitions = []
-    Pin(nested_program, tool=CallbackTool(on_transition=transitions.append)).run()
-    return build_tea(nested_traces), transitions
+    return build_tea(nested_traces), recorded_transitions(nested_program)
 
 
 def _replay(tea, transitions, config, batched=False, params=None):
@@ -34,7 +33,8 @@ def _replay(tea, transitions, config, batched=False, params=None):
         replayer.run(transitions)
     else:
         for transition in transitions:
-            replayer.step(transition)
+            replayer.step(transition.next_start, transition.instrs_dbt,
+                           transition.instrs_pin)
     return replayer
 
 
@@ -71,14 +71,24 @@ def test_run_falls_back_to_step_with_observer(nested_stream):
     tea, transitions = nested_stream
     seen = []
     replayer = TeaReplayer(tea, config=ReplayConfig.global_local())
-    def observe(prev, new, transition):
-        seen.append(transition)
+    def observe(prev, new):
+        seen.append((prev, new))
 
     replayer.on_step = observe
     replayer.run(transitions)
     # Every block observed individually (step() skips the terminal
-    # next_start=None transition for observers, by design).
-    assert seen == [t for t in transitions if t.next_start is not None]
+    # next_start=None transition for observers, by design), with the
+    # moves a per-call step() walk makes.
+    stepwise = TeaReplayer(tea, config=ReplayConfig.global_local())
+    moves = []
+    for transition in transitions:
+        previous = stepwise.state
+        if transition.next_start is not None:
+            moves.append((previous,
+                          stepwise.step(transition.next_start,
+                                        transition.instrs_dbt,
+                                        transition.instrs_pin)))
+    assert seen == moves
 
 
 def test_tea_tool_batch_size_matches_default(nested_program, nested_traces):

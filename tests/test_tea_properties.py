@@ -98,13 +98,6 @@ def test_transition_function_configs_agree_with_pure_dfa(trace_set, walk):
     labels = [_BASE + w * 0x10 for w in walk]
     expected = [state.sid for state in tea.simulate(labels)]
 
-    class _FakeTransition:
-        def __init__(self, next_start):
-            self.block = None
-            self.next_start = next_start
-            self.instrs_dbt = 1
-            self.instrs_pin = 1
-
     for config in (
         ReplayConfig.global_local(),
         ReplayConfig.global_no_local(),
@@ -113,7 +106,7 @@ def test_transition_function_configs_agree_with_pure_dfa(trace_set, walk):
         ReplayConfig(cache_kind="lru", cache_size=2),
     ):
         replayer = TeaReplayer(tea, config=config)
-        got = [replayer.step(_FakeTransition(label)).sid for label in labels]
+        got = [replayer.step(label, 1, 1).sid for label in labels]
         assert got == expected
 
 
