@@ -18,7 +18,11 @@ translation is paid in full and weighed against what reuse saves.
 StarDBT runs over that program's recorded stream the same way, with a
 fresh runtime (and so a fresh block index and recorder) per round, and
 its trace set, cycles and cost breakdown must equal the program's MRET
-row of ``tests/golden/dbt_digests.json``.
+row of ``tests/golden/dbt_digests.json``.  Online Algorithm 2 (Table 3's
+``TeaRecordTool`` under MiniPin, MRET at hot threshold 30) runs on that
+stream with a fresh engine and tool per round, and its trace set and
+automaton, replay stats, cost breakdown and cycles must equal the
+program's row of ``tests/golden/online_digests.json``.
 These are the two layers of the ``ingest`` end-to-end workload's write
 path that its traced run reports as ``cpu.self_s`` and ``dbt.self_s``.
 The server's load of a freshly built snapshot of that program (what its
@@ -48,7 +52,7 @@ from repro.cpu import ExecutionStream, Executor
 from repro.dbt import StarDBT
 from repro.isa import assemble
 from repro.isa.image import decode_image, encode_image
-from repro.pin import Pin, TeaReplayTool
+from repro.pin import Pin, TeaRecordTool, TeaReplayTool
 from repro.service.__main__ import main as service_main
 from repro.service.server import TeaService
 from repro.store import AutomatonStore, dump_tea_binary
@@ -93,6 +97,11 @@ _INGEST_DIGEST = json.loads(
 
 #: StarDBT's outputs at hot threshold 30, pinned by the DBT golden.
 _DBT_DIGESTS = json.loads((_GOLDEN / "dbt_digests.json").read_text())
+
+#: Online MRET recording's outputs at hot threshold 30, pinned by the
+#: online golden.
+_ONLINE_DIGESTS = json.loads(
+    (_GOLDEN / "online_digests.json").read_text())
 
 
 def test_assemble_fresh_ingest_program(benchmark):
@@ -145,6 +154,26 @@ def test_stardbt_fresh_ingest_program(benchmark):
     assert repr(list(result.cost.breakdown.items())) == row["breakdown"]
     assert (result.covered_dbt, result.blocks) == (row["covered_dbt"],
                                                    row["blocks"])
+
+
+def test_online_record_program(benchmark):
+    program = load_benchmark("176.gcc", scale=0.3).program
+    stream = ExecutionStream.record(program)
+
+    def fresh_pin():
+        tool = TeaRecordTool("mret", limits=RecorderLimits(hot_threshold=30))
+        return (Pin(program, tool=tool, stream=stream),), {}
+
+    result = benchmark.pedantic(Pin.run, setup=fresh_pin, rounds=10)
+    tool = result.tool
+    assert result.halted and len(tool.trace_set) > 0
+    row = _ONLINE_DIGESTS["176.gcc@0.3"]
+    assert hashlib.sha256(dump_tea_binary(
+        tool.trace_set, tea=tool.tea)).hexdigest() == row["teab"]
+    assert tool.stats.as_dict() == row["stats"]
+    assert [[category, repr(value)] for category, value
+            in sorted(result.cost.breakdown.items())] == row["breakdown"]
+    assert repr(result.cycles) == row["cycles"]
 
 
 def test_load_entry_fresh_ingest_program(benchmark, tmp_path, capsys):
