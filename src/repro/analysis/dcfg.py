@@ -112,20 +112,14 @@ class DcfgTool(Pintool):
     def __init__(self):
         super().__init__()
         self.dcfg = DynamicCFG()
-        self._start = None  # where the next batch's first block starts
-
-    def attach(self, pin):
-        super().attach(pin)
-        self._start = pin.program.entry
 
     def on_packed(self, batch):
         add = self.dcfg.add_block
         block_from = self.pin.block_index.block_from
-        start = self._start
+        start = batch.start
         for next_start, instrs_dbt in zip(batch.pcs, batch.triples[1::3]):
             add(block_from(start), next_start, instrs_dbt)
             start = next_start
-        self._start = start
 
 
 def compare_with_tea(dcfg, trace_set, model=None):

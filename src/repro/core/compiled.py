@@ -79,8 +79,9 @@ class PackedBatch:
       occurrence reuses (pass one dict to every batch of a stream to
       share the objects across batches);
     - ``instrs_dbt`` / ``instrs_pin`` — the batch's instruction totals;
-    - ``flags`` — the rows' flag bytes, for tools that walk the rows
-      (the compiled walk does not read them).
+    - ``flags`` / ``start`` — the rows' flag bytes and where the first
+      row's block starts, for tools that walk the rows (the compiled
+      walk reads neither).
 
     Everything here depends only on the recorded run, so a recorded
     stream builds its batches once and every replay reuses them (MiniPin
@@ -88,9 +89,10 @@ class PackedBatch:
     sequence from anywhere else is wrapped by this constructor.
     """
 
-    __slots__ = ("triples", "pcs", "instrs_dbt", "instrs_pin", "flags")
+    __slots__ = ("triples", "pcs", "instrs_dbt", "instrs_pin", "flags",
+                 "start")
 
-    def __init__(self, triples, seen=None, flags=None):
+    def __init__(self, triples, seen=None, flags=None, start=None):
         if len(triples) % 3:
             raise ValueError(
                 "packed batch length %d is not a multiple of 3"
@@ -103,6 +105,7 @@ class PackedBatch:
         self.instrs_dbt = sum(triples[1::3])
         self.instrs_pin = sum(triples[2::3])
         self.flags = flags
+        self.start = start
 
     def __len__(self):
         """Transitions (triples) in the batch."""

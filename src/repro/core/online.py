@@ -67,17 +67,16 @@ class OnlineTeaRecorder:
     def stats(self):
         return self.replayer.stats
 
-    def observe(self, batch, block_from, start):
+    def observe(self, batch, block_from):
         """Feed the rows of a packed ``batch`` to both the recorder and
-        the replayer; its first block starts at ``start`` (decoded by
-        ``block_from``).  Returns where the next batch's first block
-        starts."""
+        the replayer, decoding each row's block with ``block_from``."""
         charge = self.cost.charge
         params = self.cost.params
         recorder = self.recorder
         observe = recorder.observe
         step = self.replayer.step
         triples = batch.triples
+        start = batch.start
         backward_edges = appends = 0
         for next_start, instrs_dbt, instrs_pin, code in zip(
                 batch.pcs, triples[1::3], triples[2::3], batch.flags):
@@ -98,7 +97,6 @@ class OnlineTeaRecorder:
             metrics.counter("record.backward_edges").inc(backward_edges)
         if appends:
             metrics.counter("record.appends").inc(appends)
-        return start
 
     def finish(self):
         """End of run: close pending recordings, final tree re-sync."""

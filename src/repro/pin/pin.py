@@ -215,10 +215,10 @@ class ChargeTape:
     - ``batches[k]`` (delivered segments only, so no entry for the
       tail) is the :class:`~repro.core.compiled.PackedBatch` the tool
       receives: a zero-copy slice of the stream's ``transitions`` lane,
-      its ``next_start`` list, its instruction totals and a zero-copy
-      slice of the ``flags`` lane.  One dict interns the PCs of every
-      batch, so the lists of a tape share one int object per distinct
-      PC.
+      its ``next_start`` list, its instruction totals, a zero-copy
+      slice of the ``flags`` lane and its first block's start (``entry``
+      for the first batch).  One dict interns the PCs of every batch, so
+      the lists of a tape share one int object per distinct PC.
 
     A run adds ``cycles[k]`` to ``CostModel.cycles`` with
     ``functools.reduce(operator.add, ...)`` — the same IEEE additions,
@@ -235,7 +235,7 @@ class ChargeTape:
 
     __slots__ = ("cycles", "categories", "batches")
 
-    def __init__(self, stream, params, batch):
+    def __init__(self, stream, params, batch, entry):
         self.cycles = []
         self.categories = []
         self.batches = []
@@ -284,8 +284,9 @@ class ChargeTape:
         if stream.exceeded:
             bounds.append((full, rows))
         for lo, hi in bounds[:len(bounds) - stream.exceeded]:
-            self.batches.append(PackedBatch(transitions[3 * lo:3 * hi],
-                                            seen, stream.flags[lo:hi]))
+            start = transitions[3 * lo - 3] if lo else entry
+            self.batches.append(PackedBatch(transitions[3 * lo:3 * hi], seen,
+                                            stream.flags[lo:hi], start))
         for lo, hi in bounds:
             out = cost.charges = []
             for index in split[bisect_left(split, lo):bisect_left(split, hi)]:
@@ -382,8 +383,8 @@ class Pin:
             else DEFAULT_PACKED_BATCH
         key = (params.PIN_BLOCK_STUB, params.PIN_TRANSLATION_PER_INSTR,
                params.PIN_INDIRECT_EXTRA, params.NATIVE_INSTRUCTION, batch)
-        tape = stream.charge_tape(
-            key, lambda: ChargeTape(stream, params, batch))
+        tape = stream.charge_tape(key, lambda: ChargeTape(
+            stream, params, batch, self.program.entry))
         breakdown = cost.breakdown
         delivered = len(tape.batches) if tool is not None else 0
         for segment, charges in enumerate(tape.cycles):

@@ -50,9 +50,9 @@ class Pintool:
         (:data:`~repro.cpu.events.END_OF_RUN` on the terminal row),
         ``batch.instrs_dbt`` / ``batch.instrs_pin`` its totals and
         ``batch.flags`` the rows' flag bytes.  A row's block starts at
-        the previous row's ``next_start`` (the program entry for the
-        first row of the run); ``pin.block_index.block_from(start)``
-        gives it.  Treat the batch as read-only."""
+        the previous row's ``next_start`` (``batch.start`` for the first
+        row); ``pin.block_index.block_from(start)`` gives it.  Treat the
+        batch as read-only."""
 
     def on_finish(self):
         """Program ended; finalize analysis state."""

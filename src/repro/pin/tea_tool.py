@@ -140,7 +140,6 @@ class TeaRecordTool(Pintool):
         self.obs = obs
         self.online = None
         self.trace_set = None
-        self._start = None  # where the next batch's first block starts
 
     def attach(self, pin):
         super().attach(pin)
@@ -149,11 +148,9 @@ class TeaRecordTool(Pintool):
             self.recorder, config=self.config, cost=pin.cost,
             profile=self.profile, obs=obs,
         )
-        self._start = pin.program.entry
 
     def on_packed(self, batch):
-        self._start = self.online.observe(
-            batch, self.pin.block_index.block_from, self._start)
+        self.online.observe(batch, self.pin.block_index.block_from)
 
     def on_finish(self):
         self.trace_set = self.online.finish()

@@ -80,10 +80,10 @@ def test_online_recorder_direct_api(simple_loop_program):
     start = simple_loop_program.entry
     for lo in range(0, rows, 100):
         hi = min(lo + 100, rows)
-        batch = PackedBatch(stream.transitions[3 * lo:3 * hi],
-                            flags=stream.flags[lo:hi])
-        start = online.observe(batch, index.block_from, start)
-    assert start is None  # the terminal row ended the walk
+        online.observe(PackedBatch(stream.transitions[3 * lo:3 * hi],
+                                   flags=stream.flags[lo:hi], start=start),
+                       index.block_from)
+        start = stream.transitions[3 * hi - 3]
     traces = online.finish()
     assert len(traces) >= 1
     assert online.tea.n_traces == len(traces)

@@ -183,7 +183,8 @@ def packing(tool):
     """``(deliver, flush)`` feeding a pintool per transition: each full
     batch of ``tool.packed_batch`` goes to ``on_packed`` as it fills,
     ``flush()`` hands over the remainder.  A row's flag byte holds its
-    event's kind and taken bits, or ``FLAG_FINAL`` for the last row."""
+    event's kind and taken bits, or ``FLAG_FINAL`` for the last row, and
+    a batch starts at its first transition's block."""
     pending = []
 
     def deliver(transition):
@@ -195,7 +196,8 @@ def packing(tool):
         if pending:
             flags = bytes(event_code(t.event) for t in pending)
             tool.on_packed(PackedBatch(pack_transitions(pending),
-                                       flags=flags))
+                                       flags=flags,
+                                       start=pending[0].block.start))
             pending.clear()
 
     return deliver, flush
