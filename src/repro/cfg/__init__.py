@@ -7,9 +7,11 @@ Two distinct views exist, as in the paper:
   address which is target of a branching instruction and ending in a branch
   instruction"; Pin additionally splits blocks at ``cpuid`` and
   REP-prefixed instructions (Section 4.1).  Both flavours are implemented.
-- The *static* CFG (:mod:`repro.cfg.cfg`) is decoded from the program image
-  and is used for loop-header detection (Trace Tree anchors) and for
-  Algorithm 1's successor computation.
+- The *static* CFG (:mod:`repro.cfg.cfg`) is decoded from the program image.
+  It renders Figure 2's DOT, backs verify rule TEA010's edge check and
+  yields the natural loops (:mod:`repro.cfg.loops`).  Trace recorders do
+  not consult it: TT and CTT take loop headers from backward edges at run
+  time.
 """
 
 from repro.cfg.basic_block import BasicBlock, BlockIndex

@@ -125,9 +125,5 @@ class BlockIndex:
         self._blocks[key] = made
         return made
 
-    def known_blocks(self):
-        """All blocks interned so far (dynamic code discovery footprint)."""
-        return list(self._blocks.values())
-
     def __len__(self):
         return len(self._blocks)

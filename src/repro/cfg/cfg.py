@@ -8,35 +8,39 @@ and diagnostic rendering; dynamic behaviour always comes from the edge
 stream instead.
 """
 
-import networkx as nx
-
 from repro.cfg.basic_block import BasicBlock
 
 
 class ControlFlowGraph:
-    """Static CFG: interned blocks plus a :mod:`networkx` digraph over them.
+    """Static CFG: interned blocks plus their successor edges.
 
-    Nodes of ``graph`` are block start addresses; ``blocks`` maps start
-    address to :class:`~repro.cfg.basic_block.BasicBlock`.
+    ``blocks`` maps start address to
+    :class:`~repro.cfg.basic_block.BasicBlock`; ``succ`` maps every block
+    start to an insertion-ordered ``{successor_start: None}`` dict, so
+    successors and edges come out in decode order.
     """
 
-    def __init__(self, program, blocks, graph):
+    def __init__(self, program, blocks, succ):
         self.program = program
         self.blocks = blocks
-        self.graph = graph
+        self.succ = succ
 
     @property
     def entry(self):
         return self.program.entry
 
-    def block_at(self, start):
-        return self.blocks[start]
-
     def successors(self, start):
-        return list(self.graph.successors(start))
+        return list(self.succ[start])
 
     def predecessors(self, start):
-        return list(self.graph.predecessors(start))
+        return [src for src, dsts in self.succ.items() if start in dsts]
+
+    def edges(self):
+        """Every ``(src, dst)`` edge, in decode order."""
+        return [(src, dst) for src, dsts in self.succ.items() for dst in dsts]
+
+    def has_edge(self, src, dst):
+        return dst in self.succ.get(src, ())
 
     def __len__(self):
         return len(self.blocks)
@@ -52,7 +56,7 @@ class ControlFlowGraph:
                 '  b%x [label="%s\\n%#x..%#x"%s];'
                 % (start, names.get(start, "%#x" % start), block.start, block.end, style)
             )
-        for src, dst in sorted(self.graph.edges()):
+        for src, dst in sorted(self.edges()):
             lines.append("  b%x -> b%x;" % (src, dst))
         lines.append("}")
         return "\n".join(lines)
@@ -85,7 +89,7 @@ def build_cfg(program):
                     leaders.add(instr.fallthrough)
 
     blocks = {}
-    graph = nx.DiGraph()
+    succ = {}
     ordered = sorted(leaders)
     leader_set = set(ordered)
     for start in ordered:
@@ -106,16 +110,10 @@ def build_cfg(program):
             addr = following
         block = BasicBlock(start, addr, n_instrs, size_bytes, terminator)
         blocks[start] = block
-        graph.add_node(start)
+        succ[start] = {}
 
     for start, block in blocks.items():
-        terminator = block.terminator
-        if terminator.is_control:
-            for successor in program.static_successors(terminator):
-                if successor in blocks:
-                    graph.add_edge(start, successor)
-        else:
-            following = terminator.fallthrough
-            if following in blocks:
-                graph.add_edge(start, following)
-    return ControlFlowGraph(program, blocks, graph)
+        for successor in program.static_successors(block.terminator):
+            if successor in blocks:
+                succ[start][successor] = None
+    return ControlFlowGraph(program, blocks, succ)

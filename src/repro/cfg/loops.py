@@ -1,14 +1,15 @@
 """Natural-loop detection over the static CFG.
 
-Loop headers drive the Trace Tree family: TT anchors trees at loop
-headers, and CTT terminates a recorded path at *any* loop header already
-on the path.  Headers are found the classical way: compute dominators from
-the CFG entry, then every edge ``u -> v`` where ``v`` dominates ``u`` is a
-back edge and ``v`` a loop header.  The loop body is collected by the
-usual reverse reachability walk from the back-edge sources.
+The static view of the loops a trace recorder meets at run time (TT and
+CTT find their headers dynamically, from backward edges).  Headers are
+found the classical way: compute dominators from the CFG entry, then
+every edge ``u -> v`` where ``v`` dominates ``u`` is a back edge and ``v``
+a loop header.  Immediate dominators come from the iterative algorithm of
+Cooper, Harvey and Kennedy ("A Simple, Fast Dominance Algorithm", 2001)
+over the reverse postorder of the blocks reachable from the entry.  The
+loop body is collected by the usual reverse reachability walk from the
+back-edge sources.
 """
-
-import networkx as nx
 
 
 class LoopInfo:
@@ -30,9 +31,6 @@ class LoopInfo:
         self.bodies = bodies
         self.back_edges = back_edges
 
-    def is_header(self, start):
-        return start in self.headers
-
     def loop_depth(self, start):
         """Number of natural loops containing ``start`` (0 = not in a loop)."""
         return sum(1 for body in self.bodies.values() if start in body)
@@ -43,29 +41,31 @@ class LoopInfo:
 
 def find_loops(cfg):
     """Return :class:`LoopInfo` for a :class:`~repro.cfg.cfg.ControlFlowGraph`."""
-    graph = cfg.graph
+    succ = cfg.succ
     entry = cfg.entry
-    if entry not in graph:
+    if entry not in succ:
         return LoopInfo(set(), {}, [])
-    reachable = set(nx.descendants(graph, entry)) | {entry}
-    subgraph = graph.subgraph(reachable)
-    idom = nx.immediate_dominators(subgraph, entry)
+    order = _reverse_postorder(succ, entry)
+    rank = {node: i for i, node in enumerate(order)}
+    # Predecessors among reachable blocks only, as edges are decoded.
+    preds = {node: [] for node in order}
+    for src in order:
+        for dst in succ[src]:
+            preds[dst].append(src)
+    idom = _immediate_dominators(order, rank, preds)
 
     def dominates(a, b):
         """True when block ``a`` dominates block ``b``."""
         node = b
-        while True:
-            if node == a:
-                return True
-            parent = idom.get(node)
-            if parent is None or parent == node:
-                return a == node
+        while node != a:
+            parent = idom[node]
+            if parent == node:
+                return False
             node = parent
+        return True
 
-    back_edges = []
-    for u, v in subgraph.edges():
-        if dominates(v, u):
-            back_edges.append((u, v))
+    back_edges = [(u, v) for u in succ if u in rank
+                  for v in succ[u] if dominates(v, u)]
 
     headers = set()
     bodies = {}
@@ -78,5 +78,51 @@ def find_loops(cfg):
             if node in body:
                 continue
             body.add(node)
-            stack.extend(subgraph.predecessors(node))
+            stack.extend(preds[node])
     return LoopInfo(headers, bodies, back_edges)
+
+
+def _reverse_postorder(succ, entry):
+    """Blocks reachable from ``entry``, in reverse DFS postorder."""
+    seen = {entry}
+    postorder = []
+    stack = [(entry, iter(succ[entry]))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(succ[child])))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
+    postorder.reverse()
+    return postorder
+
+
+def _immediate_dominators(order, rank, preds):
+    """Cooper-Harvey-Kennedy: ``{block: idom}`` with the entry its own."""
+    entry = order[0]
+    idom = {entry: entry}
+
+    def intersect(a, b):
+        while a != b:
+            while rank[a] > rank[b]:
+                a = idom[a]
+            while rank[b] > rank[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in order[1:]:
+            new = None
+            for pred in preds[node]:
+                if pred in idom:
+                    new = pred if new is None else intersect(pred, new)
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    return idom

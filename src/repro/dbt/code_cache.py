@@ -44,9 +44,6 @@ class CodeCache:
             self.memory_model.dbt_trace_bytes(trace) for trace in self._traces
         )
 
-    def trace_bytes(self, trace):
-        return self.memory_model.dbt_trace_bytes(trace)
-
     def __len__(self):
         return len(self._traces)
 

@@ -53,10 +53,6 @@ class Diagnostic:
         self.location = location
         self.data = dict(data) if data else {}
 
-    @property
-    def is_error(self):
-        return self.severity == ERROR
-
     def as_dict(self):
         document = {
             "rule": self.rule_id,

@@ -103,8 +103,7 @@ class CfgInfeasibleEdge(Rule):
                             and label in cfg.blocks
                             and cfg.blocks[tbb.block.start].end
                             == tbb.block.end
-                            and not cfg.graph.has_edge(
-                                tbb.block.start, label)):
+                            and not cfg.has_edge(tbb.block.start, label)):
                         # The dynamic block coincides with a static CFG
                         # block, yet the graph lacks the edge — the
                         # trace and the decoded CFG disagree.

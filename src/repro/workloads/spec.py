@@ -33,10 +33,6 @@ class BenchmarkSpec:
         self.seed = seed
         self.kernels = kernels
 
-    @property
-    def is_fp(self):
-        return self.suite == "fp"
-
     def __repr__(self):
         return "<BenchmarkSpec %s (%s)>" % (self.name, self.suite)
 
