@@ -47,7 +47,8 @@ def find_loops(cfg):
         return LoopInfo(set(), {}, [])
     order = _reverse_postorder(succ, entry)
     rank = {node: i for i, node in enumerate(order)}
-    # Predecessors among reachable blocks only, as edges are decoded.
+    # Reachable predecessors only: a body walk never enters code the
+    # entry cannot reach.
     preds = {node: [] for node in order}
     for src in order:
         for dst in succ[src]:

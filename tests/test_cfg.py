@@ -1,5 +1,8 @@
 """Dynamic block discovery, static CFG and loop detection tests."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cfg import (
@@ -179,6 +182,21 @@ def test_cfg_edges(nested_program):
     assert len(successors) == 2  # jnz skip: taken + fallthrough
 
 
+def test_cfg_edge_views_agree(call_loop_program):
+    cfg = build_cfg(call_loop_program)
+    edges = cfg.edges()
+    assert edges == [(src, dst) for src in cfg.blocks
+                     for dst in cfg.successors(src)]
+    for start in cfg.blocks:
+        assert cfg.predecessors(start) == [
+            src for src, dst in edges if dst == start]
+    assert all(cfg.has_edge(src, dst) for src, dst in edges)
+    missing = next((src, dst) for src in cfg.blocks for dst in cfg.blocks
+                   if (src, dst) not in edges)
+    assert not cfg.has_edge(*missing)
+    assert not cfg.has_edge(-1, call_loop_program.entry)
+
+
 def test_cfg_dot_rendering(nested_program):
     dot = build_cfg(nested_program).to_dot()
     assert dot.startswith("digraph")
@@ -232,3 +250,45 @@ def test_no_loops_in_straightline():
     loops = find_loops(build_cfg(program))
     assert not loops.headers
     assert not loops.back_edges
+
+
+def _reaches(succ, start, goal, avoid=None):
+    """True when a path ``start`` -> ``goal`` exists that skips ``avoid``."""
+    seen, stack = set(), [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        if node in seen or node == avoid:
+            continue
+        seen.add(node)
+        stack.extend(succ[node])
+    return False
+
+
+def test_loops_match_the_dominance_definition_on_random_graphs():
+    # Random digraphs against the textbook definitions: ``v`` dominates
+    # ``u`` when every entry -> ``u`` path passes ``v``; a natural loop
+    # holds the nodes that reach its back edge's tail without passing
+    # the header.  Some of the 200 graphs are irreducible, where one
+    # pass of the iterative dominator algorithm is not enough.
+    for seed in range(200):
+        rng = random.Random(seed)
+        nodes = list(range(rng.randint(2, 12)))
+        succ = {n: dict.fromkeys(
+                    rng.sample(nodes, rng.randint(0, min(3, len(nodes)))))
+                for n in nodes}
+        loops = find_loops(SimpleNamespace(succ=succ, entry=0))
+
+        reachable = [n for n in nodes if _reaches(succ, 0, n)]
+        expected_back = sorted(
+            (u, v) for u in reachable for v in succ[u]
+            if v in (0, u) or not _reaches(succ, 0, u, avoid=v))
+        assert sorted(loops.back_edges) == expected_back, seed
+        assert loops.headers == {v for _, v in expected_back}, seed
+        for header in loops.headers:
+            tails = [u for u, v in expected_back if v == header != u]
+            assert loops.bodies[header] == {header} | {
+                n for n in reachable
+                if any(_reaches(succ, n, tail, avoid=header)
+                       for tail in tails)}, seed

@@ -49,6 +49,6 @@ def test_entry_points_and_cfg_paths_run_without_networkx():
     result = subprocess.run(
         [sys.executable, "-c", SCRIPT, name, str(scale),
          str(GOLDEN_SNAPSHOT)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
