@@ -23,11 +23,10 @@ tape also holds each batch as the tool receives it, a
 either.
 """
 
-import functools
-import operator
 import weakref
 from bisect import bisect_left
-from itertools import compress, repeat
+from collections import deque
+from itertools import accumulate, compress, repeat
 
 from repro.cfg.basic_block import BlockIndex
 from repro.core.compiled import PackedBatch
@@ -42,6 +41,21 @@ from repro.cpu.stream import (
 )
 from repro.dbt.cost import CostModel, CostParameters
 from repro.pin.packed import DEFAULT_PACKED_BATCH
+
+
+def _fold(total, amounts):
+    """``total`` plus each of ``amounts``, added one at a time from the
+    left: ``functools.reduce(operator.add, amounts, total)`` bit for
+    bit, at C speed.
+
+    ``accumulate`` calls ``PyNumber_Add`` in the same order as ``reduce``
+    with ``operator.add``, so the IEEE additions are the same; it skips
+    ``reduce``'s call of ``operator.add`` per element.  An empty
+    ``amounts`` returns ``total``.  Never ``sum()`` (compensated on
+    Python >= 3.12) nor ``math.fsum``: both round differently.
+    """
+    return deque(accumulate(amounts, initial=total), maxlen=1)[0]
+
 
 class PinResult:
     """Outcome of a MiniPin run."""
@@ -220,17 +234,18 @@ class ChargeTape:
       for the first batch).  One dict interns the PCs of every batch, so
       the lists of a tape share one int object per distinct PC.
 
-    A run adds ``cycles[k]`` to ``CostModel.cycles`` with
-    ``functools.reduce(operator.add, ...)`` — the same IEEE additions,
-    in the same order, as one ``charge`` per charge — and writes
-    ``categories[k]`` into ``breakdown`` before the tool sees batch
-    ``k``.  The tool's replay engine charges only its own categories,
-    so writing absolute values keeps both the values and the key order.
+    A run adds ``cycles[k]`` to ``CostModel.cycles`` with :func:`_fold`
+    — the same IEEE additions, in the same order, as one ``charge`` per
+    charge — and writes ``categories[k]`` into ``breakdown`` before the
+    tool sees batch ``k``.  The tool's replay engine charges only its
+    own categories, so writing absolute values keeps both the values
+    and the key order.
 
     The build runs at C speed over the lanes, one segment at a time:
     per-block slot masks from ``bytes.translate``, a repeated-list
-    template of the four slot charges, and ``itertools.compress``.
-    Blocks with merged splits are listed through :func:`_charge_block`.
+    template of the four slot charges, and ``itertools.compress``; each
+    category's running value moves on by :func:`_fold`.  Blocks with
+    merged splits are listed through :func:`_charge_block`.
     """
 
     __slots__ = ("cycles", "categories", "batches")
@@ -274,8 +289,8 @@ class ChargeTape:
                     firsts.append((4 * first + slot, slot, amounts))
             for _position, slot, amounts in sorted(firsts):
                 category = _SLOTS[slot]
-                running[category] = functools.reduce(
-                    operator.add, amounts, running.get(category, 0.0))
+                running[category] = _fold(running.get(category, 0.0),
+                                         amounts)
             return compress(template, mask)
 
         split = _marked(flags.translate(_SPLIT_TABLE), 0, rows)
@@ -388,8 +403,7 @@ class Pin:
         breakdown = cost.breakdown
         delivered = len(tape.batches) if tool is not None else 0
         for segment, charges in enumerate(tape.cycles):
-            cost.cycles = functools.reduce(operator.add, charges,
-                                           cost.cycles)
+            cost.cycles = _fold(cost.cycles, charges)
             breakdown.update(tape.categories[segment])
             if segment < delivered:
                 tool.on_packed(tape.batches[segment])

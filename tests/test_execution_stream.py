@@ -11,6 +11,10 @@ including its key order, replay statistics and coverage, StarDBT's
 trace sets and costs, and the ``InstructionLimitExceeded`` behaviour.
 """
 
+import functools
+import math
+import operator
+import random
 import sys
 import threading
 
@@ -41,7 +45,7 @@ from repro.pin import (
     run_native,
 )
 from repro.pin import pin as pin_module
-from repro.pin.pin import _charge_block, _charge_splits
+from repro.pin.pin import _charge_block, _charge_splits, _fold
 from repro.traces.recorder import STATE_CREATING, RecorderLimits
 from repro.traces.serialization import trace_set_to_json
 from repro.workloads import load_benchmark
@@ -699,6 +703,35 @@ def test_stream_holds_one_tape(monkeypatch):
     assert run(None) == 2
     assert run(None, CostParameters(**PERTURBED)) == 3
     assert run(None) == 4  # the perturbed tape replaced the default one
+
+
+def _fold_cases():
+    rng = random.Random(30)
+    yield pytest.param(0.0, [], id="empty")
+    yield pytest.param(1.6, [], id="empty-1.6")
+    # Left to right, each 1e-16 is lost against 1.0; math.fsum and
+    # Python >= 3.12's sum() keep them and give 1.0000000000001.
+    yield pytest.param(1.0, [1e-16] * 1000, id="tiny-tail")
+    for size in (1, 2, 17, 4096):
+        yield pytest.param(rng.uniform(0, 1e9), [
+            rng.choice((1.6, 0.15, 7.3)) * rng.randrange(1, 50)
+            if rng.random() < 0.5 else rng.uniform(-1e3, 1e12)
+            for _ in range(size)], id="random-%d" % size)
+    # Only ``+`` is called: sum() refuses a str start on every Python,
+    # so this also catches it on 3.11, whose float sum is left to right.
+    yield pytest.param("a", ["b", "c"], id="str")
+
+
+@pytest.mark.parametrize("total, amounts", list(_fold_cases()))
+def test_fold_is_the_left_to_right_sum(total, amounts):
+    """The charge-tape fold adds in order, bit for bit as
+    ``functools.reduce(operator.add, ...)``: a compensated sum
+    (``math.fsum``, ``sum()`` on Python >= 3.12) differs."""
+    want = functools.reduce(operator.add, amounts, total)
+    assert repr(_fold(total, amounts)) == repr(want)
+    assert repr(_fold(total, iter(amounts))) == repr(want)
+    if amounts == [1e-16] * 1000:
+        assert want == 1.0 != math.fsum([total] + amounts)
 
 
 # ---------------------------------------------------------------------
