@@ -44,16 +44,10 @@ from repro.pin.packed import DEFAULT_PACKED_BATCH
 
 
 def _fold(total, amounts):
-    """``total`` plus each of ``amounts``, added one at a time from the
-    left: ``functools.reduce(operator.add, amounts, total)`` bit for
-    bit, at C speed.
-
-    ``accumulate`` calls ``PyNumber_Add`` in the same order as ``reduce``
-    with ``operator.add``, so the IEEE additions are the same; it skips
-    ``reduce``'s call of ``operator.add`` per element.  An empty
-    ``amounts`` returns ``total``.  Never ``sum()`` (compensated on
-    Python >= 3.12) nor ``math.fsum``: both round differently.
-    """
+    """``total`` plus each of ``amounts`` from the left, at C speed: the
+    same ``PyNumber_Add`` calls as ``functools.reduce(operator.add,
+    amounts, total)``, without its call of ``operator.add`` per item.
+    Never ``sum()`` (compensated from Python 3.12) nor ``math.fsum``."""
     return deque(accumulate(amounts, initial=total), maxlen=1)[0]
 
 
