@@ -38,11 +38,10 @@ def lines(scale):
         program = load_benchmark(name, scale=scale).program
         stream = ExecutionStream.record(program)
         traces = StarDBT(program, stream=stream).run().trace_set
-        budgets = (("full", stream.max_instructions, stream),
-                   ("over", 2 * stream.instrs_dbt // 3, None))
-        for label, budget, shared in budgets:
-            if shared is None:
-                shared = ExecutionStream.record(program, budget)
+        over = 2 * stream.instrs_dbt // 3
+        for label, budget, shared in (
+                ("full", stream.max_instructions, stream),
+                ("over", over, ExecutionStream.record(program, over))):
             runs = [("no-tool", None, None)] + [
                 (config, batch, TeaReplayTool(
                     trace_set=traces, config=getattr(ReplayConfig, config)(),
