@@ -31,18 +31,27 @@ the automaton, map the stream) is timed with a fresh service per round.
 
 MiniPin's charges are timed on the ``replay-hot`` program, without a
 tool: once on a fresh stream per round, where the run builds the
-stream's charge tape and folds it, and once on a stream whose tape is
-built, where it only folds.  Both must give the same cycles, bit for
-bit.  The served engine is timed the same two ways: a Pin-hosted
-compiled replay of that program under the served configuration
-(``global_local``, MRET traces at hot threshold 30, automaton lowered
-once), where a fresh stream also builds its packed batches and a warm
-one hands out the ones it holds.  Every round must give the same
-replay stats and cycles.
+stream's charge tape and adds it up, and once on a stream whose tape
+is built, where it only adds it up, pricing each chunk of charges that
+stays in one binade and folding the others one charge at a time.  Both
+must give the same cycles, bit for bit.  The fresh-stream case runs
+``FRESH_ROUNDS`` rounds: with 10, its minimum moved by more than 10%
+between processes on a shared 2-vCPU host.  The warm sum is also timed
+both ways, alternately in one process (the priced chunks, and every
+charge folded as runs did before chunks were priced), so a change in
+it shows as a ratio that does not depend on the host's phase.
+
+The served engine is timed the same two ways: a Pin-hosted compiled
+replay of that program under the served configuration (``global_local``,
+MRET traces at hot threshold 30, automaton lowered once), where a fresh
+stream also builds its packed batches and a warm one hands out the ones
+it holds.  Every round must give the same replay stats and cycles.
 """
 
 import hashlib
 import json
+import statistics
+import time
 from pathlib import Path
 
 import pytest
@@ -53,12 +62,18 @@ from repro.dbt import StarDBT
 from repro.isa import assemble
 from repro.isa.image import decode_image, encode_image
 from repro.pin import Pin, TeaRecordTool, TeaReplayTool
+from repro.pin.pin import _fold, _fold_chunks
 from repro.service.__main__ import main as service_main
 from repro.service.server import TeaService
 from repro.store import AutomatonStore, dump_tea_binary
 from repro.structures import BPlusTree
 from repro.traces.recorder import RecorderLimits
 from repro.workloads import load_benchmark
+
+#: Rounds of the fresh-stream Pin case, and alternations of the
+#: priced-against-per-charge warm case.
+FRESH_ROUNDS = 50
+ALTERNATIONS = 41
 
 _LOOP = assemble("""
 main:
@@ -215,7 +230,7 @@ def test_pin_charges_fresh_stream(benchmark, pin_stream):
     def run(stream):
         seen.append(repr(Pin(program, stream=stream).run().cycles))
 
-    benchmark.pedantic(run, setup=fresh_stream, rounds=10)
+    benchmark.pedantic(run, setup=fresh_stream, rounds=FRESH_ROUNDS)
     warm = ExecutionStream.from_buffer(data)
     Pin(program, stream=warm).run()
     assert set(seen) == {repr(Pin(program, stream=warm).run().cycles)}
@@ -227,6 +242,44 @@ def test_pin_charges_warm_stream(benchmark, pin_stream):
     fresh = repr(Pin(program, stream=stream).run().cycles)
     result = benchmark(lambda: Pin(program, stream=stream).run())
     assert repr(result.cycles) == fresh
+
+
+def test_pin_charges_priced_against_per_charge(benchmark, pin_stream):
+    """The warm run's tape sum both ways, alternately in this process:
+    priced per chunk (what a run does) and folded one charge at a time
+    (what it did before chunks were priced).  Their medians and ratio
+    go to ``extra_info``; the values must be equal."""
+    program, data = pin_stream
+    stream = ExecutionStream.from_buffer(data)
+    Pin(program, stream=stream).run()
+    tape = stream._tape[1]
+    segments = list(zip(tape.cycles, tape.chunks))
+
+    def priced():
+        total = 0.0
+        for charges, chunks in segments:
+            total = _fold_chunks(total, charges, chunks)
+        return total
+
+    def per_charge():
+        total = 0.0
+        for charges, _chunks in segments:
+            total = _fold(total, charges)
+        return total
+
+    times = {priced: [], per_charge: []}
+    for _round in range(ALTERNATIONS):
+        for shape, seen in times.items():
+            start = time.perf_counter()
+            shape()
+            seen.append(time.perf_counter() - start)
+    medians = {shape.__name__: statistics.median(seen)
+               for shape, seen in times.items()}
+    benchmark.extra_info.update(
+        ("%s_median_s" % name, value) for name, value in medians.items())
+    benchmark.extra_info["per_charge_over_priced"] = (
+        medians["per_charge"] / medians["priced"])
+    assert repr(benchmark(priced)) == repr(per_charge())
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,10 @@ earlier output, prints every differing line and exits 1 on any::
 
     PYTHONPATH=src python3.11 dev/fold_parity.py > ref.txt
     PYTHONPATH=src python3.13 dev/fold_parity.py --against ref.txt
+
+``tests/golden/fold_parity.txt`` is the output of MiniPin when it
+folded every charge one at a time; CI compares the current code with
+it on the oldest and newest supported Pythons.
 """
 
 import argparse

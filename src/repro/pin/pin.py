@@ -17,7 +17,8 @@ DBT's — the Section 4.1 effect.
 
 These overheads depend only on the recorded run, so they are not
 recomputed per run: a :class:`ChargeTape`, built once per stream and
-cached on it, lists them per packed batch, and each run folds it.  The
+cached on it, lists them per packed batch with a summary per chunk of
+blocks, and each run prices the chunks it can and folds the rest.  The
 tape also holds each batch as the tool receives it, a
 :class:`~repro.core.compiled.PackedBatch`, so runs do not rebuild those
 either.
@@ -27,6 +28,7 @@ import weakref
 from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, compress, repeat
+from math import fmod, frexp, inf, ldexp
 
 from repro.cfg.basic_block import BlockIndex
 from repro.core.compiled import PackedBatch
@@ -47,8 +49,105 @@ def _fold(total, amounts):
     """``total`` plus each of ``amounts`` from the left, at C speed: the
     same ``PyNumber_Add`` calls as ``functools.reduce(operator.add,
     amounts, total)``, without its call of ``operator.add`` per item.
-    Never ``sum()`` (compensated from Python 3.12) nor ``math.fsum``."""
+    Never ``sum()`` (compensated from Python 3.12) nor ``math.fsum``.
+
+    This is the reference :func:`_fold_chunks` must equal, and what it
+    falls back to for a chunk it cannot price."""
     return deque(accumulate(amounts, initial=total), maxlen=1)[0]
+
+
+#: Rows per chunk of a :class:`ChargeTape` segment: ~500 charges, a
+#: few thousand cycles, so a chunk rarely crosses a binade once the
+#: total is past a few thousand.
+_CHUNK_ROWS = 256
+
+#: A segment of fewer blocks (a small packed batch) has no chunks and
+#: is always folded: its few charges cost less to add one by one than
+#: to summarise and price.
+_PRICED_ROWS = 32
+
+#: Below this every integer is a double, and a multiple of the spacing
+#: of the doubles in any binade a run's total can be in when priced.
+_EXACT = 2.0 ** 53
+
+
+def _whole(amount):
+    """``amount`` as an ``int`` when it is a whole number in
+    ``[0, 2**53)``, else ``None`` (also for NaN and infinities)."""
+    if 0 <= amount < _EXACT and amount == int(amount):
+        return int(amount)
+    return None
+
+
+def _summary(amounts):
+    """``(whole, pairs)`` of charges one by one: the exact sum of the
+    whole ones, and ``(amount, count)`` per other amount; ``pairs`` is
+    ``None`` when an amount is negative or not finite."""
+    whole = 0
+    counts = {}
+    for amount in amounts:
+        amount_whole = _whole(amount)
+        if amount_whole is not None:
+            whole += amount_whole
+        elif 0 <= amount < inf:
+            counts[amount] = counts.get(amount, 0) + 1
+        else:
+            return whole, None
+    return whole, list(counts.items())
+
+
+def _priced(total, whole, pairs):
+    """``total`` plus a chunk's charges, priced per binade, or ``None``
+    when that is not exact.
+
+    The chunk's charges are ``whole`` (an ``int``, the exact sum of its
+    whole-number charges) plus, per ``(amount, count)`` of ``pairs``,
+    ``count`` charges of the non-integral ``amount``; all are >= 0.
+    While a running total stays in the binade ``[top / 2, top)``, every
+    double it takes is a multiple of ``unit = top * 2**-53``, so adding
+    an amount moves it by that amount rounded to a multiple of ``unit``,
+    whatever the total.  Integers are such multiples (``top <=
+    2**53``).  The rounding is only ambiguous on a tie (the amount sits
+    half way between two multiples), where round-half-even looks at the
+    total.  So unless ``total`` is below 1.0 or not below ``2**53``, an
+    amount ties, or the end leaves the binade, the left-to-right sum is
+    ``total + whole + sum(count * rounded(amount))``, and every one of
+    those operations is exact: each partial result is a multiple of
+    ``unit`` in ``[total, top)``.  An operation that rounds can only
+    round to ``top`` or above, which the last check refuses.
+    """
+    if not 1.0 <= total < _EXACT:
+        return None
+    top = ldexp(1.0, frexp(total)[1])
+    unit = top * 2.0 ** -53
+    total += whole
+    for amount, count in pairs:
+        below = fmod(amount, unit)
+        if below + below == unit:
+            return None
+        if below + below > unit:
+            below -= unit
+        total += count * (amount - below)
+    return total if total < top else None
+
+
+def _fold_chunks(total, charges, chunks):
+    """``_fold(total, charges)``, bit for bit, pricing each chunk of
+    ``charges`` that :func:`_priced` can price and folding the others.
+
+    ``chunks`` lists ``(end, whole, pairs)`` per chunk: the chunk is
+    ``charges[previous end:end]``, and ``pairs`` is ``None`` for a chunk
+    that is always folded.  ``chunks`` is ``None`` for a segment that is
+    always folded whole."""
+    if chunks is None:
+        return _fold(total, charges)
+    start = 0
+    for end, whole, pairs in chunks:
+        priced = None if pairs is None else _priced(total, whole, pairs)
+        total = _fold(total, charges[start:end]) if priced is None \
+            else priced
+        start = end
+    return total
 
 
 class PinResult:
@@ -228,26 +327,51 @@ class ChargeTape:
       for the first batch).  One dict interns the PCs of every batch, so
       the lists of a tape share one int object per distinct PC.
 
-    A run adds ``cycles[k]`` to ``CostModel.cycles`` with :func:`_fold`
-    — the same IEEE additions, in the same order, as one ``charge`` per
-    charge — and writes ``categories[k]`` into ``breakdown`` before the
-    tool sees batch ``k``.  The tool's replay engine charges only its
-    own categories, so writing absolute values keeps both the values
-    and the key order.
+    - ``chunks[k]`` summarises ``cycles[k]`` per chunk of
+      :data:`_CHUNK_ROWS` blocks as ``(end, whole, pairs)``: the chunk's
+      end in ``cycles[k]``, the exact ``int`` sum of its whole-number
+      charges, and ``(amount, count)`` per other amount it charges, or
+      ``None`` for a chunk that cannot be priced (see below).  The
+      trailing splits of a tail are a chunk of their own.  A segment of
+      fewer than :data:`_PRICED_ROWS` blocks has ``None`` in place of
+      its chunks.
+
+    A run adds ``cycles[k]`` to ``CostModel.cycles`` with
+    :func:`_fold_chunks` — the same value, bit for bit, as one
+    ``charge`` per charge — and writes ``categories[k]`` into
+    ``breakdown`` before the tool sees batch ``k``.  The tool's replay
+    engine charges only its own categories, so writing absolute values
+    keeps both the values and the key order.  :func:`_fold_chunks`
+    prices a chunk from its summary in a few float operations when the
+    running total stays in one binade (:func:`_priced` says why that is
+    exact) and folds its charges with :func:`_fold` otherwise: for the
+    first chunks (a total below 1.0), a chunk that crosses a power of
+    two, and one whose non-integral amount ties at that binade's
+    spacing.  A chunk is never priced when a per-block rate
+    (``NATIVE_INSTRUCTION``, ``PIN_TRANSLATION_PER_INSTR``) it charges
+    is not a whole number, since that gives each block its own amount;
+    nor when an amount is negative or not finite, or its whole sum
+    reaches ``2**53``.  With the default rates only ``PIN_BLOCK_STUB``
+    (1.6) is not whole, so a chunk has one pair.
 
     The build runs at C speed over the lanes, one segment at a time:
     per-block slot masks from ``bytes.translate``, a repeated-list
     template of the four slot charges, and ``itertools.compress``; each
     category's running value moves on by :func:`_fold`.  Blocks with
-    merged splits are listed through :func:`_charge_block`.
+    merged splits are listed through :func:`_charge_block`.  A chunk's
+    summary comes from ``bytes.count`` over the slot masks, ``sum()``
+    over strided slices of the instruction lane and over the first-seen
+    blocks' instructions, and the listed charges of blocks with merged
+    splits.
     """
 
-    __slots__ = ("cycles", "categories", "batches")
+    __slots__ = ("cycles", "categories", "batches", "chunks")
 
     def __init__(self, stream, params, batch, entry):
         self.cycles = []
         self.categories = []
         self.batches = []
+        self.chunks = []
         seen = {}
         rows = stream.n_transitions
         flags = bytes(stream.flags)
@@ -259,6 +383,15 @@ class ChargeTape:
         amount = _Amounts(params.NATIVE_INSTRUCTION).__getitem__
         cost = _TapeCost(params)
         running = cost.breakdown
+        # How each slot's charges enter a chunk summary: a whole rate
+        # adds rate * units to the whole sum, and a constant amount that
+        # is not whole is a pair.  A per-row rate that is not whole (one
+        # amount per row) or a negative or non-finite amount leaves a
+        # chunk with such charges unpriced.
+        wholes = [_whole(rate) for rate in (
+            stub, translate, indirect, params.NATIVE_INSTRUCTION)]
+        paired = [rate if _whole(rate) is None and 0 <= rate < inf
+                  else None for rate in (stub, indirect)]
 
         def plain(lo, hi):
             # The charges of blocks lo .. hi - 1, none of which has
@@ -266,10 +399,13 @@ class ChargeTape:
             instructions = list(map(amount, transitions[3 * lo + 2:3 * hi:3]))
             template = [stub, None, indirect, None] * (hi - lo)
             template[3::4] = instructions
-            translations = []
-            for row in _marked(masks[1], lo, hi):
-                translations.append(translate * transitions[3 * row + 1])
-                template[4 * (row - lo) + 1] = translations[-1]
+            rows = _marked(masks[1], lo, hi)
+            counts = [transitions[3 * row + 1] for row in rows]
+            translations = [translate * count for count in counts]
+            for row, translation in zip(rows, translations):
+                template[4 * (row - lo) + 1] = translation
+            new_rows.extend(rows)
+            new_counts.extend(counts)
             mask = bytearray(4 * (hi - lo))
             for slot in range(4):
                 mask[slot::4] = masks[slot][lo:hi]
@@ -287,6 +423,53 @@ class ChargeTape:
                                          amounts)
             return compress(template, mask)
 
+        def chunks(lo, hi, listed):
+            # ``(end, whole, pairs)`` per chunk of blocks lo .. hi - 1,
+            # from counts over the masks, sums over the lanes and the
+            # segment's first-seen rows; ``listed`` holds the charges of
+            # each row with merged splits.
+            starts = range(lo, hi, _CHUNK_ROWS)
+            stops = [*starts[1:], hi]
+            stubs = list(map(masks[0].count, repeat(1), starts, stops))
+            indirects = list(map(masks[2].count, repeat(1), starts, stops))
+            at = list(map(bisect_left, repeat(new_rows), [lo, *stops]))
+            sums = map(sum, map(transitions.__getitem__, map(
+                slice, range(3 * lo + 2, 3 * hi, 3 * _CHUNK_ROWS),
+                [3 * stop for stop in stops], repeat(3))))
+            found = []
+            end = 0
+            for start, stop, stub_count, indirect_count, begin, finish, \
+                    instruction_sum in zip(starts, stops, stubs, indirects,
+                                           at, at[1:], sums):
+                inside = split[bisect_left(split, start):
+                               bisect_left(split, stop)]
+                extra = [charge for row in inside for charge in listed[row]]
+                end += (stop - start - len(inside) + stub_count
+                        + finish - begin + indirect_count + len(extra))
+                if inside:
+                    instruction_sum -= sum([transitions[3 * row + 2]
+                                            for row in inside])
+                whole, pairs = _summary(extra)
+                for count, units, rate_whole, rate in (
+                        (stub_count, stub_count, wholes[0], paired[0]),
+                        (finish - begin, sum(new_counts[begin:finish]),
+                         wholes[1], None),
+                        (indirect_count, indirect_count, wholes[2],
+                         paired[1]),
+                        (stop - start - len(inside), instruction_sum,
+                         wholes[3], None)):
+                    if not count or pairs is None:
+                        continue
+                    if rate_whole is not None:
+                        whole += rate_whole * units
+                    elif rate is not None:
+                        pairs.append((rate, units))
+                    else:
+                        pairs = None
+                found.append((end, whole,
+                              pairs if whole < _EXACT else None))
+            return found
+
         split = _marked(flags.translate(_SPLIT_TABLE), 0, rows)
         full = rows - rows % batch if stream.exceeded else rows
         bounds = [(lo, min(lo + batch, rows)) for lo in range(0, full, batch)]
@@ -296,19 +479,34 @@ class ChargeTape:
             start = transitions[3 * lo - 3] if lo else entry
             self.batches.append(PackedBatch(transitions[3 * lo:3 * hi], seen,
                                             stream.flags[lo:hi], start))
-        for lo, hi in bounds:
+        for first, hi in bounds:
+            # plain() lists the segment's first-seen rows and their
+            # instrs_dbt here, for chunks().
+            new_rows = []
+            new_counts = []
             out = cost.charges = []
+            listed = {}
+            lo = first
             for index in split[bisect_left(split, lo):bisect_left(split, hi)]:
                 out += plain(lo, index)
+                mark = len(out)
                 _charge_block(cost, stream, index)
+                listed[index] = out[mark:]
                 lo = index + 1
             out += plain(lo, hi)
             self.cycles.append(out)
             self.categories.append(dict(running))
+            self.chunks.append(chunks(first, hi, listed)
+                               if hi - first >= _PRICED_ROWS else None)
         if stream.exceeded:
-            # The trailing splits close the tail segment.
+            # The trailing splits close the tail segment, in a chunk of
+            # their own.
+            mark = len(out)
             _charge_splits(cost, stream, rows)
             self.categories[-1] = dict(running)
+            if self.chunks[-1] is not None:
+                whole, pairs = _summary(out[mark:])
+                self.chunks[-1].append((len(out), whole, pairs))
 
 
 class Pin:
@@ -321,10 +519,13 @@ class Pin:
     stream to every engine that runs the same program to execute it
     once.
 
-    A run folds the stream's :class:`ChargeTape` for its cost
+    A run adds up the stream's :class:`ChargeTape` for its cost
     parameters and the tool's ``packed_batch`` (the default batch size
     without a tool), built by the first such run and reused by the
     next: per segment, Pin's charges, then the tool gets its batch.
+    The charges are priced per chunk where one binade's rounding prices
+    them exactly and folded one by one elsewhere, so ``cycles`` is the
+    live engine's left-to-right float sum, bit for bit.
 
     ``obs`` (optional :class:`~repro.obs.Observability`) is shared with
     the executor and exposed to the attached pintool, so one registry
@@ -397,7 +598,8 @@ class Pin:
         breakdown = cost.breakdown
         delivered = len(tape.batches) if tool is not None else 0
         for segment, charges in enumerate(tape.cycles):
-            cost.cycles = _fold(cost.cycles, charges)
+            cost.cycles = _fold_chunks(cost.cycles, charges,
+                                       tape.chunks[segment])
             breakdown.update(tape.categories[segment])
             if segment < delivered:
                 tool.on_packed(tape.batches[segment])

@@ -45,7 +45,13 @@ from repro.pin import (
     run_native,
 )
 from repro.pin import pin as pin_module
-from repro.pin.pin import _charge_block, _charge_splits, _fold
+from repro.pin.pin import (
+    _charge_block,
+    _charge_splits,
+    _fold,
+    _fold_chunks,
+    _summary,
+)
 from repro.traces.recorder import STATE_CREATING, RecorderLimits
 from repro.traces.serialization import trace_set_to_json
 from repro.workloads import load_benchmark
@@ -555,8 +561,12 @@ helper:
     ret
 """
 
-#: The rates the tape is keyed on, moved off their defaults.
+#: The rates the tape is keyed on, moved off their defaults: the
+#: constant amounts, and the per-block rates (which give each block its
+#: own non-integral amount, so no chunk of the tape is priced).
 PERTURBED = {"PIN_BLOCK_STUB": 1.7, "PIN_INDIRECT_EXTRA": 9.3}
+PER_BLOCK = {"NATIVE_INSTRUCTION": 1.1, "PIN_TRANSLATION_PER_INSTR": 0.7}
+RATES = {"default": None, "perturbed": PERTURBED, "per-block": PER_BLOCK}
 
 
 def tape_workload(name):
@@ -620,15 +630,14 @@ def charged(pin, raised):
 @pytest.mark.parametrize("batch", (None, 1, 7, 4096),
                          ids=lambda batch: ("no-tool" if batch is None
                                             else "batch=%d" % batch))
-@pytest.mark.parametrize("perturbed", (False, True),
-                         ids=("default", "perturbed"))
-def test_charge_tape_matches_per_block_charges(name, batch, perturbed):
+@pytest.mark.parametrize("rates", list(RATES))
+def test_charge_tape_matches_per_block_charges(name, batch, rates):
     """Bit for bit: ``repr(cycles)`` and the breakdown with its key
     order, also across merged splits, over budget and with other
     rates."""
     program, stream, traces, budget = tape_workload(name)
     stream = ExecutionStream.from_buffer(stream.to_bytes())  # no tape yet
-    params = CostParameters(**PERTURBED) if perturbed else None
+    params = CostParameters(**RATES[rates]) if RATES[rates] else None
     want = charged(*per_block_run(program, stream, tape_tool(traces, batch),
                                   params, budget))
     pin = Pin(program, tool=tape_tool(traces, batch), cost_params=params,
@@ -732,6 +741,118 @@ def test_fold_is_the_left_to_right_sum(total, amounts):
     assert repr(_fold(total, iter(amounts))) == repr(want)
     if amounts == [1e-16] * 1000:
         assert want == 1.0 != math.fsum([total] + amounts)
+
+
+#: Rates whose non-integral amounts tie at the spacing of a binade the
+#: priced fold reaches with whole chunks: 2.5 at [2**52, 2**53), 1.25
+#: at [2**51, 2**52).  (The default stub 1.6 ties only in [4, 8).)
+TIES = {"PIN_BLOCK_STUB": 2.5, "PIN_INDIRECT_EXTRA": 1.25}
+
+#: Tape rates for the priced-fold differential, and the workloads each
+#: runs on: no-tool tapes, a batch-7 tape (segments too short to be
+#: priced), merged splits, and an over-budget tail closed by trailing
+#: splits, also after batches of 100.
+PRICED_RATES = {
+    "default": {},
+    "perturbed": PERTURBED,
+    "per-block": PER_BLOCK,
+    "ties": TIES,
+    "negative-stub": {"PIN_BLOCK_STUB": -1.6},
+    "nan-indirect": {"PIN_INDIRECT_EXTRA": float("nan")},
+}
+PRICED_TAPES = [("164.gzip@0.15", None), ("splits", None), ("splits", 7),
+                ("splits/limited", None), ("splits/limited", 100)]
+
+
+def _tape(name, batch, rates):
+    """The charge tape of a :func:`tape_workload` under ``rates``."""
+    program, stream, traces, budget = tape_workload(name)
+    stream = ExecutionStream.from_buffer(stream.to_bytes())
+    try:
+        Pin(program, tool=tape_tool(traces, batch),
+            cost_params=CostParameters(**rates), max_instructions=budget,
+            stream=stream).run()
+    except InstructionLimitExceeded:
+        pass
+    return stream._tape[1]
+
+
+def _starts():
+    """Running totals a chunk may start from: 0.0, [4, 8) (where 1.6
+    ties), either side of every power of two up to 2**53, and odd and
+    even totals in the binades where :data:`TIES` tie."""
+    yield 0.0
+    yield 0.5
+    for ulps in range(4):
+        yield 4.0 + ulps * 2.0 ** -50
+    yield 6.1
+    for power in range(54):
+        edge = 2.0 ** power
+        for ulps in (1, 5):
+            yield edge - ulps * edge * 2.0 ** -53
+            yield edge + ulps * edge * 2.0 ** -52
+        yield edge - 3000.0
+    for base in (2.0 ** 51, 2.0 ** 52):
+        for offset in (1, 2, 3, 1000.5, 1001.0):
+            yield base + offset
+
+
+def _hand_chunks():
+    """Small hand-made segments whose chunks stay in low binades: one
+    1.6 from [4, 8) ties, and a chunk that crosses several binades."""
+    yield [1.6], [(1, *_summary([1.6]))]
+    yield [1.6, 3.0, 1.6], [(3, *_summary([1.6, 3.0, 1.6]))]
+    charges = [1.6, 7.0, 9.0, 1.6, 2.0]
+    yield charges, [(2, *_summary(charges[:2])), (5, *_summary(charges[2:]))]
+    yield [0.7, -0.5], [(2, *_summary([0.7, -0.5]))]
+
+
+@pytest.mark.parametrize("rates", list(PRICED_RATES))
+def test_priced_fold_is_the_fold(rates):
+    """Pricing a tape's chunks per binade gives ``_fold``'s value bit
+    for bit, from any start: across binade edges, on ties, with
+    per-block rates, negative or NaN amounts, and over-budget tails."""
+    segments = []
+    for name, batch in PRICED_TAPES:
+        tape = _tape(name, batch, PRICED_RATES[rates])
+        segments += zip(tape.cycles, tape.chunks)
+    segments += _hand_chunks()
+    for start in _starts():
+        for charges, chunks in segments:
+            want = repr(_fold(start, charges))
+            assert repr(_fold_chunks(start, charges, chunks)) == want, (
+                rates, start, chunks)
+
+
+@pytest.mark.parametrize("rates", list(PRICED_RATES))
+def test_charge_tape_chunks_count_their_charges(rates):
+    """Each chunk summary the tape builds from counts and lane sums is
+    the summary of the charges it covers, and chunks tile the segment.
+    The default rates price every chunk of a long run."""
+    for name, batch in PRICED_TAPES + [("176.gcc@0.1", None)]:
+        tape = _tape(name, batch, PRICED_RATES[rates])
+        for charges, chunks in zip(tape.cycles, tape.chunks):
+            if chunks is None:  # a short segment: folded whole
+                assert batch is not None
+                continue
+            start = 0
+            for end, whole, pairs in chunks:
+                assert start <= end
+                if pairs is not None:
+                    want_whole, want_pairs = _summary(charges[start:end])
+                    merged = {}
+                    for amount, count in pairs:
+                        merged[amount] = merged.get(amount, 0) + count
+                    assert (whole, merged) == (want_whole, dict(want_pairs))
+                start = end
+            assert start == len(charges)
+        summaries = [pairs for chunks in tape.chunks if chunks is not None
+                     for _end, _whole, pairs in chunks]
+        if rates == "default" and name == "176.gcc@0.1":
+            assert all(pairs is not None for pairs in summaries)
+        if rates == "negative-stub" or (
+                rates == "per-block" and not name.endswith("/limited")):
+            assert all(pairs is None for pairs in summaries)
 
 
 # ---------------------------------------------------------------------
