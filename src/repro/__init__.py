@@ -25,39 +25,63 @@ See README.md for the architecture overview, DESIGN.md for the system
 inventory, and ``python -m repro.harness all`` for the paper's tables.
 """
 
-from repro.core import (
-    TEA,
-    MemoryModel,
-    OnlineTeaRecorder,
-    ReplayConfig,
-    TeaProfile,
-    TeaReplayer,
-    build_tea,
-    duplicate_trace,
-    load_tea,
-    save_tea,
-)
-from repro.cpu import ExecutionStream, Executor, Machine, run_program
-from repro.dbt import CodeCache, CostModel, CostParameters, StarDBT
-from repro.errors import ReproError
-from repro.isa import Program, assemble
-from repro.obs import EventTracer, MetricsRegistry, Observability
-from repro.pin import Pin, Pintool, TeaRecordTool, TeaReplayTool, run_native
-from repro.store import (
-    AutomatonStore,
-    dump_tea_binary,
-    load_tea_binary,
-    save_tea_binary,
-)
-from repro.traces import (
-    STRATEGIES,
-    TraceSet,
-    load_trace_set,
-    make_recorder,
-    save_trace_set,
-)
-from repro.traces.recorder import RecorderLimits
-from repro.workloads import BENCHMARKS, load_benchmark
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        TEA,
+        MemoryModel,
+        OnlineTeaRecorder,
+        ReplayConfig,
+        TeaProfile,
+        TeaReplayer,
+        build_tea,
+        duplicate_trace,
+        load_tea,
+        save_tea,
+    )
+    from repro.cpu import ExecutionStream, Executor, Machine, run_program
+    from repro.dbt import CodeCache, CostModel, CostParameters, StarDBT
+    from repro.errors import ReproError
+    from repro.isa import Program, assemble
+    from repro.obs import EventTracer, MetricsRegistry, Observability
+    from repro.pin import Pin, Pintool, TeaRecordTool, TeaReplayTool, run_native
+    from repro.store import (
+        AutomatonStore,
+        dump_tea_binary,
+        load_tea_binary,
+        save_tea_binary,
+    )
+    from repro.traces import (
+        STRATEGIES,
+        TraceSet,
+        load_trace_set,
+        make_recorder,
+        save_trace_set,
+    )
+    from repro.traces.recorder import RecorderLimits
+    from repro.workloads import BENCHMARKS, load_benchmark
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": ("TEA", "MemoryModel", "OnlineTeaRecorder", "ReplayConfig",
+              "TeaProfile", "TeaReplayer", "build_tea", "duplicate_trace",
+              "load_tea", "save_tea"),
+    ".cpu": ("ExecutionStream", "Executor", "Machine", "run_program"),
+    ".dbt": ("CodeCache", "CostModel", "CostParameters", "StarDBT"),
+    ".errors": ("ReproError",),
+    ".isa": ("Program", "assemble"),
+    ".obs": ("EventTracer", "MetricsRegistry", "Observability"),
+    ".pin": ("Pin", "Pintool", "TeaRecordTool", "TeaReplayTool",
+             "run_native"),
+    ".store": ("AutomatonStore", "dump_tea_binary", "load_tea_binary",
+               "save_tea_binary"),
+    ".traces": ("STRATEGIES", "TraceSet", "load_trace_set", "make_recorder",
+                "save_trace_set"),
+    ".traces.recorder": ("RecorderLimits",),
+    ".workloads": ("BENCHMARKS", "load_benchmark"),
+})
 
 __version__ = "1.0.0"
 

@@ -14,14 +14,26 @@ Two distinct views exist, as in the paper:
   time.
 """
 
-from repro.cfg.basic_block import BasicBlock, BlockIndex
-from repro.cfg.builder import (
-    FLAVOR_PIN,
-    FLAVOR_STARDBT,
-    DynamicBlockBuilder,
-)
-from repro.cfg.cfg import ControlFlowGraph, build_cfg
-from repro.cfg.loops import LoopInfo, find_loops
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cfg.basic_block import BasicBlock, BlockIndex
+    from repro.cfg.builder import (
+        FLAVOR_PIN,
+        FLAVOR_STARDBT,
+        DynamicBlockBuilder,
+    )
+    from repro.cfg.cfg import ControlFlowGraph, build_cfg
+    from repro.cfg.loops import LoopInfo, find_loops
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".basic_block": ("BasicBlock", "BlockIndex"),
+    ".builder": ("FLAVOR_PIN", "FLAVOR_STARDBT", "DynamicBlockBuilder"),
+    ".cfg": ("ControlFlowGraph", "build_cfg"),
+    ".loops": ("LoopInfo", "find_loops"),
+})
 
 __all__ = [
     "BasicBlock",

@@ -33,26 +33,47 @@ Package contents:
   in future executions.
 """
 
-from repro.core.automaton import NTE_SID, TEA, TeaState
-from repro.core.builder import build_tea, sync_trace
-from repro.core.compiled import CompiledReplayer, CompiledTea, PackedBatch
-from repro.core.directory import (
-    BPlusTreeDirectory,
-    LinkedListDirectory,
-    make_directory,
-)
-from repro.core.duplication import duplicate_in_set, duplicate_trace
-from repro.core.jit import JitCode, JitReplayer, generate_replay_source
-from repro.core.memory_model import MemoryModel
-from repro.core.online import OnlineTeaRecorder
-from repro.core.profile import TeaProfile
-from repro.core.replay import ReplayConfig, TeaReplayer
-from repro.core.serialization import (
-    load_tea,
-    save_tea,
-    tea_from_json,
-    tea_to_json,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.automaton import NTE_SID, TEA, TeaState
+    from repro.core.builder import build_tea, sync_trace
+    from repro.core.compiled import CompiledReplayer, CompiledTea, PackedBatch
+    from repro.core.directory import (
+        BPlusTreeDirectory,
+        LinkedListDirectory,
+        make_directory,
+    )
+    from repro.core.duplication import duplicate_in_set, duplicate_trace
+    from repro.core.jit import JitCode, JitReplayer, generate_replay_source
+    from repro.core.memory_model import MemoryModel
+    from repro.core.online import OnlineTeaRecorder
+    from repro.core.profile import TeaProfile
+    from repro.core.replay import ReplayConfig, TeaReplayer
+    from repro.core.serialization import (
+        load_tea,
+        save_tea,
+        tea_from_json,
+        tea_to_json,
+    )
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".automaton": ("NTE_SID", "TEA", "TeaState"),
+    ".builder": ("build_tea", "sync_trace"),
+    ".compiled": ("CompiledReplayer", "CompiledTea", "PackedBatch"),
+    ".directory": ("BPlusTreeDirectory", "LinkedListDirectory",
+                   "make_directory"),
+    ".duplication": ("duplicate_in_set", "duplicate_trace"),
+    ".jit": ("JitCode", "JitReplayer", "generate_replay_source"),
+    ".memory_model": ("MemoryModel",),
+    ".online": ("OnlineTeaRecorder",),
+    ".profile": ("TeaProfile",),
+    ".replay": ("ReplayConfig", "TeaReplayer"),
+    ".serialization": ("load_tea", "save_tea", "tea_from_json",
+                       "tea_to_json"),
+})
 
 __all__ = [
     "TEA",

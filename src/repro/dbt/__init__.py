@@ -14,8 +14,19 @@ code cache; this package provides that runtime:
   cache, and reports coverage/time.
 """
 
-from repro.dbt.code_cache import CodeCache
-from repro.dbt.cost import CostModel, CostParameters
-from repro.dbt.stardbt import DBTResult, StarDBT
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.dbt.code_cache import CodeCache
+    from repro.dbt.cost import CostModel, CostParameters
+    from repro.dbt.stardbt import DBTResult, StarDBT
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".code_cache": ("CodeCache",),
+    ".cost": ("CostModel", "CostParameters"),
+    ".stardbt": ("DBTResult", "StarDBT"),
+})
 
 __all__ = ["CostModel", "CostParameters", "CodeCache", "StarDBT", "DBTResult"]

@@ -43,7 +43,7 @@ from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
 from repro.cpu.stream import ExecutionStream, matching
 from repro.dbt.code_cache import CodeCache
 from repro.dbt.cost import CostModel, CostParameters
-from repro.traces import make_recorder
+from repro.traces.strategies import make_recorder
 from repro.traces.recorder import (
     STATE_CREATING,
     WAKE_BACK_EDGES_AND_EXITS,

@@ -17,23 +17,37 @@ conditional/indirect control flow, calls and REP string ops exercises the
 same code paths as IA-32 (see DESIGN.md, substitution table).
 """
 
-from repro.isa.assembler import assemble
-from repro.isa.instructions import Instruction, OPCODES, OpcodeSpec
-from repro.isa.operands import Imm, LabelRef, Mem, Reg
-from repro.isa.program import Program
-from repro.isa.registers import (
-    EAX,
-    EBP,
-    EBX,
-    ECX,
-    EDI,
-    EDX,
-    ESI,
-    ESP,
-    NUM_REGISTERS,
-    REGISTER_NAMES,
-    register_index,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.isa.assembler import assemble
+    from repro.isa.instructions import OPCODES, Instruction, OpcodeSpec
+    from repro.isa.operands import Imm, LabelRef, Mem, Reg
+    from repro.isa.program import Program
+    from repro.isa.registers import (
+        EAX,
+        EBP,
+        EBX,
+        ECX,
+        EDI,
+        EDX,
+        ESI,
+        ESP,
+        NUM_REGISTERS,
+        REGISTER_NAMES,
+        register_index,
+    )
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".assembler": ("assemble",),
+    ".instructions": ("OPCODES", "Instruction", "OpcodeSpec"),
+    ".operands": ("Imm", "LabelRef", "Mem", "Reg"),
+    ".program": ("Program",),
+    ".registers": ("EAX", "EBP", "EBX", "ECX", "EDI", "EDX", "ESI", "ESP",
+                   "NUM_REGISTERS", "REGISTER_NAMES", "register_index"),
+})
 
 __all__ = [
     "assemble",

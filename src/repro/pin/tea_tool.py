@@ -14,11 +14,9 @@ execution."  That pintool is these two classes:
 
 from repro.core.builder import build_tea
 from repro.core.compiled import CompiledReplayer, CompiledTea
-from repro.core.online import OnlineTeaRecorder
 from repro.core.replay import ReplayConfig, TeaReplayer
 from repro.cpu.events import END_OF_RUN
 from repro.pin.pintool import Pintool
-from repro.traces import make_recorder
 from repro.traces.model import TraceSet
 
 
@@ -127,10 +125,16 @@ class TeaReplayTool(Pintool):
 
 
 class TeaRecordTool(Pintool):
-    """Record traces online (Algorithm 2) and grow the TEA as they finish."""
+    """Record traces online (Algorithm 2) and grow the TEA as they finish.
+
+    Algorithm 2 and the recorders are imported when the tool is built
+    and attached, so a process that only replays never loads them.
+    """
 
     def __init__(self, strategy="mret", limits=None, config=None,
                  profile=None, recorder_kwargs=None, obs=None):
+        from repro.traces.strategies import make_recorder
+
         super().__init__()
         kwargs = dict(recorder_kwargs or {})
         kwargs["limits"] = limits
@@ -142,6 +146,8 @@ class TeaRecordTool(Pintool):
         self.trace_set = None
 
     def attach(self, pin):
+        from repro.core.online import OnlineTeaRecorder
+
         super().attach(pin)
         obs = self.obs if self.obs is not None else pin.obs
         self.online = OnlineTeaRecorder(

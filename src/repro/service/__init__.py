@@ -20,22 +20,36 @@ JSON-over-TCP protocol.
 See ``docs/service.md`` for the wire protocol and operational knobs.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.protocol import (
-    ERROR_CODES,
-    MAX_PAYLOAD_DEFAULT,
-    PayloadTooLarge,
-    ProtocolError,
-    ServiceError,
-)
-from repro.service.server import (
-    REPLAY_CONFIGS,
-    ServiceConfig,
-    ServiceSetupError,
-    SnapshotEntry,
-    TeaService,
-)
-from repro.service.testing import ServiceThread
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient
+    from repro.service.protocol import (
+        ERROR_CODES,
+        MAX_PAYLOAD_DEFAULT,
+        PayloadTooLarge,
+        ProtocolError,
+        ServiceError,
+    )
+    from repro.service.server import (
+        REPLAY_CONFIGS,
+        ServiceConfig,
+        ServiceSetupError,
+        SnapshotEntry,
+        TeaService,
+    )
+    from repro.service.testing import ServiceThread
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".client": ("ServiceClient",),
+    ".protocol": ("ERROR_CODES", "MAX_PAYLOAD_DEFAULT", "PayloadTooLarge",
+                  "ProtocolError", "ServiceError"),
+    ".server": ("REPLAY_CONFIGS", "ServiceConfig", "ServiceSetupError",
+                "SnapshotEntry", "TeaService"),
+    ".testing": ("ServiceThread",),
+})
 
 __all__ = [
     "ERROR_CODES",

@@ -17,23 +17,16 @@ Examples::
 """
 
 import argparse
-import asyncio
 import json
-import signal
 import sys
 
-from repro.core import TeaProfile, build_tea
-from repro.cpu.stream import ExecutionStream
-from repro.dbt import StarDBT
 from repro.errors import ReproError
-from repro.pin import Pin, TeaReplayTool
-from repro.service.client import ServiceClient
-from repro.service.server import ServiceConfig, TeaService
-from repro.store import DEFAULT_STORE_DIR, AutomatonStore
-from repro.traces import STRATEGIES
-from repro.traces.recorder import RecorderLimits
-from repro.util import atomic_write_text
-from repro.workloads import BENCHMARKS, load_benchmark
+
+# Each command imports what it runs, and nothing more: ``build`` never
+# loads asyncio or the server, ``serve`` never loads the workload
+# generator, StarDBT or the recorders, and ``call`` loads only the
+# client.  ``main`` adds the arguments of the named command only, so
+# ``build``'s name choices are not computed for the other two.
 
 
 def _cmd_build(args):
@@ -45,6 +38,15 @@ def _cmd_build(args):
     replays from.  The program itself is stored as the snapshot's
     image, so this is the one place it is generated and assembled.
     """
+    from repro.core.builder import build_tea
+    from repro.core.profile import TeaProfile
+    from repro.cpu.stream import ExecutionStream
+    from repro.dbt.stardbt import StarDBT
+    from repro.pin import Pin, TeaReplayTool
+    from repro.store import AutomatonStore
+    from repro.traces.recorder import RecorderLimits
+    from repro.workloads import load_benchmark
+
     workload = load_benchmark(args.benchmark, scale=args.scale)
     stream = ExecutionStream.record(workload.program)
     limits = RecorderLimits(hot_threshold=args.threshold)
@@ -102,6 +104,13 @@ def _cmd_build(args):
 
 def _cmd_serve(args):
     """Run the server until SIGTERM/SIGINT, then drain gracefully."""
+    import asyncio
+    import signal
+
+    from repro.service.server import ServiceConfig, TeaService
+    from repro.store import AutomatonStore
+    from repro.util import atomic_write_text
+
     store = AutomatonStore(args.store)
     config = ServiceConfig(
         host=args.host, port=args.port, workers=args.workers,
@@ -130,6 +139,8 @@ def _cmd_serve(args):
 
 def _cmd_call(args):
     """One client RPC; prints the JSON result."""
+    from repro.service.client import ServiceClient
+
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as error:
@@ -145,16 +156,11 @@ def _cmd_call(args):
     return 0
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
-        description="build, serve and query TEA automaton snapshots",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+def _build_arguments(build):
+    from repro.store import DEFAULT_STORE_DIR
+    from repro.traces.strategies import STRATEGIES
+    from repro.workloads import BENCHMARKS
 
-    build = commands.add_parser(
-        "build", help="record a benchmark and snapshot its TEA into a store"
-    )
     build.add_argument("--store", default=DEFAULT_STORE_DIR,
                        help="store directory (default %(default)s)")
     build.add_argument("--benchmark", required=True,
@@ -168,7 +174,11 @@ def main(argv=None):
                        help="replay once to embed profile counters")
     build.add_argument("--label", help="friendly alias for the snapshot")
 
-    serve = commands.add_parser("serve", help="run the replay server")
+
+def _serve_arguments(serve):
+    from repro.service.protocol import MAX_PAYLOAD_DEFAULT
+    from repro.store import DEFAULT_STORE_DIR
+
     serve.add_argument("--store", default=DEFAULT_STORE_DIR,
                        help="store directory (default %(default)s)")
     serve.add_argument("--host", default="127.0.0.1")
@@ -179,7 +189,7 @@ def main(argv=None):
     serve.add_argument("--timeout", type=float, default=60.0,
                        help="per-request timeout in seconds")
     serve.add_argument("--max-payload", type=int,
-                       default=ServiceConfig().max_payload,
+                       default=MAX_PAYLOAD_DEFAULT,
                        help="per-frame payload cap in bytes")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        help="seconds to wait for in-flight work on shutdown")
@@ -188,20 +198,41 @@ def main(argv=None):
     serve.add_argument("--debug", action="store_true",
                        help="enable debug RPCs (sleep) — tests only")
 
-    call = commands.add_parser("call", help="fire one RPC as a client")
+
+def _call_arguments(call):
     call.add_argument("method", help="RPC method name (e.g. ping, stats)")
     call.add_argument("--host", default="127.0.0.1")
     call.add_argument("--port", type=int, default=7321)
     call.add_argument("--timeout", type=float, default=60.0)
     call.add_argument("--params", help="JSON object of method params")
 
-    args = parser.parse_args(argv if argv is not None else sys.argv[1:])
+
+#: Command name -> (help, argument builder, handler).
+COMMANDS = {
+    "build": ("record a benchmark and snapshot its TEA into a store",
+              _build_arguments, _cmd_build),
+    "serve": ("run the replay server", _serve_arguments, _cmd_serve),
+    "call": ("fire one RPC as a client", _call_arguments, _cmd_call),
+}
+
+
+def main(argv=None):
+    argv = list(argv if argv is not None else sys.argv[1:])
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.service",
+        description="build, serve and query TEA automaton snapshots",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    # The top-level parser takes no option but --help, so a command, if
+    # any, is argv[0]; only its arguments are added.
+    for name, (text, add_arguments, _) in COMMANDS.items():
+        command = commands.add_parser(name, help=text)
+        if argv[:1] == [name]:
+            add_arguments(command)
+
+    args = parser.parse_args(argv)
     try:
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        return _cmd_call(args)
+        return COMMANDS[args.command][2](args)
     except (ReproError, OSError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 1

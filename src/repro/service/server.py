@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import __version__
 from repro.cfg.basic_block import BlockIndex
-from repro.core import ReplayConfig
+from repro.core.replay import ReplayConfig
 from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
 from repro.cpu.stream import ExecutionStream, stream_key
 from repro.errors import ReproError, SerializationError, VerificationError
@@ -63,6 +63,13 @@ from repro.service.protocol import (
 )
 from repro.store.binary import load_and_compile_tea_binary
 from repro.store.store import snapshot_program
+from repro.verify import all_rules, verify_snapshot_bytes
+
+# Everything preload and replay run is imported here, on the importing
+# thread, and nothing else (docs/architecture.md, "What each process
+# imports").  That includes the verify rule catalog, which would
+# otherwise be compiled on a pool thread in the middle of preload.
+all_rules()
 
 #: Replay configuration names accepted by the ``replay``/``coverage``
 #: RPCs (the Table 4 axes, same names as the tools CLI).
@@ -246,8 +253,6 @@ def load_entry(key, data, image, verify=True, mapping=None, streams=None):
     private source, recorded on first replay, is used when omitted.
     """
     if verify:
-        from repro.verify import verify_snapshot_bytes
-
         verify_snapshot_bytes(data, source=key, deep=False).raise_on_error()
     program = snapshot_program(image, key)
     # One decode of the section table (its CRCs checked once, gate or

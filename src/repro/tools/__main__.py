@@ -29,32 +29,46 @@ import argparse
 import json
 import sys
 
-from repro.cfg.basic_block import BlockIndex
-from repro.core import MemoryModel, ReplayConfig, TeaProfile
-from repro.cpu.stream import ExecutionStream
-from repro.dbt import StarDBT
 from repro.errors import ReproError
-from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.harness.reporting import render_metrics
-from repro.isa import assemble
-from repro.obs import Observability, snapshot_to_json
-from repro.pin import DEFAULT_PACKED_BATCH, Pin, TeaReplayTool, run_native
-from repro.traces import STRATEGIES, load_trace_set, save_trace_set
-from repro.traces.recorder import RecorderLimits
-from repro.workloads import BENCHMARKS, load_benchmark
 
-CONFIGS = {
-    "global_local": ReplayConfig.global_local,
-    "global_no_local": ReplayConfig.global_no_local,
-    "no_global_local": ReplayConfig.no_global_local,
-    "no_global_no_local": ReplayConfig.no_global_no_local,
-}
+# Each command imports what it runs: ``verify`` and ``tea info`` load
+# no generator, StarDBT, recorder or harness module.  ``main`` adds the
+# arguments of the named command only.
+
+#: Replay configurations (the Table 4 axes): ``ReplayConfig`` factory
+#: names, as the service's ``replay`` RPC accepts them.
+CONFIGS = ("global_local", "global_no_local", "no_global_local",
+           "no_global_no_local")
+
+
+class _BenchmarkNames:
+    """The built-in benchmark names as argparse ``choices``, looked up
+    on first use, so a command that can take ``--benchmark`` but was
+    not given it never imports the workloads.  argparse lists choices
+    when it adds an argument to a parser, but not to a group, so every
+    ``--benchmark`` is added to a group."""
+
+    def __contains__(self, name):
+        from repro.workloads import BENCHMARKS
+
+        return name in BENCHMARKS
+
+    def __iter__(self):
+        from repro.workloads import BENCHMARKS
+
+        return iter(sorted(BENCHMARKS))
+
+
+def _replay_config(name):
+    from repro.core.replay import ReplayConfig
+
+    return getattr(ReplayConfig, name)()
 
 
 def _add_program_arguments(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
-        "--benchmark", choices=sorted(BENCHMARKS),
+        "--benchmark", choices=_BenchmarkNames(),
         help="one of the 26 built-in SPEC-shaped workloads",
     )
     group.add_argument("--source", help="an SX86 assembly source file")
@@ -66,12 +80,21 @@ def _add_program_arguments(parser):
 
 def _load_program(args):
     if args.benchmark:
+        from repro.workloads import load_benchmark
+
         return load_benchmark(args.benchmark, scale=args.scale).program
+    from repro.isa.assembler import assemble
+
     with open(args.source) as handle:
         return assemble(handle.read())
 
 
 def _cmd_record(args):
+    from repro.core.memory_model import MemoryModel
+    from repro.dbt.stardbt import StarDBT
+    from repro.traces.recorder import RecorderLimits
+    from repro.traces.serialization import save_trace_set
+
     program = _load_program(args)
     limits = RecorderLimits(hot_threshold=args.threshold)
     runtime = StarDBT(program, strategy=args.strategy, limits=limits)
@@ -91,12 +114,18 @@ def _cmd_record(args):
 
 
 def _cmd_replay(args):
+    from repro.cfg.basic_block import BlockIndex
+    from repro.core.profile import TeaProfile
+    from repro.cpu.stream import ExecutionStream
+    from repro.pin import Pin, TeaReplayTool, run_native
+    from repro.traces.serialization import load_trace_set
+
     program = _load_program(args)
     trace_set = load_trace_set(args.traces, BlockIndex(program))
     profile = TeaProfile() if args.profile else None
     tool = TeaReplayTool(
         trace_set=trace_set,
-        config=CONFIGS[args.config](),
+        config=_replay_config(args.config),
         profile=profile,
         link_traces=args.link_traces,
     )
@@ -127,6 +156,15 @@ def _cmd_replay(args):
 
 def _cmd_metrics(args):
     """Replay with full observability on; dump the metrics snapshot."""
+    from repro.cfg.basic_block import BlockIndex
+    from repro.cpu.stream import ExecutionStream
+    from repro.dbt.stardbt import StarDBT
+    from repro.harness.reporting import render_metrics
+    from repro.obs import Observability, snapshot_to_json
+    from repro.pin import Pin, TeaReplayTool
+    from repro.traces.recorder import RecorderLimits
+    from repro.traces.serialization import load_trace_set
+
     program = _load_program(args)
     obs = Observability(trace_capacity=args.events)
     stream = ExecutionStream.record(program, obs=obs)
@@ -138,7 +176,8 @@ def _cmd_metrics(args):
         limits = RecorderLimits(hot_threshold=args.threshold)
         trace_set = StarDBT(program, strategy="mret", limits=limits,
                             stream=stream).run().trace_set
-    tool = TeaReplayTool(trace_set=trace_set, config=CONFIGS[args.config](),
+    tool = TeaReplayTool(trace_set=trace_set,
+                         config=_replay_config(args.config),
                          batch_size=args.batch or None)
     Pin(program, tool=tool, obs=obs, stream=stream).run()
     snapshot = tool.snapshot()
@@ -156,6 +195,8 @@ def _cmd_metrics(args):
 
 def _cmd_cache(args):
     """Inspect (or clear) the harness's persistent result cache."""
+    from repro.harness.cache import ResultCache
+
     cache = ResultCache(args.dir)
     entries = len(cache)
     print("cache %s: %d entries, %d bytes"
@@ -210,7 +251,8 @@ def _load_tea_file(path, args):
     TEAB input (provenance for minimized output), ``None`` for JSON
     documents.
     """
-    from repro.core import build_tea
+    from repro.cfg.basic_block import BlockIndex
+    from repro.core.builder import build_tea
     from repro.errors import SerializationError
     from repro.store import load_tea_binary, snapshot_key
 
@@ -521,14 +563,9 @@ def _cmd_info(args):
     return 0
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.tools",
-        description="record / replay / inspect TEA trace files",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+def _record_arguments(record):
+    from repro.traces.strategies import STRATEGIES
 
-    record = commands.add_parser("record", help="record traces under the DBT")
     _add_program_arguments(record)
     record.add_argument("--strategy", choices=sorted(STRATEGIES),
                         default="mret")
@@ -536,11 +573,11 @@ def main(argv=None):
                         help="hot threshold (default 30)")
     record.add_argument("--out", required=True, help="trace file to write")
 
-    replay = commands.add_parser("replay", help="replay traces via TEA")
+
+def _replay_arguments(replay):
     _add_program_arguments(replay)
     replay.add_argument("--traces", required=True, help="trace file to load")
-    replay.add_argument("--config", choices=sorted(CONFIGS),
-                        default="global_local")
+    replay.add_argument("--config", choices=CONFIGS, default="global_local")
     replay.add_argument("--profile", action="store_true",
                         help="collect and print a per-TBB profile (replays "
                              "through the per-row step() walk)")
@@ -549,14 +586,13 @@ def main(argv=None):
     replay.add_argument("--top", type=int, default=8,
                         help="profile entries to print")
 
-    info = commands.add_parser("info", help="summarize a trace file")
+
+def _info_arguments(info):
     info.add_argument("--traces", required=True)
     info.add_argument("--top", type=int, default=10)
 
-    tea = commands.add_parser(
-        "tea",
-        help="TEA snapshot utilities (see repro.store)",
-    )
+
+def _tea_arguments(tea):
     tea_commands = tea.add_subparsers(dest="tea_command", required=True)
     tea_info = tea_commands.add_parser(
         "info",
@@ -566,20 +602,19 @@ def main(argv=None):
     tea_info.add_argument("--format", choices=("text", "json"),
                           default="text")
 
-    def _add_optional_program_arguments(target):
-        group = target.add_mutually_exclusive_group()
-        group.add_argument("--benchmark", choices=sorted(BENCHMARKS),
-                           help="program image (TEAB snapshots can carry "
-                                "it in their meta; JSON documents require "
-                                "one)")
-        group.add_argument("--source", help="an SX86 assembly source file")
-        target.add_argument("--scale", type=float, default=1.0,
-                            help="workload scale (benchmarks only)")
 
-    minimize = commands.add_parser(
-        "minimize",
-        help="merge bisimilar TEA states (see docs/minimize_and_diff.md)",
-    )
+def _add_optional_program_arguments(target):
+    group = target.add_mutually_exclusive_group()
+    group.add_argument("--benchmark", choices=_BenchmarkNames(),
+                       help="program image (TEAB snapshots can carry "
+                            "it in their meta; JSON documents require "
+                            "one)")
+    group.add_argument("--source", help="an SX86 assembly source file")
+    target.add_argument("--scale", type=float, default=1.0,
+                        help="workload scale (benchmarks only)")
+
+
+def _minimize_arguments(minimize):
     minimize.add_argument("file", help="TEAB snapshot or JSON TEA document")
     minimize.add_argument("--mode", choices=("exact", "aggressive"),
                           default="exact",
@@ -594,20 +629,15 @@ def main(argv=None):
                           default="text")
     _add_optional_program_arguments(minimize)
 
-    diff = commands.add_parser(
-        "diff",
-        help="structural diff of two TEA files "
-             "(see docs/minimize_and_diff.md)",
-    )
+
+def _diff_arguments(diff):
     diff.add_argument("a", help="left TEA file (TEAB or JSON)")
     diff.add_argument("b", help="right TEA file (TEAB or JSON)")
     diff.add_argument("--format", choices=("text", "json"), default="text")
     _add_optional_program_arguments(diff)
 
-    store = commands.add_parser(
-        "store",
-        help="snapshot store maintenance (see repro.store)",
-    )
+
+def _store_arguments(store):
     store_commands = store.add_subparsers(dest="store_command", required=True)
     store_gc = store_commands.add_parser(
         "gc",
@@ -617,17 +647,15 @@ def main(argv=None):
     store_gc.add_argument("--dir", default=".tea_store",
                           help="store directory (default %(default)s)")
 
-    metrics = commands.add_parser(
-        "metrics",
-        help="replay with observability on and dump the metrics snapshot "
-             "(see docs/observability.md)",
-    )
+
+def _metrics_arguments(metrics):
+    from repro.pin.packed import DEFAULT_PACKED_BATCH
+
     _add_program_arguments(metrics)
     metrics.add_argument("--traces",
                          help="trace file to replay (default: record MRET "
                               "traces in-process first)")
-    metrics.add_argument("--config", choices=sorted(CONFIGS),
-                         default="global_local")
+    metrics.add_argument("--config", choices=CONFIGS, default="global_local")
     metrics.add_argument("--threshold", type=int, default=30,
                          help="hot threshold for in-process recording")
     metrics.add_argument("--events", type=int, default=128,
@@ -640,15 +668,12 @@ def main(argv=None):
                          default="json")
     metrics.add_argument("--out", help="write the JSON snapshot here")
 
-    verify = commands.add_parser(
-        "verify",
-        help="statically verify TEA artifacts "
-             "(see docs/static_verification.md)",
-    )
+
+def _verify_arguments(verify):
     verify.add_argument("files", nargs="+", metavar="FILE",
                         help="TEAB snapshots and/or JSON TEA documents")
     group = verify.add_mutually_exclusive_group()
-    group.add_argument("--benchmark", choices=sorted(BENCHMARKS),
+    group.add_argument("--benchmark", choices=_BenchmarkNames(),
                        help="program image for the CFG rules (JSON "
                             "documents require one; TEAB snapshots can "
                             "carry it in their meta)")
@@ -665,11 +690,8 @@ def main(argv=None):
                         metavar="RULE",
                         help="disable one rule id (repeatable)")
 
-    audit = commands.add_parser(
-        "audit",
-        help="fleet-scale incremental audit of a snapshot store "
-             "(see docs/audit.md)",
-    )
+
+def _audit_arguments(audit):
     audit.add_argument("store", metavar="STORE",
                        help="AutomatonStore directory to audit")
     audit.add_argument("--jobs", type=int, default=1,
@@ -692,38 +714,61 @@ def main(argv=None):
                        metavar="RULE",
                        help="disable one rule id (repeatable)")
 
-    cache = commands.add_parser(
-        "cache",
-        help="inspect or clear the harness's persistent result cache",
-    )
+
+def _cache_arguments(cache):
+    from repro.harness.cache import DEFAULT_CACHE_DIR
+
     cache.add_argument("--dir", default=DEFAULT_CACHE_DIR,
                        help="cache directory (default %(default)s)")
     cache.add_argument("--clear", action="store_true",
                        help="delete every cached stage summary")
 
-    args = parser.parse_args(argv if argv is not None else sys.argv[1:])
+
+#: Command name -> (help, argument builder, handler), in help order.
+COMMANDS = {
+    "record": ("record traces under the DBT", _record_arguments,
+               _cmd_record),
+    "replay": ("replay traces via TEA", _replay_arguments, _cmd_replay),
+    "info": ("summarize a trace file", _info_arguments, _cmd_info),
+    "tea": ("TEA snapshot utilities (see repro.store)", _tea_arguments,
+            _cmd_tea_info),
+    "minimize": ("merge bisimilar TEA states "
+                 "(see docs/minimize_and_diff.md)",
+                 _minimize_arguments, _cmd_minimize),
+    "diff": ("structural diff of two TEA files "
+             "(see docs/minimize_and_diff.md)", _diff_arguments, _cmd_diff),
+    "store": ("snapshot store maintenance (see repro.store)",
+              _store_arguments, _cmd_store_gc),
+    "metrics": ("replay with observability on and dump the metrics "
+                "snapshot (see docs/observability.md)",
+                _metrics_arguments, _cmd_metrics),
+    "verify": ("statically verify TEA artifacts "
+               "(see docs/static_verification.md)",
+               _verify_arguments, _cmd_verify),
+    "audit": ("fleet-scale incremental audit of a snapshot store "
+              "(see docs/audit.md)", _audit_arguments, _cmd_audit),
+    "cache": ("inspect or clear the harness's persistent result cache",
+              _cache_arguments, _cmd_cache),
+}
+
+
+def main(argv=None):
+    argv = list(argv if argv is not None else sys.argv[1:])
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.tools",
+        description="record / replay / inspect TEA trace files",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    # The top-level parser takes no option but --help, so a command, if
+    # any, is argv[0]; only its arguments are added.
+    for name, (text, add_arguments, _) in COMMANDS.items():
+        command = commands.add_parser(name, help=text)
+        if argv[:1] == [name]:
+            add_arguments(command)
+
+    args = parser.parse_args(argv)
     try:
-        if args.command == "record":
-            return _cmd_record(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "tea":
-            return _cmd_tea_info(args)
-        if args.command == "minimize":
-            return _cmd_minimize(args)
-        if args.command == "diff":
-            return _cmd_diff(args)
-        if args.command == "store":
-            return _cmd_store_gc(args)
-        return _cmd_info(args)
+        return COMMANDS[args.command][2](args)
     except (ReproError, OSError, json.JSONDecodeError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 1

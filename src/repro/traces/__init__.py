@@ -14,6 +14,8 @@ extension:
   link into already-recorded nodes, curbing TT's duplication.
 - :mod:`repro.traces.mfet` — Most Frequently Executed Tail (extension;
   edge-profile triggered, mentioned in the paper's related work).
+- :mod:`repro.traces.strategies` — the four by name
+  (:data:`STRATEGIES`, :func:`make_recorder`).
 
 All recorders observe block boundaries as ``(block, next_start, flag
 byte)`` triples, read from an execution stream's lanes (see
@@ -21,40 +23,42 @@ byte)`` triples, read from an execution stream's lanes (see
 and produce a :class:`~repro.traces.model.TraceSet`.
 """
 
-from repro.traces.compact_trace_tree import CompactTraceTreeRecorder
-from repro.traces.mfet import MFETRecorder
-from repro.traces.model import TBB, Trace, TraceSet
-from repro.traces.mret import MRETRecorder
-from repro.traces.recorder import RecorderLimits, TraceRecorder
-from repro.traces.serialization import (
-    load_trace_set,
-    save_trace_set,
-    trace_set_from_json,
-    trace_set_to_json,
-)
-from repro.traces.stats import TraceSetStats, compare_strategies, compute_stats
-from repro.traces.trace_tree import TraceTreeRecorder
+from typing import TYPE_CHECKING
 
-#: Strategy name -> recorder class, as used by Table 1.
-STRATEGIES = {
-    "mret": MRETRecorder,
-    "ctt": CompactTraceTreeRecorder,
-    "tt": TraceTreeRecorder,
-    "mfet": MFETRecorder,
-}
+from repro._lazy import lazy_exports
 
+if TYPE_CHECKING:
+    from repro.traces.compact_trace_tree import CompactTraceTreeRecorder
+    from repro.traces.mfet import MFETRecorder
+    from repro.traces.model import TBB, Trace, TraceSet
+    from repro.traces.mret import MRETRecorder
+    from repro.traces.recorder import RecorderLimits, TraceRecorder
+    from repro.traces.serialization import (
+        load_trace_set,
+        save_trace_set,
+        trace_set_from_json,
+        trace_set_to_json,
+    )
+    from repro.traces.stats import (
+        TraceSetStats,
+        compare_strategies,
+        compute_stats,
+    )
+    from repro.traces.strategies import STRATEGIES, make_recorder
+    from repro.traces.trace_tree import TraceTreeRecorder
 
-def make_recorder(strategy, **kwargs):
-    """Instantiate a recorder by strategy name ('mret', 'ctt', 'tt', 'mfet')."""
-    try:
-        recorder_cls = STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(
-            "unknown strategy %r (expected one of %s)"
-            % (strategy, ", ".join(sorted(STRATEGIES)))
-        ) from None
-    return recorder_cls(**kwargs)
-
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".compact_trace_tree": ("CompactTraceTreeRecorder",),
+    ".mfet": ("MFETRecorder",),
+    ".model": ("TBB", "Trace", "TraceSet"),
+    ".mret": ("MRETRecorder",),
+    ".recorder": ("RecorderLimits", "TraceRecorder"),
+    ".serialization": ("load_trace_set", "save_trace_set",
+                       "trace_set_from_json", "trace_set_to_json"),
+    ".stats": ("TraceSetStats", "compare_strategies", "compute_stats"),
+    ".strategies": ("STRATEGIES", "make_recorder"),
+    ".trace_tree": ("TraceTreeRecorder",),
+})
 
 __all__ = [
     "TBB",

@@ -10,8 +10,12 @@ or SARIF 2.1.0 (:mod:`repro.verify.diagnostics`).  See
 Import discipline: this package is imported *by* the trace model, the
 compiled automaton and the store, so only :mod:`~repro.verify.engine`
 and :mod:`~repro.verify.diagnostics` load eagerly (they depend on
-nothing but :mod:`repro.errors`); the rule modules and the high-level
-API import the rest of ``repro`` lazily inside functions.
+nothing but :mod:`repro.errors`).  The rule modules load with the
+catalog (:func:`all_rules`); they and the high-level API import the
+rest of ``repro`` lazily inside functions, except that
+:mod:`~repro.verify.rules_minimize` imports what every snapshot verify
+runs (:mod:`repro.minimize`'s mode names, the automaton views) at its
+top.
 """
 
 from repro.errors import VerificationError

@@ -217,7 +217,7 @@ def verify_path(path, program=None, engine=None, obs=None, deep=True):
         trace_set, tea, _profile = tea_from_json(document, index)
     else:
         # Plain trace-set document, as written by ``repro tools record``.
-        from repro.core import build_tea
+        from repro.core.builder import build_tea
         from repro.traces.serialization import trace_set_from_json
 
         trace_set = trace_set_from_json(document, index)

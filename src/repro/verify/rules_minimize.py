@@ -18,7 +18,9 @@ family gates it.
   mapped states, so no separate language check is needed.
 """
 
+from repro.minimize import MODES
 from repro.verify.engine import Rule, register
+from repro.verify.views import AutomatonView
 
 
 class MinimizeProvenance(Rule):
@@ -35,8 +37,6 @@ class MinimizeProvenance(Rule):
     requires = ("snapshot",)
 
     def check(self, subject):
-        from repro.minimize import MODES
-
         scan = subject.snapshot_scan
         meta = scan.meta
         if (not scan.sound() or not isinstance(meta, dict)
@@ -199,8 +199,6 @@ class MinimizeBudget(Rule):
     requires = ("minimization",)
 
     def check(self, subject):
-        from repro.verify.views import AutomatonView
-
         result = subject.minimization
         if result.budget is None:
             return
