@@ -33,13 +33,16 @@ MiniPin's charges are timed on the ``replay-hot`` program, without a
 tool: once on a fresh stream per round, where the run builds the
 stream's charge tape and adds it up, and once on a stream whose tape
 is built, where it only adds it up, pricing each chunk of charges that
-stays in one binade and folding the others one charge at a time.  Both
-must give the same cycles, bit for bit.  The fresh-stream case runs
-``FRESH_ROUNDS`` rounds: with 10, its minimum moved by more than 10%
-between processes on a shared 2-vCPU host.  The warm sum is also timed
-both ways, alternately in one process (the priced chunks, and every
-charge folded as runs did before chunks were priced), so a change in
-it shows as a ratio that does not depend on the host's phase.
+stays in one binade and folding the others one charge at a time (with
+the charges the first run listed for them).  Both must give the same
+cycles, bit for bit.  The fresh-stream case runs ``FRESH_ROUNDS``
+rounds: with 10, its minimum moved by more than 10% between processes
+on a shared 2-vCPU host.  It also reports the memory the tape keeps,
+which repeats exactly where the time does not.  The warm sum is also
+timed both ways, alternately in one process (the priced chunks, and
+every charge folded as runs did before chunks were priced), so a
+change in it shows as a ratio that does not depend on the host's
+phase.
 
 The served engine is timed the same two ways: a Pin-hosted compiled
 replay of that program under the served configuration (``global_local``,
@@ -52,6 +55,7 @@ import hashlib
 import json
 import statistics
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -62,7 +66,7 @@ from repro.dbt import StarDBT
 from repro.isa import assemble
 from repro.isa.image import decode_image, encode_image
 from repro.pin import Pin, TeaRecordTool, TeaReplayTool
-from repro.pin.pin import _fold, _fold_chunks
+from repro.pin.pin import _chunk_charges, _fold
 from repro.service.__main__ import main as service_main
 from repro.service.server import TeaService
 from repro.store import AutomatonStore, dump_tea_binary
@@ -221,6 +225,9 @@ def pin_stream():
 
 
 def test_pin_charges_fresh_stream(benchmark, pin_stream):
+    """Also reports the KiB a fresh stream keeps after one run (its
+    charge tape, traced by ``tracemalloc``): unlike the time, that
+    repeats exactly."""
     program, data = pin_stream
     seen = []
 
@@ -231,6 +238,15 @@ def test_pin_charges_fresh_stream(benchmark, pin_stream):
         seen.append(repr(Pin(program, stream=stream).run().cycles))
 
     benchmark.pedantic(run, setup=fresh_stream, rounds=FRESH_ROUNDS)
+    tracemalloc.start()
+    try:
+        stream = ExecutionStream.from_buffer(data)
+        before = tracemalloc.get_traced_memory()[0]
+        run(stream)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tape_kept_kib"] = kept / 1024
     warm = ExecutionStream.from_buffer(data)
     Pin(program, stream=warm).run()
     assert set(seen) == {repr(Pin(program, stream=warm).run().cycles)}
@@ -247,23 +263,27 @@ def test_pin_charges_warm_stream(benchmark, pin_stream):
 def test_pin_charges_priced_against_per_charge(benchmark, pin_stream):
     """The warm run's tape sum both ways, alternately in this process:
     priced per chunk (what a run does) and folded one charge at a time
-    (what it did before chunks were priced).  Their medians and ratio
-    go to ``extra_info``; the values must be equal."""
+    (what it did before chunks were priced), over the tape's charges
+    listed once, outside the timed loop.  Their medians and ratio go to
+    ``extra_info``; the values must be equal."""
     program, data = pin_stream
     stream = ExecutionStream.from_buffer(data)
     Pin(program, stream=stream).run()
     tape = stream._tape[1]
-    segments = list(zip(tape.cycles, tape.chunks))
+    segments = range(len(tape.chunks))
+    listed = [[charge for lo, hi, _whole, _pairs in chunks
+               for charge in _chunk_charges(stream, tape.params, lo, hi)]
+              for chunks in tape.chunks]
 
     def priced():
         total = 0.0
-        for charges, chunks in segments:
-            total = _fold_chunks(total, charges, chunks)
+        for segment in segments:
+            total = tape.fold(total, segment, stream)
         return total
 
     def per_charge():
         total = 0.0
-        for charges, _chunks in segments:
+        for charges in listed:
             total = _fold(total, charges)
         return total
 

@@ -6,6 +6,12 @@ tool, or a TEA replay of StarDBT's MRET traces under one of the four
 Table 4 configurations) and its packed batch size, then ``repr(cycles)``
 and the cost breakdown as ``category=repr(value)`` in key order.
 
+Each run is made twice on one stream, and the script exits 1 when the
+second run's line differs from the first's: the first builds the
+stream's charge tape, the second prices and folds from it, with the
+charges the first listed for the chunks it folded.  The line printed
+is the first run's.
+
 Run it under two Pythons, or on two checkouts, and compare: a line that
 differs is a charge folded differently.  With ``--against`` it reads an
 earlier output, prints every differing line and exits 1 on any::
@@ -38,6 +44,9 @@ BATCHES = (1, 7, 4096)
 
 
 def lines(scale):
+    """Per run, its line from a first and a second run on one stream:
+    the second prices and folds from the charge tape the first built,
+    and folds with the chunk charges it kept."""
     for name in BENCHMARKS:
         program = load_benchmark(name, scale=scale).program
         stream = ExecutionStream.record(program)
@@ -47,22 +56,29 @@ def lines(scale):
                 ("full", stream.max_instructions, stream),
                 ("over", over, ExecutionStream.record(program, over))):
             runs = [("no-tool", None, None)] + [
-                (config, batch, TeaReplayTool(
-                    trace_set=traces, config=getattr(ReplayConfig, config)(),
-                    batch_size=batch))
+                (config, batch, getattr(ReplayConfig, config))
                 for config in CONFIGS for batch in BATCHES]
-            for tool_name, batch, tool in runs:
-                pin = Pin(program, tool=tool, max_instructions=budget,
-                          stream=shared)
-                try:
-                    pin.run()
-                except InstructionLimitExceeded:
-                    pass
-                cost = pin.cost
-                yield " ".join(
-                    ["%s@%s" % (name, scale), label, tool_name, str(batch),
-                     repr(cost.cycles)]
-                    + ["%s=%r" % item for item in cost.breakdown.items()])
+            for tool_name, batch, config in runs:
+                head = ["%s@%s" % (name, scale), label, tool_name, str(batch)]
+                pair = []
+                for _run in range(2):
+                    tool = None if config is None else TeaReplayTool(
+                        trace_set=traces, config=config(), batch_size=batch)
+                    pin = Pin(program, tool=tool, max_instructions=budget,
+                              stream=shared)
+                    pair.append(" ".join(head + charged(pin)))
+                yield tuple(pair)
+
+
+def charged(pin):
+    """``repr(cycles)`` and the breakdown items of ``pin``'s run."""
+    try:
+        pin.run()
+    except InstructionLimitExceeded:
+        pass
+    cost = pin.cost
+    return [repr(cost.cycles)] + ["%s=%r" % item
+                                  for item in cost.breakdown.items()]
 
 
 def main(argv=None):
@@ -71,10 +87,14 @@ def main(argv=None):
     parser.add_argument("--against", metavar="FILE",
                         help="an earlier output to compare with")
     args = parser.parse_args(argv)
-    got = list(lines(args.scale))
+    pairs = list(lines(args.scale))
+    got = [first for first, _second in pairs]
+    unstable = [(a, b) for a, b in pairs if a != b]
+    for a, b in unstable:
+        print("second run differs:\n- %s\n+ %s" % (a, b), file=sys.stderr)
     if args.against is None:
         print("\n".join(got))
-        return 0
+        return 1 if unstable else 0
     with open(args.against) as handle:
         want = handle.read().splitlines()
     differ = [(a, b) for a, b in zip(want, got) if a != b]
@@ -83,8 +103,9 @@ def main(argv=None):
     if len(want) != len(got):
         print("%d lines, %d expected" % (len(got), len(want)))
         return 1
-    print("%d runs, %d differ" % (len(got), len(differ)))
-    return 1 if differ else 0
+    print("%d runs, %d differ, %d second runs differ"
+          % (len(got), len(differ), len(unstable)))
+    return 1 if differ or unstable else 0
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ DBT's — the Section 4.1 effect.
 
 These overheads depend only on the recorded run, so they are not
 recomputed per run: a :class:`ChargeTape`, built once per stream and
-cached on it, lists them per packed batch with a summary per chunk of
-blocks, and each run prices the chunks it can and folds the rest.  The
+cached on it, counts them per chunk of blocks of each packed batch, and
+each run prices the chunks it can and folds the rest, listing a
+chunk's charges from the stream the first time one is folded.  The
 tape also holds each batch as the tool receives it, a
 :class:`~repro.core.compiled.PackedBatch`, so runs do not rebuild those
 either.
@@ -51,8 +52,8 @@ def _fold(total, amounts):
     amounts, total)``, without its call of ``operator.add`` per item.
     Never ``sum()`` (compensated from Python 3.12) nor ``math.fsum``.
 
-    This is the reference :func:`_fold_chunks` must equal, and what it
-    falls back to for a chunk it cannot price."""
+    This is the reference :meth:`ChargeTape.fold` must equal, and what
+    it falls back to for a chunk it cannot price."""
     return deque(accumulate(amounts, initial=total), maxlen=1)[0]
 
 
@@ -115,6 +116,10 @@ def _priced(total, whole, pairs):
     those operations is exact: each partial result is a multiple of
     ``unit`` in ``[total, top)``.  An operation that rounds can only
     round to ``top`` or above, which the last check refuses.
+
+    :meth:`ChargeTape.fold` calls this per chunk with the chunk's
+    summary, and on ``None`` folds the chunk's charges, listed from the
+    stream's lanes by :func:`_chunk_charges`.
     """
     if not 1.0 <= total < _EXACT:
         return None
@@ -129,25 +134,6 @@ def _priced(total, whole, pairs):
             below -= unit
         total += count * (amount - below)
     return total if total < top else None
-
-
-def _fold_chunks(total, charges, chunks):
-    """``_fold(total, charges)``, bit for bit, pricing each chunk of
-    ``charges`` that :func:`_priced` can price and folding the others.
-
-    ``chunks`` lists ``(end, whole, pairs)`` per chunk: the chunk is
-    ``charges[previous end:end]``, and ``pairs`` is ``None`` for a chunk
-    that is always folded.  ``chunks`` is ``None`` for a segment that is
-    always folded whole."""
-    if chunks is None:
-        return _fold(total, charges)
-    start = 0
-    for end, whole, pairs in chunks:
-        priced = None if pairs is None else _priced(total, whole, pairs)
-        total = _fold(total, charges[start:end]) if priced is None \
-            else priced
-        start = end
-    return total
 
 
 class PinResult:
@@ -202,7 +188,8 @@ def _charge_block(cost, stream, index):
     pre-summed, never with ``math.fsum`` (or ``sum()``, compensated on
     Python >= 3.12).  This makes one ``charge`` call per charge; it is
     the oracle the :class:`ChargeTape` is tested against, and the tape
-    lists the charges of merged-split rows through it.
+    charges merged-split rows through it, in its build and when it
+    lists a chunk's charges (:func:`_chunk_charges`).
     """
     params = cost.params
     code = stream.flags[index]
@@ -300,9 +287,55 @@ class _TapeCost(CostModel):
         CostModel.charge(self, category, cycles)
 
 
+#: The cost parameters a :class:`ChargeTape` charges, as its key lists
+#: them.
+_RATES = ("PIN_BLOCK_STUB", "PIN_TRANSLATION_PER_INSTR",
+          "PIN_INDIRECT_EXTRA", "NATIVE_INSTRUCTION")
+
+
+def _chunk_charges(stream, params, lo, hi):
+    """The charges of one :class:`ChargeTape` chunk in live order (see
+    :func:`_charge_block`): those of blocks ``lo .. hi - 1`` of
+    ``stream`` or, for ``lo == hi``, of the split events after its last
+    block.
+
+    Blocks with merged splits are listed through :func:`_charge_block`,
+    the stretches between them at C speed from their flag bytes: a
+    repeated-list template of the four slot charges per block, with the
+    instruction and first-seen translation charges put in, and
+    ``itertools.compress`` over the slots each block charges."""
+    cost = _TapeCost(params)
+    out = cost.charges = []
+    if lo == hi:
+        _charge_splits(cost, stream, lo)
+        return out
+    lanes = stream.transitions[3 * lo:3 * hi]
+    flags = bytes(stream.flags[lo:hi])
+    masks = [flags.translate(table) for table in _SLOT_TABLES]
+    stub = params.PIN_BLOCK_STUB
+    indirect = params.PIN_INDIRECT_EXTRA
+    translate = params.PIN_TRANSLATION_PER_INSTR
+    amount = _Amounts(params.NATIVE_INSTRUCTION).__getitem__
+    blocks = hi - lo
+    start = 0
+    for stop in _marked(flags.translate(_SPLIT_TABLE), 0, blocks) + [blocks]:
+        template = [stub, None, indirect, None] * (stop - start)
+        template[3::4] = map(amount, lanes[3 * start + 2:3 * stop:3])
+        for row in _marked(masks[1], start, stop):
+            template[4 * (row - start) + 1] = translate * lanes[3 * row + 1]
+        mask = bytearray(4 * (stop - start))
+        for slot in range(4):
+            mask[slot::4] = masks[slot][start:stop]
+        out += compress(template, mask)
+        if stop < blocks:
+            _charge_block(cost, stream, lo + stop)
+        start = stop + 1
+    return out
+
+
 class ChargeTape:
-    """MiniPin's charges and packed batches on one stream, built once
-    and used by every run.
+    """MiniPin's charge counts and packed batches on one stream, built
+    once and used by every run.
 
     Pin's charges depend only on the recorded run, four cost parameters
     and the tool's packed batch size, so one tape serves every run with
@@ -315,8 +348,6 @@ class ChargeTape:
     after the last full batch and the split events after the last block.
     Per segment ``k``:
 
-    - ``cycles[k]`` lists the segment's charges in live order (see
-      :func:`_charge_block`), one float object per distinct amount;
     - ``categories[k]`` maps each Pin category charged so far to its
       running value at the segment's end, keyed in first-charge order;
     - ``batches[k]`` (delivered segments only, so no entry for the
@@ -326,52 +357,60 @@ class ChargeTape:
       slice of the ``flags`` lane and its first block's start (``entry``
       for the first batch).  One dict interns the PCs of every batch, so
       the lists of a tape share one int object per distinct PC.
+    - ``chunks[k]`` tiles the segment's charges, in live order (see
+      :func:`_charge_block`), per chunk of :data:`_CHUNK_ROWS` blocks
+      as ``(lo, hi, whole, pairs)``: the chunk's blocks ``lo .. hi -
+      1``, the exact ``int`` sum of its whole-number charges, and
+      ``(amount, count)`` per other amount it charges, or ``None`` for
+      a chunk that cannot be priced (see below).  The trailing splits
+      of a tail are a chunk of their own, with ``lo == hi``; an empty
+      tail has no other.  A segment of fewer than :data:`_PRICED_ROWS`
+      blocks is one chunk that is never priced.
 
-    - ``chunks[k]`` summarises ``cycles[k]`` per chunk of
-      :data:`_CHUNK_ROWS` blocks as ``(end, whole, pairs)``: the chunk's
-      end in ``cycles[k]``, the exact ``int`` sum of its whole-number
-      charges, and ``(amount, count)`` per other amount it charges, or
-      ``None`` for a chunk that cannot be priced (see below).  The
-      trailing splits of a tail are a chunk of their own.  A segment of
-      fewer than :data:`_PRICED_ROWS` blocks has ``None`` in place of
-      its chunks.
+    The tape keeps no charge list per segment, only these counts.  A
+    run adds segment ``k``'s charges to ``CostModel.cycles`` with
+    :meth:`fold` — the same value, bit for bit, as one ``charge`` per
+    charge — and writes ``categories[k]`` into ``breakdown`` before the
+    tool sees batch ``k``.  The tool's replay engine charges only its own
+    categories, so writing absolute values keeps both the values and
+    the key order.  :meth:`fold` prices a chunk from its summary in a
+    few float operations when the running total stays in one binade
+    (:func:`_priced` says why that is exact), and folds its charges
+    with :func:`_fold` otherwise: for the first chunks (a total below
+    1.0), a chunk that crosses a power of two, and one whose
+    non-integral amount ties at that binade's spacing.  A chunk is
+    never priced when a per-block rate (``NATIVE_INSTRUCTION``,
+    ``PIN_TRANSLATION_PER_INSTR``) it charges is not a whole number,
+    since that gives each block its own amount; nor when an amount is
+    negative or not finite, or its whole sum reaches ``2**53``.  With
+    the default rates only ``PIN_BLOCK_STUB`` (1.6) is not whole, so a
+    chunk has one pair.  The charges of a folded chunk are listed from
+    the stream's lanes by :func:`_chunk_charges` the first time a run
+    folds it, and kept in ``kept`` (keyed ``(lo, hi)``) for the next:
+    a run starts each chunk from a total that depends on its tool, so
+    only the few chunks some run crossed a binade in are ever listed.
 
-    A run adds ``cycles[k]`` to ``CostModel.cycles`` with
-    :func:`_fold_chunks` — the same value, bit for bit, as one
-    ``charge`` per charge — and writes ``categories[k]`` into
-    ``breakdown`` before the tool sees batch ``k``.  The tool's replay
-    engine charges only its own categories, so writing absolute values
-    keeps both the values and the key order.  :func:`_fold_chunks`
-    prices a chunk from its summary in a few float operations when the
-    running total stays in one binade (:func:`_priced` says why that is
-    exact) and folds its charges with :func:`_fold` otherwise: for the
-    first chunks (a total below 1.0), a chunk that crosses a power of
-    two, and one whose non-integral amount ties at that binade's
-    spacing.  A chunk is never priced when a per-block rate
-    (``NATIVE_INSTRUCTION``, ``PIN_TRANSLATION_PER_INSTR``) it charges
-    is not a whole number, since that gives each block its own amount;
-    nor when an amount is negative or not finite, or its whole sum
-    reaches ``2**53``.  With the default rates only ``PIN_BLOCK_STUB``
-    (1.6) is not whole, so a chunk has one pair.
-
-    The build runs at C speed over the lanes, one segment at a time:
-    per-block slot masks from ``bytes.translate``, a repeated-list
-    template of the four slot charges, and ``itertools.compress``; each
-    category's running value moves on by :func:`_fold`.  Blocks with
-    merged splits are listed through :func:`_charge_block`.  A chunk's
-    summary comes from ``bytes.count`` over the slot masks, ``sum()``
-    over strided slices of the instruction lane and over the first-seen
-    blocks' instructions, and the listed charges of blocks with merged
-    splits.
+    The build runs at C speed over the lanes, one segment at a time.
+    Each category's running value moves on by :func:`_fold` over
+    iterators in live order: ``repeat(stub, n)``, a ``map`` over the
+    instruction lane, the first-seen blocks' translations.  Blocks with
+    merged splits are charged through :func:`_charge_block`.  A chunk's
+    summary comes from ``bytes.count`` over per-block slot masks from
+    ``bytes.translate``, ``sum()`` over strided slices of the
+    instruction lane and over the first-seen blocks' instructions, and
+    the listed charges of blocks with merged splits.
     """
 
-    __slots__ = ("cycles", "categories", "batches", "chunks")
+    __slots__ = ("params", "categories", "batches", "chunks", "kept")
 
     def __init__(self, stream, params, batch, entry):
-        self.cycles = []
+        # The tape's own copy of its rates: the caller's may change.
+        params = self.params = CostParameters(
+            **{name: getattr(params, name) for name in _RATES})
         self.categories = []
         self.batches = []
         self.chunks = []
+        self.kept = {}
         seen = {}
         rows = stream.n_transitions
         flags = bytes(stream.flags)
@@ -394,26 +433,18 @@ class ChargeTape:
                   else None for rate in (stub, indirect)]
 
         def plain(lo, hi):
-            # The charges of blocks lo .. hi - 1, none of which has
-            # merged splits; their categories' running values move on.
-            instructions = list(map(amount, transitions[3 * lo + 2:3 * hi:3]))
-            template = [stub, None, indirect, None] * (hi - lo)
-            template[3::4] = instructions
+            # Blocks lo .. hi - 1, none of which has merged splits: their
+            # categories' running values move on.
             rows = _marked(masks[1], lo, hi)
             counts = [transitions[3 * row + 1] for row in rows]
-            translations = [translate * count for count in counts]
-            for row, translation in zip(rows, translations):
-                template[4 * (row - lo) + 1] = translation
             new_rows.extend(rows)
             new_counts.extend(counts)
-            mask = bytearray(4 * (hi - lo))
-            for slot in range(4):
-                mask[slot::4] = masks[slot][lo:hi]
             firsts = []
             for slot, amounts in enumerate((
-                    repeat(stub, masks[0].count(1, lo, hi)), translations,
+                    repeat(stub, masks[0].count(1, lo, hi)),
+                    [translate * count for count in counts],
                     repeat(indirect, masks[2].count(1, lo, hi)),
-                    instructions)):
+                    map(amount, transitions[3 * lo + 2:3 * hi:3]))):
                 first = masks[slot].find(1, lo, hi)
                 if first >= 0:
                     firsts.append((4 * first + slot, slot, amounts))
@@ -421,13 +452,14 @@ class ChargeTape:
                 category = _SLOTS[slot]
                 running[category] = _fold(running.get(category, 0.0),
                                          amounts)
-            return compress(template, mask)
 
         def chunks(lo, hi, listed):
-            # ``(end, whole, pairs)`` per chunk of blocks lo .. hi - 1,
+            # ``(lo, hi, whole, pairs)`` per chunk of blocks lo .. hi - 1,
             # from counts over the masks, sums over the lanes and the
             # segment's first-seen rows; ``listed`` holds the charges of
             # each row with merged splits.
+            if hi - lo < _PRICED_ROWS:
+                return [(lo, hi, 0, None)] if hi > lo else []
             starts = range(lo, hi, _CHUNK_ROWS)
             stops = [*starts[1:], hi]
             stubs = list(map(masks[0].count, repeat(1), starts, stops))
@@ -437,19 +469,16 @@ class ChargeTape:
                 slice, range(3 * lo + 2, 3 * hi, 3 * _CHUNK_ROWS),
                 [3 * stop for stop in stops], repeat(3))))
             found = []
-            end = 0
             for start, stop, stub_count, indirect_count, begin, finish, \
                     instruction_sum in zip(starts, stops, stubs, indirects,
                                            at, at[1:], sums):
                 inside = split[bisect_left(split, start):
                                bisect_left(split, stop)]
-                extra = [charge for row in inside for charge in listed[row]]
-                end += (stop - start - len(inside) + stub_count
-                        + finish - begin + indirect_count + len(extra))
                 if inside:
                     instruction_sum -= sum([transitions[3 * row + 2]
                                             for row in inside])
-                whole, pairs = _summary(extra)
+                whole, pairs = _summary(
+                    [charge for row in inside for charge in listed[row]])
                 for count, units, rate_whole, rate in (
                         (stub_count, stub_count, wholes[0], paired[0]),
                         (finish - begin, sum(new_counts[begin:finish]),
@@ -466,7 +495,7 @@ class ChargeTape:
                         pairs.append((rate, units))
                     else:
                         pairs = None
-                found.append((end, whole,
+                found.append((start, stop, whole,
                               pairs if whole < _EXACT else None))
             return found
 
@@ -484,29 +513,41 @@ class ChargeTape:
             # instrs_dbt here, for chunks().
             new_rows = []
             new_counts = []
-            out = cost.charges = []
             listed = {}
             lo = first
             for index in split[bisect_left(split, lo):bisect_left(split, hi)]:
-                out += plain(lo, index)
-                mark = len(out)
+                plain(lo, index)
+                cost.charges = listed[index] = []
                 _charge_block(cost, stream, index)
-                listed[index] = out[mark:]
                 lo = index + 1
-            out += plain(lo, hi)
-            self.cycles.append(out)
+            plain(lo, hi)
             self.categories.append(dict(running))
-            self.chunks.append(chunks(first, hi, listed)
-                               if hi - first >= _PRICED_ROWS else None)
+            self.chunks.append(chunks(first, hi, listed))
         if stream.exceeded:
             # The trailing splits close the tail segment, in a chunk of
             # their own.
-            mark = len(out)
+            cost.charges = []
             _charge_splits(cost, stream, rows)
             self.categories[-1] = dict(running)
-            if self.chunks[-1] is not None:
-                whole, pairs = _summary(out[mark:])
-                self.chunks[-1].append((len(out), whole, pairs))
+            self.chunks[-1].append((rows, rows, *_summary(cost.charges)))
+
+    def fold(self, total, segment, stream):
+        """``total`` plus the charges of segment ``segment`` on
+        ``stream`` (the tape's own), bit for bit as :func:`_fold` over
+        them in live order: each chunk :func:`_priced` where it can be,
+        and its charges folded where not, listed the first time and
+        kept.  Threads that list a chunk at once keep one list."""
+        kept = self.kept
+        for lo, hi, whole, pairs in self.chunks[segment]:
+            priced = None if pairs is None else _priced(total, whole, pairs)
+            if priced is None:
+                charges = kept.get((lo, hi))
+                if charges is None:
+                    charges = kept.setdefault((lo, hi), _chunk_charges(
+                        stream, self.params, lo, hi))
+                priced = _fold(total, charges)
+            total = priced
+        return total
 
 
 class Pin:
@@ -525,7 +566,10 @@ class Pin:
     next: per segment, Pin's charges, then the tool gets its batch.
     The charges are priced per chunk where one binade's rounding prices
     them exactly and folded one by one elsewhere, so ``cycles`` is the
-    live engine's left-to-right float sum, bit for bit.
+    live engine's left-to-right float sum, bit for bit.  The tape keeps
+    counts, not charges: a chunk's charges are listed from the stream's
+    lanes the first time a run folds that chunk, and kept on the tape
+    for the next run.
 
     ``obs`` (optional :class:`~repro.obs.Observability`) is shared with
     the executor and exposed to the attached pintool, so one registry
@@ -591,16 +635,14 @@ class Pin:
         params = cost.params
         batch = tool.packed_batch if tool is not None \
             else DEFAULT_PACKED_BATCH
-        key = (params.PIN_BLOCK_STUB, params.PIN_TRANSLATION_PER_INSTR,
-               params.PIN_INDIRECT_EXTRA, params.NATIVE_INSTRUCTION, batch)
+        key = (*[getattr(params, name) for name in _RATES], batch)
         tape = stream.charge_tape(key, lambda: ChargeTape(
             stream, params, batch, self.program.entry))
         breakdown = cost.breakdown
         delivered = len(tape.batches) if tool is not None else 0
-        for segment, charges in enumerate(tape.cycles):
-            cost.cycles = _fold_chunks(cost.cycles, charges,
-                                       tape.chunks[segment])
-            breakdown.update(tape.categories[segment])
+        for segment, categories in enumerate(tape.categories):
+            cost.cycles = tape.fold(cost.cycles, segment, stream)
+            breakdown.update(categories)
             if segment < delivered:
                 tool.on_packed(tape.batches[segment])
         if stream.exceeded:

@@ -45,12 +45,15 @@ from repro.pin import (
     run_native,
 )
 from repro.pin import pin as pin_module
+from repro.pin.packed import DEFAULT_PACKED_BATCH
 from repro.pin.pin import (
     _charge_block,
     _charge_splits,
+    _chunk_charges,
     _fold,
-    _fold_chunks,
+    _priced,
     _summary,
+    _TapeCost,
 )
 from repro.traces.recorder import STATE_CREATING, RecorderLimits
 from repro.traces.serialization import trace_set_to_json
@@ -765,16 +768,41 @@ PRICED_TAPES = [("164.gzip@0.15", None), ("splits", None), ("splits", 7),
 
 
 def _tape(name, batch, rates):
-    """The charge tape of a :func:`tape_workload` under ``rates``."""
+    """``(stream, tape, segments)`` of a :func:`tape_workload` under
+    ``rates``: a fresh stream, the charge tape of one run on it, and
+    :func:`_oracle_segments`."""
     program, stream, traces, budget = tape_workload(name)
     stream = ExecutionStream.from_buffer(stream.to_bytes())
+    params = CostParameters(**rates)
     try:
-        Pin(program, tool=tape_tool(traces, batch),
-            cost_params=CostParameters(**rates), max_instructions=budget,
-            stream=stream).run()
+        Pin(program, tool=tape_tool(traces, batch), cost_params=params,
+            max_instructions=budget, stream=stream).run()
     except InstructionLimitExceeded:
         pass
-    return stream._tape[1]
+    return stream, stream._tape[1], _oracle_segments(stream, params, batch)
+
+
+def _oracle_segments(stream, params, batch):
+    """Per tape segment, Pin's charges in live order as the per-block
+    oracle makes them: ``_charge_block`` per row of the segment's packed
+    batch (``batch`` rows, the default without a tool) then, closing an
+    over-budget tail, ``_charge_splits``."""
+    rows = stream.n_transitions
+    batch = batch or DEFAULT_PACKED_BATCH
+    full = rows - rows % batch if stream.exceeded else rows
+    bounds = [(lo, min(lo + batch, rows)) for lo in range(0, full, batch)]
+    if stream.exceeded:
+        bounds.append((full, rows))
+    segments = []
+    for lo, hi in bounds:
+        cost = _TapeCost(params)
+        cost.charges = []
+        for index in range(lo, hi):
+            _charge_block(cost, stream, index)
+        segments.append(cost.charges)
+    if stream.exceeded:
+        _charge_splits(cost, stream, rows)
+    return segments
 
 
 def _starts():
@@ -797,62 +825,128 @@ def _starts():
             yield base + offset
 
 
-def _hand_chunks():
+def _hand_tape(charges, ends):
+    """A one-segment tape over hand-made ``charges``, chunked at
+    ``ends``, with every chunk's charges already kept (so ``fold``
+    lists none from a stream)."""
+    tape = pin_module.ChargeTape.__new__(pin_module.ChargeTape)
+    bounds = list(zip([0, *ends], ends))
+    tape.chunks = [[(lo, hi, *_summary(charges[lo:hi])) for lo, hi in bounds]]
+    tape.kept = {(lo, hi): charges[lo:hi] for lo, hi in bounds}
+    return tape, charges
+
+
+def _hand_tapes():
     """Small hand-made segments whose chunks stay in low binades: one
     1.6 from [4, 8) ties, and a chunk that crosses several binades."""
-    yield [1.6], [(1, *_summary([1.6]))]
-    yield [1.6, 3.0, 1.6], [(3, *_summary([1.6, 3.0, 1.6]))]
-    charges = [1.6, 7.0, 9.0, 1.6, 2.0]
-    yield charges, [(2, *_summary(charges[:2])), (5, *_summary(charges[2:]))]
-    yield [0.7, -0.5], [(2, *_summary([0.7, -0.5]))]
+    yield _hand_tape([1.6], [1])
+    yield _hand_tape([1.6, 3.0, 1.6], [3])
+    yield _hand_tape([1.6, 7.0, 9.0, 1.6, 2.0], [2, 5])
+    yield _hand_tape([0.7, -0.5], [2])
 
 
 @pytest.mark.parametrize("rates", list(PRICED_RATES))
 def test_priced_fold_is_the_fold(rates):
-    """Pricing a tape's chunks per binade gives ``_fold``'s value bit
-    for bit, from any start: across binade edges, on ties, with
-    per-block rates, negative or NaN amounts, and over-budget tails."""
-    segments = []
+    """Pricing a tape's chunks per binade, and folding the charges it
+    lists for the others, gives ``_fold``'s value over the per-block
+    oracle's charges bit for bit, from any start: across binade edges,
+    on ties, with per-block rates, negative or NaN amounts, and
+    over-budget tails."""
+    cases = []
     for name, batch in PRICED_TAPES:
-        tape = _tape(name, batch, PRICED_RATES[rates])
-        segments += zip(tape.cycles, tape.chunks)
-    segments += _hand_chunks()
+        stream, tape, segments = _tape(name, batch, PRICED_RATES[rates])
+        cases += [(tape, segment, stream, charges)
+                  for segment, charges in enumerate(segments)]
+    cases += [(tape, 0, None, charges) for tape, charges in _hand_tapes()]
     for start in _starts():
-        for charges, chunks in segments:
+        for tape, segment, stream, charges in cases:
             want = repr(_fold(start, charges))
-            assert repr(_fold_chunks(start, charges, chunks)) == want, (
-                rates, start, chunks)
+            assert repr(tape.fold(start, segment, stream)) == want, (
+                rates, start, tape.chunks[segment])
 
 
 @pytest.mark.parametrize("rates", list(PRICED_RATES))
 def test_charge_tape_chunks_count_their_charges(rates):
-    """Each chunk summary the tape builds from counts and lane sums is
-    the summary of the charges it covers, and chunks tile the segment.
-    The default rates price every chunk of a long run."""
+    """The chunks tile each segment: the charges listed for them, in
+    order, are the per-block oracle's, and each summary the tape builds
+    from counts and lane sums is the summary of its chunk's charges.
+    Short segments are never priced; the default rates price every
+    chunk of a long run."""
     for name, batch in PRICED_TAPES + [("176.gcc@0.1", None)]:
-        tape = _tape(name, batch, PRICED_RATES[rates])
-        for charges, chunks in zip(tape.cycles, tape.chunks):
-            if chunks is None:  # a short segment: folded whole
-                assert batch is not None
-                continue
-            start = 0
-            for end, whole, pairs in chunks:
-                assert start <= end
+        stream, tape, segments = _tape(name, batch, PRICED_RATES[rates])
+        assert len(tape.chunks) == len(segments)
+        for chunks, oracle in zip(tape.chunks, segments):
+            listed = []
+            for lo, hi, whole, pairs in chunks:
+                charges = _chunk_charges(stream, tape.params, lo, hi)
+                listed += charges
+                if batch == 7 and lo < hi:  # a short segment
+                    assert pairs is None
                 if pairs is not None:
-                    want_whole, want_pairs = _summary(charges[start:end])
+                    want_whole, want_pairs = _summary(charges)
                     merged = {}
                     for amount, count in pairs:
                         merged[amount] = merged.get(amount, 0) + count
                     assert (whole, merged) == (want_whole, dict(want_pairs))
-                start = end
-            assert start == len(charges)
-        summaries = [pairs for chunks in tape.chunks if chunks is not None
-                     for _end, _whole, pairs in chunks]
+            assert list(map(repr, listed)) == list(map(repr, oracle))
+        summaries = [pairs for chunks in tape.chunks
+                     for _lo, _hi, _whole, pairs in chunks]
         if rates == "default" and name == "176.gcc@0.1":
             assert all(pairs is not None for pairs in summaries)
         if rates == "negative-stub" or (
                 rates == "per-block" and not name.endswith("/limited")):
             assert all(pairs is None for pairs in summaries)
+
+
+def test_charge_tape_keeps_only_folded_chunks(monkeypatch):
+    """A run keeps the charges of exactly the chunks it cannot price, a
+    small share of all its charges, and an identical second run lists
+    no chunk again."""
+    program, stream, _traces, _budget = tape_workload("164.gzip@0.15")
+    stream = ExecutionStream.from_buffer(stream.to_bytes())
+    first = Pin(program, stream=stream).run()
+    tape = stream._tape[1]
+    folded = set()
+    total = 0.0
+    for chunks in tape.chunks:  # no tool: nothing charged in between
+        for lo, hi, whole, pairs in chunks:
+            if pairs is None or _priced(total, whole, pairs) is None:
+                folded.add((lo, hi))
+            total = _fold(total, _chunk_charges(stream, tape.params, lo, hi))
+    assert repr(total) == repr(first.cycles)
+    assert set(tape.kept) == folded
+    # The first chunk and four binade crossings: 2,086 of 13,964
+    # charges here, 3,090 of 91,741 on 164.gzip@1.0.
+    charges = sum(map(len, _oracle_segments(stream, CostParameters(), None)))
+    assert 0 < sum(map(len, tape.kept.values())) < 0.2 * charges
+    listed = []
+
+    def counted(*args):
+        listed.append(args[2:])
+        return _chunk_charges(*args)
+
+    monkeypatch.setattr(pin_module, "_chunk_charges", counted)
+    second = Pin(program, stream=stream).run()
+    assert listed == []
+    assert charged(second, False) == charged(first, False)
+
+
+def test_charge_tape_keeps_its_own_rates():
+    """A tape lists charges at the rates it was built with, also after
+    the caller changes its cost parameters."""
+    program, stream, _traces, _budget = tape_workload("164.gzip@0.15")
+    stream = ExecutionStream.from_buffer(stream.to_bytes())
+    params = CostParameters()
+    Pin(program, cost_params=params, stream=stream).run()
+    params.PIN_BLOCK_STUB = 2.0
+    tape = stream._tape[1]
+    for segment in range(len(tape.chunks)):
+        tape.fold(2.0 ** 53, segment, stream)  # folds, so lists, every chunk
+    listed = [charge for chunks in tape.chunks
+              for lo, hi, _whole, _pairs in chunks
+              for charge in tape.kept[lo, hi]]
+    oracle = _oracle_segments(stream, CostParameters(), None)
+    assert listed == [charge for charges in oracle for charge in charges]
 
 
 # ---------------------------------------------------------------------
