@@ -4,9 +4,10 @@ Exercises the operator path end to end against the golden snapshot:
 
 1. seed a fresh store with the golden ``mcf_mret.teab`` and its program
    image — the key must content-address the golden bytes;
-2. ``repro tools verify --strict`` must pass the stored file clean
-   (deep: the section and CRC rules TEA024/TEA025, the walk of the
-   embedded blobs, and the rule families that need the program image);
+2. ``repro tools verify --strict`` over every file of the store must
+   pass clean: the snapshot (deep: the section and CRC rules
+   TEA024/TEA025, the walk of the embedded blobs, and the rule families
+   that need the program image) and its program image (TEA027);
 3. ``repro tools tea info`` must report the section table without
    materialising the automaton;
 4. the zero-copy ``map_compiled`` automaton must be structurally
@@ -21,6 +22,7 @@ Run from the repository root with PYTHONPATH=src.  Exits non-zero on
 the first violated invariant.
 """
 
+import glob
 import json
 import os
 import shutil
@@ -86,11 +88,20 @@ def main():
     path = store.path_for(key)
     print("seeded store with golden snapshot %s" % key[:12])
 
-    proc = tools("verify", "--strict", path)
+    artifacts = sorted(
+        name for suffix in ("teab", "teap", "teas")
+        for name in glob.glob(os.path.join(store_dir, "*", "*." + suffix)))
+    if artifacts != sorted([path, store.image_path(key)]):
+        fail("the seeded store holds %s, not the snapshot and its image"
+             % artifacts)
+    proc = tools("verify", "--strict", *artifacts)
     if proc.returncode != 0:
-        fail("verify --strict rejected the golden snapshot:\n%s"
+        fail("verify --strict rejected the seeded store:\n%s"
              % proc.stdout)
-    print("verify --strict: clean")
+    if proc.stdout.count(": PASS (") != len(artifacts):
+        fail("verify --strict did not pass every stored file:\n%s"
+             % proc.stdout)
+    print("verify --strict: %d stored files clean" % len(artifacts))
 
     proc = tools("tea", "info", path, "--format", "json")
     if proc.returncode != 0:

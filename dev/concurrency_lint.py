@@ -93,7 +93,7 @@ BLOCKING_RECEIVERS = frozenset({"store"})
 
 #: The documented lock-acquisition order (coarse to fine).  A lock may
 #: be acquired while holding only locks that appear *earlier* here;
-#: see docs/audit.md ("Lock discipline").
+#: see docs/service.md ("Concurrency lint and lock discipline").
 LOCK_ORDER = ("_PROCESS_LOCK", "_replay_memo_lock")
 
 #: Suppression pragma: a line carrying this comment is exempt from

@@ -401,8 +401,10 @@ def _cmd_store_gc(args):
 def _cmd_verify(args):
     """Statically verify TEA artifacts.
 
-    Exit codes follow the shared convention: 0 clean, 1 blocking
-    findings, 2 usage error (same as ``audit`` and ``diff``).
+    A whole store is verified by naming its files:
+    ``STORE/*/*.teab STORE/*/*.teap STORE/*/*.teas``.  Exit codes
+    follow the shared convention: 0 clean, 1 blocking findings, 2 usage
+    error (same as ``diff``).
     """
     from repro.errors import SerializationError
     from repro.verify import (
@@ -435,10 +437,11 @@ def _cmd_verify(args):
         reports.append(report)
         if not report.ok(strict=args.strict):
             failed = True
-        if args.format == "text":
+        if args.format == "text" and not args.out:
             print(report.render_text(strict=args.strict))
     if args.format == "json":
-        body = json.dumps([report.to_json() for report in reports],
+        body = json.dumps([report.to_json(strict=args.strict)
+                           for report in reports],
                           indent=2, sort_keys=True)
     elif args.format == "sarif":
         body = json.dumps(reports_to_sarif(reports, all_rules()),
@@ -459,89 +462,6 @@ def _cmd_verify(args):
                 handle.write(report.render_text(strict=args.strict))
                 handle.write("\n")
         print("text report written to %s" % args.out)
-    return 1 if failed else 0
-
-
-def _cmd_audit(args):
-    """Fleet audit: verify every artifact of a whole store.
-
-    Exit codes follow the shared convention: 0 clean, 1 blocking
-    findings (with ``--baseline``: *new* blocking findings), 2 usage
-    error (same as ``verify`` and ``diff``).
-    """
-    import os
-
-    from repro.audit import (
-        AuditCache,
-        audit_store,
-        diff_new_results,
-        load_baseline,
-    )
-    from repro.verify import all_rules, reports_to_sarif, rule_by_id
-
-    for rule_id in args.disable:
-        try:
-            rule_by_id(rule_id)
-        except KeyError:
-            print("error: unknown rule id %r (see docs/"
-                  "static_verification.md)" % rule_id, file=sys.stderr)
-            return 2
-    if not os.path.isdir(args.store):
-        print("error: %s is not a store directory" % args.store,
-              file=sys.stderr)
-        return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            print("error: cannot load baseline: %s" % error,
-                  file=sys.stderr)
-            return 2
-    cache = None if args.no_cache else AuditCache(args.cache_dir)
-    result = audit_store(
-        args.store, jobs=args.jobs, cache=cache,
-        disabled=args.disable, strict=args.strict,
-    )
-    reports = result.report_objects()
-    sarif = reports_to_sarif(reports, all_rules())
-    failed = not result.ok()
-    new_count = suppressed = 0
-    if baseline is not None:
-        sarif, new_count, suppressed = diff_new_results(sarif, baseline)
-        blocking = ("error", "warning") if args.strict else ("error",)
-        failed = any(
-            res.get("level") in blocking
-            for run in sarif.get("runs") or []
-            for res in run.get("results") or []
-        )
-    if args.format == "sarif":
-        body = json.dumps(sarif, indent=2, sort_keys=True)
-    elif args.format == "json":
-        body = json.dumps(result.reports, indent=2, sort_keys=True)
-    else:
-        lines = []
-        for report in reports:
-            if report.diagnostics:
-                lines.append(report.render_text(strict=args.strict))
-        body = "\n".join(lines) if lines else None
-    if body is not None:
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(body)
-                handle.write("\n")
-            print("%s report written to %s" % (args.format, args.out))
-        else:
-            print(body)
-    stats = result.stats
-    print("audit: %d artifact(s), %d cached, %d cold, %d unreadable, "
-          "%.3fs (catalog %s, jobs=%d)"
-          % (stats["artifacts"], stats["cache_hits"], stats["cold_runs"],
-             stats["unreadable"], stats["elapsed"],
-             stats["catalog_version"], stats["jobs"]))
-    if baseline is not None:
-        print("baseline: %d new finding(s), %d suppressed"
-              % (new_count, suppressed))
     return 1 if failed else 0
 
 
@@ -691,30 +611,6 @@ def _verify_arguments(verify):
                         help="disable one rule id (repeatable)")
 
 
-def _audit_arguments(audit):
-    audit.add_argument("store", metavar="STORE",
-                       help="AutomatonStore directory to audit")
-    audit.add_argument("--jobs", type=int, default=1,
-                       help="parallel audit workers (default 1)")
-    audit.add_argument("--cache-dir", default=".repro_audit_cache",
-                       help="result cache directory "
-                            "(default %(default)s)")
-    audit.add_argument("--no-cache", action="store_true",
-                       help="disable the audit result cache")
-    audit.add_argument("--baseline", metavar="SARIF",
-                       help="previous SARIF log; report only new "
-                            "findings")
-    audit.add_argument("--format", choices=("text", "json", "sarif"),
-                       default="text")
-    audit.add_argument("--out", help="write the report here instead of "
-                                     "stdout")
-    audit.add_argument("--strict", action="store_true",
-                       help="treat warnings as blocking")
-    audit.add_argument("--disable", action="append", default=[],
-                       metavar="RULE",
-                       help="disable one rule id (repeatable)")
-
-
 def _cache_arguments(cache):
     from repro.harness.cache import DEFAULT_CACHE_DIR
 
@@ -745,8 +641,6 @@ COMMANDS = {
     "verify": ("statically verify TEA artifacts "
                "(see docs/static_verification.md)",
                _verify_arguments, _cmd_verify),
-    "audit": ("fleet-scale incremental audit of a snapshot store "
-              "(see docs/audit.md)", _audit_arguments, _cmd_audit),
     "cache": ("inspect or clear the harness's persistent result cache",
               _cache_arguments, _cmd_cache),
 }

@@ -1,10 +1,9 @@
 """Content digests of source files.
 
 A cache whose entries are computed by code must key them on that code,
-or an edit is served stale.  :func:`source_digest` is the one hash both
-caches use: the harness result cache over the whole ``repro`` package
-(:func:`repro.harness.cache.code_fingerprint`) and the audit cache over
-the rule modules (:func:`repro.verify.catalog_version`).
+or an edit is served stale.  :func:`source_digest` is the hash the
+harness result cache keys on, over the whole ``repro`` package
+(:func:`repro.harness.cache.code_fingerprint`).
 """
 
 import hashlib

@@ -37,7 +37,6 @@ from repro.verify.diagnostics import (
     WARNING,
     Diagnostic,
     Report,
-    report_from_json,
     reports_to_sarif,
 )
 from repro.verify.engine import (
@@ -45,15 +44,13 @@ from repro.verify.engine import (
     RuleEngine,
     Subject,
     all_rules,
-    catalog_version,
     rule_by_id,
 )
 
 __all__ = [
     "Diagnostic", "Report", "Rule", "RuleEngine", "Subject",
     "VerificationError", "ERROR", "WARNING", "INFO", "SEVERITIES",
-    "all_rules", "catalog_version", "default_engine",
-    "report_from_json", "reports_to_sarif", "rule_by_id",
+    "all_rules", "default_engine", "reports_to_sarif", "rule_by_id",
     "verify_compiled", "verify_image_bytes", "verify_minimization",
     "verify_path", "verify_snapshot_bytes",
     "verify_stream_bytes", "verify_tea", "verify_trace_set",

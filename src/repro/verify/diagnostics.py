@@ -172,25 +172,6 @@ class Report:
         )
 
 
-def report_from_json(document):
-    """Rebuild a :class:`Report` from its :meth:`Report.to_json` shape.
-
-    The audit result cache stores reports as JSON; this inverts the
-    encoding (``ok``/count fields are derived, so they round-trip for
-    free).
-    """
-    diagnostics = [
-        Diagnostic(
-            entry["rule"], entry["severity"], entry["message"],
-            location=entry.get("location"), data=entry.get("data"),
-        )
-        for entry in document.get("diagnostics", ())
-    ]
-    return Report(target=document.get("target", "<memory>"),
-                  diagnostics=diagnostics,
-                  rules_run=document.get("rules_run"))
-
-
 def reports_to_sarif(reports, catalog, tool_version="0"):
     """Render reports as one SARIF 2.1.0 log (one run, shared driver).
 

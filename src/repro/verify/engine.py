@@ -19,20 +19,12 @@ are duck-typed), so every layer can depend on the engine without
 cycles.
 """
 
-from __future__ import annotations
-
 import importlib
-import os
 
 from repro.verify.diagnostics import ERROR, Diagnostic, Report
 
 #: The global rule catalog: rule_id -> Rule instance.
 _CATALOG = {}
-
-#: Bumped by hand when what the rules report changes without any rule
-#: module changing (a facet or view they read) — forces audit-cache
-#: invalidation either way.
-CATALOG_EPOCH = 1
 
 
 def register(rule):
@@ -66,23 +58,6 @@ def _load_builtin_rules():
     """Import the built-in rule modules (registration side effect)."""
     for name in BUILTIN_RULE_MODULES:
         importlib.import_module("repro.verify." + name)
-
-
-def catalog_version() -> str:
-    """Content version of the rule catalog: ``<epoch>-<12 hex>``.
-
-    Hashes the source of every built-in rule module plus
-    :data:`CATALOG_EPOCH`, so adding, removing, rewording or changing
-    a rule (or bumping the epoch) changes the version — the audit
-    result cache keys on it and invalidates itself automatically.
-    Reading the sources, not importing them, keeps a fully cached
-    audit from compiling the rule modules it never runs.
-    """
-    from repro.util.sources import source_digest
-
-    digest = source_digest(os.path.dirname(os.path.abspath(__file__)),
-                           [name + ".py" for name in BUILTIN_RULE_MODULES])
-    return "%d-%s" % (CATALOG_EPOCH, digest[:12])
 
 
 class Rule:

@@ -1,5 +1,7 @@
 """Shared fixtures: small programs and recorded trace sets."""
 
+import glob
+import os
 from pathlib import Path
 
 import pytest
@@ -112,6 +114,15 @@ def record_traces(program, strategy="mret", hot_threshold=10, **limit_kwargs):
     """Run the DBT over ``program`` and return its trace set."""
     limits = RecorderLimits(hot_threshold=hot_threshold, **limit_kwargs)
     return StarDBT(program, strategy=strategy, limits=limits).run()
+
+
+def store_files(root):
+    """Every snapshot, program image and stream sidecar of a store, as
+    ``repro tools verify STORE/*/*.teab STORE/*/*.teap STORE/*/*.teas``
+    names them."""
+    return [path for suffix in (".teab", ".teap", ".teas")
+            for path in sorted(glob.glob(os.path.join(str(root), "*",
+                                                      "*" + suffix)))]
 
 
 def recorded_transitions(program):

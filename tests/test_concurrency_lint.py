@@ -16,6 +16,8 @@ import pytest
 
 from dev import concurrency_lint
 from dev.concurrency_lint import (
+    DEFAULT_TARGETS,
+    ROOT,
     ConcurrencyAnalysis,
     default_paths,
     lint_file,
@@ -244,6 +246,15 @@ def test_service_stack_lint_clean(capsys):
     dirty = [(path, lint_file(path)) for path in paths if lint_file(path)]
     assert not dirty, dirty
     assert main() == 0
+
+
+def test_default_code_paths_cover_the_service_stack():
+    paths = default_paths()
+    names = {os.path.basename(p) for p in paths}
+    assert "server.py" in names
+    assert "mapping.py" in names
+    for target in DEFAULT_TARGETS:
+        assert os.path.exists(os.path.join(ROOT, target)), target
 
 
 # ---------------------------------------------------------------------

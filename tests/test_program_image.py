@@ -43,6 +43,7 @@ from repro.service.testing import ServiceThread, ephemeral_config
 from repro.store import AutomatonStore
 from repro.verify import verify_image_bytes, verify_path
 from repro.workloads import load_benchmark
+from tests.conftest import store_files
 
 GOLDEN = Path(__file__).parent / "golden" / "program_digests.json"
 IMAGE_GOLDEN = Path(__file__).parent / "golden" / "image_digests.json"
@@ -343,16 +344,14 @@ def test_tools_load_a_snapshot_with_its_image(two_programs, tmp_path,
                  "--scale", "0.2"]) == 0
 
 
-def test_audit_verifies_images(two_programs):
-    from repro.audit.scheduler import audit_store, store_artifact_paths
-
+def test_verify_path_over_every_store_file(two_programs):
     store, keys = two_programs
-    paths = store_artifact_paths(store.root)
+    paths = store_files(store.root)
     assert sorted(path for path in paths if path.endswith(".teap")) == \
         sorted(store.image_path(key) for key in keys.values())
     _overwrite(store.image_path(keys["b"]), b"TEAP")
-    result = audit_store(store.root)
-    failed = [report["target"] for report in result.reports
+    reports = [verify_path(path).to_json() for path in paths]
+    failed = [report["target"] for report in reports
               if not report["ok"]]
     assert failed == [store.image_path(keys["b"])]
 

@@ -10,6 +10,8 @@ recorder produces and the store serves verifies clean.
 """
 
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from tests.conftest import (
     NESTED_DIAMOND_SOURCE,
     SIMPLE_LOOP_SOURCE,
     record_traces,
+    store_files,
 )
 from tests.test_rule_matrix import (
     stale_version,
@@ -30,6 +33,7 @@ from repro.core import build_tea
 from repro.core.compiled import CompiledTea
 from repro.errors import SerializationError, VerificationError
 from repro.isa import assemble
+from repro.isa.image import encode_image
 from repro.store import AutomatonStore
 from repro.store.binary import dump_tea_binary, load_tea_binary
 from repro.verify import (
@@ -38,6 +42,7 @@ from repro.verify import (
     reports_to_sarif,
     rule_by_id,
     verify_compiled,
+    verify_path,
     verify_snapshot_bytes,
     verify_tea,
     verify_trace_set,
@@ -106,6 +111,34 @@ def test_engine_disable_and_obs_counters(world):
     assert counters["verify.runs"] == 1
     assert counters["verify.rules_run"] == len(report.rules_run)
     assert counters.get("verify.failures", 0) == 0
+
+
+def test_engine_strict_escalation_with_mixed_severities():
+    # An unreachable state yields only the TEA003 warning: the same
+    # report passes lenient and blocks strict, and the serialized
+    # document (what ``tools verify --format json`` prints) carries the
+    # verdict the engine was configured with.
+    from repro.core.compiled import CompiledTea
+    from repro.verify import verify_compiled
+
+    compiled = CompiledTea(
+        3, b"\x00\x01\x01",
+        trans_offset=[0, 0, 0, 0],
+        trans_labels=[], trans_dest=[],
+        head_entries=[0x10], head_sids=[1],   # sid 2 is unreachable
+    )
+    report = verify_compiled(compiled)
+    assert report.warnings and not report.errors
+    assert report.ok() and not report.ok(strict=True)
+    assert report.to_json()["ok"] is True
+    assert report.to_json(strict=True)["ok"] is False
+
+
+def test_engine_unknown_disabled_rule_raises():
+    from repro.verify import rule_by_id
+
+    with pytest.raises(KeyError):
+        rule_by_id("TEA999")
 
 
 # ---------------------------------------------------------------------
@@ -386,6 +419,75 @@ def test_store_gate_passes_clean_snapshots(world, snapshot, tmp_path):
 
 
 # ---------------------------------------------------------------------
+# verify_path over a store's files: a snapshot and its program image
+# ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def imaged(tmp_path):
+    """A store holding one snapshot with its program image; returns
+    ``(store, key)``."""
+    program = assemble(NESTED_DIAMOND_SOURCE)
+    trace_set = record_traces(program).trace_set
+    store = AutomatonStore(tmp_path / "store")
+    key = store.put(trace_set, tea=build_tea(trace_set), program=program)
+    assert os.path.exists(store.image_path(key))
+    return store, key
+
+
+def _snapshot_report(store, key):
+    return verify_path(store.path_for(key)).to_json()
+
+
+def _replace(path, data):
+    os.chmod(path, stat.S_IRUSR | stat.S_IWUSR)
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+def test_verify_path_follows_a_replaced_image(imaged):
+    store, key = imaged
+    sound = _snapshot_report(store, key)
+    assert sound["ok"] and "TEA011" in sound["rules_run"]
+    image = store.image_path(key)
+    with open(image, "rb") as handle:
+        damaged = bytearray(handle.read())
+    damaged[-1] ^= 0xFF
+    _replace(image, bytes(damaged))
+    assert _snapshot_report(store, key) != sound
+
+
+def test_verify_path_follows_a_deleted_image(imaged):
+    store, key = imaged
+    assert "TEA011" in _snapshot_report(store, key)["rules_run"]
+    os.unlink(store.image_path(key))
+    assert "TEA011" not in _snapshot_report(store, key)["rules_run"]
+
+
+def test_image_of_another_program_is_a_finding(imaged, tmp_path, capsys):
+    # The image decodes under the snapshot's key but holds another
+    # program: the snapshot's traces do not decode against it.
+    from repro.tools.__main__ import main
+
+    store, key = imaged
+    _replace(store.image_path(key),
+             encode_image(assemble(SIMPLE_LOOP_SOURCE), owner=key))
+    other = AutomatonStore(tmp_path / "store").put(
+        record_traces(assemble(SIMPLE_LOOP_SOURCE)).trace_set)
+    reports = [verify_path(path).to_json()
+               for path in store_files(store.root)]
+    by_target = {report["target"]: report for report in reports}
+    assert len(by_target) == 3          # both snapshots and the image
+    report = by_target[store.path_for(key)]
+    assert [diag["rule"] for diag in report["diagnostics"]] == ["TEA010"]
+    assert "do not decode against the program" in \
+        report["diagnostics"][0]["message"]
+    assert by_target[store.path_for(other)]["ok"]
+    assert main(["verify", store.path_for(key)]) == 1
+    assert "[TEA010]" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------
 # service quarantine: corrupted snapshots degrade to structured errors
 # ---------------------------------------------------------------------
 
@@ -561,3 +663,35 @@ def test_cli_verify_sarif_out(snapshot, tmp_path, capsys):
     log = json.loads(out.read_text())
     assert log["version"] == "2.1.0"
     assert log["runs"][0]["results"] == []
+
+
+def test_cli_verify_text_out_prints_only_where_it_went(snapshot, tmp_path,
+                                                     capsys):
+    from repro.tools.__main__ import main
+
+    path = _write(tmp_path, "good.teab", snapshot)
+    out = tmp_path / "report.txt"
+    assert main(["verify", "--out", str(out), path]) == 0
+    assert capsys.readouterr().out == \
+        "text report written to %s\n" % out
+    assert out.read_text().startswith("%s: PASS" % path)
+
+
+def test_cli_verify_strict_json_verdict_matches_exit_code(tmp_path, capsys):
+    # A snapshot whose only finding is the TEA003 warning: T's second
+    # state loses the transition into it.
+    from repro.tools.__main__ import main
+
+    program = assemble(NESTED_DIAMOND_SOURCE)
+    trace_set = record_traces(program).trace_set
+    tea = build_tea(trace_set)
+    trace = next(trace for trace in trace_set if len(trace.tbbs) > 1)
+    tea.state_for(trace.tbbs[0]).transitions.clear()
+    path = _write(tmp_path, "stranded.teab",
+                  dump_tea_binary(trace_set, tea=tea))
+    for flags, code, ok in (([], 0, True), (["--strict"], 1, False)):
+        assert main(["verify", "--format", "json", *flags, path]) == code
+        (document,) = json.loads(capsys.readouterr().out)
+        assert {diag["rule"] for diag in document["diagnostics"]} == \
+            {"TEA003"}
+        assert document["ok"] is ok
