@@ -14,7 +14,10 @@ Exercises the operator path end to end against the golden snapshot:
    identical to the decoded one, and ``store.mmap_opened`` must tick;
 5. the stored snapshot must hold the golden content: decoding it and
    writing it again gives the golden bytes;
-6. a file with another version byte (1) planted at its store path must
+6. a ``.teab`` with no magic planted in the store must be a TEA020
+   finding of ``repro tools verify`` over the store's files, which
+   still reports every other file clean;
+7. a file with another version byte (1) planted at its store path must
    be refused by ``repro tools verify`` (TEA020) and by the store's
    readers, each saying how to rebuild it.
 
@@ -61,6 +64,13 @@ def tools(*argv):
     )
 
 
+def store_files(store_dir):
+    """Every snapshot, image and stream file of the store, sorted."""
+    return sorted(
+        name for suffix in ("teab", "teap", "teas")
+        for name in glob.glob(os.path.join(store_dir, "*", "*." + suffix)))
+
+
 def with_version(data, version):
     """``data`` with another version byte and its table CRC re-sealed,
     so the version is the only thing wrong with it."""
@@ -88,9 +98,7 @@ def main():
     path = store.path_for(key)
     print("seeded store with golden snapshot %s" % key[:12])
 
-    artifacts = sorted(
-        name for suffix in ("teab", "teap", "teas")
-        for name in glob.glob(os.path.join(store_dir, "*", "*." + suffix)))
+    artifacts = store_files(store_dir)
     if artifacts != sorted([path, store.image_path(key)]):
         fail("the seeded store holds %s, not the snapshot and its image"
              % artifacts)
@@ -137,6 +145,30 @@ def main():
         fail("the stored snapshot does not round-trip to the golden bytes")
     print("content: the stored snapshot decodes and re-encodes to the "
           "golden bytes")
+
+    junk = bytes(range(7, 107))
+    junk_path = store.path_for(snapshot_key(junk))
+    os.makedirs(os.path.dirname(junk_path), exist_ok=True)
+    with open(junk_path, "wb") as handle:
+        handle.write(junk)
+    artifacts = store_files(store_dir)
+    proc = tools("verify", "--format", "json", *artifacts)
+    if proc.returncode != 1:
+        fail("verify over a store holding a file with no magic exited "
+             "%d, not 1:\n%s%s" % (proc.returncode, proc.stdout,
+                                   proc.stderr))
+    reports = {report["target"]: report for report in json.loads(proc.stdout)}
+    if sorted(reports) != artifacts:
+        fail("verify reported %s, not every stored file" % sorted(reports))
+    for target, report in reports.items():
+        rules = [diag["rule"] for diag in report["diagnostics"]]
+        expected = ["TEA020"] if target == junk_path else []
+        if rules != expected:
+            fail("%s: verify found %s, expected %s" % (target, rules,
+                                                     expected))
+    os.unlink(junk_path)
+    print("no-magic file: TEA020 from verify, the %d other stored files "
+          "clean" % (len(artifacts) - 1))
 
     old = with_version(golden, 1)
     old_key = snapshot_key(old)

@@ -81,7 +81,6 @@ BLOCKING_BUILTINS = frozenset({"open", "input"})
 #: workload generation, atomic writes).
 BLOCKING_KNOWN_NAMES = frozenset({
     "get_bytes", "put_bytes", "get_compiled", "map_compiled",
-    "put_minimized",
     "open_snapshot_mapping", "cached_mapping", "cached_compiled",
     "load_benchmark", "load_tea_binary", "dump_tea_binary",
     "atomic_write_bytes", "atomic_write_text", "atomic_write_json",

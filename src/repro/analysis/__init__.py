@@ -15,9 +15,7 @@ from repro.analysis.coverage import CoverageReport
 from repro.analysis.dcfg import DcfgTool, DynamicCFG, compare_with_tea
 from repro.analysis.differential import (
     DifferentialChecker,
-    MinimizationChecker,
     check_equivalence,
-    check_minimization,
     validate_trace_file,
 )
 from repro.analysis.phases import Phase, PhaseDetector
@@ -30,8 +28,6 @@ __all__ = [
     "DcfgTool",
     "compare_with_tea",
     "DifferentialChecker",
-    "MinimizationChecker",
     "check_equivalence",
-    "check_minimization",
     "validate_trace_file",
 ]

@@ -136,97 +136,6 @@ def check_equivalence(program, trace_set, tea=None, config=None,
     return checker
 
 
-class MinimizationChecker:
-    """Lockstep original vs minimized replay over one transition stream.
-
-    Drives two :class:`~repro.core.replay.TeaReplayer` instances (with
-    independent cost models and caches) over the same recording and
-    compares the *observable* verdict at every step: is the replayer
-    in-trace, and which basic block does its state cover?  Merged
-    states have different names but must cover the same block; with
-    budget spills the minimized side may fall out of trace early, which
-    is tolerated only in ``lossy`` mode (minimized in-trace implies
-    original in-trace, never the converse).
-
-    After the run, :meth:`stats_match` reports whether the full
-    Table 4 accounting (stats, coverage, cost breakdown) is
-    bit-identical — the stronger exact-mode guarantee.
-    """
-
-    def __init__(self, trace_set, original, minimized, config=None,
-                 lossy=False):
-        config = config or ReplayConfig.global_local()
-        self.trace_set = trace_set
-        # The replayers never mutate their config, so sharing one is
-        # safe; each still gets its own cost model and caches.
-        self.original = TeaReplayer(original, config=config)
-        self.minimized = TeaReplayer(minimized, config=config)
-        self.lossy = lossy
-        self.steps = 0
-        self.agreements = 0
-        self.divergences = []
-
-    def on_transition(self, transition):
-        """Feed one block transition to both sides; record divergence."""
-        self.steps += 1
-        state_a = self.original.state
-        state_b = self.minimized.state
-        in_a = state_a.tbb is not None
-        in_b = state_b.tbb is not None
-        if in_a == in_b:
-            matches = (not in_a) or state_a.tbb.start == state_b.tbb.start
-        else:
-            # One side fell out of trace: only legal as a budget spill
-            # on the minimized side.
-            matches = self.lossy and in_a and not in_b
-        if matches:
-            self.agreements += 1
-        else:
-            self.divergences.append(
-                Divergence(self.steps, transition.block.start,
-                           state_a.name, state_b.name)
-            )
-        for replayer in (self.original, self.minimized):
-            replayer.step(transition.next_start, transition.instrs_dbt,
-                          transition.instrs_pin)
-
-    @property
-    def is_equivalent(self):
-        return not self.divergences
-
-    def stats_match(self):
-        """True when both sides' full accounting is bit-identical."""
-        snap_a = self.original.snapshot()
-        snap_b = self.minimized.snapshot()
-        return (
-            self.original.stats.as_dict() == self.minimized.stats.as_dict()
-            and snap_a["cost"] == snap_b["cost"]
-        )
-
-    def raise_on_divergence(self):
-        if self.divergences:
-            raise TeaError(
-                "minimized TEA diverged from the original %d time(s); "
-                "first: %r"
-                % (len(self.divergences), self.divergences[0])
-            )
-
-
-def check_minimization(program, trace_set, original, minimized,
-                       config=None, lossy=False,
-                       max_instructions=DEFAULT_MAX_INSTRUCTIONS):
-    """Replay ``program`` once through original and minimized automata.
-
-    Returns the :class:`MinimizationChecker` with its verdict; callers
-    assert :attr:`~MinimizationChecker.is_equivalent` (every step
-    agreed) and, for exact-mode minimization, :meth:`stats_match`.
-    """
-    checker = MinimizationChecker(trace_set, original, minimized,
-                                  config=config, lossy=lossy)
-    _drive(program, checker.on_transition, max_instructions)
-    return checker
-
-
 def validate_trace_file(path, program, config=None, dynamic=True):
     """Load a trace file and prove it consistent with ``program``.
 

@@ -155,17 +155,6 @@ class ServiceClient:
             params["snapshot"] = snapshot
         return self.call("coverage", **params)
 
-    def diff(self, b, a=None, config=None, replay=False):
-        """Diff snapshot ``a`` (default resolution) against ``b``."""
-        params = {"b": b}
-        if a is not None:
-            params["snapshot"] = a
-        if config is not None:
-            params["config"] = config
-        if replay:
-            params["replay"] = True
-        return self.call("diff", **params)
-
     def step_batch(self, labels, snapshot=None, start=0,
                    return_states=False):
         params = {"labels": list(labels), "start": start,

@@ -177,7 +177,7 @@ class SnapshotEntry:
     :class:`~repro.store.mapping.SnapshotMapping` their compiled tables
     view into (``mapping``); hot-reload retires an entry by flagging
     ``retired`` and closes the mapping once ``inflight`` — the number
-    of replay/diff requests currently using the entry, maintained on
+    of replay requests currently using the entry, maintained on
     the event loop — drains to zero.  ``stream`` is the
     :class:`StreamSource` of the snapshot's program, shared with every
     other entry of the same program.
@@ -324,7 +324,6 @@ class TeaService:
             "snapshot-info": self._rpc_snapshot_info,
             "replay": self._rpc_replay,
             "coverage": self._rpc_coverage,
-            "diff": self._rpc_diff,
             "step-batch": self._rpc_step_batch,
             "stats": self._rpc_stats,
             "reload": self._rpc_reload,
@@ -805,61 +804,6 @@ class TeaService:
         async with self._replay_memo_lock:
             if not entry.retired:
                 self._replay_memo.setdefault((entry.key, name), result)
-        return result
-
-    async def _rpc_diff(self, params):
-        """Structural diff between two loaded snapshots.
-
-        ``snapshot`` (or its alias ``a``) names the left side — the
-        usual single-snapshot default applies — and ``b`` the right
-        side.  With ``replay: true`` both sides are also replayed
-        (honouring ``config`` / ``batch``) and the numeric deltas
-        attached.
-        """
-        from repro.compare import diff_automata, replay_delta
-
-        if "snapshot" not in params and "a" in params:
-            params = dict(params, snapshot=params["a"])
-        self._check_engine(params)
-        entry_a = self._resolve(params)
-        name_b = params.get("b")
-        if name_b is None:
-            raise _BadParams("'b' (the snapshot to diff against) is required")
-        entry_b = self._resolve({"snapshot": name_b})
-        loop = asyncio.get_event_loop()
-        entry_a.inflight += 1
-        entry_b.inflight += 1
-        try:
-            diff = await loop.run_in_executor(
-                self._pool, lambda: diff_automata(
-                    entry_a.tea, entry_b.tea,
-                    label_a=entry_a.label or entry_a.key,
-                    label_b=entry_b.label or entry_b.key,
-                    obs=self.obs,
-                ),
-            )
-        finally:
-            self._release(entry_a)
-            self._release(entry_b)
-        result = diff.to_json()
-        result["snapshot_a"] = entry_a.key
-        result["snapshot_b"] = entry_b.key
-        if params.get("replay"):
-            base = {
-                key: params[key] for key in ("config", "batch")
-                if key in params
-            }
-            report_a = await self._rpc_replay(
-                dict(base, snapshot=entry_a.key)
-            )
-            report_b = await self._rpc_replay(
-                dict(base, snapshot=entry_b.key)
-            )
-            result["replay"] = {
-                "a": report_a,
-                "b": report_b,
-                "delta": replay_delta(report_a, report_b),
-            }
         return result
 
     async def _rpc_coverage(self, params):

@@ -45,12 +45,8 @@ from repro.isa.image import HEADER_SIZE as IMAGE_HEADER_SIZE
 from repro.obs import Observability
 from repro.store.binary import (
     _REBUILD,
-    SEC_HEAD_SIDS,
-    SEC_TRANS_LABELS,
-    SEC_TRANS_OFFSET,
     compile_tea_binary,
     dump_tea_binary,
-    int64_section,
     load_tea_binary,
     peek_tea_binary,
 )
@@ -307,45 +303,6 @@ class AutomatonStore:
         info["key"] = key
         return info
 
-    def put_minimized(self, key, block_index=None, mode="exact",
-                      budget=None, hotness=None):
-        """Minimize snapshot ``key`` and store the result next to it.
-
-        Returns ``(new_key, result)`` — the minimized snapshot's
-        content key and the :class:`~repro.minimize.MinimizationResult`
-        that produced it.  The new snapshot's meta carries full
-        provenance (gated by verify rule TEA050 at every load
-        boundary): ``minimized_from`` names the original content key,
-        ``minimize`` summarizes the pass, and any ``label`` gains a
-        ``-min`` suffix so the two never alias in the service registry.
-
-        ``block_index`` must cover the program the snapshot was
-        recorded against; when omitted it is built from the snapshot's
-        program image.  The minimized snapshot gets that program as its
-        own image.  The profile section is dropped — its counts are
-        keyed by original state identities.
-        """
-        from repro.minimize import minimize_tea
-
-        data = self.get_bytes(key)
-        self._gate(key, data)
-        meta = peek_tea_binary(data).get("meta") or {}
-        if block_index is None:
-            from repro.cfg.basic_block import BlockIndex
-
-            block_index = BlockIndex(self.load_program(key))
-        trace_set, tea, _profile = load_tea_binary(data, block_index)
-        result = minimize_tea(tea, mode=mode, budget=budget,
-                              hotness=hotness, obs=self.obs)
-        out_meta = dict(meta)
-        out_meta["minimized_from"] = key
-        out_meta["minimize"] = result.describe()
-        if out_meta.get("label"):
-            out_meta["label"] = "%s-min" % out_meta["label"]
-        new_key = self.put(trace_set, tea=result.tea, meta=out_meta,
-                           program=block_index.program)
-        return new_key, result
-
     # ------------------------------------------------------------------
     # execution-stream sidecars
 
@@ -571,17 +528,12 @@ def describe_snapshot(path):
 
     Backs ``repro tools tea info``: returns the same dict shape for
     both formats — version, format, state/transition/head counts,
-    profile presence, on-disk size, plus the minimization-relevant
-    ``mergeable_estimate`` (a first-order upper bound on how many
-    states partition refinement could merge; see
-    :func:`repro.minimize.mergeable_estimate`).  JSON documents rebuild
-    their automaton with Algorithm 1, so the derived counts (one state
-    per TBB plus NTE, one transition per edge, one head per trace) are
+    profile presence, on-disk size.  JSON documents rebuild their
+    automaton with Algorithm 1, so the derived counts (one state per
+    TBB plus NTE, one transition per edge, one head per trace) are
     reported for them.
     """
     import json
-
-    from repro.minimize import mergeable_estimate
 
     try:
         with open(path, "rb") as handle:
@@ -589,24 +541,7 @@ def describe_snapshot(path):
     except OSError as error:
         raise SerializationError("cannot read %s: %s" % (path, error)) from None
     if data[:4] == b"TEAB":
-        info = peek_tea_binary(data)
-        # The CSR tables sit raw in the file: read them as int64 views
-        # at the places peek found them, never materializing an
-        # automaton at all.
-        sections = {section["id"]: (section["offset"], section["bytes"])
-                    for section in info["sections"]}
-        offsets = int64_section(data, *sections[SEC_TRANS_OFFSET])
-        labels = int64_section(data, *sections[SEC_TRANS_LABELS])
-        head_sids = int64_section(data, *sections[SEC_HEAD_SIDS])
-        n_states = len(offsets) - 1
-        edge_labels = [
-            list(labels[offsets[sid]:offsets[sid + 1]])
-            for sid in range(n_states)
-        ]
-        info["mergeable_estimate"] = mergeable_estimate(
-            edge_labels, set(head_sids)
-        )
-        return info
+        return peek_tea_binary(data)
     try:
         document = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -619,18 +554,6 @@ def describe_snapshot(path):
     traces = traces_doc.get("traces", [])
     n_tbbs = sum(len(trace.get("tbbs", ())) for trace in traces)
     n_edges = sum(len(trace.get("edges", ())) for trace in traces)
-    # Mirror Algorithm 1's state numbering (NTE, then one state per TBB
-    # in trace order) to estimate merge potential for documents too.
-    edge_labels = [[]]
-    head_sids = set()
-    for trace in traces:
-        first_sid = len(edge_labels)
-        head_sids.add(first_sid)
-        by_index = {}
-        for from_index, _to_index, label in trace.get("edges", ()):
-            by_index.setdefault(from_index, []).append(label)
-        for index in range(len(trace.get("tbbs", ()))):
-            edge_labels.append(by_index.get(index, []))
     return {
         "format": "json",
         "version": document.get("version"),
@@ -644,5 +567,4 @@ def describe_snapshot(path):
         "profile": "profile" in document,
         "meta": None,
         "bytes": len(data),
-        "mergeable_estimate": mergeable_estimate(edge_labels, head_sids),
     }

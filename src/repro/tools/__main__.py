@@ -10,10 +10,6 @@ Examples::
     python -m repro.tools info --traces traces.json
     python -m repro.tools tea info tea.json
     python -m repro.tools tea info --format json snapshot.teab
-    python -m repro.tools minimize snapshot.teab --out minimized.teab
-    python -m repro.tools minimize snapshot.teab --budget 64 --format json
-    python -m repro.tools diff before.teab after.teab
-    python -m repro.tools diff --format json a.teab b.teab
     python -m repro.tools store gc --dir .tea_store
     python -m repro.tools metrics --benchmark 176.gcc --traces traces.json
     python -m repro.tools metrics --source program.s --format text \\
@@ -222,9 +218,6 @@ def _cmd_tea_info(args):
           % (info["traces"], info["kind"], info["tbbs"], info["edges"]))
     print("automaton: %d states, %d transitions, %d heads"
           % (info["states"], info["transitions"], info["heads"]))
-    print("shape: %d of %d states share a transition signature "
-          "(mergeable estimate; see repro tools minimize)"
-          % (info["mergeable_estimate"], info["states"]))
     print("profile: %s" % ("present" if info["profile"] else "absent"))
     if info.get("meta"):
         print("meta: %s" % json.dumps(info["meta"], sort_keys=True))
@@ -239,147 +232,6 @@ def _cmd_tea_info(args):
                   % (section["name"], section["bytes"], section["offset"],
                      (" (%d items)" % count) if count else ""))
     return 0
-
-
-def _load_tea_file(path, args):
-    """Load ``(trace_set, tea, origin_key)`` from a TEAB or JSON file.
-
-    TEAB snapshots take their program from ``--benchmark`` /
-    ``--source`` when given, and otherwise from the program image
-    stored beside them (``<key>.teap``); JSON documents require an
-    explicit program.  ``origin_key`` is the snapshot content key for
-    TEAB input (provenance for minimized output), ``None`` for JSON
-    documents.
-    """
-    from repro.cfg.basic_block import BlockIndex
-    from repro.core.builder import build_tea
-    from repro.errors import SerializationError
-    from repro.store import load_tea_binary, snapshot_key
-
-    with open(path, "rb") as handle:
-        data = handle.read()
-    program = None
-    if args.benchmark or args.source:
-        program = _load_program(args)
-    if data[:4] == b"TEAB":
-        key = snapshot_key(data)
-        if program is None:
-            from repro.store.store import (
-                image_path_for, read_image, snapshot_program,
-            )
-
-            image = read_image(image_path_for(path))
-            if image is None:
-                raise SerializationError(
-                    "%s has no program image beside it; pass --benchmark "
-                    "or --source" % path
-                )
-            program = snapshot_program(image, key,
-                                       source=image_path_for(path))
-        trace_set, tea, _profile = load_tea_binary(data, BlockIndex(program))
-        return trace_set, tea, key
-    document = json.loads(data.decode("utf-8"))
-    if program is None:
-        raise SerializationError(
-            "the JSON document %s requires a program image (pass "
-            "--benchmark or --source)" % path
-        )
-    index = BlockIndex(program)
-    if isinstance(document, dict) and isinstance(document.get("traces"), dict):
-        from repro.core.serialization import tea_from_json
-
-        trace_set, tea, _profile = tea_from_json(document, index)
-    else:
-        from repro.traces.serialization import trace_set_from_json
-
-        trace_set = trace_set_from_json(document, index)
-        tea = build_tea(trace_set)
-    return trace_set, tea, None
-
-
-def _cmd_minimize(args):
-    """Minimize a TEA snapshot; optionally write the minimized TEAB."""
-    from repro.minimize import minimize_tea
-    from repro.store import dump_tea_binary, peek_tea_binary
-    from repro.util import atomic_write_bytes
-    from repro.verify import verify_minimization
-
-    trace_set, tea, origin_key = _load_tea_file(args.file, args)
-    result = minimize_tea(tea, mode=args.mode, budget=args.budget)
-    report = verify_minimization(result, trace_set=trace_set,
-                                 source=args.file)
-    summary = result.describe()
-    summary["verified"] = report.ok(strict=True)
-    if args.out:
-        with open(args.file, "rb") as handle:
-            in_meta = (peek_tea_binary(handle.read()).get("meta")
-                       if origin_key else None) or {}
-        out_meta = dict(in_meta)
-        if origin_key:
-            out_meta["minimized_from"] = origin_key
-        out_meta["minimize"] = result.describe()
-        if out_meta.get("label"):
-            out_meta["label"] = "%s-min" % out_meta["label"]
-        atomic_write_bytes(
-            args.out,
-            dump_tea_binary(trace_set, tea=result.tea, meta=out_meta),
-        )
-        summary["out"] = args.out
-    if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print("minimized %s (%s mode%s)"
-              % (args.file, result.mode,
-                 ", budget %d" % result.budget if result.budget else ""))
-        print("states: %d -> %d (%d merged, %d spilled; %.1f%% smaller)"
-              % (result.states_before, result.states_after, result.merged,
-                 len(result.spilled), 100 * result.state_reduction))
-        print("transitions: %d -> %d; %d heads kept"
-              % (result.transitions_before, result.transitions_after,
-                 result.tea.n_traces))
-        if args.out:
-            print("minimized snapshot written to %s" % args.out)
-        if not summary["verified"]:
-            print(report.render_text(strict=True))
-    if not summary["verified"]:
-        print("error: minimization failed verification", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_diff(args):
-    """Diff two TEA files; exit 0 identical, 1 different, 2 error."""
-    from repro.compare import diff_automata
-    from repro.errors import SerializationError
-    from repro.store import compile_tea_binary
-
-    def load_side(path):
-        # TEAB bytes diff via their compiled lowering — no program
-        # image needed; JSON documents go through the full loader.
-        with open(path, "rb") as handle:
-            data = handle.read()
-        if data[:4] == b"TEAB" and not (args.benchmark or args.source):
-            return compile_tea_binary(data, verify=False)
-        _trace_set, tea, _origin = _load_tea_file(path, args)
-        return tea
-
-    try:
-        side_a = load_side(args.a)
-        side_b = load_side(args.b)
-    except (ReproError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    try:
-        diff = diff_automata(side_a, side_b, label_a=args.a, label_b=args.b)
-    except SerializationError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps(diff.to_json(), indent=2, sort_keys=True))
-    else:
-        print(diff.render_text())
-    return 0 if diff.identical else 1
 
 
 def _cmd_store_gc(args):
@@ -404,7 +256,7 @@ def _cmd_verify(args):
     A whole store is verified by naming its files:
     ``STORE/*/*.teab STORE/*/*.teap STORE/*/*.teas``.  Exit codes
     follow the shared convention: 0 clean, 1 blocking findings, 2 usage
-    error (same as ``diff``).
+    error.
     """
     from repro.errors import SerializationError
     from repro.verify import (
@@ -523,40 +375,6 @@ def _tea_arguments(tea):
                           default="text")
 
 
-def _add_optional_program_arguments(target):
-    group = target.add_mutually_exclusive_group()
-    group.add_argument("--benchmark", choices=_BenchmarkNames(),
-                       help="program image (TEAB snapshots can carry "
-                            "it in their meta; JSON documents require "
-                            "one)")
-    group.add_argument("--source", help="an SX86 assembly source file")
-    target.add_argument("--scale", type=float, default=1.0,
-                        help="workload scale (benchmarks only)")
-
-
-def _minimize_arguments(minimize):
-    minimize.add_argument("file", help="TEAB snapshot or JSON TEA document")
-    minimize.add_argument("--mode", choices=("exact", "aggressive"),
-                          default="exact",
-                          help="exact keeps replay accounting bit-exact "
-                               "(default); aggressive merges maximally")
-    minimize.add_argument("--budget", type=int, default=None,
-                          help="cap the minimized state count, spilling "
-                               "the coldest states")
-    minimize.add_argument("--out", help="write the minimized TEAB snapshot "
-                                        "here (with provenance meta)")
-    minimize.add_argument("--format", choices=("text", "json"),
-                          default="text")
-    _add_optional_program_arguments(minimize)
-
-
-def _diff_arguments(diff):
-    diff.add_argument("a", help="left TEA file (TEAB or JSON)")
-    diff.add_argument("b", help="right TEA file (TEAB or JSON)")
-    diff.add_argument("--format", choices=("text", "json"), default="text")
-    _add_optional_program_arguments(diff)
-
-
 def _store_arguments(store):
     store_commands = store.add_subparsers(dest="store_command", required=True)
     store_gc = store_commands.add_parser(
@@ -591,12 +409,13 @@ def _metrics_arguments(metrics):
 
 def _verify_arguments(verify):
     verify.add_argument("files", nargs="+", metavar="FILE",
-                        help="TEAB snapshots and/or JSON TEA documents")
+                        help="TEAB snapshots, .teap program images, .teas "
+                             "stream sidecars and/or JSON TEA documents")
     group = verify.add_mutually_exclusive_group()
     group.add_argument("--benchmark", choices=_BenchmarkNames(),
-                       help="program image for the CFG rules (JSON "
-                            "documents require one; TEAB snapshots can "
-                            "carry it in their meta)")
+                       help="program for the CFG rules (JSON documents "
+                            "require one; a TEAB snapshot without it "
+                            "uses the .teap image beside it)")
     group.add_argument("--source", help="an SX86 assembly source file")
     verify.add_argument("--scale", type=float, default=1.0,
                         help="workload scale (benchmarks only)")
@@ -628,11 +447,6 @@ COMMANDS = {
     "info": ("summarize a trace file", _info_arguments, _cmd_info),
     "tea": ("TEA snapshot utilities (see repro.store)", _tea_arguments,
             _cmd_tea_info),
-    "minimize": ("merge bisimilar TEA states "
-                 "(see docs/minimize_and_diff.md)",
-                 _minimize_arguments, _cmd_minimize),
-    "diff": ("structural diff of two TEA files "
-             "(see docs/minimize_and_diff.md)", _diff_arguments, _cmd_diff),
     "store": ("snapshot store maintenance (see repro.store)",
               _store_arguments, _cmd_store_gc),
     "metrics": ("replay with observability on and dump the metrics "

@@ -12,10 +12,7 @@ compiled automaton and the store, so only :mod:`~repro.verify.engine`
 and :mod:`~repro.verify.diagnostics` load eagerly (they depend on
 nothing but :mod:`repro.errors`).  The rule modules load with the
 catalog (:func:`all_rules`); they and the high-level API import the
-rest of ``repro`` lazily inside functions, except that
-:mod:`~repro.verify.rules_minimize` imports what every snapshot verify
-runs (:mod:`repro.minimize`'s mode names, the automaton views) at its
-top.
+rest of ``repro`` lazily inside functions.
 """
 
 from repro.errors import VerificationError
@@ -23,7 +20,6 @@ from repro.verify.api import (
     default_engine,
     verify_compiled,
     verify_image_bytes,
-    verify_minimization,
     verify_path,
     verify_snapshot_bytes,
     verify_stream_bytes,
@@ -51,7 +47,7 @@ __all__ = [
     "Diagnostic", "Report", "Rule", "RuleEngine", "Subject",
     "VerificationError", "ERROR", "WARNING", "INFO", "SEVERITIES",
     "all_rules", "default_engine", "reports_to_sarif", "rule_by_id",
-    "verify_compiled", "verify_image_bytes", "verify_minimization",
-    "verify_path", "verify_snapshot_bytes",
-    "verify_stream_bytes", "verify_tea", "verify_trace_set",
+    "verify_compiled", "verify_image_bytes", "verify_path",
+    "verify_snapshot_bytes", "verify_stream_bytes", "verify_tea",
+    "verify_trace_set",
 ]

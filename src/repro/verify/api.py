@@ -49,19 +49,6 @@ def verify_compiled(compiled, tea=None, source="<compiled>", engine=None,
     return _engine(engine, obs).verify(subject)
 
 
-def verify_minimization(result, trace_set=None, program=None,
-                        source="<minimize>", engine=None, obs=None):
-    """Verify a :class:`~repro.minimize.MinimizationResult`.
-
-    The minimized automaton is exposed as the ``tea`` facet too, so the
-    whole automaton family (TEA003-TEA005) checks the quotient alongside
-    the minimization-specific rules TEA052-TEA053.
-    """
-    subject = Subject(source=source, tea=result.tea, trace_set=trace_set,
-                      program=program, minimization=result)
-    return _engine(engine, obs).verify(subject)
-
-
 def verify_snapshot_bytes(data, program=None, source="<snapshot>",
                           engine=None, obs=None, deep=True):
     """Verify TEAB snapshot bytes.
@@ -143,6 +130,10 @@ def _sibling_program(path, data):
         return None
 
 
+#: The magic of each store file suffix.
+_STORE_MAGICS = {".teab": b"TEAB", ".teap": b"TEAP", ".teas": b"TEAS"}
+
+
 def verify_path(path, program=None, engine=None, obs=None, deep=True):
     """Verify a TEA artifact on disk (TEAB snapshot, ``TEAS`` stream
     sidecar, ``TEAP`` program image, or JSON document).
@@ -152,7 +143,9 @@ def verify_path(path, program=None, engine=None, obs=None, deep=True):
     so the CFG family can run; without one it is verified without a
     program (the image's own damage is TEA027's, on the image file).
     JSON TEA documents *require* ``program`` — the document stores
-    only spans.
+    only spans.  The magic picks the verifier; a ``.teab``, ``.teap``
+    or ``.teas`` file with no known magic goes to its suffix's, so its
+    damage is a finding (TEA020 or TEA027), not a usage error.
 
     Raises :class:`~repro.errors.SerializationError` when the file
     cannot be read or is a JSON document without a program — usage
@@ -173,7 +166,10 @@ def verify_path(path, program=None, engine=None, obs=None, deep=True):
     import os
 
     name, suffix = os.path.splitext(os.path.basename(str(path)))
-    if data[:4] == b"TEAS":
+    magic = data[:4]
+    if magic not in _STORE_MAGICS.values():
+        magic = _STORE_MAGICS.get(suffix, magic)
+    if magic == b"TEAS":
         return verify_stream_bytes(
             data, key=name if suffix == ".teas" else None,
             program_digest=(program.content_digest() if program is not None
@@ -181,13 +177,13 @@ def verify_path(path, program=None, engine=None, obs=None, deep=True):
             source=str(path), engine=engine, obs=obs,
         )
 
-    if data[:4] == b"TEAP":
+    if magic == b"TEAP":
         return verify_image_bytes(
             data, key=name if suffix == ".teap" else None,
             source=str(path), engine=engine, obs=obs,
         )
 
-    if data[:4] == b"TEAB":
+    if magic == b"TEAB":
         if program is None and deep:
             program = _sibling_program(path, data)
         return verify_snapshot_bytes(

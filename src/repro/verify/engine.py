@@ -50,8 +50,7 @@ def rule_by_id(rule_id):
 
 #: The built-in rule modules of this package, in catalog order.
 BUILTIN_RULE_MODULES = ("rules_automaton", "rules_cfg", "rules_compiled",
-                        "rules_minimize", "rules_snapshot", "rules_stream",
-                        "rules_traces")
+                        "rules_snapshot", "rules_stream", "rules_traces")
 
 
 def _load_builtin_rules():
@@ -74,7 +73,7 @@ class Rule:
     #: Default severity of this rule's findings.
     severity = ERROR
     #: Rule family: automaton / cfg / snapshot / stream / compiled /
-    #: traces / minimize.
+    #: traces.
     family = None
     #: One-line description (shown in SARIF rule metadata and docs).
     description = ""
@@ -124,9 +123,6 @@ class Subject:
       snapshot scan (walking the blobs the snapshot embeds);
       load-path gating leaves it unset so verify-on-load stays
       O(section table);
-    - ``minimization`` — a
-      :class:`~repro.minimize.MinimizationResult` (original automaton,
-      quotient and state map; enables TEA052-TEA053);
     - ``stream`` — raw sidecar bytes (rule TEA027): a ``TEAS``
       execution stream or a ``TEAP`` program image, with the optional
       expectations ``stream_key`` (the store key the file is filed
@@ -143,13 +139,13 @@ class Subject:
 
     __slots__ = ("source", "tea", "trace_set", "program",
                  "program_mismatch", "compiled", "snapshot",
-                 "snapshot_deep", "minimization", "stream", "stream_key",
-                 "stream_digest", "_views", "_snapshot_scan")
+                 "snapshot_deep", "stream", "stream_key", "stream_digest",
+                 "_views", "_snapshot_scan")
 
     def __init__(self, source="<memory>", tea=None, trace_set=None,
                  program=None, compiled=None, snapshot=None,
-                 snapshot_deep=None, minimization=None,
-                 stream=None, stream_key=None, stream_digest=None):
+                 snapshot_deep=None, stream=None, stream_key=None,
+                 stream_digest=None):
         self.source = str(source)
         self.tea = tea
         self.trace_set = trace_set
@@ -158,7 +154,6 @@ class Subject:
         self.compiled = compiled
         self.snapshot = snapshot
         self.snapshot_deep = snapshot_deep
-        self.minimization = minimization
         self.stream = stream
         self.stream_key = stream_key
         self.stream_digest = stream_digest
@@ -194,7 +189,7 @@ class Subject:
         facets = [
             facet for facet in
             ("tea", "trace_set", "program", "compiled", "snapshot",
-             "snapshot_deep", "minimization", "stream")
+             "snapshot_deep", "stream")
             if getattr(self, facet) is not None
         ]
         return "<Subject %s: %s>" % (self.source, "+".join(facets) or "empty")

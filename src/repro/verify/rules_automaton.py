@@ -16,6 +16,11 @@ by reference, and the compiled tables are checked for both by TEA030
 from repro.verify.diagnostics import WARNING
 from repro.verify.engine import Rule, register
 
+# The family reads ``Subject.views``: loading the view module with the
+# catalog keeps a process that imports the catalog up front (the
+# server) from importing it later, mid-preload.
+from repro.verify.views import NTE_SID
+
 
 class AutomatonUnreachableState(Rule):
     rule_id = "TEA003"
@@ -54,8 +59,6 @@ class AutomatonNteConsistency(Rule):
     requires = ("views",)
 
     def check(self, subject):
-        from repro.core.automaton import NTE_SID
-
         for view in subject.views:
             if view.n_states < 1:
                 yield self.diag(

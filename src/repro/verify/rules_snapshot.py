@@ -20,8 +20,7 @@ canonically as it goes, so the decode -> re-encode byte-identity check
 walked TBBs and re-derives SUMMARY and LABEL_POOL; the shallow scan of
 the load-path gate stays O(section table).  A
 :class:`~repro.verify.engine.Subject` scans its snapshot once, however
-many rules read the result; the scan also keeps the meta and state
-count it passes (TEA050 reads them).
+many rules read the result.
 """
 
 import json
@@ -112,15 +111,10 @@ class SnapshotScan:
     data_dict)`` findings, one list per rule family member.  An
     envelope failure aborts the scan (the other lists stay empty — the
     envelope finding is the root cause).
-
-    ``meta`` (the decoded meta JSON) and ``n_states`` (the automaton's
-    state count) are what the scan learned on the way, for the rules
-    that read the snapshot's content (TEA050); each stays ``None``
-    until the scan reaches it.
     """
 
     __slots__ = ("envelope", "structure", "order", "roundtrip",
-                 "sections", "crc", "payload_scanned", "meta", "n_states")
+                 "sections", "crc", "payload_scanned")
 
     def __init__(self):
         self.envelope = []
@@ -130,8 +124,6 @@ class SnapshotScan:
         self.sections = []
         self.crc = []
         self.payload_scanned = False
-        self.meta = None
-        self.n_states = None
 
     def sound(self):
         """True when nothing blocks decoding the payload (ordering and
@@ -187,7 +179,7 @@ def _walk(data, start, end, what, scan, walk):
 def _check_meta(text, scan):
     """The meta section must be JSON (``text``: str or UTF-8 bytes)."""
     try:
-        scan.meta = json.loads(text)
+        json.loads(text)
     except ValueError as error:
         scan.structure.append((
             "meta section is not valid JSON: %s" % error, {},
@@ -318,8 +310,8 @@ def scan_snapshot(data, deep=False):
     from repro.store.binary import (
         _ENTRY, _HEADER, _REBUILD, BINARY_VERSION, ENTRY_SIZE,
         HEADER_SIZE, INT64_SECTIONS, MAGIC, REQUIRED_SECTIONS,
-        SEC_HEAD_ENTRIES, SEC_HEAD_SIDS, SEC_LABEL_POOL, SEC_META,
-        SEC_STATE_REFS, SEC_TBB_FLAG, SEC_TRANS_DEST, SEC_TRANS_LABELS,
+        SEC_HEAD_ENTRIES, SEC_HEAD_SIDS, SEC_LABEL_POOL, SEC_STATE_REFS,
+        SEC_TBB_FLAG, SEC_TRANS_DEST, SEC_TRANS_LABELS,
         SEC_TRANS_OFFSET, SECTION_NAMES, int64_section,
     )
 
@@ -469,7 +461,7 @@ def scan_snapshot(data, deep=False):
         # content checks below would read through the damage.
         return scan
 
-    n_states = scan.n_states = sections[SEC_TBB_FLAG][2]
+    n_states = sections[SEC_TBB_FLAG][2]
     if n_states < 1:
         scan.sections.append((
             "tbb_flag declares %d states; the NTE state is mandatory"
@@ -564,15 +556,6 @@ def scan_snapshot(data, deep=False):
         ))
     if deep and not scan.sections:
         _scan_blobs(data, sections, view, scan)
-    elif SEC_META in sections:
-        # The shallow scan reads the meta without judging it: meta that
-        # is not JSON is a finding of the deep blob walk.
-        offset, length, _count = sections[SEC_META]
-        try:
-            scan.meta = json.loads(bytes(memoryview(data)[offset:
-                                                          offset + length]))
-        except ValueError:
-            pass
     return scan
 
 

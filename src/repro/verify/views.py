@@ -3,7 +3,7 @@
 The object-graph :class:`~repro.core.automaton.TEA` and the flat-table
 :class:`~repro.core.compiled.CompiledTea` encode the same DFA, so the
 automaton rule family (reachability, NTE consistency) checks both with
-the same code, and the diff engine aligns either with the other.
+the same code.
 :class:`AutomatonView` is the adapter: integer state ids, a transition
 list per state as ``(label, dest_sid)`` pairs in storage order, the
 head registry as ``(entry, sid)`` pairs, and in-trace flags.  Nothing

@@ -3,8 +3,8 @@ and service paths that decode an image instead of regenerating a
 program.
 
 ``repro.service build`` stores the assembled program beside each
-snapshot (``<snapshot-key>.teap``).  The server, ``gc``, minimization
-and the tools decode it; none of them calls the workload generator.
+snapshot (``<snapshot-key>.teap``).  The server, ``gc`` and ``tools
+verify`` decode it; none of them calls the workload generator.
 
 ``tests/golden/image_digests.json`` pins the SHA-256 of every golden
 program's image bytes, so a change to how the encoder finds its shape
@@ -314,34 +314,24 @@ def test_gc_drops_images_with_their_snapshots(tmp_path, capsys):
     assert store.gc() == 0
 
 
-def test_minimize_carries_the_image(two_programs):
-    store, keys = two_programs
-    program = store.load_program(keys["a"])
-    new_key, _result = store.put_minimized(keys["a"])
-    assert store.load_program(new_key).content_digest() == \
-        program.content_digest()
-    assert verify_path(store.image_path(new_key)).ok()
-    images = sorted(name[:-len(".teap")]
-                    for _root, _dirs, files in os.walk(store.root)
-                    for name in files if name.endswith(".teap"))
-    assert images == store.keys()
-
-
 def test_tools_load_a_snapshot_with_its_image(two_programs, tmp_path,
                                              capsys):
     from repro.tools.__main__ import main
 
     store, keys = two_programs
-    out = tmp_path / "min.teab"
-    assert main(["minimize", store.path_for(keys["a"]),
-                 "--out", str(out)]) == 0
-    assert "no program image" not in capsys.readouterr().err
+
+    def cfg_rules_run(*argv):
+        # The CFG family runs only where verify has the program.
+        assert main(["verify", "--format", "json", *argv]) == 0
+        report, = json.loads(capsys.readouterr().out)
+        return "TEA010" in report["rules_run"]
+
+    assert cfg_rules_run(store.path_for(keys["a"]))
     loose = tmp_path / "loose.teab"
     shutil.copyfile(store.path_for(keys["a"]), loose)
-    assert main(["minimize", str(loose)]) == 1
-    assert "no program image" in capsys.readouterr().err
-    assert main(["minimize", str(loose), "--benchmark", BENCHMARK,
-                 "--scale", "0.2"]) == 0
+    assert not cfg_rules_run(str(loose))
+    assert cfg_rules_run(str(loose), "--benchmark", BENCHMARK,
+                         "--scale", "0.2")
 
 
 def test_verify_path_over_every_store_file(two_programs):

@@ -26,8 +26,6 @@ other base has one depth, and its rows leave ``shallow`` as ``None``.
   source automaton (``verify_compiled``).
 - ``traces``: the decoded trace set and its program, verified as a
   trace file is (``verify_trace_set``).
-- ``minimized``: an exact or budgeted minimization of the automaton
-  (``verify_minimization``).
 - ``image`` / ``stream``: the program's ``TEAP`` image and ``TEAS``
   execution stream (rule TEA027).
 """
@@ -46,7 +44,6 @@ from repro.core.compiled import CompiledTea
 from repro.cpu.stream import ExecutionStream
 from repro.isa.image import encode_image
 from repro.isa.program import Program
-from repro.minimize import minimize_tea
 from repro.pin import Pin, TeaReplayTool
 from repro.store import dump_tea_binary, load_tea_binary
 from repro.store.binary import (
@@ -79,7 +76,6 @@ from repro.verify import (
     all_rules,
     verify_compiled,
     verify_image_bytes,
-    verify_minimization,
     verify_snapshot_bytes,
     verify_stream_bytes,
     verify_tea,
@@ -271,8 +267,8 @@ def head_entries_unsorted(data):
 
 # ---------------------------------------------------------------------
 # decoded-content seeders: the golden snapshot's trace set, automaton
-# and profile, damaged where a builder, lowering, recorder or
-# minimizer bug would damage them
+# and profile, damaged where a builder, lowering or recorder bug would
+# damage them
 # ---------------------------------------------------------------------
 
 World = namedtuple("World", "program trace_set tea profile meta")
@@ -496,28 +492,14 @@ def _rewritten(world, meta=None):
                            meta=world.meta if meta is None else meta)
 
 
-def _provenance(world, **summary):
-    fields = {"mode": "exact", "budget": None,
-              "states_before": world.tea.n_states,
-              "states_after": world.tea.n_states}
-    fields.update(summary)
-    origin = fields.pop("origin", "a" * 64)
-    return dict(world.meta, minimized_from=origin, minimize=fields)
-
-
-def provenance_bad_origin(world):
-    return _rewritten(world, _provenance(world, origin="nope"))
-
-
-def provenance_grew(world):
-    return _rewritten(world, _provenance(
-        world, states_before=world.tea.n_states - 1))
-
-
-def provenance_states_disagree(world):
-    return _rewritten(world, _provenance(
-        world, states_before=world.tea.n_states + 5,
-        states_after=world.tea.n_states + 1))
+def minimize_provenance_meta(world):
+    # Stores written while the minimizer existed hold snapshots whose
+    # meta names the snapshot they were minimized from.
+    return _rewritten(world, dict(
+        world.meta, minimized_from="a" * 64,
+        minimize={"mode": "exact", "budget": None,
+                  "states_before": world.tea.n_states + 5,
+                  "states_after": world.tea.n_states}))
 
 
 def profiled_state_stranded(world):
@@ -526,50 +508,6 @@ def profiled_state_stranded(world):
     assert world.profile.state_counts.get(stranded.sid)
     _state(world, 1, 0).transitions.clear()
     return _rewritten(world)
-
-
-def _exact(world):
-    return minimize_tea(world.tea), world
-
-
-def _budgeted(world):
-    return minimize_tea(world.tea, budget=20), world
-
-
-def minimized_transition_dropped(world):
-    # Exact mode: nothing may be lost, so the walks must agree.
-    result, world = pair = _exact(world)
-    result.tea.states[result.state_map[_state(world, 1, 0).sid]] \
-        .transitions.clear()
-    return pair
-
-
-def state_map_wrong_block(world):
-    # T2's head is mapped onto T1's head, which is different code.
-    result, world = pair = _budgeted(world)
-    result.state_map[_state(world, 2, 0).sid] = \
-        result.state_map[_state(world, 1, 0).sid]
-    return pair
-
-
-def over_budget(world):
-    # The quotient keeps one state more than the budget allows.
-    result, world = pair = _budgeted(world)
-    result.budget = result.tea.n_states - 1
-    return pair
-
-
-def spilled_but_mapped(world):
-    # T1's head is recorded as spilled but is still in the quotient.
-    result, world = pair = _budgeted(world)
-    result.spilled = list(result.spilled) + [_state(world, 1, 0).sid]
-    return pair
-
-
-def minimized_head_dropped(world):
-    result, world = pair = _budgeted(world)
-    del result.tea.heads[_entry(world, 3)]
-    return pair
 
 
 def _image(world):
@@ -655,6 +593,8 @@ SNAPSHOT_ROWS = [
         transition_labels_unsorted, _ids("TEA024"), _ids("TEA024")),
     Row("snapshot", "v2-head-entries-unsorted", "v2", head_entries_unsorted,
         _ids("TEA024"), _ids("TEA024")),
+    Row("snapshot", "minimize-provenance-meta-clean", "rewritten",
+        minimize_provenance_meta, NONE, NONE),
 ]
 
 ROWS = SNAPSHOT_ROWS + [
@@ -743,29 +683,6 @@ ROWS = SNAPSHOT_ROWS + [
         None, _ids("TEA027")),
     Row("stream", "stream-of-another-program", "stream",
         stream_of_another_program, None, _ids("TEA027")),
-    # minimize: lying provenance meta, caught at every load
-    Row("minimize", "rewritten-clean", "rewritten", _rewritten, NONE, NONE),
-    Row("minimize", "provenance-bad-origin", "rewritten",
-        provenance_bad_origin, _ids("TEA050"), _ids("TEA050")),
-    Row("minimize", "provenance-grew", "rewritten", provenance_grew,
-        _ids("TEA050"), _ids("TEA050")),
-    Row("minimize", "provenance-states-disagree", "rewritten",
-        provenance_states_disagree, _ids("TEA050"), _ids("TEA050")),
-    # minimize: a minimizer bug, checked as `repro tools minimize` does
-    Row("minimize", "exact-clean", "minimized", _exact, None, NONE),
-    Row("minimize", "budgeted-clean", "minimized", _budgeted, None, NONE),
-    Row("minimize", "minimized-transition-dropped", "minimized",
-        minimized_transition_dropped, None,
-        _ids("TEA003", "TEA052")),
-    Row("minimize", "state-map-wrong-block", "minimized",
-        state_map_wrong_block, None, _ids("TEA052")),
-    Row("minimize", "over-budget", "minimized", over_budget, None,
-        _ids("TEA053")),
-    Row("minimize", "spilled-but-mapped", "minimized", spilled_but_mapped,
-        None, _ids("TEA053")),
-    Row("minimize", "minimized-head-dropped", "minimized",
-        minimized_head_dropped, None,
-        _ids("TEA003", "TEA005", "TEA052", "TEA053")),
     # dataflow: rows written for the deleted TEA060-TEA062, which never
     # caught one of them alone
     # a stranded state whose own transitions can never fire
@@ -818,8 +735,6 @@ def bases(golden_snapshot, golden_snapshot_program):
             pair[0], tea=pair[1])),
         "traces": Base(world, lambda pair, _deep: verify_trace_set(
             pair[0], program=pair[1])),
-        "minimized": Base(world, lambda pair, _deep: verify_minimization(
-            pair[0], trace_set=pair[1].trace_set, program=program)),
         "image": Base(lambda: _image(world()),
                       lambda pair, _deep: verify_image_bytes(
                           pair[0], key=pair[1])),

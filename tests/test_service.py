@@ -277,10 +277,10 @@ def test_bad_params(shared_service):
                 with pytest.raises(ServiceError) as excinfo:
                     client.call(method, engine=engine)
                 assert excinfo.value.code == E_PARAMS
-            with pytest.raises(ServiceError) as excinfo:
-                client.call("diff", b=client.snapshots()[0]["key"],
-                            engine=engine)
-            assert excinfo.value.code == E_PARAMS
+        # The diff RPC is gone: its old parameters name no method.
+        with pytest.raises(ServiceError) as excinfo:
+            client.call("diff", b=client.snapshots()[0]["key"])
+        assert excinfo.value.code == E_METHOD
         with pytest.raises(ServiceError) as excinfo:
             client.call("step-batch", labels=[1], start=10 ** 6)
         assert excinfo.value.code == E_PARAMS

@@ -218,7 +218,7 @@ def test_tea_info_garbage_is_clean_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------
-# minimize / diff / store gc (see docs/minimize_and_diff.md)
+# tea info on a tree recording / store gc
 # ---------------------------------------------------------------------
 
 
@@ -233,7 +233,7 @@ def nested_source_file(tmp_path):
 
 @pytest.fixture
 def teab_file(tmp_path, nested_source_file):
-    """A TEAB snapshot of a merge-rich (tree-strategy) recording."""
+    """A TEAB snapshot of a tree-strategy recording."""
     from tests.conftest import record_traces
     from repro.core import build_tea
     from repro.isa import assemble
@@ -253,7 +253,6 @@ def test_tea_info_json_format(teab_file, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["file"] == teab_file
     assert info["states"] > 0
-    assert info["mergeable_estimate"] >= 1
     assert info["meta"]["label"] == "nested"
 
 
@@ -261,97 +260,8 @@ def test_tea_info_text_reports_shape(teab_file, capsys):
     code = main(["tea", "info", teab_file])
     assert code == 0
     output = capsys.readouterr().out
-    assert "mergeable estimate" in output
-    assert "repro tools minimize" in output
-
-
-def test_minimize_cli_writes_verified_snapshot(teab_file, nested_source_file,
-                                               tmp_path, capsys):
-    from repro.store import peek_tea_binary
-
-    out = tmp_path / "min.teab"
-    code = main(["minimize", teab_file, "--source", nested_source_file,
-                 "--out", str(out), "--format", "json"])
-    assert code == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["verified"] is True
-    assert summary["merged"] >= 1
-    assert summary["states_after"] < summary["states_before"]
-    assert summary["out"] == str(out)
-    info = peek_tea_binary(out.read_bytes())
-    assert info["meta"]["label"] == "nested-min"
-    assert len(info["meta"]["minimized_from"]) == 64
-    assert info["states"] == summary["states_after"]
-    capsys.readouterr()
-    # The written snapshot is verify --strict clean.
-    assert main(["verify", "--strict", "--source", nested_source_file,
-                 str(out)]) == 0
-
-
-def test_minimize_cli_text_output(teab_file, nested_source_file, capsys):
-    code = main(["minimize", teab_file, "--source", nested_source_file])
-    assert code == 0
-    output = capsys.readouterr().out
-    assert "minimized" in output and "states:" in output
-
-
-def test_minimize_cli_json_traces_input(source_file, trace_file, capsys):
-    code = main(["minimize", trace_file, "--source", source_file,
-                 "--format", "json"])
-    assert code == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["verified"] is True
-    assert summary["merged"] == 0  # the simple loop has nothing to merge
-
-
-def test_minimize_cli_budget_too_small_is_clean_error(teab_file,
-                                                      nested_source_file,
-                                                      capsys):
-    code = main(["minimize", teab_file, "--source", nested_source_file,
-                 "--budget", "1"])
-    assert code == 1
-    assert "budget" in capsys.readouterr().err
-
-
-def test_minimize_cli_teab_without_image_needs_program(teab_file, capsys):
-    code = main(["minimize", teab_file])
-    assert code == 1
-    assert "no program image" in capsys.readouterr().err
-
-
-def test_diff_cli_exit_codes(teab_file, nested_source_file, tmp_path,
-                             capsys):
-    out = tmp_path / "min.teab"
-    assert main(["minimize", teab_file, "--source", nested_source_file,
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-
-    assert main(["diff", teab_file, teab_file]) == 0
-    assert "(identical)" in capsys.readouterr().out
-
-    code = main(["diff", teab_file, str(out)])
-    assert code == 1
-    output = capsys.readouterr().out
-    assert "tea diff:" in output and "similarity:" in output
-
-    code = main(["diff", teab_file, str(out), "--format", "json"])
-    assert code == 1
-    report = json.loads(capsys.readouterr().out)
-    assert 0.0 < report["similarity"] < 1.0
-    assert report["states"]["added"] == 0
-    assert report["identical"] is False
-
-
-def test_diff_cli_missing_file_is_usage_error(teab_file, tmp_path, capsys):
-    code = main(["diff", teab_file, str(tmp_path / "missing.teab")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_diff_cli_json_without_program_is_usage_error(trace_file, capsys):
-    code = main(["diff", trace_file, trace_file])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "automaton: " in output
+    assert "shape:" not in output
 
 
 def test_store_gc_cli(tmp_path, capsys):

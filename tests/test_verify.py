@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import (
     CALL_LOOP_SOURCE,
+    GOLDEN_SNAPSHOT,
     NESTED_DIAMOND_SOURCE,
     SIMPLE_LOOP_SOURCE,
     record_traces,
@@ -185,8 +186,8 @@ def test_snapshot_verify_scans_once(world, snapshot, golden_snapshot,
     assert count_scans["scan"] == 1
     # Only a deep scan walks the blobs a snapshot embeds.
     assert count_scans["blobs"] == (1 if deep else 0)
-    # Every rule reads the snapshot through that one scan (TEA050's
-    # provenance meta included), never through a second parse.
+    # Every rule reads the snapshot through that one scan, never
+    # through a second parse.
     assert count_scans["peek"] == 0
 
 
@@ -695,3 +696,20 @@ def test_cli_verify_strict_json_verdict_matches_exit_code(tmp_path, capsys):
         assert {diag["rule"] for diag in document["diagnostics"]} == \
             {"TEA003"}
         assert document["ok"] is ok
+
+
+def test_cli_verify_reports_store_files_with_no_magic(tmp_path, capsys):
+    # A store file whose magic is gone is a finding of its suffix's
+    # rule, and the files after it are still verified.
+    from repro.tools.__main__ import main
+
+    junk = bytes(range(7, 107))
+    paths = [_write(tmp_path, "x" + suffix, junk)
+             for suffix in (".teab", ".teap", ".teas")]
+    assert main(["verify", "--format", "json", *paths,
+                 str(GOLDEN_SNAPSHOT)]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    assert [report["target"] for report in reports] == \
+        paths + [str(GOLDEN_SNAPSHOT)]
+    assert [[diag["rule"] for diag in report["diagnostics"]]
+            for report in reports] == [["TEA020"], ["TEA027"], ["TEA027"], []]
