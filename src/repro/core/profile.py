@@ -7,8 +7,7 @@ counters — "the ability to label duplicate instructions differently for
 every copy of it in the running program" (Section 2).
 
 :class:`TeaProfile` keeps per-state execution counts, per-edge counts and
-per-trace enter/exit counts; trace exit *ratios* feed the phase-detection
-extension (:mod:`repro.analysis.phases`).
+per-trace enter/exit counts.
 """
 
 

@@ -247,9 +247,6 @@ class TeaReplayer:
         for entry, head in tea.heads.items():
             self.directory.insert(entry, head)
         self._caches = {}
-        #: Optional observer ``fn(previous_state, new_state)`` called after
-        #: every step but the run's last — the phase detector hooks in here.
-        self.on_step = None
 
     # ------------------------------------------------------------------
 
@@ -280,7 +277,6 @@ class TeaReplayer:
         cost = self.cost
         params = cost.params
         state = self.state
-        previous = state
 
         counters["blocks"].value += 1
         counters["total_dbt"].value += instrs_dbt
@@ -313,10 +309,8 @@ class TeaReplayer:
             self.state = self._probe(next_start, cache=None)
 
         if self.profile is not None:
-            self.profile.record_block(previous, instrs_dbt)
-            self.profile.record_edge(previous, self.state)
-        if self.on_step is not None:
-            self.on_step(previous, self.state)
+            self.profile.record_block(state, instrs_dbt)
+            self.profile.record_edge(state, self.state)
         return self.state
 
     def run(self, transitions):
@@ -328,11 +322,11 @@ class TeaReplayer:
         charges are flushed once at the batch boundary.  Accounting is
         identical to calling :meth:`step` per transition.
 
-        When a ``profile`` or ``on_step`` observer is attached the
-        replayer falls back to per-call :meth:`step` so observers keep
-        their exact per-transition view.
+        When a ``profile`` is attached the replayer falls back to
+        per-call :meth:`step`, so the profile records exactly what a
+        :meth:`step` walk records.
         """
-        if self.profile is not None or self.on_step is not None:
+        if self.profile is not None:
             state = self.state
             for transition in transitions:
                 state = self.step(transition.next_start, transition.instrs_dbt,

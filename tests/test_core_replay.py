@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.cfg.basic_block import BlockIndex
 from repro.core import ReplayConfig, TeaProfile, TeaReplayer, build_tea
 from repro.core.directory import BPlusTreeDirectory, LinkedListDirectory
-from repro.cpu.stream import ExecutionStream
 from repro.pin import Pin, TeaReplayTool, run_native
 from tests.conftest import record_traces
 
@@ -203,23 +201,6 @@ def test_profile_collected_during_replay(nested_program):
     total_blocks = sum(profile.state_counts.values())
     assert total_blocks == tool.stats.blocks
     assert profile.trace_enters
-
-
-def test_on_step_observer_called(nested_program):
-    trace_set = record_traces(nested_program).trace_set
-    replayer = TeaReplayer(build_tea(trace_set))
-    seen = []
-
-    def observe(prev, new):
-        seen.append((prev, new))
-
-    replayer.on_step = observe
-    stream = ExecutionStream.record(nested_program)
-    for transition in stream.block_transitions(BlockIndex(nested_program),
-                                               nested_program.entry):
-        replayer.step(transition.next_start, transition.instrs_dbt,
-                       transition.instrs_pin)
-    assert len(seen) == replayer.stats.blocks - 1  # flush step has no next
 
 
 def test_cost_breakdown_categories(nested_program):

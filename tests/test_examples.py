@@ -6,10 +6,14 @@ demonstrate keep working.
 """
 
 import importlib
+import pathlib
+import re
 import sys
 
 
 sys.path.insert(0, "examples")
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_example(name, monkeypatch=None, **overrides):
@@ -41,13 +45,6 @@ def test_unroll_profiling(capsys, monkeypatch):
     output = capsys.readouterr().out
     assert "copy 0" in output and "copy 1" in output
     assert "factor 2" in output
-
-
-def test_phase_detection(capsys, monkeypatch):
-    run_example("phase_detection", monkeypatch)
-    output = capsys.readouterr().out
-    assert "detected phases" in output
-    assert "phase 1" in output
 
 
 def test_cross_environment_replay(capsys, monkeypatch):
@@ -87,3 +84,14 @@ def test_persistent_profiles(capsys, monkeypatch):
     output = capsys.readouterr().out
     assert "run 2: merged" in output
     assert "optimization candidates" in output
+
+
+def test_readme_lists_every_example_and_each_has_a_test():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("Runnable examples (in `examples/`):", 1)[1]
+    table = table.split("\n\n", 2)[1]
+    listed = re.findall(r"^\| `(\w+)\.py` \|", table, re.MULTILINE)
+    scripts = sorted(path.stem for path in (ROOT / "examples").glob("*.py"))
+    assert sorted(listed) == scripts
+    for name in scripts:
+        assert "test_" + name in globals(), name

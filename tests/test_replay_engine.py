@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ReplayConfig, TeaReplayer, build_tea
+from repro.core import ReplayConfig, TeaProfile, TeaReplayer, build_tea
 from repro.dbt.cost import CostModel, CostParameters
 from repro.pin import Pin, TeaReplayTool
 from repro.structures import BPlusTree, DirectMappedCache, LRUCache
@@ -69,26 +69,21 @@ def test_run_in_chunks_matches_one_call(nested_stream):
 
 def test_run_falls_back_to_step_with_observer(nested_stream):
     tea, transitions = nested_stream
-    seen = []
-    replayer = TeaReplayer(tea, config=ReplayConfig.global_local())
-    def observe(prev, new):
-        seen.append((prev, new))
-
-    replayer.on_step = observe
-    replayer.run(transitions)
-    # Every block observed individually (step() skips the terminal
-    # next_start=None transition for observers, by design), with the
-    # moves a per-call step() walk makes.
-    stepwise = TeaReplayer(tea, config=ReplayConfig.global_local())
-    moves = []
+    batched = TeaReplayer(tea, config=ReplayConfig.global_local(),
+                          profile=TeaProfile())
+    batched.run(transitions)
+    stepwise = TeaReplayer(tea, config=ReplayConfig.global_local(),
+                           profile=TeaProfile())
     for transition in transitions:
-        previous = stepwise.state
-        if transition.next_start is not None:
-            moves.append((previous,
-                          stepwise.step(transition.next_start,
-                                        transition.instrs_dbt,
-                                        transition.instrs_pin)))
-    assert seen == moves
+        stepwise.step(transition.next_start, transition.instrs_dbt,
+                      transition.instrs_pin)
+    # The profile sees every block and edge a per-call step() walk sees.
+    for field in ("state_counts", "edge_counts", "trace_enters",
+                  "trace_exits"):
+        assert getattr(batched.profile, field) == \
+            getattr(stepwise.profile, field), field
+    assert batched.profile.state_counts
+    assert batched.stats.as_dict() == stepwise.stats.as_dict()
 
 
 def test_tea_tool_batch_size_matches_default(nested_program, nested_traces):
