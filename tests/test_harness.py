@@ -34,10 +34,6 @@ def test_geomean():
 def test_column_kinds():
     assert Column("x", "percent").render(0.5) == "50.0%"
     assert Column("x", "percent").render(0.9999) == "100%"
-    # Paper-style: "100%" from 99.95% up, else one decimal.
-    assert Column("x", "percent").render(1.0) == "100%"
-    assert Column("x", "percent").render(0.9996) == "100%"
-    assert Column("x", "percent").render(0.904) == "90.4%"
     assert Column("x", "ratio").render(1.5) == "1.50"
     assert Column("x", "int").render(3.4) == "3"
     assert Column("x", "kb").render(12.34) == "12.3"
