@@ -6,9 +6,11 @@ probe, the replayer's step function, and Algorithm 1 construction.
 
 The SX86 front end is timed on the ``ingest`` workload's program
 (176.gcc at scale 0.3), one never assembled or encoded before in every
-round: the assembler over the generated source, and the program image
-round trip the service's write path makes (encode with the content
-digest, then decode with the digest check).
+round: ``load_benchmark`` (the generator's instruction records through
+the assembler's back half, the path ``build`` takes), the text
+assembler over the same program's rendered source, and the program
+image round trip the service's write path makes (encode with the
+content digest, then decode with the digest check).
 
 The interpreter appears twice.  The hot 20,000-iteration loop reuses
 each translated block thousands of times, so translation is free there.
@@ -123,14 +125,19 @@ _ONLINE_DIGESTS = json.loads(
     (_GOLDEN / "online_digests.json").read_text())
 
 
+def test_load_fresh_ingest_program(benchmark):
+    workload = benchmark(load_benchmark, "176.gcc", scale=0.3)
+    assert workload.program.content_digest() == _INGEST_DIGEST
+
+
 def test_assemble_fresh_ingest_program(benchmark):
-    source = load_benchmark("176.gcc", scale=0.3).program.source
+    source = load_benchmark("176.gcc", scale=0.3).source
     program = benchmark(assemble, source)
     assert program.content_digest() == _INGEST_DIGEST
 
 
 def test_image_round_trip_fresh_ingest_program(benchmark):
-    source = load_benchmark("176.gcc", scale=0.3).program.source
+    source = load_benchmark("176.gcc", scale=0.3).source
     owner = "5e" * 32
 
     def fresh_program():

@@ -10,7 +10,8 @@ paper executed.  It provides:
 - :mod:`repro.isa.encoding` — a documented byte-length model so programs
   have realistic x86-like code addresses and code-size accounting.
 - :mod:`repro.isa.program` — an assembled program image.
-- :mod:`repro.isa.assembler` — a two-pass textual assembler.
+- :mod:`repro.isa.assembler` — a two-pass assembler of instruction records
+  or SX86 text.
 
 TEA itself only ever sees program counters and branch edges, so any ISA with
 conditional/indirect control flow, calls and REP string ops exercises the

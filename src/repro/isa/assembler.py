@@ -1,4 +1,4 @@
-"""Two-pass assembler for SX86 text.
+"""Two-pass assembler for SX86: a text parser and the back half it feeds.
 
 Syntax (a pragmatic subset of Intel syntax)::
 
@@ -18,29 +18,24 @@ Syntax (a pragmatic subset of Intel syntax)::
     buffer: .zero 16     ; sixteen zero words
     answer: .word 42
 
-Pass one parses instructions and records which instruction each label
-precedes.  Pass two lays out code from the base address (data follows
+Pass one takes records: ``(label, opcode, operands)`` for code and
+``(label, directive, payload)`` for data.  The workload generator emits
+them (:func:`assemble_records`); :func:`assemble` parses each line of
+text into one and feeds it to the same entry, so every check lives in
+one place.  Pass two lays out code from the base address (data follows
 code, 16-byte aligned) and resolves every
 :class:`~repro.isa.operands.LabelRef` into an address — branch targets
 land in ``Instruction.target``, data references become immediates or
 memory displacements.
 
-Both passes do their work once per distinct source line.  Pass one
-keeps a memo of raw lines: a line seen before as an instruction (no
-label, no directive) becomes a new :class:`Instruction`, built through
-``Instruction.__new__``, that shares the first one's opcode and operand
-tuple and its shape (byte length, and what pass two must patch)
-without being split, looked up or validated again.  A line seen for
-the first time is split with ``str.split`` (character loops only for
-bracketed or signed operand text), and its operand text is parsed once
-and shared with every other line spelling it.  A memory operand naming
-a label stays private: pass two patches its ``disp`` in place, so each
-instruction gets its own ``Mem``, and a repeat of such a line copies
-the first parse's registers and scale into a fresh one.  Pass two lays
-out every instruction from the shape its line carries, visits again
-only those needing a label resolved or a branch target set, and
-resolves each distinct label-bearing operand tuple once.  Every memo
-lives and dies with its :class:`Assembler`.
+The entry checks each code record once, keyed on its identity, and
+swaps its operand tuple for an equal one seen before: equal operands
+share one tuple, which the memos keyed on ``(opcode, id(operands))``
+downstream (``Program.content_digest``, ``encode_image``, the
+interpreter's decode) rely on.  A :class:`~repro.isa.operands.LabelMem`
+is a template: each instruction gets its own :class:`Mem`, whose
+``disp`` pass two patches.  Every memo lives and dies with its
+:class:`Assembler`.
 """
 
 import re
@@ -48,7 +43,7 @@ import re
 from repro.errors import AssemblerError
 from repro.isa.encoding import instruction_length
 from repro.isa.instructions import OPCODES, Instruction, is_direct_branch
-from repro.isa.operands import Imm, LabelRef, Mem, Reg
+from repro.isa.operands import Imm, LabelMem, LabelRef, Mem, Reg
 from repro.isa.program import DEFAULT_BASE, Program
 from repro.isa.registers import is_register_name, register_index
 
@@ -93,78 +88,147 @@ def _strip_comment(line):
     return line.strip()
 
 
-class _MemFixup:
-    """Deferred resolution of a label appearing in a memory displacement."""
-
-    def __init__(self, mem, label, extra_disp, line):
-        self.mem = mem
-        self.label = label
-        self.extra_disp = extra_disp
-        self.line = line
-
-    def resolve(self, labels):
-        if self.label not in labels:
-            raise AssemblerError("undefined label %r" % self.label, self.line)
-        self.mem.disp = labels[self.label] + self.extra_disp
-
-
 class Assembler:
-    """Stateful assembler; most callers use :func:`assemble` instead."""
+    """Stateful assembler; most callers use :func:`assemble` or
+    :func:`assemble_records` instead."""
 
     def __init__(self):
         self.base = None
         self.entry_label = None
         self.instructions = []
-        self.line_numbers = []  # source line of each instruction
-        self.shapes = []  # (length, patch) of each instruction
+        self.patches = []  # (position, patch flags, line) for pass two
+        # code label -> position of the instruction it names (past the
+        # last one for a trailing label); pass two makes it an address
         self.labels = {}
-        self.pending_labels = []
+        # (Mem, label, extra disp, line) of each label in a displacement
         self.mem_fixups = []
         self.data_items = []  # (kind, payload, line) in layout order
         self.in_data = False
-        self._operand_memo = {}  # label-free operand text -> operand tuple
-        # instruction line -> (opcode, operands, label fixups, shape)
-        self._line_memo = {}
+        # id(record) -> (record, opcode, shared operands, length, patch
+        # flags, LabelMem slots) of each unlabelled code record; holding
+        # the record keeps its id unique.
+        self._known = {}
+        self._shared = {}  # operand tuple -> the first equal one seen
+        self._sized = {}  # (opcode, operand types) -> _size() result
 
     # ------------------------------------------------------------------
-    # pass one: parsing
+    # pass one: records
+    # ------------------------------------------------------------------
+
+    def add_code(self, records, line=1):
+        """Append ``(label, opcode, operands)`` code records, numbered
+        from source line ``line``: ``label`` (or ``None``) names the next
+        instruction, and ``opcode`` is ``None`` for a label alone."""
+        known = self._known
+        instructions = self.instructions
+        patches = self.patches
+        new = Instruction.__new__
+        for line, record in enumerate(records, line):
+            entry = known.get(id(record))
+            if entry is None:
+                label, opcode, operands = record
+                if label is not None:
+                    self._define_label(label, line)
+                if opcode is None:
+                    continue
+                entry = self._first_sight(record, line)
+                if label is None:
+                    known[id(record)] = entry
+            _, opcode, operands, length, patch, slots = entry
+            if slots:
+                operands = _place(operands, slots, line, self.mem_fixups)
+            if patch:
+                patches.append((len(instructions), patch, line))
+            instruction = new(Instruction)
+            instruction.opcode = opcode
+            instruction.operands = operands
+            instruction.length = length
+            instruction.target = None
+            instructions.append(instruction)
+
+    def add_data(self, records, line=1):
+        """Append ``(label, directive, payload)`` data records, numbered
+        from source line ``line``: ``(".zero", count)``, ``(".word",
+        values)`` with each value a number's or a label's text, or
+        ``(None, None)`` for a label alone."""
+        self.in_data = True
+        for line, (label, directive, payload) in enumerate(records, line):
+            if label is not None:
+                self._define_label(label, line)
+            if directive == ".word":
+                if not payload:
+                    raise AssemblerError(".word needs at least one value",
+                                         line)
+            elif directive == ".zero":
+                if payload <= 0:
+                    raise AssemblerError(".zero needs a positive count", line)
+            elif directive is None:
+                continue
+            else:
+                raise AssemblerError("unknown directive %r" % directive, line)
+            self.data_items.append((directive, payload, line))
+
+    def _first_sight(self, record, line):
+        """The instruction of a code record not seen before, with its
+        operand tuple swapped for an equal one seen before, if any."""
+        opcode, operands = record[1:]
+        operands = self._shared.setdefault(operands, operands)
+        kinds = tuple(map(type, operands))
+        sized = self._sized.get((opcode, kinds))
+        if sized is None:
+            sized = self._size(opcode, operands, kinds, line)
+        return (record, opcode, operands) + sized
+
+    def _size(self, opcode, operands, kinds, line):
+        """``(length, patch flags, LabelMem slots)`` of ``opcode
+        operands``, after checking them; kept for every instruction of
+        the same opcode and operand types when no operand's value can
+        change its length."""
+        spec = OPCODES.get(opcode)
+        if spec is None:
+            raise AssemblerError("unknown opcode %r" % (opcode,), line)
+        if len(operands) != spec.arity:
+            raise AssemblerError("%s takes %d operand(s), got %d"
+                                 % (opcode, spec.arity, len(operands)), line)
+        slots = ()
+        placed = operands
+        if LabelMem in kinds:
+            slots = tuple(slot for slot, kind in enumerate(kinds)
+                          if kind is LabelMem)
+            placed = _place(operands, slots, line, [])
+        for slot, refused, takes in _REFUSED_OPERANDS.get(spec.kind, ()):
+            if isinstance(placed[slot], refused):
+                raise AssemblerError(
+                    "%s takes %s as operand %d, not %r"
+                    % (opcode, takes, slot + 1, str(operands[slot])), line)
+        patch = _RESOLVE if LabelRef in kinds else 0
+        if is_direct_branch(opcode, placed):
+            patch |= _DIRECT
+        sized = (instruction_length(opcode, placed), patch, slots)
+        if Imm not in kinds and Mem not in kinds and not slots:
+            self._sized[opcode, kinds] = sized
+        return sized
+
+    def _define_label(self, name, line_number):
+        if name in self.labels:
+            raise AssemblerError("duplicate label %r" % name, line_number)
+        if self.in_data:
+            self.data_items.append(("label", name, line_number))
+        else:
+            self.labels[name] = len(self.instructions)
+
+    # ------------------------------------------------------------------
+    # pass one: parsing text into records
     # ------------------------------------------------------------------
 
     def feed(self, source):
-        line_memo = self._line_memo
-        instructions = self.instructions
-        line_numbers = self.line_numbers
-        shapes = self.shapes
-        new = Instruction.__new__
         for line_number, raw in enumerate(source.splitlines(), start=1):
-            known = line_memo.get(raw)
-            if known is not None and not self.in_data:
-                opcode, operands, fixups, shape = known
-                if fixups is not None:
-                    operands = self._private_operands(operands, fixups,
-                                                      line_number)
-                instruction = new(Instruction)
-                instruction.opcode = opcode
-                instruction.operands = operands
-                instruction.addr = instruction.length = None
-                instruction.target = None
-                if self.pending_labels:
-                    self._bind_pending_labels()
-                instructions.append(instruction)
-                line_numbers.append(line_number)
-                shapes.append(shape)
-                continue
-            if ";" in raw or "#" in raw:
-                line = _strip_comment(raw)
-            else:
-                line = raw.strip()
+            line = _strip_comment(raw)
             if line:
-                self._feed_line(line, line_number, raw)
+                self._feed_line(line, line_number)
 
-    def _feed_line(self, line, line_number, raw=None):
-        """Parse one comment-free line; ``raw`` is its source text when
-        the whole line is this text, so an instruction can be memoized
-        under it."""
+    def _feed_line(self, line, line_number):
+        """Parse one comment-free line."""
         match = _LABEL_RE.match(line) if ":" in line else None
         if match:
             name, rest = match.group(1), match.group(2).strip()
@@ -179,22 +243,14 @@ class Assembler:
             raise AssemblerError(
                 "instruction %r inside .data section" % line, line_number
             )
-        self._instruction(line, line_number, raw)
-
-    def _define_label(self, name, line_number):
-        if name in self.labels or name in (pending for pending, _ in self.pending_labels):
-            raise AssemblerError("duplicate label %r" % name, line_number)
-        if self.in_data:
-            self.data_items.append(("label", name, line_number))
-        else:
-            self.pending_labels.append((name, line_number))
-
-    def _bind_pending_labels(self):
-        """Point the labels seen since the last instruction at the next
-        one (an index; pass two turns it into an address)."""
-        for name, _declared_line in self.pending_labels:
-            self.labels[name] = len(self.instructions)
-        self.pending_labels = []
+        parts = line.split(None, 1)
+        mnemonic = parts[0].lower()
+        operand_text = parts[1] if len(parts) > 1 else ""
+        if mnemonic == "rep":
+            mnemonic = "rep_" + operand_text.strip().lower()
+            operand_text = ""
+        operands = self._parse_operands(operand_text, line_number)
+        self.add_code(((None, mnemonic, operands),), line_number)
 
     def _directive(self, line, line_number):
         parts = line.split(None, 1)
@@ -208,83 +264,21 @@ class Assembler:
             self.entry_label = argument
         elif name == ".data":
             self.in_data = True
-        elif name == ".word":
+        elif name in (".word", ".zero"):
             if not self.in_data:
-                raise AssemblerError(".word outside .data section", line_number)
-            if not argument:
-                raise AssemblerError(".word needs at least one value", line_number)
-            values = [value.strip() for value in argument.split(",")]
-            if "" in values:
-                raise AssemblerError("empty .word value in %r" % argument,
+                raise AssemblerError("%s outside .data section" % name,
                                      line_number)
-            self.data_items.append(("word", values, line_number))
-        elif name == ".zero":
-            if not self.in_data:
-                raise AssemblerError(".zero outside .data section", line_number)
-            count = _parse_number(argument)
-            if count <= 0:
-                raise AssemblerError(".zero needs a positive count", line_number)
-            self.data_items.append(("zero", count, line_number))
+            if name == ".zero":
+                payload = _parse_number(argument)
+            else:
+                payload = ([value.strip() for value in argument.split(",")]
+                           if argument else [])
+                if "" in payload:
+                    raise AssemblerError("empty .word value in %r" % argument,
+                                         line_number)
+            self.add_data(((None, name, payload),), line_number)
         else:
             raise AssemblerError("unknown directive %r" % name, line_number)
-
-    def _instruction(self, line, line_number, raw=None):
-        parts = line.split(None, 1)
-        mnemonic = parts[0].lower()
-        operand_text = parts[1] if len(parts) > 1 else ""
-        if mnemonic == "rep":
-            rest = operand_text.strip().lower()
-            mnemonic = "rep_" + rest
-            operand_text = ""
-        if mnemonic not in OPCODES:
-            raise AssemblerError("unknown opcode %r" % mnemonic, line_number)
-        operands = self._operand_memo.get(operand_text)
-        fixups = None
-        if operands is None:
-            n_fixups = len(self.mem_fixups)
-            operands = self._parse_operands(operand_text, line_number)
-            if len(self.mem_fixups) == n_fixups:
-                self._operand_memo[operand_text] = operands
-            else:
-                fixups = tuple(
-                    (next(slot for slot, operand in enumerate(operands)
-                          if operand is fixup.mem),
-                     fixup.label, fixup.extra_disp)
-                    for fixup in self.mem_fixups[n_fixups:])
-        try:
-            instruction = Instruction(mnemonic, operands)
-        except AssemblerError as error:
-            raise AssemblerError(str(error), line_number) from None
-        for slot, refused, takes in _REFUSED_OPERANDS.get(
-                OPCODES[mnemonic].kind, ()):
-            if isinstance(operands[slot], refused):
-                raise AssemblerError(
-                    "%s takes %s as operand %d, not %r"
-                    % (mnemonic, takes, slot + 1, str(operands[slot])),
-                    line_number)
-        shape = self._shape(instruction)
-        if raw is not None:
-            self._line_memo[raw] = (mnemonic, operands, fixups, shape)
-        self.shapes.append(shape)
-        if self.pending_labels:
-            self._bind_pending_labels()
-        self.instructions.append(instruction)
-        self.line_numbers.append(line_number)
-
-    def _private_operands(self, operands, fixups, line_number):
-        """A copy of a label-bearing operand tuple for a repeated line:
-        each ``(slot, label, extra_disp)`` in ``fixups`` gets a fresh
-        ``Mem`` with the first parse's registers and scale, and its own
-        fixup for pass two to patch."""
-        operands = list(operands)
-        for slot, label, extra_disp in fixups:
-            first = operands[slot]
-            mem = Mem(base=first.base, index=first.index, scale=first.scale,
-                      disp=_PENDING_DISP)
-            self.mem_fixups.append(
-                _MemFixup(mem, label, extra_disp, line_number))
-            operands[slot] = mem
-        return tuple(operands)
 
     def _parse_operands(self, text, line_number):
         text = text.strip()
@@ -373,11 +367,9 @@ class Assembler:
                 label = term
             else:
                 raise AssemblerError("cannot parse %r in memory operand" % term, line_number)
-        mem = Mem(base=base, index=index, scale=scale, disp=disp)
         if label is not None:
-            mem.disp = _PENDING_DISP
-            self.mem_fixups.append(_MemFixup(mem, label, disp, line_number))
-        return mem
+            return LabelMem(label, base, index, scale, disp)
+        return Mem(base=base, index=index, scale=scale, disp=disp)
 
     @staticmethod
     def _terms(inner, line_number):
@@ -415,27 +407,17 @@ class Assembler:
         base = self.base if self.base is not None else DEFAULT_BASE
 
         instructions = self.instructions
-        patches = []  # (position, patch) wherever patch is not 0
         addr = base
-        for position, (instruction, (length, patch)) in enumerate(
-                zip(instructions, self.shapes)):
+        for instruction in instructions:
             instruction.addr = addr
-            instruction.length = length
-            if patch:
-                patches.append((position, patch))
-            addr += length
+            addr += instruction.length
         code_end = addr
         label_addrs = {}
         for name, position in self.labels.items():
-            if position < len(instructions):
-                label_addrs[name] = instructions[position].addr
-            else:
-                label_addrs[name] = code_end
-        for name, _line in self.pending_labels:
-            # Trailing code labels (e.g. an 'end:' after the last hlt) pin
-            # to the end-of-code address.
-            label_addrs[name] = code_end
-        self.pending_labels = []
+            # A trailing code label (e.g. an 'end:' after the last hlt)
+            # pins to the end-of-code address.
+            label_addrs[name] = (instructions[position].addr
+                                 if position < len(instructions) else code_end)
 
         data_addr = (code_end + 15) & ~15
         data = {}
@@ -445,7 +427,7 @@ class Assembler:
                 if payload in label_addrs:
                     raise AssemblerError("duplicate label %r" % payload, line_number)
                 label_addrs[payload] = data_addr
-            elif kind == "word":
+            elif kind == ".word":
                 for value_text in payload:
                     if _NUMBER_RE.match(value_text):
                         data[data_addr] = _parse_number(value_text) & 0xFFFFFFFF
@@ -456,7 +438,7 @@ class Assembler:
                             "bad .word value %r" % value_text, line_number
                         )
                     data_addr += 4
-            elif kind == "zero":
+            else:
                 for _ in range(payload):
                     data[data_addr] = 0
                     data_addr += 4
@@ -466,11 +448,13 @@ class Assembler:
                 raise AssemblerError("undefined label %r" % label, line_number)
             data[word_addr] = label_addrs[label] & 0xFFFFFFFF
 
-        for fixup in self.mem_fixups:
-            fixup.resolve(label_addrs)
+        for mem, label, extra_disp, line_number in self.mem_fixups:
+            if label not in label_addrs:
+                raise AssemblerError("undefined label %r" % label, line_number)
+            mem.disp = label_addrs[label] + extra_disp
 
         resolved = {}  # id(operands) -> (operands, resolved operands)
-        for position, patch in patches:
+        for position, patch, line_number in self.patches:
             instruction = instructions[position]
             if patch & _RESOLVE:
                 operands = instruction.operands
@@ -478,8 +462,7 @@ class Assembler:
                 if known is None:
                     known = resolved[id(operands)] = (
                         operands, self._resolve_operands(
-                            operands, label_addrs,
-                            self.line_numbers[position]))
+                            operands, label_addrs, line_number))
                 instruction.operands = known[1]
             if patch & _DIRECT:
                 instruction.target = instruction.operands[0].value & 0xFFFFFFFF
@@ -502,33 +485,63 @@ class Assembler:
         )
 
     @staticmethod
-    def _shape(instruction):
-        """``(length, patch)`` of one distinct instruction; ``patch`` has
-        :data:`_RESOLVE` set when an operand is a label reference and
-        :data:`_DIRECT` for a branch whose target is its resolved
-        operand."""
-        patch = 0
-        if any(isinstance(operand, LabelRef)
-               for operand in instruction.operands):
-            patch |= _RESOLVE
-        if is_direct_branch(instruction.opcode, instruction.operands):
-            patch |= _DIRECT
-        return (instruction_length(instruction.opcode, instruction.operands),
-                patch)
-
-    @staticmethod
     def _resolve_operands(operands, label_addrs, line_number):
-        resolved = []
         for operand in operands:
-            if isinstance(operand, LabelRef):
-                if operand.name not in label_addrs:
-                    raise AssemblerError(
-                        "undefined label %r" % operand.name, line_number
-                    )
-                resolved.append(Imm(label_addrs[operand.name]))
-            else:
-                resolved.append(operand)
-        return tuple(resolved)
+            if isinstance(operand, LabelRef) and operand.name not in label_addrs:
+                raise AssemblerError("undefined label %r" % operand.name, line_number)
+        return tuple([Imm(label_addrs[operand.name]) if isinstance(operand, LabelRef)
+                      else operand for operand in operands])
+
+
+def _place(operands, slots, line, fixups):
+    """``operands`` with a :class:`Mem` of its own, due for patching in
+    pass two, for each :class:`LabelMem` in ``slots``; each patch is
+    appended to ``fixups``."""
+    placed = list(operands)
+    for slot in slots:
+        template = placed[slot]
+        placed[slot] = mem = Mem(template.base, template.index,
+                                 template.scale, _PENDING_DISP)
+        fixups.append((mem, template.label, template.disp, line))
+    return tuple(placed)
+
+
+def _record_lines(records):
+    """SX86 text of code or data records, one line per record:
+    :meth:`Assembler.feed` reads each line back as its record."""
+    lines = []
+    for label, name, arguments in records:
+        if name is None:
+            lines.append("%s:" % label)
+            continue
+        text = name.replace("rep_", "rep ")
+        if isinstance(arguments, int):
+            text += " %d" % arguments
+        elif arguments:
+            text += " " + ", ".join(map(str, arguments))
+        lines.append("    " + text if label is None else "%s: %s" % (label, text))
+    return lines
+
+
+def records_source(code, data=()):
+    """The SX86 text :func:`assemble` builds the same program from as
+    :func:`assemble_records` builds from ``code`` and ``data``."""
+    lines = _record_lines(code)
+    if data:
+        lines.append(".data")
+        lines.extend(_record_lines(data))
+    return "\n".join(lines) + "\n"
+
+
+def assemble_records(code, data=()):
+    """Assemble code and data records (:meth:`Assembler.add_code`,
+    :meth:`Assembler.add_data`) into a :class:`~repro.isa.program.Program`
+    without text.  An :class:`~repro.errors.AssemblerError` carries the
+    line number the problem has in :func:`records_source`."""
+    assembler = Assembler()
+    assembler.add_code(code)
+    assembler.add_data(data, len(code) + 2)
+    return assembler.finish()
 
 
 def assemble(source, base=None, entry=None):

@@ -10,6 +10,8 @@ Four operand kinds exist:
 - :class:`LabelRef` — a symbolic reference produced by the assembler's
   first pass; pass two resolves every ``LabelRef`` into an :class:`Imm`,
   so no ``LabelRef`` survives in an assembled :class:`~repro.isa.program.Program`.
+- :class:`LabelMem` — a memory operand naming a label, which the
+  assembler turns into a :class:`Mem` of each instruction's own.
 
 Operands are immutable value objects: they compare by content and are
 hashable, which lets instruction and block interning use them as keys.
@@ -125,3 +127,26 @@ class LabelRef:
 
     def __hash__(self):
         return hash((LabelRef, self.name))
+
+
+class LabelMem:
+    """``[label + base + index*scale + disp]`` before layout: a template,
+    compared by identity, that the assembler turns into one :class:`Mem`
+    per instruction."""
+
+    __slots__ = ("label", "base", "index", "scale", "disp")
+
+    def __init__(self, label, base=None, index=None, scale=1, disp=0):
+        self.label = label
+        self.base = base
+        self.index = index
+        self.scale = scale
+        self.disp = disp
+
+    def __str__(self):
+        parts = [self.label]
+        if self.base is not None:
+            parts.append(REGISTER_NAMES[self.base])
+        if self.index is not None:
+            parts.append("%s*%d" % (REGISTER_NAMES[self.index], self.scale))
+        return "[%s%s]" % ("+".join(parts), "%+d" % self.disp if self.disp else "")

@@ -8,7 +8,7 @@ loop nesting and trip counts, basic-block sizes, branchiness
 phases, and code footprint.  See DESIGN.md's substitution table and
 :mod:`repro.workloads.spec` for the per-benchmark parameters.
 
-- :mod:`repro.workloads.kernels` — parametric assembly kernels (counted
+- :mod:`repro.workloads.kernels` — parametric kernels (counted
   nests, branchy loops, switch dispatch, call loops, REP copies) plus the
   paper's Figure 1/2 programs.
 - :mod:`repro.workloads.generator` — composes kernels into a program.

@@ -4,6 +4,9 @@ A :class:`~repro.workloads.spec.BenchmarkSpec` lists kernel descriptors;
 the generator instantiates each (with a deterministic per-kernel RNG
 seeded from the spec), lays them out as procedures, and emits a ``main``
 that calls them in order — sequential kernels are the program's *phases*.
+Kernels emit instruction records, which the assembler's back half lays
+out directly: no generated program passes through SX86 text, and its
+:attr:`WorkloadProgram.source` is rendered only when read.
 ``scale`` multiplies hot-loop trip counts so the same workload can run
 at smoke-test size or at paper size.
 """
@@ -11,7 +14,8 @@ at smoke-test size or at paper size.
 import random
 
 from repro.errors import WorkloadError
-from repro.isa import assemble
+from repro.isa.assembler import assemble_records, records_source
+from repro.isa.operands import LabelRef
 from repro.workloads.kernels import KERNEL_KINDS
 
 #: Spec parameters that scale with the workload size knob.
@@ -21,12 +25,17 @@ _SCALED_PARAMS = ("iters", "outer_iters")
 class WorkloadProgram:
     """A generated benchmark: the program plus provenance."""
 
-    def __init__(self, name, program, source, spec=None, scale=1.0):
+    def __init__(self, name, program, spec, scale=1.0):
         self.name = name
         self.program = program
-        self.source = source
         self.spec = spec
         self.scale = scale
+
+    @property
+    def source(self):
+        """The program as SX86 text, generated and rendered on each read:
+        :func:`~repro.isa.assemble` builds an equal program from it."""
+        return records_source(*_records(self.spec, self.scale))
 
     def __repr__(self):
         return "<WorkloadProgram %s: %d instructions of code>" % (
@@ -37,11 +46,17 @@ class WorkloadProgram:
 
 def build_workload_program(spec, scale=1.0):
     """Instantiate ``spec`` at ``scale``; returns :class:`WorkloadProgram`."""
+    program = assemble_records(*_records(spec, scale))
+    return WorkloadProgram(spec.name, program, spec, scale=scale)
+
+
+def _records(spec, scale):
+    """The code and data records of ``spec`` at ``scale``."""
     if scale <= 0:
         raise WorkloadError("scale must be positive")
     rng = random.Random(spec.seed)
-    text_sections = []
-    data_sections = []
+    code = []
+    data = []
     entries = []
     index = 0
     for descriptor in spec.kernels:
@@ -70,21 +85,11 @@ def build_workload_program(spec, scale=1.0):
             index += 1
             kernel_rng = random.Random((spec.seed << 16) ^ (index * 2654435761))
             kernel = builder(prefix, kernel_rng, **params)
-            text_sections.append("\n".join(kernel.text))
-            if kernel.data:
-                data_sections.append("\n".join(kernel.data))
+            code += kernel.code
+            data += kernel.data
             entries.append(kernel.entry_label)
 
-    main_lines = ["main:"]
-    for entry in entries:
-        main_lines.append("    call %s" % entry)
-    main_lines.append("    hlt")
-
-    source_parts = ["\n".join(main_lines)]
-    source_parts.extend(text_sections)
-    if data_sections:
-        source_parts.append(".data")
-        source_parts.extend(data_sections)
-    source = "\n".join(source_parts) + "\n"
-    program = assemble(source)
-    return WorkloadProgram(spec.name, program, source, spec=spec, scale=scale)
+    main = [("main", None, None)]
+    main += [(None, "call", (LabelRef(entry),)) for entry in entries]
+    main.append((None, "hlt", ()))
+    return main + code, data

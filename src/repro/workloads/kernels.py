@@ -1,8 +1,8 @@
-"""Parametric SX86 assembly kernels.
+"""Parametric SX86 kernels, emitted as instruction records, not text.
 
-Every kernel is emitted as a callable procedure (``<prefix>_entry`` ...
-``ret``) plus optional data lines; the generator stitches kernels into a
-program.  Kernels deliberately produce the control-flow shapes the trace
+Every kernel is a callable procedure (``<prefix>_entry`` ... ``ret``)
+plus its data, as code and data records; the generator stitches kernels
+into a program.  Kernels deliberately produce the control-flow shapes the trace
 strategies react to:
 
 - :func:`counted_nest` — FP-style perfectly nested counted loops with
@@ -29,38 +29,73 @@ branch decisions test individual bits of ``eax``, so paths vary per
 iteration but are fully deterministic for a given seed.
 """
 
-from repro.isa import assemble
+from repro.isa.assembler import assemble
+from repro.isa.operands import Imm, LabelMem, LabelRef, Reg
+from repro.isa.registers import EAX, EBX, ECX, EDX, EDI, ESI
 
-#: Simple ALU/memory instruction templates for loop bodies.  ``{p}`` is
-#: the kernel prefix (for data labels), ``{i}`` the op ordinal.
+_EAX, _EBX, _ECX, _EDX, _ESI, _EDI = map(Reg, (EAX, EBX, ECX, EDX, ESI, EDI))
+
+
+def _op(opcode, *operands):
+    """A code record: ``opcode operands`` under no label."""
+    return (None, opcode, operands)
+
+
+def _label(name):
+    """A code record: ``name`` alone, naming the next instruction."""
+    return (name, None, None)
+
+
+def _jump(opcode, label):
+    return _op(opcode, LabelRef(label))
+
+
+#: Shared records: every use of one appends the same tuple, so the
+#: programs they build share their operand tuples by identity.
+_RET = _op("ret")
+_DEC_ECX = _op("dec", _ECX)
+_PUSH_ECX = _op("push", _ECX)
+_POP_ECX = _op("pop", _ECX)
+_TEST_ECX = _op("test", _ECX, _ECX)
+_MOV_EBX_EAX = _op("mov", _EBX, _EAX)
+_AND_EBX_1 = _op("and", _EBX, Imm(1))
+_SHR_EBX = tuple(_op("shr", _EBX, Imm(bit)) for bit in range(24))
+_TEST_EDX = tuple(_op("test", _EDX, Imm(1 << bit)) for bit in range(8))
+#: Advance the LCG in eax.
+_LCG = (_op("imul", _EAX, Imm(1103515245)), _op("add", _EAX, Imm(12345)))
+
+#: Simple ALU/memory instruction records for loop bodies; ``None``
+#: marks the slots :func:`_body_ops` fills with loads and stores.
 _BODY_OPS = (
-    "add edx, 7",
-    "xor edx, esi",
-    "add esi, 13",
-    "imul edx, 3",
-    "sub esi, 5",
-    "and edx, 16777215",
-    "or esi, 1",
-    "mov edi, [{p}_buf]",
-    "add edi, edx",
-    "mov [{p}_buf+4], edi",
-    "shl edx, 1",
-    "shr esi, 1",
-    "add edx, esi",
-    "not edx",
-    "neg esi",
-    "mov edi, [{p}_buf+8]",
-    "xor edi, 255",
-    "mov [{p}_buf+12], edi",
+    _op("add", _EDX, Imm(7)),
+    _op("xor", _EDX, _ESI),
+    _op("add", _ESI, Imm(13)),
+    _op("imul", _EDX, Imm(3)),
+    _op("sub", _ESI, Imm(5)),
+    _op("and", _EDX, Imm(16777215)),
+    _op("or", _ESI, Imm(1)),
+    None,
+    _op("add", _EDI, _EDX),
+    None,
+    _op("shl", _EDX, Imm(1)),
+    _op("shr", _ESI, Imm(1)),
+    _op("add", _EDX, _ESI),
+    _op("not", _EDX),
+    _op("neg", _ESI),
+    None,
+    _op("xor", _EDI, Imm(255)),
+    None,
 )
 
 
 class KernelCode:
-    """Generated kernel: text lines, data lines and the entry label."""
+    """Generated kernel: code and data records (as
+    :func:`~repro.isa.assembler.assemble_records` takes) and the entry
+    label."""
 
-    def __init__(self, prefix, text, data):
+    def __init__(self, prefix, code, data):
         self.prefix = prefix
-        self.text = text
+        self.code = code
         self.data = data
 
     @property
@@ -68,21 +103,37 @@ class KernelCode:
         return "%s_entry" % self.prefix
 
 
-def _body(prefix, n_ops, rng, start=0):
+def _body_ops(prefix):
+    """:data:`_BODY_OPS` with the kernel's ``<prefix>_buf`` traffic."""
+    ops = list(_BODY_OPS)
+    buf = "%s_buf" % prefix
+    ops[7] = _op("mov", _EDI, LabelMem(buf))
+    ops[9] = _op("mov", LabelMem(buf, disp=4), _EDI)
+    ops[15] = _op("mov", _EDI, LabelMem(buf, disp=8))
+    ops[17] = _op("mov", LabelMem(buf, disp=12), _EDI)
+    return ops
+
+
+def _body(ops, n_ops, rng, start=0):
     """``n_ops`` straight-line body instructions for one block."""
-    lines = []
-    for i in range(n_ops):
-        template = _BODY_OPS[(start + rng.randrange(len(_BODY_OPS))) % len(_BODY_OPS)]
-        lines.append("    " + template.format(p=prefix, i=i))
-    return lines
+    return [ops[(start + rng.randrange(len(ops))) % len(ops)]
+            for _ in range(n_ops)]
 
 
-def _lcg(prefix):
-    """Advance the LCG in eax."""
-    return [
-        "    imul eax, 1103515245",
-        "    add eax, 12345",
-    ]
+def _diamond(code, ops, rng, name, bit, arm_ops, then_start, else_start):
+    """An if/else split on bit ``bit`` of the LCG in eax, with
+    ``arm_ops`` body instructions in each arm."""
+    code += [_MOV_EBX_EAX, _SHR_EBX[bit], _AND_EBX_1,
+             _jump("jnz", name + "_else")]
+    code += _body(ops, arm_ops, rng, start=then_start)
+    code += [_jump("jmp", name + "_end"), _label(name + "_else")]
+    code += _body(ops, arm_ops, rng, start=else_start)
+    code.append(_label(name + "_end"))
+
+
+def _zero_trip_guard(code, name):
+    """``test ecx, ecx`` and a never-taken ``jz`` to the next line."""
+    code += [_TEST_ECX, _jump("jz", name), _label(name)]
 
 
 def counted_nest(prefix, rng, depth=2, outer_iters=40, inner_iters=80,
@@ -101,8 +152,9 @@ def counted_nest(prefix, rng, depth=2, outer_iters=40, inner_iters=80,
     """
     if seed is None:
         seed = rng.randrange(1, 2 ** 30)
-    text = ["%s_entry:" % prefix, "    mov eax, %d" % seed]
-    data = ["%s_buf: .zero 8" % prefix, "%s_bufb: .zero 4" % prefix]
+    ops = _body_ops(prefix)
+    code = [_label("%s_entry" % prefix), _op("mov", _EAX, Imm(seed))]
+    data = [("%s_buf" % prefix, ".zero", 8), ("%s_bufb" % prefix, ".zero", 4)]
     iters = [max(2, outer_iters)] + [max(2, inner_iters)] * (depth - 1)
     # Open loops outermost-first, with pre-segment work at each level.
     # Each non-outermost loop is entered through a zero-trip guard
@@ -112,37 +164,26 @@ def counted_nest(prefix, rng, depth=2, outer_iters=40, inner_iters=80,
     # inner cycles with a header link-back on its very first trunk.
     for level, count in enumerate(iters):
         if level > 0:
-            text.append("    push ecx")
-        text.append("    mov ecx, %d" % count)
+            code.append(_PUSH_ECX)
+        code.append(_op("mov", _ECX, Imm(count)))
         if level > 0:
-            text.append("    test ecx, ecx")
-            text.append("    jz %s_l%d_guard" % (prefix, level))
-            text.append("%s_l%d_guard:" % (prefix, level))
-        text.append("%s_l%d:" % (prefix, level))
+            _zero_trip_guard(code, "%s_l%d_guard" % (prefix, level))
+        code.append(_label("%s_l%d" % (prefix, level)))
         if level + 1 < len(iters) and pre_ops:
-            text.extend(_lcg(prefix))
-            text.extend(_body(prefix, pre_ops, rng, start=level * 5))
-    text.extend(_body(prefix, body_ops, rng))
+            code += _LCG
+            code += _body(ops, pre_ops, rng, start=level * 5)
+    code += _body(ops, body_ops, rng)
     for level in range(depth - 1, -1, -1):
-        text.append("    dec ecx")
-        text.append("    jnz %s_l%d" % (prefix, level))
+        code += [_DEC_ECX, _jump("jnz", "%s_l%d" % (prefix, level))]
         if level > 0:
-            text.append("    pop ecx")
+            code.append(_POP_ECX)
             # Post-segment work between loop levels (imperfect nests).
-            text.extend(_body(prefix, post_ops, rng, start=level * 7))
+            code += _body(ops, post_ops, rng, start=level * 7)
             for d in range(post_diamonds):
-                bit = (d * 3 + level * 5 + 2) % 24
-                text.append("    mov ebx, eax")
-                text.append("    shr ebx, %d" % bit)
-                text.append("    and ebx, 1")
-                text.append("    jnz %s_p%d_%d_else" % (prefix, level, d))
-                text.extend(_body(prefix, 3, rng, start=d))
-                text.append("    jmp %s_p%d_%d_end" % (prefix, level, d))
-                text.append("%s_p%d_%d_else:" % (prefix, level, d))
-                text.extend(_body(prefix, 3, rng, start=d + 9))
-                text.append("%s_p%d_%d_end:" % (prefix, level, d))
-    text.append("    ret")
-    return KernelCode(prefix, text, data)
+                _diamond(code, ops, rng, "%s_p%d_%d" % (prefix, level, d),
+                         (d * 3 + level * 5 + 2) % 24, 3, d, d + 9)
+    code.append(_RET)
+    return KernelCode(prefix, code, data)
 
 
 def fp_nest(prefix, rng, outer_iters=10, inner_iters=48, n_inner=2,
@@ -167,42 +208,25 @@ def fp_nest(prefix, rng, outer_iters=10, inner_iters=48, n_inner=2,
     """
     if seed is None:
         seed = rng.randrange(1, 2 ** 30)
-    text = [
-        "%s_entry:" % prefix,
-        "    mov eax, %d" % seed,
-        "    mov ecx, %d" % max(2, outer_iters),
-        "%s_outer:" % prefix,
-        "    push ecx",
-    ]
-    data = ["%s_buf: .zero 8" % prefix]
+    ops = _body_ops(prefix)
+    code = [_label("%s_entry" % prefix), _op("mov", _EAX, Imm(seed)),
+            _op("mov", _ECX, Imm(max(2, outer_iters))),
+            _label("%s_outer" % prefix), _PUSH_ECX]
+    data = [("%s_buf" % prefix, ".zero", 8)]
     for j in range(max(1, n_inner)):
-        text.extend(_lcg(prefix))
-        text.extend(_body(prefix, pre_ops, rng, start=j * 5))
-        text.append("    mov ecx, %d" % max(2, inner_iters))
-        text.append("    test ecx, ecx")
-        text.append("    jz %s_i%d_guard" % (prefix, j))
-        text.append("%s_i%d_guard:" % (prefix, j))
-        text.append("%s_i%d:" % (prefix, j))
-        text.extend(_body(prefix, body_ops, rng, start=j * 3))
-        text.append("    dec ecx")
-        text.append("    jnz %s_i%d" % (prefix, j))
-        text.extend(_body(prefix, post_ops, rng, start=j * 7))
+        code += _LCG
+        code += _body(ops, pre_ops, rng, start=j * 5)
+        code.append(_op("mov", _ECX, Imm(max(2, inner_iters))))
+        _zero_trip_guard(code, "%s_i%d_guard" % (prefix, j))
+        code.append(_label("%s_i%d" % (prefix, j)))
+        code += _body(ops, body_ops, rng, start=j * 3)
+        code += [_DEC_ECX, _jump("jnz", "%s_i%d" % (prefix, j))]
+        code += _body(ops, post_ops, rng, start=j * 7)
         for d in range(post_diamonds):
-            bit = (d * 3 + j * 5 + 2) % 24
-            text.append("    mov ebx, eax")
-            text.append("    shr ebx, %d" % bit)
-            text.append("    and ebx, 1")
-            text.append("    jnz %s_p%d_%d_else" % (prefix, j, d))
-            text.extend(_body(prefix, 3, rng, start=d))
-            text.append("    jmp %s_p%d_%d_end" % (prefix, j, d))
-            text.append("%s_p%d_%d_else:" % (prefix, j, d))
-            text.extend(_body(prefix, 3, rng, start=d + 9))
-            text.append("%s_p%d_%d_end:" % (prefix, j, d))
-    text.append("    pop ecx")
-    text.append("    dec ecx")
-    text.append("    jnz %s_outer" % prefix)
-    text.append("    ret")
-    return KernelCode(prefix, text, data)
+            _diamond(code, ops, rng, "%s_p%d_%d" % (prefix, j, d),
+                     (d * 3 + j * 5 + 2) % 24, 3, d, d + 9)
+    code += [_POP_ECX, _DEC_ECX, _jump("jnz", "%s_outer" % prefix), _RET]
+    return KernelCode(prefix, code, data)
 
 
 def branchy_loop(prefix, rng, iters=200, diamonds=3, body_ops=3,
@@ -210,30 +234,17 @@ def branchy_loop(prefix, rng, iters=200, diamonds=3, body_ops=3,
     """One hot loop, ``diamonds`` data-dependent if/else splits."""
     if seed is None:
         seed = rng.randrange(1, 2 ** 30)
-    text = [
-        "%s_entry:" % prefix,
-        "    mov ecx, %d" % max(2, iters),
-        "    mov eax, %d" % seed,
-        "%s_loop:" % prefix,
-    ]
-    data = ["%s_buf: .zero 8" % prefix]
-    text.extend(_lcg(prefix))
-    text.extend(_body(prefix, body_ops, rng))
+    ops = _body_ops(prefix)
+    code = [_label("%s_entry" % prefix), _op("mov", _ECX, Imm(max(2, iters))),
+            _op("mov", _EAX, Imm(seed)), _label("%s_loop" % prefix)]
+    data = [("%s_buf" % prefix, ".zero", 8)]
+    code += _LCG
+    code += _body(ops, body_ops, rng)
     for d in range(diamonds):
-        bit = (d * 5 + 1) % 24
-        text.append("    mov ebx, eax")
-        text.append("    shr ebx, %d" % bit)
-        text.append("    and ebx, 1")
-        text.append("    jnz %s_d%d_else" % (prefix, d))
-        text.extend(_body(prefix, arm_ops, rng))
-        text.append("    jmp %s_d%d_end" % (prefix, d))
-        text.append("%s_d%d_else:" % (prefix, d))
-        text.extend(_body(prefix, arm_ops, rng, start=7))
-        text.append("%s_d%d_end:" % (prefix, d))
-    text.append("    dec ecx")
-    text.append("    jnz %s_loop" % prefix)
-    text.append("    ret")
-    return KernelCode(prefix, text, data)
+        _diamond(code, ops, rng, "%s_d%d" % (prefix, d), (d * 5 + 1) % 24,
+                 arm_ops, 0, 7)
+    code += [_DEC_ECX, _jump("jnz", "%s_loop" % prefix), _RET]
+    return KernelCode(prefix, code, data)
 
 
 def branchy_nest(prefix, rng, outer_iters=120, inner_iters=5, diamonds=2,
@@ -252,49 +263,31 @@ def branchy_nest(prefix, rng, outer_iters=120, inner_iters=5, diamonds=2,
     """
     if seed is None:
         seed = rng.randrange(1, 2 ** 30)
-    text = [
-        "%s_entry:" % prefix,
-        "    mov ecx, %d" % max(2, outer_iters),
-        "    mov eax, %d" % seed,
-        "%s_outer:" % prefix,
-        "    push ecx",
-    ]
-    data = ["%s_buf: .zero 8" % prefix]
+    ops = _body_ops(prefix)
+    code = [_label("%s_entry" % prefix),
+            _op("mov", _ECX, Imm(max(2, outer_iters))),
+            _op("mov", _EAX, Imm(seed)), _label("%s_outer" % prefix),
+            _PUSH_ECX]
+    data = [("%s_buf" % prefix, ".zero", 8)]
     mask = _pow2_mask(inner_iters)
     for j in range(max(1, n_inner)):
-        text.extend(_lcg(prefix))
+        code += _LCG
         # Trip count 2 .. inner_iters+1, varying with the LCG; the
         # zero-trip guard makes the header a block leader immediately
         # (see counted_nest).
-        text.append("    mov ecx, eax")
-        text.append("    shr ecx, %d" % (4 + 3 * j))
-        text.append("    and ecx, %d" % mask)
-        text.append("    add ecx, 2")
-        text.append("    test ecx, ecx")
-        text.append("    jz %s_i%d_guard" % (prefix, j))
-        text.append("%s_i%d_guard:" % (prefix, j))
-        text.append("%s_i%d:" % (prefix, j))
-        text.extend(_lcg(prefix))
-        text.extend(_body(prefix, body_ops, rng, start=j * 2))
+        code += [_op("mov", _ECX, _EAX), _op("shr", _ECX, Imm(4 + 3 * j)),
+                 _op("and", _ECX, Imm(mask)), _op("add", _ECX, Imm(2))]
+        _zero_trip_guard(code, "%s_i%d_guard" % (prefix, j))
+        code.append(_label("%s_i%d" % (prefix, j)))
+        code += _LCG
+        code += _body(ops, body_ops, rng, start=j * 2)
         for d in range(diamonds):
-            bit = (d * 7 + j * 11 + 3) % 24
-            text.append("    mov ebx, eax")
-            text.append("    shr ebx, %d" % bit)
-            text.append("    and ebx, 1")
-            text.append("    jnz %s_i%d_d%d_else" % (prefix, j, d))
-            text.extend(_body(prefix, arm_ops, rng))
-            text.append("    jmp %s_i%d_d%d_end" % (prefix, j, d))
-            text.append("%s_i%d_d%d_else:" % (prefix, j, d))
-            text.extend(_body(prefix, arm_ops, rng, start=11))
-            text.append("%s_i%d_d%d_end:" % (prefix, j, d))
-        text.append("    dec ecx")
-        text.append("    jnz %s_i%d" % (prefix, j))
-        text.extend(_body(prefix, 2, rng, start=j * 5))
-    text.append("    pop ecx")
-    text.append("    dec ecx")
-    text.append("    jnz %s_outer" % prefix)
-    text.append("    ret")
-    return KernelCode(prefix, text, data)
+            _diamond(code, ops, rng, "%s_i%d_d%d" % (prefix, j, d),
+                     (d * 7 + j * 11 + 3) % 24, arm_ops, 0, 11)
+        code += [_DEC_ECX, _jump("jnz", "%s_i%d" % (prefix, j))]
+        code += _body(ops, 2, rng, start=j * 5)
+    code += [_POP_ECX, _DEC_ECX, _jump("jnz", "%s_outer" % prefix), _RET]
+    return KernelCode(prefix, code, data)
 
 
 def _pow2_mask(n):
@@ -315,46 +308,32 @@ def switch_loop(prefix, rng, iters=150, cases=8, case_ops=3,
     perlbmk/gap."""
     if seed is None:
         seed = rng.randrange(1, 2 ** 30)
+    ops = _body_ops(prefix)
     cases = max(2, cases)
     mask = _pow2_mask(cases)
     n_cases = mask + 1
-    text = [
-        "%s_entry:" % prefix,
-        "    mov ecx, %d" % max(2, iters),
-        "    mov eax, %d" % seed,
-        "%s_loop:" % prefix,
+    code = [_label("%s_entry" % prefix), _op("mov", _ECX, Imm(max(2, iters))),
+            _op("mov", _EAX, Imm(seed)), _label("%s_loop" % prefix)]
+    code += _LCG
+    code += [
+        _MOV_EBX_EAX, _SHR_EBX[16], _op("and", _EBX, Imm(mask)),
+        _op("mov", _EDX, LabelMem("%s_table" % prefix, index=EBX, scale=4)),
+        _op("jmp", _EDX),
     ]
-    text.extend(_lcg(prefix))
-    text.append("    mov ebx, eax")
-    text.append("    shr ebx, 16")
-    text.append("    and ebx, %d" % mask)
-    text.append("    mov edx, [%s_table+ebx*4]" % prefix)
-    text.append("    jmp edx")
+    join = _jump("jmp", "%s_join" % prefix)
     for c in range(n_cases):
-        text.append("%s_case%d:" % (prefix, c))
-        text.extend(_body(prefix, case_ops, rng, start=c))
+        code.append(_label("%s_case%d" % (prefix, c)))
+        code += _body(ops, case_ops, rng, start=c)
         for d in range(case_diamonds):
-            bit = (c * 3 + d * 7 + 2) % 24
-            text.append("    mov ebx, eax")
-            text.append("    shr ebx, %d" % bit)
-            text.append("    and ebx, 1")
-            text.append("    jnz %s_c%d_d%d_else" % (prefix, c, d))
-            text.extend(_body(prefix, 2, rng, start=c + d))
-            text.append("    jmp %s_c%d_d%d_end" % (prefix, c, d))
-            text.append("%s_c%d_d%d_else:" % (prefix, c, d))
-            text.extend(_body(prefix, 2, rng, start=c + d + 9))
-            text.append("%s_c%d_d%d_end:" % (prefix, c, d))
-        text.append("    jmp %s_join" % prefix)
-    text.append("%s_join:" % prefix)
-    text.append("    dec ecx")
-    text.append("    jnz %s_loop" % prefix)
-    text.append("    ret")
-    data = ["%s_buf: .zero 8" % prefix]
-    data.append(
-        "%s_table: .word %s"
-        % (prefix, ", ".join("%s_case%d" % (prefix, c) for c in range(n_cases)))
-    )
-    return KernelCode(prefix, text, data)
+            _diamond(code, ops, rng, "%s_c%d_d%d" % (prefix, c, d),
+                     (c * 3 + d * 7 + 2) % 24, 2, c + d, c + d + 9)
+        code.append(join)
+    code += [_label("%s_join" % prefix), _DEC_ECX,
+             _jump("jnz", "%s_loop" % prefix), _RET]
+    data = [("%s_buf" % prefix, ".zero", 8),
+            ("%s_table" % prefix, ".word",
+             ["%s_case%d" % (prefix, c) for c in range(n_cases)])]
+    return KernelCode(prefix, code, data)
 
 
 def call_loop(prefix, rng, iters=150, n_funcs=3, func_ops=5, indirect=False,
@@ -366,92 +345,66 @@ def call_loop(prefix, rng, iters=150, n_funcs=3, func_ops=5, indirect=False,
     path duplication on eon-like codes."""
     if seed is None:
         seed = rng.randrange(1, 2 ** 30)
+    ops = _body_ops(prefix)
     n_funcs = max(1, n_funcs)
-    text = [
-        "%s_entry:" % prefix,
-        "    mov ecx, %d" % max(2, iters),
-        "    mov eax, %d" % seed,
-        "%s_loop:" % prefix,
-        "    push ecx",
-    ]
-    data = ["%s_buf: .zero 8" % prefix]
+    code = [_label("%s_entry" % prefix), _op("mov", _ECX, Imm(max(2, iters))),
+            _op("mov", _EAX, Imm(seed)), _label("%s_loop" % prefix),
+            _PUSH_ECX]
+    data = [("%s_buf" % prefix, ".zero", 8)]
     if indirect:
         mask = _pow2_mask(n_funcs)
         n_funcs = mask + 1
-        text.extend(_lcg(prefix))
-        text.append("    mov ebx, eax")
-        text.append("    shr ebx, 8")
-        text.append("    and ebx, %d" % mask)
-        text.append("    mov edx, [%s_ftab+ebx*4]" % prefix)
-        text.append("    call edx")
-        data.append(
-            "%s_ftab: .word %s"
-            % (prefix, ", ".join("%s_f%d" % (prefix, f) for f in range(n_funcs)))
-        )
+        code += _LCG
+        code += [
+            _MOV_EBX_EAX, _SHR_EBX[8], _op("and", _EBX, Imm(mask)),
+            _op("mov", _EDX, LabelMem("%s_ftab" % prefix, index=EBX, scale=4)),
+            _op("call", _EDX),
+        ]
+        data.append(("%s_ftab" % prefix, ".word",
+                     ["%s_f%d" % (prefix, f) for f in range(n_funcs)]))
     else:
-        for f in range(n_funcs):
-            text.append("    call %s_f%d" % (prefix, f))
-    text.append("    pop ecx")
-    text.append("    dec ecx")
-    text.append("    jnz %s_loop" % prefix)
-    text.append("    ret")
+        code += [_jump("call", "%s_f%d" % (prefix, f))
+                 for f in range(n_funcs)]
+    code += [_POP_ECX, _DEC_ECX, _jump("jnz", "%s_loop" % prefix), _RET]
     for f in range(n_funcs):
-        text.append("%s_f%d:" % (prefix, f))
-        text.extend(_body(prefix, func_ops, rng, start=f * 3))
+        code.append(_label("%s_f%d" % (prefix, f)))
+        code += _body(ops, func_ops, rng, start=f * 3)
         for d in range(func_diamonds):
-            bit = (f * 5 + d * 7 + 1) % 24
-            text.append("    mov ebx, eax")
-            text.append("    shr ebx, %d" % bit)
-            text.append("    and ebx, 1")
-            text.append("    jnz %s_f%d_d%d_else" % (prefix, f, d))
-            text.extend(_body(prefix, 2, rng, start=f + d))
-            text.append("    jmp %s_f%d_d%d_end" % (prefix, f, d))
-            text.append("%s_f%d_d%d_else:" % (prefix, f, d))
-            text.extend(_body(prefix, 2, rng, start=f + d + 9))
-            text.append("%s_f%d_d%d_end:" % (prefix, f, d))
-        text.append("    ret")
-    return KernelCode(prefix, text, data)
+            _diamond(code, ops, rng, "%s_f%d_d%d" % (prefix, f, d),
+                     (f * 5 + d * 7 + 1) % 24, 2, f + d, f + d + 9)
+        code.append(_RET)
+    return KernelCode(prefix, code, data)
 
 
 def rep_copy_loop(prefix, rng, iters=10, words=24):
     """REP MOVSD copies in a loop (the Section 4.1 counting mismatch)."""
-    text = [
-        "%s_entry:" % prefix,
-        "    mov ecx, %d" % max(1, iters),
-        "%s_loop:" % prefix,
-        "    push ecx",
-        "    mov ecx, %d" % words,
-        "    mov esi, %s_src" % prefix,
-        "    mov edi, %s_dst" % prefix,
-        "    rep movsd",
-        "    pop ecx",
-        "    dec ecx",
-        "    jnz %s_loop" % prefix,
-        "    ret",
-    ]
-    data = [
-        "%s_src: .zero %d" % (prefix, words),
-        "%s_dst: .zero %d" % (prefix, words),
-    ]
-    return KernelCode(prefix, text, data)
+    code = [_label("%s_entry" % prefix), _op("mov", _ECX, Imm(max(1, iters))),
+            _label("%s_loop" % prefix), _PUSH_ECX,
+            _op("mov", _ECX, Imm(words)),
+            _op("mov", _ESI, LabelRef("%s_src" % prefix)),
+            _op("mov", _EDI, LabelRef("%s_dst" % prefix)), _op("rep_movsd"),
+            _POP_ECX, _DEC_ECX, _jump("jnz", "%s_loop" % prefix), _RET]
+    data = [("%s_src" % prefix, ".zero", words),
+            ("%s_dst" % prefix, ".zero", words)]
+    return KernelCode(prefix, code, data)
 
 
 def straightline(prefix, rng, n_ops=40):
     """Run-once straight-line code: cold footprint and cold coverage."""
-    text = ["%s_entry:" % prefix]
-    data = ["%s_buf: .zero 8" % prefix]
-    ops = 0
-    while ops < n_ops:
-        chunk = min(max(3, rng.randrange(4, 9)), n_ops - ops)
-        text.extend(_body(prefix, chunk, rng, start=ops))
-        ops += chunk
-        if ops < n_ops:
+    ops = _body_ops(prefix)
+    code = [_label("%s_entry" % prefix)]
+    data = [("%s_buf" % prefix, ".zero", 8)]
+    done = 0
+    while done < n_ops:
+        chunk = min(max(3, rng.randrange(4, 9)), n_ops - done)
+        code += _body(ops, chunk, rng, start=done)
+        done += chunk
+        if done < n_ops:
             # A forward conditional to break blocks up like real code.
-            text.append("    test edx, %d" % (1 << (ops % 8)))
-            text.append("    jz %s_s%d" % (prefix, ops))
-            text.append("%s_s%d:" % (prefix, ops))
-    text.append("    ret")
-    return KernelCode(prefix, text, data)
+            name = "%s_s%d" % (prefix, done)
+            code += [_TEST_EDX[done % 8], _jump("jz", name), _label(name)]
+    code.append(_RET)
+    return KernelCode(prefix, code, data)
 
 
 #: Kernel kind name -> builder, for the generator's spec tables.

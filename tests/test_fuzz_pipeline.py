@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.differential import check_equivalence
 from repro.core import MemoryModel
 from repro.dbt import StarDBT
-from repro.isa import assemble
+from repro.isa import LabelRef
+from repro.isa.assembler import assemble_records
 from repro.pin import Pin, TeaReplayTool
 from repro.traces.recorder import RecorderLimits
 from repro.workloads.kernels import KERNEL_KINDS
@@ -28,8 +29,8 @@ def random_programs(draw):
     n_kernels = draw(st.integers(min_value=1, max_value=3))
     rng_seed = draw(st.integers(min_value=0, max_value=2 ** 20))
     rng = random.Random(rng_seed)
-    text_sections = []
-    data_sections = []
+    code = []
+    data = []
     calls = []
     for index in range(n_kernels):
         kind = draw(st.sampled_from(_KINDS))
@@ -51,15 +52,11 @@ def random_programs(draw):
             params["iters"] = draw(st.integers(min_value=1, max_value=10))
             params["words"] = draw(st.integers(min_value=1, max_value=30))
         kernel = KERNEL_KINDS[kind](prefix, rng, **params)
-        text_sections.append("\n".join(kernel.text))
-        if kernel.data:
-            data_sections.append("\n".join(kernel.data))
-        calls.append("    call %s" % kernel.entry_label)
-    source = "main:\n" + "\n".join(calls) + "\n    hlt\n"
-    source += "\n".join(text_sections)
-    if data_sections:
-        source += "\n.data\n" + "\n".join(data_sections)
-    return assemble(source)
+        code += kernel.code
+        data += kernel.data
+        calls.append((None, "call", (LabelRef(kernel.entry_label),)))
+    main = [("main", None, None)] + calls + [(None, "hlt", ())]
+    return assemble_records(main + code, data)
 
 
 @given(random_programs(),

@@ -6,7 +6,8 @@ import pytest
 
 from repro.cpu import run_program
 from repro.errors import WorkloadError
-from repro.isa import assemble
+from repro.isa import LabelRef
+from repro.isa.assembler import assemble_records
 from repro.workloads import (
     BENCHMARKS,
     FP_BENCHMARKS,
@@ -32,13 +33,10 @@ from repro.workloads.kernels import (
 
 
 def run_kernel(kernel):
-    source = (
-        "main:\n    call %s\n    hlt\n" % kernel.entry_label
-        + "\n".join(kernel.text)
-    )
-    if kernel.data:
-        source += "\n.data\n" + "\n".join(kernel.data)
-    program = assemble(source)
+    main = [("main", None, None),
+            (None, "call", (LabelRef(kernel.entry_label),)),
+            (None, "hlt", ())]
+    program = assemble_records(main + kernel.code, kernel.data)
     return run_program(program, max_instructions=5_000_000)
 
 
@@ -67,7 +65,7 @@ def test_counted_nest_instruction_count_scales():
 def test_fp_nest_runs_sequential_inner_loops():
     kernel = fp_nest("k0", random.Random(2), outer_iters=3, inner_iters=5,
                      n_inner=3)
-    assert "k0_i2:" in "\n".join(kernel.text)
+    assert ("k0_i2", None, None) in kernel.code
     assert run_kernel(kernel).halted
 
 
